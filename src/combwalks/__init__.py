@@ -13,7 +13,7 @@ from .sampler import (CollisionRecord, PairTrajectorySummary, RecordPolicy,
                       SimulationError, clock_dichotomy_violations,
                       dyadic_checkpoints, geometric_clock_path, read_summaries,
                       run_ensemble, run_pair, run_pair_decomposed,
-                      sample_marginal, srw_step, write_summaries)
+                      sample_marginal, write_summaries)
 from .stats import (DriftEstimate, DyadicCellStats, ExponentFit, GrowthCurve,
                     StatsError, conditional_W, drift_estimate,
                     dyadic_collision_stats, estimate_exponent, kendall_trend,

@@ -28,8 +28,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from .graphs import BudgetError, GraphError, build_graph, DEFAULT_BUDGET
 from .oracle import (OracleError, identity_check_suite,
                      meeting_expectation_series, per_site_collision_series,
@@ -290,7 +288,9 @@ def cmd_stats(args):
 
     if report == "growth":
         rows = []
-        for label, sums in loaded:
+        for path, (label, sums) in zip(args.inputs, loaded):
+            if len({tuple(t for t, _ in s.checkpoints) for s in sums}) > 1:
+                raise SchemaError(f"{path}: summaries differ in checkpoint grid")
             if not sums:
                 continue
             curve = meeting_growth_curve(sums, args.checkpoints or None)

@@ -16,16 +16,24 @@ whose base has constant degree, and exist so their bookkeeping quantities
 (loop counts, revisit counts, holding-time sums) can be checked against the
 direct law.
 
-Everything is driven by the keyed Philox streams in :mod:`.rng`.  Draws are
-chunked in fixed blocks of ``CHUNK`` per stream, and every stream consumes a
-fixed number of values per step whether or not the step uses them, so a
-replica's trajectory never depends on how replicas are grouped into worker
-processes.  ``run_ensemble`` therefore emits byte-identical JSONL for any
-worker count.
+Everything is driven by the keyed Philox streams in :mod:`.rng`, and one
+driver (``_windows``) runs every direct and selfloop walk in three layers:
 
-Walker state lives in integer numpy arrays, one column per walker; the two
-walkers of ``replicas`` pairs run stacked in a single width ``2*replicas``
-block.  Meetings are detected by comparing the halves.
+* chunk    -- each stream is filled ``CHUNK`` values at a time, and every
+              stream consumes a fixed number of values per step whether or
+              not the step uses them;
+* window   -- the kernel turns ``WIN`` rows of a chunk into small int8 move
+              tables and steps through them, writing each state into a
+              (WIN + 1)-row history;
+* observer -- meetings, collision records, depth, envelope violations,
+              truncation, checkpoints, loop counts and the ladder spine
+              trace are read off the whole window history at once.
+
+A replica's trajectory therefore never depends on how replicas are grouped
+into worker processes, and ``run_ensemble`` emits byte-identical JSONL for
+any worker count.  The two walkers of ``replicas`` pairs run as the two
+halves of a single width ``2*replicas`` block; meetings are detected by
+comparing the halves.
 """
 
 from __future__ import annotations
@@ -37,12 +45,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import (BiasedLadder, Comb, Comb2, Cycle, Graph, GraphError,
-                     Grid2D, Line, PathTwo, Star, build_graph)
+from .graphs import (BiasedLadder, Comb, Comb2, Cycle, GraphError, Grid2D,
+                     Line, PathTwo, Star, build_graph)
 from .rng import (RngStream, X_BASE, X_MAIN, X_SKEL, X_TOOTH, Y_MAIN,
                   Y_SKEL, Y_TOOTH)
+from .stats import lil_threshold
 
 CHUNK = 4096
+WIN = 64                  # steps per move table and per observer pass
 _LEVEL_BITS = 62          # midpoint identities use the low 62 bits
 
 
@@ -166,14 +176,16 @@ def read_summaries(path):
 
 
 # ---------------------------------------------------------------------------
-# per-family step kernels
+# per-family kernels
 #
-# A kernel holds the coordinates of `width` independent walkers as int64
-# column arrays and advances them all one step from a vector of uniforms.
-# `channels` is the number of uniform streams consumed per step (the lazy
-# construction needs two); `needs_raw` asks for one extra 62-bit integer
-# per step (midpoint identities on the ladder).  Draws are consumed every
-# step even when a walker's branch ignores them.
+# A kernel holds `width` independent walkers.  `pos[i]` is the (coords,
+# width) int64 state after step i of the current window; row 0 is the state
+# the window starts from.  `advance` fills rows 1..L from L rows of uniforms
+# per channel: `channels` is the number of uniform streams consumed per step
+# (the lazy construction needs two), `needs_raw` asks for one extra 62-bit
+# integer per step (midpoint identities on the ladder).  Draws are consumed
+# every step even when a walker's branch ignores them.  `height`, `depth`
+# and `distance` read a window of states, shape (L, coords, width).
 # ---------------------------------------------------------------------------
 
 class _KernelBase:
@@ -181,515 +193,347 @@ class _KernelBase:
     needs_raw = False
     tracks_depth = False
 
-    def positions(self):
-        raise NotImplementedError
+    def __init__(self, graph, start, width, rows):
+        self.pos = np.empty((rows + 1, len(start), width), dtype=np.int64)
+        self.pos[0] = np.asarray(start, dtype=np.int64)[:, None]
 
-    def vertex(self, col):
-        return tuple(int(a[col]) for a in self.positions())
-
-    def height(self):
+    def height(self, p):
         return None
 
-    def depth(self):
+    def depth(self, p):
         return None
 
-    def distance(self):
-        raise NotImplementedError
 
-
-def _sign(u):
-    return np.where(u < 0.5, -1, 1)
-
-
-class _LineKernel(_KernelBase):
-    def __init__(self, graph, start, width):
-        self.x = np.full(width, start[0], dtype=np.int64)
-
-    def step(self, us, raw=None):
-        self.x += _sign(us[0])
-
-    def positions(self):
-        return (self.x,)
-
-    def distance(self):
-        return np.abs(self.x)
-
-
-class _CycleKernel(_KernelBase):
-    def __init__(self, graph, start, width):
-        self.m = graph.m
-        self.x = np.full(width, start[0], dtype=np.int64)
-
-    def step(self, us, raw=None):
-        self.x = (self.x + _sign(us[0])) % self.m
-
-    def positions(self):
-        return (self.x,)
-
-    def distance(self):
-        return np.minimum(self.x, self.m - self.x)
-
-
-class _PathTwoKernel(_KernelBase):
-    def __init__(self, graph, start, width):
-        self.x = np.full(width, start[0], dtype=np.int64)
-
-    def step(self, us, raw=None):
-        self.x = 1 - self.x
-
-    def positions(self):
-        return (self.x,)
-
-    def distance(self):
-        return self.x.copy()
-
-
-class _StarKernel(_KernelBase):
-    def __init__(self, graph, start, width):
-        self.k = graph.k
-        self.x = np.full(width, start[0], dtype=np.int64)
-
-    def step(self, us, raw=None):
-        leaf = 1 + (us[0] * self.k).astype(np.int64)
-        self.x = np.where(self.x == 0, leaf, 0)
-
-    def positions(self):
-        return (self.x,)
-
-    def distance(self):
-        return (self.x != 0).astype(np.int64)
-
-
-class _Grid2DKernel(_KernelBase):
-    def __init__(self, graph, start, width):
-        self.x = np.full(width, start[0], dtype=np.int64)
-        self.y = np.full(width, start[1], dtype=np.int64)
-
-    def step(self, us, raw=None):
-        c = (us[0] * 4).astype(np.int64)
-        self.x += (c == 1).astype(np.int64) - (c == 0)
-        self.y += (c == 3).astype(np.int64) - (c == 2)
-
-    def positions(self):
-        return (self.x, self.y)
-
-    def distance(self):
-        return np.abs(self.x) + np.abs(self.y)
+def _pm(c, minus):
+    """+1 where c == minus + 1, -1 where c == minus, else 0 (int8)."""
+    return (c == minus + 1).astype(np.int8) - (c == minus)
 
 
 class _CombKernel(_KernelBase):
-    """Comb over a degree-2 base (line or cycle of length >= 3)."""
+    """Comb and comb2 over a line, cycle or single edge, the bare base (no
+    teeth: every vertex is on the spine), and the lazy construction.
 
-    tracks_depth = True
+    Coordinates are (base, tooth...).  Each window becomes three int8 move
+    tables: `db`, the base move at the spine (a flip on the single edge),
+    and `dts` and `dtt`, the tooth moves on and off the spine.  A step only
+    tests which walkers sit on the spine and adds the matching tooth move;
+    the base path is then a masked cumulative sum over the window.
 
-    def __init__(self, graph, start, width):
-        self.m = graph.base.m if isinstance(graph.base, Cycle) else 0
-        self.b = np.full(width, start[0], dtype=np.int64)
-        self.t = np.full(width, start[1], dtype=np.int64)
+    Classes at the spine, in order: the base moves (b-, b+, or the single
+    edge flip), then -, + for each tooth coordinate.  Off the spine: -, +
+    for each tooth coordinate.
 
-    def step(self, us, raw=None):
+    The lazy construction (comb only) runs the tooth as a walk on the
+    integers with a self-loop of probability d/(d+2) at 0; each self-loop
+    event advances an independent base walk one step and bumps the loop
+    counter `k`.  The assembled pair (base position, tooth height) has
+    exactly the direct comb law.  Channel 0 drives the tooth, channel 1 the
+    base move, the latter consumed even on steps with no base move.
+    """
+
+    def __init__(self, graph, start, width, rows, lazy=False):
+        super().__init__(graph, start, width, rows)
+        base = getattr(graph, "base", graph)
+        self.flip = isinstance(base, PathTwo)
+        self.mod = 2 if self.flip else base.m if isinstance(base, Cycle) else 0
+        self.n_teeth = len(start) - 1
+        self.tracks_depth = self.n_teeth > 0
+        self.lazy = lazy
+        if lazy:
+            self.channels = 2
+            self.q = base.constant_degree / (base.constant_degree + 2.0)
+            self.q_down = self.q + 1.0 / (base.constant_degree + 2.0)
+            self.k = np.zeros(width, dtype=np.int64)
+        self.spine = np.ones((rows, width), dtype=bool)
+        self._spine = list(self.spine)
+        self._teeth = list(self.pos[:, 1] if self.n_teeth == 1
+                           else self.pos[:, 1:])
+
+    def _tables(self, us):
         u = us[0]
-        spine = self.t == 0
-        c = (u * 4).astype(np.int64)
-        db = np.where(spine, (c == 1).astype(np.int64) - (c == 0), 0)
-        dt = np.where(spine, (c == 3).astype(np.int64) - (c == 2), _sign(u))
-        self.b += db
-        if self.m:
-            self.b %= self.m
-        self.t += dt
+        if self.lazy:
+            hold = u < self.q
+            dts = np.where(hold, 0, np.where(u < self.q_down, -1, 1))
+            dtt = _pm((u * 2).astype(np.int8), 0)
+            db = hold if self.flip else \
+                np.where(hold, _pm((us[1] * 2).astype(np.int8), 0), 0)
+            return db, dts[:, None], dtt[:, None], hold
+        nb = 1 if self.flip else 2
+        c = (u * (nb + 2 * self.n_teeth)).astype(np.int8)
+        db = (c == 0) if self.flip else _pm(c, 0)
+        c2 = (u * (2 * self.n_teeth)).astype(np.int8)
+        lo = 2 * np.arange(self.n_teeth, dtype=np.int8)[:, None]
+        return db, _pm(c[:, None], nb + lo), _pm(c2[:, None], lo), None
 
-    def positions(self):
-        return (self.b, self.t)
+    def advance(self, us, raw, L):
+        db, dts, dtt, hold = self._tables(us)
+        t, spine = self._teeth, self._spine
+        if self.n_teeth == 1:
+            for t0, t1, on, s, e in zip(t, t[1:], spine, dts[:, 0], dtt[:, 0]):
+                np.equal(t0, 0, out=on)
+                np.add(t0, np.where(on, s, e), out=t1)
+        elif self.n_teeth == 2:
+            for t0, t1, on, s, e in zip(t, t[1:], spine, dts, dtt):
+                np.equal(t0[0] | t0[1], 0, out=on)
+                np.add(t0, np.where(on, s, e), out=t1)
+        on = self.spine[:L]
+        b = self.pos[1:L + 1, 0]
+        np.cumsum(db * on, axis=0, dtype=np.int64, out=b)
+        b += self.pos[0, 0]
+        if self.mod:
+            b %= self.mod
+        if self.lazy:
+            self.k_hist = self.k + np.cumsum(hold & on, axis=0)
+            self.k = self.k_hist[-1]
 
-    def height(self):
-        return self.t
+    def height(self, p):
+        if self.n_teeth == 1:
+            return p[:, 1]
+        return self.depth(p)
 
-    def depth(self):
-        return np.abs(self.t)
+    def depth(self, p):
+        if self.n_teeth == 1:
+            return np.abs(p[:, 1])
+        return np.abs(p[:, 1:]).max(axis=1) if self.n_teeth else None
 
-    def distance(self):
-        base = np.minimum(self.b, self.m - self.b) if self.m else np.abs(self.b)
-        return base + np.abs(self.t)
-
-
-class _CombPathTwoKernel(_KernelBase):
-    """Comb over the single edge: spine vertices have degree 3."""
-
-    tracks_depth = True
-
-    def __init__(self, graph, start, width):
-        self.b = np.full(width, start[0], dtype=np.int64)
-        self.t = np.full(width, start[1], dtype=np.int64)
-
-    def step(self, us, raw=None):
-        u = us[0]
-        spine = self.t == 0
-        c = (u * 3).astype(np.int64)       # 0: cross base edge, 1: t-1, 2: t+1
-        self.b = np.where(spine & (c == 0), 1 - self.b, self.b)
-        dt = np.where(spine, (c == 2).astype(np.int64) - (c == 1), _sign(u))
-        self.t += dt
-
-    def positions(self):
-        return (self.b, self.t)
-
-    def height(self):
-        return self.t
-
-    def depth(self):
-        return np.abs(self.t)
-
-    def distance(self):
-        return self.b + np.abs(self.t)
+    def distance(self, p):
+        b = p[:, 0]
+        base = np.minimum(b, self.mod - b) if self.mod else np.abs(b)
+        return base + np.abs(p[:, 1:]).sum(axis=1)
 
 
-class _Comb2Kernel(_KernelBase):
-    """Comb with a plane at every base vertex; plane moves exist everywhere,
-    base moves only at the plane origin."""
+class _StarKernel(_KernelBase):
+    """The walker alternates between the hub and a uniform leaf."""
 
-    tracks_depth = True
+    def __init__(self, graph, start, width, rows):
+        super().__init__(graph, start, width, rows)
+        self.k = graph.k
 
-    def __init__(self, graph, start, width):
-        base = graph.base
-        self.m = base.m if isinstance(base, Cycle) else 0
-        self.path2 = isinstance(base, PathTwo)
-        self.b = np.full(width, start[0], dtype=np.int64)
-        self.t1 = np.full(width, start[1], dtype=np.int64)
-        self.t2 = np.full(width, start[2], dtype=np.int64)
+    def advance(self, us, raw, L):
+        leaf = 1 + (us[0] * self.k).astype(np.int64)
+        at_hub = (np.arange(L) % 2 == 0)[:, None] == (self.pos[0, 0] == 0)
+        self.pos[1:L + 1, 0] = np.where(at_hub, leaf, 0)
 
-    def step(self, us, raw=None):
-        u = us[0]
-        origin = (self.t1 == 0) & (self.t2 == 0)
-        if self.path2:
-            # class order at the origin: base edge, t1-, t1+, t2-, t2+
-            c = (u * 5).astype(np.int64)
-            flip = origin & (c == 0)
-            c = np.maximum(c - 1, 0)
-            self.b = np.where(flip, 1 - self.b, self.b)
-            dt1_o = (c == 1).astype(np.int64) - (c == 0)
-            dt2_o = (c == 3).astype(np.int64) - (c == 2)
-            moved_base = flip
-        else:
-            # class order at the origin: b-, b+, t1-, t1+, t2-, t2+
-            c = (u * 6).astype(np.int64)
-            db = (c == 1).astype(np.int64) - (c == 0)
-            self.b += np.where(origin, db, 0)
-            if self.m:
-                self.b %= self.m
-            dt1_o = (c == 3).astype(np.int64) - (c == 2)
-            dt2_o = (c == 5).astype(np.int64) - (c == 4)
-            moved_base = origin & (c < 2)
-        c4 = (u * 4).astype(np.int64)
-        dt1_t = (c4 == 1).astype(np.int64) - (c4 == 0)
-        dt2_t = (c4 == 3).astype(np.int64) - (c4 == 2)
-        self.t1 += np.where(origin, np.where(moved_base, 0, dt1_o), dt1_t)
-        self.t2 += np.where(origin, np.where(moved_base, 0, dt2_o), dt2_t)
+    def distance(self, p):
+        return (p[:, 0] != 0).astype(np.int64)
 
-    def positions(self):
-        return (self.b, self.t1, self.t2)
 
-    def height(self):
-        return np.maximum(np.abs(self.t1), np.abs(self.t2))
+class _Grid2DKernel(_KernelBase):
+    def advance(self, us, raw, L):
+        c = (us[0] * 4).astype(np.int8)
+        steps = np.stack([_pm(c, 0), _pm(c, 2)], 1)
+        np.cumsum(steps, axis=0, dtype=np.int64, out=self.pos[1:L + 1])
+        self.pos[1:L + 1] += self.pos[0]
 
-    def depth(self):
-        return self.height()
-
-    def distance(self):
-        if self.path2:
-            base = self.b
-        elif self.m:
-            base = np.minimum(self.b, self.m - self.b)
-        else:
-            base = np.abs(self.b)
-        return base + np.abs(self.t1) + np.abs(self.t2)
+    def distance(self, p):
+        return np.abs(p).sum(axis=1)
 
 
 class _LadderKernel(_KernelBase):
     """Half-line spine with 2^n two-step bridges between levels n and n+1.
 
-    Neighbour classes of spine(n >= 1), in order, have probabilities
-    1/D, 1/D, 2^(n-1)/D, 2^n/D with D = 2 + 3*2^(n-1); the thresholds are
-    computed from s = 2^(1-n) as s/E, 2s/E, (2s+1)/E with E = 2s + 3, which
-    stays exact in floating point until s underflows and degrades gracefully
-    after.  Midpoint identities are drawn as the low min(n, 62) bits of an
-    extra 62-bit integer per step; beyond 62 bits distinct identities are
-    truncated together, which distorts meeting chances at those levels by
-    at most 2^-62 per step.
+    Coordinates are (kind, level, midpoint index).  Neighbour classes of
+    spine(n >= 1), in order, have probabilities 1/D, 1/D, 2^(n-1)/D, 2^n/D
+    with D = 2 + 3*2^(n-1); the thresholds are computed from s = 2^(1-n) as
+    s/E, 2s/E, (2s+1)/E with E = 2s + 3, which stays exact in floating point
+    until s underflows and degrades gracefully after.  Midpoint identities
+    are drawn as the low min(n, 62) bits of an extra 62-bit integer per
+    step; beyond 62 bits distinct identities are truncated together, which
+    distorts meeting chances at those levels by at most 2^-62 per step.
     """
 
     needs_raw = True
     tracks_depth = True
 
-    def __init__(self, graph, start, width):
-        self.kind = np.full(width, start[0], dtype=np.int64)
-        self.n = np.full(width, start[1], dtype=np.int64)
-        self.idx = np.full(width, start[2], dtype=np.int64)
-        self.last_spine = self.n.copy()
+    def advance(self, us, raw, L):
+        pos = self.pos
+        for i, u in enumerate(us[0]):
+            kind, n = pos[i, 0], pos[i, 1]
+            on_spine = kind == 0
+            deep = on_spine & (n > 0)
+            s = np.exp2(1.0 - n)
+            e = 2.0 * s + 3.0
+            c1 = s / e
+            c2 = 2.0 * s / e
+            c3 = (2.0 * s + 1.0) / e
 
-    def step(self, us, raw=None):
-        u = us[0]
-        kind, n = self.kind, self.n
-        on_spine = kind == 0
-        deep = on_spine & (n > 0)
-        s = np.exp2(1.0 - n)
-        e = 2.0 * s + 3.0
-        c1 = s / e
-        c2 = 2.0 * s / e
-        c3 = (2.0 * s + 1.0) / e
+            go_left = deep & (u < c1)
+            go_right = (deep & (u >= c1) & (u < c2)) | (on_spine & (n == 0) & (u < 0.5))
+            mid_left = deep & (u >= c2) & (u < c3)
+            mid_right = (deep & (u >= c3)) | (on_spine & (n == 0) & (u >= 0.5))
 
-        go_left = deep & (u < c1)
-        go_right = (deep & (u >= c1) & (u < c2)) | (on_spine & (n == 0) & (u < 0.5))
-        mid_left = deep & (u >= c2) & (u < c3)
-        mid_right = (deep & (u >= c3)) | (on_spine & (n == 0) & (u >= 0.5))
+            # from a midpoint at level l: spine(l) or spine(l+1), half each
+            from_mid = ~on_spine
+            mid_to_left = from_mid & (u < 0.5)
+            mid_to_right = from_mid & (u >= 0.5)
 
-        # from a midpoint at level l: spine(l) or spine(l+1), half each
-        from_mid = ~on_spine
-        mid_to_left = from_mid & (u < 0.5)
-        mid_to_right = from_mid & (u >= 0.5)
+            pos[i + 1, 0] = mid_left | mid_right
+            pos[i + 1, 1] = np.select(
+                [go_left, go_right, mid_left, mid_right, mid_to_left, mid_to_right],
+                [n - 1, n + 1, n - 1, n, n, n + 1],
+            )
+        kind, n = pos[1:L + 1, 0], pos[1:L + 1, 1]
+        lvl = np.minimum(n, _LEVEL_BITS)
+        pos[1:L + 1, 2] = np.where(kind == 1, raw & ((np.int64(1) << lvl) - 1), 0)
 
-        new_kind = np.where(mid_left | mid_right, 1, 0)
-        new_n = np.select(
-            [go_left, go_right, mid_left, mid_right, mid_to_left, mid_to_right],
-            [n - 1, n + 1, n - 1, n, n, n + 1],
-        )
-        lvl = np.minimum(new_n, _LEVEL_BITS)
-        new_idx = np.where(new_kind == 1,
-                           raw & ((np.int64(1) << lvl) - 1), 0)
-        self.kind = new_kind
-        self.n = new_n
-        self.idx = new_idx
-        self.last_spine = np.where(new_kind == 0, new_n, self.last_spine)
+    def height(self, p):
+        return np.zeros_like(p[:, 1])
 
-    def positions(self):
-        return (self.kind, self.n, self.idx)
+    def depth(self, p):
+        return p[:, 1]
 
-    def height(self):
-        return np.zeros_like(self.n)
-
-    def depth(self):
-        return self.n
-
-    def distance(self):
-        return self.n + (self.kind == 1)
+    def distance(self, p):
+        return p[:, 1] + (p[:, 0] == 1)
 
 
-class _SelfLoopCombKernel(_KernelBase):
-    """Lazy-walk construction of the comb walk over a constant-degree base.
-
-    The tooth coordinate runs as a walk on the integers with a self-loop of
-    probability d/(d+2) at 0; each self-loop event advances an independent
-    base walk one step and bumps the loop counter.  The assembled pair
-    (base position, tooth height) has exactly the direct comb law.  Two
-    uniforms per step: channel 0 drives the tooth, channel 1 the base move,
-    the latter consumed even on steps with no base move.
-    """
-
-    channels = 2
-    tracks_depth = True
-
-    def __init__(self, graph, start, width):
+def _make_kernel(graph, start, width, method, n_steps):
+    rows = min(WIN, n_steps)
+    if method == "selfloop":
         if not isinstance(graph, Comb):
             raise GraphError("self-loop construction needs a comb graph")
-        base = graph.base
-        if base.constant_degree is None:
-            raise GraphError("self-loop construction needs a constant-degree base")
-        self.d = base.constant_degree
-        self.m = base.m if isinstance(base, Cycle) else 0
-        self.path2 = isinstance(base, PathTwo)
-        self.b = np.full(width, start[0], dtype=np.int64)
-        self.t = np.full(width, start[1], dtype=np.int64)
-        self.k = np.zeros(width, dtype=np.int64)
-
-    def step(self, us, raw=None):
-        u, ub = us
-        q = self.d / (self.d + 2.0)
-        at0 = self.t == 0
-        hold = at0 & (u < q)
-        down = np.where(at0, (u >= q) & (u < q + 1.0 / (self.d + 2.0)), u < 0.5)
-        self.t += np.where(hold, 0, np.where(down, -1, 1))
-        if self.path2:
-            self.b = np.where(hold, 1 - self.b, self.b)
-        else:
-            db = np.where(hold, _sign(ub), 0)
-            self.b += db
-            if self.m:
-                self.b %= self.m
-        self.k += hold
-
-    def positions(self):
-        return (self.b, self.t)
-
-    def height(self):
-        return self.t
-
-    def depth(self):
-        return np.abs(self.t)
-
-    def distance(self):
-        if self.path2:
-            base = self.b
-        elif self.m:
-            base = np.minimum(self.b, self.m - self.b)
-        else:
-            base = np.abs(self.b)
-        return base + np.abs(self.t)
-
-    def loop_counts(self):
-        return self.k
-
-
-_DIRECT_KERNELS = [
-    (Line, _LineKernel),
-    (Cycle, _CycleKernel),
-    (PathTwo, _PathTwoKernel),
-    (Star, _StarKernel),
-    (Grid2D, _Grid2DKernel),
-    (Comb2, _Comb2Kernel),
-    (BiasedLadder, _LadderKernel),
-]
-
-
-def _make_kernel(graph, start, width, method):
-    if method == "selfloop":
-        return _SelfLoopCombKernel(graph, start, width)
+        return _CombKernel(graph, start, width, rows, lazy=True)
     if method != "direct":
         raise ValueError(f"unknown construction: {method!r}")
-    if isinstance(graph, Comb):
-        cls = _CombPathTwoKernel if isinstance(graph.base, PathTwo) else _CombKernel
-        return cls(graph, start, width)
-    for gcls, kcls in _DIRECT_KERNELS:
+    if isinstance(graph, (Comb, Comb2, Line, Cycle, PathTwo)):
+        return _CombKernel(graph, start, width, rows)
+    for gcls, kcls in ((Star, _StarKernel), (Grid2D, _Grid2DKernel),
+                       (BiasedLadder, _LadderKernel)):
         if isinstance(graph, gcls):
-            return kcls(graph, start, width)
+            return kcls(graph, start, width, rows)
     raise GraphError(f"no sampler for family {graph.family}")
 
 
 # ---------------------------------------------------------------------------
-# block runner
+# block driver
 # ---------------------------------------------------------------------------
 
-def _fill_uniform(buf, gens, length):
-    for j, g in enumerate(gens):
-        buf[:length, j] = g.random(length)
+def _windows(kernel, streams, n_steps):
+    """Advance the kernel's walkers ``n_steps`` steps, walker j drawing
+    from ``streams[j]`` and its derived siblings.
 
-
-def _fill_raw(buf, gens, length):
-    for j, g in enumerate(gens):
-        buf[:length, j] = g.integers(0, np.int64(1) << _LEVEL_BITS,
-                                     dtype=np.int64, size=length)
-
-
-def _lil_threshold(n_steps, alpha):
-    n = np.arange(n_steps + 1, dtype=np.float64)
-    return 2.0 * np.power(2.0 * n, 1.0 / (2.0 * alpha))
+    Every stream is filled ``CHUNK`` values at a time; the kernel consumes
+    each chunk ``WIN`` rows at a time.  Yields ``(n0, L)`` after each
+    window, while ``kernel.pos[1:L + 1]`` holds the states after steps
+    n0 + 1 .. n0 + L; once exhausted, ``kernel.pos[0]`` is the final state.
+    """
+    gen_sets = [[s.derive(ch).generator() for s in streams]
+                for ch in range(kernel.channels)]
+    raw_gens = [s.derive(1).generator() for s in streams] \
+        if kernel.needs_raw else []
+    # one row per stream, so each fill is a contiguous write
+    rows = min(CHUNK, n_steps)
+    u_bufs = [np.empty((len(streams), rows)) for _ in gen_sets]
+    raw_buf = np.empty((len(raw_gens), rows), dtype=np.int64)
+    n = 0
+    while n < n_steps:
+        length = min(CHUNK, n_steps - n)
+        for buf, gens in zip(u_bufs, gen_sets):
+            for row, g in zip(buf, gens):
+                g.random(out=row[:length])
+        for row, g in zip(raw_buf, raw_gens):
+            row[:length] = g.integers(0, np.int64(1) << _LEVEL_BITS,
+                                      dtype=np.int64, size=length)
+        for w in range(0, length, WIN):
+            L = min(WIN, length - w)
+            kernel.advance([b[:, w:w + L].T for b in u_bufs],
+                           raw_buf[:, w:w + L].T, L)
+            yield n, L
+            kernel.pos[0] = kernel.pos[L]
+            n += L
 
 
 def _run_block(graph, start, n_steps, seed, replicas, record, method,
                truncation_radius=None, stream_roles=None):
-    """Simulate one block of replica pairs; returns summaries in order."""
+    """Simulate one block of replica pairs; returns summaries in order.
+
+    The two walkers of the ``B`` pairs run as columns ``b`` and ``B + b``
+    of one kernel.  The observers read each window of states at once.
+    """
 
     B = len(replicas)
-    W = 2 * B
-    kernel = _make_kernel(graph, start, W, method)
+    kernel = _make_kernel(graph, start, 2 * B, method, n_steps)
     cps = record.resolved_checkpoints(n_steps)
-    is_ladder = isinstance(graph, BiasedLadder)
-    stride = record.spine_stride if is_ladder else 0
-
+    stride = record.spine_stride if isinstance(graph, BiasedLadder) else 0
     if stream_roles is None:
-        x_role = X_TOOTH if method == "selfloop" else X_MAIN
-        y_role = Y_TOOTH if method == "selfloop" else Y_MAIN
-        stream_roles = (x_role, y_role)
-    base_streams = [RngStream(seed, r, stream_roles[0]) for r in replicas] + \
-                   [RngStream(seed, r, stream_roles[1]) for r in replicas]
-    gen_sets = []
-    for ch in range(kernel.channels):
-        gen_sets.append([s.derive(ch).generator() for s in base_streams])
-    raw_gens = None
-    if kernel.needs_raw:
-        raw_gens = [s.derive(1).generator() for s in base_streams]
-
-    u_bufs = [np.empty((CHUNK, W)) for _ in range(kernel.channels)]
-    raw_buf = np.empty((CHUNK, W), dtype=np.int64) if kernel.needs_raw else None
+        stream_roles = (X_TOOTH, Y_TOOTH) if method == "selfloop" \
+            else (X_MAIN, Y_MAIN)
+    streams = [RngStream(seed, r, role) for role in stream_roles
+               for r in replicas]
 
     meetings = np.zeros(B, dtype=np.int64)
-    max_depth = np.zeros(W, dtype=np.int64)
-    cp_counts = {}
-    cp_set = set(cps)
-    hit_times, hit_cols, hit_verts, hit_heights = [], [], [], []
+    max_depth = np.zeros(2 * B, dtype=np.int64)
+    hits = []                  # per window: times, columns, vertices, heights
+    cp_counts, k_rows = {}, {}
     lil_alphas = tuple(record.lil_alphas) if kernel.tracks_depth else ()
-    lil_thr = [_lil_threshold(n_steps, a) for a in lil_alphas]
-    lil_times = [[[] for _ in range(W)] for _ in lil_alphas]
-    spine_rows = []
-    k_rows = {}
-
+    lil_thr = [lil_threshold(np.arange(n_steps + 1, dtype=np.float64), a)
+               for a in lil_alphas]
+    lil_keys = [[np.zeros(0, dtype=np.int64)] for _ in lil_alphas]
     if stride:
-        spine_rows.append(kernel.last_spine.astype(np.int32))
+        last_spine = kernel.pos[0, 1].copy()
+        spine_rows = [last_spine.astype(np.int32)]
 
-    n = 0
-    while n < n_steps:
-        length = min(CHUNK, n_steps - n)
-        for ch in range(kernel.channels):
-            _fill_uniform(u_bufs[ch], gen_sets[ch], length)
-        if raw_buf is not None:
-            _fill_raw(raw_buf, raw_gens, length)
-        for t in range(length):
-            n += 1
-            us = [buf[t] for buf in u_bufs]
-            kernel.step(us, raw_buf[t] if raw_buf is not None else None)
-
-            arrays = kernel.positions()
-            eq = arrays[0][:B] == arrays[0][B:]
-            for a in arrays[1:]:
-                eq &= a[:B] == a[B:]
-            if eq.any():
-                cols = np.nonzero(eq)[0]
-                meetings[cols] += 1
-                h = kernel.height()
-                for col in cols:
-                    hit_times.append(n)
-                    hit_cols.append(int(col))
-                    hit_verts.append(kernel.vertex(col))
-                    hit_heights.append(int(h[col]) if h is not None else 0)
-
-            if kernel.tracks_depth:
-                d = kernel.depth()
-                np.maximum(max_depth, d, out=max_depth)
-                for ai, thr in enumerate(lil_thr):
-                    bad = d > thr[n]
-                    if bad.any():
-                        for col in np.nonzero(bad)[0]:
-                            lil_times[ai][col].append(n)
-
-            if truncation_radius is not None:
-                dist = kernel.distance()
-                if (dist > truncation_radius).any():
-                    col = int(np.argmax(dist > truncation_radius))
-                    r = replicas[col % B]
-                    raise SimulationError(
-                        f"replica {r} left the radius-{truncation_radius} "
-                        f"ball at step {n}")
-
-            if stride and n % stride == 0:
-                spine_rows.append(kernel.last_spine.astype(np.int32))
-            if n in cp_set:
-                cp_counts[n] = meetings.copy()
+    for n0, L in _windows(kernel, streams, n_steps):
+        p = kernel.pos[1:L + 1]
+        eq = (p[:, :, :B] == p[:, :, B:]).all(axis=1)
+        rows, cols = np.nonzero(eq)
+        if len(rows):
+            h = kernel.height(p)
+            h = np.zeros_like(rows) if h is None else h[rows, cols]
+            hits.append((rows + n0 + 1, cols, p[rows, :, cols], h))
+        for t in cps:
+            if n0 < t <= n0 + L:
+                cp_counts[t] = meetings + eq[:t - n0].sum(axis=0)
                 if method == "selfloop":
-                    k_rows[n] = kernel.loop_counts().copy()
+                    k_rows[t] = kernel.k_hist[t - n0 - 1]
+        meetings += eq.sum(axis=0)
+
+        if kernel.tracks_depth:
+            d = kernel.depth(p)
+            d_max = d.max(axis=0)
+            np.maximum(max_depth, d_max, out=max_depth)
+            d_max = d_max.max()
+            for thr, keys in zip(lil_thr, lil_keys):
+                # the envelope is monotone in n: test its low end first
+                if d_max > min(thr[n0 + 1], thr[n0 + L]):
+                    r, c = np.nonzero(d > thr[n0 + 1:n0 + L + 1, None])
+                    keys.append((c % B) * (n_steps + 1) + r + n0 + 1)
+
+        if truncation_radius is not None:
+            out = kernel.distance(p) > truncation_radius
+            if out.any():
+                r = int(np.argmax(out.any(axis=1)))
+                col = int(np.argmax(out[r]))
+                raise SimulationError(
+                    f"replica {replicas[col % B]} left the "
+                    f"radius-{truncation_radius} ball at step {n0 + r + 1}")
+
+        if stride:
+            # last spine level visited: forward-fill the spine rows
+            src = np.where(p[:, 0] == 0, np.arange(1, L + 1)[:, None], 0)
+            np.maximum.accumulate(src, axis=0, out=src)
+            levels = np.concatenate([last_spine[None], p[:, 1]])
+            filled = np.take_along_axis(levels, src, axis=0)
+            for t in range(n0 + stride - n0 % stride, n0 + L + 1, stride):
+                spine_rows.append(filled[t - n0 - 1].astype(np.int32))
+            last_spine = filled[-1]
+
+    collisions = [[] for _ in replicas]
+    for times, cols, verts, heights in hits:
+        for n, c, v, l in zip(times.tolist(), cols.tolist(), verts.tolist(),
+                              heights.tolist()):
+            collisions[c].append(CollisionRecord(replicas[c], n, tuple(v), l))
+    lil_times = []
+    for keys in lil_keys:
+        b_of, n_of = np.divmod(np.unique(np.concatenate(keys)), n_steps + 1)
+        lil_times.append(np.split(n_of, np.searchsorted(b_of, range(1, B))))
+    final = kernel.pos[0].T.tolist()
 
     out = []
-    hit_cols_arr = np.array(hit_cols, dtype=np.int64)
     for b, rep in enumerate(replicas):
-        if len(hit_cols_arr):
-            idx = np.nonzero(hit_cols_arr == b)[0]
-        else:
-            idx = []
-        cols_recs = [CollisionRecord(rep, hit_times[i], hit_verts[i],
-                                     hit_heights[i]) for i in idx]
         extras = {}
         if lil_alphas:
-            extras["lil"] = {
-                "alphas": list(lil_alphas),
-                "times": [sorted(set(lil_times[ai][b]) | set(lil_times[ai][B + b]))
-                          for ai in range(len(lil_alphas))],
-            }
+            extras["lil"] = {"alphas": list(lil_alphas),
+                             "times": [t[b].tolist() for t in lil_times]}
         if stride:
             extras["spine"] = {
                 "stride": stride,
@@ -703,10 +547,10 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
             replica=rep,
             n_steps=n_steps,
             meetings=int(meetings[b]),
-            collisions=cols_recs,
+            collisions=collisions[b],
             checkpoints=[(t, int(cp_counts[t][b])) for t in cps],
-            final_x=kernel.vertex(b),
-            final_y=kernel.vertex(B + b),
+            final_x=tuple(final[b]),
+            final_y=tuple(final[B + b]),
             max_tooth_x=int(max_depth[b]),
             max_tooth_y=int(max_depth[B + b]),
             method=method,
@@ -813,17 +657,6 @@ def run_ensemble(graph, start=None, n_steps=0, replicas=1, seed=0, workers=1,
     return out
 
 
-def srw_step(graph, vertex, rng):
-    """One uniform-neighbour step from ``vertex``; ``rng`` is a Generator."""
-    kernel = _make_kernel(graph, vertex, 1, "direct")
-    us = [np.array([rng.random()])]
-    raw = None
-    if kernel.needs_raw:
-        raw = rng.integers(0, np.int64(1) << _LEVEL_BITS, dtype=np.int64, size=1)
-    kernel.step(us, raw)
-    return kernel.vertex(0)
-
-
 # ---------------------------------------------------------------------------
 # geometric-clock construction
 # ---------------------------------------------------------------------------
@@ -833,46 +666,51 @@ def _clock_arrays(d, n_steps, gen_s, gen_g, width):
 
     Returns dict of (n_steps+1, width) int64 arrays: the delayed tooth path
     V, loop counts K, revisit counts H, and holding-time sums R, plus the
-    undelayed path S and per-visit holds G.  Memory is O(n_steps * width);
-    meant for moderate horizons, not the chunked long runs.
+    undelayed path S, per-visit holds G, the delayed time tau[m] at which
+    undelayed step m completes, and sigma[n], the last undelayed step done
+    by delayed time n.  Memory is O(n_steps * width); meant for moderate
+    horizons, not the chunked long runs.
     """
     T = n_steps
     q = d / (d + 2.0)
-    steps = np.where(gen_s.random((T, width)) < 0.5, -1, 1).astype(np.int64)
     S = np.zeros((T + 1, width), dtype=np.int64)
-    np.cumsum(steps, axis=0, out=S[1:])
+    np.cumsum(np.where(gen_s.random((T, width)) < 0.5, -1, 1), axis=0,
+              out=S[1:])
 
     # visit ordinals: ordinal 0 is the start at time 0, later ordinals are
     # revisits S_i = 0, i >= 1.  VA[i] = number of visits with time <= i.
-    revisit = (S[1:] == 0).astype(np.int64)
     VA = np.empty((T + 1, width), dtype=np.int64)
     VA[0] = 1
-    np.cumsum(revisit, axis=0, out=VA[1:])
+    np.cumsum(S[1:] == 0, axis=0, out=VA[1:])
     VA[1:] += 1
 
     # holds: G[j] belongs to visit ordinal j; inverse-cdf geometric with
     # P[G = k] = q^k (1 - q), using 1-u in (0,1] so log stays finite
-    u = gen_g.random((T + 2, width))
-    G = np.floor(np.log1p(-u) / math.log(q)).astype(np.int64)
+    G = np.floor(np.log1p(-gen_g.random((T + 2, width))) / math.log(q))
+    G = G.astype(np.int64)
     Gpref = np.zeros((T + 3, width), dtype=np.int64)
     np.cumsum(G, axis=0, out=Gpref[1:])
 
     # tau[m] = delayed time when undelayed step m completes
     tau = np.empty((T + 1, width), dtype=np.int64)
     tau[0] = 0
-    if T:
-        consumed = np.take_along_axis(Gpref, VA[:T], axis=0)
-        tau[1:] = np.arange(1, T + 1, dtype=np.int64)[:, None] + consumed
+    tau[1:] = np.arange(1, T + 1, dtype=np.int64)[:, None]
+    tau[1:] += np.take_along_axis(Gpref, VA[:T], axis=0)
 
+    # sigma[n] = #{m : tau[m] <= n} - 1: tau rises strictly in each column,
+    # so a count of completions per time (row T + 1 takes the later ones)
+    # summed over time
+    done = np.zeros((T + 2, width), dtype=bool)
+    np.put_along_axis(done, np.minimum(tau, T + 1), True, axis=0)
+    sigma = np.cumsum(done[:T + 1], axis=0, dtype=np.int64)
+    sigma -= 1
     ns = np.arange(T + 1, dtype=np.int64)
-    sigma = np.empty((T + 1, width), dtype=np.int64)
-    for n in range(T + 1):
-        sigma[n] = (tau <= n).sum(axis=0) - 1
     V = np.take_along_axis(S, sigma, axis=0)
     K = ns[:, None] - sigma
     H = np.take_along_axis(VA, ns[:, None] // 2, axis=0) - 1
-    R = np.take_along_axis(Gpref, H + 1, axis=0) - np.take_along_axis(Gpref, np.ones_like(H), axis=0)
-    return {"S": S, "G": G, "V": V, "K": K, "H": H, "R": R, "sigma": sigma}
+    R = np.take_along_axis(Gpref, H + 1, axis=0) - Gpref[1]
+    return {"S": S, "G": G, "V": V, "K": K, "H": H, "R": R, "sigma": sigma,
+            "tau": tau}
 
 
 def geometric_clock_path(d, n_steps, seed=0, replica=0, walker="x"):
@@ -956,36 +794,13 @@ def sample_marginal(graph, n_steps, replicas, seed=0, method="direct",
             lo += width
         return np.concatenate(cols, axis=0)
 
+    role = X_TOOTH if method == "selfloop" else X_MAIN
     out = []
-    lo = 0
-    while lo < replicas:
+    for lo in range(0, replicas, batch):
         width = min(batch, replicas - lo)
-        kernel = _make_kernel(graph, start, width, method)
-        gens = [RngStream(seed, lo + j, X_TOOTH if method == "selfloop"
-                          else X_MAIN).derive(0).generator() for j in range(width)]
-        gens2 = None
-        if kernel.channels == 2:
-            gens2 = [RngStream(seed, lo + j, X_TOOTH).derive(1).generator()
-                     for j in range(width)]
-        raw_gens = None
-        if kernel.needs_raw:
-            raw_gens = [RngStream(seed, lo + j, X_MAIN).derive(1).generator()
-                        for j in range(width)]
-        ubuf = np.empty((CHUNK, width))
-        ubuf2 = np.empty((CHUNK, width)) if gens2 else None
-        rbuf = np.empty((CHUNK, width), dtype=np.int64) if raw_gens else None
-        done = 0
-        while done < n_steps:
-            length = min(CHUNK, n_steps - done)
-            _fill_uniform(ubuf, gens, length)
-            if ubuf2 is not None:
-                _fill_uniform(ubuf2, gens2, length)
-            if rbuf is not None:
-                _fill_raw(rbuf, raw_gens, length)
-            for t in range(length):
-                us = [ubuf[t]] if ubuf2 is None else [ubuf[t], ubuf2[t]]
-                kernel.step(us, rbuf[t] if rbuf is not None else None)
-            done += length
-        out.append(np.stack(kernel.positions(), axis=1))
-        lo += width
+        kernel = _make_kernel(graph, start, width, method, n_steps)
+        streams = [RngStream(seed, r, role) for r in range(lo, lo + width)]
+        for _ in _windows(kernel, streams, n_steps):
+            pass
+        out.append(kernel.pos[0].T)
     return np.concatenate(out, axis=0)

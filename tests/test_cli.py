@@ -229,6 +229,20 @@ def test_stats_growth_labels_by_file_stem(tmp_path):
     assert labels == {"combo", "flat"}
 
 
+def test_stats_growth_mixed_checkpoint_grids_is_schema_error(tmp_path):
+    parts = []
+    for steps in ("100", "64"):
+        p = tmp_path / f"T{steps}.jsonl"
+        run_cli("simulate", "--graph", "comb:line", "--steps", steps,
+                "--replicas", "3", "--seed", "1", "--out", str(p))
+        parts.append(p.read_text())
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("".join(parts))
+    res = run_cli("stats", "--report", "growth", "--inputs", str(mixed))
+    assert res.returncode == 4
+    assert str(mixed) in res.stderr and "Traceback" not in res.stderr
+
+
 def test_stats_lil_and_drift_reports(tmp_path):
     comb = tmp_path / "comb.jsonl"
     run_cli("simulate", "--graph", "comb:line", "--steps", "256",

@@ -1,6 +1,8 @@
 """Sampler behavior: laws against the exact kernel, construction
 equivalence, record schema invariants, and worker-count independence."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -8,12 +10,13 @@ from scipy import stats as sps
 import combwalks.sampler as sampler
 from combwalks.graphs import GraphError, build_graph
 from combwalks.oracle import transition_vector
-from combwalks.rng import RngStream, X_MAIN, Y_MAIN
+from combwalks.rng import RngStream, X_HOLD, X_MAIN, X_SKEL, Y_MAIN
 from combwalks.sampler import (RecordPolicy, SimulationError,
                                clock_dichotomy_violations, dyadic_checkpoints,
                                geometric_clock_path, read_summaries,
                                run_ensemble, run_pair, run_pair_decomposed,
-                               sample_marginal, srw_step, write_summaries)
+                               sample_marginal, write_summaries)
+from combwalks.stats import lil_threshold
 
 
 def test_dyadic_checkpoints():
@@ -158,23 +161,20 @@ def test_direct_law_other_families(spec, n, seed):
     assert chisq_pvalue(obs, exp) > 1e-4
 
 
-def test_srw_step_uniform_on_comb_root():
+def test_one_step_uniform_on_comb_root():
     g = build_graph("comb:line")
-    gen = RngStream(31, 0, X_MAIN).generator()
     counts = {}
-    for _ in range(8000):
-        w = srw_step(g, (0, 0), gen)
+    for row in sample_marginal(g, 1, 8000, seed=31, start=(0, 0)):
+        w = tuple(int(c) for c in row)
         counts[w] = counts.get(w, 0) + 1
     assert sorted(counts) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
     assert chisq_pvalue(list(counts.values()), [2000.0] * 4) > 1e-4
 
 
-def test_srw_step_ladder_class_weights():
+def test_one_step_ladder_class_weights():
     g = build_graph("biased-ladder")
-    gen = RngStream(32, 0, X_MAIN).generator()
     buckets = {"down": 0, "up": 0, "mid_low": 0, "mid_high": 0}
-    for _ in range(6000):
-        kind, lvl, _ = srw_step(g, (0, 2, 0), gen)
+    for kind, lvl, _ in sample_marginal(g, 1, 6000, seed=32, start=(0, 2, 0)):
         if kind == 0:
             buckets["down" if lvl == 1 else "up"] += 1
         else:
@@ -216,6 +216,15 @@ def test_clock_dichotomy_batch():
     bad, checked = clock_dichotomy_violations(2, 1000, 64, seed=8)
     assert bad == 0
     assert checked == 64 * 1001
+
+
+def test_clock_sigma_counts_completed_steps():
+    for T in (0, 1, 2, 17, 64):
+        arrs = sampler._clock_arrays(2, T, RngStream(5, T, X_SKEL).generator(),
+                                     RngStream(5, T, X_HOLD).generator(), 6)
+        tau, sigma = arrs["tau"], arrs["sigma"]
+        for n in range(T + 1):
+            assert np.array_equal(sigma[n], (tau <= n).sum(axis=0) - 1)
 
 
 def test_clock_needs_comb_with_constant_base():
@@ -277,3 +286,76 @@ def test_jsonl_round_trip(tmp_path):
     back = read_summaries(path)
     assert [s.to_json() for s in back] == [s.to_json() for s in out]
     assert back[2].extras["lil"]["alphas"] == [0.75]
+
+
+def reference_comb_line_pair(seed, replica, n_steps, alpha):
+    """Scalar comb:line pair walk read straight off the two main streams:
+    (collisions as (n, vertex, height), final x, final y, max |tooth|,
+    times n at which either |tooth| exceeds the envelope for ``alpha``)."""
+    paths = []
+    for role in (X_MAIN, Y_MAIN):
+        us = RngStream(seed, replica, role).derive(0).generator().random(n_steps)
+        b = t = 0
+        path = []
+        for u in us:
+            if t == 0:
+                c = int(u * 4)          # b-, b+, t-, t+
+                b += (c == 1) - (c == 0)
+                t += (c == 3) - (c == 2)
+            else:
+                t += -1 if u < 0.5 else 1
+            path.append((b, t))
+        paths.append(path)
+    hits = [(n, x, x[1]) for n, (x, y) in enumerate(zip(*paths), 1) if x == y]
+    depth = [max(abs(v[1]) for v in path) for path in paths]
+    thr = lil_threshold(np.arange(n_steps + 1, dtype=np.float64), alpha)
+    lil = [n for n, (x, y) in enumerate(zip(*paths), 1)
+           if max(abs(x[1]), abs(y[1])) > thr[n]]
+    return hits, paths[0][-1], paths[1][-1], depth, lil
+
+
+def test_ensemble_matches_scalar_reference_walk():
+    n_steps = sampler.CHUNK + 100       # a multiple of neither CHUNK nor WIN
+    out = run_ensemble(build_graph("comb:line"), n_steps=n_steps, replicas=3,
+                       seed=44, record=RecordPolicy(lil_alphas=(1.1,)))
+    assert n_steps % sampler.WIN
+    for s in out:
+        hits, fx, fy, depth, lil = reference_comb_line_pair(44, s.replica,
+                                                            n_steps, 1.1)
+        assert s.meetings == len(hits)
+        assert [(c.n, c.vertex, c.l) for c in s.collisions] == hits
+        assert (s.final_x, s.final_y) == (fx, fy)
+        assert [s.max_tooth_x, s.max_tooth_y] == depth
+        assert s.extras["lil"]["times"] == [lil]
+    assert sum(s.meetings for s in out) > 0
+    assert sum(len(s.extras["lil"]["times"][0]) for s in out) > 0
+
+
+def _window_probe():
+    """Outputs of the four observer settings plus a truncation message."""
+    settings = [
+        ("comb:line", "direct", 777,
+         RecordPolicy(checkpoints=(5, 64, 100, 777), lil_alphas=(0.75, 1.25))),
+        ("comb2:line", "direct", 500, RecordPolicy()),
+        ("comb:cycle:4", "selfloop", 500, RecordPolicy()),
+        ("biased-ladder", "direct", 300, RecordPolicy(spine_stride=3)),
+    ]
+    out = []
+    for spec, method, n_steps, record in settings:
+        out.extend(s.to_json() for s in run_ensemble(
+            build_graph(spec), n_steps=n_steps, replicas=4, seed=7,
+            record=record, method=method))
+    with pytest.raises(SimulationError) as exc:
+        run_ensemble(build_graph("comb:line"), n_steps=500, replicas=6, seed=3,
+                     truncation_radius=6)
+    return out, str(exc.value)
+
+
+@pytest.mark.parametrize("win", [1, 7])
+def test_window_length_does_not_change_output(monkeypatch, win):
+    default = _window_probe()
+    lil = [json.loads(line)["lil"]["times"][1] for line in default[0][:4]]
+    assert any(lil)                    # the envelope records are exercised
+    assert "k_trace" in default[0][8] and "spine" in default[0][12]
+    monkeypatch.setattr(sampler, "WIN", win)
+    assert _window_probe() == default
