@@ -52,6 +52,14 @@ class ConfigError(ValueError):
     pass
 
 
+def _default_workers():
+    """The CPUs this process may run on, or all of them where the platform
+    has no affinity call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 # ---------------------------------------------------------------------------
 # config plumbing
 # ---------------------------------------------------------------------------
@@ -183,7 +191,7 @@ def cmd_simulate(args):
         lil_alphas=tuple(args.lil_alphas or ()),
         spine_stride=args.spine_stride or 0,
     )
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
+    workers = args.workers if args.workers is not None else _default_workers()
     t0 = time.time()
     sums = run_ensemble(graph, start, args.steps, args.replicas, seed=seed,
                         workers=workers, record=record,

@@ -384,10 +384,16 @@ class Ball:
     every directed adjacency with both endpoints inside the ball.
     `degrees[i]` is the degree in the full graph, which on the boundary
     exceeds the in-ball arc count.
+
+    A lumped ball (`lumped` true) holds one representative per orbit of a
+    group of automorphisms fixing the root, and `orbit[i]` is the orbit's
+    size; each arc goes from a representative to the representative of the
+    neighbour's orbit, so arcs into one orbit repeat and their weights add.
+    Otherwise every orbit is a single vertex.
     """
 
     def __init__(self, graph, radius, coords, level, arc_src, arc_dst, degrees,
-                 index_of, tooth=None, annulus=None, root=None):
+                 index_of, tooth=None, annulus=None, root=None, orbit=None):
         self.graph = graph
         self.root = graph.root if root is None else root
         self.radius = radius
@@ -400,6 +406,8 @@ class Ball:
         self._index_of = index_of
         self.tooth = tooth
         self.annulus = annulus
+        self.lumped = orbit is not None
+        self.orbit = np.ones(self.size, dtype=np.int64) if orbit is None else orbit
         counts = np.bincount(level, minlength=radius + 1)
         self.level_start = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
         self.root_index = int(index_of(self.root))
@@ -421,27 +429,30 @@ class Ball:
         return int(self.level_start[max(r + 1, 0)])
 
 
-def ball(graph, radius, budget=DEFAULT_BUDGET):
+def ball(graph, radius, budget=DEFAULT_BUDGET, lumped=False):
     """Exact truncation of `graph` to distance `radius` from its root.
 
     Closed-form vectorized enumerations cover the families the exact kernels
     are run on at scale; everything else falls back to breadth-first search.
-    Aborts with BudgetError (reporting the state count) if the ball would
-    not fit in `budget` bytes.
+    With `lumped`, `line` (under x -> -x), `comb:line` (x -> -x, t -> -t)
+    and `grid2d` (the eight symmetries fixing the origin) come back as
+    lumped balls; other families come back unlumped.  Aborts with
+    BudgetError (reporting the state count) if the ball would not fit in
+    `budget` bytes.
     """
     if radius < 0:
         raise GraphError("radius must be >= 0")
     fam = graph.family
     if fam == "line":
-        return _ball_line(graph, radius, budget)
+        return _ball_line(graph, radius, budget, lumped)
     if fam.startswith("cycle:") and isinstance(graph, Cycle):
         return _ball_cycle(graph, radius, budget)
     if fam.startswith("star:"):
         return _ball_star(graph, radius, budget)
     if fam == "grid2d":
-        return _ball_grid(graph, radius, budget)
+        return _ball_grid(graph, radius, budget, lumped)
     if isinstance(graph, Comb) and isinstance(graph.base, Line):
-        return _ball_comb_line(graph, radius, budget)
+        return _ball_comb_line(graph, radius, budget, lumped)
     if isinstance(graph, Comb) and isinstance(graph.base, Cycle):
         return _ball_comb_cycle(graph, radius, budget)
     return _ball_bfs(graph, radius, budget)
@@ -469,8 +480,34 @@ def _ragged(lows, counts):
     return out, starts
 
 
+def _columns(cols, lows, counts):
+    """Pairs (c, r) with lows[i] <= r < lows[i] + counts[i] in column
+    c = cols[i] (ascending), column by column, plus their flat index."""
+    rs, starts = _ragged(lows, counts)
+    c0 = int(cols[0])
+    cum = np.zeros(int(cols[-1]) - c0 + 1, dtype=np.int64)
+    low = np.zeros_like(cum)
+    cum[cols - c0] = starts[:-1]
+    low[cols - c0] = lows
+
+    def flat(c, r):
+        return cum[c - c0] + (r - low[c - c0])
+
+    return np.repeat(cols, counts), rs, flat, len(rs)
+
+
+def _diamond(R, quarter=False):
+    """(x, y) with |x| + |y| <= R, or only those with x, y >= 0."""
+    if quarter:
+        xcol = np.arange(R + 1, dtype=np.int64)
+        return _columns(xcol, np.zeros_like(xcol), R - xcol + 1)
+    xcol = np.arange(-R, R + 1, dtype=np.int64)
+    half = R - np.abs(xcol)
+    return _columns(xcol, -half, 2 * half + 1)
+
+
 def _finish(graph, radius, coords, level, flat_of, flat_size, edges, degrees,
-            in_ball, tooth=None, annulus=None):
+            in_ball, tooth=None, annulus=None, orbit=None):
     """Common tail: level-sort, invert the flat index, map edges to indices.
 
     `flat_of` is only guaranteed valid for in-ball coordinates, so `index_of`
@@ -482,10 +519,8 @@ def _finish(graph, radius, coords, level, flat_of, flat_size, edges, degrees,
     coords = tuple(np.ascontiguousarray(c[order]) for c in coords)
     level = np.ascontiguousarray(level[order]).astype(np.int32)
     degrees = np.ascontiguousarray(degrees[order]).astype(np.float64)
-    if tooth is not None:
-        tooth = np.ascontiguousarray(tooth[order])
-    if annulus is not None:
-        annulus = np.ascontiguousarray(annulus[order])
+    tooth, annulus, orbit = (None if a is None else np.ascontiguousarray(a[order])
+                             for a in (tooth, annulus, orbit))
 
     lookup = np.full(flat_size, -1, dtype=np.int64)
     lookup[flat_of(*coords)] = np.arange(n, dtype=np.int64)
@@ -506,25 +541,23 @@ def _finish(graph, radius, coords, level, flat_of, flat_size, edges, degrees,
         return _lookup[_flat(*arrs)[0]]
 
     return Ball(graph, radius, coords, level, arc_src, arc_dst, degrees,
-                index_of, tooth=tooth, annulus=annulus)
+                index_of, tooth=tooth, annulus=annulus, orbit=orbit)
 
 
-def _ball_line(graph, radius, budget):
+def _ball_line(graph, radius, budget, lumped=False):
     R = radius
     _budget_check(2 * R + 1, 4 * R, budget, "line ball")
-    x = np.arange(-R, R + 1, dtype=np.int64)
-    level = np.abs(x)
-    deg = np.full(len(x), 2.0)
-
-    def flat(xs):
-        return xs + R
-
+    lo = 0 if lumped else -R          # lumped: one state per orbit {x, -x}
+    x = np.arange(lo, R + 1, dtype=np.int64)
     edges = []
     for dx in (-1, 1):
         m = np.abs(x + dx) <= R
-        edges.append(((x[m],), (x[m] + dx,)))
-    return _finish(graph, R, (x,), level, flat, 2 * R + 1, edges, deg,
-                   in_ball=lambda xv: abs(xv) <= R)
+        dst = x[m] + dx
+        edges.append(((x[m],), (np.abs(dst) if lumped else dst,)))
+    return _finish(graph, R, (x,), np.abs(x), lambda xs: xs + R, 2 * R + 1,
+                   edges, np.full(len(x), 2.0),
+                   in_ball=lambda xv: lo <= xv <= R,
+                   orbit=np.where(x == 0, 1, 2) if lumped else None)
 
 
 def _ball_cycle(graph, radius, budget):
@@ -573,53 +606,57 @@ def _ball_star(graph, radius, budget):
                    in_ball=lambda iv: iv == 0 or radius >= 1)
 
 
-def _grid_like_coords(R):
-    """(x, y) pairs with |x| + |y| <= R, lexicographic, plus the flat index."""
-    xcol = np.arange(-R, R + 1, dtype=np.int64)
-    half = R - np.abs(xcol)
-    counts = 2 * half + 1
-    ys, starts = _ragged(-half, counts)
-    xs = np.repeat(xcol, counts)
-    cum = starts[:-1]
-
-    def flat(x, y):
-        # -1 for out-of-ball; callers mask beforehand so this is just safety
-        return cum[x + R] + (y + (R - np.abs(x)))
-
-    return xs, ys, flat, int(counts.sum())
-
-
-def _ball_grid(graph, radius, budget):
+def _ball_grid(graph, radius, budget, lumped=False):
     R = radius
-    n_est = 2 * R * R + 2 * R + 1
+    if lumped:
+        # the octant x >= y >= 0: one state per orbit of the eight symmetries
+        xcol = np.arange(R + 1, dtype=np.int64)
+        counts = np.minimum(xcol, R - xcol) + 1
+        n_est = int(counts.sum())
+    else:
+        n_est = 2 * R * R + 2 * R + 1
     _budget_check(n_est, 4 * n_est, budget, "grid2d ball")
-    xs, ys, flat, total = _grid_like_coords(R)
+    xs, ys, flat, total = _columns(xcol, 0 * xcol, counts) if lumped \
+        else _diamond(R)
     level = np.abs(xs) + np.abs(ys)
-    deg = np.full(total, 4.0)
     edges = []
     for dx, dy in ((-1, 0), (1, 0), (0, -1), (0, 1)):
         m = np.abs(xs + dx) + np.abs(ys + dy) <= R
-        edges.append(((xs[m], ys[m]), (xs[m] + dx, ys[m] + dy)))
-    return _finish(graph, R, (xs, ys), level, flat, total, edges, deg,
-                   in_ball=lambda xv, yv: abs(xv) + abs(yv) <= R)
+        nx, ny = xs[m] + dx, ys[m] + dy
+        if lumped:
+            nx, ny = np.abs(nx), np.abs(ny)
+            nx, ny = np.maximum(nx, ny), np.minimum(nx, ny)
+        edges.append(((xs[m], ys[m]), (nx, ny)))
+    return _finish(graph, R, (xs, ys), level, flat, total, edges,
+                   np.full(total, 4.0),
+                   in_ball=lambda xv, yv: (not lumped or 0 <= yv <= xv)
+                   and abs(xv) + abs(yv) <= R,
+                   orbit=np.where(ys == 0, np.where(xs == 0, 1, 4),
+                                  np.where(xs == ys, 4, 8)) if lumped else None)
 
 
-def _ball_comb_line(graph, radius, budget):
+def _ball_comb_line(graph, radius, budget, lumped=False):
     R = radius
-    n_est = 2 * R * R + 2 * R + 1
+    n_est = (R + 1) * (R + 2) // 2 if lumped else 2 * R * R + 2 * R + 1
     _budget_check(n_est, 2 * n_est + 4 * R, budget, "comb(line) ball")
-    xs, ts, flat, total = _grid_like_coords(R)
+    # lumped: one state per orbit of x -> -x and t -> -t, the quarter x, t >= 0
+    xs, ts, flat, total = _diamond(R, quarter=lumped)
+    fold = np.abs if lumped else np.asarray
     level = np.abs(xs) + np.abs(ts)
     deg = np.where(ts == 0, 4.0, 2.0)
     edges = []
     for dt in (-1, 1):
         m = np.abs(xs) + np.abs(ts + dt) <= R
-        edges.append(((xs[m], ts[m]), (xs[m], ts[m] + dt)))
+        edges.append(((xs[m], ts[m]), (xs[m], fold(ts[m] + dt))))
     for dx in (-1, 1):
         m = (ts == 0) & (np.abs(xs + dx) <= R)
-        edges.append(((xs[m], ts[m]), (xs[m] + dx, ts[m])))
+        edges.append(((xs[m], ts[m]), (fold(xs[m] + dx), ts[m])))
+    lo = 0 if lumped else -R
     return _finish(graph, R, (xs, ts), level, flat, total, edges, deg,
-                   in_ball=lambda xv, tv: abs(xv) + abs(tv) <= R, tooth=ts)
+                   in_ball=lambda xv, tv: min(xv, tv) >= lo
+                   and abs(xv) + abs(tv) <= R,
+                   tooth=ts,
+                   orbit=(1 + (xs != 0)) * (1 + (ts != 0)) if lumped else None)
 
 
 def _ball_comb_cycle(graph, radius, budget):
@@ -633,19 +670,9 @@ def _ball_comb_cycle(graph, radius, budget):
     counts = 2 * half + 1
     _budget_check(int(counts.sum()), int(2 * counts.sum()) + 2 * m, budget,
                   "comb(cycle) ball")
-    ts, starts = _ragged(-half, counts)
-    bs = np.repeat(bcol, counts)
-    cum_by_b = np.full(m, -1, dtype=np.int64)
-    cum_by_b[bcol] = starts[:-1]
-    low_by_b = np.full(m, 0, dtype=np.int64)
-    low_by_b[bcol] = -half
-
-    def flat(b, t):
-        return cum_by_b[b] + (t - low_by_b[b])
-
+    bs, ts, flat, total = _columns(bcol, -half, counts)
     level = np.minimum(bs, m - bs) + np.abs(ts)
     deg = np.where(ts == 0, 4.0, 2.0)
-    total = len(bs)
     edges = []
     for dt in (-1, 1):
         ok = np.minimum(bs, m - bs) + np.abs(ts + dt) <= R

@@ -17,14 +17,25 @@ Two identities from the theory double as self-tests:
 The reversibility identity is also an optimization: the even-time return
 series up to 2K needs only a K-step iteration, which halves the ball radius
 and quarters the state count.
+
+Series from the family root run on a lumped ball (`graphs.ball(...,
+lumped=True)`) where the family has one.  Automorphisms fixing the root
+map the walk to itself, so the chain of orbits is exact (Kemeny-Snell
+lumpability): q_o, the mass of orbit o, is the walk's probability of the
+whole orbit, p is q_o/|o| on each of its vertices, and sum_w p^2 =
+sum_o q_o^2/|o|.  The root is a one-vertex orbit, so the diagonal is read
+directly.  `comb:line` keeps about a quarter of its states, `grid2d` an
+eighth, `line` a half.  An unlumped ball has |o| = 1 everywhere, so one
+code path serves both; `method="generic"` and other roots keep the full
+ball.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
-from .graphs import Ball, BudgetError, GraphError, ball, _ball_bfs, DEFAULT_BUDGET
+from .graphs import GraphError, Grid2D, ball, _ball_bfs, DEFAULT_BUDGET
 
 MASS_TOL = 1e-10        # guard on probability conservation during iteration
 
@@ -38,28 +49,34 @@ class OracleError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class Kernel:
-    """Transposed one-step operator on a ball, in CSR form.
+    """Transposed one-step operator on a ball, as CSR arrays.
 
-    Row i of the matrix gathers mass into vertex i from its in-ball
-    neighbors.  Because the ball is indexed level-major, the distribution
-    after n steps is supported on the first `ball.interior_size(n)` rows,
-    and each step only needs the leading block of rows; the per-step slice
-    is a zero-copy view.
+    Row i gathers mass into state i from its in-ball neighbours (on a lumped
+    ball, repeated arcs into one orbit add up).  Because the ball is indexed
+    level-major, the distribution after n steps is supported on the first
+    `ball.interior_size(n)` rows.  `step` alternates between two vectors
+    allocated once per run, zeroes and fills only that prefix of the one it
+    writes, and builds no matrix: the rows past the prefix are never written
+    and stay zero.
     """
 
     def __init__(self, ball_, release_arcs=False):
         n = ball_.size
         src, dst = ball_.arc_src, ball_.arc_dst
         order = np.argsort(dst, kind="stable")
-        indices = np.ascontiguousarray(src[order], dtype=np.int32)
-        data = (1.0 / ball_.degrees)[indices]
+        self.indices = np.ascontiguousarray(src[order], dtype=np.int32)
+        self.data = (1.0 / ball_.degrees)[self.indices]
         counts = np.bincount(dst, minlength=n)
-        indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+        self.indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
         del order, counts
         if release_arcs:
             ball_.arc_src = ball_.arc_dst = None
-        self.pt = sp.csr_matrix((data, indices, indptr), shape=(n, n))
         self.ball = ball_
+        self._reset()
+
+    def _reset(self):
+        """Fresh step vectors, so that a new run reads no stale rows."""
+        self._bufs = (np.zeros(self.ball.size), np.zeros(self.ball.size))
 
     def start_vector(self, index=None):
         vec = np.zeros(self.ball.size)
@@ -69,38 +86,44 @@ class Kernel:
     def step(self, vec, reach):
         """One step, writing only rows within graph distance `reach`."""
         b = self.ball
+        # csr_matvec reads raw memory: no strides, no bounds, no casts
+        if vec.dtype != np.float64 or vec.shape != (b.size,) \
+                or not vec.flags.c_contiguous:
+            raise OracleError(f"step needs a contiguous float64 vector of "
+                              f"length {b.size}")
         rows = b.interior_size(min(reach, b.radius))
-        pt = self.pt
-        m = int(pt.indptr[rows])
-        sub = sp.csr_matrix(
-            (pt.data[:m], pt.indices[:m], pt.indptr[:rows + 1]),
-            shape=(rows, pt.shape[1]), copy=False)
-        out = np.zeros(b.size)
-        out[:rows] = sub @ vec
+        out = self._bufs[vec is self._bufs[0]]
+        out[:rows] = 0.0
+        csr_matvec(rows, b.size, self.indptr, self.indices, self.data, vec, out)
         return out
 
     def iterate(self, n_steps, on_step=None, start=None):
         """Run `n_steps` steps from the root, with a mass-conservation guard.
 
-        `on_step(n, vec)` is called after each step; the vector must not be
-        mutated by the callback.  Raises OracleError if the ball is too
-        small for the horizon or if probability mass is not conserved
-        (which would mean leakage across the truncation boundary).
+        `on_step(n, head)` is called after each step with the reached
+        prefix, the first `ball.interior_size(n)` rows; it must not be
+        mutated by the callback.  Returns the full vector.  Raises
+        OracleError if the ball is too small for the horizon or if
+        probability mass is not conserved (which would mean leakage across
+        the truncation boundary).
         """
         b = self.ball
         if n_steps > b.radius - 1:
             raise OracleError(
                 f"ball radius {b.radius} too small for {n_steps} steps; "
                 f"need radius >= n + 1")
-        vec = self.start_vector() if start is None else start
+        self._reset()
+        vec = self.start_vector() if start is None \
+            else np.ascontiguousarray(start, dtype=np.float64)
         for n in range(1, n_steps + 1):
             vec = self.step(vec, n)
+            head = vec[:b.interior_size(n)]
             if n % 64 == 0 or n == n_steps:
-                err = abs(vec.sum() - 1.0)
+                err = abs(head.sum() - 1.0)
                 if err > MASS_TOL:
                     raise OracleError(f"mass leaked at step {n}: |sum-1| = {err:.3e}")
             if on_step is not None:
-                on_step(n, vec)
+                on_step(n, head)
         return vec
 
 
@@ -163,10 +186,11 @@ class KernelSeries:
 # rooted truncations
 # ---------------------------------------------------------------------------
 
-def rooted_ball(graph, root, radius, budget=DEFAULT_BUDGET):
-    """Ball around an arbitrary root; closed forms apply at the family root."""
+def rooted_ball(graph, root, radius, budget=DEFAULT_BUDGET, lumped=False):
+    """Ball around an arbitrary root; closed forms and lumping apply at the
+    family root."""
     if root is None or root == graph.root:
-        return ball(graph, radius, budget)
+        return ball(graph, radius, budget, lumped=lumped)
     if not graph.contains(root):
         raise GraphError(f"{root!r} is not a vertex of {graph.family}")
     return _ball_bfs(graph, radius, budget, root=root)
@@ -188,89 +212,29 @@ def transition_vector(graph, root, n, budget=DEFAULT_BUDGET):
 # series
 # ---------------------------------------------------------------------------
 
-def _step_sliced(pt, vec, rows):
-    """One transposed-kernel step restricted to the leading `rows` rows."""
-    m = int(pt.indptr[rows])
-    sub = sp.csr_matrix(
-        (pt.data[:m], pt.indices[:m], pt.indptr[:rows + 1]),
-        shape=(rows, pt.shape[1]), copy=False)
-    out = np.zeros(pt.shape[0])
-    out[:rows] = sub @ vec
-    return out
+def _return_series(graph, k_max, every, root, budget, lumped):
+    """p^(2k)(root,root) for k <= k_max through reversibility (every="even"),
+    or p^(k)(root,root) read off the diagonal (every="all")."""
+    b = rooted_ball(graph, root, k_max + 1, budget, lumped=lumped)
+    kern = Kernel(b, release_arcs=True)
+    out = np.empty(k_max)
+    if every == "even":
+        w = b.degrees[b.root_index] / (b.degrees * b.orbit)
+
+        def grab(k, head):
+            out[k - 1] = np.dot(head * head, w[:len(head)])
+    else:
+        def grab(k, head):
+            out[k - 1] = head[b.root_index]
+
+    kern.iterate(k_max, on_step=grab)
+    ns = np.arange(1, k_max + 1)
+    return KernelSeries("return", 2 * ns if every == "even" else ns, out)
 
 
 def _grid_octant_series(k_max, every, budget):
-    """Return series on Z^2 from the origin via the exact dihedral quotient.
-
-    The eight reflections/rotations of Z^2 fixing the origin act by graph
-    automorphisms, so lumping orbits {(x, y): x >= y >= 0} is exact: the
-    quotient chain's mass q_o is the walk's probability of the whole orbit.
-    The origin orbit is a singleton, giving the diagonal directly, and
-    sum_w p(n,w)^2 = sum_o q_o^2 / |o| since p is constant on orbits.
-    This is an eightfold state cut; it is cross-checked against the generic
-    kernel and the closed-form one-dimensional binomial square in tests.
-    """
-    from .graphs import _ragged, _budget_check
-
-    R = k_max + 1
-    ycol = np.arange(R // 2 + 1, dtype=np.int64)
-    counts = R - 2 * ycol + 1
-    n_states = int(counts.sum())
-    _budget_check(n_states, 4 * n_states, budget, "grid2d octant")
-    xs, starts = _ragged(ycol, counts)
-    ys = np.repeat(ycol, counts)
-    level = (xs + ys).astype(np.int32)
-    order = np.lexsort((ys, xs, level))
-    xs, ys, level = xs[order], ys[order], level[order]
-    offset = np.zeros(R // 2 + 2, dtype=np.int64)
-    offset[:len(starts) - 1] = starts[:-1]
-
-    def flat(x, y):
-        return offset[y] + (x - y)
-
-    lookup = np.full(n_states, -1, dtype=np.int64)
-    lookup[flat(xs, ys)] = np.arange(n_states)
-
-    srcs, dsts = [], []
-    for dx, dy in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-        nx, ny = xs + dx, ys + dy
-        a = np.maximum(np.abs(nx), np.abs(ny))
-        b = np.minimum(np.abs(nx), np.abs(ny))
-        ok = a + b <= R
-        srcs.append(lookup[flat(xs[ok], ys[ok])].astype(np.int32))
-        dsts.append(lookup[flat(a[ok], b[ok])].astype(np.int32))
-    src = np.concatenate(srcs)
-    dst = np.concatenate(dsts)
-
-    arc_order = np.argsort(dst, kind="stable")
-    indices = np.ascontiguousarray(src[arc_order], dtype=np.int32)
-    data = np.full(len(indices), 0.25)
-    indptr = np.concatenate(
-        ([0], np.cumsum(np.bincount(dst, minlength=n_states)))).astype(np.int32)
-    pt = sp.csr_matrix((data, indices, indptr), shape=(n_states, n_states))
-    del src, dst, srcs, dsts, arc_order
-
-    level_start = np.concatenate(
-        ([0], np.cumsum(np.bincount(level, minlength=R + 1)))).astype(np.int64)
-    inv_orbit = np.where((xs == 0) & (ys == 0), 1.0,
-                         np.where((ys == 0) | (xs == ys), 0.25, 0.125))
-
-    vec = np.zeros(n_states)
-    vec[0] = 1.0
-    out = np.empty(k_max)
-    for k in range(1, k_max + 1):
-        vec = _step_sliced(pt, vec, int(level_start[min(k, R) + 1]))
-        if k % 64 == 0 or k == k_max:
-            err = abs(vec.sum() - 1.0)
-            if err > MASS_TOL:
-                raise OracleError(f"mass leaked at step {k}: |sum-1| = {err:.3e}")
-        if every == "even":
-            out[k - 1] = np.dot(vec * vec, inv_orbit)
-        else:
-            out[k - 1] = vec[0]
-    if every == "even":
-        return KernelSeries("return", 2 * np.arange(1, k_max + 1), out)
-    return KernelSeries("return", np.arange(1, k_max + 1), out)
+    """The grid2d return series from the origin, on the octant-lumped ball."""
+    return _return_series(Grid2D(), k_max, every, None, budget, lumped=True)
 
 
 def return_probability_series(graph, n_max, root=None, every="even",
@@ -293,6 +257,9 @@ def return_probability_series(graph, n_max, root=None, every="even",
     every : "even" | "all"
     budget : int
         Memory budget in bytes for the truncation.
+    method : "auto" | "generic"
+        "auto" lumps the ball by symmetry where the family has a lumping;
+        "generic" iterates the full ball.
 
     Returns
     -------
@@ -302,38 +269,14 @@ def return_probability_series(graph, n_max, root=None, every="even",
         raise OracleError("n_max must be >= 1")
     if every not in ("even", "all"):
         raise ValueError(f"every must be 'even' or 'all', got {every!r}")
+    k_max = n_max // 2 if every == "even" else n_max
+    if k_max < 1:
+        raise OracleError("n_max < 2 has no even entries")
     if (method == "auto" and graph.family == "grid2d"
             and (root is None or root == graph.root)):
-        k_max = n_max // 2 if every == "even" else n_max
-        if k_max < 1:
-            raise OracleError("n_max < 2 has no even entries")
         return _grid_octant_series(k_max, every, budget)
-    if every == "even":
-        k_max = n_max // 2
-        if k_max < 1:
-            raise OracleError("n_max < 2 has no even entries")
-        b = rooted_ball(graph, root, k_max + 1, budget)
-        kern = Kernel(b, release_arcs=True)
-        w = b.degrees[b.root_index] / b.degrees
-        out = np.empty(k_max)
-
-        def grab(k, vec):
-            out[k - 1] = np.dot(vec * vec, w)
-
-        kern.iterate(k_max, on_step=grab)
-        return KernelSeries("return", 2 * np.arange(1, k_max + 1), out)
-    if every == "all":
-        b = rooted_ball(graph, root, n_max + 1, budget)
-        kern = Kernel(b, release_arcs=True)
-        ridx = b.root_index
-        out = np.empty(n_max)
-
-        def grab(n, vec):
-            out[n - 1] = vec[ridx]
-
-        kern.iterate(n_max, on_step=grab)
-        return KernelSeries("return", np.arange(1, n_max + 1), out)
-    raise AssertionError("unreachable")
+    return _return_series(graph, k_max, every, root, budget,
+                          lumped=method == "auto")
 
 
 def meeting_expectation_series(graph, n_max, root=None, budget=DEFAULT_BUDGET):
@@ -350,12 +293,13 @@ def meeting_expectation_series(graph, n_max, root=None, budget=DEFAULT_BUDGET):
     """
     if n_max < 1:
         raise OracleError("n_max must be >= 1")
-    b = rooted_ball(graph, root, n_max + 1, budget)
+    b = rooted_ball(graph, root, n_max + 1, budget, lumped=True)
     kern = Kernel(b, release_arcs=True)
+    w = 1.0 / b.orbit
     inc = np.empty(n_max)
 
-    def grab(n, vec):
-        inc[n - 1] = np.dot(vec, vec)
+    def grab(n, head):
+        inc[n - 1] = np.dot(head * head, w[:len(head)])
 
     kern.iterate(n_max, on_step=grab)
     ns = np.arange(1, n_max + 1)
@@ -394,10 +338,12 @@ def per_site_collision_series(graph, n_max, root=None, budget=DEFAULT_BUDGET):
     sum_v p^(n)(root,(v,L))^2 by an exact kernel iteration; heights are
     signed tooth coordinates (or the Chebyshev annulus radius for Z^2
     teeth).  The sum over base vertices v is exact because the ball is.
+    On a lumped comb ball the tooth coordinate is folded under t -> -t, so
+    each orbit's q^2/|o| is binned by |t| and split evenly between t and -t.
     """
     if n_max < 1:
         raise OracleError("n_max must be >= 1")
-    b = rooted_ball(graph, root, n_max + 1, budget)
+    b = rooted_ball(graph, root, n_max + 1, budget, lumped=True)
     if b.tooth is not None:
         height_coord = b.tooth
     elif b.annulus is not None:
@@ -409,19 +355,49 @@ def per_site_collision_series(graph, n_max, root=None, budget=DEFAULT_BUDGET):
     hid = (height_coord - hmin).astype(np.int64)
     n_heights = int(hid.max()) + 1
     kern = Kernel(b, release_arcs=True)
+    w = 1.0 / b.orbit
     table = np.zeros((n_max, n_heights))
 
-    def grab(n, vec):
-        table[n - 1] = np.bincount(hid, weights=vec * vec, minlength=n_heights)
+    def grab(n, head):
+        rows = len(head)
+        table[n - 1] = np.bincount(hid[:rows], weights=head * head * w[:rows],
+                                   minlength=n_heights)
 
     kern.iterate(n_max, on_step=grab)
-    heights = np.arange(n_heights, dtype=np.int64) + hmin
+    if b.lumped and b.tooth is not None:
+        table = np.hstack((table[:, :0:-1] / 2, table[:, :1], table[:, 1:] / 2))
+        hmin = 1 - n_heights
+    heights = np.arange(table.shape[1], dtype=np.int64) + hmin
     return PerSiteSeries(np.arange(1, n_max + 1), heights, table)
 
 
 # ---------------------------------------------------------------------------
 # identity checks
 # ---------------------------------------------------------------------------
+
+def _snapshots(graph, v, n, budget):
+    """The ball around `v` and the reached prefixes of p^(m)(v, .), m <= n."""
+    b = rooted_ball(graph, v, n + 1, budget)
+    kern = Kernel(b)
+    snaps = [kern.start_vector()[:b.interior_size(0)]]
+    kern.iterate(n, on_step=lambda m, head: snaps.append(head.copy()))
+    return b, snaps
+
+
+def _loop_around(b, snaps, i, j):
+    """|sum_w p^(i)(v,w) p^(j)(v,w) - p^(i+j)(v,v)|."""
+    m = min(len(snaps[i]), len(snaps[j]))
+    lhs = float(np.dot(snaps[i][:m], snaps[j][:m]))
+    return abs(lhs - float(snaps[i + j][b.root_index]))
+
+
+def _reversibility(b, snaps, n):
+    """|sum_w p^(n)(v,w)^2 deg(v)/deg(w) - p^(2n)(v,v)|."""
+    head = snaps[n]
+    w = b.degrees[b.root_index] / b.degrees[:len(head)]
+    lhs = float(np.dot(head * head, w))
+    return abs(lhs - float(snaps[2 * n][b.root_index]))
+
 
 def verify_loop_around(graph, v, i, j, budget=DEFAULT_BUDGET):
     """Residual of sum_w p^(i)(v,w) p^(j)(v,w) = p^(i+j)(v,v).
@@ -434,43 +410,14 @@ def verify_loop_around(graph, v, i, j, budget=DEFAULT_BUDGET):
             f"loop-around identity needs constant degree; {graph.family} varies")
     if i < 0 or j < 0:
         raise OracleError("i and j must be >= 0")
-    b = rooted_ball(graph, v, i + j + 1, budget)
-    kern = Kernel(b)
-    snaps = {}
-    want = {i, j, i + j}
-
-    def grab(n, vec):
-        if n in want:
-            snaps[n] = vec.copy()
-
-    vec0 = kern.start_vector()
-    snaps[0] = vec0
-    if i + j > 0:
-        kern.iterate(i + j, on_step=grab)
-    lhs = float(np.dot(snaps[i], snaps[j]))
-    rhs = float(snaps[i + j][b.root_index])
-    return abs(lhs - rhs)
+    return _loop_around(*_snapshots(graph, v, i + j, budget), i, j)
 
 
 def verify_reversibility(graph, v, n, budget=DEFAULT_BUDGET):
     """Residual of p^(2n)(v,v) = sum_w p^(n)(v,w)^2 deg(v)/deg(w)."""
     if n < 0:
         raise OracleError("n must be >= 0")
-    b = rooted_ball(graph, v, 2 * n + 1, budget)
-    kern = Kernel(b)
-    snaps = {}
-
-    def grab(m, vec):
-        if m in (n, 2 * n):
-            snaps[m] = vec.copy()
-
-    snaps[0] = kern.start_vector()
-    if n > 0:
-        kern.iterate(2 * n, on_step=grab)
-    w = b.degrees[b.root_index] / b.degrees
-    lhs = float(np.dot(snaps[n] * snaps[n], w))
-    rhs = float(snaps[2 * n][b.root_index])
-    return abs(lhs - rhs)
+    return _reversibility(*_snapshots(graph, v, 2 * n, budget), n)
 
 
 def identity_check_suite(tol=1e-10, budget=DEFAULT_BUDGET):
@@ -483,32 +430,15 @@ def identity_check_suite(tol=1e-10, budget=DEFAULT_BUDGET):
     from .graphs import build_graph
 
     rows = []
-
     for spec in ("cycle:5", "cycle:6", "line"):
-        g = build_graph(spec)
-        b = ball(g, 25, budget)
-        kern = Kernel(b)
-        snaps = [kern.start_vector()]
-        kern.iterate(24, on_step=lambda n, vec: snaps.append(vec.copy()))
-        ridx = b.root_index
+        b, snaps = _snapshots(build_graph(spec), None, 24, budget)
         for s in range(1, 25):
             for i in range(0, s // 2 + 1):
-                j = s - i
-                res = abs(float(np.dot(snaps[i], snaps[j])) - float(snaps[s][ridx]))
-                rows.append((f"loop-around {spec} i={i} j={j}", res, res <= tol))
-
+                res = _loop_around(b, snaps, i, s - i)
+                rows.append((f"loop-around {spec} i={i} j={s - i}", res, res <= tol))
     for spec in ("star:4", "comb:cycle:4", "comb:line"):
-        g = build_graph(spec)
-        b = ball(g, 25, budget)
-        kern = Kernel(b)
-        snaps = [kern.start_vector()]
-        kern.iterate(24, on_step=lambda n, vec: snaps.append(vec.copy()))
-        ridx = b.root_index
-        w = b.degrees[ridx] / b.degrees
+        b, snaps = _snapshots(build_graph(spec), None, 24, budget)
         for n in range(1, 13):
-            lhs = float(np.dot(snaps[n] * snaps[n], w))
-            rhs = float(snaps[2 * n][ridx])
-            res = abs(lhs - rhs)
+            res = _reversibility(b, snaps, n)
             rows.append((f"reversibility {spec} n={n}", res, res <= tol))
-
     return rows

@@ -30,6 +30,7 @@ X_TOOTH, X_BASE = 4, 5
 Y_TOOTH, Y_BASE = 6, 7
 X_SKEL, X_HOLD = 8, 9
 Y_SKEL, Y_HOLD = 10, 11
+AUX = X_AUX - X_MAIN      # offset of a walker's auxiliary stream from its main one
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,8 @@ import numpy as np
 
 from .graphs import (BiasedLadder, Comb, Comb2, Cycle, GraphError, Grid2D,
                      Line, PathTwo, Star, build_graph)
-from .rng import (RngStream, X_BASE, X_MAIN, X_SKEL, X_TOOTH, Y_MAIN,
-                  Y_SKEL, Y_TOOTH)
+from .rng import (AUX, RngStream, X_BASE, X_HOLD, X_MAIN, X_SKEL, X_TOOTH,
+                  Y_HOLD, Y_MAIN, Y_SKEL, Y_TOOTH)
 from .stats import lil_threshold
 
 CHUNK = 4096
@@ -418,7 +418,7 @@ def _windows(kernel, streams, n_steps):
     """
     gen_sets = [[s.derive(ch).generator() for s in streams]
                 for ch in range(kernel.channels)]
-    raw_gens = [s.derive(1).generator() for s in streams] \
+    raw_gens = [s.derive(AUX).generator() for s in streams] \
         if kernel.needs_raw else []
     # one row per stream, so each fill is a contiguous write
     rows = min(CHUNK, n_steps)
@@ -723,9 +723,9 @@ def geometric_clock_path(d, n_steps, seed=0, replica=0, walker="x"):
     """
     if d < 1:
         raise ValueError("base degree must be >= 1")
-    roles = (X_SKEL,) if walker == "x" else (Y_SKEL,)
-    gen_s = RngStream(seed, replica, roles[0]).generator()
-    gen_g = RngStream(seed, replica, roles[0] + 1).generator()
+    skel, hold = (X_SKEL, X_HOLD) if walker == "x" else (Y_SKEL, Y_HOLD)
+    gen_s = RngStream(seed, replica, skel).generator()
+    gen_g = RngStream(seed, replica, hold).generator()
     arrs = _clock_arrays(d, n_steps, gen_s, gen_g, 1)
     return {k: v[:, 0] for k, v in arrs.items()}
 
@@ -738,7 +738,7 @@ def clock_dichotomy_violations(d, n_steps, replicas, seed=0, batch=4096):
     while lo < replicas:
         width = min(batch, replicas - lo)
         gen_s = RngStream(seed, lo, X_SKEL).generator()
-        gen_g = RngStream(seed, lo, X_SKEL + 1).generator()
+        gen_g = RngStream(seed, lo, X_HOLD).generator()
         # one batch = one stream pair advanced across columns; replica
         # granularity is irrelevant here, only the aggregate count matters
         arrs = _clock_arrays(d, n_steps, gen_s, gen_g, width)
@@ -775,7 +775,7 @@ def sample_marginal(graph, n_steps, replicas, seed=0, method="direct",
         while lo < replicas:
             width = min(batch, replicas - lo)
             gen_s = RngStream(seed, lo, X_SKEL).generator()
-            gen_g = RngStream(seed, lo, X_SKEL + 1).generator()
+            gen_g = RngStream(seed, lo, X_HOLD).generator()
             gen_u = RngStream(seed, lo, X_BASE).generator()
             arrs = _clock_arrays(d, n_steps, gen_s, gen_g, width)
             K = arrs["K"][n_steps]

@@ -225,6 +225,12 @@ def meeting_growth_curve(summaries, checkpoints=None):
     if not summaries:
         raise StatsError("no summaries")
     have = [t for t, _ in summaries[0].checkpoints]
+    for s in summaries:
+        if [t for t, _ in s.checkpoints] != have:
+            raise StatsError(
+                f"replica {s.replica} has checkpoints "
+                f"{[t for t, _ in s.checkpoints]}, replica "
+                f"{summaries[0].replica} has {have}")
     if checkpoints is None:
         checkpoints = have
     missing = [t for t in checkpoints if t not in have]

@@ -51,6 +51,26 @@ def test_simulate_writes_jsonl_and_reports(tmp_path):
     assert lines == sorted(lines, key=lambda ln: json.loads(ln)["replica"])
 
 
+def test_simulate_workers_default_to_affinity(tmp_path, monkeypatch):
+    from combwalks import cli
+    seen = []
+
+    def fake_run_ensemble(*args, workers, **kwargs):
+        seen.append(workers)
+        return []
+
+    monkeypatch.setattr(cli, "run_ensemble", fake_run_ensemble)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    argv = ["simulate", "--graph", "line", "--steps", "8", "--replicas", "1",
+            "--seed", "1", "--out", str(tmp_path / "w.jsonl")]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert cli.main(argv) == 0
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli.main(argv) == 0
+    assert cli.main(argv + ["--workers", "5"]) == 0
+    assert seen == [2, 64, 5]
+
+
 def test_simulate_requires_out_steps_and_seed(tmp_path):
     assert run_cli("simulate", "--graph", "line", "--steps", "8",
                    "--replicas", "1").returncode == 2

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from combwalks.graphs import GraphError, build_graph
-from combwalks.oracle import (OracleError, identity_check_suite,
+from combwalks.graphs import GraphError, ball, build_graph
+from combwalks.oracle import (Kernel, OracleError, identity_check_suite,
                               meeting_expectation_series,
                               per_site_collision_series,
                               return_probability_series, transition_vector,
@@ -73,12 +73,69 @@ def test_grid_return_is_square_of_line():
         assert value == pytest.approx(one_d * one_d, rel=1e-12)
 
 
-def test_grid_octant_agrees_with_generic_kernel():
-    g = build_graph("grid2d")
-    fast = return_probability_series(g, 48)
-    slow = return_probability_series(g, 48, method="generic")
+LUMPED = ("comb:line", "line", "grid2d")
+
+
+@pytest.mark.parametrize("every", ["even", "all"])
+@pytest.mark.parametrize("spec", LUMPED)
+def test_lumped_return_matches_generic(spec, every):
+    g = build_graph(spec)
+    fast = return_probability_series(g, 96, every=every)
+    slow = return_probability_series(g, 96, every=every, method="generic")
     assert np.array_equal(fast.n, slow.n)
     np.testing.assert_allclose(fast.values, slow.values, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("spec", LUMPED)
+def test_lumped_meetings_and_per_site_match_transition_vector(spec):
+    g = build_graph(spec)
+    n_max = 48
+    _, inc = meeting_expectation_series(g, n_max)
+    ps = per_site_collision_series(g, n_max) if spec == "comb:line" else None
+    for n in range(1, n_max + 1):
+        dist = transition_vector(g, g.root, n)
+        p2 = dist.dense * dist.dense
+        assert inc.value_at(n) == pytest.approx(p2.sum(), rel=0, abs=1e-15)
+        if ps is not None:
+            want = dict.fromkeys(ps.heights.tolist(), 0.0)
+            for t, mass in zip(dist.ball.tooth.tolist(), p2.tolist()):
+                want[t] += mass
+            np.testing.assert_allclose(ps.table[n - 1], list(want.values()),
+                                       rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("spec", LUMPED)
+def test_lumped_ball_orbits_cover_full_ball(spec):
+    g = build_graph(spec)
+    for radius in (0, 1, 2, 7, 10):
+        full = ball(g, radius)
+        lumped = ball(g, radius, lumped=True)
+        assert lumped.lumped and not full.lumped
+        assert np.all(full.orbit == 1)
+        assert lumped.orbit.sum() == full.size
+        # orbits never straddle levels: each level keeps its vertex count
+        per_level = np.bincount(lumped.level, weights=lumped.orbit)
+        assert np.array_equal(per_level, np.bincount(full.level))
+        assert lumped.root_index == 0 and lumped.orbit[0] == 1
+        assert all(lumped.index_of(lumped.vertex_of(i)) == i
+                   for i in range(lumped.size))
+
+
+def test_kernel_step_leaves_rows_past_reach_zero():
+    b = ball(build_graph("comb:line"), 12, lumped=True)
+    kern = Kernel(b)
+    vec = kern.start_vector()
+    for reach in range(1, 8):
+        vec = kern.step(vec, reach)
+        rows = b.interior_size(reach)
+        assert np.all(vec[rows:] == 0.0)
+        assert vec[:rows].sum() == pytest.approx(1.0, abs=1e-15)
+    # a second run on the same kernel reads none of the first run's rows
+    first = kern.iterate(11).copy()
+    np.testing.assert_array_equal(kern.iterate(11), first)
+    for bad in (vec[:-1], np.zeros(2 * b.size)[::2], vec.astype(np.float32)):
+        with pytest.raises(OracleError):
+            kern.step(bad, 3)
 
 
 def test_even_route_matches_full_diagonal():

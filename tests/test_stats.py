@@ -177,6 +177,16 @@ def test_growth_curve_synthetic():
     assert both["a"] == both["b"]
 
 
+def test_growth_curve_mixed_grids_is_stats_error():
+    # a T = 100 run followed by a T = 64 run: 100 is not on the second grid
+    sums = [synth(0, [(3, 1)], T=100, checkpoints=[(64, 1), (100, 1)]),
+            synth(1, [], T=64, checkpoints=[(64, 0)])]
+    with pytest.raises(StatsError, match="replica 1 has checkpoints"):
+        meeting_growth_curve(sums)
+    with pytest.raises(StatsError, match="replica 1 has checkpoints"):
+        meeting_growth_curve(sums, checkpoints=[64])
+
+
 def test_growth_curve_line_is_diffusive():
     out = run_ensemble(build_graph("line"), n_steps=4096, replicas=600, seed=20)
     g = meeting_growth_curve(out)
