@@ -8,16 +8,15 @@ from .oracle import (Kernel, KernelSeries, OracleError, SparseDistribution,
                      per_site_collision_series, return_probability_series,
                      transition_vector, verify_loop_around,
                      verify_reversibility)
-from .rng import RngStream, pair_streams
+from .rng import RngStream
 from .sampler import (CollisionRecord, PairTrajectorySummary, RecordPolicy,
                       SimulationError, clock_dichotomy_violations,
                       dyadic_checkpoints, geometric_clock_path, read_summaries,
-                      run_ensemble, run_pair, run_pair_decomposed,
-                      sample_marginal, write_summaries)
+                      run_ensemble, run_pair, sample_marginal,
+                      write_summaries)
 from .stats import (DriftEstimate, DyadicCellStats, ExponentFit, GrowthCurve,
                     StatsError, conditional_W, drift_estimate,
                     dyadic_collision_stats, estimate_exponent, kendall_trend,
-                    lil_envelope_check, lil_threshold, meeting_growth_curve,
-                    meeting_growth_curves)
+                    lil_envelope_check, lil_threshold, meeting_growth_curve)
 
 __version__ = "0.1.0"

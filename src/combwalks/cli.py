@@ -32,8 +32,8 @@ from .graphs import BudgetError, GraphError, build_graph, DEFAULT_BUDGET
 from .oracle import (OracleError, identity_check_suite,
                      meeting_expectation_series, per_site_collision_series,
                      return_probability_series)
-from .sampler import (RecordPolicy, SimulationError, read_summaries,
-                      run_ensemble, write_summaries)
+from .sampler import (RecordPolicy, SimulationError, atomic_open,
+                      read_summaries, run_ensemble, write_summaries)
 from .stats import (StatsError, drift_estimate, dyadic_collision_stats,
                     estimate_exponent, lil_envelope_check,
                     meeting_growth_curve)
@@ -148,7 +148,7 @@ def _parse_start(graph, text):
 
 def _open_out(args):
     if getattr(args, "out", None):
-        return open(args.out, "w", newline="\n")
+        return atomic_open(args.out, newline="\n")
     return contextlib.nullcontext(sys.stdout)
 
 
@@ -180,6 +180,8 @@ def cmd_simulate(args):
         raise ConfigError("simulate needs --replicas >= 1")
     if args.seed is None:
         raise ConfigError("simulate needs --seed (runs must be replayable)")
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     seed = args.seed
     graph = build_graph(args.graph)
     start = _parse_start(graph, args.start)

@@ -13,21 +13,27 @@ component processes of the decomposed constructions never share a stream:
     0 / 2    X / Y main step stream (one double per step)
     1 / 3    X / Y auxiliary stream (raw 64-bit words; midpoint indices)
     4 / 6    X / Y tooth-walk stream (self-loop decomposition)
-    5 / 7    X / Y base-walk stream  (self-loop decomposition)
+    5 / 7    X / Y base-walk stream  (self-loop decomposition, clock)
     8 / 10   X / Y undelayed-walk stream (geometric clock)
     9 / 11   X / Y holding-time stream   (geometric clock)
+
+``RngStream(seed, r, stream).generator()`` defines a stream: Philox keyed
+by ``SeedSequence(seed, spawn_key=(r, stream))``, counter 0.  The sampler
+builds none per replica: ``stream_keys`` hashes many replicas' keys in one
+numpy pass, and ``fill`` draws their streams through one reused Philox.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 X_MAIN, X_AUX = 0, 1
-Y_MAIN, Y_AUX = 2, 3
+Y_MAIN = 2
 X_TOOTH, X_BASE = 4, 5
-Y_TOOTH, Y_BASE = 6, 7
+Y_TOOTH = 6
 X_SKEL, X_HOLD = 8, 9
 Y_SKEL, Y_HOLD = 10, 11
 AUX = X_AUX - X_MAIN      # offset of a walker's auxiliary stream from its main one
@@ -46,11 +52,87 @@ class RngStream:
                            spawn_key=(self.replica, self.stream))
         return Generator(Philox(seq))
 
-    def derive(self, offset):
-        """Sibling stream for the same (seed, replica)."""
-        return RngStream(self.seed, self.replica, self.stream + offset)
+
+# numpy's SeedSequence hash, pool of 4 words, run on uint32 columns
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43b0d7e5, 0x931e8875, 0x8b51f9dd, 0x58f38ded
+_MIX_L, _MIX_R, _POOL, _M32 = 0xca01f9dd, 0x4973f715, 4, 0xFFFFFFFF
 
 
-def pair_streams(seed, replica):
-    """The (rng_x, rng_y) main streams of one replica."""
-    return RngStream(seed, replica, X_MAIN), RngStream(seed, replica, Y_MAIN)
+def _hasher(hc, mult):
+    """numpy's ``hashmix``: its constant advances with every call."""
+    def hashmix(v):
+        nonlocal hc
+        v = v ^ np.uint32(hc)
+        hc = hc * mult & _M32
+        v = v * np.uint32(hc)
+        return v ^ v >> np.uint32(16)
+    return hashmix
+
+
+def _mix(x, y):
+    r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return r ^ r >> np.uint32(16)
+
+
+def _hash(entropy):
+    """``generate_state(2, np.uint64)`` of the SeedSequence of each column
+    of the uint32 rows ``entropy``, all columns in one pass."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[_POOL:]:
+        pool = [_mix(p, hashmix(w)) for p in pool]
+    s = [v.astype(np.uint64) for v in map(_hasher(_INIT_B, _MULT_B), pool)]
+    return np.stack([s[0] | s[1] << np.uint64(32),
+                     s[2] | s[3] << np.uint64(32)], axis=1)
+
+
+def _words(n):
+    """The uint32 words of a non-negative int, low first, as SeedSequence."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    return [n >> s & _M32 for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+def stream_keys(seed, replicas, stream):
+    """(N, 2) uint64 Philox keys of the streams (seed, r, stream) for r in
+    ``replicas``: row j equals ``SeedSequence(seed, spawn_key=(replicas[j],
+    stream)).generate_state(2, np.uint64)``."""
+    r = np.asarray(replicas, dtype=np.int64).reshape(-1)
+    if (r < 0).any():
+        raise ValueError("expected non-negative integer")
+    head = _words(seed)
+    head += [0] * (_POOL - len(head))     # SeedSequence pads before a spawn key
+    tail = _words(stream)
+    lo, hi = (r & _M32).astype(np.uint32), (r >> 32).astype(np.uint32)
+    keys = np.empty((len(r), 2), dtype=np.uint64)
+    # the hash constants depend on the word count: one pass per count
+    for sel, words in ((hi == 0, [lo]), (hi > 0, [lo, hi])):
+        n = int(sel.sum())
+        keys[sel] = _hash([np.full(n, w, np.uint32) for w in head]
+                          + [w[sel] for w in words]
+                          + [np.full(n, w, np.uint32) for w in tail])
+    return keys
+
+
+def fill(keys, start, out, high=None):
+    """Row j of ``out`` gets draws ``start, start + 1, ...`` of the stream
+    keyed ``keys[j]``: doubles in [0, 1), or integers in [0, ``high``),
+    one 64-bit word each when ``high`` is a power of two.  One Philox serves
+    every row, set to the row's key, the counter of the block before draw
+    ``start`` and an empty buffer: its generator's state after ``start``
+    draws."""
+    if start % 4:
+        raise ValueError("fill starts on a Philox block: start % 4 == 0")
+    g = Generator(Philox(0))
+    state = g.bit_generator.state         # a fresh one: empty buffer
+    for key, row in zip(keys.tolist(), out):
+        state["state"] = {"counter": [start // 4, 0, 0, 0], "key": key}
+        g.bit_generator.state = state
+        if high is None:
+            g.random(out=row)
+        else:
+            row[:] = g.integers(0, high, dtype=out.dtype, size=len(row))

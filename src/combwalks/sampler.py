@@ -38,8 +38,11 @@ comparing the halves.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import stat
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -48,10 +51,10 @@ import numpy as np
 from .graphs import (BiasedLadder, Comb, Comb2, Cycle, GraphError, Grid2D,
                      Line, PathTwo, Star, build_graph)
 from .rng import (AUX, RngStream, X_BASE, X_HOLD, X_MAIN, X_SKEL, X_TOOTH,
-                  Y_HOLD, Y_MAIN, Y_SKEL, Y_TOOTH)
+                  Y_HOLD, Y_MAIN, Y_SKEL, Y_TOOTH, fill, stream_keys)
 from .stats import lil_threshold
 
-CHUNK = 4096
+CHUNK = 4096              # a multiple of 4: each chunk starts a Philox block
 WIN = 64                  # steps per move table and per observer pass
 _LEVEL_BITS = 62          # midpoint identities use the low 62 bits
 
@@ -159,8 +162,28 @@ class PairTrajectorySummary:
                           separators=(",", ":"))
 
 
+@contextlib.contextmanager
+def atomic_open(path, newline=None):
+    """Write ``path`` through a temp file beside it, renamed over ``path``
+    when the block completes; if the block raises, the old file stays and
+    the temp file goes.  An existing device, pipe or symlink is written in
+    place."""
+    special = os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode)
+    tmp = path if special else f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "w", newline=newline)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if not special:
+            os.unlink(tmp)
+        raise
+    if not special:
+        os.replace(tmp, path)
+
+
 def write_summaries(path, summaries):
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         for s in summaries:
             fh.write(s.to_json() + "\n")
 
@@ -407,32 +430,36 @@ def _make_kernel(graph, start, width, method, n_steps):
 # block driver
 # ---------------------------------------------------------------------------
 
-def _windows(kernel, streams, n_steps):
+def _stream_keys(kernel, seed, replicas, roles):
+    """Keys of the streams role + ch of each uniform channel ch, then of the
+    auxiliary streams if the kernel needs raw draws.  Row j is walker j:
+    ``roles[j // B]`` of replica ``replicas[j % B]``, B = len(replicas)."""
+    offsets = [*range(kernel.channels), *([AUX] if kernel.needs_raw else [])]
+    return [np.concatenate([stream_keys(seed, replicas, role + off)
+                            for role in roles]) for off in offsets]
+
+
+def _windows(kernel, keys, n_steps):
     """Advance the kernel's walkers ``n_steps`` steps, walker j drawing
-    from ``streams[j]`` and its derived siblings.
+    from the streams keyed ``keys[...][j]`` (see ``_stream_keys``).
 
     Every stream is filled ``CHUNK`` values at a time; the kernel consumes
     each chunk ``WIN`` rows at a time.  Yields ``(n0, L)`` after each
     window, while ``kernel.pos[1:L + 1]`` holds the states after steps
     n0 + 1 .. n0 + L; once exhausted, ``kernel.pos[0]`` is the final state.
     """
-    gen_sets = [[s.derive(ch).generator() for s in streams]
-                for ch in range(kernel.channels)]
-    raw_gens = [s.derive(AUX).generator() for s in streams] \
-        if kernel.needs_raw else []
     # one row per stream, so each fill is a contiguous write
-    rows = min(CHUNK, n_steps)
-    u_bufs = [np.empty((len(streams), rows)) for _ in gen_sets]
-    raw_buf = np.empty((len(raw_gens), rows), dtype=np.int64)
+    rows, width = min(CHUNK, n_steps), len(keys[0])
+    u_bufs = [np.empty((width, rows)) for _ in range(kernel.channels)]
+    raw_buf = np.empty((width * kernel.needs_raw, rows), dtype=np.int64)
     n = 0
     while n < n_steps:
         length = min(CHUNK, n_steps - n)
-        for buf, gens in zip(u_bufs, gen_sets):
-            for row, g in zip(buf, gens):
-                g.random(out=row[:length])
-        for row, g in zip(raw_buf, raw_gens):
-            row[:length] = g.integers(0, np.int64(1) << _LEVEL_BITS,
-                                      dtype=np.int64, size=length)
+        for buf, k in zip(u_bufs, keys):
+            fill(k, n, buf[:, :length])
+        if kernel.needs_raw:
+            fill(keys[-1], n, raw_buf[:, :length],
+                 high=np.int64(1) << _LEVEL_BITS)
         for w in range(0, length, WIN):
             L = min(WIN, length - w)
             kernel.advance([b[:, w:w + L].T for b in u_bufs],
@@ -457,8 +484,7 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
     if stream_roles is None:
         stream_roles = (X_TOOTH, Y_TOOTH) if method == "selfloop" \
             else (X_MAIN, Y_MAIN)
-    streams = [RngStream(seed, r, role) for role in stream_roles
-               for r in replicas]
+    keys = _stream_keys(kernel, seed, replicas, stream_roles)
 
     meetings = np.zeros(B, dtype=np.int64)
     max_depth = np.zeros(2 * B, dtype=np.int64)
@@ -472,7 +498,7 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
         last_spine = kernel.pos[0, 1].copy()
         spine_rows = [last_spine.astype(np.int32)]
 
-    for n0, L in _windows(kernel, streams, n_steps):
+    for n0, L in _windows(kernel, keys, n_steps):
         p = kernel.pos[1:L + 1]
         eq = (p[:, :, :B] == p[:, :, B:]).all(axis=1)
         rows, cols = np.nonzero(eq)
@@ -585,15 +611,6 @@ def run_pair(graph, start=None, n_steps=0, rng_x=None, rng_y=None,
                       stream_roles=(rng_x.stream, rng_y.stream))[0]
 
 
-def run_pair_decomposed(graph, start=None, n_steps=0, seed=0, replica=0,
-                        record=None):
-    """Pair run through the self-loop construction, with loop-count traces."""
-    return run_pair(graph, start, n_steps,
-                    RngStream(seed, replica, X_TOOTH),
-                    RngStream(seed, replica, Y_TOOTH),
-                    record, method="selfloop")
-
-
 # ---------------------------------------------------------------------------
 # ensembles
 # ---------------------------------------------------------------------------
@@ -661,21 +678,30 @@ def run_ensemble(graph, start=None, n_steps=0, replicas=1, seed=0, workers=1,
 # geometric-clock construction
 # ---------------------------------------------------------------------------
 
-def _clock_arrays(d, n_steps, gen_s, gen_g, width):
-    """Vectorized clock bookkeeping for `width` tooth walks of length n_steps.
+def _draws(seed, replicas, stream, n):
+    """(n, len(replicas)) uniforms: column j holds the first n draws of
+    stream (seed, replicas[j], stream)."""
+    out = np.empty((len(replicas), n))
+    fill(stream_keys(seed, replicas, stream), 0, out)
+    return out.T
 
-    Returns dict of (n_steps+1, width) int64 arrays: the delayed tooth path
+
+def _clock_arrays(d, us, ug):
+    """Vectorized clock bookkeeping for tooth walks of length T, one per
+    column of the (T, width) step uniforms ``us`` and (T + 2, width) hold
+    uniforms ``ug``.
+
+    Returns dict of (T + 1, width) int64 arrays: the delayed tooth path
     V, loop counts K, revisit counts H, and holding-time sums R, plus the
     undelayed path S, per-visit holds G, the delayed time tau[m] at which
     undelayed step m completes, and sigma[n], the last undelayed step done
-    by delayed time n.  Memory is O(n_steps * width); meant for moderate
+    by delayed time n.  Memory is O(T * width); meant for moderate
     horizons, not the chunked long runs.
     """
-    T = n_steps
+    T, width = us.shape
     q = d / (d + 2.0)
     S = np.zeros((T + 1, width), dtype=np.int64)
-    np.cumsum(np.where(gen_s.random((T, width)) < 0.5, -1, 1), axis=0,
-              out=S[1:])
+    np.cumsum(np.where(us < 0.5, -1, 1), axis=0, out=S[1:])
 
     # visit ordinals: ordinal 0 is the start at time 0, later ordinals are
     # revisits S_i = 0, i >= 1.  VA[i] = number of visits with time <= i.
@@ -686,7 +712,7 @@ def _clock_arrays(d, n_steps, gen_s, gen_g, width):
 
     # holds: G[j] belongs to visit ordinal j; inverse-cdf geometric with
     # P[G = k] = q^k (1 - q), using 1-u in (0,1] so log stays finite
-    G = np.floor(np.log1p(-gen_g.random((T + 2, width))) / math.log(q))
+    G = np.floor(np.log1p(-ug) / math.log(q))
     G = G.astype(np.int64)
     Gpref = np.zeros((T + 3, width), dtype=np.int64)
     np.cumsum(G, axis=0, out=Gpref[1:])
@@ -724,29 +750,25 @@ def geometric_clock_path(d, n_steps, seed=0, replica=0, walker="x"):
     if d < 1:
         raise ValueError("base degree must be >= 1")
     skel, hold = (X_SKEL, X_HOLD) if walker == "x" else (Y_SKEL, Y_HOLD)
-    gen_s = RngStream(seed, replica, skel).generator()
-    gen_g = RngStream(seed, replica, hold).generator()
-    arrs = _clock_arrays(d, n_steps, gen_s, gen_g, 1)
+    arrs = _clock_arrays(d, _draws(seed, [replica], skel, n_steps),
+                         _draws(seed, [replica], hold, n_steps + 2))
     return {k: v[:, 0] for k, v in arrs.items()}
 
 
 def clock_dichotomy_violations(d, n_steps, replicas, seed=0, batch=4096):
-    """Count (replica, time) pairs violating K_n >= R_n or K_n >= n/2."""
-    bad = 0
-    checked = 0
-    lo = 0
-    while lo < replicas:
-        width = min(batch, replicas - lo)
-        gen_s = RngStream(seed, lo, X_SKEL).generator()
-        gen_g = RngStream(seed, lo, X_HOLD).generator()
-        # one batch = one stream pair advanced across columns; replica
-        # granularity is irrelevant here, only the aggregate count matters
-        arrs = _clock_arrays(d, n_steps, gen_s, gen_g, width)
+    """Count (replica, time) pairs violating K_n >= R_n or K_n >= n/2.
+
+    Replica r is ``geometric_clock_path(d, n_steps, seed, r)``; ``batch``
+    bounds the replicas held at once and does not change the count."""
+    bad = checked = 0
+    for lo in range(0, replicas, batch):
+        reps = range(lo, min(lo + batch, replicas))
+        arrs = _clock_arrays(d, _draws(seed, reps, X_SKEL, n_steps),
+                             _draws(seed, reps, X_HOLD, n_steps + 2))
         ns = np.arange(n_steps + 1, dtype=np.int64)[:, None]
         ok = (arrs["K"] >= arrs["R"]) | (2 * arrs["K"] >= ns)
         bad += int((~ok).sum())
         checked += ok.size
-        lo += width
     return bad, checked
 
 
@@ -756,7 +778,8 @@ def sample_marginal(graph, n_steps, replicas, seed=0, method="direct",
 
     The three constructions must produce the same marginal law; this is the
     hook the distribution tests use.  Returns an (replicas, k) int64 array
-    of coordinate tuples.
+    of coordinate tuples.  Replica r reads only streams keyed (seed, r,
+    role), so ``batch`` bounds memory and does not change the output.
     """
     if start is None:
         start = graph.root
@@ -771,27 +794,24 @@ def sample_marginal(graph, n_steps, replicas, seed=0, method="direct",
             raise GraphError("clock construction starts on the spine")
         d = base.constant_degree
         cols = []
-        lo = 0
-        while lo < replicas:
-            width = min(batch, replicas - lo)
-            gen_s = RngStream(seed, lo, X_SKEL).generator()
-            gen_g = RngStream(seed, lo, X_HOLD).generator()
-            gen_u = RngStream(seed, lo, X_BASE).generator()
-            arrs = _clock_arrays(d, n_steps, gen_s, gen_g, width)
+        for lo in range(0, replicas, batch):
+            reps = range(lo, min(lo + batch, replicas))
+            arrs = _clock_arrays(d, _draws(seed, reps, X_SKEL, n_steps),
+                                 _draws(seed, reps, X_HOLD, n_steps + 2))
             K = arrs["K"][n_steps]
             V = arrs["V"][n_steps]
             # base walk advanced once per self-loop event
             if isinstance(base, PathTwo):
                 b = (start[0] + K) % 2
             else:
-                bsteps = np.where(gen_u.random((n_steps, width)) < 0.5, -1, 1)
-                bpath = np.zeros((n_steps + 1, width), dtype=np.int64)
+                bsteps = np.where(_draws(seed, reps, X_BASE, n_steps) < 0.5,
+                                  -1, 1)
+                bpath = np.zeros((n_steps + 1, len(reps)), dtype=np.int64)
                 np.cumsum(bsteps, axis=0, out=bpath[1:])
                 b = start[0] + np.take_along_axis(bpath, K[None, :], axis=0)[0]
                 if isinstance(base, Cycle):
                     b %= base.m
             cols.append(np.stack([b, V], axis=1))
-            lo += width
         return np.concatenate(cols, axis=0)
 
     role = X_TOOTH if method == "selfloop" else X_MAIN
@@ -799,8 +819,8 @@ def sample_marginal(graph, n_steps, replicas, seed=0, method="direct",
     for lo in range(0, replicas, batch):
         width = min(batch, replicas - lo)
         kernel = _make_kernel(graph, start, width, method, n_steps)
-        streams = [RngStream(seed, r, role) for r in range(lo, lo + width)]
-        for _ in _windows(kernel, streams, n_steps):
+        keys = _stream_keys(kernel, seed, range(lo, lo + width), (role,))
+        for _ in _windows(kernel, keys, n_steps):
             pass
         out.append(kernel.pos[0].T)
     return np.concatenate(out, axis=0)

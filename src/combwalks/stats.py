@@ -246,12 +246,6 @@ def meeting_growth_curve(summaries, checkpoints=None):
     return GrowthCurve(tuple(checkpoints), tuple(means), tuple(surv))
 
 
-def meeting_growth_curves(per_graph, checkpoints=None):
-    """meeting_growth_curve for each named ensemble in a dict."""
-    return {name: meeting_growth_curve(sums, checkpoints)
-            for name, sums in per_graph.items()}
-
-
 @dataclass(frozen=True)
 class DriftEstimate:
     """Spine drift of the ladder walk.

@@ -81,6 +81,36 @@ def test_simulate_requires_out_steps_and_seed(tmp_path):
                    "--out", str(tmp_path / "x.jsonl")).returncode == 2
 
 
+def test_simulate_rejects_negative_seed(tmp_path):
+    out = tmp_path / "x.jsonl"
+    res = run_cli("simulate", "--graph", "line", "--steps", "8",
+                  "--replicas", "1", "--seed=-1", "--out", str(out))
+    assert res.returncode == 2
+    assert res.stderr.startswith("config error:") and "seed" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
+def test_failed_write_keeps_previous_output(tmp_path, monkeypatch):
+    from combwalks import cli
+    out = tmp_path / "ret.csv"
+    argv = ["oracle", "return", "--graph", "line", "--nmax", "16",
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    before = out.read_bytes()
+    assert before.startswith(b"n,value\n")
+
+    def broken_csv(fh, header, rows):
+        fh.write("n,value\n0,1.0\n")
+        raise RuntimeError("disk gone")
+
+    monkeypatch.setattr(cli, "_write_csv", broken_csv)
+    with pytest.raises(RuntimeError, match="disk gone"):
+        cli.main(argv)
+    assert out.read_bytes() == before
+    assert os.listdir(tmp_path) == ["ret.csv"]
+
+
 def test_simulate_rejects_unknown_graph(tmp_path):
     res = run_cli("simulate", "--graph", "circle", "--steps", "8",
                   "--replicas", "1", "--seed", "0",

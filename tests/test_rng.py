@@ -4,8 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from numpy.random import SeedSequence
 
-from combwalks.rng import X_MAIN, X_TOOTH, Y_MAIN, RngStream, pair_streams
+from combwalks.rng import X_MAIN, Y_MAIN, RngStream, fill, stream_keys
 
 
 def test_same_key_same_draws():
@@ -21,20 +22,50 @@ def test_distinct_keys_distinct_draws():
         assert not np.array_equal(base, other.generator().random(16))
 
 
-def test_derive_shifts_stream_only():
-    s = RngStream(5, 2, X_TOOTH)
-    d = s.derive(1)
-    assert (d.seed, d.replica, d.stream) == (5, 2, X_TOOTH + 1)
-    assert s.derive(0) == s
-
-
 def test_streams_are_frozen():
     s = RngStream(1, 2, 3)
     with pytest.raises(dataclasses.FrozenInstanceError):
         s.seed = 9
 
 
-def test_pair_streams():
-    sx, sy = pair_streams(11, 4)
-    assert sx.stream == X_MAIN and sy.stream == Y_MAIN
-    assert (sx.seed, sx.replica) == (11, 4) == (sy.seed, sy.replica)
+SEEDS = [0, 1, 2 ** 32 + 5, 2 ** 64 + 3, 2 ** 128 + 9, (1 << 200) + 77]
+REPLICAS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 40, 5]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_stream_keys_match_seed_sequence(seed):
+    # seeds of one, two, three, five and seven words; replicas of one
+    # and of two words
+    for stream in range(12):
+        keys = stream_keys(seed, REPLICAS, stream)
+        assert keys.shape == (len(REPLICAS), 2) and keys.dtype == np.uint64
+        for key, r in zip(keys, REPLICAS):
+            ref = SeedSequence(seed, spawn_key=(r, stream)).generate_state(
+                2, np.uint64)
+            assert np.array_equal(key, ref)
+
+
+def test_stream_keys_reject_negatives():
+    for args in [(-1, [0], 0), (0, [3, -1], 0), (0, [0], -1)]:
+        with pytest.raises(ValueError):
+            stream_keys(*args)
+    assert stream_keys(3, [], 0).shape == (0, 2)
+
+
+def test_fill_continues_the_reference_generator():
+    replicas = [0, 4, 2 ** 32 + 1]
+    keys = stream_keys(9, replicas, Y_MAIN)
+    ref = [RngStream(9, r, Y_MAIN).generator() for r in replicas]
+    u = np.empty((3, 40))
+    for start in range(0, 40, 8):              # five chunks of 8
+        fill(keys, start, u[:, start:start + 8])
+    assert np.array_equal(u, [g.random(40) for g in ref])
+    high = np.int64(1) << 62
+    raw = np.empty((3, 24), dtype=np.int64)
+    for start in (0, 12):
+        fill(keys, start, raw[:, start:start + 12], high=high)
+    ref = [RngStream(9, r, Y_MAIN).generator() for r in replicas]
+    assert np.array_equal(raw, [g.integers(0, high, dtype=np.int64, size=24)
+                                for g in ref])
+    with pytest.raises(ValueError):
+        fill(keys, 6, u[:, :4])

@@ -10,12 +10,13 @@ from scipy import stats as sps
 import combwalks.sampler as sampler
 from combwalks.graphs import GraphError, build_graph
 from combwalks.oracle import transition_vector
-from combwalks.rng import RngStream, X_HOLD, X_MAIN, X_SKEL, Y_MAIN
+from combwalks.rng import (RngStream, X_HOLD, X_MAIN, X_SKEL, X_TOOTH,
+                           Y_MAIN, Y_TOOTH)
 from combwalks.sampler import (RecordPolicy, SimulationError,
                                clock_dichotomy_violations, dyadic_checkpoints,
                                geometric_clock_path, read_summaries,
-                               run_ensemble, run_pair, run_pair_decomposed,
-                               sample_marginal, write_summaries)
+                               run_ensemble, run_pair, sample_marginal,
+                               write_summaries)
 from combwalks.stats import lil_threshold
 
 
@@ -52,6 +53,28 @@ def test_run_pair_reproducible():
     b = run_pair(g, n_steps=800, rng_x=RngStream(2, 1, X_MAIN),
                  rng_y=RngStream(2, 1, Y_MAIN))
     assert a.to_json() == b.to_json()
+
+
+def test_run_pair_other_stream_ids():
+    # the defaults are the X and Y main streams of seed 0, replica 0
+    g = build_graph("comb:line")
+    default = run_pair(g, n_steps=300)
+    assert default.to_json() == run_pair(
+        g, n_steps=300, rng_x=RngStream(0, 0, X_MAIN),
+        rng_y=RngStream(0, 0, Y_MAIN)).to_json()
+    # walker x on stream 9 and y on stream 4 is the reference walk of
+    # those two streams, and differs from the default pair
+    s = run_pair(g, n_steps=300, rng_x=RngStream(6, 2, X_HOLD),
+                 rng_y=RngStream(6, 2, X_TOOTH),
+                 record=RecordPolicy(lil_alphas=(1.1,)))
+    hits, fx, fy, depth, lil = reference_comb_line_pair(
+        6, 2, 300, 1.1, roles=(X_HOLD, X_TOOTH))
+    assert [(c.n, c.vertex, c.l) for c in s.collisions] == hits
+    assert (s.final_x, s.final_y) == (fx, fy)
+    assert [s.max_tooth_x, s.max_tooth_y] == depth
+    assert s.extras["lil"]["times"] == [lil]
+    assert s.to_json() != run_pair(g, n_steps=300, rng_x=RngStream(6, 2),
+                                   rng_y=RngStream(6, 2, Y_MAIN)).to_json()
 
 
 def test_run_pair_rejects_mismatched_streams():
@@ -186,7 +209,8 @@ def test_one_step_ladder_class_weights():
 
 
 def test_selfloop_k_trace_monotone():
-    s = run_pair_decomposed(build_graph("comb:cycle:4"), n_steps=512, seed=4)
+    s = run_pair(build_graph("comb:cycle:4"), n_steps=512, method="selfloop",
+                 rng_x=RngStream(4, 0, X_TOOTH), rng_y=RngStream(4, 0, Y_TOOTH))
     assert s.method == "selfloop"
     trace = s.extras["k_trace"]
     assert [row["t"] for row in trace] == list(dyadic_checkpoints(512))
@@ -220,11 +244,35 @@ def test_clock_dichotomy_batch():
 
 def test_clock_sigma_counts_completed_steps():
     for T in (0, 1, 2, 17, 64):
-        arrs = sampler._clock_arrays(2, T, RngStream(5, T, X_SKEL).generator(),
-                                     RngStream(5, T, X_HOLD).generator(), 6)
+        arrs = sampler._clock_arrays(
+            2, RngStream(5, T, X_SKEL).generator().random((T, 6)),
+            RngStream(5, T, X_HOLD).generator().random((T + 2, 6)))
         tau, sigma = arrs["tau"], arrs["sigma"]
         for n in range(T + 1):
             assert np.array_equal(sigma[n], (tau <= n).sum(axis=0) - 1)
+
+
+def test_clock_output_does_not_depend_on_batch():
+    g = build_graph("comb:cycle:4")
+    ref = sample_marginal(g, 9, 250, seed=12, method="clock", batch=4096)
+    for batch in (30, 100):
+        assert np.array_equal(
+            sample_marginal(g, 9, 250, seed=12, method="clock", batch=batch),
+            ref)
+
+
+def test_clock_batch_columns_are_clock_paths():
+    # replica r of a batch is geometric_clock_path(d, n, seed, r)
+    arrs = sampler._clock_arrays(
+        2, sampler._draws(3, range(5, 9), X_SKEL, 40),
+        sampler._draws(3, range(5, 9), X_HOLD, 42))
+    for j, r in enumerate(range(5, 9)):
+        path = geometric_clock_path(2, 40, seed=3, replica=r)
+        for key, col in path.items():
+            assert np.array_equal(arrs[key][:, j], col)
+    p = geometric_clock_path(2, 40, seed=3, replica=5)
+    us = RngStream(3, 5, X_SKEL).generator().random(40)
+    assert np.array_equal(np.diff(p["S"]), np.where(us < 0.5, -1, 1))
 
 
 def test_clock_needs_comb_with_constant_base():
@@ -288,13 +336,39 @@ def test_jsonl_round_trip(tmp_path):
     assert back[2].extras["lil"]["alphas"] == [0.75]
 
 
-def reference_comb_line_pair(seed, replica, n_steps, alpha):
-    """Scalar comb:line pair walk read straight off the two main streams:
+def test_failed_write_keeps_previous_summaries(tmp_path):
+    out = run_ensemble(build_graph("comb:line"), n_steps=50, replicas=3,
+                       seed=2)
+    path = tmp_path / "runs.jsonl"
+    write_summaries(path, out)
+    before = path.read_bytes()
+    assert before == "".join(s.to_json() + "\n" for s in out).encode()
+
+    class Broken:
+        def to_json(self):
+            raise RuntimeError("killed mid-write")
+
+    with pytest.raises(RuntimeError, match="mid-write"):
+        write_summaries(path, out[:2] + [Broken()])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["runs.jsonl"]
+    write_summaries(path, out[:1])
+    assert path.read_text() == out[0].to_json() + "\n"
+    # a symlink is written through, in place, as a device or pipe would be
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(path)
+    write_summaries(link, out)
+    assert link.is_symlink() and path.read_bytes() == before
+
+
+def reference_comb_line_pair(seed, replica, n_steps, alpha,
+                             roles=(X_MAIN, Y_MAIN)):
+    """Scalar comb:line pair walk read straight off the two ``roles`` streams:
     (collisions as (n, vertex, height), final x, final y, max |tooth|,
     times n at which either |tooth| exceeds the envelope for ``alpha``)."""
     paths = []
-    for role in (X_MAIN, Y_MAIN):
-        us = RngStream(seed, replica, role).derive(0).generator().random(n_steps)
+    for role in roles:
+        us = RngStream(seed, replica, role).generator().random(n_steps)
         b = t = 0
         path = []
         for u in us:
@@ -359,3 +433,26 @@ def test_window_length_does_not_change_output(monkeypatch, win):
     assert "k_trace" in default[0][8] and "spine" in default[0][12]
     monkeypatch.setattr(sampler, "WIN", win)
     assert _window_probe() == default
+
+
+def test_chunk_length_does_not_change_output(monkeypatch):
+    # CHUNK = 8 starts a fill every two Philox blocks: the uniform
+    # channels of comb:line with LIL, both channels of the self-loop
+    # construction, and the ladder's auxiliary 62-bit stream
+    settings = [
+        ("comb:line", "direct", 150, RecordPolicy(lil_alphas=(0.75, 1.25))),
+        ("comb:cycle:4", "selfloop", 150, RecordPolicy()),
+        ("biased-ladder", "direct", 150, RecordPolicy(spine_stride=3)),
+    ]
+
+    def probe():
+        return [[s.to_json() for s in run_ensemble(
+            build_graph(spec), n_steps=n_steps, replicas=3, seed=31,
+            record=record, method=method)]
+            for spec, method, n_steps, record in settings]
+
+    default = probe()
+    finals = [json.loads(line)["final"] for line in default[2]]
+    assert any(f[w][2] for f in finals for w in "xy")   # midpoint ids drawn
+    monkeypatch.setattr(sampler, "CHUNK", 8)
+    assert probe() == default

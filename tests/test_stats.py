@@ -12,7 +12,7 @@ from combwalks.stats import (DriftEstimate, StatsError, conditional_W,
                              drift_estimate, dyadic_collision_stats,
                              estimate_exponent, kendall_trend,
                              lil_envelope_check, lil_threshold,
-                             meeting_growth_curve, meeting_growth_curves)
+                             meeting_growth_curve)
 
 
 def synth(replica, records, T=1024, extras=None, checkpoints=None):
@@ -173,8 +173,7 @@ def test_growth_curve_synthetic():
         meeting_growth_curve(sums, checkpoints=[5])
     with pytest.raises(StatsError):
         meeting_growth_curve([])
-    both = meeting_growth_curves({"a": sums, "b": sums})
-    assert both["a"] == both["b"]
+    assert meeting_growth_curve(list(sums)) == g
 
 
 def test_growth_curve_mixed_grids_is_stats_error():
