@@ -6,8 +6,7 @@ from .graphs import (Ball, BiasedLadder, BudgetError, Comb, Comb2, Cycle,
 from .oracle import (Kernel, KernelSeries, OracleError, SparseDistribution,
                      identity_check_suite, meeting_expectation_series,
                      per_site_collision_series, return_probability_series,
-                     transition_vector, verify_loop_around,
-                     verify_reversibility)
+                     transition_vector)
 from .rng import RngStream
 from .sampler import (CollisionRecord, PairTrajectorySummary, RecordPolicy,
                       SimulationError, clock_dichotomy_violations,

@@ -277,6 +277,13 @@ def cmd_stats(args):
     if report == "grid":
         if args.r_range is None or args.k_range is None:
             raise ConfigError("grid report needs --r-range and --k-range")
+        first = None
+        for path, (_, sums) in zip(args.inputs, loaded):
+            for s in sums:
+                first = first or (s.n_steps, s.method)
+                if (s.n_steps, s.method) != first:
+                    raise SchemaError(f"{path}: grid inputs mix (T, method) "
+                                      f"{first} and {(s.n_steps, s.method)}")
         rows = []
         r_lo, r_hi = args.r_range
         k_lo, k_hi = args.k_range

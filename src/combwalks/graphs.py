@@ -11,7 +11,7 @@ glued at its origin instead.  Vertices are plain integer tuples:
     comb:base     (b, t)        b = base coordinate, t = tooth coordinate
     comb2:base    (b, t1, t2)   Z^2 teeth glued at (0, 0)
     biased-ladder (kind, n, i)  kind 0 = spine(n) with i = 0,
-                                kind 1 = midpoint(n, i), 0 <= i < 2^n
+                                kind 1 = midpoint(n, i), 0 <= i < 2^min(n, 62)
 
 The biased ladder is the half-line 0, 1, 2, ... with 2^n disjoint paths of
 length two added between n and n+1; midpoint(n, i) is the interior vertex
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-LADDER_LEVEL_CAP = 59   # midpoint counts 2^n stored as 64-bit ints
+LADDER_ID_BITS = 62     # midpoint indices keep their low 62 bits
 DEFAULT_BUDGET = 2 << 30
 
 
@@ -274,6 +274,11 @@ class BiasedLadder(Graph):
     distinct spine vertices, steps right with probability 2/3 for large n,
     a bias of 1/3; the graph is transient yet two independent walkers meet
     infinitely often.
+
+    Midpoint indices live in [0, 2^min(n, LADDER_ID_BITS)), the sampler's
+    rule: levels above 62 are a quotient whose 2^62 identities each stand
+    for 2^(n-62) midpoints, so two walkers at such a level share a midpoint
+    with chance 2^-62 per step instead of 2^-n.
     """
 
     family = "biased-ladder"
@@ -285,13 +290,10 @@ class BiasedLadder(Graph):
         kind, n, i = v
         if not (_is_int(kind) and _is_int(n) and _is_int(i)) or n < 0:
             return False
-        if n > LADDER_LEVEL_CAP:
-            raise GraphError(
-                f"biased-ladder coordinate {n} exceeds the 64-bit level cap {LADDER_LEVEL_CAP}")
         if kind == 0:
             return i == 0
         if kind == 1:
-            return 0 <= i < (1 << n)
+            return 0 <= i < (1 << min(n, LADDER_ID_BITS))
         return False
 
     def neighbors(self, v):

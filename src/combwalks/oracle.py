@@ -375,7 +375,7 @@ def per_site_collision_series(graph, n_max, root=None, budget=DEFAULT_BUDGET):
 # identity checks
 # ---------------------------------------------------------------------------
 
-def _snapshots(graph, v, n, budget):
+def _snapshots(graph, v, n, budget=DEFAULT_BUDGET):
     """The ball around `v` and the reached prefixes of p^(m)(v, .), m <= n."""
     b = rooted_ball(graph, v, n + 1, budget)
     kern = Kernel(b)
@@ -385,7 +385,14 @@ def _snapshots(graph, v, n, budget):
 
 
 def _loop_around(b, snaps, i, j):
-    """|sum_w p^(i)(v,w) p^(j)(v,w) - p^(i+j)(v,v)|."""
+    """|sum_w p^(i)(v,w) p^(j)(v,w) - p^(i+j)(v,v)|.
+
+    Only valid on constant-degree graphs (the identity uses pi(w) constant);
+    raises GraphError otherwise.
+    """
+    if b.graph.constant_degree is None:
+        raise GraphError(f"loop-around identity needs constant degree; "
+                         f"{b.graph.family} varies")
     m = min(len(snaps[i]), len(snaps[j]))
     lhs = float(np.dot(snaps[i][:m], snaps[j][:m]))
     return abs(lhs - float(snaps[i + j][b.root_index]))
@@ -397,27 +404,6 @@ def _reversibility(b, snaps, n):
     w = b.degrees[b.root_index] / b.degrees[:len(head)]
     lhs = float(np.dot(head * head, w))
     return abs(lhs - float(snaps[2 * n][b.root_index]))
-
-
-def verify_loop_around(graph, v, i, j, budget=DEFAULT_BUDGET):
-    """Residual of sum_w p^(i)(v,w) p^(j)(v,w) = p^(i+j)(v,v).
-
-    Only valid on constant-degree graphs (the identity uses pi(w) constant);
-    raises GraphError otherwise.
-    """
-    if getattr(graph, "constant_degree", None) is None:
-        raise GraphError(
-            f"loop-around identity needs constant degree; {graph.family} varies")
-    if i < 0 or j < 0:
-        raise OracleError("i and j must be >= 0")
-    return _loop_around(*_snapshots(graph, v, i + j, budget), i, j)
-
-
-def verify_reversibility(graph, v, n, budget=DEFAULT_BUDGET):
-    """Residual of p^(2n)(v,v) = sum_w p^(n)(v,w)^2 deg(v)/deg(w)."""
-    if n < 0:
-        raise OracleError("n must be >= 0")
-    return _reversibility(*_snapshots(graph, v, 2 * n, budget), n)
 
 
 def identity_check_suite(tol=1e-10, budget=DEFAULT_BUDGET):

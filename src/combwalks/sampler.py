@@ -49,14 +49,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import (BiasedLadder, Comb, Comb2, Cycle, GraphError, Grid2D,
-                     Line, PathTwo, Star, build_graph)
+                     Line, PathTwo, Star, build_graph,
+                     LADDER_ID_BITS as _LEVEL_BITS)
 from .rng import (AUX, RngStream, X_BASE, X_HOLD, X_MAIN, X_SKEL, X_TOOTH,
                   Y_HOLD, Y_MAIN, Y_SKEL, Y_TOOTH, fill, stream_keys)
 from .stats import lil_threshold
 
 CHUNK = 4096              # a multiple of 4: each chunk starts a Philox block
 WIN = 64                  # steps per move table and per observer pass
-_LEVEL_BITS = 62          # midpoint identities use the low 62 bits
 
 
 class SimulationError(RuntimeError):
@@ -361,8 +361,9 @@ class _LadderKernel(_KernelBase):
     s/E, 2s/E, (2s+1)/E with E = 2s + 3, which stays exact in floating point
     until s underflows and degrades gracefully after.  Midpoint identities
     are drawn as the low min(n, 62) bits of an extra 62-bit integer per
-    step; beyond 62 bits distinct identities are truncated together, which
-    distorts meeting chances at those levels by at most 2^-62 per step.
+    step; beyond 62 bits distinct identities are truncated together (the
+    quotient `BiasedLadder` documents), which distorts meeting chances at
+    those levels by at most 2^-62 per step.
     """
 
     needs_raw = True

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
-from scipy import stats as _sps
 
 
 class StatsError(ValueError):
@@ -181,6 +180,8 @@ def estimate_exponent(series, fit_range):
     Fits log2(value) against log2(n) using only n that are powers of two
     inside [n_lo, n_hi].  Needs at least three such points, all positive.
     """
+    from scipy.stats import linregress
+
     n_lo, n_hi = fit_range
     pts = [(n, v) for n, v in _series_rows(series)
            if n_lo <= n <= n_hi and (n & (n - 1)) == 0 and n > 0]
@@ -191,7 +192,7 @@ def estimate_exponent(series, fit_range):
         raise StatsError("power-law fit needs positive values")
     x = np.log2([n for n, _ in pts])
     y = np.log2([v for _, v in pts])
-    res = _sps.linregress(x, y)
+    res = linregress(x, y)
     return ExponentFit(slope=float(res.slope), intercept=float(res.intercept),
                        stderr=float(res.stderr), n_lo=n_lo, n_hi=n_hi,
                        points=len(pts))
@@ -199,9 +200,11 @@ def estimate_exponent(series, fit_range):
 
 def kendall_trend(xs, ys):
     """Kendall tau of ys against xs; nan when fewer than two points."""
+    from scipy.stats import kendalltau
+
     if len(xs) < 2:
         return math.nan
-    tau = _sps.kendalltau(xs, ys).statistic
+    tau = kendalltau(xs, ys).statistic
     return float(tau)
 
 
@@ -265,6 +268,8 @@ class DriftEstimate:
 
 def drift_estimate(summaries):
     """Estimate the rightward spine drift from recorded spine traces."""
+    from scipy.stats import linregress
+
     num = 0
     den = 0
     acc = None
@@ -288,7 +293,7 @@ def drift_estimate(summaries):
         raise StatsError("no spine moves recorded")
     mean_pos = acc / n_tr
     half_steps = np.arange(len(mean_pos), dtype=np.float64) * stride / 2.0
-    res = _sps.linregress(half_steps, mean_pos)
+    res = linregress(half_steps, mean_pos)
     return DriftEstimate(per_move=num / den,
                          per_half_step=float(res.slope),
                          moves=den)

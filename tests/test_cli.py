@@ -32,6 +32,19 @@ def test_help_screens(sub):
     assert "usage" in res.stdout
 
 
+def test_import_leaves_scipy_stats_unloaded():
+    # only fit, stats --report drift, estimate_exponent and kendall_trend
+    # pay for scipy.stats; every other command starts without it
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import combwalks.cli, sys; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
 def test_no_arguments_is_usage_error():
     res = run_cli()
     assert res.returncode == 2
@@ -123,6 +136,21 @@ def test_simulate_rejects_bad_start(tmp_path):
                   "--steps", "8", "--replicas", "1", "--seed", "0",
                   "--out", str(tmp_path / "x.jsonl"))
     assert res.returncode == 2
+
+
+def test_ladder_finals_are_vertices_and_starts(tmp_path):
+    from combwalks import build_graph, run_ensemble
+    g = build_graph("biased-ladder")
+    sums = run_ensemble(g, n_steps=4096, replicas=4, seed=1)
+    finals = [v for s in sums for v in (s.final_x, s.final_y)]
+    assert all(g.contains(v) for v in finals)
+    deep_mid = next(v for v in finals if v[0] == 1 and v[1] > 62)
+    out = tmp_path / "from_final.jsonl"
+    res = run_cli("simulate", "--graph", "biased-ladder",
+                  "--start", ",".join(map(str, deep_mid)), "--steps", "64",
+                  "--replicas", "2", "--seed", "3", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert len(out.read_text().splitlines()) == 2
 
 
 def test_simulate_rerun_is_byte_identical(tmp_path):
@@ -253,6 +281,28 @@ def test_stats_grid_empty_input_writes_zero_rows(tmp_path):
     _, rows = read_csv(out)
     assert len(rows) == 4
     assert all(r[2] == "0.0" and r[6] == "0" for r in rows)
+
+
+@pytest.mark.parametrize("files", [
+    [[("64", "direct"), ("256", "selfloop")]],    # one file, T and method
+    [[("64", "direct")], [("64", "selfloop")]]])  # two files, method
+def test_stats_grid_mixed_inputs_is_schema_error(tmp_path, files):
+    paths = []
+    for f, runs in enumerate(files):
+        parts = []
+        for steps, method in runs:
+            p = tmp_path / f"{method}{steps}.jsonl"
+            run_cli("simulate", "--graph", "comb:line", "--steps", steps,
+                    "--method", method, "--replicas", "8", "--seed", "1",
+                    "--out", str(p))
+            parts.append(p.read_text())
+        paths.append(tmp_path / f"input{f}.jsonl")
+        paths[-1].write_text("".join(parts))
+    res = run_cli("stats", "--report", "grid", "--inputs", *map(str, paths),
+                  "--r-range", "2:4", "--k-range", "0:1")
+    assert res.returncode == 4
+    assert str(paths[-1]) in res.stderr and "Traceback" not in res.stderr
+    assert "(64, 'direct')" in res.stderr and "'selfloop')" in res.stderr
 
 
 def test_stats_malformed_jsonl_is_schema_error(tmp_path):

@@ -112,9 +112,12 @@ class TestBiasedLadder:
         assert not self.g.contains((1, 3, 8))
         assert not self.g.contains((0, 2, 1))
 
-    def test_level_cap_is_loud(self):
-        with pytest.raises(GraphError):
-            self.g.contains((0, 60, 0))
+    def test_levels_above_62_are_a_quotient(self):
+        assert self.g.contains((0, 300, 0))
+        assert self.g.contains((1, 61, 2 ** 61 - 1))
+        assert not self.g.contains((1, 61, 2 ** 61))
+        assert self.g.contains((1, 300, 2 ** 62 - 1))
+        assert not self.g.contains((1, 300, 2 ** 62))
 
     def test_neighbor_classes_with_multiplicity(self):
         ns = self.g.neighbors((0, 3, 0))

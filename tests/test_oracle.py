@@ -10,7 +10,7 @@ from combwalks.oracle import (Kernel, OracleError, identity_check_suite,
                               meeting_expectation_series,
                               per_site_collision_series,
                               return_probability_series, transition_vector,
-                              verify_loop_around, verify_reversibility)
+                              _loop_around, _reversibility, _snapshots)
 
 
 def dict_walk(graph, root, n):
@@ -222,18 +222,25 @@ def test_per_site_rejects_toothless_graph():
         per_site_collision_series(build_graph("line"), 8)
 
 
+def loop_around(spec, v, i, j):
+    return _loop_around(*_snapshots(build_graph(spec), v, i + j), i, j)
+
+
+def reversibility(spec, v, n):
+    return _reversibility(*_snapshots(build_graph(spec), v, 2 * n), n)
+
+
 def test_loop_around_residuals():
-    g = build_graph("cycle:5")
-    assert verify_loop_around(g, (0,), 3, 4) < 1e-15
-    assert verify_loop_around(build_graph("line"), (2,), 5, 5) < 1e-15
+    assert loop_around("cycle:5", (0,), 3, 4) < 1e-15
+    assert loop_around("line", (2,), 5, 5) < 1e-15
     with pytest.raises(GraphError):
-        verify_loop_around(build_graph("star:3"), (0,), 2, 2)
+        loop_around("star:3", (0,), 2, 2)
 
 
 def test_reversibility_residuals():
-    assert verify_reversibility(build_graph("star:4"), (0,), 6) < 1e-15
-    assert verify_reversibility(build_graph("comb:cycle:4"), (2, 0), 5) < 1e-15
-    assert verify_reversibility(build_graph("biased-ladder"), (0, 1, 0), 4) < 1e-15
+    assert reversibility("star:4", (0,), 6) < 1e-15
+    assert reversibility("comb:cycle:4", (2, 0), 5) < 1e-15
+    assert reversibility("biased-ladder", (0, 1, 0), 4) < 1e-15
 
 
 def test_identity_suite_all_green():
