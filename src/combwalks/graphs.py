@@ -298,7 +298,7 @@ class BiasedLadder(Graph):
 
     def neighbors(self, v):
         self._require(v)
-        kind, n, _ = v
+        kind, n = v[0], int(v[1])          # a numpy level would wrap 1 << n
         if kind == 1:
             return [((0, n, 0), 1), ((0, n + 1, 0), 1)]
         out = []
@@ -312,7 +312,7 @@ class BiasedLadder(Graph):
 
     def degree(self, v):
         self._require(v)
-        kind, n, _ = v
+        kind, n = v[0], int(v[1])
         if kind == 1:
             return 2
         if n == 0:
@@ -395,7 +395,7 @@ class Ball:
     """
 
     def __init__(self, graph, radius, coords, level, arc_src, arc_dst, degrees,
-                 index_of, tooth=None, annulus=None, root=None, orbit=None):
+                 index_of, root=None, orbit=None):
         self.graph = graph
         self.root = graph.root if root is None else root
         self.radius = radius
@@ -406,8 +406,6 @@ class Ball:
         self.arc_dst = arc_dst
         self.degrees = degrees
         self._index_of = index_of
-        self.tooth = tooth
-        self.annulus = annulus
         self.lumped = orbit is not None
         self.orbit = np.ones(self.size, dtype=np.int64) if orbit is None else orbit
         counts = np.bincount(level, minlength=radius + 1)
@@ -434,35 +432,39 @@ class Ball:
 def ball(graph, radius, budget=DEFAULT_BUDGET, lumped=False):
     """Exact truncation of `graph` to distance `radius` from its root.
 
-    Closed-form vectorized enumerations cover the families the exact kernels
-    are run on at scale; everything else falls back to breadth-first search.
-    With `lumped`, `line` (under x -> -x), `comb:line` (x -> -x, t -> -t)
-    and `grid2d` (the eight symmetries fixing the origin) come back as
-    lumped balls; other families come back unlumped.  Aborts with
-    BudgetError (reporting the state count) if the ball would not fit in
-    `budget` bytes.
+    Every line, cycle, grid2d, comb and comb2 family is a product: a base
+    ball (a line, a cycle:m, the single edge cycle:2, or one vertex) with
+    a tooth ball of dimension 0, 1 or 2 and radius `radius - d(b)` glued
+    at each base vertex b, d(b) being b's base distance from the root.
+    `comb:*` and `comb2:*` carry Z and Z^2 teeth, `line` and `cycle:m`
+    one-vertex teeth, and `grid2d` is a Z^2 tooth on a one-vertex base.
+    All of them come from one vectorized builder.  With `lumped`, it keeps
+    one state per orbit of the product of the root-fixing base flip
+    (b -> -b on the line, b -> -b mod m on a cycle) and the tooth group
+    fixing 0 (t -> -t on Z, the eight symmetries of the square on Z^2):
+    `comb:line` and `comb:cycle:4` lump by 4, `grid2d` by 8 and
+    `comb2:line` by 16.  `star:k`, the biased ladder and balls around
+    other roots (`_ball_bfs`) come from breadth-first search, unlumped.
+    Aborts with BudgetError (reporting
+    the state count) if the ball would not fit in `budget` bytes.
     """
     if radius < 0:
         raise GraphError("radius must be >= 0")
-    fam = graph.family
-    if fam == "line":
-        return _ball_line(graph, radius, budget, lumped)
-    if fam.startswith("cycle:") and isinstance(graph, Cycle):
-        return _ball_cycle(graph, radius, budget)
-    if fam.startswith("star:"):
-        return _ball_star(graph, radius, budget)
-    if fam == "grid2d":
-        return _ball_grid(graph, radius, budget, lumped)
-    if isinstance(graph, Comb) and isinstance(graph.base, Line):
-        return _ball_comb_line(graph, radius, budget, lumped)
-    if isinstance(graph, Comb) and isinstance(graph.base, Cycle):
-        return _ball_comb_cycle(graph, radius, budget)
+    if isinstance(graph, (Comb, Comb2)):
+        dim = 2 if isinstance(graph, Comb2) else 1
+        return _ball_product(graph, graph.base, dim, radius, budget, lumped)
+    if isinstance(graph, (Line, Cycle, PathTwo)):
+        return _ball_product(graph, graph, 0, radius, budget, lumped)
+    if isinstance(graph, Grid2D):
+        return _ball_product(graph, None, 2, radius, budget, lumped)
     return _ball_bfs(graph, radius, budget)
 
 
 def _budget_check(n_vertices, n_arcs, budget, what):
-    # index arrays, levels, degrees, plus CSR assembly working space
-    est = n_vertices * 40 + n_arcs * 24
+    # The traced peak of ball + Kernel + iterate: about 120 B per state on
+    # comb:line (2 arcs per state) and 190 to 220 B on grid2d and comb2
+    # (4 arcs per state); `n_arcs` counts the full degree sum.
+    est = n_vertices * 40 + n_arcs * 48
     if est > budget:
         raise BudgetError(
             f"{what}: {n_vertices} states / {n_arcs} arcs need ~{est >> 20} MiB, "
@@ -498,194 +500,142 @@ def _columns(cols, lows, counts):
     return np.repeat(cols, counts), rs, flat, len(rs)
 
 
-def _diamond(R, quarter=False):
-    """(x, y) with |x| + |y| <= R, or only those with x, y >= 0."""
-    if quarter:
-        xcol = np.arange(R + 1, dtype=np.int64)
-        return _columns(xcol, np.zeros_like(xcol), R - xcol + 1)
-    xcol = np.arange(-R, R + 1, dtype=np.int64)
-    half = R - np.abs(xcol)
-    return _columns(xcol, -half, 2 * half + 1)
+def _base_factor(base, R):
+    """The base vertices that may lie within distance R of the root
+    (ascending), the base distance d and the step b -> b + s, vectorized.
 
-
-def _finish(graph, radius, coords, level, flat_of, flat_size, edges, degrees,
-            in_ball, tooth=None, annulus=None, orbit=None):
-    """Common tail: level-sort, invert the flat index, map edges to indices.
-
-    `flat_of` is only guaranteed valid for in-ball coordinates, so `index_of`
-    consults the `in_ball` predicate before touching the lookup table.
+    d is also the fold onto orbit representatives: the line's flip and the
+    cycle's reflection send b to d(b), and on cycle:2, which has no flip,
+    d(b) = b.  A step off cycle:2 gets distance R + 1, so it never lands
+    in the ball.  A one-vertex base (None) is the single coordinate 0.
     """
-    n = len(level)
-    keys = tuple(reversed(coords)) + (level,)
-    order = np.lexsort(keys)
-    coords = tuple(np.ascontiguousarray(c[order]) for c in coords)
-    level = np.ascontiguousarray(level[order]).astype(np.int32)
-    degrees = np.ascontiguousarray(degrees[order]).astype(np.float64)
-    tooth, annulus, orbit = (None if a is None else np.ascontiguousarray(a[order])
-                             for a in (tooth, annulus, orbit))
+    if base is None:
+        return np.zeros(1, np.int64), np.zeros_like, None
+    if isinstance(base, Cycle):
+        m = base.m
+        return (np.arange(m, dtype=np.int64), lambda b: np.minimum(b, m - b),
+                lambda b, s: (b + s) % m)
+    if isinstance(base, Line):
+        return np.arange(-R, R + 1, dtype=np.int64), np.abs, np.add
+    return (np.arange(2, dtype=np.int64),
+            lambda b: np.where((b == 0) | (b == 1), b, R + 1), np.add)
 
-    lookup = np.full(flat_size, -1, dtype=np.int64)
-    lookup[flat_of(*coords)] = np.arange(n, dtype=np.int64)
+
+def _ball_product(graph, base, dim, R, budget, lumped):
+    """The radius-R ball of a base ball x tooth balls family, vectorized.
+
+    States run base coordinate ascending, then tooth columns ascending, so
+    a state's flat index (`_columns`) is its place in that order; they are
+    then sorted by level and coordinates.  Coordinates are (b, t...), with
+    no b on a one-vertex base.  Arcs come in groups: tooth moves per
+    coordinate (-, then +), then base moves (-, then +) from each tooth
+    root, each group in state order.  Lumped, a state is kept only if it
+    is its orbit's representative and every arc goes to a representative.
+    """
+    cand, dist, step = _base_factor(base, R)
+    dc = dist(cand)
+    keep = dc <= R
+    if lumped:
+        keep &= dc == cand
+    b, d = cand[keep], dc[keep]
+    bpos = np.cumsum(keep) - 1             # candidate -> base position
+    h = R - d                              # tooth radius at each base vertex
+    lo = 0 * h if lumped else -h
+    W = 2 * R + 1
+    if dim == 2:                           # columns (b, t1), rows t2
+        t1, _ = _ragged(lo, h - lo + 1)
+        pos = np.repeat(np.arange(len(b)), h - lo + 1)
+        hh = h[pos] - np.abs(t1)
+        lows, counts = (0 * hh, np.minimum(t1, hh) + 1) if lumped \
+            else (-hh, 2 * hh + 1)
+        key = t1 if base is None else pos * W + t1 + R
+    else:                                  # columns b, rows t (or one row)
+        pos = key = np.arange(len(b))
+        lows, counts = (lo, h - lo + 1) if dim else (0 * h, 1 + 0 * h)
+    n = int(counts.sum())
+    base_degree = 0 if base is None else base.constant_degree
+    _budget_check(n, 2 * dim * n + base_degree * len(b), budget,
+                  f"{graph.family} ball")
+
+    keys, rows, flat, _ = _columns(key, lows, counts)
+    teeth = (keys if base is None else np.repeat(t1, counts), rows) \
+        if dim == 2 else (rows,)[:dim]
+    del keys, rows, key, lows
+    if base is None:
+        coords, level = teeth, np.zeros(n, np.int64)
+    else:
+        coords = (np.repeat(b[pos], counts),) + teeth
+        level = np.repeat(d[pos], counts)
+    for k in range(dim):
+        level += np.abs(teeth[k])
+
+    def flat_of(*v):
+        if base is None:
+            return flat(*v)
+        p = bpos[v[0] - cand[0]]
+        if dim == 2:
+            return flat(p * W + v[1] + R, v[2])
+        return flat(p, v[1] if dim else 0 * p)
+
+    order = np.lexsort(tuple(reversed(coords)) + (level,))
+    lookup = np.empty(n, np.int32)         # flat index -> sorted index
+    lookup[order] = np.arange(n, dtype=np.int32)
 
     srcs, dsts = [], []
-    for src_coords, dst_coords in edges:
-        srcs.append(lookup[flat_of(*src_coords)].astype(np.int32))
-        dsts.append(lookup[flat_of(*dst_coords)].astype(np.int32))
+    inner = level < R                      # every step from here stays inside
+    for k in range(dim):
+        for s in (-1, 1):
+            m = inner | ((teeth[k] > 0) if s < 0 else (teeth[k] < 0))
+            to = [u[m] for u in teeth]
+            to[k] += s
+            if lumped:                     # |t| on Z, x >= y >= 0 on Z^2
+                to = [np.abs(u) for u in to]
+                if dim == 2:
+                    to = [np.maximum(*to), np.minimum(*to)]
+            at = () if base is None else (coords[0][m],)
+            srcs.append(lookup[m])
+            dsts.append(lookup[flat_of(*at, *to)])
+            del m, to, at
+    del inner, teeth
+    zero = (0 * b,) * dim
+    if base is not None:
+        spine = lookup[flat_of(b, *zero)]  # sorted index of each tooth root
+        for s in (-1, 1):
+            nb = step(b, s)
+            ok = dist(nb) <= R
+            nb = dist(nb[ok]) if lumped else nb[ok]
+            srcs.append(spine[ok])
+            dsts.append(lookup[flat_of(nb, *(z[ok] for z in zero))])
     arc_src = np.concatenate(srcs) if srcs else np.empty(0, np.int32)
     arc_dst = np.concatenate(dsts) if dsts else np.empty(0, np.int32)
+    del srcs, dsts
 
-    def index_of(v, _lookup=lookup, _flat=flat_of, _g=graph, _in=in_ball):
-        if not _g.contains(v):
-            raise GraphError(f"{v!r} is not a vertex of {_g.family}")
-        if not _in(*v):
+    coords = tuple(c[order] for c in coords)
+    level = level[order].astype(np.int32)
+    del order
+    degrees = np.full(n, 2.0 * dim)
+    if base is not None:
+        degrees[spine] += base_degree
+    orbit = None
+    if lumped:                             # tooth orbit x base orbit
+        x = coords[len(coords) - dim:]
+        orbit = np.ones(n, np.int64) if dim == 0 else 1 + (x[0] != 0) \
+            if dim == 1 else np.where(x[1] == 0, np.where(x[0] == 0, 1, 4),
+                                      np.where(x[0] == x[1], 4, 8))
+        if base is not None:
+            orbit *= np.bincount(dc[dc <= R])[coords[0]]
+
+    def index_of(v):
+        if not graph.contains(v):
+            raise GraphError(f"{v!r} is not a vertex of {graph.family}")
+        bv, t = (0, v) if base is None else (v[0], v[1:])
+        if dist(bv) + sum(abs(c) for c in t) > R or lumped and (
+                dist(bv) != bv or t != tuple(sorted(map(abs, t), reverse=True))):
             return -1
-        arrs = tuple(np.asarray([c]) for c in v)
-        return _lookup[_flat(*arrs)[0]]
+        return lookup[flat_of(*(np.asarray([c]) for c in v))[0]]
 
-    return Ball(graph, radius, coords, level, arc_src, arc_dst, degrees,
-                index_of, tooth=tooth, annulus=annulus, orbit=orbit)
-
-
-def _ball_line(graph, radius, budget, lumped=False):
-    R = radius
-    _budget_check(2 * R + 1, 4 * R, budget, "line ball")
-    lo = 0 if lumped else -R          # lumped: one state per orbit {x, -x}
-    x = np.arange(lo, R + 1, dtype=np.int64)
-    edges = []
-    for dx in (-1, 1):
-        m = np.abs(x + dx) <= R
-        dst = x[m] + dx
-        edges.append(((x[m],), (np.abs(dst) if lumped else dst,)))
-    return _finish(graph, R, (x,), np.abs(x), lambda xs: xs + R, 2 * R + 1,
-                   edges, np.full(len(x), 2.0),
-                   in_ball=lambda xv: lo <= xv <= R,
-                   orbit=np.where(x == 0, 1, 2) if lumped else None)
-
-
-def _ball_cycle(graph, radius, budget):
-    m = graph.m
-    R = radius
-    if R >= m // 2:
-        i = np.arange(m, dtype=np.int64)
-    else:
-        i = np.concatenate([np.arange(R + 1, dtype=np.int64),
-                            np.arange(m - R, m, dtype=np.int64)])
-    level = np.minimum(i, m - i)
-    deg = np.full(len(i), 2.0)
-
-    def flat(ii):
-        return ii
-
-    edges = []
-    inside = np.zeros(m, dtype=bool)
-    inside[i] = True
-    for di in (-1, 1):
-        j = (i + di) % m
-        mask = inside[j]
-        edges.append(((i[mask],), (j[mask],)))
-    return _finish(graph, R, (i,), level, flat, m, edges, deg,
-                   in_ball=lambda iv: min(iv, m - iv) <= R)
-
-
-def _ball_star(graph, radius, budget):
-    k = graph.k
-    if radius == 0:
-        i = np.zeros(1, dtype=np.int64)
-    else:
-        i = np.arange(k + 1, dtype=np.int64)
-    level = (i > 0).astype(np.int64)
-    deg = np.where(i == 0, float(k), 1.0)
-
-    def flat(ii):
-        return ii
-
-    edges = []
-    if radius >= 1:
-        leaves = np.arange(1, k + 1, dtype=np.int64)
-        hub = np.zeros(k, dtype=np.int64)
-        edges = [((hub,), (leaves,)), ((leaves,), (hub,))]
-    return _finish(graph, radius, (i,), level, flat, k + 1, edges, deg,
-                   in_ball=lambda iv: iv == 0 or radius >= 1)
-
-
-def _ball_grid(graph, radius, budget, lumped=False):
-    R = radius
-    if lumped:
-        # the octant x >= y >= 0: one state per orbit of the eight symmetries
-        xcol = np.arange(R + 1, dtype=np.int64)
-        counts = np.minimum(xcol, R - xcol) + 1
-        n_est = int(counts.sum())
-    else:
-        n_est = 2 * R * R + 2 * R + 1
-    _budget_check(n_est, 4 * n_est, budget, "grid2d ball")
-    xs, ys, flat, total = _columns(xcol, 0 * xcol, counts) if lumped \
-        else _diamond(R)
-    level = np.abs(xs) + np.abs(ys)
-    edges = []
-    for dx, dy in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-        m = np.abs(xs + dx) + np.abs(ys + dy) <= R
-        nx, ny = xs[m] + dx, ys[m] + dy
-        if lumped:
-            nx, ny = np.abs(nx), np.abs(ny)
-            nx, ny = np.maximum(nx, ny), np.minimum(nx, ny)
-        edges.append(((xs[m], ys[m]), (nx, ny)))
-    return _finish(graph, R, (xs, ys), level, flat, total, edges,
-                   np.full(total, 4.0),
-                   in_ball=lambda xv, yv: (not lumped or 0 <= yv <= xv)
-                   and abs(xv) + abs(yv) <= R,
-                   orbit=np.where(ys == 0, np.where(xs == 0, 1, 4),
-                                  np.where(xs == ys, 4, 8)) if lumped else None)
-
-
-def _ball_comb_line(graph, radius, budget, lumped=False):
-    R = radius
-    n_est = (R + 1) * (R + 2) // 2 if lumped else 2 * R * R + 2 * R + 1
-    _budget_check(n_est, 2 * n_est + 4 * R, budget, "comb(line) ball")
-    # lumped: one state per orbit of x -> -x and t -> -t, the quarter x, t >= 0
-    xs, ts, flat, total = _diamond(R, quarter=lumped)
-    fold = np.abs if lumped else np.asarray
-    level = np.abs(xs) + np.abs(ts)
-    deg = np.where(ts == 0, 4.0, 2.0)
-    edges = []
-    for dt in (-1, 1):
-        m = np.abs(xs) + np.abs(ts + dt) <= R
-        edges.append(((xs[m], ts[m]), (xs[m], fold(ts[m] + dt))))
-    for dx in (-1, 1):
-        m = (ts == 0) & (np.abs(xs + dx) <= R)
-        edges.append(((xs[m], ts[m]), (fold(xs[m] + dx), ts[m])))
-    lo = 0 if lumped else -R
-    return _finish(graph, R, (xs, ts), level, flat, total, edges, deg,
-                   in_ball=lambda xv, tv: min(xv, tv) >= lo
-                   and abs(xv) + abs(tv) <= R,
-                   tooth=ts,
-                   orbit=(1 + (xs != 0)) * (1 + (ts != 0)) if lumped else None)
-
-
-def _ball_comb_cycle(graph, radius, budget):
-    m = graph.base.m
-    R = radius
-    bcol = np.arange(m, dtype=np.int64)
-    bdist = np.minimum(bcol, m - bcol)
-    present = bdist <= R
-    bcol = bcol[present]
-    half = R - bdist[present]
-    counts = 2 * half + 1
-    _budget_check(int(counts.sum()), int(2 * counts.sum()) + 2 * m, budget,
-                  "comb(cycle) ball")
-    bs, ts, flat, total = _columns(bcol, -half, counts)
-    level = np.minimum(bs, m - bs) + np.abs(ts)
-    deg = np.where(ts == 0, 4.0, 2.0)
-    edges = []
-    for dt in (-1, 1):
-        ok = np.minimum(bs, m - bs) + np.abs(ts + dt) <= R
-        edges.append(((bs[ok], ts[ok]), (bs[ok], ts[ok] + dt)))
-    for db in (-1, 1):
-        nb = (bs + db) % m
-        ok = (ts == 0) & (np.minimum(nb, m - nb) <= R)
-        edges.append(((bs[ok], ts[ok]), (nb[ok], ts[ok])))
-    return _finish(graph, R, (bs, ts), level, flat, total, edges, deg,
-                   in_ball=lambda bv, tv: min(bv, m - bv) + abs(tv) <= R,
-                   tooth=ts)
+    return Ball(graph, R, coords, level, arc_src, arc_dst, degrees, index_of,
+                orbit=orbit)
 
 
 def _ball_bfs(graph, radius, budget, root=None):
@@ -720,12 +670,6 @@ def _ball_bfs(graph, radius, budget, root=None):
     coords = tuple(np.asarray(col, dtype=np.int64) for col in zip(*verts))
     level = np.asarray(level, dtype=np.int32)
     degrees = np.asarray([graph.degree(v) for v in verts], dtype=np.float64)
-    tooth = annulus = None
-    if isinstance(graph, Comb):
-        tooth = np.asarray([v[1] for v in verts], dtype=np.int64)
-    if isinstance(graph, Comb2):
-        annulus = np.asarray([max(abs(v[1]), abs(v[2])) for v in verts],
-                             dtype=np.int64)
 
     def index_of(v, _index=index, _g=graph):
         if not _g.contains(v):
@@ -734,6 +678,6 @@ def _ball_bfs(graph, radius, budget, root=None):
 
     b = Ball(graph, radius, coords, level,
              np.asarray(src, dtype=np.int32), np.asarray(dst, dtype=np.int32),
-             degrees, index_of, tooth=tooth, annulus=annulus, root=root)
+             degrees, index_of, root=root)
     b.vertex_of = lambda i: verts[i]
     return b

@@ -19,15 +19,18 @@ series up to 2K needs only a K-step iteration, which halves the ball radius
 and quarters the state count.
 
 Series from the family root run on a lumped ball (`graphs.ball(...,
-lumped=True)`) where the family has one.  Automorphisms fixing the root
+lumped=True)`).  Every line, cycle, grid2d, comb and comb2 family is
+lumped by the product of its root-fixing base flip (b -> -b on the line,
+b -> -b mod m on a cycle) and the tooth group fixing 0 (t -> -t on Z, the
+eight symmetries of the square on Z^2).  Automorphisms fixing the root
 map the walk to itself, so the chain of orbits is exact (Kemeny-Snell
 lumpability): q_o, the mass of orbit o, is the walk's probability of the
 whole orbit, p is q_o/|o| on each of its vertices, and sum_w p^2 =
 sum_o q_o^2/|o|.  The root is a one-vertex orbit, so the diagonal is read
 directly.  `comb:line` keeps about a quarter of its states, `grid2d` an
-eighth, `line` a half.  An unlumped ball has |o| = 1 everywhere, so one
-code path serves both; `method="generic"` and other roots keep the full
-ball.
+eighth, `comb2:line` a sixteenth.  An unlumped ball has |o| = 1
+everywhere, so one code path serves both; `method="generic"`, other
+roots, `star:k` and the biased ladder keep the full ball.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse._sparsetools import csr_matvec
 
-from .graphs import GraphError, Grid2D, ball, _ball_bfs, DEFAULT_BUDGET
+from .graphs import (Comb, Comb2, GraphError, Grid2D, ball, _ball_bfs,
+                     DEFAULT_BUDGET)
 
 MASS_TOL = 1e-10        # guard on probability conservation during iteration
 
@@ -338,21 +342,21 @@ def per_site_collision_series(graph, n_max, root=None, budget=DEFAULT_BUDGET):
     sum_v p^(n)(root,(v,L))^2 by an exact kernel iteration; heights are
     signed tooth coordinates (or the Chebyshev annulus radius for Z^2
     teeth).  The sum over base vertices v is exact because the ball is.
-    On a lumped comb ball the tooth coordinate is folded under t -> -t, so
-    each orbit's q^2/|o| is binned by |t| and split evenly between t and -t.
+    Heights are read from the ball's coordinates.  On a lumped comb ball
+    the tooth coordinate is folded under t -> -t, so each orbit's q^2/|o|
+    is binned by |t| and split evenly between t and -t; the annulus radius
+    is the same on a whole orbit, so Z^2 teeth need no split.
     """
     if n_max < 1:
         raise OracleError("n_max must be >= 1")
-    b = rooted_ball(graph, root, n_max + 1, budget, lumped=True)
-    if b.tooth is not None:
-        height_coord = b.tooth
-    elif b.annulus is not None:
-        height_coord = b.annulus
-    else:
+    if not isinstance(graph, (Comb, Comb2)):
         raise GraphError(f"{graph.family} has no teeth; per-site series "
                          "is defined on comb families")
-    hmin = int(height_coord.min())
-    hid = (height_coord - hmin).astype(np.int64)
+    b = rooted_ball(graph, root, n_max + 1, budget, lumped=True)
+    height = b.coords[1] if isinstance(graph, Comb) else \
+        np.maximum(np.abs(b.coords[1]), np.abs(b.coords[2]))
+    hmin = int(height.min())
+    hid = height - hmin
     n_heights = int(hid.max()) + 1
     kern = Kernel(b, release_arcs=True)
     w = 1.0 / b.orbit
@@ -364,7 +368,7 @@ def per_site_collision_series(graph, n_max, root=None, budget=DEFAULT_BUDGET):
                                    minlength=n_heights)
 
     kern.iterate(n_max, on_step=grab)
-    if b.lumped and b.tooth is not None:
+    if b.lumped and isinstance(graph, Comb):
         table = np.hstack((table[:, :0:-1] / 2, table[:, :1], table[:, 1:] / 2))
         hmin = 1 - n_heights
     heights = np.arange(table.shape[1], dtype=np.int64) + hmin

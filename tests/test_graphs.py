@@ -127,6 +127,14 @@ class TestBiasedLadder:
         assert mult[(1, 2, None)] == 4
         assert mult[(1, 3, None)] == 8
 
+    def test_numpy_levels_match_python_levels(self):
+        for n in (0, 61, 62, 63, 70):
+            for v in ((0, n, 0), (1, n, 0)):
+                w = (v[0], np.int64(n), 0)
+                assert self.g.degree(w) == self.g.degree(v)
+                assert self.g.neighbors(w) == self.g.neighbors(v)
+        assert self.g.degree((0, np.int64(70), 0)) == 2 + 3 * 2 ** 69
+
     def test_concrete_expansion_small_level(self):
         got = set(self.g.concrete_neighbors((0, 2, 0)))
         mids = {(1, 1, i) for i in range(2)} | {(1, 2, i) for i in range(4)}
@@ -182,17 +190,39 @@ def test_ball_round_trip_and_degree_truth():
         assert b.degrees[idx] == g.degree(v)
 
 
-def test_bfs_ball_matches_closed_form():
-    g = build_graph("comb:cycle:4")
+PRODUCT_FAMILIES = ("line", "cycle:2", "cycle:3", "cycle:4", "cycle:7",
+                    "grid2d", "comb:line", "comb:cycle:2", "comb:cycle:3",
+                    "comb:cycle:4", "comb:cycle:5", "comb2:line",
+                    "comb2:cycle:2", "comb2:cycle:3", "comb2:cycle:4")
+
+
+def _height(b, i):
+    if isinstance(b.graph, Comb):
+        return int(b.coords[1][i])
+    if isinstance(b.graph, Comb2):
+        return max(abs(int(b.coords[1][i])), abs(int(b.coords[2][i])))
+    return None
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2, 6])
+@pytest.mark.parametrize("spec", PRODUCT_FAMILIES)
+def test_bfs_ball_matches_closed_form(spec, radius):
+    g = build_graph(spec)
     from combwalks.graphs import _ball_bfs
-    closed = ball(g, 6)
-    bfs = _ball_bfs(g, 6, 2 << 30)
+    closed = ball(g, radius)
+    bfs = _ball_bfs(g, radius, 2 << 30)
+
+    def table(b):
+        return {b.vertex_of(i): (int(b.level[i]), float(b.degrees[i]),
+                                 _height(b, i)) for i in range(b.size)}
+
+    def arcs(b):
+        return sorted((b.vertex_of(i), b.vertex_of(j))
+                      for i, j in zip(b.arc_src.tolist(), b.arc_dst.tolist()))
+
     assert closed.size == bfs.size
-    vs_closed = {closed.vertex_of(i) for i in range(closed.size)}
-    vs_bfs = {bfs.vertex_of(i) for i in range(bfs.size)}
-    assert vs_closed == vs_bfs
-    for v in vs_closed:
-        assert closed.degrees[closed.index_of(v)] == bfs.degrees[bfs.index_of(v)]
+    assert table(closed) == table(bfs)
+    assert arcs(closed) == arcs(bfs)
 
 
 def test_ladder_ball_concrete_midpoints():

@@ -1,11 +1,12 @@
 """Exact kernel checks: closed forms, dual routes, identity residuals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from combwalks.graphs import GraphError, ball, build_graph
+from combwalks.graphs import BudgetError, GraphError, ball, build_graph
 from combwalks.oracle import (Kernel, OracleError, identity_check_suite,
                               meeting_expectation_series,
                               per_site_collision_series,
@@ -73,15 +74,29 @@ def test_grid_return_is_square_of_line():
         assert value == pytest.approx(one_d * one_d, rel=1e-12)
 
 
-LUMPED = ("comb:line", "line", "grid2d")
+LUMPED = ("comb:line", "line", "grid2d", "cycle:6", "comb:cycle:3",
+          "comb:cycle:4", "comb:cycle:2", "comb2:line", "comb2:cycle:4")
+
+
+def horizon(spec, n):
+    """A smaller horizon on comb2, whose unlumped balls grow like n^3."""
+    return n // 3 if spec.startswith("comb2") else n
+
+
+def heights(graph, coords):
+    """Tooth height of each vertex: t on Z teeth, max(|t1|, |t2|) on Z^2."""
+    if graph.family.startswith("comb2"):
+        return np.maximum(np.abs(coords[1]), np.abs(coords[2]))
+    return coords[1]
 
 
 @pytest.mark.parametrize("every", ["even", "all"])
 @pytest.mark.parametrize("spec", LUMPED)
 def test_lumped_return_matches_generic(spec, every):
     g = build_graph(spec)
-    fast = return_probability_series(g, 96, every=every)
-    slow = return_probability_series(g, 96, every=every, method="generic")
+    n_max = horizon(spec, 96)
+    fast = return_probability_series(g, n_max, every=every)
+    slow = return_probability_series(g, n_max, every=every, method="generic")
     assert np.array_equal(fast.n, slow.n)
     np.testing.assert_allclose(fast.values, slow.values, rtol=0, atol=1e-15)
 
@@ -89,17 +104,19 @@ def test_lumped_return_matches_generic(spec, every):
 @pytest.mark.parametrize("spec", LUMPED)
 def test_lumped_meetings_and_per_site_match_transition_vector(spec):
     g = build_graph(spec)
-    n_max = 48
+    n_max = horizon(spec, 48)
     _, inc = meeting_expectation_series(g, n_max)
-    ps = per_site_collision_series(g, n_max) if spec == "comb:line" else None
+    ps = per_site_collision_series(g, n_max) if spec.startswith("comb") \
+        else None
     for n in range(1, n_max + 1):
         dist = transition_vector(g, g.root, n)
         p2 = dist.dense * dist.dense
         assert inc.value_at(n) == pytest.approx(p2.sum(), rel=0, abs=1e-15)
         if ps is not None:
             want = dict.fromkeys(ps.heights.tolist(), 0.0)
-            for t, mass in zip(dist.ball.tooth.tolist(), p2.tolist()):
-                want[t] += mass
+            for h, mass in zip(heights(g, dist.ball.coords).tolist(),
+                               p2.tolist()):
+                want[h] += mass
             np.testing.assert_allclose(ps.table[n - 1], list(want.values()),
                                        rtol=0, atol=1e-15)
 
@@ -119,6 +136,22 @@ def test_lumped_ball_orbits_cover_full_ball(spec):
         assert lumped.root_index == 0 and lumped.orbit[0] == 1
         assert all(lumped.index_of(lumped.vertex_of(i)) == i
                    for i in range(lumped.size))
+
+
+@pytest.mark.parametrize("spec,radius", [("grid2d", 200), ("comb:line", 300),
+                                         ("comb2:line", 40)])
+def test_budget_estimate_covers_traced_peak(spec, radius):
+    g = build_graph(spec)
+    tracemalloc.start()
+    try:
+        Kernel(ball(g, radius, lumped=True)).iterate(radius - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a budget one byte under the peak is refused, twice the peak is not
+    with pytest.raises(BudgetError):
+        ball(g, radius, budget=peak - 1, lumped=True)
+    ball(g, radius, budget=2 * peak, lumped=True)
 
 
 def test_kernel_step_leaves_rows_past_reach_zero():

@@ -2,6 +2,7 @@
 equivalence, record schema invariants, and worker-count independence."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy import stats as sps
 
 import combwalks.sampler as sampler
 from combwalks.graphs import GraphError, build_graph
-from combwalks.oracle import transition_vector
+from combwalks.oracle import meeting_expectation_series, transition_vector
 from combwalks.rng import (RngStream, X_HOLD, X_MAIN, X_SKEL, X_TOOTH,
                            Y_MAIN, Y_TOOTH)
 from combwalks.sampler import (RecordPolicy, SimulationError,
@@ -318,6 +319,25 @@ def test_comb2_collision_heights_are_chebyshev():
             assert c.l == max(abs(t1), abs(t2))
             seen += 1
     assert seen > 0
+
+
+def test_comb2_mean_meetings_match_exact_partial_sums():
+    # The exact partial sums come from the lumped comb2:line ball at radius
+    # 257: 1.46M states, against about 22.6M unlumped.  Seed fixed in
+    # advance; |z| <= 4 at every horizon.
+    g = build_graph("comb2:line")
+    times = (16, 32, 64, 128, 256)
+    partial, _ = meeting_expectation_series(g, times[-1])
+    out = run_ensemble(g, n_steps=times[-1], replicas=4096, seed=2718,
+                       checkpoints=times)
+    counts = np.array([[m for _, m in s.checkpoints] for s in out],
+                      dtype=float)
+    for t, col in zip(times, counts.T):
+        se = col.std(ddof=1) / math.sqrt(len(col))
+        z = (col.mean() - partial.value_at(t)) / se
+        assert abs(z) <= 4.0, (
+            f"comb2:line mean meetings by t={t} is {col.mean():.4f}, "
+            f"exact {partial.value_at(t):.4f}: z = {z:+.2f}")
 
 
 def test_truncation_radius_escape_is_loud():
