@@ -97,29 +97,18 @@ def _span(text):
     return int(lo), int(hi)
 
 
-_COERCE = {
-    "steps": int, "replicas": int, "seed": int, "workers": int,
-    "nmax": int, "spine_stride": int, "budget": int,
-    "truncation_radius": int, "boot": int,
-    "alpha": float,
-    "checkpoints": _int_list, "lil_alphas": _float_list,
-    "r_range": _span, "k_range": _span, "range": _span,
-    "inputs": lambda s: [x for x in str(s).split(",") if x],
-}
-
-
-def _merge(args):
-    """Overlay config-file values under explicitly given flags."""
-    if getattr(args, "config", None):
-        file_vals = _parse_config_file(args.config)
-        for key, raw in file_vals.items():
-            if getattr(args, key, None) is None:
-                coerce = _COERCE.get(key, str)
-                try:
-                    setattr(args, key, coerce(raw))
-                except (ValueError, TypeError) as exc:
-                    raise ConfigError(f"config key {key}: {exc}") from None
-    return args
+def _config_flags(path):
+    """The pairs of a config file as flags: ``--key=value``, so a value such
+    as ``-1,0`` stays one argument; ``inputs`` takes its comma-separated
+    paths as separate arguments."""
+    flags = []
+    for key, val in _parse_config_file(path).items():
+        flag = "--" + key.replace("_", "-")
+        if key == "inputs":
+            flags += [flag, *(x for x in val.split(",") if x)]
+        else:
+            flags.append(f"{flag}={val}")
+    return flags
 
 
 def _budget(args):
@@ -169,7 +158,6 @@ def _cell(c):
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args):
-    args = _merge(args)
     if args.graph is None:
         raise ConfigError("simulate needs --graph")
     if args.out is None:
@@ -207,7 +195,6 @@ def cmd_simulate(args):
 
 
 def cmd_oracle(args):
-    args = _merge(args)
     which = args.which
     budget = _budget(args)
     if which == "identities":
@@ -269,7 +256,6 @@ class SchemaError(ValueError):
 
 
 def cmd_stats(args):
-    args = _merge(args)
     report = args.report or "grid"
     loaded = _load_inputs(args.inputs)
     merged = [s for _, sums in loaded for s in sums]
@@ -341,7 +327,6 @@ def cmd_stats(args):
 
 
 def cmd_fit(args):
-    args = _merge(args)
     if not args.input or args.column is None or args.range is None:
         raise ConfigError("fit needs --input, --column and --range")
     try:
@@ -436,13 +421,18 @@ def build_parser():
 
 def main(argv=None):
     ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = ap.parse_args(argv)
+        if args.config:
+            # the file's pairs go ahead of the given flags, which win
+            at = argv.index(args.command) + 1
+            args = ap.parse_args(argv[:at] + _config_flags(args.config)
+                                 + argv[at:])
+        return args.func(args)
     except SystemExit as exc:
         # argparse exits 2 on bad flags, 0 on --help; keep its codes
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except (ConfigError, GraphError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

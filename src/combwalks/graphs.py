@@ -61,7 +61,6 @@ class Graph:
 
     family = ""
     root = ()
-    is_finite = False
     constant_degree = None
 
     def contains(self, v):
@@ -111,7 +110,6 @@ class Line(Graph):
 class Cycle(Graph):
     """Cycle on m >= 3 vertices."""
 
-    is_finite = True
     constant_degree = 2
 
     def __init__(self, m):
@@ -140,7 +138,6 @@ class Cycle(Graph):
 class PathTwo(Graph):
     """Single edge on two vertices (the degenerate cycle:2)."""
 
-    is_finite = True
     family = "cycle:2"
     root = (0,)
     constant_degree = 1
@@ -159,8 +156,6 @@ class PathTwo(Graph):
 
 class Star(Graph):
     """Hub vertex 0 joined to k leaves (non-constant degrees)."""
-
-    is_finite = True
 
     def __init__(self, k):
         if k < 1:
@@ -214,7 +209,6 @@ class Comb(Graph):
         self.base = base
         self.family = f"comb:{base.family}"
         self.root = (base.root[0], 0)
-        self.is_finite = False
 
     def contains(self, v):
         return (isinstance(v, tuple) and len(v) == 2 and _is_int(v[1])
@@ -244,7 +238,6 @@ class Comb2(Graph):
         self.base = base
         self.family = f"comb2:{base.family}"
         self.root = (base.root[0], 0, 0)
-        self.is_finite = False
 
     def contains(self, v):
         return (isinstance(v, tuple) and len(v) == 3 and _is_int(v[1]) and _is_int(v[2])

@@ -82,9 +82,9 @@ class Kernel:
         """Fresh step vectors, so that a new run reads no stale rows."""
         self._bufs = (np.zeros(self.ball.size), np.zeros(self.ball.size))
 
-    def start_vector(self, index=None):
+    def start_vector(self):
         vec = np.zeros(self.ball.size)
-        vec[self.ball.root_index if index is None else index] = 1.0
+        vec[self.ball.root_index] = 1.0
         return vec
 
     def step(self, vec, reach):
@@ -101,7 +101,7 @@ class Kernel:
         csr_matvec(rows, b.size, self.indptr, self.indices, self.data, vec, out)
         return out
 
-    def iterate(self, n_steps, on_step=None, start=None):
+    def iterate(self, n_steps, on_step=None):
         """Run `n_steps` steps from the root, with a mass-conservation guard.
 
         `on_step(n, head)` is called after each step with the reached
@@ -117,8 +117,7 @@ class Kernel:
                 f"ball radius {b.radius} too small for {n_steps} steps; "
                 f"need radius >= n + 1")
         self._reset()
-        vec = self.start_vector() if start is None \
-            else np.ascontiguousarray(start, dtype=np.float64)
+        vec = self.start_vector()
         for n in range(1, n_steps + 1):
             vec = self.step(vec, n)
             head = vec[:b.interior_size(n)]

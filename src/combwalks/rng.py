@@ -14,8 +14,9 @@ component processes of the decomposed constructions never share a stream:
     1 / 3    X / Y auxiliary stream (raw 64-bit words; midpoint indices)
     4 / 6    X / Y tooth-walk stream (self-loop decomposition)
     5 / 7    X / Y base-walk stream  (self-loop decomposition, clock)
-    8 / 10   X / Y undelayed-walk stream (geometric clock)
-    9 / 11   X / Y holding-time stream   (geometric clock)
+    8        undelayed-walk stream (geometric clock)
+    9        holding-time stream   (geometric clock)
+    10 / 11  reserved; no constant names them
 
 ``RngStream(seed, r, stream).generator()`` defines a stream: Philox keyed
 by ``SeedSequence(seed, spawn_key=(r, stream))``, counter 0.  The sampler
@@ -35,7 +36,6 @@ Y_MAIN = 2
 X_TOOTH, X_BASE = 4, 5
 Y_TOOTH = 6
 X_SKEL, X_HOLD = 8, 9
-Y_SKEL, Y_HOLD = 10, 11
 AUX = X_AUX - X_MAIN      # offset of a walker's auxiliary stream from its main one
 
 

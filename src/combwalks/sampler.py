@@ -39,6 +39,7 @@ comparing the halves.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import os
@@ -49,14 +50,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import (BiasedLadder, Comb, Comb2, Cycle, GraphError, Grid2D,
-                     Line, PathTwo, Star, build_graph,
-                     LADDER_ID_BITS as _LEVEL_BITS)
+                     Line, PathTwo, Star, LADDER_ID_BITS as _LEVEL_BITS)
 from .rng import (AUX, RngStream, X_BASE, X_HOLD, X_MAIN, X_SKEL, X_TOOTH,
-                  Y_HOLD, Y_MAIN, Y_SKEL, Y_TOOTH, fill, stream_keys)
+                  Y_MAIN, Y_TOOTH, fill, stream_keys)
 from .stats import lil_threshold
 
 CHUNK = 4096              # a multiple of 4: each chunk starts a Philox block
 WIN = 64                  # steps per move table and per observer pass
+# stream roles (x, y) of the two walkers of a pair, per construction
+_ROLES = {"direct": (X_MAIN, Y_MAIN), "selfloop": (X_TOOTH, Y_TOOTH)}
 
 
 class SimulationError(RuntimeError):
@@ -431,6 +433,21 @@ def _make_kernel(graph, start, width, method, n_steps):
 # block driver
 # ---------------------------------------------------------------------------
 
+def _batches(replicas, size):
+    """Replicas 0 .. replicas - 1 as consecutive ranges of at most
+    ``size``.  Every replica reads only its own keyed streams, so the
+    grouping changes memory and wall time, never the output."""
+    return [range(lo, min(lo + size, replicas))
+            for lo in range(0, replicas, size)]
+
+
+def _start(graph, start):
+    """``start``, or the family root if None, checked against the graph."""
+    start = graph.root if start is None else start
+    graph._require(start)
+    return start
+
+
 def _stream_keys(kernel, seed, replicas, roles):
     """Keys of the streams role + ch of each uniform channel ch, then of the
     auxiliary streams if the kernel needs raw draws.  Row j is walker j:
@@ -482,10 +499,7 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
     kernel = _make_kernel(graph, start, 2 * B, method, n_steps)
     cps = record.resolved_checkpoints(n_steps)
     stride = record.spine_stride if isinstance(graph, BiasedLadder) else 0
-    if stream_roles is None:
-        stream_roles = (X_TOOTH, Y_TOOTH) if method == "selfloop" \
-            else (X_MAIN, Y_MAIN)
-    keys = _stream_keys(kernel, seed, replicas, stream_roles)
+    keys = _stream_keys(kernel, seed, replicas, stream_roles or _ROLES[method])
 
     meetings = np.zeros(B, dtype=np.int64)
     max_depth = np.zeros(2 * B, dtype=np.int64)
@@ -595,15 +609,12 @@ def run_pair(graph, start=None, n_steps=0, rng_x=None, rng_y=None,
     stream.  Defaults follow the role table in :mod:`.rng` with seed 0,
     replica 0.
     """
-    if start is None:
-        start = graph.root
-    graph._require(start)
+    start = _start(graph, start)
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    default_x = X_TOOTH if method == "selfloop" else X_MAIN
-    default_y = Y_TOOTH if method == "selfloop" else Y_MAIN
-    rng_x = rng_x or RngStream(0, 0, default_x)
-    rng_y = rng_y or RngStream(0, 0, default_y)
+    role_x, role_y = _ROLES.get(method, _ROLES["direct"])
+    rng_x = rng_x or RngStream(0, 0, role_x)
+    rng_y = rng_y or RngStream(0, 0, role_y)
     if (rng_x.seed, rng_x.replica) != (rng_y.seed, rng_y.replica):
         raise ValueError("pair streams must share seed and replica")
     record = record or RecordPolicy()
@@ -619,18 +630,8 @@ def run_pair(graph, start=None, n_steps=0, rng_x=None, rng_y=None,
 _BLOCK = 512
 
 
-def _block_worker(payload):
-    (spec, start, n_steps, seed, lo, hi, record_fields, method, radius) = payload
-    graph = build_graph(spec)
-    record = RecordPolicy(*record_fields)
-    sums = _run_block(graph, tuple(start), n_steps, seed, range(lo, hi),
-                      record, method, radius)
-    return [s.to_dict() for s in sums]
-
-
 def run_ensemble(graph, start=None, n_steps=0, replicas=1, seed=0, workers=1,
-                 checkpoints=None, record=None, method="direct",
-                 truncation_radius=None):
+                 record=None, method="direct", truncation_radius=None):
     """Simulate ``replicas`` independent pairs and return their summaries
     in replica order.
 
@@ -641,38 +642,15 @@ def run_ensemble(graph, start=None, n_steps=0, replicas=1, seed=0, workers=1,
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-    if start is None:
-        start = graph.root
-    graph._require(start)
-    if record is None:
-        record = RecordPolicy(checkpoints=tuple(checkpoints or ()))
-    elif checkpoints is not None:
-        record = RecordPolicy(tuple(checkpoints), record.lil_alphas,
-                              record.spine_stride)
-
-    blocks = []
-    lo = 0
-    while lo < replicas:
-        hi = min(lo + _BLOCK, replicas)
-        blocks.append((lo, hi))
-        lo = hi
-
-    record_fields = (record.checkpoints, record.lil_alphas, record.spine_stride)
+    start = _start(graph, start)
+    blocks = _batches(replicas, _BLOCK)
+    run = functools.partial(_run_block, graph, start, n_steps, seed,
+                            record=record or RecordPolicy(), method=method,
+                            truncation_radius=truncation_radius)
     if workers <= 1 or len(blocks) == 1:
-        out = []
-        for lo, hi in blocks:
-            out.extend(_run_block(graph, start, n_steps, seed, range(lo, hi),
-                                  record, method, truncation_radius))
-        return out
-
-    payloads = [(graph.family, start, n_steps, seed, lo, hi,
-                 record_fields, method, truncation_radius)
-                for lo, hi in blocks]
-    out = []
+        return [s for block in map(run, blocks) for s in block]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for dicts in pool.map(_block_worker, payloads):
-            out.extend(PairTrajectorySummary.from_dict(d) for d in dicts)
-    return out
+        return [s for block in pool.map(run, blocks) for s in block]
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +663,13 @@ def _draws(seed, replicas, stream, n):
     out = np.empty((len(replicas), n))
     fill(stream_keys(seed, replicas, stream), 0, out)
     return out.T
+
+
+def _clock(d, seed, replicas, T):
+    """``_clock_arrays`` of the replicas' undelayed-walk and holding-time
+    streams over horizon T."""
+    return _clock_arrays(d, _draws(seed, replicas, X_SKEL, T),
+                         _draws(seed, replicas, X_HOLD, T + 2))
 
 
 def _clock_arrays(d, us, ug):
@@ -740,7 +725,7 @@ def _clock_arrays(d, us, ug):
             "tau": tau}
 
 
-def geometric_clock_path(d, n_steps, seed=0, replica=0, walker="x"):
+def geometric_clock_path(d, n_steps, seed=0, replica=0):
     """Single delayed tooth walk built from an undelayed walk plus holds.
 
     Returns 1-d arrays S, V, K, H, R (and the holds G): V is the lazy tooth
@@ -750,10 +735,7 @@ def geometric_clock_path(d, n_steps, seed=0, replica=0, walker="x"):
     """
     if d < 1:
         raise ValueError("base degree must be >= 1")
-    skel, hold = (X_SKEL, X_HOLD) if walker == "x" else (Y_SKEL, Y_HOLD)
-    arrs = _clock_arrays(d, _draws(seed, [replica], skel, n_steps),
-                         _draws(seed, [replica], hold, n_steps + 2))
-    return {k: v[:, 0] for k, v in arrs.items()}
+    return {k: v[:, 0] for k, v in _clock(d, seed, [replica], n_steps).items()}
 
 
 def clock_dichotomy_violations(d, n_steps, replicas, seed=0, batch=4096):
@@ -762,10 +744,8 @@ def clock_dichotomy_violations(d, n_steps, replicas, seed=0, batch=4096):
     Replica r is ``geometric_clock_path(d, n_steps, seed, r)``; ``batch``
     bounds the replicas held at once and does not change the count."""
     bad = checked = 0
-    for lo in range(0, replicas, batch):
-        reps = range(lo, min(lo + batch, replicas))
-        arrs = _clock_arrays(d, _draws(seed, reps, X_SKEL, n_steps),
-                             _draws(seed, reps, X_HOLD, n_steps + 2))
+    for reps in _batches(replicas, batch):
+        arrs = _clock(d, seed, reps, n_steps)
         ns = np.arange(n_steps + 1, dtype=np.int64)[:, None]
         ok = (arrs["K"] >= arrs["R"]) | (2 * arrs["K"] >= ns)
         bad += int((~ok).sum())
@@ -782,23 +762,16 @@ def sample_marginal(graph, n_steps, replicas, seed=0, method="direct",
     of coordinate tuples.  Replica r reads only streams keyed (seed, r,
     role), so ``batch`` bounds memory and does not change the output.
     """
-    if start is None:
-        start = graph.root
-    graph._require(start)
+    start = _start(graph, start)
     if method == "clock":
         if not isinstance(graph, Comb):
             raise GraphError("clock construction needs a comb graph")
-        base = graph.base
-        if base.constant_degree is None:
-            raise GraphError("clock construction needs a constant-degree base")
         if start[1] != 0:
             raise GraphError("clock construction starts on the spine")
-        d = base.constant_degree
+        base = graph.base
         cols = []
-        for lo in range(0, replicas, batch):
-            reps = range(lo, min(lo + batch, replicas))
-            arrs = _clock_arrays(d, _draws(seed, reps, X_SKEL, n_steps),
-                                 _draws(seed, reps, X_HOLD, n_steps + 2))
+        for reps in _batches(replicas, batch):
+            arrs = _clock(base.constant_degree, seed, reps, n_steps)
             K = arrs["K"][n_steps]
             V = arrs["V"][n_steps]
             # base walk advanced once per self-loop event
@@ -815,12 +788,10 @@ def sample_marginal(graph, n_steps, replicas, seed=0, method="direct",
             cols.append(np.stack([b, V], axis=1))
         return np.concatenate(cols, axis=0)
 
-    role = X_TOOTH if method == "selfloop" else X_MAIN
     out = []
-    for lo in range(0, replicas, batch):
-        width = min(batch, replicas - lo)
-        kernel = _make_kernel(graph, start, width, method, n_steps)
-        keys = _stream_keys(kernel, seed, range(lo, lo + width), (role,))
+    for reps in _batches(replicas, batch):
+        kernel = _make_kernel(graph, start, len(reps), method, n_steps)
+        keys = _stream_keys(kernel, seed, reps, _ROLES[method][:1])
         for _ in _windows(kernel, keys, n_steps):
             pass
         out.append(kernel.pos[0].T)

@@ -397,3 +397,20 @@ def test_config_file_overlay(tmp_path):
     missing = run_cli("simulate", "--config", str(tmp_path / "nope.conf"),
                       "--out", str(out))
     assert missing.returncode == 2
+
+
+_RUN = "graph = comb:line\nsteps = 8\nreplicas = 2\nseed = 1\n"
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["simulate"], _RUN + "method = clock\n"),     # not a --method choice
+    (["oracle", "return"], "graph = line\nnmax = 8\nevery = odd\n"),
+    (["simulate"], _RUN + "walkers = 4\n"),        # not a simulate flag
+], ids=["choice", "oracle-choice", "unknown-key"])
+def test_config_values_are_checked_as_flags(tmp_path, argv, text):
+    conf = tmp_path / "bad.conf"
+    conf.write_text(text)
+    res = run_cli(*argv, "--config", str(conf),
+                  "--out", str(tmp_path / "out"))
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr

@@ -103,11 +103,21 @@ def test_ensemble_is_replica_ordered_and_matches_run_pair():
         assert s.to_json() == lone.to_json()
 
 
-def test_worker_count_does_not_change_results(monkeypatch):
+@pytest.mark.parametrize("spec, method, record", [
+    ("comb:line", "direct", RecordPolicy()),
+    ("comb:cycle:4", "selfloop", RecordPolicy()),
+    ("biased-ladder", "direct", RecordPolicy(spine_stride=3)),
+    ("comb:line", "direct", RecordPolicy(lil_alphas=(0.7, 0.9))),
+], ids=["comb:line", "selfloop-k_trace", "ladder-spine", "lil"])
+def test_worker_count_does_not_change_results(monkeypatch, spec, method,
+                                              record):
+    # summaries cross the process boundary whole, extras included
     monkeypatch.setattr(sampler, "_BLOCK", 4)
-    g = build_graph("comb:line")
-    one = run_ensemble(g, n_steps=400, replicas=10, seed=13, workers=1)
-    three = run_ensemble(g, n_steps=400, replicas=10, seed=13, workers=3)
+    g = build_graph(spec)
+    one = run_ensemble(g, n_steps=400, replicas=10, seed=13, workers=1,
+                       record=record, method=method)
+    three = run_ensemble(g, n_steps=400, replicas=10, seed=13, workers=3,
+                         record=record, method=method)
     assert [s.to_json() for s in one] == [s.to_json() for s in three]
 
 
@@ -116,13 +126,14 @@ def test_ensemble_rejects_bad_args():
     with pytest.raises(ValueError):
         run_ensemble(g, n_steps=10, replicas=0)
     with pytest.raises(ValueError):
-        run_ensemble(g, n_steps=10, replicas=2, checkpoints=(5, 2))
+        run_ensemble(g, n_steps=10, replicas=2,
+                     record=RecordPolicy(checkpoints=(5, 2)))
 
 
 def test_custom_checkpoints_are_used_verbatim():
     g = build_graph("line")
     s = run_ensemble(g, n_steps=100, replicas=1, seed=0,
-                     checkpoints=(8, 64))[0]
+                     record=RecordPolicy(checkpoints=(8, 64)))[0]
     assert [t for t, _ in s.checkpoints] == [8, 64]
 
 
@@ -262,6 +273,16 @@ def test_clock_output_does_not_depend_on_batch():
             ref)
 
 
+@pytest.mark.parametrize("method", ["direct", "selfloop"])
+def test_marginal_output_does_not_depend_on_batch(method):
+    g = build_graph("comb:cycle:4")
+    ref = sample_marginal(g, 9, 250, seed=12, method=method, batch=4096)
+    for batch in (30, 100):
+        assert np.array_equal(
+            sample_marginal(g, 9, 250, seed=12, method=method, batch=batch),
+            ref)
+
+
 def test_clock_batch_columns_are_clock_paths():
     # replica r of a batch is geometric_clock_path(d, n, seed, r)
     arrs = sampler._clock_arrays(
@@ -329,7 +350,7 @@ def test_comb2_mean_meetings_match_exact_partial_sums():
     times = (16, 32, 64, 128, 256)
     partial, _ = meeting_expectation_series(g, times[-1])
     out = run_ensemble(g, n_steps=times[-1], replicas=4096, seed=2718,
-                       checkpoints=times)
+                       record=RecordPolicy(checkpoints=times))
     counts = np.array([[m for _, m in s.checkpoints] for s in out],
                       dtype=float)
     for t, col in zip(times, counts.T):
