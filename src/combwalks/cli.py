@@ -162,8 +162,8 @@ def cmd_simulate(args):
         raise ConfigError("simulate needs --graph")
     if args.out is None:
         raise ConfigError("simulate needs --out (no implicit writes)")
-    if args.steps is None:
-        raise ConfigError("simulate needs --steps")
+    if args.steps is None or args.steps < 0:
+        raise ConfigError("simulate needs --steps >= 0")
     if args.replicas is None or args.replicas < 1:
         raise ConfigError("simulate needs --replicas >= 1")
     if args.seed is None:

@@ -373,12 +373,16 @@ def build_graph(spec):
 class Ball:
     """All vertices within graph distance `radius` of the root, indexed densely.
 
-    Indices are sorted by level (distance from the root), so the first
-    `level_start[r]` indices are exactly the ball of radius r-1; boundary
-    vertices (level == radius) occupy the tail.  `arc_src`/`arc_dst` list
-    every directed adjacency with both endpoints inside the ball.
-    `degrees[i]` is the degree in the full graph, which on the boundary
-    exceeds the in-ball arc count.
+    A bipartite ball (`bipartite` true: no arc joins two states of the
+    same level) is indexed parity-major: the states of even level, then
+    those of odd level, each class sorted by level, with the class of
+    parity p starting at `class_start[p]`.  Any other ball is one class
+    sorted by level.  Either way the root is index 0, and a walk from the
+    root is after n steps on the rows `rows(n)`: the states of n's class
+    within distance n.  `level_start[r]` counts the states of level < r.
+    `arc_src`/`arc_dst` list every directed adjacency with both endpoints
+    inside the ball.  `degrees[i]` is the degree in the full graph, which
+    on the boundary (level == radius) exceeds the in-ball arc count.
 
     A lumped ball (`lumped` true) holds one representative per orbit of a
     group of automorphisms fixing the root, and `orbit[i]` is the orbit's
@@ -388,7 +392,7 @@ class Ball:
     """
 
     def __init__(self, graph, radius, coords, level, arc_src, arc_dst, degrees,
-                 index_of, root=None, orbit=None):
+                 index_of, root=None, orbit=None, bipartite=False):
         self.graph = graph
         self.root = graph.root if root is None else root
         self.radius = radius
@@ -403,6 +407,14 @@ class Ball:
         self.orbit = np.ones(self.size, dtype=np.int64) if orbit is None else orbit
         counts = np.bincount(level, minlength=radius + 1)
         self.level_start = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        self.bipartite = bipartite
+        # _row_end[r]: end of the rows of r's class with level <= r
+        k = 1 + bipartite                  # number of classes
+        self._row_end = np.empty(len(counts), np.int64)
+        self.class_start = [0]
+        for p in range(k):
+            self._row_end[p::k] = self.class_start[p] + np.cumsum(counts[p::k])
+            self.class_start.append(self.class_start[p] + int(counts[p::k].sum()))
         self.root_index = int(index_of(self.root))
         assert level[self.root_index] == 0
 
@@ -421,6 +433,15 @@ class Ball:
         r = min(r, self.radius)
         return int(self.level_start[max(r + 1, 0)])
 
+    def rows(self, n):
+        """Index range [lo, hi) of the states a walk from the root can
+        occupy after n >= 0 steps."""
+        k = 1 + self.bipartite
+        r = min(n, self.radius)
+        r -= (n - r) % k                   # the last level of n's class
+        lo = self.class_start[n % k]
+        return lo, int(self._row_end[r]) if r >= 0 else lo
+
 
 def ball(graph, radius, budget=DEFAULT_BUDGET, lumped=False):
     """Exact truncation of `graph` to distance `radius` from its root.
@@ -436,10 +457,12 @@ def ball(graph, radius, budget=DEFAULT_BUDGET, lumped=False):
     (b -> -b on the line, b -> -b mod m on a cycle) and the tooth group
     fixing 0 (t -> -t on Z, the eight symmetries of the square on Z^2):
     `comb:line` and `comb:cycle:4` lump by 4, `grid2d` by 8 and
-    `comb2:line` by 16.  `star:k`, the biased ladder and balls around
-    other roots (`_ball_bfs`) come from breadth-first search, unlumped.
-    Aborts with BudgetError (reporting
-    the state count) if the ball would not fit in `budget` bytes.
+    `comb2:line` by 16.  Product balls are bipartite, and so indexed
+    parity-major (see `Ball`), unless the base is an odd cycle.  `star:k`,
+    the biased ladder and balls around other roots (`_ball_bfs`) come from
+    breadth-first search, unlumped and sorted by level as one class.
+    Aborts with BudgetError (reporting the state count) if the ball would
+    not fit in `budget` bytes.
     """
     if radius < 0:
         raise GraphError("radius must be >= 0")
@@ -519,7 +542,9 @@ def _ball_product(graph, base, dim, R, budget, lumped):
 
     States run base coordinate ascending, then tooth columns ascending, so
     a state's flat index (`_columns`) is its place in that order; they are
-    then sorted by level and coordinates.  Coordinates are (b, t...), with
+    then sorted by (level % 2, level, coordinates), or by (level,
+    coordinates) on an odd cycle base, whose ball has arcs within a level
+    and so is not bipartite.  Coordinates are (b, t...), with
     no b on a one-vertex base.  Arcs come in groups: tooth moves per
     coordinate (-, then +), then base moves (-, then +) from each tooth
     root, each group in state order.  Lumped, a state is kept only if it
@@ -570,7 +595,9 @@ def _ball_product(graph, base, dim, R, budget, lumped):
             return flat(p * W + v[1] + R, v[2])
         return flat(p, v[1] if dim else 0 * p)
 
-    order = np.lexsort(tuple(reversed(coords)) + (level,))
+    bipartite = not (isinstance(base, Cycle) and base.m % 2)
+    order = np.lexsort(tuple(reversed(coords)) + (level,)
+                       + ((level % 2,) if bipartite else ()))
     lookup = np.empty(n, np.int32)         # flat index -> sorted index
     lookup[order] = np.arange(n, dtype=np.int32)
 
@@ -628,7 +655,7 @@ def _ball_product(graph, base, dim, R, budget, lumped):
         return lookup[flat_of(*(np.asarray([c]) for c in v))[0]]
 
     return Ball(graph, R, coords, level, arc_src, arc_dst, degrees, index_of,
-                orbit=orbit)
+                orbit=orbit, bipartite=bipartite)
 
 
 def _ball_bfs(graph, radius, budget, root=None):

@@ -31,6 +31,12 @@ directly.  `comb:line` keeps about a quarter of its states, `grid2d` an
 eighth, `comb2:line` a sixteenth.  An unlumped ball has |o| = 1
 everywhere, so one code path serves both; `method="generic"`, other
 roots, `star:k` and the biased ladder keep the full ball.
+
+The line, even cycles, grid2d and the combs over them are bipartite, and
+their balls are indexed parity-major (`graphs.Ball`): after n steps the
+walk is on the states of class n % 2 within distance n, one row range
+that `Kernel.step` writes in place and every reader of a step reduces
+over.  Other balls are one class, stepped by reached prefix.
 """
 
 from __future__ import annotations
@@ -56,12 +62,12 @@ class Kernel:
     """Transposed one-step operator on a ball, as CSR arrays.
 
     Row i gathers mass into state i from its in-ball neighbours (on a lumped
-    ball, repeated arcs into one orbit add up).  Because the ball is indexed
-    level-major, the distribution after n steps is supported on the first
-    `ball.interior_size(n)` rows.  `step` alternates between two vectors
-    allocated once per run, zeroes and fills only that prefix of the one it
-    writes, and builds no matrix: the rows past the prefix are never written
-    and stay zero.
+    ball, repeated arcs into one orbit add up).  Step n zeroes and fills
+    only the rows `ball.rows(n)` that carry mass, through `csr_matvec` on
+    that slice; no matrix is built.  On a bipartite ball they are one
+    parity class, fed only by the other, so steps alternate classes in
+    place in one vector; other balls alternate two vectors.  Rows a run
+    has not reached are never written and stay zero.
     """
 
     def __init__(self, ball_, release_arcs=False):
@@ -80,7 +86,8 @@ class Kernel:
 
     def _reset(self):
         """Fresh step vectors, so that a new run reads no stale rows."""
-        self._bufs = (np.zeros(self.ball.size), np.zeros(self.ball.size))
+        v = np.zeros(self.ball.size)
+        self._bufs = (v, v if self.ball.bipartite else np.zeros_like(v))
 
     def start_vector(self):
         vec = np.zeros(self.ball.size)
@@ -88,25 +95,26 @@ class Kernel:
         return vec
 
     def step(self, vec, reach):
-        """One step, writing only rows within graph distance `reach`."""
+        """Step `reach` of a walk from the root: write only `ball.rows(reach)`."""
         b = self.ball
         # csr_matvec reads raw memory: no strides, no bounds, no casts
         if vec.dtype != np.float64 or vec.shape != (b.size,) \
                 or not vec.flags.c_contiguous:
             raise OracleError(f"step needs a contiguous float64 vector of "
                               f"length {b.size}")
-        rows = b.interior_size(min(reach, b.radius))
+        lo, hi = b.rows(reach)
         out = self._bufs[vec is self._bufs[0]]
-        out[:rows] = 0.0
-        csr_matvec(rows, b.size, self.indptr, self.indices, self.data, vec, out)
+        out[lo:hi] = 0.0
+        csr_matvec(hi - lo, b.size, self.indptr[lo:], self.indices, self.data,
+                   vec, out[lo:hi])
         return out
 
     def iterate(self, n_steps, on_step=None):
         """Run `n_steps` steps from the root, with a mass-conservation guard.
 
-        `on_step(n, head)` is called after each step with the reached
-        prefix, the first `ball.interior_size(n)` rows; it must not be
-        mutated by the callback.  Returns the full vector.  Raises
+        `on_step(n, lo, head)` is called after each step with the rows
+        `head = vec[lo:hi]`, `(lo, hi) = ball.rows(n)`, which it must not
+        mutate.  Returns the full vector, zero off those rows.  Raises
         OracleError if the ball is too small for the horizon or if
         probability mass is not conserved (which would mean leakage across
         the truncation boundary).
@@ -117,16 +125,21 @@ class Kernel:
                 f"ball radius {b.radius} too small for {n_steps} steps; "
                 f"need radius >= n + 1")
         self._reset()
-        vec = self.start_vector()
+        vec = self._bufs[1]
+        vec[b.root_index] = 1.0
         for n in range(1, n_steps + 1):
             vec = self.step(vec, n)
-            head = vec[:b.interior_size(n)]
+            lo, hi = b.rows(n)
+            head = vec[lo:hi]
             if n % 64 == 0 or n == n_steps:
                 err = abs(head.sum() - 1.0)
                 if err > MASS_TOL:
                     raise OracleError(f"mass leaked at step {n}: |sum-1| = {err:.3e}")
             if on_step is not None:
-                on_step(n, head)
+                on_step(n, lo, head)
+        if b.bipartite and n_steps:
+            lo, hi = b.rows(n_steps - 1)
+            vec[lo:hi] = 0.0               # p^(n-1), left in the other class
         return vec
 
 
@@ -158,9 +171,10 @@ class SparseDistribution:
             raise OracleError(f"negative mass {d.min():.3e}")
         if abs(d.sum() - 1.0) > tol:
             raise OracleError(f"mass {d.sum()!r} != 1")
-        support_reach = self.ball.interior_size(min(self.n, self.ball.radius))
-        if np.any(d[support_reach:] != 0.0):
-            raise OracleError("support outside graph distance n from root")
+        lo, hi = self.ball.rows(self.n)
+        if np.any(d[:lo] != 0.0) or np.any(d[hi:] != 0.0):
+            raise OracleError("support outside graph distance n from root, "
+                              "or off n's parity class")
         return True
 
 
@@ -224,11 +238,11 @@ def _return_series(graph, k_max, every, root, budget, lumped):
     if every == "even":
         w = b.degrees[b.root_index] / (b.degrees * b.orbit)
 
-        def grab(k, head):
-            out[k - 1] = np.dot(head * head, w[:len(head)])
+        def grab(k, lo, head):
+            out[k - 1] = np.dot(head * head, w[lo:lo + len(head)])
     else:
-        def grab(k, head):
-            out[k - 1] = head[b.root_index]
+        def grab(k, lo, head):
+            out[k - 1] = head[b.root_index - lo] if lo <= b.root_index else 0.0
 
     kern.iterate(k_max, on_step=grab)
     ns = np.arange(1, k_max + 1)
@@ -301,8 +315,8 @@ def meeting_expectation_series(graph, n_max, root=None, budget=DEFAULT_BUDGET):
     w = 1.0 / b.orbit
     inc = np.empty(n_max)
 
-    def grab(n, head):
-        inc[n - 1] = np.dot(head * head, w[:len(head)])
+    def grab(n, lo, head):
+        inc[n - 1] = np.dot(head * head, w[lo:lo + len(head)])
 
     kern.iterate(n_max, on_step=grab)
     ns = np.arange(1, n_max + 1)
@@ -361,9 +375,9 @@ def per_site_collision_series(graph, n_max, root=None, budget=DEFAULT_BUDGET):
     w = 1.0 / b.orbit
     table = np.zeros((n_max, n_heights))
 
-    def grab(n, head):
-        rows = len(head)
-        table[n - 1] = np.bincount(hid[:rows], weights=head * head * w[:rows],
+    def grab(n, lo, head):
+        hi = lo + len(head)
+        table[n - 1] = np.bincount(hid[lo:hi], weights=head * head * w[lo:hi],
                                    minlength=n_heights)
 
     kern.iterate(n_max, on_step=grab)
@@ -379,11 +393,16 @@ def per_site_collision_series(graph, n_max, root=None, budget=DEFAULT_BUDGET):
 # ---------------------------------------------------------------------------
 
 def _snapshots(graph, v, n, budget=DEFAULT_BUDGET):
-    """The ball around `v` and the reached prefixes of p^(m)(v, .), m <= n."""
+    """The ball around `v` and the vectors p^(m)(v, .), m <= n."""
     b = rooted_ball(graph, v, n + 1, budget)
     kern = Kernel(b)
-    snaps = [kern.start_vector()[:b.interior_size(0)]]
-    kern.iterate(n, on_step=lambda m, head: snaps.append(head.copy()))
+    snaps = [kern.start_vector()]
+
+    def keep(m, lo, head):
+        snaps.append(np.zeros(b.size))
+        snaps[-1][lo:lo + len(head)] = head
+
+    kern.iterate(n, on_step=keep)
     return b, snaps
 
 
@@ -396,16 +415,14 @@ def _loop_around(b, snaps, i, j):
     if b.graph.constant_degree is None:
         raise GraphError(f"loop-around identity needs constant degree; "
                          f"{b.graph.family} varies")
-    m = min(len(snaps[i]), len(snaps[j]))
-    lhs = float(np.dot(snaps[i][:m], snaps[j][:m]))
+    lhs = float(np.dot(snaps[i], snaps[j]))
     return abs(lhs - float(snaps[i + j][b.root_index]))
 
 
 def _reversibility(b, snaps, n):
     """|sum_w p^(n)(v,w)^2 deg(v)/deg(w) - p^(2n)(v,v)|."""
-    head = snaps[n]
-    w = b.degrees[b.root_index] / b.degrees[:len(head)]
-    lhs = float(np.dot(head * head, w))
+    p = snaps[n]
+    lhs = float(np.dot(p * p, b.degrees[b.root_index] / b.degrees))
     return abs(lhs - float(snaps[2 * n][b.root_index]))
 
 

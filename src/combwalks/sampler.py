@@ -433,10 +433,16 @@ def _make_kernel(graph, start, width, method, n_steps):
 # block driver
 # ---------------------------------------------------------------------------
 
-def _batches(replicas, size):
+def _batches(replicas, size, n_steps):
     """Replicas 0 .. replicas - 1 as consecutive ranges of at most
-    ``size``.  Every replica reads only its own keyed streams, so the
-    grouping changes memory and wall time, never the output."""
+    ``size``, after the one check of ``replicas`` and ``n_steps`` that
+    every batched entry point passes.  Every replica reads only its own
+    keyed streams, so the grouping changes memory and wall time, never
+    the output."""
+    if replicas < 1:
+        raise ValueError(f"replicas must be >= 1, got {replicas}")
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     return [range(lo, min(lo + size, replicas))
             for lo in range(0, replicas, size)]
 
@@ -640,10 +646,8 @@ def run_ensemble(graph, start=None, n_steps=0, replicas=1, seed=0, workers=1,
     of (graph, start, n_steps, replicas, seed, record): worker count changes
     wall time only.
     """
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
     start = _start(graph, start)
-    blocks = _batches(replicas, _BLOCK)
+    blocks = _batches(replicas, _BLOCK, n_steps)
     run = functools.partial(_run_block, graph, start, n_steps, seed,
                             record=record or RecordPolicy(), method=method,
                             truncation_radius=truncation_radius)
@@ -744,7 +748,7 @@ def clock_dichotomy_violations(d, n_steps, replicas, seed=0, batch=4096):
     Replica r is ``geometric_clock_path(d, n_steps, seed, r)``; ``batch``
     bounds the replicas held at once and does not change the count."""
     bad = checked = 0
-    for reps in _batches(replicas, batch):
+    for reps in _batches(replicas, batch, n_steps):
         arrs = _clock(d, seed, reps, n_steps)
         ns = np.arange(n_steps + 1, dtype=np.int64)[:, None]
         ok = (arrs["K"] >= arrs["R"]) | (2 * arrs["K"] >= ns)
@@ -770,7 +774,7 @@ def sample_marginal(graph, n_steps, replicas, seed=0, method="direct",
             raise GraphError("clock construction starts on the spine")
         base = graph.base
         cols = []
-        for reps in _batches(replicas, batch):
+        for reps in _batches(replicas, batch, n_steps):
             arrs = _clock(base.constant_degree, seed, reps, n_steps)
             K = arrs["K"][n_steps]
             V = arrs["V"][n_steps]
@@ -789,7 +793,7 @@ def sample_marginal(graph, n_steps, replicas, seed=0, method="direct",
         return np.concatenate(cols, axis=0)
 
     out = []
-    for reps in _batches(replicas, batch):
+    for reps in _batches(replicas, batch, n_steps):
         kernel = _make_kernel(graph, start, len(reps), method, n_steps)
         keys = _stream_keys(kernel, seed, reps, _ROLES[method][:1])
         for _ in _windows(kernel, keys, n_steps):

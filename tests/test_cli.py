@@ -104,6 +104,16 @@ def test_simulate_rejects_negative_seed(tmp_path):
     assert not out.exists()
 
 
+def test_simulate_rejects_negative_steps(tmp_path):
+    out = tmp_path / "x.jsonl"
+    res = run_cli("simulate", "--graph", "comb:line", "--steps", "-5",
+                  "--replicas", "2", "--seed", "1", "--out", str(out))
+    assert res.returncode == 2
+    assert res.stderr.startswith("config error:") and "--steps" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
 def test_failed_write_keeps_previous_output(tmp_path, monkeypatch):
     from combwalks import cli
     out = tmp_path / "ret.csv"

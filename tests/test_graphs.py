@@ -243,6 +243,26 @@ def test_ball_budget_guard():
 
 def test_grid_ball_levels_are_sorted():
     b = ball(build_graph("grid2d"), 9)
-    assert np.all(np.diff(b.level) >= 0)
+    assert b.bipartite
+    # parity-major: the even class first, levels sorted within each class
+    n_even = b.class_start[1]
+    assert np.all(b.level[:n_even] % 2 == 0) and np.all(b.level[n_even:] % 2 == 1)
+    for lo, hi in zip(b.class_start, b.class_start[1:]):
+        assert np.all(np.diff(b.level[lo:hi]) >= 0)
     assert b.level_start[0] == 0
     assert b.index_of((0, 0)) == 0
+
+
+@pytest.mark.parametrize("spec", PRODUCT_FAMILIES + ("star:4", "biased-ladder"))
+def test_ball_rows_hold_the_states_a_walk_reaches(spec):
+    g = build_graph(spec)
+    for b in (ball(g, 6), ball(g, 6, lumped=True)):
+        # bipartite: no arc within a level; breadth-first balls are one class
+        same_level = np.any(b.level[b.arc_src] == b.level[b.arc_dst])
+        assert b.bipartite == (spec in PRODUCT_FAMILIES and not same_level)
+        for n in range(0, 9):
+            lo, hi = b.rows(n)
+            want = b.level <= n
+            if b.bipartite:
+                want &= b.level % 2 == n % 2
+            assert np.array_equal(np.nonzero(want)[0], np.arange(lo, hi))

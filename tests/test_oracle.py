@@ -6,8 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from combwalks.graphs import BudgetError, GraphError, ball, build_graph
-from combwalks.oracle import (Kernel, OracleError, identity_check_suite,
+from combwalks.graphs import (DEFAULT_BUDGET, BudgetError, GraphError, ball,
+                              build_graph, _ball_bfs)
+from combwalks.oracle import (Kernel, OracleError, SparseDistribution,
+                              identity_check_suite,
                               meeting_expectation_series,
                               per_site_collision_series,
                               return_probability_series, transition_vector,
@@ -156,19 +158,88 @@ def test_budget_estimate_covers_traced_peak(spec, radius):
 
 def test_kernel_step_leaves_rows_past_reach_zero():
     b = ball(build_graph("comb:line"), 12, lumped=True)
+    assert b.bipartite
     kern = Kernel(b)
     vec = kern.start_vector()
     for reach in range(1, 8):
         vec = kern.step(vec, reach)
-        rows = b.interior_size(reach)
-        assert np.all(vec[rows:] == 0.0)
-        assert vec[:rows].sum() == pytest.approx(1.0, abs=1e-15)
+        lo, hi = b.rows(reach)
+        p = reach % 2
+        # the written range is class p's states within distance reach
+        assert lo == b.class_start[p]
+        assert np.all(b.level[lo:hi] % 2 == p) and b.level[hi - 1] == reach
+        assert hi - lo == np.sum((b.level <= reach) & (b.level % 2 == p))
+        assert np.all(vec[hi:b.class_start[p + 1]] == 0.0)
+        assert vec[lo:hi].sum() == pytest.approx(1.0, abs=1e-15)
     # a second run on the same kernel reads none of the first run's rows
     first = kern.iterate(11).copy()
     np.testing.assert_array_equal(kern.iterate(11), first)
     for bad in (vec[:-1], np.zeros(2 * b.size)[::2], vec.astype(np.float32)):
         with pytest.raises(OracleError):
             kern.step(bad, 3)
+
+
+LAYOUTS = ("line", "cycle:4", "grid2d", "comb:line", "comb:cycle:4",
+           "comb2:line", "cycle:5", "comb:cycle:3")
+
+
+@pytest.mark.parametrize("spec", LAYOUTS)
+def test_parity_major_kernel_matches_level_major(spec):
+    g = build_graph(spec)
+    radius = 9
+    pm = ball(g, radius)
+    lm = _ball_bfs(g, radius, DEFAULT_BUDGET)
+    assert pm.bipartite == (spec not in ("cycle:5", "comb:cycle:3"))
+    assert not lm.bipartite
+    perm = [pm.index_of(lm.vertex_of(i)) for i in range(lm.size)]
+    runs = []
+    for b in (pm, lm):
+        kern = Kernel(b)
+        vecs = []
+
+        def keep(n, lo, head):
+            vecs.append(np.zeros(b.size))
+            vecs[-1][lo:lo + len(head)] = head
+
+        last = kern.iterate(radius - 1, on_step=keep).copy()
+        # one vector stepped in place on a bipartite ball, two otherwise
+        assert (kern._bufs[0] is kern._bufs[1]) == b.bipartite
+        runs.append((vecs, last))
+    (p_vecs, p_last), (l_vecs, l_last) = runs
+    for p, q in zip(p_vecs, l_vecs):
+        np.testing.assert_allclose(p[perm], q, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(p_last[perm], l_last, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_transition_vector_clears_the_other_class(n):
+    g = build_graph("comb:line")
+    dist = transition_vector(g, g.root, n)
+    b = dist.ball
+    assert b.bipartite
+    # in place, the other class still held p^(n-1) before iterate returned
+    assert np.all(dist.dense[b.level % 2 != n % 2] == 0.0)
+    assert dist.dense.sum() == pytest.approx(1.0, abs=1e-15)
+    assert dist.validate()
+
+
+def test_validate_rejects_mass_on_the_wrong_class():
+    g = build_graph("comb:line")
+    dist = transition_vector(g, g.root, 4)
+    dense = np.zeros_like(dist.dense)
+    dense[dist.ball.index_of((1, 0))] = 1.0     # distance 1 <= 4, odd level
+    with pytest.raises(OracleError):
+        SparseDistribution(dist.ball, 4, dense).validate()
+
+
+def test_diagonal_is_exactly_zero_at_odd_times():
+    # the in-place vector still holds p^(n-1)(root, root) at odd n
+    g = build_graph("comb:line")
+    full = return_probability_series(g, 40, every="all")
+    assert all(v == 0.0 for n, v in full.rows() if n % 2)
+    by_n = dict(full.rows())
+    for n, value in return_probability_series(g, 40).rows():
+        assert by_n[n] == pytest.approx(value, rel=1e-13)
 
 
 def test_even_route_matches_full_diagonal():

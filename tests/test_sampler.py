@@ -130,6 +130,19 @@ def test_ensemble_rejects_bad_args():
                      record=RecordPolicy(checkpoints=(5, 2)))
 
 
+@pytest.mark.parametrize("call", [
+    lambda g: sampler.sample_marginal(g, 6, 0),
+    lambda g: sampler.sample_marginal(g, -1, 3),
+    lambda g: sampler.sample_marginal(g, 6, 0, method="clock"),
+    lambda g: sampler.sample_marginal(g, -1, 3, method="clock"),
+    lambda g: sampler.clock_dichotomy_violations(2, -1, 3),
+    lambda g: run_ensemble(g, n_steps=-1, replicas=2),
+])
+def test_entry_points_check_replicas_and_steps(call):
+    with pytest.raises(ValueError, match=r"(replicas|n_steps) must be >= "):
+        call(build_graph("comb:line"))
+
+
 def test_custom_checkpoints_are_used_verbatim():
     g = build_graph("line")
     s = run_ensemble(g, n_steps=100, replicas=1, seed=0,
