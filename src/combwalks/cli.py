@@ -34,9 +34,9 @@ from .oracle import (OracleError, identity_check_suite,
                      return_probability_series)
 from .sampler import (RecordPolicy, SimulationError, atomic_open,
                       read_summaries, run_ensemble, write_summaries)
-from .stats import (StatsError, drift_estimate, dyadic_collision_stats,
-                    estimate_exponent, lil_envelope_check,
-                    meeting_growth_curve)
+from .stats import (SchemaError, StatsError, drift_estimate,
+                    dyadic_collision_stats, estimate_exponent,
+                    lil_envelope_check, meeting_growth_curve)
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -249,10 +249,6 @@ def _load_inputs(paths):
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise SchemaError(f"{p}: malformed summary: {exc}") from None
     return loaded
-
-
-class SchemaError(ValueError):
-    pass
 
 
 def cmd_stats(args):

@@ -433,6 +433,12 @@ def _make_kernel(graph, start, width, method, n_steps):
 # block driver
 # ---------------------------------------------------------------------------
 
+def _check_steps(n_steps):
+    """The one check of ``n_steps`` that every sampler entry point passes."""
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+
+
 def _batches(replicas, size, n_steps):
     """Replicas 0 .. replicas - 1 as consecutive ranges of at most
     ``size``, after the one check of ``replicas`` and ``n_steps`` that
@@ -441,8 +447,7 @@ def _batches(replicas, size, n_steps):
     the output."""
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    _check_steps(n_steps)
     return [range(lo, min(lo + size, replicas))
             for lo in range(0, replicas, size)]
 
@@ -616,8 +621,7 @@ def run_pair(graph, start=None, n_steps=0, rng_x=None, rng_y=None,
     replica 0.
     """
     start = _start(graph, start)
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
+    _check_steps(n_steps)
     role_x, role_y = _ROLES.get(method, _ROLES["direct"])
     rng_x = rng_x or RngStream(0, 0, role_x)
     rng_y = rng_y or RngStream(0, 0, role_y)
@@ -739,6 +743,7 @@ def geometric_clock_path(d, n_steps, seed=0, replica=0):
     """
     if d < 1:
         raise ValueError("base degree must be >= 1")
+    _check_steps(n_steps)
     return {k: v[:, 0] for k, v in _clock(d, seed, [replica], n_steps).items()}
 
 

@@ -36,6 +36,10 @@ class StatsError(ValueError):
     pass
 
 
+class SchemaError(StatsError):
+    """Inputs of different shapes that no report can fold together."""
+
+
 # ---------------------------------------------------------------------------
 # dyadic cells
 # ---------------------------------------------------------------------------
@@ -270,18 +274,18 @@ def drift_estimate(summaries):
     """Estimate the rightward spine drift from recorded spine traces."""
     from scipy.stats import linregress
 
-    num = 0
-    den = 0
-    acc = None
-    stride = None
+    num = den = n_tr = 0
+    acc = first = None
     for s in summaries:
         spine = s.extras.get("spine")
         if spine is None:
             raise StatsError("summaries carry no spine traces")
-        if stride is None:
-            stride = spine["stride"]
-            acc = np.zeros(len(spine["x"]), dtype=np.float64)
-            n_tr = 0
+        shape = (spine["stride"], len(spine["x"]))
+        if first is None:
+            first, acc = shape, np.zeros(shape[1], dtype=np.float64)
+        elif shape != first:
+            raise SchemaError(f"spine traces mix (stride, points) {first} "
+                              f"and {shape} (replica {s.replica})")
         for wkey in ("x", "y"):
             tr = np.asarray(spine[wkey], dtype=np.int64)
             d = np.diff(tr)
@@ -292,7 +296,7 @@ def drift_estimate(summaries):
     if den == 0:
         raise StatsError("no spine moves recorded")
     mean_pos = acc / n_tr
-    half_steps = np.arange(len(mean_pos), dtype=np.float64) * stride / 2.0
+    half_steps = np.arange(len(mean_pos), dtype=np.float64) * first[0] / 2.0
     res = linregress(half_steps, mean_pos)
     return DriftEstimate(per_move=num / den,
                          per_half_step=float(res.slope),

@@ -389,6 +389,21 @@ def test_stats_drift_without_traces_is_degenerate(tmp_path):
     assert res.returncode == 5
 
 
+def test_stats_drift_mixed_spine_strides_is_schema_error(tmp_path):
+    parts = []
+    for stride in ("8", "16"):
+        p = tmp_path / f"ladder{stride}.jsonl"
+        run_cli("simulate", "--graph", "biased-ladder", "--steps", "64",
+                "--replicas", "2", "--seed", "1", "--spine-stride", stride,
+                "--out", str(p))
+        parts.append(p.read_text())
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("".join(parts))
+    res = run_cli("stats", "--report", "drift", "--inputs", str(mixed))
+    assert res.returncode == 4
+    assert "schema mismatch" in res.stderr and "Traceback" not in res.stderr
+
+
 def test_config_file_overlay(tmp_path):
     conf = tmp_path / "run.conf"
     conf.write_text(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.random import SeedSequence
 
+from combwalks import rng
 from combwalks.rng import X_MAIN, Y_MAIN, RngStream, fill, stream_keys
 
 
@@ -69,3 +70,35 @@ def test_fill_continues_the_reference_generator():
                                 for g in ref])
     with pytest.raises(ValueError):
         fill(keys, 6, u[:, :4])
+
+
+@pytest.mark.parametrize("start", [0, 4, 4096, 2 ** 40])
+def test_fill_equals_the_reference_generator_at_every_length(start):
+    # rows on both sides of the short-row branch, written through a
+    # strided view as the sampler's window buffers are
+    replicas = [0, 7, 2 ** 32 + 1]
+    keys = stream_keys(11, replicas, X_MAIN)
+    buf = np.empty((len(replicas), rng._SHORT + 4))
+    for length in range(1, rng._SHORT + 5):
+        fill(keys, start, buf[:, :length])
+        for r, row in zip(replicas, buf):
+            g = RngStream(11, r, X_MAIN).generator()
+            g.bit_generator.advance(start // 4)
+            assert np.array_equal(row[:length], g.random(length))
+
+
+class _Built(Exception):
+    pass
+
+
+def test_short_fills_build_no_generator(monkeypatch):
+    def refuse(*args):
+        raise _Built
+    monkeypatch.setattr(rng, "Generator", refuse)
+    monkeypatch.setattr(rng, "Philox", refuse)
+    keys = stream_keys(3, range(5), X_MAIN)
+    fill(keys, 8, np.empty((5, rng._SHORT)))
+    for out, high in ((np.empty((5, rng._SHORT + 1)), None),
+                      (np.empty((5, 4), dtype=np.int64), np.int64(1) << 62)):
+        with pytest.raises(_Built):
+            fill(keys, 8, out, high=high)

@@ -137,6 +137,8 @@ def test_ensemble_rejects_bad_args():
     lambda g: sampler.sample_marginal(g, -1, 3, method="clock"),
     lambda g: sampler.clock_dichotomy_violations(2, -1, 3),
     lambda g: run_ensemble(g, n_steps=-1, replicas=2),
+    lambda g: sampler.geometric_clock_path(2, -1),
+    lambda g: sampler.run_pair(g, n_steps=-1),
 ])
 def test_entry_points_check_replicas_and_steps(call):
     with pytest.raises(ValueError, match=r"(replicas|n_steps) must be >= "):

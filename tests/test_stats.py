@@ -206,6 +206,12 @@ def test_drift_estimate_synthetic():
     flat = {"spine": {"stride": 2, "x": [0, 0], "y": [0, 0]}}
     with pytest.raises(StatsError):
         drift_estimate([synth(0, [], extras=flat)])
+    # traces of another stride or length cannot be averaged with these
+    for other in ({"stride": 4, "x": [0, 1, 2, 3], "y": [0, 1, 2, 3]},
+                  {"stride": 2, "x": [0, 1], "y": [0, 1]}):
+        with pytest.raises(StatsError, match="spine traces mix"):
+            drift_estimate([synth(0, [], extras=extras),
+                            synth(1, [], extras={"spine": other})])
 
 
 def test_lil_threshold_value():
