@@ -1,8 +1,7 @@
 """Random walks on combs: exact kernels, samplers, collision statistics."""
 
-from .graphs import (Ball, BiasedLadder, BudgetError, Comb, Comb2, Cycle,
-                     Graph, GraphError, Grid2D, Line, PathTwo, Star, ball,
-                     build_graph)
+from .graphs import (Ball, BiasedLadder, BudgetError, Graph, GraphError,
+                     Product, Star, ball, build_graph)
 from .oracle import (Kernel, KernelSeries, OracleError, SparseDistribution,
                      identity_check_suite, meeting_expectation_series,
                      per_site_collision_series, return_probability_series,

@@ -176,11 +176,16 @@ def cmd_simulate(args):
     checkpoints = args.checkpoints or ()
     if list(checkpoints) != sorted(set(checkpoints)):
         raise ConfigError("checkpoints must be strictly increasing")
-    record = RecordPolicy(
-        checkpoints=tuple(checkpoints),
-        lil_alphas=tuple(args.lil_alphas or ()),
-        spine_stride=args.spine_stride or 0,
-    )
+    alphas = tuple(args.lil_alphas or ())
+    if not all(0.0 < a < 1.0 for a in alphas):
+        raise ConfigError(f"--lil-alphas must lie in (0, 1), the range "
+                          f"`stats --report lil` reads; got {alphas}")
+    try:
+        record = RecordPolicy(checkpoints=tuple(checkpoints),
+                              lil_alphas=alphas,
+                              spine_stride=args.spine_stride or 0)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     workers = args.workers if args.workers is not None else _default_workers()
     t0 = time.time()
     sums = run_ensemble(graph, start, args.steps, args.replicas, seed=seed,
@@ -210,6 +215,9 @@ def cmd_oracle(args):
 
     if args.graph is None or args.nmax is None:
         raise ConfigError(f"oracle {which} needs --graph and --nmax")
+    lowest = 2 if which == "return" and args.every != "all" else 1
+    if args.nmax < lowest:
+        raise ConfigError(f"oracle {which} needs --nmax >= {lowest}")
     graph = build_graph(args.graph)
     if which == "return":
         series = return_probability_series(graph, args.nmax,

@@ -2,7 +2,12 @@
 
 A comb over a base graph G attaches a copy of the integer line (a "tooth")
 at every vertex of G; the two-dimensional variant attaches a copy of Z^2
-glued at its origin instead.  Vertices are plain integer tuples:
+glued at its origin instead.  The line, cycle and grid2d families have the
+same shape, with a one-vertex tooth or a one-vertex base, so one class,
+`Product`, models all of them by its base (one vertex, the line, the single
+edge cycle:2 or a cycle) and its tooth dimension (0, 1 or 2); the ball
+builder, the sampler and the oracle read that description.  Vertices are
+plain integer tuples:
 
     line          (x,)
     cycle:m       (i,)          0 <= i < m
@@ -56,12 +61,13 @@ class Graph:
     multiplicities are 1 except for biased-ladder midpoint classes, where a
     class stands for `multiplicity` distinct parallel neighbors.  Order is
     canonical (base-graph neighbors first, coordinate-ascending, then tooth
-    neighbors ascending) so seeded runs are reproducible bit for bit.
+    neighbors) so seeded runs are reproducible bit for bit.
     """
 
     family = ""
     root = ()
     constant_degree = None
+    m = dim = None          # the description of a `Product`; None elsewhere
 
     def contains(self, v):
         raise NotImplementedError
@@ -89,69 +95,53 @@ class Graph:
         return f"<Graph {self.family}>"
 
 
-class Line(Graph):
-    family = "line"
-    root = (0,)
-    constant_degree = 2
+class Product(Graph):
+    """A base graph with a tooth Z^dim glued at its origin to every base
+    vertex: the line, cycle, grid2d, comb and comb2 families.
+
+    The base is described by its modulus `m`: None for one vertex, 0 for
+    the line, 2 for the single edge (`cycle:2`) and m >= 3 for the cycle
+    on m vertices.  `dim` is 0 (no tooth), 1 (Z) or 2 (Z^2).  A vertex is
+    (b, t...), with no b on a one-vertex base; base edges survive only
+    where every tooth coordinate is 0 (the spine).  `line` and `cycle:m`
+    have dim 0, `grid2d` is Z^2 on one vertex, and `comb:G` and `comb2:G`
+    put Z and Z^2 teeth on the base G, which is `base`.
+    """
+
+    def __init__(self, m, dim):
+        if dim not in (0, 1, 2) or m is None and dim != 2 \
+                or m is not None and (m < 0 or m == 1):
+            raise GraphError(f"no product family with base {m!r} and "
+                             f"tooth dimension {dim!r}")
+        self.m, self.dim = m, dim
+        self.base_degree = 0 if m is None else 1 if m == 2 else 2
+        self.base = Product(m, 0) if dim and m is not None else None
+        name = "grid2d" if m is None else "line" if m == 0 else f"cycle:{m}"
+        self.family = ("comb:", "comb2:")[dim - 1] + name if self.base \
+            else name
+        self.root = (0,) * (dim + (m is not None))
+        self.constant_degree = None if self.base else \
+            self.base_degree + 2 * dim
 
     def contains(self, v):
-        return isinstance(v, tuple) and len(v) == 1 and _is_int(v[0])
+        return (isinstance(v, tuple) and len(v) == len(self.root)
+                and all(_is_int(c) for c in v)
+                and (not self.m or 0 <= v[0] < self.m))
 
     def neighbors(self, v):
+        """Base neighbours ascending (on the spine), then the -1 and +1
+        neighbours of each tooth coordinate in turn."""
         self._require(v)
-        (x,) = v
-        return [((x - 1,), 1), ((x + 1,), 1)]
-
-    def degree(self, v):
-        self._require(v)
-        return 2
-
-
-class Cycle(Graph):
-    """Cycle on m >= 3 vertices."""
-
-    constant_degree = 2
-
-    def __init__(self, m):
-        if m < 3:
-            raise GraphError(f"cycle needs m >= 3, got {m}")
-        self.m = m
-        self.family = f"cycle:{m}"
-        self.root = (0,)
-
-    def contains(self, v):
-        return isinstance(v, tuple) and len(v) == 1 and _is_int(v[0]) and 0 <= v[0] < self.m
-
-    def neighbors(self, v):
-        self._require(v)
-        (i,) = v
-        a, b = (i - 1) % self.m, (i + 1) % self.m
-        if a > b:
-            a, b = b, a
-        return [((a,), 1), ((b,), 1)]
-
-    def degree(self, v):
-        self._require(v)
-        return 2
-
-
-class PathTwo(Graph):
-    """Single edge on two vertices (the degenerate cycle:2)."""
-
-    family = "cycle:2"
-    root = (0,)
-    constant_degree = 1
-
-    def contains(self, v):
-        return v in ((0,), (1,))
-
-    def neighbors(self, v):
-        self._require(v)
-        return [((1 - v[0],), 1)]
-
-    def degree(self, v):
-        self._require(v)
-        return 1
+        k = len(v) - self.dim                  # base coordinates: 0 or 1
+        out = []
+        if k and not any(v[1:]):
+            m = self.m
+            out.extend(((w,) + v[1:], 1) for w in sorted(
+                {(v[0] + s) % m if m else v[0] + s for s in (-1, 1)}))
+        for i in range(k, len(v)):
+            for s in (-1, 1):
+                out.append((v[:i] + (v[i] + s,) + v[i + 1:], 1))
+        return out
 
 
 class Star(Graph):
@@ -177,87 +167,6 @@ class Star(Graph):
     def degree(self, v):
         self._require(v)
         return self.k if v[0] == 0 else 1
-
-
-class Grid2D(Graph):
-    family = "grid2d"
-    root = (0, 0)
-    constant_degree = 4
-
-    def contains(self, v):
-        return isinstance(v, tuple) and len(v) == 2 and all(_is_int(c) for c in v)
-
-    def neighbors(self, v):
-        self._require(v)
-        x, y = v
-        return [((x - 1, y), 1), ((x, y - 1), 1), ((x, y + 1), 1), ((x + 1, y), 1)]
-
-    def degree(self, v):
-        self._require(v)
-        return 4
-
-
-class Comb(Graph):
-    """Comb(G): a copy of Z attached at every vertex of the base graph G.
-
-    Base edges survive only at tooth coordinate 0 (the backbone).
-    """
-
-    def __init__(self, base):
-        if not isinstance(base, (Line, Cycle, PathTwo)):
-            raise GraphError(f"comb base not supported: {base.family}")
-        self.base = base
-        self.family = f"comb:{base.family}"
-        self.root = (base.root[0], 0)
-
-    def contains(self, v):
-        return (isinstance(v, tuple) and len(v) == 2 and _is_int(v[1])
-                and self.base.contains((v[0],)))
-
-    def neighbors(self, v):
-        self._require(v)
-        b, t = v
-        out = []
-        if t == 0:
-            out.extend(((w[0], 0), 1) for w, _ in self.base.neighbors((b,)))
-        out.append(((b, t - 1), 1))
-        out.append(((b, t + 1), 1))
-        return out
-
-    def degree(self, v):
-        self._require(v)
-        return 2 + (self.base.degree((v[0],)) if v[1] == 0 else 0)
-
-
-class Comb2(Graph):
-    """Comb(G, Z^2): a copy of Z^2 glued at its origin at every base vertex."""
-
-    def __init__(self, base):
-        if not isinstance(base, (Line, Cycle, PathTwo)):
-            raise GraphError(f"comb2 base not supported: {base.family}")
-        self.base = base
-        self.family = f"comb2:{base.family}"
-        self.root = (base.root[0], 0, 0)
-
-    def contains(self, v):
-        return (isinstance(v, tuple) and len(v) == 3 and _is_int(v[1]) and _is_int(v[2])
-                and self.base.contains((v[0],)))
-
-    def neighbors(self, v):
-        self._require(v)
-        b, t1, t2 = v
-        out = []
-        if t1 == 0 and t2 == 0:
-            out.extend(((w[0], 0, 0), 1) for w, _ in self.base.neighbors((b,)))
-        out.append(((b, t1 - 1, t2), 1))
-        out.append(((b, t1 + 1, t2), 1))
-        out.append(((b, t1, t2 - 1), 1))
-        out.append(((b, t1, t2 + 1), 1))
-        return out
-
-    def degree(self, v):
-        self._require(v)
-        return 4 + (self.base.degree((v[0],)) if v[1] == 0 and v[2] == 0 else 0)
 
 
 class BiasedLadder(Graph):
@@ -346,19 +255,23 @@ def build_graph(spec):
     fam, params = parts[0], parts[1:]
     try:
         if fam == "line" and not params:
-            return Line()
+            return Product(0, 0)
         if fam == "grid2d" and not params:
-            return Grid2D()
+            return Product(None, 2)
         if fam == "biased-ladder" and not params:
             return BiasedLadder()
         if fam == "cycle" and len(params) == 1:
             m = int(params[0])
-            return PathTwo() if m == 2 else Cycle(m)
+            if m < 2:
+                raise GraphError(f"cycle needs m >= 2, got {m}")
+            return Product(m, 0)
         if fam == "star" and len(params) == 1:
             return Star(int(params[0]))
         if fam in ("comb", "comb2") and params:
             base = build_graph(":".join(params))
-            return Comb(base) if fam == "comb" else Comb2(base)
+            if base.dim != 0:
+                raise GraphError(f"{fam} base not supported: {base.family}")
+            return Product(base.m, 1 if fam == "comb" else 2)
     except GraphError:
         raise
     except ValueError as exc:
@@ -446,19 +359,17 @@ class Ball:
 def ball(graph, radius, budget=DEFAULT_BUDGET, lumped=False):
     """Exact truncation of `graph` to distance `radius` from its root.
 
-    Every line, cycle, grid2d, comb and comb2 family is a product: a base
-    ball (a line, a cycle:m, the single edge cycle:2, or one vertex) with
-    a tooth ball of dimension 0, 1 or 2 and radius `radius - d(b)` glued
-    at each base vertex b, d(b) being b's base distance from the root.
-    `comb:*` and `comb2:*` carry Z and Z^2 teeth, `line` and `cycle:m`
-    one-vertex teeth, and `grid2d` is a Z^2 tooth on a one-vertex base.
-    All of them come from one vectorized builder.  With `lumped`, it keeps
-    one state per orbit of the product of the root-fixing base flip
-    (b -> -b on the line, b -> -b mod m on a cycle) and the tooth group
-    fixing 0 (t -> -t on Z, the eight symmetries of the square on Z^2):
-    `comb:line` and `comb:cycle:4` lump by 4, `grid2d` by 8 and
-    `comb2:line` by 16.  Product balls are bipartite, and so indexed
-    parity-major (see `Ball`), unless the base is an odd cycle.  `star:k`,
+    The ball of a `Product` is a base ball (a line, a cycle:m, the single
+    edge cycle:2, or one vertex) with a tooth ball of dimension 0, 1 or 2
+    and radius `radius - d(b)` glued at each base vertex b, d(b) being b's
+    base distance from the root, built by one vectorized builder.  With
+    `lumped`, it keeps one state per orbit of the product of the
+    root-fixing base flip (b -> -b on the line, b -> -b mod m on a cycle)
+    and the tooth group fixing 0 (t -> -t on Z, the eight symmetries of
+    the square on Z^2): `comb:line` and `comb:cycle:4` lump by 4, `grid2d`
+    by 8 and `comb2:line` by 16.  Product balls are bipartite, and so
+    indexed parity-major (see `Ball`), unless the base is an odd cycle.
+    `star:k`,
     the biased ladder and balls around other roots (`_ball_bfs`) come from
     breadth-first search, unlumped and sorted by level as one class.
     Aborts with BudgetError (reporting the state count) if the ball would
@@ -466,13 +377,8 @@ def ball(graph, radius, budget=DEFAULT_BUDGET, lumped=False):
     """
     if radius < 0:
         raise GraphError("radius must be >= 0")
-    if isinstance(graph, (Comb, Comb2)):
-        dim = 2 if isinstance(graph, Comb2) else 1
-        return _ball_product(graph, graph.base, dim, radius, budget, lumped)
-    if isinstance(graph, (Line, Cycle, PathTwo)):
-        return _ball_product(graph, graph, 0, radius, budget, lumped)
-    if isinstance(graph, Grid2D):
-        return _ball_product(graph, None, 2, radius, budget, lumped)
+    if graph.dim is not None:
+        return _ball_product(graph, radius, budget, lumped)
     return _ball_bfs(graph, radius, budget)
 
 
@@ -516,29 +422,29 @@ def _columns(cols, lows, counts):
     return np.repeat(cols, counts), rs, flat, len(rs)
 
 
-def _base_factor(base, R):
+def _base_factor(m, R):
     """The base vertices that may lie within distance R of the root
     (ascending), the base distance d and the step b -> b + s, vectorized.
 
     d is also the fold onto orbit representatives: the line's flip and the
     cycle's reflection send b to d(b), and on cycle:2, which has no flip,
     d(b) = b.  A step off cycle:2 gets distance R + 1, so it never lands
-    in the ball.  A one-vertex base (None) is the single coordinate 0.
+    in the ball.  A one-vertex base is the single coordinate 0.  `m` is
+    the base modulus of `Product`.
     """
-    if base is None:
+    if m is None:
         return np.zeros(1, np.int64), np.zeros_like, None
-    if isinstance(base, Cycle):
-        m = base.m
-        return (np.arange(m, dtype=np.int64), lambda b: np.minimum(b, m - b),
-                lambda b, s: (b + s) % m)
-    if isinstance(base, Line):
+    if m == 0:
         return np.arange(-R, R + 1, dtype=np.int64), np.abs, np.add
-    return (np.arange(2, dtype=np.int64),
-            lambda b: np.where((b == 0) | (b == 1), b, R + 1), np.add)
+    if m == 2:
+        return (np.arange(2, dtype=np.int64),
+                lambda b: np.where((b == 0) | (b == 1), b, R + 1), np.add)
+    return (np.arange(m, dtype=np.int64), lambda b: np.minimum(b, m - b),
+            lambda b, s: (b + s) % m)
 
 
-def _ball_product(graph, base, dim, R, budget, lumped):
-    """The radius-R ball of a base ball x tooth balls family, vectorized.
+def _ball_product(graph, R, budget, lumped):
+    """The radius-R ball of a `Product`, vectorized.
 
     States run base coordinate ascending, then tooth columns ascending, so
     a state's flat index (`_columns`) is its place in that order; they are
@@ -550,7 +456,8 @@ def _ball_product(graph, base, dim, R, budget, lumped):
     root, each group in state order.  Lumped, a state is kept only if it
     is its orbit's representative and every arc goes to a representative.
     """
-    cand, dist, step = _base_factor(base, R)
+    m, dim = graph.m, graph.dim
+    cand, dist, step = _base_factor(m, R)
     dc = dist(cand)
     keep = dc <= R
     if lumped:
@@ -566,20 +473,19 @@ def _ball_product(graph, base, dim, R, budget, lumped):
         hh = h[pos] - np.abs(t1)
         lows, counts = (0 * hh, np.minimum(t1, hh) + 1) if lumped \
             else (-hh, 2 * hh + 1)
-        key = t1 if base is None else pos * W + t1 + R
+        key = t1 if m is None else pos * W + t1 + R
     else:                                  # columns b, rows t (or one row)
         pos = key = np.arange(len(b))
         lows, counts = (lo, h - lo + 1) if dim else (0 * h, 1 + 0 * h)
     n = int(counts.sum())
-    base_degree = 0 if base is None else base.constant_degree
-    _budget_check(n, 2 * dim * n + base_degree * len(b), budget,
+    _budget_check(n, 2 * dim * n + graph.base_degree * len(b), budget,
                   f"{graph.family} ball")
 
     keys, rows, flat, _ = _columns(key, lows, counts)
-    teeth = (keys if base is None else np.repeat(t1, counts), rows) \
+    teeth = (keys if m is None else np.repeat(t1, counts), rows) \
         if dim == 2 else (rows,)[:dim]
     del keys, rows, key, lows
-    if base is None:
+    if m is None:
         coords, level = teeth, np.zeros(n, np.int64)
     else:
         coords = (np.repeat(b[pos], counts),) + teeth
@@ -588,14 +494,14 @@ def _ball_product(graph, base, dim, R, budget, lumped):
         level += np.abs(teeth[k])
 
     def flat_of(*v):
-        if base is None:
+        if m is None:
             return flat(*v)
         p = bpos[v[0] - cand[0]]
         if dim == 2:
             return flat(p * W + v[1] + R, v[2])
         return flat(p, v[1] if dim else 0 * p)
 
-    bipartite = not (isinstance(base, Cycle) and base.m % 2)
+    bipartite = m is None or m % 2 == 0
     order = np.lexsort(tuple(reversed(coords)) + (level,)
                        + ((level % 2,) if bipartite else ()))
     lookup = np.empty(n, np.int32)         # flat index -> sorted index
@@ -605,20 +511,20 @@ def _ball_product(graph, base, dim, R, budget, lumped):
     inner = level < R                      # every step from here stays inside
     for k in range(dim):
         for s in (-1, 1):
-            m = inner | ((teeth[k] > 0) if s < 0 else (teeth[k] < 0))
-            to = [u[m] for u in teeth]
+            on = inner | ((teeth[k] > 0) if s < 0 else (teeth[k] < 0))
+            to = [u[on] for u in teeth]
             to[k] += s
             if lumped:                     # |t| on Z, x >= y >= 0 on Z^2
                 to = [np.abs(u) for u in to]
                 if dim == 2:
                     to = [np.maximum(*to), np.minimum(*to)]
-            at = () if base is None else (coords[0][m],)
-            srcs.append(lookup[m])
+            at = () if m is None else (coords[0][on],)
+            srcs.append(lookup[on])
             dsts.append(lookup[flat_of(*at, *to)])
-            del m, to, at
+            del on, to, at
     del inner, teeth
     zero = (0 * b,) * dim
-    if base is not None:
+    if m is not None:
         spine = lookup[flat_of(b, *zero)]  # sorted index of each tooth root
         for s in (-1, 1):
             nb = step(b, s)
@@ -634,21 +540,21 @@ def _ball_product(graph, base, dim, R, budget, lumped):
     level = level[order].astype(np.int32)
     del order
     degrees = np.full(n, 2.0 * dim)
-    if base is not None:
-        degrees[spine] += base_degree
+    if m is not None:
+        degrees[spine] += graph.base_degree
     orbit = None
     if lumped:                             # tooth orbit x base orbit
         x = coords[len(coords) - dim:]
         orbit = np.ones(n, np.int64) if dim == 0 else 1 + (x[0] != 0) \
             if dim == 1 else np.where(x[1] == 0, np.where(x[0] == 0, 1, 4),
                                       np.where(x[0] == x[1], 4, 8))
-        if base is not None:
+        if m is not None:
             orbit *= np.bincount(dc[dc <= R])[coords[0]]
 
     def index_of(v):
         if not graph.contains(v):
             raise GraphError(f"{v!r} is not a vertex of {graph.family}")
-        bv, t = (0, v) if base is None else (v[0], v[1:])
+        bv, t = (0, v) if m is None else (v[0], v[1:])
         if dist(bv) + sum(abs(c) for c in t) > R or lumped and (
                 dist(bv) != bv or t != tuple(sorted(map(abs, t), reverse=True))):
             return -1

@@ -44,8 +44,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse._sparsetools import csr_matvec
 
-from .graphs import (Comb, Comb2, GraphError, Grid2D, ball, _ball_bfs,
-                     DEFAULT_BUDGET)
+from .graphs import GraphError, ball, build_graph, _ball_bfs, DEFAULT_BUDGET
 
 MASS_TOL = 1e-10        # guard on probability conservation during iteration
 
@@ -251,7 +250,8 @@ def _return_series(graph, k_max, every, root, budget, lumped):
 
 def _grid_octant_series(k_max, every, budget):
     """The grid2d return series from the origin, on the octant-lumped ball."""
-    return _return_series(Grid2D(), k_max, every, None, budget, lumped=True)
+    return _return_series(build_graph("grid2d"), k_max, every, None, budget,
+                          lumped=True)
 
 
 def return_probability_series(graph, n_max, root=None, every="even",
@@ -362,11 +362,11 @@ def per_site_collision_series(graph, n_max, root=None, budget=DEFAULT_BUDGET):
     """
     if n_max < 1:
         raise OracleError("n_max must be >= 1")
-    if not isinstance(graph, (Comb, Comb2)):
+    if not graph.dim or graph.m is None:
         raise GraphError(f"{graph.family} has no teeth; per-site series "
                          "is defined on comb families")
     b = rooted_ball(graph, root, n_max + 1, budget, lumped=True)
-    height = b.coords[1] if isinstance(graph, Comb) else \
+    height = b.coords[1] if graph.dim == 1 else \
         np.maximum(np.abs(b.coords[1]), np.abs(b.coords[2]))
     hmin = int(height.min())
     hid = height - hmin
@@ -381,7 +381,7 @@ def per_site_collision_series(graph, n_max, root=None, budget=DEFAULT_BUDGET):
                                    minlength=n_heights)
 
     kern.iterate(n_max, on_step=grab)
-    if b.lumped and isinstance(graph, Comb):
+    if b.lumped and graph.dim == 1:
         table = np.hstack((table[:, :0:-1] / 2, table[:, :1], table[:, 1:] / 2))
         hmin = 1 - n_heights
     heights = np.arange(table.shape[1], dtype=np.int64) + hmin
@@ -433,8 +433,6 @@ def identity_check_suite(tol=1e-10, budget=DEFAULT_BUDGET):
     i + j <= 24; reversibility on star(4), comb(cycle:4), comb(line) for
     n <= 12.  One ball and one iteration pass per graph.
     """
-    from .graphs import build_graph
-
     rows = []
     for spec in ("cycle:5", "cycle:6", "line"):
         b, snaps = _snapshots(build_graph(spec), None, 24, budget)

@@ -49,8 +49,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import (BiasedLadder, Comb, Comb2, Cycle, GraphError, Grid2D,
-                     Line, PathTwo, Star, LADDER_ID_BITS as _LEVEL_BITS)
+from .graphs import (BiasedLadder, GraphError, Star,
+                     LADDER_ID_BITS as _LEVEL_BITS)
 from .rng import (AUX, RngStream, X_BASE, X_HOLD, X_MAIN, X_SKEL, X_TOOTH,
                   Y_MAIN, Y_TOOTH, fill, stream_keys)
 from .stats import lil_threshold
@@ -87,6 +87,12 @@ class RecordPolicy:
     checkpoints: tuple = ()
     lil_alphas: tuple = ()
     spine_stride: int = 0
+
+    def __post_init__(self):
+        # the envelope 2 (2n)^(1/(2 alpha)) is defined for alpha > 0 only
+        if not all(a > 0 for a in self.lil_alphas) or self.spine_stride < 0:
+            raise ValueError("lil_alphas must be > 0 and spine_stride >= 0, "
+                             f"got {self.lil_alphas} and {self.spine_stride}")
 
     def resolved_checkpoints(self, n_steps):
         if self.checkpoints:
@@ -235,8 +241,11 @@ def _pm(c, minus):
 
 
 class _CombKernel(_KernelBase):
-    """Comb and comb2 over a line, cycle or single edge, the bare base (no
-    teeth: every vertex is on the spine), and the lazy construction.
+    """Every `graphs.Product` with a base: comb and comb2 over a line,
+    cycle or single edge, the bare base (no teeth: every vertex is on the
+    spine), and the lazy construction.  The base modulus m sets the base
+    move: a step on the line (m = 0), a flip on the single edge (m = 2),
+    a step mod m on a cycle.
 
     Coordinates are (base, tooth...).  Each window becomes three int8 move
     tables: `db`, the base move at the spine (a flip on the single edge),
@@ -258,16 +267,16 @@ class _CombKernel(_KernelBase):
 
     def __init__(self, graph, start, width, rows, lazy=False):
         super().__init__(graph, start, width, rows)
-        base = getattr(graph, "base", graph)
-        self.flip = isinstance(base, PathTwo)
-        self.mod = 2 if self.flip else base.m if isinstance(base, Cycle) else 0
-        self.n_teeth = len(start) - 1
+        self.flip = graph.m == 2
+        self.mod = graph.m
+        self.n_teeth = graph.dim
         self.tracks_depth = self.n_teeth > 0
         self.lazy = lazy
         if lazy:
             self.channels = 2
-            self.q = base.constant_degree / (base.constant_degree + 2.0)
-            self.q_down = self.q + 1.0 / (base.constant_degree + 2.0)
+            d = graph.base_degree
+            self.q = d / (d + 2.0)
+            self.q_down = self.q + 1.0 / (d + 2.0)
             self.k = np.zeros(width, dtype=np.int64)
         self.spine = np.ones((rows, width), dtype=bool)
         self._spine = list(self.spine)
@@ -415,15 +424,15 @@ class _LadderKernel(_KernelBase):
 def _make_kernel(graph, start, width, method, n_steps):
     rows = min(WIN, n_steps)
     if method == "selfloop":
-        if not isinstance(graph, Comb):
+        if graph.dim != 1 or graph.m is None:      # Z teeth on a base
             raise GraphError("self-loop construction needs a comb graph")
         return _CombKernel(graph, start, width, rows, lazy=True)
     if method != "direct":
         raise ValueError(f"unknown construction: {method!r}")
-    if isinstance(graph, (Comb, Comb2, Line, Cycle, PathTwo)):
-        return _CombKernel(graph, start, width, rows)
-    for gcls, kcls in ((Star, _StarKernel), (Grid2D, _Grid2DKernel),
-                       (BiasedLadder, _LadderKernel)):
+    if graph.dim is not None:
+        kcls = _Grid2DKernel if graph.m is None else _CombKernel
+        return kcls(graph, start, width, rows)
+    for gcls, kcls in ((Star, _StarKernel), (BiasedLadder, _LadderKernel)):
         if isinstance(graph, gcls):
             return kcls(graph, start, width, rows)
     raise GraphError(f"no sampler for family {graph.family}")
@@ -773,18 +782,17 @@ def sample_marginal(graph, n_steps, replicas, seed=0, method="direct",
     """
     start = _start(graph, start)
     if method == "clock":
-        if not isinstance(graph, Comb):
+        if graph.dim != 1 or graph.m is None:
             raise GraphError("clock construction needs a comb graph")
         if start[1] != 0:
             raise GraphError("clock construction starts on the spine")
-        base = graph.base
         cols = []
         for reps in _batches(replicas, batch, n_steps):
-            arrs = _clock(base.constant_degree, seed, reps, n_steps)
+            arrs = _clock(graph.base_degree, seed, reps, n_steps)
             K = arrs["K"][n_steps]
             V = arrs["V"][n_steps]
             # base walk advanced once per self-loop event
-            if isinstance(base, PathTwo):
+            if graph.m == 2:
                 b = (start[0] + K) % 2
             else:
                 bsteps = np.where(_draws(seed, reps, X_BASE, n_steps) < 0.5,
@@ -792,8 +800,8 @@ def sample_marginal(graph, n_steps, replicas, seed=0, method="direct",
                 bpath = np.zeros((n_steps + 1, len(reps)), dtype=np.int64)
                 np.cumsum(bsteps, axis=0, out=bpath[1:])
                 b = start[0] + np.take_along_axis(bpath, K[None, :], axis=0)[0]
-                if isinstance(base, Cycle):
-                    b %= base.m
+                if graph.m:
+                    b %= graph.m
             cols.append(np.stack([b, V], axis=1))
         return np.concatenate(cols, axis=0)
 

@@ -223,6 +223,37 @@ def test_oracle_needs_graph_and_nmax():
     assert run_cli("oracle", "return", "--nmax", "8").returncode == 2
 
 
+@pytest.mark.parametrize("argv", [["return", "--nmax", "0"],
+                                  ["return", "--nmax", "1"],
+                                  ["return", "--nmax", "1", "--every", "even"],
+                                  ["meetings", "--nmax=-3"],
+                                  ["persite", "--nmax", "0"]])
+def test_oracle_refuses_horizon_below_one_entry(argv):
+    res = run_cli("oracle", argv[0], "--graph", "comb:line", *argv[1:])
+    assert res.returncode == 2
+    assert "config error" in res.stderr and "--nmax >= " in res.stderr
+
+
+def test_oracle_return_all_times_takes_nmax_one(tmp_path):
+    out = tmp_path / "r.csv"
+    res = run_cli("oracle", "return", "--graph", "comb:line", "--nmax", "1",
+                  "--every", "all", "--out", str(out))
+    assert res.returncode == 0
+    assert read_csv(out) == (["n", "value"], [["1", "0.0"]])
+
+
+@pytest.mark.parametrize("flag", ["--lil-alphas=0", "--lil-alphas=-0.5",
+                                  "--lil-alphas=0.75,1.5",
+                                  "--spine-stride=-3"])
+def test_simulate_refuses_bad_envelope_and_stride(tmp_path, flag):
+    out = tmp_path / "runs.jsonl"
+    res = run_cli("simulate", "--graph", "biased-ladder", "--steps", "16",
+                  "--replicas", "2", "--seed", "1", "--out", str(out), flag)
+    assert res.returncode == 2
+    assert "config error" in res.stderr and "Traceback" not in res.stderr
+    assert not out.exists()
+
+
 def test_verify_green(tmp_path):
     out = tmp_path / "checks.csv"
     res = run_cli("verify", "--out", str(out))

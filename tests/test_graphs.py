@@ -3,20 +3,18 @@
 import numpy as np
 import pytest
 
-from combwalks.graphs import (Ball, BiasedLadder, BudgetError, Comb, Comb2,
-                              Cycle, GraphError, Grid2D, Line, PathTwo, Star,
-                              ball, build_graph)
+from combwalks.graphs import (Ball, BiasedLadder, BudgetError, GraphError,
+                              Product, Star, ball, build_graph)
 
 
 def test_build_graph_families():
-    assert isinstance(build_graph("line"), Line)
-    assert isinstance(build_graph("cycle:5"), Cycle)
-    assert isinstance(build_graph("cycle:2"), PathTwo)
+    # (base modulus m, tooth dimension) of each product family
+    for spec, m, dim in (("line", 0, 0), ("cycle:5", 5, 0), ("cycle:2", 2, 0),
+                         ("grid2d", None, 2), ("comb:line", 0, 1),
+                         ("comb:cycle:4", 4, 1), ("comb2:line", 0, 2)):
+        g = build_graph(spec)
+        assert isinstance(g, Product) and (g.m, g.dim) == (m, dim)
     assert isinstance(build_graph("star:3"), Star)
-    assert isinstance(build_graph("grid2d"), Grid2D)
-    assert isinstance(build_graph("comb:line"), Comb)
-    assert isinstance(build_graph("comb:cycle:4"), Comb)
-    assert isinstance(build_graph("comb2:line"), Comb2)
     assert isinstance(build_graph("biased-ladder"), BiasedLadder)
 
 
@@ -29,10 +27,32 @@ def test_build_graph_round_trips_family_string():
 
 @pytest.mark.parametrize("bad", ["", "circle", "cycle:1", "cycle:x",
                                  "star:0", "comb:grid2d", "comb2:star:3",
-                                 "comb:", "line:3"])
+                                 "comb:", "line:3", "cycle:0", "cycle:-3",
+                                 "comb:biased-ladder", "comb:comb:line",
+                                 "comb2:grid2d"])
 def test_build_graph_rejects(bad):
     with pytest.raises(GraphError):
         build_graph(bad)
+
+
+ALL_FAMILIES = ("line", "cycle:2", "cycle:3", "cycle:5", "star:3", "grid2d",
+                "comb:line", "comb:cycle:2", "comb:cycle:4", "comb2:line",
+                "comb2:cycle:2", "biased-ladder")
+
+
+@pytest.mark.parametrize("spec", ALL_FAMILIES)
+def test_contains_rejects_floats_and_bools(spec):
+    g = build_graph(spec)
+    root = g.root
+    assert g.contains(root)
+    for i in range(len(root)):
+        for c in (float(root[i]), bool(root[i]), True):
+            v = root[:i] + (c,) + root[i + 1:]
+            assert not g.contains(v)
+            with pytest.raises(GraphError):
+                g.neighbors(v)
+    on_edge = (1.0,) + root[1:]         # cycle:2's second vertex as a float
+    assert not g.contains(on_edge)
 
 
 def test_line_neighbors():
@@ -197,11 +217,12 @@ PRODUCT_FAMILIES = ("line", "cycle:2", "cycle:3", "cycle:4", "cycle:7",
 
 
 def _height(b, i):
-    if isinstance(b.graph, Comb):
+    g = b.graph
+    if g.m is None or not g.dim:         # no teeth, or no base
+        return None
+    if g.dim == 1:
         return int(b.coords[1][i])
-    if isinstance(b.graph, Comb2):
-        return max(abs(int(b.coords[1][i])), abs(int(b.coords[2][i])))
-    return None
+    return max(abs(int(b.coords[1][i])), abs(int(b.coords[2][i])))
 
 
 @pytest.mark.parametrize("radius", [0, 1, 2, 6])

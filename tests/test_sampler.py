@@ -145,6 +145,17 @@ def test_entry_points_check_replicas_and_steps(call):
         call(build_graph("comb:line"))
 
 
+@pytest.mark.parametrize("record", [{"lil_alphas": (0.0,)},
+                                    {"lil_alphas": (0.75, -0.5)},
+                                    {"lil_alphas": (float("nan"),)},
+                                    {"spine_stride": -3}])
+@pytest.mark.parametrize("entry", [run_ensemble, run_pair])
+def test_entry_points_refuse_bad_envelope_and_stride(entry, record):
+    with pytest.raises(ValueError, match=r"(lil_alphas|spine_stride) must"):
+        entry(build_graph("biased-ladder"), n_steps=8,
+              record=RecordPolicy(**record))
+
+
 def test_custom_checkpoints_are_used_verbatim():
     g = build_graph("line")
     s = run_ensemble(g, n_steps=100, replicas=1, seed=0,
