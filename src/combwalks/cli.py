@@ -112,15 +112,15 @@ def _config_flags(path):
 
 
 def _budget(args):
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get(BUDGET_ENV)
-    if env:
+    budget, env = getattr(args, "budget", None), os.environ.get(BUDGET_ENV)
+    if budget is None and env:
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise ConfigError(f"{BUDGET_ENV} must be an integer") from None
-    return DEFAULT_BUDGET
+    if budget is not None and budget <= 0:
+        raise ConfigError(f"the budget must be > 0 bytes, got {budget}")
+    return DEFAULT_BUDGET if budget is None else budget
 
 
 def _parse_start(graph, text):
@@ -170,6 +170,9 @@ def cmd_simulate(args):
         raise ConfigError("simulate needs --seed (runs must be replayable)")
     if args.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
+    if (args.truncation_radius or 0) < 0:
+        raise ConfigError("--truncation-radius must be >= 0, "
+                          f"got {args.truncation_radius}")
     seed = args.seed
     graph = build_graph(args.graph)
     start = _parse_start(graph, args.start)

@@ -366,47 +366,41 @@ class _Grid2DKernel(_KernelBase):
 class _LadderKernel(_KernelBase):
     """Half-line spine with 2^n two-step bridges between levels n and n+1.
 
-    Coordinates are (kind, level, midpoint index).  Neighbour classes of
-    spine(n >= 1), in order, have probabilities 1/D, 1/D, 2^(n-1)/D, 2^n/D
-    with D = 2 + 3*2^(n-1); the thresholds are computed from s = 2^(1-n) as
-    s/E, 2s/E, (2s+1)/E with E = 2s + 3, which stays exact in floating point
-    until s underflows and degrades gracefully after.  Midpoint identities
-    are drawn as the low min(n, 62) bits of an extra 62-bit integer per
-    step; beyond 62 bits distinct identities are truncated together (the
-    quotient `BiasedLadder` documents), which distorts meeting chances at
-    those levels by at most 2^-62 per step.
+    Coordinates are (kind, level, midpoint index).  A step looks up the
+    state's row of ``_THR``, three class thresholds: row 0 is spine(0),
+    (0, 1/2, 1/2); row n >= 1 is spine(n), (s/E, 2s/E, (2s+1)/E) with
+    s = 2^(1-n) and E = 2s + 3, for classes spine(n-1), spine(n+1) and a
+    midpoint at level n-1 or n, weighted 1, 1, 2^(n-1), 2^n; the last row
+    is a midpoint, (1/2, 2, 2): spine(l) or spine(l+1), half each.  The
+    class j is the number of thresholds the uniform reaches (u >= t); the
+    next state is a midpoint iff j >= 2, and the level moves by
+    ``_MOVE[kind, j]``.  Spine rows stop at 1076: s/E is 0 from level 1075,
+    2s/E from 1076, and (2s+1)/E is constant from 55, so row min(n, 1076)
+    holds the floats of the formula at every level.
+
+    Midpoint identities are drawn as the low min(n, 62) bits of an extra
+    62-bit integer per step; beyond 62 bits distinct identities are
+    truncated together (the quotient `BiasedLadder` documents), which
+    distorts meeting chances at those levels by at most 2^-62 per step.
     """
 
     needs_raw = True
     tracks_depth = True
+    _s = np.exp2(1.0 - np.arange(1, 1077))          # s of rows 1 .. 1076
+    _THR = np.vstack([(0.0, 0.5, 0.5),
+                      np.column_stack([_s, 2.0 * _s, 2.0 * _s + 1.0])
+                      / (2.0 * _s + 3.0)[:, None],
+                      (0.5, 2.0, 2.0)])
+    _MOVE = np.array([[-1, 1, -1, 0], [0, 1, 0, 0]])
 
     def advance(self, us, raw, L):
-        pos = self.pos
+        pos, thr, mid = self.pos, self._THR, len(self._THR) - 1
         for i, u in enumerate(us[0]):
             kind, n = pos[i, 0], pos[i, 1]
-            on_spine = kind == 0
-            deep = on_spine & (n > 0)
-            s = np.exp2(1.0 - n)
-            e = 2.0 * s + 3.0
-            c1 = s / e
-            c2 = 2.0 * s / e
-            c3 = (2.0 * s + 1.0) / e
-
-            go_left = deep & (u < c1)
-            go_right = (deep & (u >= c1) & (u < c2)) | (on_spine & (n == 0) & (u < 0.5))
-            mid_left = deep & (u >= c2) & (u < c3)
-            mid_right = (deep & (u >= c3)) | (on_spine & (n == 0) & (u >= 0.5))
-
-            # from a midpoint at level l: spine(l) or spine(l+1), half each
-            from_mid = ~on_spine
-            mid_to_left = from_mid & (u < 0.5)
-            mid_to_right = from_mid & (u >= 0.5)
-
-            pos[i + 1, 0] = mid_left | mid_right
-            pos[i + 1, 1] = np.select(
-                [go_left, go_right, mid_left, mid_right, mid_to_left, mid_to_right],
-                [n - 1, n + 1, n - 1, n, n, n + 1],
-            )
+            row = np.where(kind == 1, mid, np.minimum(n, mid - 1))
+            j = (u[:, None] >= thr[row]).sum(axis=1)
+            pos[i + 1, 0] = j >= 2
+            pos[i + 1, 1] = n + self._MOVE[kind, j]
         kind, n = pos[1:L + 1, 0], pos[1:L + 1, 1]
         lvl = np.minimum(n, _LEVEL_BITS)
         pos[1:L + 1, 2] = np.where(kind == 1, raw & ((np.int64(1) << lvl) - 1), 0)
@@ -514,7 +508,9 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
     The two walkers of the ``B`` pairs run as columns ``b`` and ``B + b``
     of one kernel.  The observers read each window of states at once.
     """
-
+    if (truncation_radius or 0) < 0:
+        raise ValueError(
+            f"truncation_radius must be >= 0, got {truncation_radius}")
     B = len(replicas)
     kernel = _make_kernel(graph, start, 2 * B, method, n_steps)
     cps = record.resolved_checkpoints(n_steps)

@@ -317,11 +317,11 @@ def lil_envelope_check(summaries, alpha):
 
     The sampler records violation times during the run; this collects the
     list matching ``alpha`` and reports per-replica counts and the last
-    violation time (0 when none).  alpha must lie in (0, 1); the envelope
-    argument needs alpha > 2/3 to sum, which is the caller's business.
+    violation time (0 when none).  alpha is any recorded exponent > 0; the
+    envelope argument needs 2/3 < alpha < 1, which is the caller's business.
     """
-    if not 0.0 < alpha < 1.0:
-        raise StatsError("alpha must be in (0, 1)")
+    if not alpha > 0.0:                        # refuses NaN too
+        raise StatsError(f"alpha must be > 0, got {alpha}")
     counts, last = [], []
     for s in summaries:
         lil = s.extras.get("lil")

@@ -180,6 +180,16 @@ def test_truncation_escape_exits_one(tmp_path):
     assert "radius" in res.stderr
 
 
+def test_negative_truncation_radius_is_a_config_error(tmp_path):
+    out = tmp_path / "x.jsonl"
+    res = run_cli("simulate", "--graph", "comb:line", "--steps", "10",
+                  "--replicas", "2", "--seed", "1", "--truncation-radius",
+                  "-1", "--out", str(out))
+    assert res.returncode == 2
+    assert "--truncation-radius must be >= 0" in res.stderr
+    assert not out.exists()
+
+
 def test_oracle_return_values(tmp_path):
     out = tmp_path / "ret.csv"
     res = run_cli("oracle", "return", "--graph", "line", "--nmax", "64",
@@ -270,6 +280,17 @@ def test_budget_env_is_honored(tmp_path):
                   "--out", str(tmp_path / "x.csv"),
                   env={"COMBWALKS_BUDGET": "50000"})
     assert res.returncode == 3
+
+
+@pytest.mark.parametrize("flag, env", [(["--budget", "-5"], None),
+                                       (["--budget", "0"], None),
+                                       ([], {"COMBWALKS_BUDGET": "-5"}),
+                                       ([], {"COMBWALKS_BUDGET": "0"})])
+def test_budget_must_be_positive(tmp_path, flag, env):
+    res = run_cli("oracle", "return", "--graph", "line", "--nmax", "10",
+                  *flag, "--out", str(tmp_path / "x.csv"), env=env)
+    assert res.returncode == 2
+    assert "budget must be > 0" in res.stderr
 
 
 def test_fit_pipeline_recovers_line_exponent(tmp_path):

@@ -246,6 +246,71 @@ def test_one_step_ladder_class_weights():
     assert chisq_pvalue(obs, exp) > 1e-4
 
 
+
+def ladder_reference_step(kind, n, u):
+    """One ladder step computed per row from the level, as the sampler did
+    before its threshold table: thresholds from s = 2^(1-n), six class
+    masks and ``np.select``.  Returns the next (kind, level)."""
+    on_spine = kind == 0
+    deep = on_spine & (n > 0)
+    s = np.exp2(1.0 - n)
+    e = 2.0 * s + 3.0
+    c1, c2, c3 = s / e, 2.0 * s / e, (2.0 * s + 1.0) / e
+    go_left = deep & (u < c1)
+    go_right = (deep & (u >= c1) & (u < c2)) | (on_spine & (n == 0) & (u < 0.5))
+    mid_left = deep & (u >= c2) & (u < c3)
+    mid_right = (deep & (u >= c3)) | (on_spine & (n == 0) & (u >= 0.5))
+    mid_to_left = ~on_spine & (u < 0.5)
+    mid_to_right = ~on_spine & (u >= 0.5)
+    return (mid_left | mid_right).astype(np.int64), np.select(
+        [go_left, go_right, mid_left, mid_right, mid_to_left, mid_to_right],
+        [n - 1, n + 1, n - 1, n, n, n + 1])
+
+
+def ladder_thresholds(n):
+    s = np.exp2(1.0 - n)
+    e = 2.0 * s + 3.0
+    return s / e, 2.0 * s / e, (2.0 * s + 1.0) / e
+
+
+def test_ladder_table_rows_are_the_formula():
+    thr = sampler._LadderKernel._THR
+    assert thr.shape == (1078, 3)
+    assert thr[0].tolist() == [0.0, 0.5, 0.5]
+    assert thr[-1].tolist() == [0.5, 2.0, 2.0]
+    for n in range(1, 2001):
+        assert thr[min(n, 1076)].tolist() == list(ladder_thresholds(n)), n
+    # the underflow the last spine row stands for
+    assert ladder_thresholds(1075)[0] == 0.0 < ladder_thresholds(1075)[1]
+    assert ladder_thresholds(1076)[1] == 0.0
+    assert ladder_thresholds(54)[2] != ladder_thresholds(55)[2]
+
+
+def test_ladder_step_matches_reference_step():
+    levels = [0, 1, 2, 54, 55, 56, *range(1074, 1079), 5000, 2 ** 40]
+    kinds, ns, us = [], [], []
+    for lvl in levels:
+        cut = [0.0, 0.5, 1.0 - 2.0 ** -53]
+        for t in ladder_thresholds(np.int64(lvl)):
+            cut += [t, np.nextafter(t, 0.0), np.nextafter(t, 1.0)]
+        cut = [u for u in cut if 0.0 <= u < 1.0]
+        for kind in (0, 1):
+            kinds += [kind] * len(cut)
+            ns += [lvl] * len(cut)
+            us += cut
+    kinds, ns, us = (np.array(a) for a in (kinds, ns, us))
+    kernel = sampler._LadderKernel(build_graph("biased-ladder"), (0, 0, 0),
+                                   len(us), 1)
+    kernel.pos[0, 0], kernel.pos[0, 1] = kinds, ns
+    kernel.advance([us[None]], np.zeros((1, len(us)), dtype=np.int64), 1)
+    ref_kind, ref_n = ladder_reference_step(kinds, ns, us)
+    assert np.array_equal(kernel.pos[1, 0], ref_kind)
+    assert np.array_equal(kernel.pos[1, 1], ref_n)
+    # every class of every spine row and both midpoint moves are reached
+    moves = set(zip(kinds.tolist(), ref_kind.tolist(), (ref_n - ns).tolist()))
+    assert moves == {(0, 0, -1), (0, 0, 1), (0, 1, -1), (0, 1, 0),
+                     (1, 0, 0), (1, 0, 1)}
+
 def test_selfloop_k_trace_monotone():
     s = run_pair(build_graph("comb:cycle:4"), n_steps=512, method="selfloop",
                  rng_x=RngStream(4, 0, X_TOOTH), rng_y=RngStream(4, 0, Y_TOOTH))
@@ -391,6 +456,17 @@ def test_truncation_radius_escape_is_loud():
     with pytest.raises(SimulationError):
         run_pair(build_graph("line"), n_steps=500, truncation_radius=3,
                  rng_x=RngStream(29, 0, X_MAIN), rng_y=RngStream(29, 0, Y_MAIN))
+
+
+@pytest.mark.parametrize("entry", [run_ensemble, run_pair])
+def test_negative_truncation_radius_is_refused_before_any_step(
+        monkeypatch, entry):
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a kernel was built")
+
+    monkeypatch.setattr(sampler, "_make_kernel", no_kernel)
+    with pytest.raises(ValueError, match="truncation_radius must be >= 0"):
+        entry(build_graph("comb:line"), n_steps=10, truncation_radius=-1)
 
 
 def test_jsonl_round_trip(tmp_path):

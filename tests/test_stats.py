@@ -232,9 +232,23 @@ def test_lil_envelope_check_reads_recorded_times():
     with pytest.raises(StatsError):
         lil_envelope_check(sums, 0.8)          # not recorded
     with pytest.raises(StatsError):
-        lil_envelope_check(sums, 1.2)          # outside (0, 1)
+        lil_envelope_check(sums, 1.2)          # not recorded
+    for alpha in (0.0, -0.75, float("nan")):
+        with pytest.raises(StatsError, match="alpha must be > 0"):
+            lil_envelope_check(sums, alpha)
     with pytest.raises(StatsError):
         lil_envelope_check([synth(0, [])], 0.75)
+
+
+def test_lil_envelope_check_reads_alphas_above_one():
+    # the sampler records any exponent > 0; the reader takes them all back
+    out = run_ensemble(build_graph("comb:line"), n_steps=1024, replicas=6,
+                       seed=45, record=RecordPolicy(lil_alphas=(0.75, 1.25)))
+    counts, last = lil_envelope_check(out, 1.25)
+    times = [s.extras["lil"]["times"][1] for s in out]
+    assert counts.tolist() == [len(t) for t in times]
+    assert last.tolist() == [t[-1] if t else 0 for t in times]
+    assert counts.sum() > 0
 
 
 def test_lil_recording_end_to_end():
