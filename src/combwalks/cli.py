@@ -157,6 +157,22 @@ def _cell(c):
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _check_lil_alphas(flag, alphas):
+    """The one range `simulate --lil-alphas` and `stats --alpha` take."""
+    if not all(2.0 / 3.0 < a < 1.0 for a in alphas):
+        raise ConfigError(f"{flag} must lie in (2/3, 1), got {alphas}")
+
+
+def _check_one_kind(report, paths, loaded):
+    """Refuse inputs that mix (T, method): they are not one ensemble."""
+    kinds = [(p, (s.n_steps, s.method)) for p, (_, sums) in zip(paths, loaded)
+             for s in sums]
+    for path, kind in kinds:
+        if kind != kinds[0][1]:
+            raise SchemaError(f"{path}: {report} inputs mix (T, method) "
+                              f"{kinds[0][1]} and {kind}")
+
+
 def cmd_simulate(args):
     if args.graph is None:
         raise ConfigError("simulate needs --graph")
@@ -180,9 +196,7 @@ def cmd_simulate(args):
     if list(checkpoints) != sorted(set(checkpoints)):
         raise ConfigError("checkpoints must be strictly increasing")
     alphas = tuple(args.lil_alphas or ())
-    if not all(0.0 < a < 1.0 for a in alphas):
-        raise ConfigError(f"--lil-alphas must lie in (0, 1), the range "
-                          f"`stats --report lil` reads; got {alphas}")
+    _check_lil_alphas("--lil-alphas", alphas)
     try:
         record = RecordPolicy(checkpoints=tuple(checkpoints),
                               lil_alphas=alphas,
@@ -270,13 +284,7 @@ def cmd_stats(args):
     if report == "grid":
         if args.r_range is None or args.k_range is None:
             raise ConfigError("grid report needs --r-range and --k-range")
-        first = None
-        for path, (_, sums) in zip(args.inputs, loaded):
-            for s in sums:
-                first = first or (s.n_steps, s.method)
-                if (s.n_steps, s.method) != first:
-                    raise SchemaError(f"{path}: grid inputs mix (T, method) "
-                                      f"{first} and {(s.n_steps, s.method)}")
+        _check_one_kind(report, args.inputs, loaded)
         rows = []
         r_lo, r_hi = args.r_range
         k_lo, k_hi = args.k_range
@@ -314,8 +322,8 @@ def cmd_stats(args):
 
     if report == "lil":
         alpha = args.alpha if args.alpha is not None else 0.75
-        if not (2.0 / 3.0 < alpha < 1.0):
-            raise ConfigError("alpha must be in (2/3, 1)")
+        _check_lil_alphas("--alpha", (alpha,))
+        _check_one_kind(report, args.inputs, loaded)
         counts, last = lil_envelope_check(merged, alpha)
         with _open_out(args) as fh:
             _write_csv(fh, ("replica", "violations", "last_violation"),

@@ -19,10 +19,10 @@ direct law.
 Everything is driven by the keyed Philox streams in :mod:`.rng`, and one
 driver (``_windows``) runs every direct and selfloop walk in three layers:
 
-* chunk    -- each stream is filled ``CHUNK`` values at a time, and every
-              stream consumes a fixed number of values per step whether or
-              not the step uses them;
-* window   -- the kernel turns ``WIN`` rows of a chunk into small int8 move
+* chunk    -- each stream is filled ``CHUNK`` values at a time, kept as
+              the kernel's codes, and consumes a fixed number of values per
+              step whether or not the step uses them;
+* window   -- the kernel turns ``WIN`` rows of codes into small int8 move
               tables and steps through them, writing each state into a
               (WIN + 1)-row history;
 * observer -- meetings, collision records, depth, envelope violations,
@@ -57,6 +57,7 @@ from .stats import lil_threshold
 
 CHUNK = 4096              # a multiple of 4: each chunk starts a Philox block
 WIN = 64                  # steps per move table and per observer pass
+SCRATCH = 1 << 17         # doubles drawn per fill before they become codes
 # stream roles (x, y) of the two walkers of a pair, per construction
 _ROLES = {"direct": (X_MAIN, Y_MAIN), "selfloop": (X_TOOTH, Y_TOOTH)}
 
@@ -209,29 +210,30 @@ def read_summaries(path):
 # ---------------------------------------------------------------------------
 # per-family kernels
 #
-# A kernel holds `width` independent walkers.  `pos[i]` is the (coords,
-# width) int64 state after step i of the current window; row 0 is the state
-# the window starts from.  `advance` fills rows 1..L from L rows of uniforms
-# per channel: `channels` is the number of uniform streams consumed per step
-# (the lazy construction needs two), `needs_raw` asks for one extra 62-bit
-# integer per step (midpoint identities on the ladder).  Draws are consumed
-# every step even when a walker's branch ignores them.  `height`, `depth`
-# and `distance` read a window of states, shape (L, coords, width).
+# A kernel holds `width` independent walkers.  `pos[i]` is the (coords, width)
+# int64 state after step i of the current window; row 0 is the state the
+# window starts from.  `advance` fills rows 1..L from L rows per channel of
+# the `code` values `codes(ch, u)` makes of uniforms: `channels` is the number
+# of uniform streams consumed per step (the lazy construction needs two),
+# `needs_raw` asks for one extra 62-bit integer per step (midpoint identities
+# on the ladder).  Draws are consumed every step even when a walker's branch
+# ignores them.  `height`, `depth` and `distance` read a window of states.
 # ---------------------------------------------------------------------------
 
 class _KernelBase:
     channels = 1
     needs_raw = False
     tracks_depth = False
+    code, classes = np.int8, 1
 
     def __init__(self, graph, start, width, rows):
         self.pos = np.empty((rows + 1, len(start), width), dtype=np.int64)
         self.pos[0] = np.asarray(start, dtype=np.int64)[:, None]
 
-    def height(self, p):
-        return None
+    def codes(self, ch, u):
+        return (u * self.classes).astype(self.code)
 
-    def depth(self, p):
+    def height(self, p):
         return None
 
 
@@ -255,19 +257,21 @@ class _CombKernel(_KernelBase):
 
     Classes at the spine, in order: the base moves (b-, b+, or the single
     edge flip), then -, + for each tooth coordinate.  Off the spine: -, +
-    for each tooth coordinate.
+    for each tooth coordinate.  A code is c | c2 << 3 of the two classes.
 
     The lazy construction (comb only) runs the tooth as a walk on the
     integers with a self-loop of probability d/(d+2) at 0; each self-loop
     event advances an independent base walk one step and bumps the loop
     counter `k`.  The assembled pair (base position, tooth height) has
     exactly the direct comb law.  Channel 0 drives the tooth, channel 1 the
-    base move, the latter consumed even on steps with no base move.
+    base move, the latter consumed even on steps with no base move.  Its
+    spine classes put hold in class 0 and -, + where the direct ones are.
     """
 
     def __init__(self, graph, start, width, rows, lazy=False):
         super().__init__(graph, start, width, rows)
         self.flip = graph.m == 2
+        self.nb = 1 if self.flip else 2          # base classes at the spine
         self.mod = graph.m
         self.n_teeth = graph.dim
         self.tracks_depth = self.n_teeth > 0
@@ -283,24 +287,23 @@ class _CombKernel(_KernelBase):
         self._teeth = list(self.pos[:, 1] if self.n_teeth == 1
                            else self.pos[:, 1:])
 
-    def _tables(self, us):
-        u = us[0]
-        if self.lazy:
-            hold = u < self.q
-            dts = np.where(hold, 0, np.where(u < self.q_down, -1, 1))
-            dtt = _pm((u * 2).astype(np.int8), 0)
-            db = hold if self.flip else \
-                np.where(hold, _pm((us[1] * 2).astype(np.int8), 0), 0)
-            return db, dts[:, None], dtt[:, None], hold
-        nb = 1 if self.flip else 2
-        c = (u * (nb + 2 * self.n_teeth)).astype(np.int8)
-        db = (c == 0) if self.flip else _pm(c, 0)
+    def codes(self, ch, u):
         c2 = (u * (2 * self.n_teeth)).astype(np.int8)
-        lo = 2 * np.arange(self.n_teeth, dtype=np.int8)[:, None]
-        return db, _pm(c[:, None], nb + lo), _pm(c2[:, None], lo), None
+        if not self.lazy:
+            return (u * (self.nb + 2 * self.n_teeth)).astype(np.int8) | c2 << 3
+        return c2 if ch else ((u >= self.q).astype(np.int8) * self.nb
+                              + (u >= self.q_down) | c2 << 3)
 
-    def advance(self, us, raw, L):
-        db, dts, dtt, hold = self._tables(us)
+    def _tables(self, cs):
+        c, c2 = cs[0] & 7, cs[0] >> 3
+        lo = 2 * np.arange(self.n_teeth, dtype=np.int8)[:, None]
+        hold = (c == 0) if self.lazy else None
+        db = (c == 0) if self.flip else (
+            np.where(hold, _pm(cs[1], 0), 0) if self.lazy else _pm(c, 0))
+        return db, _pm(c[:, None], self.nb + lo), _pm(c2[:, None], lo), hold
+
+    def advance(self, cs, raw, L):
+        db, dts, dtt, hold = self._tables(cs)
         t, spine = self._teeth, self._spine
         if self.n_teeth == 1:
             for t0, t1, on, s, e in zip(t, t[1:], spine, dts[:, 0], dtt[:, 0]):
@@ -341,10 +344,10 @@ class _StarKernel(_KernelBase):
 
     def __init__(self, graph, start, width, rows):
         super().__init__(graph, start, width, rows)
-        self.k = graph.k
+        self.classes, self.code = graph.k, np.min_scalar_type(graph.k - 1)
 
-    def advance(self, us, raw, L):
-        leaf = 1 + (us[0] * self.k).astype(np.int64)
+    def advance(self, cs, raw, L):
+        leaf = 1 + cs[0].astype(np.int64)
         at_hub = (np.arange(L) % 2 == 0)[:, None] == (self.pos[0, 0] == 0)
         self.pos[1:L + 1, 0] = np.where(at_hub, leaf, 0)
 
@@ -353,9 +356,10 @@ class _StarKernel(_KernelBase):
 
 
 class _Grid2DKernel(_KernelBase):
-    def advance(self, us, raw, L):
-        c = (us[0] * 4).astype(np.int8)
-        steps = np.stack([_pm(c, 0), _pm(c, 2)], 1)
+    classes = 4
+
+    def advance(self, cs, raw, L):
+        steps = np.stack([_pm(cs[0], 0), _pm(cs[0], 2)], 1)
         np.cumsum(steps, axis=0, dtype=np.int64, out=self.pos[1:L + 1])
         self.pos[1:L + 1] += self.pos[0]
 
@@ -386,6 +390,7 @@ class _LadderKernel(_KernelBase):
 
     needs_raw = True
     tracks_depth = True
+    code = np.float64      # the class depends on the level: keep u (u * 1)
     _s = np.exp2(1.0 - np.arange(1, 1077))          # s of rows 1 .. 1076
     _THR = np.vstack([(0.0, 0.5, 0.5),
                       np.column_stack([_s, 2.0 * _s, 2.0 * _s + 1.0])
@@ -475,26 +480,31 @@ def _windows(kernel, keys, n_steps):
     """Advance the kernel's walkers ``n_steps`` steps, walker j drawing
     from the streams keyed ``keys[...][j]`` (see ``_stream_keys``).
 
-    Every stream is filled ``CHUNK`` values at a time; the kernel consumes
-    each chunk ``WIN`` rows at a time.  Yields ``(n0, L)`` after each
-    window, while ``kernel.pos[1:L + 1]`` holds the states after steps
-    n0 + 1 .. n0 + L; once exhausted, ``kernel.pos[0]`` is the final state.
+    Every stream is filled ``CHUNK`` values at a time, ``SCRATCH`` doubles
+    a fill, and kept as codes; the kernel consumes each chunk ``WIN`` rows
+    at a time.  Yields ``(n0, L)`` after each window, while
+    ``kernel.pos[1:L + 1]`` holds the states after steps n0 + 1 .. n0 + L;
+    once exhausted, ``kernel.pos[0]`` is the final state.
     """
     # one row per stream, so each fill is a contiguous write
     rows, width = min(CHUNK, n_steps), len(keys[0])
-    u_bufs = [np.empty((width, rows)) for _ in range(kernel.channels)]
+    scratch = np.empty((min(width, max(1, SCRATCH // max(rows, 1))), rows))
+    c_bufs = np.empty((kernel.channels, width, rows), dtype=kernel.code)
     raw_buf = np.empty((width * kernel.needs_raw, rows), dtype=np.int64)
     n = 0
     while n < n_steps:
         length = min(CHUNK, n_steps - n)
-        for buf, k in zip(u_bufs, keys):
-            fill(k, n, buf[:, :length])
+        for ch, (buf, k) in enumerate(zip(c_bufs, keys)):
+            for lo in range(0, width, len(scratch)):
+                u = scratch[:width - lo, :length]
+                fill(k[lo:lo + len(u)], n, u)
+                buf[lo:lo + len(u), :length] = kernel.codes(ch, u)
         if kernel.needs_raw:
             fill(keys[-1], n, raw_buf[:, :length],
                  high=np.int64(1) << _LEVEL_BITS)
         for w in range(0, length, WIN):
             L = min(WIN, length - w)
-            kernel.advance([b[:, w:w + L].T for b in u_bufs],
+            kernel.advance([b[:, w:w + L].T for b in c_bufs],
                            raw_buf[:, w:w + L].T, L)
             yield n, L
             kernel.pos[0] = kernel.pos[L]
@@ -541,7 +551,7 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
             if n0 < t <= n0 + L:
                 cp_counts[t] = meetings + eq[:t - n0].sum(axis=0)
                 if method == "selfloop":
-                    k_rows[t] = kernel.k_hist[t - n0 - 1]
+                    k_rows[t] = kernel.k_hist[t - n0 - 1].copy()
         meetings += eq.sum(axis=0)
 
         if kernel.tracks_depth:

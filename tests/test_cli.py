@@ -253,7 +253,7 @@ def test_oracle_return_all_times_takes_nmax_one(tmp_path):
 
 
 @pytest.mark.parametrize("flag", ["--lil-alphas=0", "--lil-alphas=-0.5",
-                                  "--lil-alphas=0.75,1.5",
+                                  "--lil-alphas=0.75,1.5", "--lil-alphas=0.5",
                                   "--spine-stride=-3"])
 def test_simulate_refuses_bad_envelope_and_stride(tmp_path, flag):
     out = tmp_path / "runs.jsonl"
@@ -345,10 +345,9 @@ def test_stats_grid_empty_input_writes_zero_rows(tmp_path):
     assert all(r[2] == "0.0" and r[6] == "0" for r in rows)
 
 
-@pytest.mark.parametrize("files", [
-    [[("64", "direct"), ("256", "selfloop")]],    # one file, T and method
-    [[("64", "direct")], [("64", "selfloop")]]])  # two files, method
-def test_stats_grid_mixed_inputs_is_schema_error(tmp_path, files):
+def _mixed_inputs(tmp_path, files):
+    """One JSONL input per entry of ``files``, each the concatenation of
+    comb:line runs of the listed (T, method), with an envelope exponent."""
     paths = []
     for f, runs in enumerate(files):
         parts = []
@@ -356,15 +355,37 @@ def test_stats_grid_mixed_inputs_is_schema_error(tmp_path, files):
             p = tmp_path / f"{method}{steps}.jsonl"
             run_cli("simulate", "--graph", "comb:line", "--steps", steps,
                     "--method", method, "--replicas", "8", "--seed", "1",
-                    "--out", str(p))
+                    "--lil-alphas", "0.75", "--out", str(p))
             parts.append(p.read_text())
         paths.append(tmp_path / f"input{f}.jsonl")
         paths[-1].write_text("".join(parts))
+    return paths
+
+
+@pytest.mark.parametrize("files", [
+    [[("64", "direct"), ("256", "selfloop")]],    # one file, T and method
+    [[("64", "direct")], [("64", "selfloop")]]])  # two files, method
+def test_stats_grid_mixed_inputs_is_schema_error(tmp_path, files):
+    paths = _mixed_inputs(tmp_path, files)
     res = run_cli("stats", "--report", "grid", "--inputs", *map(str, paths),
                   "--r-range", "2:4", "--k-range", "0:1")
     assert res.returncode == 4
     assert str(paths[-1]) in res.stderr and "Traceback" not in res.stderr
     assert "(64, 'direct')" in res.stderr and "'selfloop')" in res.stderr
+
+
+@pytest.mark.parametrize("files, other", [
+    ([[("64", "direct")], [("256", "direct")]], "(256, 'direct')"),
+    ([[("64", "direct")], [("64", "selfloop")]], "(64, 'selfloop')")])
+def test_stats_lil_mixed_inputs_is_schema_error(tmp_path, files, other):
+    paths = _mixed_inputs(tmp_path, files)
+    out = tmp_path / "lil.csv"
+    res = run_cli("stats", "--report", "lil", "--inputs", *map(str, paths),
+                  "--out", str(out))
+    assert res.returncode == 4
+    assert str(paths[-1]) in res.stderr and "Traceback" not in res.stderr
+    assert "(64, 'direct')" in res.stderr and other in res.stderr
+    assert not out.exists()
 
 
 def test_stats_malformed_jsonl_is_schema_error(tmp_path):
@@ -417,8 +438,20 @@ def test_stats_lil_and_drift_reports(tmp_path):
     header, rows = read_csv(out)
     assert header == ["replica", "violations", "last_violation"]
     assert len(rows) == 6
-    assert run_cli("stats", "--report", "lil", "--alpha", "0.5",
-                   "--inputs", str(comb)).returncode == 2
+    for alpha in ("0.5", "1.0", "nan"):
+        res = run_cli("stats", "--report", "lil", "--alpha", alpha,
+                      "--inputs", str(comb))
+        assert res.returncode == 2
+        assert "--alpha must lie in (2/3, 1)" in res.stderr
+
+    # an exponent simulate records is one stats reads back
+    assert run_cli("simulate", "--graph", "comb:line", "--steps", "256",
+                   "--replicas", "6", "--seed", "1", "--lil-alphas", "0.7",
+                   "--out", str(comb)).returncode == 0
+    res = run_cli("stats", "--report", "lil", "--alpha", "0.7",
+                  "--inputs", str(comb), "--out", str(out))
+    assert res.returncode == 0
+    assert len(read_csv(out)[1]) == 6
 
     ladder = tmp_path / "ladder.jsonl"
     run_cli("simulate", "--graph", "biased-ladder", "--steps", "400",

@@ -3,6 +3,7 @@ equivalence, record schema invariants, and worker-count independence."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,6 +312,89 @@ def test_ladder_step_matches_reference_step():
     assert moves == {(0, 0, -1), (0, 0, 1), (0, 1, -1), (0, 1, 0),
                      (1, 0, 0), (1, 0, 1)}
 
+
+def float_moves(kernel, us):
+    """A kernel's moves straight from one uniform row per channel, as the
+    sampler computed them before its chunks kept codes: the comb move
+    tables ``(db, dts, dtt, hold)``, the grid2d steps, or the star leaf."""
+    u, pm = us[0], sampler._pm
+    if isinstance(kernel, sampler._Grid2DKernel):
+        c = (u * 4).astype(np.int8)
+        return pm(c, 0), pm(c, 2)
+    if isinstance(kernel, sampler._StarKernel):
+        return (1 + (u * kernel.classes).astype(np.int64),)
+    if kernel.lazy:
+        hold = u < kernel.q
+        dts = np.where(hold, 0, np.where(u < kernel.q_down, -1, 1))
+        dtt = pm((u * 2).astype(np.int8), 0)
+        db = hold if kernel.flip else \
+            np.where(hold, pm((us[1] * 2).astype(np.int8), 0), 0)
+        return db, dts[:, None], dtt[:, None], hold
+    nb = 1 if kernel.flip else 2
+    c = (u * (nb + 2 * kernel.n_teeth)).astype(np.int8)
+    db = (c == 0) if kernel.flip else pm(c, 0)
+    c2 = (u * (2 * kernel.n_teeth)).astype(np.int8)
+    lo = 2 * np.arange(kernel.n_teeth, dtype=np.int8)[:, None]
+    return db, pm(c[:, None], nb + lo), pm(c2[:, None], lo), None
+
+
+def code_moves(kernel, us):
+    """The same moves read off ``kernel.codes``: the comb tables, or the
+    step ``advance`` takes from the kernel's start."""
+    cs = [kernel.codes(ch, u) for ch, u in enumerate(us)]
+    if isinstance(kernel, sampler._CombKernel):
+        return kernel._tables(cs)
+    kernel.advance(cs, None, 1)
+    if isinstance(kernel, sampler._StarKernel):
+        return (kernel.pos[1],)
+    step = kernel.pos[1] - kernel.pos[0]
+    return step[None, 0], step[None, 1]
+
+
+@pytest.mark.parametrize("spec, method", [
+    ("line", "direct"), ("cycle:2", "direct"), ("comb:line", "direct"),
+    ("comb:cycle:2", "direct"), ("comb2:line", "direct"),
+    ("comb:line", "selfloop"), ("comb:cycle:2", "selfloop"),
+    ("grid2d", "direct"), ("star:3", "direct")])
+def test_codes_give_the_float_moves(spec, method):
+    g = build_graph(spec)
+    probe = sampler._make_kernel(g, g.root, 1, method, 1)
+    edges = [j / k for k in range(2, 7) for j in range(1, k)]
+    if method == "selfloop":
+        edges += [probe.q, probe.q_down]
+    us = [0.0, 1.0 - 2.0 ** -53]
+    for e in edges:
+        us += [e, np.nextafter(e, 0.0), np.nextafter(e, 1.0)]
+    # every pair of a tooth and a base uniform, for the second channel
+    us = np.array(us)
+    us = [np.repeat(us, len(us))[None], np.tile(us, len(us))[None]]
+    kernel = sampler._make_kernel(g, g.root, us[0].shape[1], method, 1)
+    us = us[:kernel.channels]
+    ref, got = float_moves(kernel, us), code_moves(kernel, us)
+    assert len(ref) == len(got)
+    for a, b in zip(ref, got):
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+# A 512-pair block of 4096 steps keeps one int8 code per draw, 4 MiB a
+# channel over its 1024 walkers.  The ladder is left out: its move class
+# depends on the walker's level, so its chunk keeps the doubles themselves
+# and a 62-bit word per step, 64 MiB at this size.
+@pytest.mark.parametrize("spec, method", [
+    ("comb:line", "direct"), ("comb2:line", "direct"), ("grid2d", "direct"),
+    ("comb:line", "selfloop")])
+def test_block_peak_memory_is_bounded(spec, method):
+    g = build_graph(spec)
+    tracemalloc.start()
+    try:
+        sampler._run_block(g, g.root, 4096, 1, range(512), RecordPolicy(),
+                           method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 def test_selfloop_k_trace_monotone():
     s = run_pair(build_graph("comb:cycle:4"), n_steps=512, method="selfloop",
                  rng_x=RngStream(4, 0, X_TOOTH), rng_y=RngStream(4, 0, Y_TOOTH))
@@ -575,6 +659,9 @@ def test_window_length_does_not_change_output(monkeypatch, win):
     assert any(lil)                    # the envelope records are exercised
     assert "k_trace" in default[0][8] and "spine" in default[0][12]
     monkeypatch.setattr(sampler, "WIN", win)
+    # fills of 3 rows of 777 draws and 5 of 500: neither divides the 8
+    # or 12 walkers, so the last fill of each chunk is short
+    monkeypatch.setattr(sampler, "SCRATCH", 2600)
     assert _window_probe() == default
 
 
@@ -598,4 +685,5 @@ def test_chunk_length_does_not_change_output(monkeypatch):
     finals = [json.loads(line)["final"] for line in default[2]]
     assert any(f[w][2] for f in finals for w in "xy")   # midpoint ids drawn
     monkeypatch.setattr(sampler, "CHUNK", 8)
+    monkeypatch.setattr(sampler, "SCRATCH", 32)   # fills of 4 rows of 6
     assert probe() == default
