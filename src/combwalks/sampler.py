@@ -22,9 +22,9 @@ driver (``_windows``) runs every direct and selfloop walk in three layers:
 * chunk    -- each stream is filled ``CHUNK`` values at a time, kept as
               the kernel's codes, and consumes a fixed number of values per
               step whether or not the step uses them;
-* window   -- the kernel turns ``WIN`` rows of codes into small int8 move
-              tables and steps through them, writing each state into a
-              (WIN + 1)-row history;
+* window   -- the kernel steps ``WIN`` rows of codes, writing each state
+              into a (WIN + 1)-row history; the comb kernels do it in one
+              call of a small compiled loop, built on first use;
 * observer -- meetings, collision records, depth, envelope violations,
               truncation, checkpoints, loop counts and the ladder spine
               trace are read off the whole window history at once.
@@ -39,11 +39,16 @@ comparing the halves.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
+import hashlib
 import json
 import math
 import os
 import stat
+import subprocess
+import sysconfig
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -56,14 +61,14 @@ from .rng import (AUX, RngStream, X_BASE, X_HOLD, X_MAIN, X_SKEL, X_TOOTH,
 from .stats import lil_threshold
 
 CHUNK = 4096              # a multiple of 4: each chunk starts a Philox block
-WIN = 64                  # steps per move table and per observer pass
+WIN = 64                  # steps per kernel call and per observer pass
 SCRATCH = 1 << 17         # doubles drawn per fill before they become codes
 # stream roles (x, y) of the two walkers of a pair, per construction
 _ROLES = {"direct": (X_MAIN, Y_MAIN), "selfloop": (X_TOOTH, Y_TOOTH)}
 
 
 class SimulationError(RuntimeError):
-    """A walk left the region the run was told to stay inside."""
+    """A walk left its allowed region, or the comb step failed to build."""
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +219,7 @@ def read_summaries(path):
 # int64 state after step i of the current window; row 0 is the state the
 # window starts from.  `advance` fills rows 1..L from L rows per channel of
 # the `code` values `codes(ch, u)` makes of uniforms: `channels` is the number
-# of uniform streams consumed per step (the lazy construction needs two),
+# of uniform streams consumed per step (two for the lazy one off cycle:2),
 # `needs_raw` asks for one extra 62-bit integer per step (midpoint identities
 # on the ladder).  Draws are consumed every step even when a walker's branch
 # ignores them.  `height`, `depth` and `distance` read a window of states.
@@ -242,6 +247,83 @@ def _pm(c, minus):
     return (c == minus + 1).astype(np.int8) - (c == minus)
 
 
+# A window of `_CombKernel` steps, a row of `pos` at a time for 32 walkers;
+# walker w reads codes c0, c1[w * stride + i].  k, k_hist: NULL unless lazy.
+_STEP_C = r"""
+#include <stdint.h>
+
+void comb_step(const int8_t *c0, const int8_t *c1, int64_t stride,
+               int64_t *pos, int64_t *k, int64_t *k_hist, int64_t width,
+               int64_t len, int64_t teeth, int64_t nb, int64_t mod)
+{
+    /* the moves of tooth class t: -, + of each coordinate; 4 is none */
+    static const int8_t d0[5] = {-1, 1, 0, 0, 0}, d1[5] = {0, 0, -1, 1, 0};
+    const int64_t row = (1 + teeth) * width;
+    for (int64_t w0 = 0; w0 < width; w0 += 32)
+        for (int64_t i = 0; i < len; i++)
+            for (int64_t w = w0; w < width && w < w0 + 32; w++) {
+                int64_t *p = pos + i * row + w, b = p[0], at = w * stride + i;
+                int64_t t0 = teeth ? p[width] : 0;
+                int64_t t1 = teeth > 1 ? p[2 * width] : 0;
+                int c = c0[at] & 7, t = 4;
+                if (t0 != 0 || t1 != 0)         /* off the spine */
+                    t = c0[at] >> 3;
+                else if (c >= nb)               /* a tooth move */
+                    t = c - (int)nb;
+                else                            /* b-, b+, flip or hold */
+                    b += c1 ? 2 * c1[at] - 1 : nb == 1 ? 1 : 2 * c - 1;
+                if (mod && (b < 0 || b >= mod)) /* numpy's floor % */
+                    b = (b % mod + mod) % mod;
+                p[row] = b;
+                if (teeth) p[row + width] = t0 + d0[t];
+                if (teeth > 1) p[row + 2 * width] = t1 + d1[t];
+                if (k) k_hist[i * width + w] = k[w] += t == 4;  /* holds */
+            }
+}
+"""
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-std=c99")
+_CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
+
+
+def _library_path(source, cache):
+    """``source`` built by Python's own C compiler into ``cache``, or a
+    private temp directory if ``cache`` is not writable, named by the sha256
+    of source and flags; renamed into place, so concurrent builds are safe."""
+    tag = hashlib.sha256("\0".join((source, *_CFLAGS)).encode()).hexdigest()
+    path = os.path.join(cache, f"combstep-{tag[:16]}.so")
+    if os.path.exists(path):
+        return path
+    try:
+        os.makedirs(cache, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(".tmp", dir=cache)
+    except OSError:
+        return _library_path(source, tempfile.mkdtemp())
+    os.close(fd)
+    cc = (sysconfig.get_config_var("CC") or "cc").split()
+    try:
+        subprocess.run([*cc, *_CFLAGS, "-o", tmp, "-x", "c", "-"],
+                       input=source.encode(), capture_output=True, check=True)
+        os.replace(tmp, path)
+    except (OSError, subprocess.CalledProcessError) as exc:
+        why = getattr(exc, "stderr", b"").decode().strip().splitlines()
+        raise SimulationError(f"cannot build the comb step with {cc[0]}: "
+                              f"{why[0] if why else exc}") from None
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return path
+
+
+@functools.cache
+def _comb_step():
+    """The compiled ``comb_step``, built and loaded with the first comb
+    kernel: runs that sample no comb never build it."""
+    fn = ctypes.CDLL(_library_path(_STEP_C, _CACHE)).comb_step
+    p, i = ctypes.c_void_p, ctypes.c_int64
+    fn.argtypes, fn.restype = [p, p, i, p, p, p, i, i, i, i, i], None
+    return fn
+
+
 class _CombKernel(_KernelBase):
     """Every `graphs.Product` with a base: comb and comb2 over a line,
     cycle or single edge, the bare base (no teeth: every vertex is on the
@@ -249,22 +331,19 @@ class _CombKernel(_KernelBase):
     move: a step on the line (m = 0), a flip on the single edge (m = 2),
     a step mod m on a cycle.
 
-    Coordinates are (base, tooth...).  Each window becomes three int8 move
-    tables: `db`, the base move at the spine (a flip on the single edge),
-    and `dts` and `dtt`, the tooth moves on and off the spine.  A step only
-    tests which walkers sit on the spine and adds the matching tooth move;
-    the base path is then a masked cumulative sum over the window.
-
-    Classes at the spine, in order: the base moves (b-, b+, or the single
-    edge flip), then -, + for each tooth coordinate.  Off the spine: -, +
-    for each tooth coordinate.  A code is c | c2 << 3 of the two classes.
+    Coordinates are (base, tooth...).  Classes at the spine, in order: the
+    base moves (b-, b+, or the single edge flip), then -, + for each tooth
+    coordinate.  Off the spine: -, + for each tooth coordinate.  A code is
+    c | c2 << 3 of the two classes.  ``advance`` steps a window of codes in
+    one call of the compiled ``comb_step`` (``_STEP_C``).
 
     The lazy construction (comb only) runs the tooth as a walk on the
     integers with a self-loop of probability d/(d+2) at 0; each self-loop
     event advances an independent base walk one step and bumps the loop
     counter `k`.  The assembled pair (base position, tooth height) has
     exactly the direct comb law.  Channel 0 drives the tooth, channel 1 the
-    base move, the latter consumed even on steps with no base move.  Its
+    base move, the latter consumed even on steps with no base move.  The
+    single edge has no channel 1: the hold itself flips the base.  The
     spine classes put hold in class 0 and -, + where the direct ones are.
     """
 
@@ -276,16 +355,16 @@ class _CombKernel(_KernelBase):
         self.n_teeth = graph.dim
         self.tracks_depth = self.n_teeth > 0
         self.lazy = lazy
+        self._k = None, None                     # pointers of k and k_hist
         if lazy:
-            self.channels = 2
+            self.channels = 1 if self.flip else 2
             d = graph.base_degree
             self.q = d / (d + 2.0)
             self.q_down = self.q + 1.0 / (d + 2.0)
             self.k = np.zeros(width, dtype=np.int64)
-        self.spine = np.ones((rows, width), dtype=bool)
-        self._spine = list(self.spine)
-        self._teeth = list(self.pos[:, 1] if self.n_teeth == 1
-                           else self.pos[:, 1:])
+            self.k_hist = np.empty((rows, width), dtype=np.int64)
+            self._k = self.k.ctypes.data, self.k_hist.ctypes.data
+        self._step = _comb_step()
 
     def codes(self, ch, u):
         c2 = (u * (2 * self.n_teeth)).astype(np.int8)
@@ -294,34 +373,15 @@ class _CombKernel(_KernelBase):
         return c2 if ch else ((u >= self.q).astype(np.int8) * self.nb
                               + (u >= self.q_down) | c2 << 3)
 
-    def _tables(self, cs):
-        c, c2 = cs[0] & 7, cs[0] >> 3
-        lo = 2 * np.arange(self.n_teeth, dtype=np.int8)[:, None]
-        hold = (c == 0) if self.lazy else None
-        db = (c == 0) if self.flip else (
-            np.where(hold, _pm(cs[1], 0), 0) if self.lazy else _pm(c, 0))
-        return db, _pm(c[:, None], self.nb + lo), _pm(c2[:, None], lo), hold
-
     def advance(self, cs, raw, L):
-        db, dts, dtt, hold = self._tables(cs)
-        t, spine = self._teeth, self._spine
-        if self.n_teeth == 1:
-            for t0, t1, on, s, e in zip(t, t[1:], spine, dts[:, 0], dtt[:, 0]):
-                np.equal(t0, 0, out=on)
-                np.add(t0, np.where(on, s, e), out=t1)
-        elif self.n_teeth == 2:
-            for t0, t1, on, s, e in zip(t, t[1:], spine, dts, dtt):
-                np.equal(t0[0] | t0[1], 0, out=on)
-                np.add(t0, np.where(on, s, e), out=t1)
-        on = self.spine[:L]
-        b = self.pos[1:L + 1, 0]
-        np.cumsum(db * on, axis=0, dtype=np.int64, out=b)
-        b += self.pos[0, 0]
-        if self.mod:
-            b %= self.mod
-        if self.lazy:
-            self.k_hist = self.k + np.cumsum(hold & on, axis=0)
-            self.k = self.k_hist[-1]
+        c0, width = cs[0], self.pos.shape[2]
+        if L >= len(self.pos) or len(cs) != self.channels or any(
+                c.shape != (L, width) or c.strides != (1, c0.strides[1])
+                or c.dtype != np.int8 for c in cs):
+            raise ValueError("codes must be (L, width) int8 in time order")
+        self._step(c0.ctypes.data, cs[1].ctypes.data if len(cs) > 1 else None,
+                   c0.strides[1], self.pos.ctypes.data, *self._k, width, L,
+                   self.n_teeth, self.nb, self.mod)
 
     def height(self, p):
         if self.n_teeth == 1:

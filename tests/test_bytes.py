@@ -20,6 +20,9 @@ CASES = {
                                lil_alphas=(0.75, 1.25))),
     "comb:cycle:4-selfloop": ("comb:cycle:4", "selfloop", 1000, 8, 12,
                               RecordPolicy()),
+    # the single-edge base: the hold itself flips the base
+    "comb:cycle:2-selfloop": ("comb:cycle:2", "selfloop", 1000, 8, 17,
+                              RecordPolicy()),
     "comb2:line": ("comb2:line", "direct", 1000, 8, 13, RecordPolicy()),
     "grid2d": ("grid2d", "direct", 1000, 8, 14, RecordPolicy()),
     "star:3": ("star:3", "direct", 1000, 8, 15, RecordPolicy()),
@@ -36,6 +39,8 @@ DIGESTS = {
         "9235b85c56ffef890d695f1ad0ee3bba35d61709bbe9f1e8bd1fab16a9295b5b",
     "comb:cycle:4-selfloop":
         "3b6b6e2e9e407209c22a4259417db03ca4f3d3f99d049d859e87554b0006060b",
+    "comb:cycle:2-selfloop":
+        "8e441c9f6840a1b360ce0a01fa13e7e95eeff68902b8d1d58ac6bd52e3a9dcb7",
     "comb2:line":
         "0f8487008a0e3af6405dbf534c77209f3cd361821e87e2883feb69e66665401e",
     "grid2d":

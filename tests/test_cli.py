@@ -1,6 +1,7 @@
 """End-to-end command-line runs through subprocesses: exit codes,
 CSV/JSONL outputs, config overlay, rerun determinism."""
 
+import functools
 import json
 import os
 import subprocess
@@ -43,6 +44,32 @@ def test_import_leaves_scipy_stats_unloaded():
         env={**os.environ, "PYTHONPATH": src})
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("compiler", ["missing", "failing"])
+def test_simulate_without_a_compiler_exits_1(monkeypatch, tmp_path, capsys,
+                                             compiler):
+    # the comb step is built on first use; with no cached library and no
+    # working compiler, simulate says so in one line and exits 1
+    from combwalks import cli, sampler
+    cc = tmp_path / "cc"
+    if compiler == "failing":
+        cc.write_text("#!/bin/sh\necho 'cc: broken' >&2\nexit 1\n")
+        cc.chmod(0o755)
+    monkeypatch.setattr(sampler.sysconfig, "get_config_var",
+                        lambda name: str(cc))
+    monkeypatch.setattr(sampler, "_CACHE", str(tmp_path / "cache"))
+    monkeypatch.setattr(sampler, "_comb_step",
+                        functools.cache(sampler._comb_step.__wrapped__))
+    out = tmp_path / "runs.jsonl"
+    code = cli.main(["simulate", "--graph", "comb:line", "--steps", "8",
+                     "--replicas", "2", "--seed", "1", "--workers", "1",
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and not out.exists()
+    assert err.startswith("simulation aborted: cannot build the comb step")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert os.listdir(tmp_path / "cache") == []          # no temp file left
 
 
 def test_no_arguments_is_usage_error():

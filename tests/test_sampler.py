@@ -1,9 +1,16 @@
 """Sampler behavior: laws against the exact kernel, construction
 equivalence, record schema invariants, and worker-count independence."""
 
+import ctypes
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sysconfig
+import tempfile
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -338,17 +345,40 @@ def float_moves(kernel, us):
     return db, pm(c[:, None], nb + lo), pm(c2[:, None], lo), None
 
 
+def window_codes(kernel, us):
+    """The codes of (L, width) uniforms per channel, laid out as
+    ``_windows`` hands them to ``advance``: each walker's codes in time
+    order."""
+    return [kernel.codes(ch, np.ascontiguousarray(u.T)).T
+            for ch, u in enumerate(us)]
+
+
+def comb_float_step(kernel, us, start):
+    """One comb step from ``start`` (one column per walker) read off the
+    float move tables: the next state, and the loop count (lazy only)."""
+    db, dts, dtt, hold = float_moves(kernel, us)
+    on = (start[1:] == 0).all(axis=0)
+    nxt = start.copy()
+    nxt[0] += db[0] * on
+    if kernel.mod:
+        nxt[0] %= kernel.mod
+    nxt[1:] += np.where(on, dts[0], dtt[0])
+    return nxt, None if hold is None else hold[0] & on
+
+
 def code_moves(kernel, us):
-    """The same moves read off ``kernel.codes``: the comb tables, or the
-    step ``advance`` takes from the kernel's start."""
-    cs = [kernel.codes(ch, u) for ch, u in enumerate(us)]
-    if isinstance(kernel, sampler._CombKernel):
-        return kernel._tables(cs)
-    kernel.advance(cs, None, 1)
+    """The step ``advance`` takes from the kernel's start, read off
+    ``kernel.codes``."""
+    kernel.advance(window_codes(kernel, us), None, 1)
     if isinstance(kernel, sampler._StarKernel):
         return (kernel.pos[1],)
     step = kernel.pos[1] - kernel.pos[0]
     return step[None, 0], step[None, 1]
+
+
+# a comb walker on the spine and off it, per tooth dimension
+SPINE_AND_OFF = {0: [(0,)], 1: [(0, 0), (0, 1), (0, -1)],
+                 2: [(0, 0, 0), (0, 1, 0), (0, 0, -1)]}
 
 
 @pytest.mark.parametrize("spec, method", [
@@ -368,12 +398,132 @@ def test_codes_give_the_float_moves(spec, method):
     # every pair of a tooth and a base uniform, for the second channel
     us = np.array(us)
     us = [np.repeat(us, len(us))[None], np.tile(us, len(us))[None]]
-    kernel = sampler._make_kernel(g, g.root, us[0].shape[1], method, 1)
-    us = us[:kernel.channels]
-    ref, got = float_moves(kernel, us), code_moves(kernel, us)
-    assert len(ref) == len(got)
-    for a, b in zip(ref, got):
-        assert (a is None and b is None) or np.array_equal(a, b)
+    if not isinstance(probe, sampler._CombKernel):
+        kernel = sampler._make_kernel(g, g.root, us[0].shape[1], method, 1)
+        ref, got = float_moves(kernel, us), code_moves(kernel, us)
+        assert len(ref) == len(got)
+        for a, b in zip(ref, got):
+            assert np.array_equal(a, b)
+        return
+    # one compiled step against the float tables, on the spine and off it
+    for v in SPINE_AND_OFF[g.dim]:
+        kernel = sampler._make_kernel(g, v, us[0].shape[1], method, 1)
+        kernel.advance(window_codes(kernel, us[:kernel.channels]), None, 1)
+        ref, k = comb_float_step(kernel, us, kernel.pos[0].copy())
+        assert np.array_equal(kernel.pos[1], ref), v
+        if method == "selfloop":      # holds count on the spine only
+            assert k.any() == (v[1] == 0)
+            assert np.array_equal(kernel.k_hist[0], k)
+            assert np.array_equal(kernel.k, k)
+
+
+def reference_comb_step(kernel, cs, start, k):
+    """One window of the comb walk as the sampler stepped it in numpy
+    before its compiled loop: three int8 move tables (``db``, the base move
+    at the spine, and ``dts``, ``dtt``, the tooth moves on and off it), a
+    per-step loop over the teeth, and the base path as a masked cumulative
+    sum.  ``cs`` are the window's (L, width) codes per channel, ``start``
+    the (coords, width) state before it and ``k`` the loop counts (lazy
+    only).  Returns the states after each step and the loop counts after
+    each step (lazy only)."""
+    pm, L = sampler._pm, len(cs[0])
+    c, c2 = cs[0] & 7, cs[0] >> 3
+    lo = 2 * np.arange(kernel.n_teeth, dtype=np.int8)[:, None]
+    hold = (c == 0) if kernel.lazy else None
+    db = (c == 0) if kernel.flip else (
+        np.where(hold, pm(cs[1], 0), 0) if kernel.lazy else pm(c, 0))
+    dts, dtt = pm(c[:, None], kernel.nb + lo), pm(c2[:, None], lo)
+    pos = np.empty((L + 1, *start.shape), dtype=np.int64)
+    pos[0] = start
+    on = np.ones(c.shape, dtype=bool)
+    for i in range(L):
+        if kernel.n_teeth:
+            on[i] = (pos[i, 1:] == 0).all(axis=0)
+            pos[i + 1, 1:] = pos[i, 1:] + np.where(on[i], dts[i], dtt[i])
+    pos[1:, 0] = start[0] + np.cumsum(db * on, axis=0, dtype=np.int64)
+    if kernel.mod:
+        pos[1:, 0] %= kernel.mod
+    k_hist = k + np.cumsum(hold & on, axis=0) if kernel.lazy else None
+    return pos[1:], k_hist
+
+
+@pytest.mark.parametrize("spec, method", [
+    ("line", "direct"), ("cycle:2", "direct"), ("cycle:5", "direct"),
+    ("comb:line", "direct"), ("comb:cycle:2", "direct"),
+    ("comb:cycle:4", "direct"), ("comb2:line", "direct"),
+    ("comb:line", "selfloop"), ("comb:cycle:2", "selfloop"),
+    ("comb:cycle:4", "selfloop")])
+def test_compiled_step_matches_reference_step(spec, method):
+    g, width, win = build_graph(spec), 48, sampler.WIN
+    kernel = sampler._make_kernel(g, g.root, width, method, 3 * win)
+    # the single edge draws no base channel: the hold itself flips it
+    assert kernel.channels == (2 if method == "selfloop" and g.m != 2 else 1)
+    rng = np.random.default_rng(2024)
+    start = kernel.pos[0].copy()
+    k = kernel.k.copy() if kernel.lazy else None
+    for w, L in enumerate((win, win, win - 17)):   # the last one is short
+        us = rng.random((kernel.channels, L, width))
+        if w == 0:
+            us[:, 0, 0] = 0.0     # walker 0 starts with b-, or a hold and b-
+        cs = window_codes(kernel, us)
+        ref, k = reference_comb_step(kernel, cs, start, k)
+        kernel.advance(cs, None, L)
+        assert np.array_equal(kernel.pos[1:L + 1], ref)
+        if kernel.lazy:
+            assert np.array_equal(kernel.k_hist[:L], k)
+            k = k[-1]
+            assert np.array_equal(kernel.k, k)
+        if w == 0 and g.m > 2:      # from base 0, b- wraps to m - 1
+            assert kernel.pos[1, 0, 0] == g.m - 1
+        kernel.pos[0] = kernel.pos[L]
+        start = ref[-1]
+
+
+def test_step_library_is_built_once_per_source(monkeypatch, tmp_path):
+    path = sampler._library_path(sampler._STEP_C, str(tmp_path))
+    assert os.listdir(tmp_path) == [os.path.basename(path)]   # no temp file
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("the cached library was built again")
+
+    with monkeypatch.context() as m:
+        m.setattr(sampler.subprocess, "run", no_compiler)
+        assert sampler._library_path(sampler._STEP_C, str(tmp_path)) == path
+    other = sampler._library_path(sampler._STEP_C + "\n", str(tmp_path))
+    assert other != path and sorted(os.listdir(tmp_path)) == sorted(
+        os.path.basename(p) for p in (path, other))
+
+
+def test_concurrent_builds_leave_one_whole_library(tmp_path):
+    # more processes than cores build into one empty cache at once
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=4, mp_context=ctx) as pool:
+        futs = [pool.submit(sampler._library_path, sampler._STEP_C,
+                            str(tmp_path)) for _ in range(4)]
+        paths = {f.result(timeout=120) for f in futs}
+    assert len(paths) == 1 and os.listdir(tmp_path) == [
+        os.path.basename(p) for p in paths]
+    assert ctypes.CDLL(paths.pop()).comb_step
+
+
+def test_unwritable_step_cache_falls_back_to_a_temp_directory(monkeypatch,
+                                                              tmp_path):
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "file").write_text("")     # a cache below a file: no makedirs
+    path = sampler._library_path(sampler._STEP_C,
+                                 str(tmp_path / "file" / "cache"))
+    assert os.path.dirname(os.path.dirname(path)) == str(tmp_path / "tmp")
+    assert ctypes.CDLL(path).comb_step
+
+
+def test_step_source_compiles_without_warnings(tmp_path):
+    cc = (sysconfig.get_config_var("CC") or "cc").split()
+    res = subprocess.run(
+        [*cc, "-std=c99", "-Wall", "-Wextra", "-Werror", "-O2", "-shared",
+         "-fPIC", "-o", str(tmp_path / "step.so"), "-x", "c", "-"],
+        input=sampler._STEP_C.encode(), capture_output=True)
+    assert res.returncode == 0, res.stderr.decode()
 
 
 # A 512-pair block of 4096 steps keeps one int8 code per draw, 4 MiB a
