@@ -1,0 +1,111 @@
+"""One C source for the package's compiled loops, the sampler's
+``comb_step`` and the exact oracle's ``csr_rows``: built on first use and
+cached per source version in ``__pycache__``, loaded with ``ctypes``."""
+
+import ctypes
+import functools
+import hashlib
+import os
+import subprocess
+import sysconfig
+import tempfile
+
+
+class BuildError(RuntimeError):
+    """The shared library could not be built."""
+
+
+_SOURCE = r"""
+#include <stdint.h>
+
+/* `_CombKernel` steps, a row of `pos` at a time for 32 walkers; walker w
+   reads codes c0, c1[w * stride + i]; k, k_hist: NULL unless lazy */
+void comb_step(const int8_t *c0, const int8_t *c1, int64_t stride,
+               int64_t *pos, int64_t *k, int64_t *k_hist, int64_t width,
+               int64_t len, int64_t teeth, int64_t nb, int64_t mod)
+{
+    /* the moves of tooth class t: -, + of each coordinate; 4 is none */
+    static const int8_t d0[5] = {-1, 1, 0, 0, 0}, d1[5] = {0, 0, -1, 1, 0};
+    const int64_t row = (1 + teeth) * width;
+    for (int64_t w0 = 0; w0 < width; w0 += 32)
+        for (int64_t i = 0; i < len; i++)
+            for (int64_t w = w0; w < width && w < w0 + 32; w++) {
+                int64_t *p = pos + i * row + w, b = p[0], at = w * stride + i;
+                int64_t t0 = teeth ? p[width] : 0;
+                int64_t t1 = teeth > 1 ? p[2 * width] : 0;
+                int c = c0[at] & 7, t = 4;
+                if (t0 != 0 || t1 != 0)         /* off the spine */
+                    t = c0[at] >> 3;
+                else if (c >= nb)               /* a tooth move */
+                    t = c - (int)nb;
+                else                            /* b-, b+, flip or hold */
+                    b += c1 ? 2 * c1[at] - 1 : nb == 1 ? 1 : 2 * c - 1;
+                if (mod && (b < 0 || b >= mod)) /* numpy's floor % */
+                    b = (b % mod + mod) % mod;
+                p[row] = b;
+                if (teeth) p[row + width] = t0 + d0[t];
+                if (teeth > 1) p[row + 2 * width] = t1 + d1[t];
+                if (k) k_hist[i * width + w] = k[w] += t == 4;  /* holds */
+            }
+}
+
+/* rows lo <= i < hi of y = A x, A in CSR, each summed from 0.0 in order;
+   rows hold a few arcs each, so the row loop is unrolled */
+void csr_rows(const int32_t *indptr, const int32_t *indices,
+              const double *data, const double *x, double *y,
+              int64_t lo, int64_t hi)
+{
+    for (int64_t i = lo; i < hi; i++) {
+        double s = 0.0;
+#pragma GCC unroll 4
+        for (int32_t j = indptr[i]; j < indptr[i + 1]; j++)
+            s += data[j] * x[indices[j]];
+        y[i] = s;
+    }
+}
+"""
+# no fused multiply-add: each row sums the rounded products, in order
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-std=c99", "-ffp-contract=off")
+_CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
+
+
+def _library_path(source, cache):
+    """``source`` built by Python's own C compiler into ``cache``, named by
+    the sha256 of source and flags; renamed into place, so concurrent
+    builds are safe.  OSError if ``cache`` cannot be written."""
+    tag = hashlib.sha256("\0".join((source, *_CFLAGS)).encode()).hexdigest()
+    path = os.path.join(cache, f"combwalks-{tag[:16]}.so")
+    if os.path.exists(path):
+        return path
+    os.makedirs(cache, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(".tmp", dir=cache)
+    os.close(fd)
+    cc = (sysconfig.get_config_var("CC") or "cc").split()
+    try:
+        subprocess.run([*cc, *_CFLAGS, "-o", tmp, "-x", "c", "-"],
+                       input=source.encode(), capture_output=True, check=True)
+        os.replace(tmp, path)
+    except (OSError, subprocess.CalledProcessError) as exc:
+        why = getattr(exc, "stderr", b"").decode().strip().splitlines()
+        raise BuildError(f"cannot build the shared library with {cc[0]}: "
+                         f"{why[0] if why else exc}") from None
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return path
+
+
+@functools.cache
+def library():
+    """The compiled loops; an unwritable cache builds them in a private
+    temp directory, removed once they are loaded."""
+    try:
+        lib = ctypes.CDLL(_library_path(_SOURCE, _CACHE))
+    except OSError:
+        with tempfile.TemporaryDirectory() as tmp:
+            lib = ctypes.CDLL(_library_path(_SOURCE, tmp))
+    p, i = ctypes.c_void_p, ctypes.c_int64
+    lib.comb_step.argtypes = [p, p, i, p, p, p, i, i, i, i, i]
+    lib.csr_rows.argtypes = [p, p, p, p, p, i, i]
+    lib.comb_step.restype = lib.csr_rows.restype = None
+    return lib

@@ -15,8 +15,8 @@ flags produces byte-identical output, whatever the worker count.  Config
 may come from a flat key=value file via --config, with explicit flags
 taking precedence.
 
-Exit codes: 0 success, 1 check failure, 2 config error, 3 budget
-exceeded, 4 input schema mismatch, 5 degenerate data.
+Exit codes: 0 success, 1 failed check, simulation or build, 2 config
+error, 3 budget exceeded, 4 input schema mismatch, 5 degenerate data.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import os
 import sys
 import time
 
+from ._native import BuildError
 from .graphs import BudgetError, GraphError, build_graph, DEFAULT_BUDGET
 from .oracle import (OracleError, identity_check_suite,
                      meeting_expectation_series, per_site_collision_series,
@@ -462,6 +463,9 @@ def main(argv=None):
         return EXIT_DEGENERATE
     except SimulationError as exc:
         print(f"simulation aborted: {exc}", file=sys.stderr)
+        return EXIT_CHECK
+    except BuildError as exc:
+        print(f"build failed: {exc}", file=sys.stderr)
         return EXIT_CHECK
 
 

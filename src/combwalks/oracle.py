@@ -41,9 +41,11 @@ over.  Other balls are one class, stepped by reached prefix.
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.sparse._sparsetools import csr_matvec
+import ctypes
 
+import numpy as np
+
+from . import _native
 from .graphs import GraphError, ball, build_graph, _ball_bfs, DEFAULT_BUDGET
 
 MASS_TOL = 1e-10        # guard on probability conservation during iteration
@@ -61,12 +63,12 @@ class Kernel:
     """Transposed one-step operator on a ball, as CSR arrays.
 
     Row i gathers mass into state i from its in-ball neighbours (on a lumped
-    ball, repeated arcs into one orbit add up).  Step n zeroes and fills
-    only the rows `ball.rows(n)` that carry mass, through `csr_matvec` on
-    that slice; no matrix is built.  On a bipartite ball they are one
-    parity class, fed only by the other, so steps alternate classes in
-    place in one vector; other balls alternate two vectors.  Rows a run
-    has not reached are never written and stay zero.
+    ball, repeated arcs into one orbit add up).  Step n fills only the rows
+    `ball.rows(n)` that carry mass, in one call of the compiled `csr_rows`
+    on addresses taken once; no matrix is built.  On a bipartite ball they
+    are one parity class, fed only by the other, so steps alternate
+    classes in place in one vector; other balls alternate two vectors.
+    Rows a run has not reached are never written and stay zero.
     """
 
     def __init__(self, ball_, release_arcs=False):
@@ -81,12 +83,16 @@ class Kernel:
         if release_arcs:
             ball_.arc_src = ball_.arc_dst = None
         self.ball = ball_
+        self._csr_rows = _native.library().csr_rows
+        self._csr = [ctypes.c_void_p(a.ctypes.data)
+                     for a in (self.indptr, self.indices, self.data)]
         self._reset()
 
     def _reset(self):
         """Fresh step vectors, so that a new run reads no stale rows."""
         v = np.zeros(self.ball.size)
         self._bufs = (v, v if self.ball.bipartite else np.zeros_like(v))
+        self._addr = [ctypes.c_void_p(b.ctypes.data) for b in self._bufs]
 
     def start_vector(self):
         vec = np.zeros(self.ball.size)
@@ -96,17 +102,16 @@ class Kernel:
     def step(self, vec, reach):
         """Step `reach` of a walk from the root: write only `ball.rows(reach)`."""
         b = self.ball
-        # csr_matvec reads raw memory: no strides, no bounds, no casts
+        # csr_rows reads raw memory: no strides, no bounds, no casts
         if vec.dtype != np.float64 or vec.shape != (b.size,) \
                 or not vec.flags.c_contiguous:
             raise OracleError(f"step needs a contiguous float64 vector of "
                               f"length {b.size}")
         lo, hi = b.rows(reach)
-        out = self._bufs[vec is self._bufs[0]]
-        out[lo:hi] = 0.0
-        csr_matvec(hi - lo, b.size, self.indptr[lo:], self.indices, self.data,
-                   vec, out[lo:hi])
-        return out
+        i = vec is self._bufs[0]
+        x = self._addr[1 - i] if vec is self._bufs[1 - i] else vec.ctypes.data
+        self._csr_rows(*self._csr, x, self._addr[i], lo, hi)
+        return self._bufs[i]
 
     def iterate(self, n_steps, on_step=None):
         """Run `n_steps` steps from the root, with a mass-conservation guard.

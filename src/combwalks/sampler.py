@@ -24,7 +24,7 @@ driver (``_windows``) runs every direct and selfloop walk in three layers:
               step whether or not the step uses them;
 * window   -- the kernel steps ``WIN`` rows of codes, writing each state
               into a (WIN + 1)-row history; the comb kernels do it in one
-              call of a small compiled loop, built on first use;
+              call of ``_native.comb_step``, a C loop built on first use;
 * observer -- meetings, collision records, depth, envelope violations,
               truncation, checkpoints, loop counts and the ladder spine
               trace are read off the whole window history at once.
@@ -39,21 +39,17 @@ comparing the halves.
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import functools
-import hashlib
 import json
 import math
 import os
 import stat
-import subprocess
-import sysconfig
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _native
 from .graphs import (BiasedLadder, GraphError, Star,
                      LADDER_ID_BITS as _LEVEL_BITS)
 from .rng import (AUX, RngStream, X_BASE, X_HOLD, X_MAIN, X_SKEL, X_TOOTH,
@@ -68,7 +64,7 @@ _ROLES = {"direct": (X_MAIN, Y_MAIN), "selfloop": (X_TOOTH, Y_TOOTH)}
 
 
 class SimulationError(RuntimeError):
-    """A walk left its allowed region, or the comb step failed to build."""
+    """A walk left its allowed region."""
 
 
 # ---------------------------------------------------------------------------
@@ -247,83 +243,6 @@ def _pm(c, minus):
     return (c == minus + 1).astype(np.int8) - (c == minus)
 
 
-# A window of `_CombKernel` steps, a row of `pos` at a time for 32 walkers;
-# walker w reads codes c0, c1[w * stride + i].  k, k_hist: NULL unless lazy.
-_STEP_C = r"""
-#include <stdint.h>
-
-void comb_step(const int8_t *c0, const int8_t *c1, int64_t stride,
-               int64_t *pos, int64_t *k, int64_t *k_hist, int64_t width,
-               int64_t len, int64_t teeth, int64_t nb, int64_t mod)
-{
-    /* the moves of tooth class t: -, + of each coordinate; 4 is none */
-    static const int8_t d0[5] = {-1, 1, 0, 0, 0}, d1[5] = {0, 0, -1, 1, 0};
-    const int64_t row = (1 + teeth) * width;
-    for (int64_t w0 = 0; w0 < width; w0 += 32)
-        for (int64_t i = 0; i < len; i++)
-            for (int64_t w = w0; w < width && w < w0 + 32; w++) {
-                int64_t *p = pos + i * row + w, b = p[0], at = w * stride + i;
-                int64_t t0 = teeth ? p[width] : 0;
-                int64_t t1 = teeth > 1 ? p[2 * width] : 0;
-                int c = c0[at] & 7, t = 4;
-                if (t0 != 0 || t1 != 0)         /* off the spine */
-                    t = c0[at] >> 3;
-                else if (c >= nb)               /* a tooth move */
-                    t = c - (int)nb;
-                else                            /* b-, b+, flip or hold */
-                    b += c1 ? 2 * c1[at] - 1 : nb == 1 ? 1 : 2 * c - 1;
-                if (mod && (b < 0 || b >= mod)) /* numpy's floor % */
-                    b = (b % mod + mod) % mod;
-                p[row] = b;
-                if (teeth) p[row + width] = t0 + d0[t];
-                if (teeth > 1) p[row + 2 * width] = t1 + d1[t];
-                if (k) k_hist[i * width + w] = k[w] += t == 4;  /* holds */
-            }
-}
-"""
-_CFLAGS = ("-O2", "-shared", "-fPIC", "-std=c99")
-_CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
-
-
-def _library_path(source, cache):
-    """``source`` built by Python's own C compiler into ``cache``, or a
-    private temp directory if ``cache`` is not writable, named by the sha256
-    of source and flags; renamed into place, so concurrent builds are safe."""
-    tag = hashlib.sha256("\0".join((source, *_CFLAGS)).encode()).hexdigest()
-    path = os.path.join(cache, f"combstep-{tag[:16]}.so")
-    if os.path.exists(path):
-        return path
-    try:
-        os.makedirs(cache, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(".tmp", dir=cache)
-    except OSError:
-        return _library_path(source, tempfile.mkdtemp())
-    os.close(fd)
-    cc = (sysconfig.get_config_var("CC") or "cc").split()
-    try:
-        subprocess.run([*cc, *_CFLAGS, "-o", tmp, "-x", "c", "-"],
-                       input=source.encode(), capture_output=True, check=True)
-        os.replace(tmp, path)
-    except (OSError, subprocess.CalledProcessError) as exc:
-        why = getattr(exc, "stderr", b"").decode().strip().splitlines()
-        raise SimulationError(f"cannot build the comb step with {cc[0]}: "
-                              f"{why[0] if why else exc}") from None
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return path
-
-
-@functools.cache
-def _comb_step():
-    """The compiled ``comb_step``, built and loaded with the first comb
-    kernel: runs that sample no comb never build it."""
-    fn = ctypes.CDLL(_library_path(_STEP_C, _CACHE)).comb_step
-    p, i = ctypes.c_void_p, ctypes.c_int64
-    fn.argtypes, fn.restype = [p, p, i, p, p, p, i, i, i, i, i], None
-    return fn
-
-
 class _CombKernel(_KernelBase):
     """Every `graphs.Product` with a base: comb and comb2 over a line,
     cycle or single edge, the bare base (no teeth: every vertex is on the
@@ -335,7 +254,7 @@ class _CombKernel(_KernelBase):
     base moves (b-, b+, or the single edge flip), then -, + for each tooth
     coordinate.  Off the spine: -, + for each tooth coordinate.  A code is
     c | c2 << 3 of the two classes.  ``advance`` steps a window of codes in
-    one call of the compiled ``comb_step`` (``_STEP_C``).
+    one call of the compiled ``comb_step`` (see :mod:`._native`).
 
     The lazy construction (comb only) runs the tooth as a walk on the
     integers with a self-loop of probability d/(d+2) at 0; each self-loop
@@ -364,7 +283,7 @@ class _CombKernel(_KernelBase):
             self.k = np.zeros(width, dtype=np.int64)
             self.k_hist = np.empty((rows, width), dtype=np.int64)
             self._k = self.k.ctypes.data, self.k_hist.ctypes.data
-        self._step = _comb_step()
+        self._step = _native.library().comb_step
 
     def codes(self, ch, u):
         c2 = (u * (2 * self.n_teeth)).astype(np.int8)
@@ -651,7 +570,8 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
             collisions[c].append(CollisionRecord(replicas[c], n, tuple(v), l))
     lil_times = []
     for keys in lil_keys:
-        b_of, n_of = np.divmod(np.unique(np.concatenate(keys)), n_steps + 1)
+        k = np.sort(np.concatenate(keys))   # np.unique imports numpy.ma
+        b_of, n_of = np.divmod(k[np.diff(k, prepend=-1) > 0], n_steps + 1)
         lil_times.append(np.split(n_of, np.searchsorted(b_of, range(1, B))))
     final = kernel.pos[0].T.tolist()
 

@@ -1,5 +1,6 @@
-"""Byte identity of the sampler's JSONL: pinned sha256 digests of small
-fixed ensembles, one per kernel.
+"""Byte identity of the sampler's JSONL and of the exact oracle's series:
+pinned sha256 digests of small fixed ensembles, one per kernel, and of
+oracle series on lumped, BFS and two-vector balls.
 
 A change that is meant to keep the same bytes (a refactor, a faster
 kernel) must leave every digest here unchanged; a change that alters a
@@ -8,9 +9,13 @@ construction on purpose updates the digest it moves and says why.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from combwalks.graphs import build_graph
+from combwalks.oracle import (meeting_expectation_series,
+                              per_site_collision_series,
+                              return_probability_series)
 from combwalks.sampler import RecordPolicy, run_ensemble
 
 # spec, method, n_steps, replicas, seed, record
@@ -67,3 +72,69 @@ def test_jsonl_bytes_are_pinned(name):
     if name == "biased-ladder":
         assert min(min(s.max_tooth_x, s.max_tooth_y) for s in out) > 1076
     assert hashlib.sha256(data).hexdigest() == DIGESTS[name]
+
+
+def _returns(spec, n_max, every):
+    return lambda: return_probability_series(build_graph(spec), n_max,
+                                             every=every)
+
+
+# each case returns the arrays whose float64 bytes are hashed, in order
+ORACLE_CASES = {
+    "return-even comb:line": _returns("comb:line", 600, "even"),
+    "return-all comb:line": _returns("comb:line", 300, "all"),
+    "return-even grid2d": _returns("grid2d", 200, "even"),
+    "return-all grid2d": _returns("grid2d", 100, "all"),
+    # not bipartite: the kernel alternates two vectors
+    "return-all comb:cycle:3": _returns("comb:cycle:3", 200, "all"),
+    # a BFS ball, not lumped
+    "return-all star:3": _returns("star:3", 64, "all"),
+    "meetings comb:line": lambda: meeting_expectation_series(
+        build_graph("comb:line"), 300),
+    "meetings comb2:line": lambda: meeting_expectation_series(
+        build_graph("comb2:line"), 60),
+    "persite comb:line": lambda: per_site_collision_series(
+        build_graph("comb:line"), 300),
+    "persite comb2:line": lambda: per_site_collision_series(
+        build_graph("comb2:line"), 60),
+}
+
+# sha256 of the bytes of each case's series
+ORACLE_DIGESTS = {
+    "return-even comb:line":
+        "6192546da173eb2e4c44af29b9516e684eb4b82435d8b70d2b9031ad8a72abc0",
+    "return-all comb:line":
+        "49531d096c2f1931a5113e2c5ef7f39bb955ccb026f4aaf6ebb130635db20c03",
+    "return-even grid2d":
+        "f21917cdb1e51765ab6125a19a0bb88bf588269761dbd2a264808c6ccda1c9ef",
+    "return-all grid2d":
+        "1202bb63aa6548a56ecac54c2ebecd2cce8be3eb6442e9098ac7e31a2f191e44",
+    "return-all comb:cycle:3":
+        "86b8c8ceccf97434b4826464e24d145d44af3d27cc222e4ceb23d97522f1a0a4",
+    "return-all star:3":
+        "a7e80125b8b48ccadeec48406188d7acc7d94e6d13b918da200940fd54b1a554",
+    "meetings comb:line":
+        "97b3c185d08143978974ca1c7771feba0b80ea6b8c8b01f2d21bf29c5933fad6",
+    "meetings comb2:line":
+        "9ab2352534233dc46eceb8c608c9ee1340e7a75d187046d055baeb8541b0be7d",
+    "persite comb:line":
+        "adfea154943ceb03f98ff8643ca78b69330054099cfb93ac16379fa5121aecb6",
+    "persite comb2:line":
+        "717267ff93a20a7d3ab817c56d04069a5e1b9ca98b08d5ec6130bbfdff378fef",
+}
+
+
+def _series_bytes(out):
+    if isinstance(out, tuple):
+        return b"".join(_series_bytes(s) for s in out)
+    if hasattr(out, "table"):
+        arrays = (out.n, out.heights, out.table)
+    else:
+        arrays = (out.n, out.values)
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+def test_oracle_bytes_are_pinned(name):
+    data = _series_bytes(ORACLE_CASES[name]())
+    assert hashlib.sha256(data).hexdigest() == ORACLE_DIGESTS[name]

@@ -35,15 +35,37 @@ def test_help_screens(sub):
 
 def test_import_leaves_scipy_stats_unloaded():
     # only fit, stats --report drift, estimate_exponent and kendall_trend
-    # pay for scipy.stats; every other command starts without it
+    # pay for scipy; every other command starts without any of it
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     res = subprocess.run(
         [sys.executable, "-c",
-         "import combwalks.cli, sys; print('scipy.stats' in sys.modules)"],
+         "import combwalks.cli, sys; "
+         "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src})
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+def _without_a_compiler(monkeypatch, tmp_path, compiler):
+    """No cached library and a missing or failing compiler."""
+    from combwalks import _native
+    cc = tmp_path / "cc"
+    if compiler == "failing":
+        cc.write_text("#!/bin/sh\necho 'cc: broken' >&2\nexit 1\n")
+        cc.chmod(0o755)
+    monkeypatch.setattr(_native.sysconfig, "get_config_var",
+                        lambda name: str(cc))
+    monkeypatch.setattr(_native, "_CACHE", str(tmp_path / "cache"))
+    monkeypatch.setattr(_native, "library",
+                        functools.cache(_native.library.__wrapped__))
+
+
+def _says_one_line_and_leaves_no_temp_file(code, err, tmp_path):
+    assert code == 1
+    assert err.startswith("build failed: cannot build the shared library")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert os.listdir(tmp_path / "cache") == []          # no temp file left
 
 
 @pytest.mark.parametrize("compiler", ["missing", "failing"])
@@ -51,25 +73,29 @@ def test_simulate_without_a_compiler_exits_1(monkeypatch, tmp_path, capsys,
                                              compiler):
     # the comb step is built on first use; with no cached library and no
     # working compiler, simulate says so in one line and exits 1
-    from combwalks import cli, sampler
-    cc = tmp_path / "cc"
-    if compiler == "failing":
-        cc.write_text("#!/bin/sh\necho 'cc: broken' >&2\nexit 1\n")
-        cc.chmod(0o755)
-    monkeypatch.setattr(sampler.sysconfig, "get_config_var",
-                        lambda name: str(cc))
-    monkeypatch.setattr(sampler, "_CACHE", str(tmp_path / "cache"))
-    monkeypatch.setattr(sampler, "_comb_step",
-                        functools.cache(sampler._comb_step.__wrapped__))
+    from combwalks import cli
+    _without_a_compiler(monkeypatch, tmp_path, compiler)
     out = tmp_path / "runs.jsonl"
     code = cli.main(["simulate", "--graph", "comb:line", "--steps", "8",
                      "--replicas", "2", "--seed", "1", "--workers", "1",
                      "--out", str(out)])
-    err = capsys.readouterr().err
-    assert code == 1 and not out.exists()
-    assert err.startswith("simulation aborted: cannot build the comb step")
-    assert err.count("\n") == 1 and "Traceback" not in err
-    assert os.listdir(tmp_path / "cache") == []          # no temp file left
+    _says_one_line_and_leaves_no_temp_file(code, capsys.readouterr().err,
+                                           tmp_path)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("compiler", ["missing", "failing"])
+def test_oracle_without_a_compiler_exits_1(monkeypatch, tmp_path, capsys,
+                                           compiler):
+    # the exact kernel's row step lives in the same library
+    from combwalks import cli
+    _without_a_compiler(monkeypatch, tmp_path, compiler)
+    out = tmp_path / "return.csv"
+    code = cli.main(["oracle", "return", "--graph", "comb:line", "--nmax",
+                     "8", "--out", str(out)])
+    _says_one_line_and_leaves_no_temp_file(code, capsys.readouterr().err,
+                                           tmp_path)
+    assert not out.exists()
 
 
 def test_no_arguments_is_usage_error():

@@ -17,6 +17,7 @@ import pytest
 from scipy import stats as sps
 
 import combwalks.sampler as sampler
+from combwalks import _native
 from combwalks.graphs import GraphError, build_graph
 from combwalks.oracle import meeting_expectation_series, transition_vector
 from combwalks.rng import (RngStream, X_HOLD, X_MAIN, X_SKEL, X_TOOTH,
@@ -480,16 +481,16 @@ def test_compiled_step_matches_reference_step(spec, method):
 
 
 def test_step_library_is_built_once_per_source(monkeypatch, tmp_path):
-    path = sampler._library_path(sampler._STEP_C, str(tmp_path))
+    path = _native._library_path(_native._SOURCE, str(tmp_path))
     assert os.listdir(tmp_path) == [os.path.basename(path)]   # no temp file
 
     def no_compiler(*args, **kwargs):
         raise AssertionError("the cached library was built again")
 
     with monkeypatch.context() as m:
-        m.setattr(sampler.subprocess, "run", no_compiler)
-        assert sampler._library_path(sampler._STEP_C, str(tmp_path)) == path
-    other = sampler._library_path(sampler._STEP_C + "\n", str(tmp_path))
+        m.setattr(_native.subprocess, "run", no_compiler)
+        assert _native._library_path(_native._SOURCE, str(tmp_path)) == path
+    other = _native._library_path(_native._SOURCE + "\n", str(tmp_path))
     assert other != path and sorted(os.listdir(tmp_path)) == sorted(
         os.path.basename(p) for p in (path, other))
 
@@ -498,12 +499,13 @@ def test_concurrent_builds_leave_one_whole_library(tmp_path):
     # more processes than cores build into one empty cache at once
     ctx = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=4, mp_context=ctx) as pool:
-        futs = [pool.submit(sampler._library_path, sampler._STEP_C,
+        futs = [pool.submit(_native._library_path, _native._SOURCE,
                             str(tmp_path)) for _ in range(4)]
         paths = {f.result(timeout=120) for f in futs}
     assert len(paths) == 1 and os.listdir(tmp_path) == [
         os.path.basename(p) for p in paths]
-    assert ctypes.CDLL(paths.pop()).comb_step
+    lib = ctypes.CDLL(paths.pop())
+    assert lib.comb_step and lib.csr_rows
 
 
 def test_unwritable_step_cache_falls_back_to_a_temp_directory(monkeypatch,
@@ -511,10 +513,13 @@ def test_unwritable_step_cache_falls_back_to_a_temp_directory(monkeypatch,
     (tmp_path / "tmp").mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
     (tmp_path / "file").write_text("")     # a cache below a file: no makedirs
-    path = sampler._library_path(sampler._STEP_C,
-                                 str(tmp_path / "file" / "cache"))
-    assert os.path.dirname(os.path.dirname(path)) == str(tmp_path / "tmp")
-    assert ctypes.CDLL(path).comb_step
+    monkeypatch.setattr(_native, "_CACHE", str(tmp_path / "file" / "cache"))
+    lib = _native.library.__wrapped__()
+    assert os.path.dirname(os.path.dirname(lib._name)) == str(tmp_path / "tmp")
+    assert lib.comb_step and lib.csr_rows
+    # the private directory goes once the library is loaded
+    assert os.listdir(tmp_path / "tmp") == []
+    assert sorted(os.listdir(tmp_path)) == ["file", "tmp"]
 
 
 def test_step_source_compiles_without_warnings(tmp_path):
@@ -522,7 +527,7 @@ def test_step_source_compiles_without_warnings(tmp_path):
     res = subprocess.run(
         [*cc, "-std=c99", "-Wall", "-Wextra", "-Werror", "-O2", "-shared",
          "-fPIC", "-o", str(tmp_path / "step.so"), "-x", "c", "-"],
-        input=sampler._STEP_C.encode(), capture_output=True)
+        input=_native._SOURCE.encode(), capture_output=True)
     assert res.returncode == 0, res.stderr.decode()
 
 
