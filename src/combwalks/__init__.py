@@ -1,5 +1,6 @@
 """Random walks on combs: exact kernels, samplers, collision statistics."""
 
+from ._native import BuildError
 from .graphs import (Ball, BiasedLadder, BudgetError, Graph, GraphError,
                      Product, Star, ball, build_graph)
 from .oracle import (Kernel, KernelSeries, OracleError, SparseDistribution,

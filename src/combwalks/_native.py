@@ -1,6 +1,6 @@
-"""One C source for the package's compiled loops, the sampler's
-``comb_step`` and the exact oracle's ``csr_rows``: built on first use and
-cached per source version in ``__pycache__``, loaded with ``ctypes``."""
+"""One C source for the package's three compiled loops, ``philox_fill``,
+``comb_step`` and ``csr_rows``: built on first use and cached per source
+version in ``__pycache__``, loaded with ``ctypes``."""
 
 import ctypes
 import functools
@@ -17,6 +17,31 @@ class BuildError(RuntimeError):
 
 _SOURCE = r"""
 #include <stdint.h>
+
+/* Philox4x64-10 (Salmon et al., SC11) as numpy's Philox: row j of `out`
+   (row stride ld) gets draws start .. start + len - 1 of the stream keyed
+   keys[2j], keys[2j + 1]: each word w as the double (w >> 11) * 2^-53, or
+   as the integer w >> shift if shift > 0 */
+void philox_fill(const uint64_t *keys, int64_t n, int64_t start, int64_t len,
+                 void *out, int64_t ld, int64_t shift)
+{
+    typedef unsigned __int128 u128;
+    for (int64_t j = 0; j < n; j++)
+        for (int64_t i = 0; i < len; i += 4) {  /* bump, then draw */
+            uint64_t c[4] = {(uint64_t)(start + i) / 4 + 1, 0, 0, 0},
+                     k0 = keys[2 * j], k1 = keys[2 * j + 1];
+            for (int r = 0; r < 10; r++, k0 += 0x9E3779B97F4A7C15u,
+                                         k1 += 0xBB67AE8584CAA73Bu) {
+                u128 p0 = (u128)c[0] * 0xD2E7470EE14C6C93u,
+                     p1 = (u128)c[2] * 0xCA5A826395121157u;
+                c[0] = (uint64_t)(p1 >> 64) ^ c[1] ^ k0, c[1] = (uint64_t)p1;
+                c[2] = (uint64_t)(p0 >> 64) ^ c[3] ^ k1, c[3] = (uint64_t)p0;
+            }
+            for (int64_t q = i; q < len && q < i + 4; q++)
+                if (shift) ((int64_t *)out)[j * ld + q] = c[q - i] >> shift;
+                else ((double *)out)[j * ld + q] = (c[q - i] >> 11) * 0x1p-53;
+        }
+}
 
 /* `_CombKernel` steps, a row of `pos` at a time for 32 walkers; walker w
    reads codes c0, c1[w * stride + i]; k, k_hist: NULL unless lazy */
@@ -105,7 +130,9 @@ def library():
         with tempfile.TemporaryDirectory() as tmp:
             lib = ctypes.CDLL(_library_path(_SOURCE, tmp))
     p, i = ctypes.c_void_p, ctypes.c_int64
+    lib.philox_fill.argtypes = [p, i, i, i, p, i, i]
     lib.comb_step.argtypes = [p, p, i, p, p, p, i, i, i, i, i]
     lib.csr_rows.argtypes = [p, p, p, p, p, i, i]
-    lib.comb_step.restype = lib.csr_rows.restype = None
+    lib.philox_fill.restype = lib.comb_step.restype = None
+    lib.csr_rows.restype = None
     return lib

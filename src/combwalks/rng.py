@@ -21,8 +21,8 @@ component processes of the decomposed constructions never share a stream:
 ``RngStream(seed, r, stream).generator()`` defines a stream: Philox keyed
 by ``SeedSequence(seed, spawn_key=(r, stream))``, counter 0.  The sampler
 builds none per replica: ``stream_keys`` hashes many replicas' keys in one
-numpy pass, and ``fill`` draws their streams: short rows in one numpy
-pass of Philox4x64-10, long rows through one reused Philox.
+numpy pass, and ``fill`` draws all their streams in one call of the
+compiled Philox4x64-10, the package's one copy of the cipher.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
+
+from . import _native
 
 X_MAIN, X_AUX = 0, 1
 Y_MAIN = 2
@@ -42,7 +44,8 @@ AUX = X_AUX - X_MAIN      # offset of a walker's auxiliary stream from its main 
 
 @dataclass(frozen=True)
 class RngStream:
-    """Key of one reproducible stream: (seed, replica, stream id)."""
+    """Key of one reproducible stream: (seed, replica, stream id).
+    ``generator()`` defines the stream; ``fill`` draws the same bytes."""
 
     seed: int
     replica: int
@@ -119,61 +122,24 @@ def stream_keys(seed, replicas, stream):
     return keys
 
 
-# Philox4x64-10 (Salmon et al., SC11): multipliers of counter words 0 and 2,
-# Weyl increments of key words 0 and 1
-_M0, _M1, _W0, _W1 = map(np.uint64, (0xD2E7470EE14C6C93, 0xCA5A826395121157,
-                                     0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B))
-_LO, _S32 = np.uint64(_M32), np.uint64(32)
-# rows of at most this many doubles are filled as numpy columns, faster
-# than one Philox call per row up to about 32 draws and slower beyond
-_SHORT = 32
-
-
-def _mulhi(m, x):
-    """High words of the 128-bit products ``m * x``, from 32-bit halves."""
-    m_lo, m_hi, x_lo, x_hi = m & _LO, m >> _S32, x & _LO, x >> _S32
-    ll, lh, hl = m_lo * x_lo, m_lo * x_hi, m_hi * x_lo
-    carry = ((ll >> _S32) + (lh & _LO) + (hl & _LO)) >> _S32
-    return m_hi * x_hi + (lh >> _S32) + (hl >> _S32) + carry
-
-
-def _philox_doubles(keys, start, n):
-    """(n, len(keys)) doubles: column j holds draws ``start .. start + n - 1``
-    of the stream keyed ``keys[j]``, the bytes numpy's Philox gives."""
-    k0, k1 = keys[:, 0], keys[:, 1]
-    first = start // 4 + 1                # numpy bumps the counter, then draws
-    c0 = np.arange(first, first - (-n // 4), dtype=np.uint64)[:, None]
-    c1 = c2 = c3 = np.uint64(0)
-    for r in range(10):
-        if r:
-            k0, k1 = k0 + _W0, k1 + _W1
-        c0, c1, c2, c3 = (_mulhi(_M1, c2) ^ c1 ^ k0, c2 * _M1,
-                          _mulhi(_M0, c0) ^ c3 ^ k1, c0 * _M0)
-    words = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=1)
-    words = words.reshape(4 * len(words), len(keys))[:n]
-    return (words >> np.uint64(11)) * 2.0 ** -53
-
-
 def fill(keys, start, out, high=None):
     """Row j of ``out`` gets draws ``start, start + 1, ...`` of the stream
-    keyed ``keys[j]``: doubles in [0, 1), or integers in [0, ``high``),
-    one 64-bit word each when ``high`` is a power of two.  Rows of at most
-    ``_SHORT`` doubles run Philox4x64-10 on numpy columns, all rows in one
-    pass.  Longer rows and ``high=`` fills share one Philox, set per row to
-    the row's key, the counter of the block before draw ``start`` and an
-    empty buffer: its generator's state after ``start`` draws.  Both give
-    the same bytes."""
-    if start % 4:
-        raise ValueError("fill starts on a Philox block: start % 4 == 0")
-    if high is None and out.shape[1] <= _SHORT:
-        out[...] = _philox_doubles(keys, start, out.shape[1]).T
-        return
-    g = Generator(Philox(0))
-    state = g.bit_generator.state         # a fresh one: empty buffer
-    for key, row in zip(keys.tolist(), out):
-        state["state"] = {"counter": [start // 4, 0, 0, 0], "key": key}
-        g.bit_generator.state = state
-        if high is None:
-            g.random(out=row)
-        else:
-            row[:] = g.integers(0, high, dtype=out.dtype, size=len(row))
+    keyed ``keys[j]``: float64 doubles in [0, 1), or, given ``high``, int64
+    integers in [0, ``high``), one 64-bit word each, as numpy's
+    ``integers`` spends them when ``high`` is a power of two in
+    (2^32, 2^64).  All rows run in one call of the compiled
+    ``philox_fill`` (see :mod:`._native`), with the bytes of
+    ``RngStream.generator`` advanced ``start`` draws."""
+    keys = np.ascontiguousarray(keys, dtype=np.uint64)
+    h = 0 if high is None else int(high)
+    if (start % 4 or start < 0 or out.ndim != 2
+            or out.dtype != (np.float64 if high is None else np.int64)
+            or out.strides[1] != out.itemsize or not out.flags.writeable
+            or keys.shape != (len(out), 2)
+            or high is not None and (h & h - 1 or not 2 ** 32 < h < 2 ** 64)):
+        raise ValueError("fill writes, from a Philox block (start % 4 == 0), "
+                         "one key's draws per unit-stride row: float64, or "
+                         "int64 given high = 2^33 .. 2^63")
+    _native.library().philox_fill(
+        keys.ctypes.data, len(out), start, out.shape[1], out.ctypes.data,
+        out.strides[0] // out.itemsize, h and 65 - h.bit_length())

@@ -19,8 +19,9 @@ direct law.
 Everything is driven by the keyed Philox streams in :mod:`.rng`, and one
 driver (``_windows``) runs every direct and selfloop walk in three layers:
 
-* chunk    -- each stream is filled ``CHUNK`` values at a time, kept as
-              the kernel's codes, and consumes a fixed number of values per
+* chunk    -- each stream is filled ``CHUNK`` values at a time by one
+              call of the compiled Philox (``rng.fill``), kept as the
+              kernel's codes, and consumes a fixed number of values per
               step whether or not the step uses them;
 * window   -- the kernel steps ``WIN`` rows of codes, writing each state
               into a (WIN + 1)-row history; the comb kernels do it in one

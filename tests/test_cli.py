@@ -71,17 +71,19 @@ def _says_one_line_and_leaves_no_temp_file(code, err, tmp_path):
 @pytest.mark.parametrize("compiler", ["missing", "failing"])
 def test_simulate_without_a_compiler_exits_1(monkeypatch, tmp_path, capsys,
                                              compiler):
-    # the comb step is built on first use; with no cached library and no
-    # working compiler, simulate says so in one line and exits 1
+    # the stream fill and the comb step are built on first use; with no
+    # cached library and no working compiler, simulate says so in one line
+    # and exits 1, on graphs without a compiled step too
     from combwalks import cli
     _without_a_compiler(monkeypatch, tmp_path, compiler)
-    out = tmp_path / "runs.jsonl"
-    code = cli.main(["simulate", "--graph", "comb:line", "--steps", "8",
-                     "--replicas", "2", "--seed", "1", "--workers", "1",
-                     "--out", str(out)])
-    _says_one_line_and_leaves_no_temp_file(code, capsys.readouterr().err,
-                                           tmp_path)
-    assert not out.exists()
+    for spec in ("comb:line", "star:3", "biased-ladder"):
+        out = tmp_path / "runs.jsonl"
+        code = cli.main(["simulate", "--graph", spec, "--steps", "8",
+                         "--replicas", "2", "--seed", "1", "--workers", "1",
+                         "--out", str(out)])
+        _says_one_line_and_leaves_no_temp_file(
+            code, capsys.readouterr().err, tmp_path)
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("compiler", ["missing", "failing"])
@@ -96,6 +98,15 @@ def test_oracle_without_a_compiler_exits_1(monkeypatch, tmp_path, capsys,
     _says_one_line_and_leaves_no_temp_file(code, capsys.readouterr().err,
                                            tmp_path)
     assert not out.exists()
+
+
+def test_run_ensemble_without_a_compiler_raises_build_error(monkeypatch,
+                                                           tmp_path):
+    import combwalks
+    _without_a_compiler(monkeypatch, tmp_path, "missing")
+    with pytest.raises(combwalks.BuildError):
+        combwalks.run_ensemble(combwalks.build_graph("star:3"), n_steps=8,
+                               replicas=2)
 
 
 def test_no_arguments_is_usage_error():

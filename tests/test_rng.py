@@ -74,31 +74,82 @@ def test_fill_continues_the_reference_generator():
 
 @pytest.mark.parametrize("start", [0, 4, 4096, 2 ** 40])
 def test_fill_equals_the_reference_generator_at_every_length(start):
-    # rows on both sides of the short-row branch, written through a
-    # strided view as the sampler's window buffers are
+    # every length through nine Philox blocks, doubles written through a
+    # strided view as the sampler's window buffers are, and 62-bit words
     replicas = [0, 7, 2 ** 32 + 1]
     keys = stream_keys(11, replicas, X_MAIN)
-    buf = np.empty((len(replicas), rng._SHORT + 4))
-    for length in range(1, rng._SHORT + 5):
+    buf = np.empty((len(replicas), 40))
+    raw = np.empty((len(replicas), 40), dtype=np.int64)
+    high = np.int64(1) << 62
+    for length in range(1, 37):
         fill(keys, start, buf[:, :length])
-        for r, row in zip(replicas, buf):
+        fill(keys, start, raw[:, :length], high=high)
+        for r, row, words in zip(replicas, buf, raw):
             g = RngStream(11, r, X_MAIN).generator()
             g.bit_generator.advance(start // 4)
             assert np.array_equal(row[:length], g.random(length))
+            g = RngStream(11, r, X_MAIN).generator()
+            g.bit_generator.advance(start // 4)
+            assert np.array_equal(words[:length], g.integers(
+                0, high, dtype=np.int64, size=length))
 
 
 class _Built(Exception):
     pass
 
 
-def test_short_fills_build_no_generator(monkeypatch):
+def test_fill_builds_no_generator(monkeypatch):
+    # one compiled path for every row length and for integer draws
+    keys = stream_keys(3, range(5), X_MAIN)
+    fills = [(np.empty((5, n)), None) for n in (1, 32, 33, 4096)]
+    fills.append((np.empty((5, 40), dtype=np.int64), np.int64(1) << 62))
+    ref = []
+    for out, high in fills:
+        gens = [RngStream(3, r, X_MAIN).generator() for r in range(5)]
+        for g in gens:
+            g.bit_generator.advance(2)
+        n = out.shape[1]
+        ref.append([g.random(n) if high is None else
+                    g.integers(0, high, dtype=np.int64, size=n)
+                    for g in gens])
+
     def refuse(*args):
         raise _Built
     monkeypatch.setattr(rng, "Generator", refuse)
     monkeypatch.setattr(rng, "Philox", refuse)
-    keys = stream_keys(3, range(5), X_MAIN)
-    fill(keys, 8, np.empty((5, rng._SHORT)))
-    for out, high in ((np.empty((5, rng._SHORT + 1)), None),
-                      (np.empty((5, 4), dtype=np.int64), np.int64(1) << 62)):
-        with pytest.raises(_Built):
-            fill(keys, 8, out, high=high)
+    for (out, high), want in zip(fills, ref):
+        fill(keys, 8, out, high=high)
+        assert np.array_equal(out, want)
+
+
+def test_fill_refuses_what_it_cannot_write():
+    keys = stream_keys(3, range(4), X_MAIN)
+    high = np.int64(1) << 62
+    bad = [
+        # dtype: doubles without high, 64-bit integers with it
+        (keys, np.empty((4, 8), dtype=np.float32), None),
+        (keys, np.empty((4, 8), dtype=np.int64), None),
+        (keys, np.empty((4, 8)), high),
+        # rows that are not unit-stride
+        (keys, np.empty((4, 16))[:, ::2], None),
+        (keys, np.empty((8, 4)).T, None),
+        # memory C may not write
+        (keys, np.broadcast_to(np.empty(8), (4, 8)), None),
+        # one key per row, no more and no fewer
+        (keys[:3], np.empty((4, 8)), None),
+        (keys, np.empty((5, 8)), None),
+        # high: a power of two in (2^32, 2^64), one whole word per draw
+        *[(keys, np.empty((4, 8), dtype=np.int64), h)
+          for h in (2 ** 32, 2 ** 40 + 1, 6, 2 ** 64)],
+    ]
+    for k, out, h in bad:
+        before = out.copy()
+        with pytest.raises(ValueError):
+            fill(k, 0, out, high=h)
+        assert np.array_equal(out, before, equal_nan=out.dtype.kind == "f")
+    for h in (2 ** 33, 2 ** 63):        # the ends of the accepted range
+        out = np.empty((4, 8), dtype=np.int64)
+        fill(keys, 0, out, high=h)
+        assert np.array_equal(out, [
+            RngStream(3, r, X_MAIN).generator().integers(
+                0, h, dtype=np.int64, size=8) for r in range(4)])

@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sysconfig
 import tempfile
@@ -505,7 +506,7 @@ def test_concurrent_builds_leave_one_whole_library(tmp_path):
     assert len(paths) == 1 and os.listdir(tmp_path) == [
         os.path.basename(p) for p in paths]
     lib = ctypes.CDLL(paths.pop())
-    assert lib.comb_step and lib.csr_rows
+    assert lib.philox_fill and lib.comb_step and lib.csr_rows
 
 
 def test_unwritable_step_cache_falls_back_to_a_temp_directory(monkeypatch,
@@ -516,10 +517,22 @@ def test_unwritable_step_cache_falls_back_to_a_temp_directory(monkeypatch,
     monkeypatch.setattr(_native, "_CACHE", str(tmp_path / "file" / "cache"))
     lib = _native.library.__wrapped__()
     assert os.path.dirname(os.path.dirname(lib._name)) == str(tmp_path / "tmp")
-    assert lib.comb_step and lib.csr_rows
+    assert lib.philox_fill and lib.comb_step and lib.csr_rows
     # the private directory goes once the library is loaded
     assert os.listdir(tmp_path / "tmp") == []
     assert sorted(os.listdir(tmp_path)) == ["file", "tmp"]
+
+
+def test_every_compiled_loop_has_its_argument_types():
+    # without argtypes, ctypes would pass an int64_t as a C int
+    loops = re.findall(r"^void (\w+)\(([^)]*)\)", _native._SOURCE, re.M)
+    assert sorted(name for name, _ in loops) == [
+        "comb_step", "csr_rows", "philox_fill"]
+    lib = _native.library()
+    for name, params in loops:
+        fn = getattr(lib, name)
+        assert len(fn.argtypes or ()) == len(params.split(",")), name
+        assert fn.restype is None, name
 
 
 def test_step_source_compiles_without_warnings(tmp_path):
