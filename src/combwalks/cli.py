@@ -286,20 +286,16 @@ def cmd_stats(args):
         if args.r_range is None or args.k_range is None:
             raise ConfigError("grid report needs --r-range and --k-range")
         _check_one_kind(report, args.inputs, loaded)
-        rows = []
-        r_lo, r_hi = args.r_range
-        k_lo, k_hi = args.k_range
+        r_span = range(args.r_range[0], args.r_range[1] + 1)
+        k_span = range(args.k_range[0], args.k_range[1] + 1)
         if merged:
-            grid = dyadic_collision_stats(merged, range(r_lo, r_hi + 1),
-                                          range(k_lo, k_hi + 1))
-            for (r, k) in sorted(grid):
-                c = grid[(r, k)]
-                rows.append((r, k, c.z_mean, c.a_prob, c.w_mean,
-                             c.w_given_a, c.count, c.cond_count))
+            grid = dyadic_collision_stats(merged, r_span, k_span)
+            rows = [(r, k, c.z_mean, c.a_prob, c.w_mean, c.w_given_a,
+                     c.count, c.cond_count)
+                    for (r, k), c in sorted(grid.items())]
         else:
-            for r in range(r_lo, r_hi + 1):
-                for k in range(k_lo, k_hi + 1):
-                    rows.append((r, k, 0.0, 0.0, 0.0, 0.0, 0, 0))
+            rows = [(r, k, 0.0, 0.0, 0.0, 0.0, 0, 0)
+                    for r in r_span for k in k_span]
         with _open_out(args) as fh:
             _write_csv(fh, ("r", "k", "Z_mean", "A_prob", "W_mean",
                             "W_given_A", "count", "cond_count"), rows)
@@ -308,11 +304,12 @@ def cmd_stats(args):
     if report == "growth":
         rows = []
         for path, (label, sums) in zip(args.inputs, loaded):
-            if len({tuple(t for t, _ in s.checkpoints) for s in sums}) > 1:
-                raise SchemaError(f"{path}: summaries differ in checkpoint grid")
             if not sums:
                 continue
-            curve = meeting_growth_curve(sums, args.checkpoints or None)
+            try:
+                curve = meeting_growth_curve(sums, args.checkpoints or None)
+            except SchemaError as exc:         # a file mixing grids
+                raise SchemaError(f"{path}: {exc}") from None
             for t, m, s in zip(curve.times, curve.mean_meetings,
                                curve.survival_frac):
                 rows.append((label, t, m, s))

@@ -108,23 +108,31 @@ class RecordPolicy:
 
 @dataclass(frozen=True)
 class CollisionRecord:
-    """One meeting event of the pair."""
+    """One meeting event of the pair, as a summary's ``collisions`` view."""
 
     replica: int
     n: int
     vertex: tuple
     l: int
 
-    def to_dict(self):
-        return {"n": self.n, "vertex": list(self.vertex), "l": self.l}
+
+# the keys every summary line has; any other top-level key is an extra
+_KEYS = frozenset(("replica", "T", "meetings", "collisions", "checkpoints",
+                   "final", "max_tooth", "method"))
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
 class PairTrajectorySummary:
+    """One pair's run.  Its meetings are three columns: the times, the
+    vertices (a list of coordinates each) and the signed tooth heights."""
+
     replica: int
     n_steps: int
     meetings: int
-    collisions: list
+    times: list
+    vertices: list
+    heights: list
     checkpoints: list          # [(t, meetings up to t)]
     final_x: tuple
     final_y: tuple
@@ -133,44 +141,32 @@ class PairTrajectorySummary:
     method: str = "direct"
     extras: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        d = {
-            "replica": self.replica,
-            "T": self.n_steps,
-            "meetings": self.meetings,
-            "collisions": [c.to_dict() for c in self.collisions],
-            "checkpoints": [{"t": t, "meetings": m} for t, m in self.checkpoints],
-            "final": {"x": list(self.final_x), "y": list(self.final_y)},
-            "max_tooth": {"x": self.max_tooth_x, "y": self.max_tooth_y},
-            "method": self.method,
-        }
-        d.update(self.extras)
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        extras = {k: v for k, v in d.items()
-                  if k not in ("replica", "T", "meetings", "collisions",
-                               "checkpoints", "final", "max_tooth", "method")}
-        return cls(
-            replica=d["replica"],
-            n_steps=d["T"],
-            meetings=d["meetings"],
-            collisions=[CollisionRecord(d["replica"], c["n"],
-                                        tuple(c["vertex"]), c["l"])
-                        for c in d["collisions"]],
-            checkpoints=[(c["t"], c["meetings"]) for c in d["checkpoints"]],
-            final_x=tuple(d["final"]["x"]),
-            final_y=tuple(d["final"]["y"]),
-            max_tooth_x=d["max_tooth"]["x"],
-            max_tooth_y=d["max_tooth"]["y"],
-            method=d.get("method", "direct"),
-            extras=extras,
-        )
+    @property
+    def collisions(self):
+        """The meetings as ``CollisionRecord`` views, built on each call."""
+        return [CollisionRecord(self.replica, n, tuple(v), l)
+                for n, v, l in zip(self.times, self.vertices, self.heights)]
 
     def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        """One line, the bytes of ``json.dumps(..., sort_keys=True,
+        separators=(",", ":"))`` of the summary's JSON object, written
+        directly; the extras go through that encoder."""
+        meets = ",".join(
+            f'{{"l":{l},"n":{n},"vertex":[{",".join(map(str, v))}]}}'
+            for n, v, l in zip(self.times, self.vertices, self.heights))
+        cps = ",".join(f'{{"meetings":{m},"t":{t}}}'
+                       for t, m in self.checkpoints)
+        x, y = (",".join(map(str, f)) for f in (self.final_x, self.final_y))
+        parts = {"T": self.n_steps, "collisions": f"[{meets}]",
+                 "checkpoints": f"[{cps}]", "final": f'{{"x":[{x}],"y":[{y}]}}',
+                 "max_tooth": f'{{"x":{self.max_tooth_x},'
+                              f'"y":{self.max_tooth_y}}}',
+                 "meetings": self.meetings,
+                 "method": _ENCODER.encode(self.method),
+                 "replica": self.replica}
+        parts.update((k, _ENCODER.encode(v)) for k, v in self.extras.items())
+        return "{" + ",".join(f"{_ENCODER.encode(k)}:{parts[k]}"
+                              for k in sorted(parts)) + "}"
 
 
 @contextlib.contextmanager
@@ -200,12 +196,28 @@ def write_summaries(path, summaries):
 
 
 def read_summaries(path):
+    """The summaries of a JSONL file, one per non-blank line, decoded
+    straight into columns; a missing key raises KeyError, a vertex that is
+    not a list TypeError."""
     out = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(PairTrajectorySummary.from_dict(json.loads(line)))
+        for d in (json.loads(line) for line in map(str.strip, fh) if line):
+            cols = d["collisions"]
+            vertices = [c["vertex"] for c in cols]
+            if not {*map(type, vertices)} <= {list}:
+                raise TypeError(f"replica {d['replica']}: a collision vertex "
+                                "is not a list")
+            final, tooth = d["final"], d["max_tooth"]
+            out.append(PairTrajectorySummary(
+                replica=d["replica"], n_steps=d["T"], meetings=d["meetings"],
+                times=[c["n"] for c in cols], vertices=vertices,
+                heights=[c["l"] for c in cols],
+                checkpoints=[(c["t"], c["meetings"])
+                             for c in d["checkpoints"]],
+                final_x=tuple(final["x"]), final_y=tuple(final["y"]),
+                max_tooth_x=tooth["x"], max_tooth_y=tooth["y"],
+                method=d.get("method", "direct"),
+                extras={k: v for k, v in d.items() if k not in _KEYS}))
     return out
 
 
@@ -507,10 +519,11 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
     stride = record.spine_stride if isinstance(graph, BiasedLadder) else 0
     keys = _stream_keys(kernel, seed, replicas, stream_roles or _ROLES[method])
 
-    meetings = np.zeros(B, dtype=np.int64)
     max_depth = np.zeros(2 * B, dtype=np.int64)
-    hits = []                  # per window: times, columns, vertices, heights
-    cp_counts, k_rows = {}, {}
+    # per window: times, columns, vertices, heights of the meetings
+    nil = np.zeros(0, dtype=np.int64)
+    hits = [(nil, nil, np.zeros((0, kernel.pos.shape[1]), np.int64), nil)]
+    k_rows = {}                # selfloop: loop counts at each checkpoint
     lil_alphas = tuple(record.lil_alphas) if kernel.tracks_depth else ()
     lil_thr = [lil_threshold(np.arange(n_steps + 1, dtype=np.float64), a)
                for a in lil_alphas]
@@ -527,12 +540,9 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
             h = kernel.height(p)
             h = np.zeros_like(rows) if h is None else h[rows, cols]
             hits.append((rows + n0 + 1, cols, p[rows, :, cols], h))
-        for t in cps:
-            if n0 < t <= n0 + L:
-                cp_counts[t] = meetings + eq[:t - n0].sum(axis=0)
-                if method == "selfloop":
-                    k_rows[t] = kernel.k_hist[t - n0 - 1].copy()
-        meetings += eq.sum(axis=0)
+        if method == "selfloop":
+            k_rows.update((t, kernel.k_hist[t - n0 - 1].copy())
+                          for t in cps if n0 < t <= n0 + L)
 
         if kernel.tracks_depth:
             d = kernel.depth(p)
@@ -564,43 +574,53 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
                 spine_rows.append(filled[t - n0 - 1].astype(np.int32))
             last_spine = filled[-1]
 
-    collisions = [[] for _ in replicas]
-    for times, cols, verts, heights in hits:
-        for n, c, v, l in zip(times.tolist(), cols.tolist(), verts.tolist(),
-                              heights.tolist()):
-            collisions[c].append(CollisionRecord(replicas[c], n, tuple(v), l))
+    times, cols, verts, heights = (np.concatenate(a) for a in zip(*hits))
+    # meetings of each pair up to each checkpoint, and in all
+    counts = np.array([np.bincount(cols[times <= t], minlength=B)
+                       for t in (*cps, n_steps)]).T.tolist()
+    # the meeting columns in replica order, then in time order
+    order = np.argsort(cols, kind="stable")
+    cuts = np.searchsorted(cols[order], np.arange(B + 1)).tolist()
+    times, verts, heights = (a[order].tolist() for a in (times, verts, heights))
     lil_times = []
     for keys in lil_keys:
         k = np.sort(np.concatenate(keys))   # np.unique imports numpy.ma
         b_of, n_of = np.divmod(k[np.diff(k, prepend=-1) > 0], n_steps + 1)
         lil_times.append(np.split(n_of, np.searchsorted(b_of, range(1, B))))
+    # one Python list per walker, so the loop below indexes no array
     final = kernel.pos[0].T.tolist()
+    max_depth = max_depth.tolist()
+    if stride:
+        spine = np.array(spine_rows).T.tolist()
+    if method == "selfloop":
+        k_cols = np.array([k_rows[t] for t in cps],
+                          dtype=np.int64).reshape(len(cps), 2 * B).T.tolist()
 
     out = []
     for b, rep in enumerate(replicas):
+        lo, hi = cuts[b], cuts[b + 1]
         extras = {}
         if lil_alphas:
             extras["lil"] = {"alphas": list(lil_alphas),
                              "times": [t[b].tolist() for t in lil_times]}
         if stride:
-            extras["spine"] = {
-                "stride": stride,
-                "x": [int(row[b]) for row in spine_rows],
-                "y": [int(row[B + b]) for row in spine_rows],
-            }
+            extras["spine"] = {"stride": stride, "x": spine[b],
+                               "y": spine[B + b]}
         if method == "selfloop":
-            extras["k_trace"] = [{"t": t, "x": int(k_rows[t][b]),
-                                  "y": int(k_rows[t][B + b])} for t in cps]
+            extras["k_trace"] = [{"t": t, "x": x, "y": y} for t, x, y
+                                 in zip(cps, k_cols[b], k_cols[B + b])]
         out.append(PairTrajectorySummary(
             replica=rep,
             n_steps=n_steps,
-            meetings=int(meetings[b]),
-            collisions=collisions[b],
-            checkpoints=[(t, int(cp_counts[t][b])) for t in cps],
+            meetings=counts[b][-1],
+            times=times[lo:hi],
+            vertices=verts[lo:hi],
+            heights=heights[lo:hi],
+            checkpoints=list(zip(cps, counts[b])),
             final_x=tuple(final[b]),
             final_y=tuple(final[B + b]),
-            max_tooth_x=int(max_depth[b]),
-            max_tooth_y=int(max_depth[B + b]),
+            max_tooth_x=max_depth[b],
+            max_tooth_y=max_depth[B + b],
             method=method,
             extras=extras,
         ))

@@ -25,11 +25,14 @@ depend on replica order or on how the ensemble was sharded.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
+
+from .rng import RngStream
 
 
 class StatsError(ValueError):
@@ -62,15 +65,12 @@ class DyadicCellStats:
 
 def _gather_records(summaries):
     """All meeting events as flat arrays (replica row, time, |height|)."""
-    rows, ns, ls = [], [], []
-    for i, s in enumerate(summaries):
-        for rec in s.collisions:
-            rows.append(i)
-            ns.append(rec.n)
-            ls.append(abs(rec.l))
-    return (np.array(rows, dtype=np.int64),
-            np.array(ns, dtype=np.int64),
-            np.array(ls, dtype=np.int64))
+    counts = [len(s.times) for s in summaries]
+    ns, ls = (np.fromiter(chain.from_iterable(c), np.int64, sum(counts))
+              for c in ([s.times for s in summaries],
+                        [s.heights for s in summaries]))
+    return (np.repeat(np.arange(len(summaries), dtype=np.int64), counts),
+            ns, np.abs(ls))
 
 
 def _cell_z(rows, ns, ls, n_rep, r, k):
@@ -84,8 +84,8 @@ def dyadic_collision_stats(summaries, r_range, k_range):
     """Grid of DyadicCellStats over r in r_range, k in k_range.
 
     Z is counted directly; W is assembled from the Z values of the six
-    surrounding cells, which means Z is internally computed on the grid
-    extended by one in r and one in k on each side.
+    surrounding cells, so Z is also counted on the grid extended by one
+    in r and one in k on each side, once per cell.
     """
     r_range = sorted(set(int(r) for r in r_range))
     k_range = sorted(set(int(k) for k in k_range))
@@ -95,44 +95,22 @@ def dyadic_collision_stats(summaries, r_range, k_range):
         raise StatsError("height cells start at k = 0")
     n_rep = len(summaries)
     rows, ns, ls = _gather_records(summaries)
-
-    need_r = set(r_range) | {r + 1 for r in r_range}
-    need_k = set()
-    for k in k_range:
-        need_k.add(k)
-        if k >= 1:
-            need_k.update((k - 1, k + 1))
-    z = {(r, k): _cell_z(rows, ns, ls, n_rep, r, k)
-         for r in need_r for k in need_k}
+    z = functools.cache(lambda r, k: _cell_z(rows, ns, ls, n_rep, r, k))
 
     grid = {}
     for r in r_range:
         for k in k_range:
-            zc = z[(r, k)]
-            if k >= 1:
-                w = sum(z[(rr, kk)] for rr in (r, r + 1)
-                        for kk in (k - 1, k, k + 1))
-                w_mean = float(w.mean())
-            else:
-                w = None
-                w_mean = math.nan
+            zc = z(r, k)
             a = zc > 0
             cond = int(a.sum())
-            if w is not None and cond:
-                wga = float(w[a].mean())
-            else:
-                wga = math.nan
+            w = sum(z(rr, kk) for rr in (r, r + 1)
+                    for kk in (k - 1, k, k + 1)) if k >= 1 else None
             grid[(r, k)] = DyadicCellStats(
-                r=r, k=k,
-                z_mean=float(zc.mean()),
-                a_prob=float(a.mean()),
-                w_mean=w_mean,
-                w_given_a=wga,
-                count=n_rep,
-                cond_count=cond,
-                z=zc,
-                w=w,
-            )
+                r=r, k=k, z_mean=float(zc.mean()), a_prob=float(a.mean()),
+                w_mean=math.nan if w is None else float(w.mean()),
+                w_given_a=float(w[a].mean()) if w is not None and cond
+                else math.nan,
+                count=n_rep, cond_count=cond, z=zc, w=w)
     return grid
 
 
@@ -152,7 +130,7 @@ def conditional_W(summaries, cell, n_boot=1000, seed=0):
     if st.cond_count == 0:
         raise StatsError(f"no replica satisfies A in cell {cell}")
     w_cond = st.w[st.z > 0].astype(np.float64)
-    gen = Generator(Philox(SeedSequence(entropy=seed, spawn_key=(r, k))))
+    gen = RngStream(seed, r, k).generator()
     idx = gen.integers(0, len(w_cond), size=(n_boot, len(w_cond)))
     se = float(w_cond[idx].mean(axis=1).std(ddof=1))
     return float(w_cond.mean()), se, st.cond_count
@@ -232,25 +210,30 @@ def meeting_growth_curve(summaries, checkpoints=None):
     if not summaries:
         raise StatsError("no summaries")
     have = [t for t, _ in summaries[0].checkpoints]
-    for s in summaries:
-        if [t for t, _ in s.checkpoints] != have:
-            raise StatsError(
-                f"replica {s.replica} has checkpoints "
-                f"{[t for t, _ in s.checkpoints]}, replica "
-                f"{summaries[0].replica} has {have}")
+    try:        # (replica, checkpoint, [t, meetings]); ragged grids raise
+        grid = np.array([s.checkpoints for s in summaries],
+                        dtype=np.int64).reshape(len(summaries), len(have), 2)
+    except ValueError:
+        grid = None
+    if grid is None or (grid[:, :, 0] != have).any():
+        odd = next(s for s in summaries
+                   if [t for t, _ in s.checkpoints] != have)
+        raise SchemaError(
+            f"replica {odd.replica} has checkpoints "
+            f"{[t for t, _ in odd.checkpoints]}, replica "
+            f"{summaries[0].replica} has {have}")
     if checkpoints is None:
         checkpoints = have
     missing = [t for t in checkpoints if t not in have]
     if missing:
         raise StatsError(f"checkpoints {missing} not recorded")
-    last = np.array([s.collisions[-1].n if s.collisions else 0
-                     for s in summaries], dtype=np.int64)
-    means, surv = [], []
-    for t in checkpoints:
-        ms = [dict(s.checkpoints)[t] for s in summaries]
-        means.append(float(np.mean(ms)))
-        surv.append(float(np.mean(last > t)))
-    return GrowthCurve(tuple(checkpoints), tuple(means), tuple(surv))
+    last = np.array([s.times[-1] if s.times else 0 for s in summaries],
+                    dtype=np.int64)
+    # integer counts: every float sum below is exact, in any order
+    means = grid[:, [have.index(t) for t in checkpoints], 1].mean(axis=0)
+    surv = (last[:, None] > np.array(checkpoints, dtype=np.int64)).mean(axis=0)
+    return GrowthCurve(tuple(checkpoints), tuple(means.tolist()),
+                       tuple(surv.tolist()))
 
 
 @dataclass(frozen=True)

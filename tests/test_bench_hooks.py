@@ -1,5 +1,6 @@
 """The benchmark's tracer wraps named functions of the package from
-outside; every name it patches must still exist under `src/`."""
+outside; every name it patches must still exist under `src/`, and the
+CLI must still call the wrapped names."""
 
 import importlib.util
 import os
@@ -29,3 +30,31 @@ def test_benchmark_tracer_installs_and_restores():
         tr.restore()
     assert patched > 0
     assert [dict(vars(m)) for m in modules] == before
+
+
+def test_benchmark_tracer_spans_fire_on_the_cli_call_sites(tmp_path):
+    # a renamed or bypassed call site leaves its span empty
+    runs, replicas = str(tmp_path / "runs.jsonl"), 6
+    tr = _load_tracer().Tracer()
+    try:
+        tr.install()
+        for argv in (
+                ["simulate", "--graph", "comb:line", "--steps", "256",
+                 "--replicas", replicas, "--seed", 1, "--workers", 1,
+                 "--lil-alphas", 0.75, "--out", runs],
+                ["stats", "--report", "grid", "--r-range", "1:4",
+                 "--k-range", "1:2"],
+                ["stats", "--report", "growth"],
+                ["stats", "--report", "lil", "--alpha", 0.75]):
+            if argv[0] == "stats":
+                argv += ["--inputs", runs, "--out", str(tmp_path / "o.csv")]
+            assert cli.main([str(a) for a in argv]) == 0
+    finally:
+        tr.restore()
+    fired = {name for name, *_ in tr.spans}
+    assert fired >= {"sampler.ensemble", "sampler.encode", "sampler.decode",
+                     "stats.grid", "stats.growth", "stats.lil"}
+    # one read per stats command, each reduction over every replica read
+    assert [name for name, *_ in tr.spans].count("sampler.decode") == 3
+    assert tr.counts["records"] == 3 * replicas
+    assert tr.counts["pair_steps"] == 256 * replicas

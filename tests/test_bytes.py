@@ -1,22 +1,28 @@
-"""Byte identity of the sampler's JSONL and of the exact oracle's series:
-pinned sha256 digests of small fixed ensembles, one per kernel, and of
-oracle series on lumped, BFS and two-vector balls.
+"""Byte identity of the sampler's JSONL, of the `stats` CSVs and of the
+exact oracle's series: pinned sha256 digests of small fixed ensembles, one
+per kernel, of every `stats` report over fixed inputs, and of oracle
+series on lumped, BFS and two-vector balls.
 
 A change that is meant to keep the same bytes (a refactor, a faster
 kernel) must leave every digest here unchanged; a change that alters a
 construction on purpose updates the digest it moves and says why.
 """
 
+import functools
 import hashlib
+import json
+import os
 
 import numpy as np
 import pytest
 
+from combwalks import cli
 from combwalks.graphs import build_graph
 from combwalks.oracle import (meeting_expectation_series,
                               per_site_collision_series,
                               return_probability_series)
-from combwalks.sampler import RecordPolicy, run_ensemble
+from combwalks.sampler import (PairTrajectorySummary, RecordPolicy,
+                               read_summaries, run_ensemble, write_summaries)
 
 # spec, method, n_steps, replicas, seed, record
 CASES = {
@@ -59,6 +65,7 @@ DIGESTS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _jsonl(spec, method, n_steps, replicas, seed, record):
     out = run_ensemble(build_graph(spec), n_steps=n_steps, replicas=replicas,
                        seed=seed, record=record, method=method)
@@ -72,6 +79,127 @@ def test_jsonl_bytes_are_pinned(name):
     if name == "biased-ladder":
         assert min(min(s.max_tooth_x, s.max_tooth_y) for s in out) > 1076
     assert hashlib.sha256(data).hexdigest() == DIGESTS[name]
+
+
+def _reference_line(s):
+    """A summary's line as ``json.dumps`` wrote it from the dict form the
+    summaries had before they kept their meetings as columns: the
+    reference the direct writer must match byte for byte."""
+    d = {
+        "replica": s.replica,
+        "T": s.n_steps,
+        "meetings": s.meetings,
+        "collisions": [{"n": c.n, "vertex": list(c.vertex), "l": c.l}
+                       for c in s.collisions],
+        "checkpoints": [{"t": t, "meetings": m} for t, m in s.checkpoints],
+        "final": {"x": list(s.final_x), "y": list(s.final_y)},
+        "max_tooth": {"x": s.max_tooth_x, "y": s.max_tooth_y},
+        "method": s.method,
+    }
+    d.update(s.extras)
+    return json.dumps(d, sort_keys=True, separators=(",", ":"))
+
+
+# what the direct writer must get right besides the sampler's common lines
+EDGE_SUMMARY = PairTrajectorySummary(
+    replica=3, n_steps=40, meetings=2, times=[7, 31],
+    vertices=[[-2, 0, -5], [-1, 4, 4]], heights=[-5, 4],
+    checkpoints=[(8, 1), (40, 2)], final_x=(-3, 1, 0), final_y=(0, 0, -2),
+    max_tooth_x=5, max_tooth_y=4, method="se\u00efl \"loop\"",
+    extras={"lil": {"times": [[3], []], "alphas": [0.1 + 0.2, 1e-07]},
+            "zeta": None, "\u00e9": [True, 2.5, float("nan")],
+            "K": {"b": -1, "a": "x"}})
+EMPTY_SUMMARY = PairTrajectorySummary(
+    replica=0, n_steps=0, meetings=0, times=[], vertices=[], heights=[],
+    checkpoints=[], final_x=(0,), final_y=(0,), max_tooth_x=0,
+    max_tooth_y=0)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_jsonl_round_trips_and_equals_the_reference_writer(name, tmp_path):
+    out, data = _jsonl(*CASES[name])
+    assert data.decode() == "".join(_reference_line(s) + "\n" for s in out)
+    path = str(tmp_path / "runs.jsonl")
+    write_summaries(path, out)
+    back = read_summaries(path)
+    assert "".join(s.to_json() + "\n" for s in back).encode() == data
+    assert [s.collisions for s in back] == [s.collisions for s in out]
+
+
+def test_round_trip_cases_cover_the_writer(tmp_path):
+    sums = [s for case in CASES.values() for s in _jsonl(*case)[0]]
+    verts = [v for s in sums for v in s.vertices]
+    assert any(not s.times for s in sums)
+    assert any(min(v) < 0 for v in verts)
+    assert {len(v) for v in verts} == {1, 2, 3}
+    assert any(isinstance(a, float) for s in sums
+               for a in s.extras.get("lil", {}).get("alphas", ()))
+    assert {k for s in sums for k in s.extras} == {"lil", "spine", "k_trace"}
+    for s in (EDGE_SUMMARY, EMPTY_SUMMARY):
+        assert s.to_json() == _reference_line(s)
+    path = str(tmp_path / "edge.jsonl")
+    write_summaries(path, [EDGE_SUMMARY, EMPTY_SUMMARY])
+    assert [s.to_json() for s in read_summaries(path)] == \
+        [_reference_line(EDGE_SUMMARY), _reference_line(EMPTY_SUMMARY)]
+
+
+# the inputs of the `stats` reports, by file stem: spec, method, n_steps,
+# replicas, seed, record
+STATS_INPUTS = {
+    "comb_line": ("comb:line", "direct", 4096, 256, 21,
+                  RecordPolicy(lil_alphas=(0.75, 0.9))),
+    "comb2_line": ("comb2:line", "direct", 1024, 32, 22, RecordPolicy()),
+    "ladder": ("biased-ladder", "direct", 2048, 16, 23,
+               RecordPolicy(spine_stride=2)),
+}
+
+GRID_CONF = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                         "configs", "cells_grid.conf")
+
+# `stats` arguments of each report; a `.jsonl` name is an input above
+STATS_REPORTS = {
+    "grid": ["--config", GRID_CONF, "--inputs", "comb_line.jsonl"],
+    "growth": ["--report", "growth", "--inputs", "comb_line.jsonl",
+               "comb2_line.jsonl"],
+    "lil 0.75": ["--report", "lil", "--alpha", "0.75", "--inputs",
+                 "comb_line.jsonl"],
+    # the lower envelope: one replica crosses it
+    "lil 0.9": ["--report", "lil", "--alpha", "0.9", "--inputs",
+                "comb_line.jsonl"],
+    "drift": ["--report", "drift", "--inputs", "ladder.jsonl"],
+}
+
+# sha256 of the CSV each report writes
+STATS_DIGESTS = {
+    "grid":
+        "7fcf5b0e74781e3077a8c4c7cbe2e74c90c3e8fd008adbfef6922bfad694f23f",
+    "growth":
+        "f8e4ec9910bb38e61ccad107d28e6767ecc1f59423a0081a4c03a3518ec632ab",
+    "lil 0.75":
+        "11cacd3fad9795e3f04deff4c590fffca53e5bb1e5743041ad8cfada5575a3eb",
+    "lil 0.9":
+        "22c836e0df8bedca9b404151a728880a40c9fb79f8f1b8f00854b4fb4b8f6c35",
+    "drift":
+        "d9ee8ff7fbf0b08c059bb5c0325d63b5f8aa60fa668020c7b0ec40b8c59a4570",
+}
+
+
+@pytest.fixture(scope="module")
+def stats_inputs(tmp_path_factory):
+    where = tmp_path_factory.mktemp("stats")
+    for stem, case in STATS_INPUTS.items():
+        write_summaries(str(where / f"{stem}.jsonl"), _jsonl(*case)[0])
+    return where
+
+
+@pytest.mark.parametrize("report", list(STATS_REPORTS))
+def test_stats_csv_bytes_are_pinned(report, stats_inputs):
+    argv = [str(stats_inputs / a) if a.endswith(".jsonl") else a
+            for a in STATS_REPORTS[report]]
+    out = stats_inputs / f"{report}.csv"
+    assert cli.main(["stats", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        STATS_DIGESTS[report]
 
 
 def _returns(spec, n_max, every):

@@ -460,6 +460,57 @@ def test_stats_malformed_jsonl_is_schema_error(tmp_path):
     assert res.returncode == 4
 
 
+# one summary every stats report reads: a meeting, two checkpoints, an
+# envelope record and a spine trace
+GOOD_SUMMARY = {
+    "T": 16, "checkpoints": [{"meetings": 0, "t": 8},
+                             {"meetings": 1, "t": 16}],
+    "collisions": [{"l": 2, "n": 12, "vertex": [0, 2]}],
+    "final": {"x": [1, 3], "y": [0, 0]}, "max_tooth": {"x": 3, "y": 2},
+    "meetings": 1, "method": "direct", "replica": 0,
+    "lil": {"alphas": [0.75], "times": [[]]},
+    "spine": {"stride": 2, "x": [0, 1, 2], "y": [0, -1, 0]}}
+
+STATS_ARGS = {"grid": ["--r-range", "2:4", "--k-range", "1:2"],
+              "growth": [], "lil": ["--alpha", "0.75"], "drift": []}
+
+
+def _defect(name):
+    d = json.loads(json.dumps(GOOD_SUMMARY))
+    if name == "collision without l":
+        del d["collisions"][0]["l"]
+    elif name == "collision without n":
+        del d["collisions"][0]["n"]
+    elif name == "vertex is a string":
+        d["collisions"][0]["vertex"] = "0,2"
+    elif name == "vertex is a number":
+        d["collisions"][0]["vertex"] = 2
+    elif name == "checkpoint without t":
+        del d["checkpoints"][1]["t"]
+    return d
+
+
+@pytest.mark.parametrize("report", list(STATS_ARGS))
+@pytest.mark.parametrize("defect", [
+    None, "collision without l", "collision without n", "vertex is a string",
+    "vertex is a number", "checkpoint without t"])
+def test_stats_refuses_a_malformed_summary(tmp_path, capsys, report, defect):
+    from combwalks import cli
+    path = tmp_path / "runs.jsonl"
+    path.write_text(json.dumps(GOOD_SUMMARY) + "\n"
+                    + json.dumps({**_defect(defect), "replica": 1}) + "\n")
+    rc = cli.main(["stats", "--report", report, "--inputs", str(path),
+                   "--out", str(tmp_path / "out.csv"), *STATS_ARGS[report]])
+    err = capsys.readouterr().err
+    if defect is None:                 # the intact file is read by all four
+        assert rc == 0 and err == ""
+        return
+    assert rc == 4
+    assert err.count("\n") == 1 and err.startswith("schema mismatch: ")
+    assert str(path) in err and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_stats_growth_labels_by_file_stem(tmp_path):
     paths = []
     for name, spec in [("combo", "comb:line"), ("flat", "line")]:

@@ -6,21 +6,22 @@ import numpy as np
 import pytest
 
 from combwalks.graphs import build_graph
-from combwalks.sampler import (CollisionRecord, PairTrajectorySummary,
-                               RecordPolicy, run_ensemble)
-from combwalks.stats import (DriftEstimate, StatsError, conditional_W,
-                             drift_estimate, dyadic_collision_stats,
-                             estimate_exponent, kendall_trend,
-                             lil_envelope_check, lil_threshold,
-                             meeting_growth_curve)
+from combwalks.sampler import (PairTrajectorySummary, RecordPolicy,
+                               run_ensemble)
+from combwalks.stats import (DriftEstimate, SchemaError, StatsError,
+                             conditional_W, drift_estimate,
+                             dyadic_collision_stats, estimate_exponent,
+                             kendall_trend, lil_envelope_check,
+                             lil_threshold, meeting_growth_curve)
 
 
 def synth(replica, records, T=1024, extras=None, checkpoints=None):
     """Summary with collision records given as (time, height) pairs."""
-    cols = [CollisionRecord(replica, n, (0, l), l) for n, l in records]
     return PairTrajectorySummary(
-        replica=replica, n_steps=T, meetings=len(cols), collisions=cols,
-        checkpoints=checkpoints or [(T, len(cols))],
+        replica=replica, n_steps=T, meetings=len(records),
+        times=[n for n, _ in records], vertices=[[0, l] for _, l in records],
+        heights=[l for _, l in records],
+        checkpoints=checkpoints or [(T, len(records))],
         final_x=(0, 0), final_y=(0, 0), max_tooth_x=0, max_tooth_y=0,
         extras=extras or {})
 
@@ -110,13 +111,25 @@ def test_conditional_w_matches_grid_and_is_deterministic():
         conditional_W(sums, (9, 2))        # nobody conditions there
 
 
-def test_stats_do_not_depend_on_shard_order():
+def _random_summaries():
     gen = np.random.default_rng(123)
     sums = []
     for rep in range(40):
         recs = [(int(gen.integers(1, 300)), int(gen.integers(0, 20)))
                 for _ in range(int(gen.integers(0, 8)))]
         sums.append(synth(rep, recs))
+    return sums
+
+
+def test_conditional_w_bootstrap_is_pinned():
+    # the values of a bootstrap drawn from stream RngStream(seed, r, k),
+    # which is Generator(Philox(SeedSequence(seed, spawn_key=(r, k))))
+    assert conditional_W(_random_summaries(), (6, 3), n_boot=400, seed=5) \
+        == (4.0, 0.38675907117095226, 18)
+
+
+def test_stats_do_not_depend_on_shard_order():
+    sums = _random_summaries()
     a = dyadic_collision_stats(sums, [2, 3], [1, 2])
     b = dyadic_collision_stats(sums[::-1], [2, 3], [1, 2])
     for key in a:
@@ -184,6 +197,10 @@ def test_growth_curve_mixed_grids_is_stats_error():
         meeting_growth_curve(sums)
     with pytest.raises(StatsError, match="replica 1 has checkpoints"):
         meeting_growth_curve(sums, checkpoints=[64])
+    # grids of one length that differ in a time
+    sums[1] = synth(1, [], T=100, checkpoints=[(50, 0), (100, 0)])
+    with pytest.raises(SchemaError, match=r"replica 1 has checkpoints \[50"):
+        meeting_growth_curve(sums)
 
 
 def test_growth_curve_line_is_diffusive():
