@@ -44,10 +44,15 @@ void philox_fill(const uint64_t *keys, int64_t n, int64_t start, int64_t len,
 }
 
 /* `_CombKernel` steps, a row of `pos` at a time for 32 walkers; walker w
-   reads codes c0, c1[w * stride + i]; k, k_hist: NULL unless lazy */
-void comb_step(const int8_t *c0, const int8_t *c1, int64_t stride,
+   steps on the uniforms u0, u1[w * stride + i].  On the spine the class of
+   u0 is (int)(u0 * (nb + 2 teeth)): nb base moves, then -, + per tooth;
+   lazy, (u0 >= q) nb + (u0 >= q_down): a hold, then -, +.  Off the spine
+   it is (int)(u0 * 2 teeth).  The lazy base moves by 2 (int)(u1 * 2) - 1
+   on a hold, or flips with no u1; k, k_hist: NULL unless lazy */
+void comb_step(const double *u0, const double *u1, int64_t stride,
                int64_t *pos, int64_t *k, int64_t *k_hist, int64_t width,
-               int64_t len, int64_t teeth, int64_t nb, int64_t mod)
+               int64_t len, int64_t teeth, int64_t nb, int64_t mod,
+               double q, double q_down)
 {
     /* the moves of tooth class t: -, + of each coordinate; 4 is none */
     static const int8_t d0[5] = {-1, 1, 0, 0, 0}, d1[5] = {0, 0, -1, 1, 0};
@@ -58,13 +63,16 @@ void comb_step(const int8_t *c0, const int8_t *c1, int64_t stride,
                 int64_t *p = pos + i * row + w, b = p[0], at = w * stride + i;
                 int64_t t0 = teeth ? p[width] : 0;
                 int64_t t1 = teeth > 1 ? p[2 * width] : 0;
-                int c = c0[at] & 7, t = 4;
+                double u = u0[at];              /* the spine class */
+                int c = k ? (u >= q) * (int)nb + (u >= q_down)
+                          : (int)(u * (double)(nb + 2 * teeth)), t = 4;
                 if (t0 != 0 || t1 != 0)         /* off the spine */
-                    t = c0[at] >> 3;
+                    t = (int)(u * (double)(2 * teeth));
                 else if (c >= nb)               /* a tooth move */
                     t = c - (int)nb;
                 else                            /* b-, b+, flip or hold */
-                    b += c1 ? 2 * c1[at] - 1 : nb == 1 ? 1 : 2 * c - 1;
+                    b += u1 ? 2 * (int)(u1[at] * 2.0) - 1
+                            : nb == 1 ? 1 : 2 * c - 1;
                 if (mod && (b < 0 || b >= mod)) /* numpy's floor % */
                     b = (b % mod + mod) % mod;
                 p[row] = b;
@@ -129,9 +137,9 @@ def library():
     except OSError:
         with tempfile.TemporaryDirectory() as tmp:
             lib = ctypes.CDLL(_library_path(_SOURCE, tmp))
-    p, i = ctypes.c_void_p, ctypes.c_int64
+    p, i, d = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     lib.philox_fill.argtypes = [p, i, i, i, p, i, i]
-    lib.comb_step.argtypes = [p, p, i, p, p, p, i, i, i, i, i]
+    lib.comb_step.argtypes = [p, p, i, p, p, p, i, i, i, i, i, d, d]
     lib.csr_rows.argtypes = [p, p, p, p, p, i, i]
     lib.philox_fill.restype = lib.comb_step.restype = None
     lib.csr_rows.restype = None

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -193,13 +194,10 @@ def cmd_simulate(args):
     seed = args.seed
     graph = build_graph(args.graph)
     start = _parse_start(graph, args.start)
-    checkpoints = args.checkpoints or ()
-    if list(checkpoints) != sorted(set(checkpoints)):
-        raise ConfigError("checkpoints must be strictly increasing")
     alphas = tuple(args.lil_alphas or ())
     _check_lil_alphas("--lil-alphas", alphas)
     try:
-        record = RecordPolicy(checkpoints=tuple(checkpoints),
+        record = RecordPolicy(checkpoints=tuple(args.checkpoints or ()),
                               lil_alphas=alphas,
                               spine_stride=args.spine_stride or 0)
     except ValueError as exc:
@@ -376,7 +374,9 @@ def _add_common(p):
     p.add_argument("--out", help="output path (default: stdout)")
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process, built on first use."""
     ap = argparse.ArgumentParser(
         prog="combwalks",
         description="simulate and analyse colliding random walks on combs")

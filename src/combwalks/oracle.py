@@ -208,8 +208,8 @@ class KernelSeries:
 # ---------------------------------------------------------------------------
 
 def rooted_ball(graph, root, radius, budget=DEFAULT_BUDGET, lumped=False):
-    """Ball around an arbitrary root; closed forms and lumping apply at the
-    family root."""
+    """Ball around an arbitrary root: ``ball`` at the family root, with
+    its product builder and lumping; breadth-first search elsewhere."""
     if root is None or root == graph.root:
         return ball(graph, radius, budget, lumped=lumped)
     if not graph.contains(root):

@@ -16,16 +16,16 @@ whose base has constant degree, and exist so their bookkeeping quantities
 (loop counts, revisit counts, holding-time sums) can be checked against the
 direct law.
 
-Everything is driven by the keyed Philox streams in :mod:`.rng`, and one
-driver (``_windows``) runs every direct and selfloop walk in three layers:
+Everything is driven by the keyed Philox streams in :mod:`.rng`: each
+stream is drawn into one buffer of at most ``SCRATCH`` doubles per channel
+by one call of the compiled Philox (``rng.fill``), and a walker consumes a
+fixed number of draws per step whether or not the step uses them.  One
+driver (``_windows``) runs every direct and selfloop walk in two layers:
 
-* chunk    -- each stream is filled ``CHUNK`` values at a time by one
-              call of the compiled Philox (``rng.fill``), kept as the
-              kernel's codes, and consumes a fixed number of values per
-              step whether or not the step uses them;
-* window   -- the kernel steps ``WIN`` rows of codes, writing each state
-              into a (WIN + 1)-row history; the comb kernels do it in one
-              call of ``_native.comb_step``, a C loop built on first use;
+* window   -- the kernel steps on ``WIN`` rows of uniforms, writing each
+              state into a (WIN + 1)-row history; the comb kernels do it
+              in one call of ``_native.comb_step``, a C loop built on
+              first use;
 * observer -- meetings, collision records, depth, envelope violations,
               truncation, checkpoints, loop counts and the ladder spine
               trace are read off the whole window history at once.
@@ -57,9 +57,8 @@ from .rng import (AUX, RngStream, X_BASE, X_HOLD, X_MAIN, X_SKEL, X_TOOTH,
                   Y_MAIN, Y_TOOTH, fill, stream_keys)
 from .stats import lil_threshold
 
-CHUNK = 4096              # a multiple of 4: each chunk starts a Philox block
 WIN = 64                  # steps per kernel call and per observer pass
-SCRATCH = 1 << 17         # doubles drawn per fill before they become codes
+SCRATCH = 1 << 17         # doubles per channel a block draws at once
 # stream roles (x, y) of the two walkers of a pair, per construction
 _ROLES = {"direct": (X_MAIN, Y_MAIN), "selfloop": (X_TOOTH, Y_TOOTH)}
 
@@ -96,13 +95,12 @@ class RecordPolicy:
         if not all(a > 0 for a in self.lil_alphas) or self.spine_stride < 0:
             raise ValueError("lil_alphas must be > 0 and spine_stride >= 0, "
                              f"got {self.lil_alphas} and {self.spine_stride}")
+        if list(self.checkpoints) != sorted(set(self.checkpoints)):
+            raise ValueError("checkpoints must be strictly increasing")
 
     def resolved_checkpoints(self, n_steps):
         if self.checkpoints:
-            ts = tuple(int(t) for t in self.checkpoints if 0 < t <= n_steps)
-            if list(ts) != sorted(set(ts)):
-                raise ValueError("checkpoints must be strictly increasing")
-            return ts
+            return tuple(int(t) for t in self.checkpoints if 0 < t <= n_steps)
         return dyadic_checkpoints(n_steps)
 
 
@@ -226,26 +224,23 @@ def read_summaries(path):
 #
 # A kernel holds `width` independent walkers.  `pos[i]` is the (coords, width)
 # int64 state after step i of the current window; row 0 is the state the
-# window starts from.  `advance` fills rows 1..L from L rows per channel of
-# the `code` values `codes(ch, u)` makes of uniforms: `channels` is the number
-# of uniform streams consumed per step (two for the lazy one off cycle:2),
-# `needs_raw` asks for one extra 62-bit integer per step (midpoint identities
-# on the ladder).  Draws are consumed every step even when a walker's branch
-# ignores them.  `height`, `depth` and `distance` read a window of states.
+# window starts from.  `advance` fills rows 1..L from (L, width) uniforms per
+# channel, each walker's in time order, and takes each move class from its
+# uniform: `channels` is the number of uniform streams consumed per step (two
+# for the lazy one off cycle:2), `needs_raw` asks for one extra 62-bit integer
+# per step (midpoint identities on the ladder).  Draws are consumed every
+# step even when a walker's branch ignores them.  `height`, `depth` and
+# `distance` read a window of states.
 # ---------------------------------------------------------------------------
 
 class _KernelBase:
     channels = 1
     needs_raw = False
     tracks_depth = False
-    code, classes = np.int8, 1
 
     def __init__(self, graph, start, width, rows):
         self.pos = np.empty((rows + 1, len(start), width), dtype=np.int64)
         self.pos[0] = np.asarray(start, dtype=np.int64)[:, None]
-
-    def codes(self, ch, u):
-        return (u * self.classes).astype(self.code)
 
     def height(self, p):
         return None
@@ -265,9 +260,9 @@ class _CombKernel(_KernelBase):
 
     Coordinates are (base, tooth...).  Classes at the spine, in order: the
     base moves (b-, b+, or the single edge flip), then -, + for each tooth
-    coordinate.  Off the spine: -, + for each tooth coordinate.  A code is
-    c | c2 << 3 of the two classes.  ``advance`` steps a window of codes in
-    one call of the compiled ``comb_step`` (see :mod:`._native`).
+    coordinate.  Off the spine: -, + for each tooth coordinate.  ``advance``
+    steps a window of uniforms in one call of the compiled ``comb_step``
+    (see :mod:`._native`), which takes each class from its uniform.
 
     The lazy construction (comb only) runs the tooth as a walk on the
     integers with a self-loop of probability d/(d+2) at 0; each self-loop
@@ -288,6 +283,7 @@ class _CombKernel(_KernelBase):
         self.tracks_depth = self.n_teeth > 0
         self.lazy = lazy
         self._k = None, None                     # pointers of k and k_hist
+        self.q = self.q_down = 0.0     # lazy: hold below q, - below q_down
         if lazy:
             self.channels = 1 if self.flip else 2
             d = graph.base_degree
@@ -298,22 +294,15 @@ class _CombKernel(_KernelBase):
             self._k = self.k.ctypes.data, self.k_hist.ctypes.data
         self._step = _native.library().comb_step
 
-    def codes(self, ch, u):
-        c2 = (u * (2 * self.n_teeth)).astype(np.int8)
-        if not self.lazy:
-            return (u * (self.nb + 2 * self.n_teeth)).astype(np.int8) | c2 << 3
-        return c2 if ch else ((u >= self.q).astype(np.int8) * self.nb
-                              + (u >= self.q_down) | c2 << 3)
-
-    def advance(self, cs, raw, L):
-        c0, width = cs[0], self.pos.shape[2]
-        if L >= len(self.pos) or len(cs) != self.channels or any(
-                c.shape != (L, width) or c.strides != (1, c0.strides[1])
-                or c.dtype != np.int8 for c in cs):
-            raise ValueError("codes must be (L, width) int8 in time order")
-        self._step(c0.ctypes.data, cs[1].ctypes.data if len(cs) > 1 else None,
-                   c0.strides[1], self.pos.ctypes.data, *self._k, width, L,
-                   self.n_teeth, self.nb, self.mod)
+    def advance(self, us, raw, L):
+        u0, width = us[0], self.pos.shape[2]
+        if L >= len(self.pos) or len(us) != self.channels or any(
+                u.shape != (L, width) or u.strides != (8, u0.strides[1])
+                or u.dtype != np.float64 for u in us):
+            raise ValueError("want (L, width) float64 uniforms in time order")
+        self._step(u0.ctypes.data, us[1].ctypes.data if len(us) > 1 else None,
+                   u0.strides[1] // 8, self.pos.ctypes.data, *self._k, width,
+                   L, self.n_teeth, self.nb, self.mod, self.q, self.q_down)
 
     def height(self, p):
         if self.n_teeth == 1:
@@ -336,10 +325,10 @@ class _StarKernel(_KernelBase):
 
     def __init__(self, graph, start, width, rows):
         super().__init__(graph, start, width, rows)
-        self.classes, self.code = graph.k, np.min_scalar_type(graph.k - 1)
+        self.leaves = graph.k
 
-    def advance(self, cs, raw, L):
-        leaf = 1 + cs[0].astype(np.int64)
+    def advance(self, us, raw, L):
+        leaf = 1 + (us[0] * self.leaves).astype(np.int64)
         at_hub = (np.arange(L) % 2 == 0)[:, None] == (self.pos[0, 0] == 0)
         self.pos[1:L + 1, 0] = np.where(at_hub, leaf, 0)
 
@@ -348,10 +337,9 @@ class _StarKernel(_KernelBase):
 
 
 class _Grid2DKernel(_KernelBase):
-    classes = 4
-
-    def advance(self, cs, raw, L):
-        steps = np.stack([_pm(cs[0], 0), _pm(cs[0], 2)], 1)
+    def advance(self, us, raw, L):
+        c = (us[0] * 4).astype(np.int8)       # x-, x+, y-, y+
+        steps = np.stack([_pm(c, 0), _pm(c, 2)], 1)
         np.cumsum(steps, axis=0, dtype=np.int64, out=self.pos[1:L + 1])
         self.pos[1:L + 1] += self.pos[0]
 
@@ -382,7 +370,6 @@ class _LadderKernel(_KernelBase):
 
     needs_raw = True
     tracks_depth = True
-    code = np.float64      # the class depends on the level: keep u (u * 1)
     _s = np.exp2(1.0 - np.arange(1, 1077))          # s of rows 1 .. 1076
     _THR = np.vstack([(0.0, 0.5, 0.5),
                       np.column_stack([_s, 2.0 * _s, 2.0 * _s + 1.0])
@@ -472,31 +459,28 @@ def _windows(kernel, keys, n_steps):
     """Advance the kernel's walkers ``n_steps`` steps, walker j drawing
     from the streams keyed ``keys[...][j]`` (see ``_stream_keys``).
 
-    Every stream is filled ``CHUNK`` values at a time, ``SCRATCH`` doubles
-    a fill, and kept as codes; the kernel consumes each chunk ``WIN`` rows
-    at a time.  Yields ``(n0, L)`` after each window, while
-    ``kernel.pos[1:L + 1]`` holds the states after steps n0 + 1 .. n0 + L;
-    once exhausted, ``kernel.pos[0]`` is the final state.
+    Each channel is drawn into one buffer of at most ``SCRATCH`` doubles,
+    whole Philox blocks of steps for every walker at a time, and the kernel
+    steps on it ``WIN`` rows at a time.  Yields ``(n0, L)`` after each
+    window, while ``kernel.pos[1:L + 1]`` holds the states after steps
+    n0 + 1 .. n0 + L; once exhausted, ``kernel.pos[0]`` is the final state.
     """
     # one row per stream, so each fill is a contiguous write
-    rows, width = min(CHUNK, n_steps), len(keys[0])
-    scratch = np.empty((min(width, max(1, SCRATCH // max(rows, 1))), rows))
-    c_bufs = np.empty((kernel.channels, width, rows), dtype=kernel.code)
+    width = len(keys[0])
+    rows = min(n_steps, max(4, SCRATCH // width // 4 * 4))
+    u_bufs = np.empty((kernel.channels, width, rows))
     raw_buf = np.empty((width * kernel.needs_raw, rows), dtype=np.int64)
     n = 0
     while n < n_steps:
-        length = min(CHUNK, n_steps - n)
-        for ch, (buf, k) in enumerate(zip(c_bufs, keys)):
-            for lo in range(0, width, len(scratch)):
-                u = scratch[:width - lo, :length]
-                fill(k[lo:lo + len(u)], n, u)
-                buf[lo:lo + len(u), :length] = kernel.codes(ch, u)
+        length = min(rows, n_steps - n)
+        for buf, k in zip(u_bufs, keys):
+            fill(k, n, buf[:, :length])
         if kernel.needs_raw:
             fill(keys[-1], n, raw_buf[:, :length],
                  high=np.int64(1) << _LEVEL_BITS)
         for w in range(0, length, WIN):
             L = min(WIN, length - w)
-            kernel.advance([b[:, w:w + L].T for b in c_bufs],
+            kernel.advance([b[:, w:w + L].T for b in u_bufs],
                            raw_buf[:, w:w + L].T, L)
             yield n, L
             kernel.pos[0] = kernel.pos[L]
@@ -653,7 +637,7 @@ def run_pair(graph, start=None, n_steps=0, rng_x=None, rng_y=None,
 # ensembles
 # ---------------------------------------------------------------------------
 
-_BLOCK = 512
+_BLOCK = 512              # replica pairs per block of run_ensemble
 
 
 def run_ensemble(graph, start=None, n_steps=0, replicas=1, seed=0, workers=1,
@@ -680,6 +664,10 @@ def run_ensemble(graph, start=None, n_steps=0, replicas=1, seed=0, workers=1,
 # ---------------------------------------------------------------------------
 # geometric-clock construction
 # ---------------------------------------------------------------------------
+
+_CLOCK_BATCH = 4096       # replicas per batch of clock_dichotomy_violations
+_MARGINAL_BATCH = 8192    # replicas per batch of sample_marginal
+
 
 def _draws(seed, replicas, stream, n):
     """(n, len(replicas)) uniforms: column j holds the first n draws of
@@ -763,13 +751,14 @@ def geometric_clock_path(d, n_steps, seed=0, replica=0):
     return {k: v[:, 0] for k, v in _clock(d, seed, [replica], n_steps).items()}
 
 
-def clock_dichotomy_violations(d, n_steps, replicas, seed=0, batch=4096):
+def clock_dichotomy_violations(d, n_steps, replicas, seed=0):
     """Count (replica, time) pairs violating K_n >= R_n or K_n >= n/2.
 
-    Replica r is ``geometric_clock_path(d, n_steps, seed, r)``; ``batch``
-    bounds the replicas held at once and does not change the count."""
+    Replica r is ``geometric_clock_path(d, n_steps, seed, r)``;
+    ``_CLOCK_BATCH`` bounds the replicas held at once and does not change
+    the count."""
     bad = checked = 0
-    for reps in _batches(replicas, batch, n_steps):
+    for reps in _batches(replicas, _CLOCK_BATCH, n_steps):
         arrs = _clock(d, seed, reps, n_steps)
         ns = np.arange(n_steps + 1, dtype=np.int64)[:, None]
         ok = (arrs["K"] >= arrs["R"]) | (2 * arrs["K"] >= ns)
@@ -779,13 +768,14 @@ def clock_dichotomy_violations(d, n_steps, replicas, seed=0, batch=4096):
 
 
 def sample_marginal(graph, n_steps, replicas, seed=0, method="direct",
-                    start=None, batch=8192):
+                    start=None):
     """Positions of a single walk at time ``n_steps`` for many replicas.
 
     The three constructions must produce the same marginal law; this is the
     hook the distribution tests use.  Returns an (replicas, k) int64 array
     of coordinate tuples.  Replica r reads only streams keyed (seed, r,
-    role), so ``batch`` bounds memory and does not change the output.
+    role), so ``_MARGINAL_BATCH`` bounds memory and does not change the
+    output.
     """
     start = _start(graph, start)
     if method == "clock":
@@ -794,7 +784,7 @@ def sample_marginal(graph, n_steps, replicas, seed=0, method="direct",
         if start[1] != 0:
             raise GraphError("clock construction starts on the spine")
         cols = []
-        for reps in _batches(replicas, batch, n_steps):
+        for reps in _batches(replicas, _MARGINAL_BATCH, n_steps):
             arrs = _clock(graph.base_degree, seed, reps, n_steps)
             K = arrs["K"][n_steps]
             V = arrs["V"][n_steps]
@@ -813,7 +803,7 @@ def sample_marginal(graph, n_steps, replicas, seed=0, method="direct",
         return np.concatenate(cols, axis=0)
 
     out = []
-    for reps in _batches(replicas, batch, n_steps):
+    for reps in _batches(replicas, _MARGINAL_BATCH, n_steps):
         kernel = _make_kernel(graph, start, len(reps), method, n_steps)
         keys = _stream_keys(kernel, seed, reps, _ROLES[method][:1])
         for _ in _windows(kernel, keys, n_steps):

@@ -323,15 +323,16 @@ def test_ladder_step_matches_reference_step():
 
 
 def float_moves(kernel, us):
-    """A kernel's moves straight from one uniform row per channel, as the
-    sampler computed them before its chunks kept codes: the comb move
-    tables ``(db, dts, dtt, hold)``, the grid2d steps, or the star leaf."""
+    """A kernel's moves straight from (L, width) uniforms per channel, as
+    the sampler computed them in numpy before its compiled step: the comb
+    move tables ``(db, dts, dtt, hold)``, the grid2d steps, or the star
+    leaf."""
     u, pm = us[0], sampler._pm
     if isinstance(kernel, sampler._Grid2DKernel):
         c = (u * 4).astype(np.int8)
         return pm(c, 0), pm(c, 2)
     if isinstance(kernel, sampler._StarKernel):
-        return (1 + (u * kernel.classes).astype(np.int64),)
+        return (1 + (u * kernel.leaves).astype(np.int64),)
     if kernel.lazy:
         hold = u < kernel.q
         dts = np.where(hold, 0, np.where(u < kernel.q_down, -1, 1))
@@ -347,35 +348,34 @@ def float_moves(kernel, us):
     return db, pm(c[:, None], nb + lo), pm(c2[:, None], lo), None
 
 
-def window_codes(kernel, us):
-    """The codes of (L, width) uniforms per channel, laid out as
-    ``_windows`` hands them to ``advance``: each walker's codes in time
-    order."""
-    return [kernel.codes(ch, np.ascontiguousarray(u.T)).T
-            for ch, u in enumerate(us)]
+def window_uniforms(us):
+    """(L, width) uniforms per channel laid out as ``_windows`` hands them
+    to ``advance``: each walker's uniforms in time order."""
+    return [u.T.copy().T for u in us]
 
 
-def comb_float_step(kernel, us, start):
-    """One comb step from ``start`` (one column per walker) read off the
-    float move tables: the next state, and the loop count (lazy only)."""
+def reference_comb_step(kernel, us, start, k):
+    """One window of the comb walk as the sampler stepped it in numpy
+    before its compiled loop: the ``float_moves`` tables of the window's
+    (L, width) uniforms per channel ``us``, a per-step loop over the teeth,
+    and the base path as a masked cumulative sum.  ``start`` is the
+    (coords, width) state before the window and ``k`` the loop counts
+    (lazy only).  Returns the states after each step and the loop counts
+    after each step (lazy only)."""
     db, dts, dtt, hold = float_moves(kernel, us)
-    on = (start[1:] == 0).all(axis=0)
-    nxt = start.copy()
-    nxt[0] += db[0] * on
+    L = len(us[0])
+    pos = np.empty((L + 1, *start.shape), dtype=np.int64)
+    pos[0] = start
+    on = np.ones(db.shape, dtype=bool)
+    for i in range(L):
+        if kernel.n_teeth:
+            on[i] = (pos[i, 1:] == 0).all(axis=0)
+            pos[i + 1, 1:] = pos[i, 1:] + np.where(on[i], dts[i], dtt[i])
+    pos[1:, 0] = start[0] + np.cumsum(db * on, axis=0, dtype=np.int64)
     if kernel.mod:
-        nxt[0] %= kernel.mod
-    nxt[1:] += np.where(on, dts[0], dtt[0])
-    return nxt, None if hold is None else hold[0] & on
-
-
-def code_moves(kernel, us):
-    """The step ``advance`` takes from the kernel's start, read off
-    ``kernel.codes``."""
-    kernel.advance(window_codes(kernel, us), None, 1)
-    if isinstance(kernel, sampler._StarKernel):
-        return (kernel.pos[1],)
-    step = kernel.pos[1] - kernel.pos[0]
-    return step[None, 0], step[None, 1]
+        pos[1:, 0] %= kernel.mod
+    k_hist = k + np.cumsum(hold & on, axis=0) if kernel.lazy else None
+    return pos[1:], k_hist
 
 
 # a comb walker on the spine and off it, per tooth dimension
@@ -389,6 +389,8 @@ SPINE_AND_OFF = {0: [(0,)], 1: [(0, 0), (0, 1), (0, -1)],
     ("comb:line", "selfloop"), ("comb:cycle:2", "selfloop"),
     ("grid2d", "direct"), ("star:3", "direct")])
 def test_codes_give_the_float_moves(spec, method):
+    # every kernel takes each move class from its uniform as the float
+    # tables do, at and beside every class edge
     g = build_graph(spec)
     probe = sampler._make_kernel(g, g.root, 1, method, 1)
     edges = [j / k for k in range(2, 7) for j in range(1, k)]
@@ -400,53 +402,30 @@ def test_codes_give_the_float_moves(spec, method):
     # every pair of a tooth and a base uniform, for the second channel
     us = np.array(us)
     us = [np.repeat(us, len(us))[None], np.tile(us, len(us))[None]]
+    width = us[0].shape[1]
     if not isinstance(probe, sampler._CombKernel):
-        kernel = sampler._make_kernel(g, g.root, us[0].shape[1], method, 1)
-        ref, got = float_moves(kernel, us), code_moves(kernel, us)
+        kernel = sampler._make_kernel(g, g.root, width, method, 1)
+        kernel.advance(window_uniforms(us[:1]), None, 1)
+        step = kernel.pos[1] - kernel.pos[0]
+        got = (kernel.pos[1],) if isinstance(
+            kernel, sampler._StarKernel) else (step[None, 0], step[None, 1])
+        ref = float_moves(kernel, us)
         assert len(ref) == len(got)
         for a, b in zip(ref, got):
             assert np.array_equal(a, b)
         return
     # one compiled step against the float tables, on the spine and off it
     for v in SPINE_AND_OFF[g.dim]:
-        kernel = sampler._make_kernel(g, v, us[0].shape[1], method, 1)
-        kernel.advance(window_codes(kernel, us[:kernel.channels]), None, 1)
-        ref, k = comb_float_step(kernel, us, kernel.pos[0].copy())
-        assert np.array_equal(kernel.pos[1], ref), v
+        kernel = sampler._make_kernel(g, v, width, method, 1)
+        us_k = us[:kernel.channels]
+        kernel.advance(window_uniforms(us_k), None, 1)
+        k = np.zeros(width, dtype=np.int64) if kernel.lazy else None
+        ref, k = reference_comb_step(kernel, us_k, kernel.pos[0].copy(), k)
+        assert np.array_equal(kernel.pos[1], ref[0]), v
         if method == "selfloop":      # holds count on the spine only
             assert k.any() == (v[1] == 0)
-            assert np.array_equal(kernel.k_hist[0], k)
-            assert np.array_equal(kernel.k, k)
-
-
-def reference_comb_step(kernel, cs, start, k):
-    """One window of the comb walk as the sampler stepped it in numpy
-    before its compiled loop: three int8 move tables (``db``, the base move
-    at the spine, and ``dts``, ``dtt``, the tooth moves on and off it), a
-    per-step loop over the teeth, and the base path as a masked cumulative
-    sum.  ``cs`` are the window's (L, width) codes per channel, ``start``
-    the (coords, width) state before it and ``k`` the loop counts (lazy
-    only).  Returns the states after each step and the loop counts after
-    each step (lazy only)."""
-    pm, L = sampler._pm, len(cs[0])
-    c, c2 = cs[0] & 7, cs[0] >> 3
-    lo = 2 * np.arange(kernel.n_teeth, dtype=np.int8)[:, None]
-    hold = (c == 0) if kernel.lazy else None
-    db = (c == 0) if kernel.flip else (
-        np.where(hold, pm(cs[1], 0), 0) if kernel.lazy else pm(c, 0))
-    dts, dtt = pm(c[:, None], kernel.nb + lo), pm(c2[:, None], lo)
-    pos = np.empty((L + 1, *start.shape), dtype=np.int64)
-    pos[0] = start
-    on = np.ones(c.shape, dtype=bool)
-    for i in range(L):
-        if kernel.n_teeth:
-            on[i] = (pos[i, 1:] == 0).all(axis=0)
-            pos[i + 1, 1:] = pos[i, 1:] + np.where(on[i], dts[i], dtt[i])
-    pos[1:, 0] = start[0] + np.cumsum(db * on, axis=0, dtype=np.int64)
-    if kernel.mod:
-        pos[1:, 0] %= kernel.mod
-    k_hist = k + np.cumsum(hold & on, axis=0) if kernel.lazy else None
-    return pos[1:], k_hist
+            assert np.array_equal(kernel.k_hist[0], k[0])
+            assert np.array_equal(kernel.k, k[0])
 
 
 @pytest.mark.parametrize("spec, method", [
@@ -467,9 +446,8 @@ def test_compiled_step_matches_reference_step(spec, method):
         us = rng.random((kernel.channels, L, width))
         if w == 0:
             us[:, 0, 0] = 0.0     # walker 0 starts with b-, or a hold and b-
-        cs = window_codes(kernel, us)
-        ref, k = reference_comb_step(kernel, cs, start, k)
-        kernel.advance(cs, None, L)
+        ref, k = reference_comb_step(kernel, us, start, k)
+        kernel.advance(window_uniforms(us), None, L)
         assert np.array_equal(kernel.pos[1:L + 1], ref)
         if kernel.lazy:
             assert np.array_equal(kernel.k_hist[:L], k)
@@ -524,14 +502,18 @@ def test_unwritable_step_cache_falls_back_to_a_temp_directory(monkeypatch,
 
 
 def test_every_compiled_loop_has_its_argument_types():
-    # without argtypes, ctypes would pass an int64_t as a C int
+    # without argtypes, ctypes would pass an int64_t as a C int, and a
+    # c_int64 where the loop takes a double would reach it as garbage
     loops = re.findall(r"^void (\w+)\(([^)]*)\)", _native._SOURCE, re.M)
     assert sorted(name for name, _ in loops) == [
         "comb_step", "csr_rows", "philox_fill"]
     lib = _native.library()
     for name, params in loops:
         fn = getattr(lib, name)
-        assert len(fn.argtypes or ()) == len(params.split(",")), name
+        want = [ctypes.c_void_p if "*" in p else
+                {"int64_t": ctypes.c_int64, "double": ctypes.c_double}[
+                    p.split()[-2]] for p in params.split(",")]
+        assert list(fn.argtypes or ()) == want, name
         assert fn.restype is None, name
 
 
@@ -544,13 +526,13 @@ def test_step_source_compiles_without_warnings(tmp_path):
     assert res.returncode == 0, res.stderr.decode()
 
 
-# A 512-pair block of 4096 steps keeps one int8 code per draw, 4 MiB a
-# channel over its 1024 walkers.  The ladder is left out: its move class
-# depends on the walker's level, so its chunk keeps the doubles themselves
-# and a 62-bit word per step, 64 MiB at this size.
+# A 512-pair block of 4096 steps draws at most SCRATCH doubles, 1 MiB, per
+# channel at a time: two channels under selfloop, and the ladder's buffer
+# of 62-bit midpoint words beside its uniforms.  The rest is the window
+# history, the observers and the summaries.
 @pytest.mark.parametrize("spec, method", [
     ("comb:line", "direct"), ("comb2:line", "direct"), ("grid2d", "direct"),
-    ("comb:line", "selfloop")])
+    ("comb:line", "selfloop"), ("biased-ladder", "direct")])
 def test_block_peak_memory_is_bounded(spec, method):
     g = build_graph(spec)
     tracemalloc.start()
@@ -560,7 +542,7 @@ def test_block_peak_memory_is_bounded(spec, method):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
+    assert peak < 8 * 2 ** 20
 
 
 def test_selfloop_k_trace_monotone():
@@ -591,10 +573,12 @@ def test_clock_path_bookkeeping():
     assert np.all((K >= R) | (2 * K >= ns))
 
 
-def test_clock_dichotomy_batch():
-    bad, checked = clock_dichotomy_violations(2, 1000, 64, seed=8)
-    assert bad == 0
-    assert checked == 64 * 1001
+def test_clock_dichotomy_batch(monkeypatch):
+    # every replica is checked once, however the replicas are batched
+    for batch in (1, 7, 64):
+        monkeypatch.setattr(sampler, "_CLOCK_BATCH", batch)
+        assert clock_dichotomy_violations(2, 1000, 64, seed=8) == (
+            0, 64 * 1001)
 
 
 def test_clock_sigma_counts_completed_steps():
@@ -607,23 +591,23 @@ def test_clock_sigma_counts_completed_steps():
             assert np.array_equal(sigma[n], (tau <= n).sum(axis=0) - 1)
 
 
-def test_clock_output_does_not_depend_on_batch():
+def test_clock_output_does_not_depend_on_batch(monkeypatch):
     g = build_graph("comb:cycle:4")
-    ref = sample_marginal(g, 9, 250, seed=12, method="clock", batch=4096)
+    ref = sample_marginal(g, 9, 250, seed=12, method="clock")
     for batch in (30, 100):
+        monkeypatch.setattr(sampler, "_MARGINAL_BATCH", batch)
         assert np.array_equal(
-            sample_marginal(g, 9, 250, seed=12, method="clock", batch=batch),
-            ref)
+            sample_marginal(g, 9, 250, seed=12, method="clock"), ref)
 
 
 @pytest.mark.parametrize("method", ["direct", "selfloop"])
-def test_marginal_output_does_not_depend_on_batch(method):
+def test_marginal_output_does_not_depend_on_batch(monkeypatch, method):
     g = build_graph("comb:cycle:4")
-    ref = sample_marginal(g, 9, 250, seed=12, method=method, batch=4096)
+    ref = sample_marginal(g, 9, 250, seed=12, method=method)
     for batch in (30, 100):
+        monkeypatch.setattr(sampler, "_MARGINAL_BATCH", batch)
         assert np.array_equal(
-            sample_marginal(g, 9, 250, seed=12, method=method, batch=batch),
-            ref)
+            sample_marginal(g, 9, 250, seed=12, method=method), ref)
 
 
 def test_clock_batch_columns_are_clock_paths():
@@ -784,7 +768,8 @@ def reference_comb_line_pair(seed, replica, n_steps, alpha,
 
 
 def test_ensemble_matches_scalar_reference_walk():
-    n_steps = sampler.CHUNK + 100       # a multiple of neither CHUNK nor WIN
+    fill = sampler.SCRATCH // 6 // 4 * 4     # steps per fill of 3 pairs
+    n_steps = fill + 100                # a multiple of neither fill nor WIN
     out = run_ensemble(build_graph("comb:line"), n_steps=n_steps, replicas=3,
                        seed=44, record=RecordPolicy(lil_alphas=(1.1,)))
     assert n_steps % sampler.WIN
@@ -827,16 +812,16 @@ def test_window_length_does_not_change_output(monkeypatch, win):
     assert any(lil)                    # the envelope records are exercised
     assert "k_trace" in default[0][8] and "spine" in default[0][12]
     monkeypatch.setattr(sampler, "WIN", win)
-    # fills of 3 rows of 777 draws and 5 of 500: neither divides the 8
-    # or 12 walkers, so the last fill of each chunk is short
+    # fills of 324 steps of 8 walkers and 216 of 12: neither divides 777
+    # or 500, and 7 divides neither, so windows end short at every fill
     monkeypatch.setattr(sampler, "SCRATCH", 2600)
     assert _window_probe() == default
 
 
 def test_chunk_length_does_not_change_output(monkeypatch):
-    # CHUNK = 8 starts a fill every two Philox blocks: the uniform
-    # channels of comb:line with LIL, both channels of the self-loop
-    # construction, and the ladder's auxiliary 62-bit stream
+    # SCRATCH = 24 makes every fill of the 6 walkers one Philox block of 4
+    # steps: the uniform channels of comb:line with LIL, both channels of
+    # the self-loop construction, and the ladder's auxiliary 62-bit stream
     settings = [
         ("comb:line", "direct", 150, RecordPolicy(lil_alphas=(0.75, 1.25))),
         ("comb:cycle:4", "selfloop", 150, RecordPolicy()),
@@ -852,6 +837,5 @@ def test_chunk_length_does_not_change_output(monkeypatch):
     default = probe()
     finals = [json.loads(line)["final"] for line in default[2]]
     assert any(f[w][2] for f in finals for w in "xy")   # midpoint ids drawn
-    monkeypatch.setattr(sampler, "CHUNK", 8)
-    monkeypatch.setattr(sampler, "SCRATCH", 32)   # fills of 4 rows of 6
+    monkeypatch.setattr(sampler, "SCRATCH", 24)
     assert probe() == default
