@@ -1,6 +1,7 @@
-"""One C source for the package's three compiled loops, ``philox_fill``,
-``comb_step`` and ``csr_rows``: built on first use and cached per source
-version in ``__pycache__``, loaded with ``ctypes``."""
+"""One C source for the package's four compiled loops, ``philox_fill``,
+``comb_step``, ``observe`` (the sampler's per-window meetings and depth)
+and ``csr_rows``: built on first use and cached per source version in
+``__pycache__``, loaded with ``ctypes``."""
 
 import ctypes
 import functools
@@ -30,6 +31,7 @@ void philox_fill(const uint64_t *keys, int64_t n, int64_t start, int64_t len,
         for (int64_t i = 0; i < len; i += 4) {  /* bump, then draw */
             uint64_t c[4] = {(uint64_t)(start + i) / 4 + 1, 0, 0, 0},
                      k0 = keys[2 * j], k1 = keys[2 * j + 1];
+#pragma GCC unroll 10
             for (int r = 0; r < 10; r++, k0 += 0x9E3779B97F4A7C15u,
                                          k1 += 0xBB67AE8584CAA73Bu) {
                 u128 p0 = (u128)c[0] * 0xD2E7470EE14C6C93u,
@@ -80,6 +82,39 @@ void comb_step(const double *u0, const double *u1, int64_t stride,
                 if (teeth > 1) p[row + 2 * width] = t1 + d1[t];
                 if (k) k_hist[i * width + w] = k[w] += t == 4;  /* holds */
             }
+}
+
+/* The window observer of every kernel: rows 1 .. len of the history `pos`,
+   (coords, width) states each, where walkers b and B + b (B = width / 2)
+   are a pair.  Writes (row - 1, b) of each pair that meets, in row-major
+   order, to hits[2n], hits[2n + 1] and returns the count n.  The depth of
+   a walker is max |coordinate c| over 1 <= c <= depth (0: none); it is
+   folded into max_depth, and its window maximum written to *d_max */
+int64_t observe(const int64_t *pos, int64_t coords, int64_t width,
+                int64_t depth, int64_t *max_depth, int64_t *hits,
+                int64_t *d_max, int64_t len)
+{
+    const int64_t half = width / 2;
+    int64_t n = 0, top = 0;
+    for (int64_t i = 1; i <= len; i++) {
+        const int64_t *p = pos + i * coords * width, *q = p + half;
+        for (int64_t b = 0; b < half; b++)
+            if (p[b] == q[b]) {         /* most pairs differ in the base */
+                int64_t c = 1;
+                while (c < coords && p[c * width + b] == q[c * width + b])
+                    c++;
+                if (c == coords)
+                    hits[2 * n] = i - 1, hits[2 * n + 1] = b, n++;
+            }
+        for (int64_t c = 1; c <= depth; c++)
+            for (int64_t w = 0; w < width; w++) {
+                int64_t v = p[c * width + w], d = v < 0 ? -v : v;
+                max_depth[w] = d > max_depth[w] ? d : max_depth[w];
+                top = d > top ? d : top;
+            }
+    }
+    *d_max = top;
+    return n;
 }
 
 /* rows lo <= i < hi of y = A x, A in CSR, each summed from 0.0 in order;
@@ -140,7 +175,8 @@ def library():
     p, i, d = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     lib.philox_fill.argtypes = [p, i, i, i, p, i, i]
     lib.comb_step.argtypes = [p, p, i, p, p, p, i, i, i, i, i, d, d]
+    lib.observe.argtypes = [p, i, i, i, p, p, p, i]
     lib.csr_rows.argtypes = [p, p, p, p, p, i, i]
     lib.philox_fill.restype = lib.comb_step.restype = None
-    lib.csr_rows.restype = None
+    lib.csr_rows.restype, lib.observe.restype = None, i
     return lib

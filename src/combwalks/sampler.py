@@ -26,9 +26,12 @@ driver (``_windows``) runs every direct and selfloop walk in two layers:
               state into a (WIN + 1)-row history; the comb kernels do it
               in one call of ``_native.comb_step``, a C loop built on
               first use;
-* observer -- meetings, collision records, depth, envelope violations,
-              truncation, checkpoints, loop counts and the ladder spine
-              trace are read off the whole window history at once.
+* observer -- one call of the compiled ``_native.observe`` per window
+              finds the meetings and folds in each walker's depth; the
+              collision records, envelope violations, truncation,
+              checkpoints, loop counts and ladder spine trace are read
+              off the whole window history at once, the first two only
+              at the meetings and in windows that cross the envelope.
 
 A replica's trajectory therefore never depends on how replicas are grouped
 into worker processes, and ``run_ensemble`` emits byte-identical JSONL for
@@ -57,7 +60,7 @@ from .rng import (AUX, RngStream, X_BASE, X_HOLD, X_MAIN, X_SKEL, X_TOOTH,
                   Y_MAIN, Y_TOOTH, fill, stream_keys)
 from .stats import lil_threshold
 
-WIN = 64                  # steps per kernel call and per observer pass
+WIN = 64                  # steps per kernel call and per observer call
 SCRATCH = 1 << 17         # doubles per channel a block draws at once
 # stream roles (x, y) of the two walkers of a pair, per construction
 _ROLES = {"direct": (X_MAIN, Y_MAIN), "selfloop": (X_TOOTH, Y_TOOTH)}
@@ -229,14 +232,17 @@ def read_summaries(path):
 # uniform: `channels` is the number of uniform streams consumed per step (two
 # for the lazy one off cycle:2), `needs_raw` asks for one extra 62-bit integer
 # per step (midpoint identities on the ladder).  Draws are consumed every
-# step even when a walker's branch ignores them.  `height`, `depth` and
-# `distance` read a window of states.
+# step even when a walker's branch ignores them.  A walker's depth is
+# max |coordinate c| over 1 <= c <= `depth_coords` (0: no depth): the
+# compiled observer folds it in every window, `depth` recomputes it where
+# the envelope needs it.  `depth` and `distance` read a window of states,
+# `height` (None for 0) and `depth` the vertices of the meetings.
 # ---------------------------------------------------------------------------
 
 class _KernelBase:
     channels = 1
     needs_raw = False
-    tracks_depth = False
+    depth_coords = 0
 
     def __init__(self, graph, start, width, rows):
         self.pos = np.empty((rows + 1, len(start), width), dtype=np.int64)
@@ -244,6 +250,9 @@ class _KernelBase:
 
     def height(self, p):
         return None
+
+    def depth(self, p):
+        return np.abs(p[:, 1:1 + self.depth_coords]).max(axis=1)
 
 
 def _pm(c, minus):
@@ -279,8 +288,7 @@ class _CombKernel(_KernelBase):
         self.flip = graph.m == 2
         self.nb = 1 if self.flip else 2          # base classes at the spine
         self.mod = graph.m
-        self.n_teeth = graph.dim
-        self.tracks_depth = self.n_teeth > 0
+        self.n_teeth = self.depth_coords = graph.dim
         self.lazy = lazy
         self._k = None, None                     # pointers of k and k_hist
         self.q = self.q_down = 0.0     # lazy: hold below q, - below q_down
@@ -305,14 +313,8 @@ class _CombKernel(_KernelBase):
                    L, self.n_teeth, self.nb, self.mod, self.q, self.q_down)
 
     def height(self, p):
-        if self.n_teeth == 1:
-            return p[:, 1]
-        return self.depth(p)
-
-    def depth(self, p):
-        if self.n_teeth == 1:
-            return np.abs(p[:, 1])
-        return np.abs(p[:, 1:]).max(axis=1) if self.n_teeth else None
+        if self.n_teeth:
+            return p[:, 1] if self.n_teeth == 1 else self.depth(p)
 
     def distance(self, p):
         b = p[:, 0]
@@ -369,7 +371,7 @@ class _LadderKernel(_KernelBase):
     """
 
     needs_raw = True
-    tracks_depth = True
+    depth_coords = 1                                # the level
     _s = np.exp2(1.0 - np.arange(1, 1077))          # s of rows 1 .. 1076
     _THR = np.vstack([(0.0, 0.5, 0.5),
                       np.column_stack([_s, 2.0 * _s, 2.0 * _s + 1.0])
@@ -388,12 +390,6 @@ class _LadderKernel(_KernelBase):
         kind, n = pos[1:L + 1, 0], pos[1:L + 1, 1]
         lvl = np.minimum(n, _LEVEL_BITS)
         pos[1:L + 1, 2] = np.where(kind == 1, raw & ((np.int64(1) << lvl) - 1), 0)
-
-    def height(self, p):
-        return np.zeros_like(p[:, 1])
-
-    def depth(self, p):
-        return p[:, 1]
 
     def distance(self, p):
         return p[:, 1] + (p[:, 0] == 1)
@@ -487,12 +483,30 @@ def _windows(kernel, keys, n_steps):
             n += L
 
 
+def _observer(kernel):
+    """``observe``, the compiled window observer of ``kernel``'s pairs
+    (walkers b and B + b of its width 2B), and the buffers it writes:
+    ``observe(L)`` reads rows 1 .. L of ``kernel.pos``, writes (row - 1, b)
+    of its n meetings, in row-major order, to ``hits[:n]`` and returns n;
+    it folds each walker's depth into ``max_depth`` and the window's
+    maximum into ``d_max[0]``."""
+    rows, coords, width = kernel.pos.shape
+    max_depth = np.zeros(width, dtype=np.int64)
+    hits = np.empty(((rows - 1) * (width // 2), 2), dtype=np.int64)
+    d_max = np.zeros(1, dtype=np.int64)
+    return (functools.partial(
+        _native.library().observe, kernel.pos.ctypes.data, coords, width,
+        kernel.depth_coords, max_depth.ctypes.data, hits.ctypes.data,
+        d_max.ctypes.data), max_depth, hits, d_max)
+
+
 def _run_block(graph, start, n_steps, seed, replicas, record, method,
                truncation_radius=None, stream_roles=None):
     """Simulate one block of replica pairs; returns summaries in order.
 
     The two walkers of the ``B`` pairs run as columns ``b`` and ``B + b``
-    of one kernel.  The observers read each window of states at once.
+    of one kernel.  One ``_observer`` call per window finds the meetings
+    and depths; the other observers read each window of states at once.
     """
     if (truncation_radius or 0) < 0:
         raise ValueError(
@@ -503,12 +517,12 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
     stride = record.spine_stride if isinstance(graph, BiasedLadder) else 0
     keys = _stream_keys(kernel, seed, replicas, stream_roles or _ROLES[method])
 
-    max_depth = np.zeros(2 * B, dtype=np.int64)
+    observe, max_depth, hit_buf, d_max = _observer(kernel)
     # per window: times, columns, vertices, heights of the meetings
     nil = np.zeros(0, dtype=np.int64)
     hits = [(nil, nil, np.zeros((0, kernel.pos.shape[1]), np.int64), nil)]
     k_rows = {}                # selfloop: loop counts at each checkpoint
-    lil_alphas = tuple(record.lil_alphas) if kernel.tracks_depth else ()
+    lil_alphas = tuple(record.lil_alphas) if kernel.depth_coords else ()
     lil_thr = [lil_threshold(np.arange(n_steps + 1, dtype=np.float64), a)
                for a in lil_alphas]
     lil_keys = [[np.zeros(0, dtype=np.int64)] for _ in lil_alphas]
@@ -518,26 +532,23 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
 
     for n0, L in _windows(kernel, keys, n_steps):
         p = kernel.pos[1:L + 1]
-        eq = (p[:, :, :B] == p[:, :, B:]).all(axis=1)
-        rows, cols = np.nonzero(eq)
-        if len(rows):
-            h = kernel.height(p)
-            h = np.zeros_like(rows) if h is None else h[rows, cols]
-            hits.append((rows + n0 + 1, cols, p[rows, :, cols], h))
+        n_hits = observe(L)
+        if n_hits:
+            rows, cols = hit_buf[:n_hits].T.copy()
+            v = p[rows, :, cols]
+            h = kernel.height(v)
+            hits.append((rows + n0 + 1, cols, v,
+                         np.zeros_like(rows) if h is None else h))
         if method == "selfloop":
             k_rows.update((t, kernel.k_hist[t - n0 - 1].copy())
                           for t in cps if n0 < t <= n0 + L)
 
-        if kernel.tracks_depth:
-            d = kernel.depth(p)
-            d_max = d.max(axis=0)
-            np.maximum(max_depth, d_max, out=max_depth)
-            d_max = d_max.max()
-            for thr, keys in zip(lil_thr, lil_keys):
-                # the envelope is monotone in n: test its low end first
-                if d_max > min(thr[n0 + 1], thr[n0 + L]):
-                    r, c = np.nonzero(d > thr[n0 + 1:n0 + L + 1, None])
-                    keys.append((c % B) * (n_steps + 1) + r + n0 + 1)
+        for thr, keys in zip(lil_thr, lil_keys):
+            # the envelope is monotone in n: test its low end first
+            if d_max[0] > min(thr[n0 + 1], thr[n0 + L]):
+                over = kernel.depth(p) > thr[n0 + 1:n0 + L + 1, None]
+                r, c = np.nonzero(over)
+                keys.append((c % B) * (n_steps + 1) + r + n0 + 1)
 
         if truncation_radius is not None:
             out = kernel.distance(p) > truncation_radius

@@ -459,6 +459,58 @@ def test_compiled_step_matches_reference_step(spec, method):
         start = ref[-1]
 
 
+def reference_observe(kernel, p, max_depth):
+    """One window of the meeting and depth observers as the sampler ran
+    them in numpy before its compiled loop: the meetings of the (L, coords,
+    2B) states ``p`` as row-major (row, pair) indices, ``max_depth`` with
+    the window's depths folded in, and their window maximum (0 without
+    depth)."""
+    B = p.shape[2] // 2
+    rows, cols = np.nonzero((p[:, :, :B] == p[:, :, B:]).all(axis=1))
+    if not kernel.depth_coords:
+        return np.column_stack([rows, cols]), max_depth, 0
+    d_max = kernel.depth(p).max(axis=0)
+    return np.column_stack([rows, cols]), np.maximum(max_depth, d_max), \
+        d_max.max()
+
+
+@pytest.mark.parametrize("spec, method", [
+    ("comb:line", "direct"), ("comb2:line", "direct"),
+    ("comb:cycle:4", "selfloop"), ("line", "direct"), ("star:3", "direct"),
+    ("grid2d", "direct"), ("biased-ladder", "direct")])
+def test_compiled_observer_matches_reference_observer(spec, method):
+    g, win = build_graph(spec), sampler.WIN
+    rng = np.random.default_rng(1729)
+    # small coordinates, so pairs meet often, coordinate c in multiples of
+    # c + 1, so each reaches a depth of its own; ladder levels are >= 0
+    lo = 0 if isinstance(g, sampler.BiasedLadder) else -2
+    for width in (48, 2):
+        B = width // 2
+        kernel = sampler._make_kernel(g, g.root, width, method, 4 * win)
+        observe, max_depth, hits, d_max = sampler._observer(kernel)
+        ref_depth = max_depth.copy()
+        # random, every pair meets, none does, and a short last window
+        for case, L in (("random", win), ("all", win), ("none", win),
+                        ("random", win - 17)):
+            p = rng.integers(lo, lo + 4, kernel.pos.shape) * np.arange(
+                1, kernel.pos.shape[1] + 1)[:, None]
+            if case == "all":
+                p[:, :, B:] = p[:, :, :B]
+            elif case == "none":
+                p[:, 0, B:] = p[:, 0, :B] + 1
+            else:          # the rows past a short window must not count
+                p[L + 1:, :, B:] = p[L + 1:, :, :B]
+            kernel.pos[...] = p
+            n = observe(L)
+            want, ref_depth, ref_max = reference_observe(
+                kernel, kernel.pos[1:L + 1], ref_depth)
+            assert np.array_equal(hits[:n], want), (case, width)
+            assert n == {"all": L * B, "none": 0}.get(case, n)
+            assert np.array_equal(max_depth, ref_depth), (case, width)
+            assert d_max[0] == ref_max, (case, width)
+        assert max_depth.any() == bool(kernel.depth_coords)
+
+
 def test_step_library_is_built_once_per_source(monkeypatch, tmp_path):
     path = _native._library_path(_native._SOURCE, str(tmp_path))
     assert os.listdir(tmp_path) == [os.path.basename(path)]   # no temp file
@@ -484,7 +536,7 @@ def test_concurrent_builds_leave_one_whole_library(tmp_path):
     assert len(paths) == 1 and os.listdir(tmp_path) == [
         os.path.basename(p) for p in paths]
     lib = ctypes.CDLL(paths.pop())
-    assert lib.philox_fill and lib.comb_step and lib.csr_rows
+    assert lib.philox_fill and lib.comb_step and lib.observe and lib.csr_rows
 
 
 def test_unwritable_step_cache_falls_back_to_a_temp_directory(monkeypatch,
@@ -495,7 +547,7 @@ def test_unwritable_step_cache_falls_back_to_a_temp_directory(monkeypatch,
     monkeypatch.setattr(_native, "_CACHE", str(tmp_path / "file" / "cache"))
     lib = _native.library.__wrapped__()
     assert os.path.dirname(os.path.dirname(lib._name)) == str(tmp_path / "tmp")
-    assert lib.philox_fill and lib.comb_step and lib.csr_rows
+    assert lib.philox_fill and lib.comb_step and lib.observe and lib.csr_rows
     # the private directory goes once the library is loaded
     assert os.listdir(tmp_path / "tmp") == []
     assert sorted(os.listdir(tmp_path)) == ["file", "tmp"]
@@ -503,18 +555,20 @@ def test_unwritable_step_cache_falls_back_to_a_temp_directory(monkeypatch,
 
 def test_every_compiled_loop_has_its_argument_types():
     # without argtypes, ctypes would pass an int64_t as a C int, and a
-    # c_int64 where the loop takes a double would reach it as garbage
-    loops = re.findall(r"^void (\w+)\(([^)]*)\)", _native._SOURCE, re.M)
-    assert sorted(name for name, _ in loops) == [
-        "comb_step", "csr_rows", "philox_fill"]
+    # c_int64 where the loop takes a double would reach it as garbage;
+    # without its restype, an int64_t result would come back as a C int
+    c_types = {"void": None, "int64_t": ctypes.c_int64,
+               "double": ctypes.c_double}
+    loops = re.findall(r"^(\w+) (\w+)\(([^)]*)\)", _native._SOURCE, re.M)
+    assert sorted(name for _, name, _ in loops) == [
+        "comb_step", "csr_rows", "observe", "philox_fill"]
     lib = _native.library()
-    for name, params in loops:
+    for ret, name, params in loops:
         fn = getattr(lib, name)
-        want = [ctypes.c_void_p if "*" in p else
-                {"int64_t": ctypes.c_int64, "double": ctypes.c_double}[
-                    p.split()[-2]] for p in params.split(",")]
+        want = [ctypes.c_void_p if "*" in p else c_types[p.split()[-2]]
+                for p in params.split(",")]
         assert list(fn.argtypes or ()) == want, name
-        assert fn.restype is None, name
+        assert fn.restype is c_types[ret], name
 
 
 def test_step_source_compiles_without_warnings(tmp_path):
@@ -529,10 +583,12 @@ def test_step_source_compiles_without_warnings(tmp_path):
 # A 512-pair block of 4096 steps draws at most SCRATCH doubles, 1 MiB, per
 # channel at a time: two channels under selfloop, and the ladder's buffer
 # of 62-bit midpoint words beside its uniforms.  The rest is the window
-# history, the observers and the summaries.
+# history, the observers' buffers and the summaries; comb:cycle:4 pairs
+# meet often, so there the meetings' columns weigh most.
 @pytest.mark.parametrize("spec, method", [
     ("comb:line", "direct"), ("comb2:line", "direct"), ("grid2d", "direct"),
-    ("comb:line", "selfloop"), ("biased-ladder", "direct")])
+    ("comb:line", "selfloop"), ("biased-ladder", "direct"),
+    ("comb:cycle:4", "direct"), ("comb:cycle:4", "selfloop")])
 def test_block_peak_memory_is_bounded(spec, method):
     g = build_graph(spec)
     tracemalloc.start()
@@ -669,23 +725,37 @@ def test_comb2_collision_heights_are_chebyshev():
     assert seen > 0
 
 
-def test_comb2_mean_meetings_match_exact_partial_sums():
-    # The exact partial sums come from the lumped comb2:line ball at radius
-    # 257: 1.46M states, against about 22.6M unlumped.  Seed fixed in
-    # advance; |z| <= 4 at every horizon.
-    g = build_graph("comb2:line")
-    times = (16, 32, 64, 128, 256)
+def assert_mean_meetings_match_exact(spec, times, seed, method="direct"):
+    """|z| <= 4 at every horizon in ``times`` for the mean meetings of 4096
+    pairs against the exact partial sums."""
+    g = build_graph(spec)
     partial, _ = meeting_expectation_series(g, times[-1])
-    out = run_ensemble(g, n_steps=times[-1], replicas=4096, seed=2718,
-                       record=RecordPolicy(checkpoints=times))
+    out = run_ensemble(g, n_steps=times[-1], replicas=4096, seed=seed,
+                       record=RecordPolicy(checkpoints=times), method=method)
     counts = np.array([[m for _, m in s.checkpoints] for s in out],
                       dtype=float)
     for t, col in zip(times, counts.T):
         se = col.std(ddof=1) / math.sqrt(len(col))
         z = (col.mean() - partial.value_at(t)) / se
         assert abs(z) <= 4.0, (
-            f"comb2:line mean meetings by t={t} is {col.mean():.4f}, "
+            f"{spec} ({method}) mean meetings by t={t} is {col.mean():.4f}, "
             f"exact {partial.value_at(t):.4f}: z = {z:+.2f}")
+
+
+def test_comb2_mean_meetings_match_exact_partial_sums():
+    # The exact partial sums come from the lumped comb2:line ball at radius
+    # 257: 1.46M states, against about 22.6M unlumped.  Seed fixed in
+    # advance.
+    assert_mean_meetings_match_exact("comb2:line", (16, 32, 64, 128, 256),
+                                     seed=2718)
+
+
+@pytest.mark.parametrize("method", ["direct", "selfloop"])
+def test_comb_cycle4_mean_meetings_match_exact_partial_sums(method):
+    # The collision-heavy gate: comb:cycle:4 pairs meet infinitely often,
+    # so every block holds many meetings.  Seed fixed in advance.
+    assert_mean_meetings_match_exact("comb:cycle:4", (16, 64, 256, 1024),
+                                     seed=406487, method=method)
 
 
 def test_truncation_radius_escape_is_loud():
