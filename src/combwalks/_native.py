@@ -1,7 +1,7 @@
 """One C source for the package's four compiled loops, ``philox_fill``,
 ``comb_step``, ``observe`` (the sampler's per-window meetings and depth)
-and ``csr_rows``: built on first use and cached per source version in
-``__pycache__``, loaded with ``ctypes``."""
+and ``csr_rows`` (the oracle's step, flushing values below 2^-1022 to 0),
+built on first use, cached by source in ``__pycache__``, loaded by ctypes."""
 
 import ctypes
 import functools
@@ -18,6 +18,9 @@ class BuildError(RuntimeError):
 
 _SOURCE = r"""
 #include <stdint.h>
+#if defined(__SSE2__)
+#include <xmmintrin.h>
+#endif
 
 /* Philox4x64-10 (Salmon et al., SC11) as numpy's Philox: row j of `out`
    (row stride ld) gets draws start .. start + len - 1 of the stream keyed
@@ -91,7 +94,7 @@ void comb_step(const double *u0, const double *u1, int64_t stride,
    a walker is max |coordinate c| over 1 <= c <= depth (0: none); it is
    folded into max_depth, and its window maximum written to *d_max */
 int64_t observe(const int64_t *pos, int64_t coords, int64_t width,
-                int64_t depth, int64_t *max_depth, int64_t *hits,
+                int64_t depth, int64_t *max_depth, int32_t *hits,
                 int64_t *d_max, int64_t len)
 {
     const int64_t half = width / 2;
@@ -117,22 +120,30 @@ int64_t observe(const int64_t *pos, int64_t coords, int64_t width,
     return n;
 }
 
-/* rows lo <= i < hi of y = A x, A in CSR, each summed from 0.0 in order;
-   rows hold a few arcs each, so the row loop is unrolled */
+/* rows lo <= i < hi of y = P^T x, row i summing inv[k] x[k], k = indices[j],
+   from 0.0 in order (unrolled: rows hold a few arcs); on SSE2 it runs with
+   FTZ | DAZ, so values below 2^-1022 count as 0, then restores MXCSR */
 void csr_rows(const int32_t *indptr, const int32_t *indices,
-              const double *data, const double *x, double *y,
+              const double *inv, const double *x, double *y,
               int64_t lo, int64_t hi)
 {
+#if defined(__SSE2__)   /* subnormals each cost a microcode assist */
+    const unsigned int mxcsr = _mm_getcsr();
+    _mm_setcsr(mxcsr | 0x8040);         /* FTZ 0x8000 | DAZ 0x0040 */
+#endif
     for (int64_t i = lo; i < hi; i++) {
         double s = 0.0;
 #pragma GCC unroll 4
         for (int32_t j = indptr[i]; j < indptr[i + 1]; j++)
-            s += data[j] * x[indices[j]];
+            s += inv[indices[j]] * x[indices[j]];
         y[i] = s;
     }
+#if defined(__SSE2__)
+    _mm_setcsr(mxcsr);
+#endif
 }
 """
-# no fused multiply-add: each row sums the rounded products, in order
+# no FMA (rows sum rounded products, in order); no -ffast-math (global FTZ)
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-std=c99", "-ffp-contract=off")
 _CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
 

@@ -7,7 +7,9 @@ in fewer than R steps, so truncating at R = n_max + 1 gives the exact
 distribution for every n <= n_max.  No spectral shortcuts, no approximation;
 probabilities are double precision and all exactness claims are stated as
 residuals <= 1e-12 per comparison (iterated averaging accumulates rounding
-on the order of n ulp).
+on the order of n ulp).  The step flushes probabilities below 2^-1022 to 0,
+so `transition_vector(...).items()` can omit states of smaller exact mass;
+no series moves by a bit.
 
 Two identities from the theory double as self-tests:
 
@@ -68,16 +70,16 @@ class Kernel:
     on addresses taken once; no matrix is built.  On a bipartite ball they
     are one parity class, fed only by the other, so steps alternate
     classes in place in one vector; other balls alternate two vectors.
-    Rows a run has not reached are never written and stay zero.
+    Rows a run has not reached are never written and stay zero.  The step
+    reads 1/deg per state (`inv`) and flushes mass below 2^-1022 to 0.
     """
 
     def __init__(self, ball_, release_arcs=False):
-        n = ball_.size
         src, dst = ball_.arc_src, ball_.arc_dst
         order = np.argsort(dst, kind="stable")
         self.indices = np.ascontiguousarray(src[order], dtype=np.int32)
-        self.data = (1.0 / ball_.degrees)[self.indices]
-        counts = np.bincount(dst, minlength=n)
+        self.inv = 1.0 / ball_.degrees
+        counts = np.bincount(dst, minlength=ball_.size)
         self.indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
         del order, counts
         if release_arcs:
@@ -85,7 +87,7 @@ class Kernel:
         self.ball = ball_
         self._csr_rows = _native.library().csr_rows
         self._csr = [ctypes.c_void_p(a.ctypes.data)
-                     for a in (self.indptr, self.indices, self.data)]
+                     for a in (self.indptr, self.indices, self.inv)]
         self._reset()
 
     def _reset(self):
@@ -107,10 +109,9 @@ class Kernel:
                 or not vec.flags.c_contiguous:
             raise OracleError(f"step needs a contiguous float64 vector of "
                               f"length {b.size}")
-        lo, hi = b.rows(reach)
         i = vec is self._bufs[0]
         x = self._addr[1 - i] if vec is self._bufs[1 - i] else vec.ctypes.data
-        self._csr_rows(*self._csr, x, self._addr[i], lo, hi)
+        self._csr_rows(*self._csr, x, self._addr[i], *b.rows(reach))
         return self._bufs[i]
 
     def iterate(self, n_steps, on_step=None):
@@ -164,10 +165,8 @@ class SparseDistribution:
         return float(self.dense[idx])
 
     def items(self, eps=0.0):
-        out = []
-        for i in np.nonzero(self.dense > eps)[0]:
-            out.append((self.ball.vertex_of(int(i)), float(self.dense[i])))
-        return out
+        return [(self.ball.vertex_of(int(i)), float(self.dense[i]))
+                for i in np.nonzero(self.dense > eps)[0]]
 
     def validate(self, tol=1e-12):
         d = self.dense

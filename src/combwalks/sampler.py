@@ -492,7 +492,7 @@ def _observer(kernel):
     maximum into ``d_max[0]``."""
     rows, coords, width = kernel.pos.shape
     max_depth = np.zeros(width, dtype=np.int64)
-    hits = np.empty(((rows - 1) * (width // 2), 2), dtype=np.int64)
+    hits = np.empty(((rows - 1) * (width // 2), 2), dtype=np.int32)
     d_max = np.zeros(1, dtype=np.int64)
     return (functools.partial(
         _native.library().observe, kernel.pos.ctypes.data, coords, width,
@@ -534,7 +534,7 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
         p = kernel.pos[1:L + 1]
         n_hits = observe(L)
         if n_hits:
-            rows, cols = hit_buf[:n_hits].T.copy()
+            rows, cols = hit_buf[:n_hits].T.astype(np.int64)
             v = p[rows, :, cols]
             h = kernel.height(v)
             hits.append((rows + n0 + 1, cols, v,

@@ -225,6 +225,10 @@ ORACLE_CASES = {
         build_graph("comb:line"), 300),
     "persite comb2:line": lambda: per_site_collision_series(
         build_graph("comb2:line"), 60),
+    # long enough that the far frontier of the ball falls below 2^-1022,
+    # which the compiled step flushes to 0
+    "return-all grid2d n=600": _returns("grid2d", 600, "all"),
+    "return-all line n=1200": _returns("line", 1200, "all"),
 }
 
 # sha256 of the bytes of each case's series
@@ -249,6 +253,10 @@ ORACLE_DIGESTS = {
         "adfea154943ceb03f98ff8643ca78b69330054099cfb93ac16379fa5121aecb6",
     "persite comb2:line":
         "717267ff93a20a7d3ab817c56d04069a5e1b9ca98b08d5ec6130bbfdff378fef",
+    "return-all grid2d n=600":
+        "b3c9be543bfef80ec4f16a74041e883baeabc66cc90f3e70e1646d04368abffb",
+    "return-all line n=1200":
+        "98d0fca0c3be6ff37e420a091ebaf4d51a0487352c215ecfe7fb7ca31a5db33d",
 }
 
 

@@ -188,8 +188,8 @@ def test_kernel_step_matches_scipy_bit_for_bit(spec, lumped):
     from scipy import sparse
     b = ball(build_graph(spec), 10, lumped=lumped)
     kern = Kernel(b)
-    mat = sparse.csr_matrix((kern.data, kern.indices, kern.indptr),
-                            shape=(b.size, b.size))
+    mat = sparse.csr_matrix(((1.0 / b.degrees)[kern.indices], kern.indices,
+                             kern.indptr), shape=(b.size, b.size))
     vec = kern.start_vector()
     for reach in range(1, 10):
         want = mat @ vec
@@ -197,6 +197,18 @@ def test_kernel_step_matches_scipy_bit_for_bit(spec, lumped):
         vec = kern.step(vec, reach)
         assert vec[lo:hi].tobytes() == want[lo:hi].tobytes()
         vec = vec.copy() if reach % 3 == 0 else vec   # foreign vectors too
+
+
+def test_kernel_flushes_subnormals_and_restores_the_float_mode():
+    # at step 600 the grid2d frontier is below 2^-1022, 121 states under
+    # IEEE arithmetic; the compiled step flushes those to 0 in its own
+    # float mode and hands the caller's back
+    b = ball(build_graph("grid2d"), 601, lumped=True)
+    vec = Kernel(b).iterate(600)
+    assert not np.any((vec > 0) & (vec < 2.0 ** -1022))
+    # numpy in this thread still makes and reads subnormals
+    assert (np.array([2.0 ** -1022]) / 4)[0] > 0
+    assert (np.array([5e-324]) * 1.0)[0] == 5e-324
 
 
 LAYOUTS = ("line", "cycle:4", "grid2d", "comb:line", "comb:cycle:4",
