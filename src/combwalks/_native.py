@@ -1,7 +1,10 @@
-"""One C source for the package's four compiled loops, ``philox_fill``,
-``comb_step``, ``observe`` (the sampler's per-window meetings and depth)
-and ``csr_rows`` (the oracle's step, flushing values below 2^-1022 to 0),
-built on first use, cached by source in ``__pycache__``, loaded by ctypes."""
+"""One C source for the package's four compiled loops, ``philox_fill``
+(16 rows per pass in AVX-512 lanes where the CPU reports AVX-512F, DQ and
+VL, the scalar loop elsewhere, with the same bytes), ``comb_step`` (every
+product, grid2d too), ``observe`` (the sampler's per-window meetings and
+depth) and ``csr_rows`` (the oracle's step, flushing values below 2^-1022
+to 0), built on first use, cached by source in ``__pycache__``, loaded by
+ctypes."""
 
 import ctypes
 import functools
@@ -22,15 +25,88 @@ _SOURCE = r"""
 #include <xmmintrin.h>
 #endif
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#define LANES __attribute__((target("avx512f,avx512dq,avx512vl")))
+#define SET1(x) _mm512_set1_epi64((int64_t)(x))
+#define SRL _mm512_srli_epi64
+#define MUL _mm512_mul_epu32
+#define PERM _mm512_permutex2var_epi64
+
+/* hi and (in *lo) lo of the 128-bit a * m in each 64-bit lane, from four
+   32 x 32 -> 64-bit products; no sum below overflows */
+LANES static inline __m512i mul128(__m512i a, __m512i m, __m512i *lo)
+{
+    const __m512i ah = SRL(a, 32), mh = SRL(m, 32), ll = MUL(a, m),
+        t = MUL(a, mh) + SRL(ll, 32), s = MUL(ah, m) + (t & SET1(~0u));
+    *lo = _mm512_mask_blend_epi32(0x5555, _mm512_slli_epi64(s, 32), ll);
+    return MUL(ah, mh) + SRL(t, 32) + SRL(s, 32);
+}
+
+/* philox_fill on 16 rows: two groups of 8 keys, one key per 64-bit lane,
+   both in flight; each block's 4 words are transposed to 4 per row */
+LANES static void philox_lanes(const uint64_t *keys, int64_t start,
+                               int64_t len, char *out, int64_t ld,
+                               int64_t shift)
+{
+    const __m512i even = _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0),
+        zip = _mm512_set_epi64(11, 3, 10, 2, 9, 1, 8, 0),
+        pair = _mm512_set_epi64(11, 10, 3, 2, 9, 8, 1, 0);
+    __m512i k[4], c[8], lo0, lo1;       /* k0, k1; c0 .. c3 of each group */
+    for (int g = 0; g < 4; g++)
+        k[g] = _mm512_i64gather_epi64(even, keys + 16 * (g / 2) + g % 2, 8);
+    for (int64_t i = 0; i < len; i += 4, out += 32) {
+        for (int q = 0; q < 8; q++)
+            c[q] = SET1(q % 4 ? 0 : (start + i) / 4 + 1);
+#pragma GCC unroll 20
+        for (int r = 0; r < 20; r++) {      /* round r / 2 of group r % 2 */
+            __m512i *x = c + r % 2 * 4, *kg = k + r % 2 * 2,
+                    hi0 = mul128(x[0], SET1(0xD2E7470EE14C6C93u), &lo0),
+                    hi1 = mul128(x[2], SET1(0xCA5A826395121157u), &lo1);
+            x[0] = hi1 ^ x[1] ^ (kg[0] + SET1(r / 2 * 0x9E3779B97F4A7C15u));
+            x[2] = hi0 ^ x[3] ^ (kg[1] + SET1(r / 2 * 0xBB67AE8584CAA73Bu));
+            x[1] = lo1, x[3] = lo0;
+        }
+#pragma GCC unroll 8
+        for (int q = 0; q < 8; q++)             /* the words as written */
+            c[q] = shift ? _mm512_srl_epi64(c[q], _mm_cvtsi64_si128(shift))
+                : _mm512_castpd_si512(_mm512_cvtepi64_pd(SRL(c[q], 11))
+                                      * 0x1p-53);
+        const __mmask8 keep = (1 << (len - i < 4 ? len - i : 4)) - 1;
+#pragma GCC unroll 8
+        for (int h = 0; h < 8; h++) {   /* rows 2h, 2h + 1 of the 16 */
+            const __m512i *x = c + h / 4 * 4, z = zip + SET1(h % 4 / 2 * 4),
+                t = PERM(PERM(x[0], z, x[1]), pair + SET1(h % 2 * 4),
+                         PERM(x[2], z, x[3]));
+            char *r = out + 16 * ld * h;
+            _mm256_mask_storeu_epi64(r, keep, _mm512_castsi512_si256(t));
+            _mm256_mask_storeu_epi64(r + 8 * ld, keep,
+                                     _mm512_extracti64x4_epi64(t, 1));
+        }
+    }
+}
+#endif
+
 /* Philox4x64-10 (Salmon et al., SC11) as numpy's Philox: row j of `out`
    (row stride ld) gets draws start .. start + len - 1 of the stream keyed
    keys[2j], keys[2j + 1]: each word w as the double (w >> 11) * 2^-53, or
-   as the integer w >> shift if shift > 0 */
+   as the integer w >> shift if shift > 0.  The loop below defines a
+   stream; where the CPU reports AVX-512F, DQ and VL, each 16 rows run in
+   philox_lanes with the same bytes, and the rows left over run here */
 void philox_fill(const uint64_t *keys, int64_t n, int64_t start, int64_t len,
                  void *out, int64_t ld, int64_t shift)
 {
     typedef unsigned __int128 u128;
-    for (int64_t j = 0; j < n; j++)
+    int64_t j = 0;
+#if defined(__x86_64__) && defined(__GNUC__)
+    if (n >= 16 && __builtin_cpu_supports("avx512f")
+            && __builtin_cpu_supports("avx512dq")
+            && __builtin_cpu_supports("avx512vl"))
+        for (; j + 16 <= n; j += 16)
+            philox_lanes(keys + 2 * j, start, len,
+                         (char *)out + 8 * j * ld, ld, shift);
+#endif
+    for (; j < n; j++)
         for (int64_t i = 0; i < len; i += 4) {  /* bump, then draw */
             uint64_t c[4] = {(uint64_t)(start + i) / 4 + 1, 0, 0, 0},
                      k0 = keys[2 * j], k1 = keys[2 * j + 1];
@@ -53,7 +129,8 @@ void philox_fill(const uint64_t *keys, int64_t n, int64_t start, int64_t len,
    u0 is (int)(u0 * (nb + 2 teeth)): nb base moves, then -, + per tooth;
    lazy, (u0 >= q) nb + (u0 >= q_down): a hold, then -, +.  Off the spine
    it is (int)(u0 * 2 teeth).  The lazy base moves by 2 (int)(u1 * 2) - 1
-   on a hold, or flips with no u1; k, k_hist: NULL unless lazy */
+   on a hold, or flips with no u1; k, k_hist: NULL unless lazy.  nb = 0:
+   no base coordinate (grid2d), the teeth come first */
 void comb_step(const double *u0, const double *u1, int64_t stride,
                int64_t *pos, int64_t *k, int64_t *k_hist, int64_t width,
                int64_t len, int64_t teeth, int64_t nb, int64_t mod,
@@ -61,13 +138,13 @@ void comb_step(const double *u0, const double *u1, int64_t stride,
 {
     /* the moves of tooth class t: -, + of each coordinate; 4 is none */
     static const int8_t d0[5] = {-1, 1, 0, 0, 0}, d1[5] = {0, 0, -1, 1, 0};
-    const int64_t row = (1 + teeth) * width;
+    const int64_t base = nb > 0, row = (base + teeth) * width;
     for (int64_t w0 = 0; w0 < width; w0 += 32)
         for (int64_t i = 0; i < len; i++)
             for (int64_t w = w0; w < width && w < w0 + 32; w++) {
                 int64_t *p = pos + i * row + w, b = p[0], at = w * stride + i;
-                int64_t t0 = teeth ? p[width] : 0;
-                int64_t t1 = teeth > 1 ? p[2 * width] : 0;
+                int64_t *s = p + base * width;  /* the teeth */
+                int64_t t0 = teeth ? s[0] : 0, t1 = teeth > 1 ? s[width] : 0;
                 double u = u0[at];              /* the spine class */
                 int c = k ? (u >= q) * (int)nb + (u >= q_down)
                           : (int)(u * (double)(nb + 2 * teeth)), t = 4;
@@ -80,9 +157,9 @@ void comb_step(const double *u0, const double *u1, int64_t stride,
                             : nb == 1 ? 1 : 2 * c - 1;
                 if (mod && (b < 0 || b >= mod)) /* numpy's floor % */
                     b = (b % mod + mod) % mod;
-                p[row] = b;
-                if (teeth) p[row + width] = t0 + d0[t];
-                if (teeth > 1) p[row + 2 * width] = t1 + d1[t];
+                if (base) p[row] = b;
+                if (teeth) s[row] = t0 + d0[t];
+                if (teeth > 1) s[row + width] = t1 + d1[t];
                 if (k) k_hist[i * width + w] = k[w] += t == 4;  /* holds */
             }
 }

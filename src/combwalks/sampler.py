@@ -23,9 +23,9 @@ fixed number of draws per step whether or not the step uses them.  One
 driver (``_windows``) runs every direct and selfloop walk in two layers:
 
 * window   -- the kernel steps on ``WIN`` rows of uniforms, writing each
-              state into a (WIN + 1)-row history; the comb kernels do it
-              in one call of ``_native.comb_step``, a C loop built on
-              first use;
+              state into a (WIN + 1)-row history; the comb kernels and
+              grid2d do it in one call of ``_native.comb_step``, a C loop
+              built on first use;
 * observer -- one call of the compiled ``_native.observe`` per window
               finds the meetings and folds in each walker's depth; the
               collision records, envelope violations, truncation,
@@ -255,17 +255,13 @@ class _KernelBase:
         return np.abs(p[:, 1:1 + self.depth_coords]).max(axis=1)
 
 
-def _pm(c, minus):
-    """+1 where c == minus + 1, -1 where c == minus, else 0 (int8)."""
-    return (c == minus + 1).astype(np.int8) - (c == minus)
-
-
 class _CombKernel(_KernelBase):
-    """Every `graphs.Product` with a base: comb and comb2 over a line,
-    cycle or single edge, the bare base (no teeth: every vertex is on the
-    spine), and the lazy construction.  The base modulus m sets the base
-    move: a step on the line (m = 0), a flip on the single edge (m = 2),
-    a step mod m on a cycle.
+    """Every `graphs.Product`: comb and comb2 over a line, cycle or single
+    edge, the bare base (no teeth: every vertex is on the spine), grid2d
+    (two teeth on no base: every class is a tooth move), and the lazy
+    construction.  The base modulus m sets the base move: a step on the
+    line (m = 0), a flip on the single edge (m = 2), a step mod m on a
+    cycle.
 
     Coordinates are (base, tooth...).  Classes at the spine, in order: the
     base moves (b-, b+, or the single edge flip), then -, + for each tooth
@@ -286,9 +282,11 @@ class _CombKernel(_KernelBase):
     def __init__(self, graph, start, width, rows, lazy=False):
         super().__init__(graph, start, width, rows)
         self.flip = graph.m == 2
-        self.nb = 1 if self.flip else 2          # base classes at the spine
-        self.mod = graph.m
-        self.n_teeth = self.depth_coords = graph.dim
+        # base classes at the spine; grid2d has no base, and no depth
+        self.nb = 0 if graph.m is None else 1 if self.flip else 2
+        self.mod = graph.m or 0
+        self.n_teeth = graph.dim
+        self.depth_coords = graph.dim if self.nb else 0
         self.lazy = lazy
         self._k = None, None                     # pointers of k and k_hist
         self.q = self.q_down = 0.0     # lazy: hold below q, - below q_down
@@ -313,10 +311,12 @@ class _CombKernel(_KernelBase):
                    L, self.n_teeth, self.nb, self.mod, self.q, self.q_down)
 
     def height(self, p):
-        if self.n_teeth:
+        if self.depth_coords:
             return p[:, 1] if self.n_teeth == 1 else self.depth(p)
 
     def distance(self, p):
+        if not self.nb:
+            return np.abs(p).sum(axis=1)
         b = p[:, 0]
         base = np.minimum(b, self.mod - b) if self.mod else np.abs(b)
         return base + np.abs(p[:, 1:]).sum(axis=1)
@@ -336,17 +336,6 @@ class _StarKernel(_KernelBase):
 
     def distance(self, p):
         return (p[:, 0] != 0).astype(np.int64)
-
-
-class _Grid2DKernel(_KernelBase):
-    def advance(self, us, raw, L):
-        c = (us[0] * 4).astype(np.int8)       # x-, x+, y-, y+
-        steps = np.stack([_pm(c, 0), _pm(c, 2)], 1)
-        np.cumsum(steps, axis=0, dtype=np.int64, out=self.pos[1:L + 1])
-        self.pos[1:L + 1] += self.pos[0]
-
-    def distance(self, p):
-        return np.abs(p).sum(axis=1)
 
 
 class _LadderKernel(_KernelBase):
@@ -404,8 +393,7 @@ def _make_kernel(graph, start, width, method, n_steps):
     if method != "direct":
         raise ValueError(f"unknown construction: {method!r}")
     if graph.dim is not None:
-        kcls = _Grid2DKernel if graph.m is None else _CombKernel
-        return kcls(graph, start, width, rows)
+        return _CombKernel(graph, start, width, rows)
     for gcls, kcls in ((Star, _StarKernel), (BiasedLadder, _LadderKernel)):
         if isinstance(graph, gcls):
             return kcls(graph, start, width, rows)

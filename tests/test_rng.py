@@ -1,12 +1,15 @@
 """Stream keying: reproducible, disjoint by (seed, replica, stream)."""
 
+import ctypes
 import dataclasses
+import subprocess
+import sysconfig
 
 import numpy as np
 import pytest
 from numpy.random import SeedSequence
 
-from combwalks import rng
+from combwalks import _native, rng
 from combwalks.rng import X_MAIN, Y_MAIN, RngStream, fill, stream_keys
 
 
@@ -92,6 +95,60 @@ def test_fill_equals_the_reference_generator_at_every_length(start):
             g.bit_generator.advance(start // 4)
             assert np.array_equal(words[:length], g.integers(
                 0, high, dtype=np.int64, size=length))
+
+
+# 0, 1 and 2 full groups of the 16 rows philox_fill runs per pass in
+# AVX-512 lanes, and the rows left over beside them
+LANE_ROWS = [1, 8, 15, 16, 17, 31, 32, 33, 40]
+
+
+@pytest.mark.parametrize("start", [0, 4, 4096, 2 ** 40])
+def test_fill_equals_the_reference_in_and_beside_the_lane_groups(start):
+    # every length through nine Philox blocks, doubles through a strided
+    # view, and the words of every high fill takes, 2^33 .. 2^63 (every
+    # shift); columns past the length stay as they were
+    for rows in LANE_ROWS:
+        replicas = [5 * r + 2 for r in range(rows)]
+        keys = stream_keys(17, replicas, X_MAIN)
+
+        def reference(high):
+            gens = [RngStream(17, r, X_MAIN).generator() for r in replicas]
+            for g in gens:
+                g.bit_generator.advance(start // 4)
+            return np.array([g.random(36) if high is None else g.integers(
+                0, high, dtype=np.int64, size=36) for g in gens])
+        for high in [None, *(2 ** e for e in range(33, 64))]:
+            want = reference(high)
+            out = np.empty((rows, 40), dtype=want.dtype)
+            for length in range(1, 37):
+                out[:] = 3
+                fill(keys, start, out[:, :length], high=high)
+                assert np.array_equal(out[:, :length], want[:, :length]), (
+                    rows, high, length)
+                assert (out[:, length:] == 3).all(), (rows, high, length)
+
+
+@pytest.mark.parametrize("lanes", ["not compiled", "not supported"])
+def test_fill_without_the_lanes_writes_the_same_bytes(tmp_path, lanes):
+    # the source as a target other than x86-64 GCC or Clang builds it, and
+    # as it runs on a CPU without AVX-512: every row runs the scalar loop
+    src, flags = _native._SOURCE, ["-D__builtin_cpu_supports(f)=0"]
+    if lanes == "not compiled":
+        guard = "#if defined(__x86_64__) && defined(__GNUC__)"
+        assert src.count(guard) == 2            # the body and its call
+        src, flags = src.replace(guard, "#if 0"), []
+    cc = (sysconfig.get_config_var("CC") or "cc").split()
+    so = tmp_path / "scalar.so"
+    subprocess.run([*cc, *_native._CFLAGS, *flags, "-o", str(so), "-x", "c",
+                    "-"], input=src.encode(), check=True)
+    scalar = ctypes.CDLL(str(so)).philox_fill
+    scalar.argtypes = _native.library().philox_fill.argtypes
+    keys = stream_keys(17, range(40), X_MAIN)
+    for shift, dtype in ((0, np.float64), (2, np.int64)):
+        want, got = (np.empty((40, 37), dtype=dtype) for _ in range(2))
+        fill(keys, 2 ** 40, want, high=2 ** 62 if shift else None)
+        scalar(keys.ctypes.data, 40, 2 ** 40, 37, got.ctypes.data, 37, shift)
+        assert np.array_equal(got, want)
 
 
 class _Built(Exception):

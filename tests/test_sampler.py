@@ -20,7 +20,8 @@ from scipy import stats as sps
 import combwalks.sampler as sampler
 from combwalks import _native
 from combwalks.graphs import GraphError, build_graph
-from combwalks.oracle import meeting_expectation_series, transition_vector
+from combwalks.oracle import (meeting_expectation_series,
+                              per_site_collision_series, transition_vector)
 from combwalks.rng import (RngStream, X_HOLD, X_MAIN, X_SKEL, X_TOOTH,
                            Y_MAIN, Y_TOOTH)
 from combwalks.sampler import (RecordPolicy, SimulationError,
@@ -322,17 +323,22 @@ def test_ladder_step_matches_reference_step():
                      (1, 0, 0), (1, 0, 1)}
 
 
+def pm(c, minus):
+    """+1 where c == minus + 1, -1 where c == minus, else 0 (int8)."""
+    return (c == minus + 1).astype(np.int8) - (c == minus)
+
+
 def float_moves(kernel, us):
     """A kernel's moves straight from (L, width) uniforms per channel, as
     the sampler computed them in numpy before its compiled step: the comb
     move tables ``(db, dts, dtt, hold)``, the grid2d steps, or the star
     leaf."""
-    u, pm = us[0], sampler._pm
-    if isinstance(kernel, sampler._Grid2DKernel):
-        c = (u * 4).astype(np.int8)
-        return pm(c, 0), pm(c, 2)
+    u = us[0]
     if isinstance(kernel, sampler._StarKernel):
         return (1 + (u * kernel.leaves).astype(np.int64),)
+    if not kernel.nb:                   # grid2d: x-, x+, y-, y+
+        c = (u * 4).astype(np.int8)
+        return pm(c, 0), pm(c, 2)
     if kernel.lazy:
         hold = u < kernel.q
         dts = np.where(hold, 0, np.where(u < kernel.q_down, -1, 1))
@@ -381,6 +387,8 @@ def reference_comb_step(kernel, us, start, k):
 # a comb walker on the spine and off it, per tooth dimension
 SPINE_AND_OFF = {0: [(0,)], 1: [(0, 0), (0, 1), (0, -1)],
                  2: [(0, 0, 0), (0, 1, 0), (0, 0, -1)]}
+# grid2d's own vertices: the origin and beside it
+GRID2D_STARTS = [(0, 0), (1, 0), (0, -1)]
 
 
 @pytest.mark.parametrize("spec, method", [
@@ -403,16 +411,18 @@ def test_codes_give_the_float_moves(spec, method):
     us = np.array(us)
     us = [np.repeat(us, len(us))[None], np.tile(us, len(us))[None]]
     width = us[0].shape[1]
-    if not isinstance(probe, sampler._CombKernel):
-        kernel = sampler._make_kernel(g, g.root, width, method, 1)
-        kernel.advance(window_uniforms(us[:1]), None, 1)
-        step = kernel.pos[1] - kernel.pos[0]
-        got = (kernel.pos[1],) if isinstance(
-            kernel, sampler._StarKernel) else (step[None, 0], step[None, 1])
-        ref = float_moves(kernel, us)
-        assert len(ref) == len(got)
-        for a, b in zip(ref, got):
-            assert np.array_equal(a, b)
+    if spec in ("grid2d", "star:3"):    # moves straight from the tables
+        for v in GRID2D_STARTS if spec == "grid2d" else [g.root]:
+            kernel = sampler._make_kernel(g, v, width, method, 1)
+            kernel.advance(window_uniforms(us[:1]), None, 1)
+            step = kernel.pos[1] - kernel.pos[0]
+            got = (kernel.pos[1],) if isinstance(
+                kernel, sampler._StarKernel) else (step[None, 0],
+                                                   step[None, 1])
+            ref = float_moves(kernel, us)
+            assert len(ref) == len(got)
+            for a, b in zip(ref, got):
+                assert np.array_equal(a, b), v
         return
     # one compiled step against the float tables, on the spine and off it
     for v in SPINE_AND_OFF[g.dim]:
@@ -756,6 +766,29 @@ def test_comb_cycle4_mean_meetings_match_exact_partial_sums(method):
     # so every block holds many meetings.  Seed fixed in advance.
     assert_mean_meetings_match_exact("comb:cycle:4", (16, 64, 256, 1024),
                                      seed=406487, method=method)
+
+
+def test_comb_line_meetings_per_height_match_exact_per_site_sums():
+    # The paper's per-site law, site by site: the mean meetings of 4096
+    # pairs at signed heights 0, +-1, +-2 by t, against the partial sums of
+    # the exact per-site series (lumped ball at radius 1025), |z| <= 4.
+    # Blocks of 512 pairs draw 1024 rows per fill, so where the CPU has
+    # AVX-512 the draws come from philox_fill's lanes.  Seed fixed in
+    # advance.
+    g, times, n = build_graph("comb:line"), (64, 256, 1024), 4096
+    exact = per_site_collision_series(g, times[-1])
+    out = run_ensemble(g, n_steps=times[-1], replicas=n, seed=1406487)
+    pair = np.repeat(np.arange(n), [len(s.times) for s in out])
+    when, height = (np.concatenate([getattr(s, a) for s in out])
+                    for a in ("times", "heights"))
+    for t in times:
+        for h in (-2, -1, 0, 1, 2):
+            want = exact.at_height(h)[:t].sum()
+            col = np.bincount(pair[(when <= t) & (height == h)], minlength=n)
+            z = (col.mean() - want) / (col.std(ddof=1) / math.sqrt(n))
+            assert abs(z) <= 4.0, (
+                f"mean meetings at height {h} by t={t} is {col.mean():.4f}, "
+                f"exact {want:.4f}: z = {z:+.2f}")
 
 
 def test_truncation_radius_escape_is_loud():
