@@ -1,10 +1,10 @@
-"""One C source for the package's four compiled loops, ``philox_fill``
-(16 rows per pass in AVX-512 lanes where the CPU reports AVX-512F, DQ and
-VL, the scalar loop elsewhere, with the same bytes), ``comb_step`` (every
-product, grid2d too), ``observe`` (the sampler's per-window meetings and
-depth) and ``csr_rows`` (the oracle's step, flushing values below 2^-1022
-to 0), built on first use, cached by source in ``__pycache__``, loaded by
-ctypes."""
+"""One C source for the package's four compiled loops, ``philox_fill`` and
+``comb_step`` (every product, grid2d too; uniforms time-major, a row per
+step; 16 streams or 8 walkers per pass in AVX-512 lanes where the CPU
+reports AVX-512F, DQ and VL, the scalar loops elsewhere, with the same
+bytes), ``observe`` (the sampler's per-window meetings and depth) and
+``csr_rows`` (the oracle's step, flushing values below 2^-1022 to 0), built
+on first use, cached by source in ``__pycache__``, loaded by ctypes."""
 
 import ctypes
 import functools
@@ -25,13 +25,17 @@ _SOURCE = r"""
 #include <xmmintrin.h>
 #endif
 
+/* the moves of tooth class t: -, + of each coordinate; 4 and up are none */
+static const int64_t D[2][8] = {{-1, 1}, {0, 0, -1, 1}};
+
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
 #define LANES __attribute__((target("avx512f,avx512dq,avx512vl")))
+#define HAS_LANES (__builtin_cpu_supports("avx512f") && \
+    __builtin_cpu_supports("avx512dq") && __builtin_cpu_supports("avx512vl"))
 #define SET1(x) _mm512_set1_epi64((int64_t)(x))
 #define SRL _mm512_srli_epi64
 #define MUL _mm512_mul_epu32
-#define PERM _mm512_permutex2var_epi64
 
 /* hi and (in *lo) lo of the 128-bit a * m in each 64-bit lane, from four
    32 x 32 -> 64-bit products; no sum below overflows */
@@ -43,19 +47,17 @@ LANES static inline __m512i mul128(__m512i a, __m512i m, __m512i *lo)
     return MUL(ah, mh) + SRL(t, 32) + SRL(s, 32);
 }
 
-/* philox_fill on 16 rows: two groups of 8 keys, one key per 64-bit lane,
-   both in flight; each block's 4 words are transposed to 4 per row */
+/* philox_fill on 16 streams: two groups of 8 keys, one key per 64-bit
+   lane, both in flight; each word a 512-bit store per group to its row */
 LANES static void philox_lanes(const uint64_t *keys, int64_t start,
                                int64_t len, char *out, int64_t ld,
                                int64_t shift)
 {
-    const __m512i even = _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0),
-        zip = _mm512_set_epi64(11, 3, 10, 2, 9, 1, 8, 0),
-        pair = _mm512_set_epi64(11, 10, 3, 2, 9, 8, 1, 0);
+    const __m512i even = _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0);
     __m512i k[4], c[8], lo0, lo1;       /* k0, k1; c0 .. c3 of each group */
     for (int g = 0; g < 4; g++)
         k[g] = _mm512_i64gather_epi64(even, keys + 16 * (g / 2) + g % 2, 8);
-    for (int64_t i = 0; i < len; i += 4, out += 32) {
+    for (int64_t i = 0; i < len; i += 4) {
         for (int q = 0; q < 8; q++)
             c[q] = SET1(q % 4 ? 0 : (start + i) / 4 + 1);
 #pragma GCC unroll 20
@@ -72,39 +74,71 @@ LANES static void philox_lanes(const uint64_t *keys, int64_t start,
             c[q] = shift ? _mm512_srl_epi64(c[q], _mm_cvtsi64_si128(shift))
                 : _mm512_castpd_si512(_mm512_cvtepi64_pd(SRL(c[q], 11))
                                       * 0x1p-53);
-        const __mmask8 keep = (1 << (len - i < 4 ? len - i : 4)) - 1;
-#pragma GCC unroll 8
-        for (int h = 0; h < 8; h++) {   /* rows 2h, 2h + 1 of the 16 */
-            const __m512i *x = c + h / 4 * 4, z = zip + SET1(h % 4 / 2 * 4),
-                t = PERM(PERM(x[0], z, x[1]), pair + SET1(h % 2 * 4),
-                         PERM(x[2], z, x[3]));
-            char *r = out + 16 * ld * h;
-            _mm256_mask_storeu_epi64(r, keep, _mm512_castsi512_si256(t));
-            _mm256_mask_storeu_epi64(r + 8 * ld, keep,
-                                     _mm512_extracti64x4_epi64(t, 1));
-        }
+        for (int q = 0; q < 4 && i + q < len; q++)     /* draw i + q */
+            _mm512_storeu_si512(out + 8 * ld * (i + q), c[q]),
+            _mm512_storeu_si512(out + 8 * ld * (i + q) + 64, c[4 + q]);
     }
+}
+
+/* comb_step on 8 walkers per vector, masked past the width.  A base move
+   leaves t = c - nb < 0, whose low 3 bits pick zeros of D; a base on a
+   cycle steps at most one past [0, mod), so the single edge flips by -1 */
+#define LOAD(x) _mm512_maskz_loadu_epi64(m, x)      /* the lanes of m */
+#define STORE(x, v) _mm512_mask_storeu_epi64(x, m, v)
+#define GE(x) _mm512_cmp_pd_mask(u, _mm512_set1_pd(x), _CMP_GE_OQ)
+LANES static void comb_lanes(const double *u0, const double *u1, int64_t ld,
+                             int64_t *pos, int64_t *k, int64_t *k_hist,
+                             int64_t width, int64_t len, int64_t teeth,
+                             int64_t nb, int64_t mod, double q, double q_down)
+{
+    const int64_t base = nb > 0, row = (base + teeth) * width;
+    for (int64_t i = 0; i < len; i++)
+        for (int64_t w = 0; w < width; w += 8) {
+            const __mmask8 m = width - w < 8 ? (1 << (width - w)) - 1 : 0xFF;
+            int64_t *p = pos + i * row + w, *s = p + base * width;
+            const __m512d u = _mm512_maskz_loadu_pd(m, u0 + i * ld + w);
+            const __m512i t0 = teeth ? LOAD(s) : SET1(0),
+                t1 = teeth > 1 ? LOAD(s + width) : SET1(0),
+                c = k ? (__m512i)(_mm512_maskz_mov_epi64(GE(q), SET1(nb))
+                                  - _mm512_movm_epi64(GE(q_down)))
+                    : _mm512_cvttpd_epi64(u * (double)(nb + 2 * teeth)),
+                db = 2 * (u1 ? _mm512_cvttpd_epi64(_mm512_maskz_loadu_pd(
+                        m, u1 + i * ld + w) * 2.0) : c) - SET1(1);
+            const __mmask8 away = _mm512_test_epi64_mask(t0 | t1, t0 | t1),
+                move = ~away & _mm512_cmplt_epi64_mask(c, SET1(nb));
+            const __m512i t = _mm512_mask_blend_epi64(away, c - SET1(nb),
+                _mm512_cvttpd_epi64(u * (double)(2 * teeth)));
+            __m512i b = LOAD(p) + _mm512_maskz_mov_epi64(move, db);
+            if (mod)        /* -1 up to mod - 1, mod down to 0: unsigned */
+                b = _mm512_min_epu64(b, b + SET1(mod)),
+                b = _mm512_min_epu64(b, b - SET1(mod));
+            if (base) STORE(p + row, b);
+            for (int d = 0; d < teeth; d++)
+                STORE(s + row + d * width, LOAD(s + d * width)
+                      + _mm512_permutexvar_epi64(t, _mm512_loadu_si512(D[d])));
+            if (k)                  /* holds: -(-1) in each lane of move */
+                STORE(k + w, LOAD(k + w) - _mm512_movm_epi64(move)),
+                STORE(k_hist + i * width + w, LOAD(k + w));
+        }
 }
 #endif
 
-/* Philox4x64-10 (Salmon et al., SC11) as numpy's Philox: row j of `out`
-   (row stride ld) gets draws start .. start + len - 1 of the stream keyed
-   keys[2j], keys[2j + 1]: each word w as the double (w >> 11) * 2^-53, or
-   as the integer w >> shift if shift > 0.  The loop below defines a
-   stream; where the CPU reports AVX-512F, DQ and VL, each 16 rows run in
-   philox_lanes with the same bytes, and the rows left over run here */
+/* Philox4x64-10 (Salmon et al., SC11) as numpy's Philox: row i, column j
+   of `out` (row stride ld) gets draw start + i of the stream keyed keys[2j],
+   keys[2j + 1]: each word w as the double (w >> 11) * 2^-53, or as the
+   integer w >> shift if shift > 0.  The loop below defines a stream; where
+   the CPU reports AVX-512F, DQ and VL, each 16 columns run in philox_lanes
+   with the same bytes, and the columns left over run here */
 void philox_fill(const uint64_t *keys, int64_t n, int64_t start, int64_t len,
                  void *out, int64_t ld, int64_t shift)
 {
     typedef unsigned __int128 u128;
     int64_t j = 0;
 #if defined(__x86_64__) && defined(__GNUC__)
-    if (n >= 16 && __builtin_cpu_supports("avx512f")
-            && __builtin_cpu_supports("avx512dq")
-            && __builtin_cpu_supports("avx512vl"))
+    if (n >= 16 && HAS_LANES)
         for (; j + 16 <= n; j += 16)
-            philox_lanes(keys + 2 * j, start, len,
-                         (char *)out + 8 * j * ld, ld, shift);
+            philox_lanes(keys + 2 * j, start, len, (char *)out + 8 * j, ld,
+                         shift);
 #endif
     for (; j < n; j++)
         for (int64_t i = 0; i < len; i += 4) {  /* bump, then draw */
@@ -119,49 +153,52 @@ void philox_fill(const uint64_t *keys, int64_t n, int64_t start, int64_t len,
                 c[2] = (uint64_t)(p0 >> 64) ^ c[3] ^ k1, c[3] = (uint64_t)p0;
             }
             for (int64_t q = i; q < len && q < i + 4; q++)
-                if (shift) ((int64_t *)out)[j * ld + q] = c[q - i] >> shift;
-                else ((double *)out)[j * ld + q] = (c[q - i] >> 11) * 0x1p-53;
+                if (shift) ((int64_t *)out)[q * ld + j] = c[q - i] >> shift;
+                else ((double *)out)[q * ld + j] = (c[q - i] >> 11) * 0x1p-53;
         }
 }
 
-/* `_CombKernel` steps, a row of `pos` at a time for 32 walkers; walker w
-   steps on the uniforms u0, u1[w * stride + i].  On the spine the class of
-   u0 is (int)(u0 * (nb + 2 teeth)): nb base moves, then -, + per tooth;
-   lazy, (u0 >= q) nb + (u0 >= q_down): a hold, then -, +.  Off the spine
-   it is (int)(u0 * 2 teeth).  The lazy base moves by 2 (int)(u1 * 2) - 1
-   on a hold, or flips with no u1; k, k_hist: NULL unless lazy.  nb = 0:
-   no base coordinate (grid2d), the teeth come first */
-void comb_step(const double *u0, const double *u1, int64_t stride,
+/* `_CombKernel` steps: row i + 1 of `pos` from row i and from row i of the
+   uniforms u0, u1 (row stride ld).  On the spine the class of u0 is
+   (int)(u0 * (nb + 2 teeth)): nb base moves, then -, + per tooth; lazy,
+   (u0 >= q) nb + (u0 >= q_down): a hold, then -, +.  Off the spine it is
+   (int)(u0 * 2 teeth).  The lazy base moves by 2 (int)(u1 * 2) - 1 on a
+   hold, or flips with no u1; k, k_hist: NULL unless lazy.  nb = 0: no base
+   (grid2d).  This loop defines a step; comb_lanes runs it like the fill */
+void comb_step(const double *u0, const double *u1, int64_t ld,
                int64_t *pos, int64_t *k, int64_t *k_hist, int64_t width,
                int64_t len, int64_t teeth, int64_t nb, int64_t mod,
                double q, double q_down)
 {
-    /* the moves of tooth class t: -, + of each coordinate; 4 is none */
-    static const int8_t d0[5] = {-1, 1, 0, 0, 0}, d1[5] = {0, 0, -1, 1, 0};
     const int64_t base = nb > 0, row = (base + teeth) * width;
-    for (int64_t w0 = 0; w0 < width; w0 += 32)
-        for (int64_t i = 0; i < len; i++)
-            for (int64_t w = w0; w < width && w < w0 + 32; w++) {
-                int64_t *p = pos + i * row + w, b = p[0], at = w * stride + i;
-                int64_t *s = p + base * width;  /* the teeth */
-                int64_t t0 = teeth ? s[0] : 0, t1 = teeth > 1 ? s[width] : 0;
-                double u = u0[at];              /* the spine class */
-                int c = k ? (u >= q) * (int)nb + (u >= q_down)
-                          : (int)(u * (double)(nb + 2 * teeth)), t = 4;
-                if (t0 != 0 || t1 != 0)         /* off the spine */
-                    t = (int)(u * (double)(2 * teeth));
-                else if (c >= nb)               /* a tooth move */
-                    t = c - (int)nb;
-                else                            /* b-, b+, flip or hold */
-                    b += u1 ? 2 * (int)(u1[at] * 2.0) - 1
-                            : nb == 1 ? 1 : 2 * c - 1;
-                if (mod && (b < 0 || b >= mod)) /* numpy's floor % */
-                    b = (b % mod + mod) % mod;
-                if (base) p[row] = b;
-                if (teeth) s[row] = t0 + d0[t];
-                if (teeth > 1) s[row + width] = t1 + d1[t];
-                if (k) k_hist[i * width + w] = k[w] += t == 4;  /* holds */
-            }
+#if defined(__x86_64__) && defined(__GNUC__)
+    if (HAS_LANES)
+        comb_lanes(u0, u1, ld, pos, k, k_hist, width, len, teeth, nb, mod, q,
+                   q_down);
+    else
+#endif
+    for (int64_t i = 0; i < len; i++)
+        for (int64_t w = 0; w < width; w++) {
+            int64_t *p = pos + i * row + w, b = p[0], at = i * ld + w;
+            int64_t *s = p + base * width;      /* the teeth */
+            int64_t t0 = teeth ? s[0] : 0, t1 = teeth > 1 ? s[width] : 0;
+            double u = u0[at];                  /* the spine class */
+            int c = k ? (u >= q) * (int)nb + (u >= q_down)
+                      : (int)(u * (double)(nb + 2 * teeth)), t = 4;
+            if (t0 != 0 || t1 != 0)             /* off the spine */
+                t = (int)(u * (double)(2 * teeth));
+            else if (c >= nb)                   /* a tooth move */
+                t = c - (int)nb;
+            else                                /* b-, b+, flip or hold */
+                b += u1 ? 2 * (int)(u1[at] * 2.0) - 1
+                        : nb == 1 ? 1 : 2 * c - 1;
+            if (mod && (b < 0 || b >= mod))     /* numpy's floor % */
+                b = (b % mod + mod) % mod;
+            if (base) p[row] = b;
+            if (teeth) s[row] = t0 + D[0][t];
+            if (teeth > 1) s[row + width] = t1 + D[1][t];
+            if (k) k_hist[i * width + w] = k[w] += t == 4;  /* holds */
+        }
 }
 
 /* The window observer of every kernel: rows 1 .. len of the history `pos`,

@@ -123,11 +123,11 @@ def stream_keys(seed, replicas, stream):
 
 
 def fill(keys, start, out, high=None):
-    """Row j of ``out`` gets draws ``start, start + 1, ...`` of the stream
-    keyed ``keys[j]``: float64 doubles in [0, 1), or, given ``high``, int64
-    integers in [0, ``high``), one 64-bit word each, as numpy's
-    ``integers`` spends them when ``high`` is a power of two in
-    (2^32, 2^64).  All rows run in one call of the compiled
+    """Column j of ``out`` gets draws ``start, start + 1, ...`` of the
+    stream keyed ``keys[j]``, one row per draw: float64 doubles in [0, 1),
+    or, given ``high``, int64 integers in [0, ``high``), one 64-bit word
+    each, as numpy's ``integers`` spends them when ``high`` is a power of
+    two in (2^32, 2^64).  All columns run in one call of the compiled
     ``philox_fill`` (see :mod:`._native`), with the bytes of
     ``RngStream.generator`` advanced ``start`` draws."""
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
@@ -135,11 +135,11 @@ def fill(keys, start, out, high=None):
     if (start % 4 or start < 0 or out.ndim != 2
             or out.dtype != (np.float64 if high is None else np.int64)
             or out.strides[1] != out.itemsize or not out.flags.writeable
-            or keys.shape != (len(out), 2)
+            or keys.shape != (out.shape[1], 2)
             or high is not None and (h & h - 1 or not 2 ** 32 < h < 2 ** 64)):
         raise ValueError("fill writes, from a Philox block (start % 4 == 0), "
-                         "one key's draws per unit-stride row: float64, or "
-                         "int64 given high = 2^33 .. 2^63")
+                         "one key's draws per column of unit-stride rows: "
+                         "float64, or int64 given high = 2^33 .. 2^63")
     _native.library().philox_fill(
-        keys.ctypes.data, len(out), start, out.shape[1], out.ctypes.data,
+        keys.ctypes.data, out.shape[1], start, len(out), out.ctypes.data,
         out.strides[0] // out.itemsize, h and 65 - h.bit_length())

@@ -16,9 +16,9 @@ whose base has constant degree, and exist so their bookkeeping quantities
 (loop counts, revisit counts, holding-time sums) can be checked against the
 direct law.
 
-Everything is driven by the keyed Philox streams in :mod:`.rng`: each
-stream is drawn into one buffer of at most ``SCRATCH`` doubles per channel
-by one call of the compiled Philox (``rng.fill``), and a walker consumes a
+Everything is driven by the keyed Philox streams in :mod:`.rng`: the
+compiled Philox (``rng.fill``) draws each channel's streams into one buffer
+of at most ``SCRATCH`` doubles, a row per step, and a walker consumes a
 fixed number of draws per step whether or not the step uses them.  One
 driver (``_windows``) runs every direct and selfloop walk in two layers:
 
@@ -228,7 +228,7 @@ def read_summaries(path):
 # A kernel holds `width` independent walkers.  `pos[i]` is the (coords, width)
 # int64 state after step i of the current window; row 0 is the state the
 # window starts from.  `advance` fills rows 1..L from (L, width) uniforms per
-# channel, each walker's in time order, and takes each move class from its
+# channel, row i the draws of step i, and takes each move class from its
 # uniform: `channels` is the number of uniform streams consumed per step (two
 # for the lazy one off cycle:2), `needs_raw` asks for one extra 62-bit integer
 # per step (midpoint identities on the ladder).  Draws are consumed every
@@ -303,11 +303,11 @@ class _CombKernel(_KernelBase):
     def advance(self, us, raw, L):
         u0, width = us[0], self.pos.shape[2]
         if L >= len(self.pos) or len(us) != self.channels or any(
-                u.shape != (L, width) or u.strides != (8, u0.strides[1])
-                or u.dtype != np.float64 for u in us):
-            raise ValueError("want (L, width) float64 uniforms in time order")
+                u.dtype != np.float64 or u.shape != (L, width)
+                or u.strides != (u0.strides[0], 8) for u in us):
+            raise ValueError("want a unit-stride float64 row per step")
         self._step(u0.ctypes.data, us[1].ctypes.data if len(us) > 1 else None,
-                   u0.strides[1] // 8, self.pos.ctypes.data, *self._k, width,
+                   u0.strides[0] // 8, self.pos.ctypes.data, *self._k, width,
                    L, self.n_teeth, self.nb, self.mod, self.q, self.q_down)
 
     def height(self, p):
@@ -443,29 +443,27 @@ def _windows(kernel, keys, n_steps):
     """Advance the kernel's walkers ``n_steps`` steps, walker j drawing
     from the streams keyed ``keys[...][j]`` (see ``_stream_keys``).
 
-    Each channel is drawn into one buffer of at most ``SCRATCH`` doubles,
-    whole Philox blocks of steps for every walker at a time, and the kernel
-    steps on it ``WIN`` rows at a time.  Yields ``(n0, L)`` after each
+    Each channel is drawn into one (rows, width) buffer of at most
+    ``SCRATCH`` doubles, whole Philox blocks of steps at a time, and the
+    kernel steps on views of ``WIN`` rows.  Yields ``(n0, L)`` after each
     window, while ``kernel.pos[1:L + 1]`` holds the states after steps
     n0 + 1 .. n0 + L; once exhausted, ``kernel.pos[0]`` is the final state.
     """
-    # one row per stream, so each fill is a contiguous write
+    # one row per step, so a fill writes and a window reads contiguous rows
     width = len(keys[0])
     rows = min(n_steps, max(4, SCRATCH // width // 4 * 4))
-    u_bufs = np.empty((kernel.channels, width, rows))
-    raw_buf = np.empty((width * kernel.needs_raw, rows), dtype=np.int64)
+    u_bufs = np.empty((kernel.channels, rows, width))
+    raw_buf = np.empty((rows, width * kernel.needs_raw), dtype=np.int64)
     n = 0
     while n < n_steps:
         length = min(rows, n_steps - n)
         for buf, k in zip(u_bufs, keys):
-            fill(k, n, buf[:, :length])
+            fill(k, n, buf[:length])
         if kernel.needs_raw:
-            fill(keys[-1], n, raw_buf[:, :length],
-                 high=np.int64(1) << _LEVEL_BITS)
+            fill(keys[-1], n, raw_buf[:length], high=1 << _LEVEL_BITS)
         for w in range(0, length, WIN):
             L = min(WIN, length - w)
-            kernel.advance([b[:, w:w + L].T for b in u_bufs],
-                           raw_buf[:, w:w + L].T, L)
+            kernel.advance([b[w:w + L] for b in u_bufs], raw_buf[w:w + L], L)
             yield n, L
             kernel.pos[0] = kernel.pos[L]
             n += L
@@ -671,9 +669,9 @@ _MARGINAL_BATCH = 8192    # replicas per batch of sample_marginal
 def _draws(seed, replicas, stream, n):
     """(n, len(replicas)) uniforms: column j holds the first n draws of
     stream (seed, replicas[j], stream)."""
-    out = np.empty((len(replicas), n))
+    out = np.empty((n, len(replicas)))
     fill(stream_keys(seed, replicas, stream), 0, out)
-    return out.T
+    return out
 
 
 def _clock(d, seed, replicas, T):

@@ -355,9 +355,16 @@ def float_moves(kernel, us):
 
 
 def window_uniforms(us):
-    """(L, width) uniforms per channel laid out as ``_windows`` hands them
-    to ``advance``: each walker's uniforms in time order."""
-    return [u.T.copy().T for u in us]
+    """(L, width) uniforms per channel laid out as ``advance`` reads them:
+    one unit-stride row per step, as ``_windows`` hands them, here in rows
+    wider than the window and padded with NaN, so a read past a row
+    shows."""
+    out = []
+    for u in us:
+        buf = np.full((u.shape[0], u.shape[1] + 3), np.nan)
+        buf[:, :u.shape[1]] = u
+        out.append(buf[:, :u.shape[1]])
+    return out
 
 
 def reference_comb_step(kernel, us, start, k):
@@ -367,7 +374,10 @@ def reference_comb_step(kernel, us, start, k):
     and the base path as a masked cumulative sum.  ``start`` is the
     (coords, width) state before the window and ``k`` the loop counts
     (lazy only).  Returns the states after each step and the loop counts
-    after each step (lazy only)."""
+    after each step (lazy only); grid2d's states are its steps summed."""
+    if not kernel.nb:
+        steps = np.stack(float_moves(kernel, us), axis=1)
+        return start + np.cumsum(steps, axis=0, dtype=np.int64), None
     db, dts, dtt, hold = float_moves(kernel, us)
     L = len(us[0])
     pos = np.empty((L + 1, *start.shape), dtype=np.int64)
@@ -467,6 +477,76 @@ def test_compiled_step_matches_reference_step(spec, method):
             assert kernel.pos[1, 0, 0] == g.m - 1
         kernel.pos[0] = kernel.pos[L]
         start = ref[-1]
+
+
+# every family `_CombKernel` steps, direct and lazy
+COMB_KERNELS = [
+    ("line", "direct"), ("cycle:2", "direct"), ("cycle:5", "direct"),
+    ("comb:line", "direct"), ("comb:cycle:2", "direct"),
+    ("comb:cycle:4", "direct"), ("comb2:line", "direct"),
+    ("grid2d", "direct"), ("comb:line", "selfloop"),
+    ("comb:cycle:2", "selfloop"), ("comb:cycle:4", "selfloop")]
+
+
+def test_comb_step_without_the_lanes_writes_the_same_bytes(scalar_library):
+    # every walker runs the scalar loop (see the fixture); widths 2
+    # (run_pair), 6, 8, 18 and 1024 run the lanes' masked tail, none and
+    # whole vectors beside it
+    scalar = scalar_library.comb_step
+    rng, win = np.random.default_rng(99), sampler.WIN
+    for spec, method in COMB_KERNELS:
+        g = build_graph(spec)
+        for width in (2, 6, 8, 18, 1024):
+            lane, alone = (sampler._make_kernel(g, g.root, width, method,
+                                                3 * win) for _ in range(2))
+            alone._step = scalar
+            start = lane.pos[0].copy()
+            k = lane.k.copy() if lane.lazy else None
+            for w, L in enumerate((win, win, win - 17)):
+                us = rng.random((lane.channels, L, width))
+                if w == 0:
+                    us[:, 0, -1] = 0.0  # a walker of the tail starts with b-
+                ref, k = reference_comb_step(lane, us, start, k)
+                for kernel in (lane, alone):
+                    kernel.advance(window_uniforms(us), None, L)
+                    assert np.array_equal(kernel.pos[1:L + 1], ref), (
+                        spec, method, width, w)
+                    if kernel.lazy:
+                        assert np.array_equal(kernel.k_hist[:L], k)
+                        assert np.array_equal(kernel.k, k[-1])
+                    kernel.pos[0] = kernel.pos[L]
+                start = ref[-1]
+                if lane.lazy:
+                    k = k[-1]
+
+
+def test_comb_step_refuses_a_window_it_cannot_read(monkeypatch):
+    # before any pointer reaches C: a window laid out stream-major, rows
+    # that are not unit-stride, another dtype or shape, channels with
+    # different row strides, or another channel count
+    g, L, width = build_graph("comb:cycle:4"), 8, 6
+    kernel = sampler._make_kernel(g, g.root, width, "selfloop", L)
+
+    def reached_c(*args):
+        raise AssertionError("a refused window reached comb_step")
+    monkeypatch.setattr(kernel, "_step", reached_c)
+    u = np.random.default_rng(5).random((L, width))
+    wide = np.empty((L, 2 * width))
+    bad = [
+        [u.T.copy().T, u.T.copy().T],
+        [wide[:, ::2], wide[:, 1::2]],
+        [u.astype(np.float32), u.astype(np.float32)],
+        [u, u.astype(np.float32)],
+        [u[:, :-1], u[:, :-1]],
+        [u[:-1], u[:-1]],
+        [u, window_uniforms([u])[0]],
+        [u],
+    ]
+    before = kernel.pos.copy()
+    for us in bad:
+        with pytest.raises(ValueError, match="unit-stride float64 row"):
+            kernel.advance(us, None, L)
+        assert np.array_equal(kernel.pos, before)
 
 
 def reference_observe(kernel, p, max_depth):
