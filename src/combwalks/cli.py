@@ -202,7 +202,9 @@ def cmd_simulate(args):
                               spine_stride=args.spine_stride or 0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    workers = args.workers if args.workers is not None else _default_workers()
+    workers = _default_workers() if args.workers is None else args.workers
+    if workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
     t0 = time.time()
     sums = run_ensemble(graph, start, args.steps, args.replicas, seed=seed,
                         workers=workers, record=record,

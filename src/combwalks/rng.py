@@ -134,7 +134,7 @@ def fill(keys, start, out, high=None):
     h = 0 if high is None else int(high)
     if (start % 4 or start < 0 or out.ndim != 2
             or out.dtype != (np.float64 if high is None else np.int64)
-            or out.strides[1] != out.itemsize or not out.flags.writeable
+            or not out[:1].flags.c_contiguous or not out.flags.writeable
             or keys.shape != (out.shape[1], 2)
             or high is not None and (h & h - 1 or not 2 ** 32 < h < 2 ** 64)):
         raise ValueError("fill writes, from a Philox block (start % 4 == 0), "

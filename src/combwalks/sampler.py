@@ -16,16 +16,16 @@ whose base has constant degree, and exist so their bookkeeping quantities
 (loop counts, revisit counts, holding-time sums) can be checked against the
 direct law.
 
-Everything is driven by the keyed Philox streams in :mod:`.rng`: the
-compiled Philox (``rng.fill``) draws each channel's streams into one buffer
-of at most ``SCRATCH`` doubles, a row per step, and a walker consumes a
-fixed number of draws per step whether or not the step uses them.  One
-driver (``_windows``) runs every direct and selfloop walk in two layers:
+Everything is driven by the keyed Philox streams in :mod:`.rng`, and a
+walker consumes a fixed number of draws per step whether or not the step
+uses them.  ``_windows`` runs every direct and selfloop walk in two
+layers, each window at most ``SCRATCH`` walker-steps:
 
-* window   -- the kernel steps on ``WIN`` rows of uniforms, writing each
-              state into a (WIN + 1)-row history; the comb kernels and
-              grid2d do it in one call of ``_native.comb_step``, a C loop
-              built on first use;
+* window   -- one call of the compiled Philox (``rng.fill``) per channel
+              draws a row per step; the kernel steps on all the rows,
+              writing each state into the window's history, the comb
+              kernels and grid2d in one call of ``_native.comb_step``, a
+              C loop built on first use;
 * observer -- one call of the compiled ``_native.observe`` per window
               finds the meetings and folds in each walker's depth; the
               collision records, envelope violations, truncation,
@@ -60,8 +60,7 @@ from .rng import (AUX, RngStream, X_BASE, X_HOLD, X_MAIN, X_SKEL, X_TOOTH,
                   Y_MAIN, Y_TOOTH, fill, stream_keys)
 from .stats import lil_threshold
 
-WIN = 64                  # steps per kernel call and per observer call
-SCRATCH = 1 << 17         # doubles per channel a block draws at once
+SCRATCH = 1 << 16         # walker-steps per window, values per clock array
 # stream roles (x, y) of the two walkers of a pair, per construction
 _ROLES = {"direct": (X_MAIN, Y_MAIN), "selfloop": (X_TOOTH, Y_TOOTH)}
 
@@ -385,7 +384,8 @@ class _LadderKernel(_KernelBase):
 
 
 def _make_kernel(graph, start, width, method, n_steps):
-    rows = min(WIN, n_steps)
+    # steps per window: whole Philox blocks, at most SCRATCH walker-steps
+    rows = max(1, min(n_steps, max(4, SCRATCH // width // 4 * 4)))
     if method == "selfloop":
         if graph.dim != 1 or graph.m is None:      # Z teeth on a base
             raise GraphError("self-loop construction needs a comb graph")
@@ -443,30 +443,24 @@ def _windows(kernel, keys, n_steps):
     """Advance the kernel's walkers ``n_steps`` steps, walker j drawing
     from the streams keyed ``keys[...][j]`` (see ``_stream_keys``).
 
-    Each channel is drawn into one (rows, width) buffer of at most
-    ``SCRATCH`` doubles, whole Philox blocks of steps at a time, and the
-    kernel steps on views of ``WIN`` rows.  Yields ``(n0, L)`` after each
-    window, while ``kernel.pos[1:L + 1]`` holds the states after steps
-    n0 + 1 .. n0 + L; once exhausted, ``kernel.pos[0]`` is the final state.
+    A window is one fill: each channel draws a row per step into a buffer
+    as long as the kernel's history (at most ``SCRATCH`` values), and the
+    kernel steps on all of it.  Yields ``(n0, L)`` after each window,
+    while ``kernel.pos[1:L + 1]`` holds the states after steps n0 + 1 ..
+    n0 + L; once exhausted, ``kernel.pos[0]`` is the final state.
     """
-    # one row per step, so a fill writes and a window reads contiguous rows
-    width = len(keys[0])
-    rows = min(n_steps, max(4, SCRATCH // width // 4 * 4))
+    rows, width = len(kernel.pos) - 1, kernel.pos.shape[2]
     u_bufs = np.empty((kernel.channels, rows, width))
     raw_buf = np.empty((rows, width * kernel.needs_raw), dtype=np.int64)
-    n = 0
-    while n < n_steps:
-        length = min(rows, n_steps - n)
+    for n0 in range(0, n_steps, rows):
+        L = min(rows, n_steps - n0)
         for buf, k in zip(u_bufs, keys):
-            fill(k, n, buf[:length])
+            fill(k, n0, buf[:L])
         if kernel.needs_raw:
-            fill(keys[-1], n, raw_buf[:length], high=1 << _LEVEL_BITS)
-        for w in range(0, length, WIN):
-            L = min(WIN, length - w)
-            kernel.advance([b[w:w + L] for b in u_bufs], raw_buf[w:w + L], L)
-            yield n, L
-            kernel.pos[0] = kernel.pos[L]
-            n += L
+            fill(keys[-1], n0, raw_buf[:L], high=1 << _LEVEL_BITS)
+        kernel.advance([b[:L] for b in u_bufs], raw_buf[:L], L)
+        yield n0, L
+        kernel.pos[0] = kernel.pos[L]
 
 
 def _observer(kernel):
@@ -500,7 +494,11 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
     B = len(replicas)
     kernel = _make_kernel(graph, start, 2 * B, method, n_steps)
     cps = record.resolved_checkpoints(n_steps)
-    stride = record.spine_stride if isinstance(graph, BiasedLadder) else 0
+    stride, lil_alphas = record.spine_stride, tuple(record.lil_alphas)
+    if stride and not isinstance(graph, BiasedLadder):
+        raise GraphError(f"{graph.family} has no spine trace to record")
+    if lil_alphas and not kernel.depth_coords:
+        raise GraphError(f"{graph.family} has no depth to test an envelope on")
     keys = _stream_keys(kernel, seed, replicas, stream_roles or _ROLES[method])
 
     observe, max_depth, hit_buf, d_max = _observer(kernel)
@@ -508,9 +506,6 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
     nil = np.zeros(0, dtype=np.int64)
     hits = [(nil, nil, np.zeros((0, kernel.pos.shape[1]), np.int64), nil)]
     k_rows = {}                # selfloop: loop counts at each checkpoint
-    lil_alphas = tuple(record.lil_alphas) if kernel.depth_coords else ()
-    lil_thr = [lil_threshold(np.arange(n_steps + 1, dtype=np.float64), a)
-               for a in lil_alphas]
     lil_keys = [[np.zeros(0, dtype=np.int64)] for _ in lil_alphas]
     if stride:
         last_spine = kernel.pos[0, 1].copy()
@@ -529,10 +524,11 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
             k_rows.update((t, kernel.k_hist[t - n0 - 1].copy())
                           for t in cps if n0 < t <= n0 + L)
 
-        for thr, keys in zip(lil_thr, lil_keys):
+        for a, keys in zip(lil_alphas, lil_keys):
+            thr = lil_threshold(np.arange(n0 + 1, n0 + L + 1, dtype=float), a)
             # the envelope is monotone in n: test its low end first
-            if d_max[0] > min(thr[n0 + 1], thr[n0 + L]):
-                over = kernel.depth(p) > thr[n0 + 1:n0 + L + 1, None]
+            if d_max[0] > min(thr[0], thr[-1]):
+                over = kernel.depth(p) > thr[:, None]
                 r, c = np.nonzero(over)
                 keys.append((c % B) * (n_steps + 1) + r + n0 + 1)
 
@@ -662,8 +658,7 @@ def run_ensemble(graph, start=None, n_steps=0, replicas=1, seed=0, workers=1,
 # geometric-clock construction
 # ---------------------------------------------------------------------------
 
-_CLOCK_BATCH = 4096       # replicas per batch of clock_dichotomy_violations
-_MARGINAL_BATCH = 8192    # replicas per batch of sample_marginal
+_MARGINAL_BATCH = 8192    # replicas per batch of a direct or selfloop marginal
 
 
 def _draws(seed, replicas, stream, n):
@@ -675,10 +670,13 @@ def _draws(seed, replicas, stream, n):
 
 
 def _clock(d, seed, replicas, T):
-    """``_clock_arrays`` of the replicas' undelayed-walk and holding-time
-    streams over horizon T."""
-    return _clock_arrays(d, _draws(seed, replicas, X_SKEL, T),
-                         _draws(seed, replicas, X_HOLD, T + 2))
+    """``(reps, _clock_arrays)`` of the undelayed-walk and holding-time
+    streams over horizon T of replicas 0 .. replicas - 1, in batches
+    ``reps`` whose (T + 3)-row arrays hold at most ``SCRATCH`` values."""
+    _check_steps(T)
+    for reps in _batches(replicas, max(1, SCRATCH // (T + 3)), T):
+        yield reps, _clock_arrays(d, _draws(seed, reps, X_SKEL, T),
+                                  _draws(seed, reps, X_HOLD, T + 2))
 
 
 def _clock_arrays(d, us, ug):
@@ -745,18 +743,19 @@ def geometric_clock_path(d, n_steps, seed=0, replica=0):
     if d < 1:
         raise ValueError("base degree must be >= 1")
     _check_steps(n_steps)
-    return {k: v[:, 0] for k, v in _clock(d, seed, [replica], n_steps).items()}
+    arrs = _clock_arrays(d, _draws(seed, [replica], X_SKEL, n_steps),
+                         _draws(seed, [replica], X_HOLD, n_steps + 2))
+    return {k: v[:, 0] for k, v in arrs.items()}
 
 
 def clock_dichotomy_violations(d, n_steps, replicas, seed=0):
     """Count (replica, time) pairs violating K_n >= R_n or K_n >= n/2.
 
     Replica r is ``geometric_clock_path(d, n_steps, seed, r)``;
-    ``_CLOCK_BATCH`` bounds the replicas held at once and does not change
-    the count."""
+    ``SCRATCH`` bounds the values held at once, whatever the replica
+    count, and does not change the count."""
     bad = checked = 0
-    for reps in _batches(replicas, _CLOCK_BATCH, n_steps):
-        arrs = _clock(d, seed, reps, n_steps)
+    for _, arrs in _clock(d, seed, replicas, n_steps):
         ns = np.arange(n_steps + 1, dtype=np.int64)[:, None]
         ok = (arrs["K"] >= arrs["R"]) | (2 * arrs["K"] >= ns)
         bad += int((~ok).sum())
@@ -771,8 +770,8 @@ def sample_marginal(graph, n_steps, replicas, seed=0, method="direct",
     The three constructions must produce the same marginal law; this is the
     hook the distribution tests use.  Returns an (replicas, k) int64 array
     of coordinate tuples.  Replica r reads only streams keyed (seed, r,
-    role), so ``_MARGINAL_BATCH`` bounds memory and does not change the
-    output.
+    role), so the batches (``_clock``, ``_MARGINAL_BATCH``) bound
+    memory and do not change the output.
     """
     start = _start(graph, start)
     if method == "clock":
@@ -781,8 +780,7 @@ def sample_marginal(graph, n_steps, replicas, seed=0, method="direct",
         if start[1] != 0:
             raise GraphError("clock construction starts on the spine")
         cols = []
-        for reps in _batches(replicas, _MARGINAL_BATCH, n_steps):
-            arrs = _clock(graph.base_degree, seed, reps, n_steps)
+        for reps, arrs in _clock(graph.base_degree, seed, replicas, n_steps):
             K = arrs["K"][n_steps]
             V = arrs["V"][n_steps]
             # base walk advanced once per self-loop event

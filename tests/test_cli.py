@@ -328,6 +328,39 @@ def test_simulate_refuses_bad_envelope_and_stride(tmp_path, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--graph", "line", "--lil-alphas", "0.75"],
+    ["--graph", "grid2d", "--lil-alphas", "0.75"],
+    ["--graph", "comb:line", "--spine-stride", "2"],
+    ["--graph", "comb:line", "--workers", "0"],
+    ["--graph", "comb:line", "--workers", "-3"]],
+    ids=["line-lil", "grid2d-lil", "comb-spine", "workers-0", "workers-neg"])
+def test_simulate_refuses_what_it_cannot_run(tmp_path, capsys, argv):
+    # envelope times need a depth coordinate, a spine trace the ladder,
+    # and a run at least one worker
+    from combwalks import cli
+    out = tmp_path / "runs.jsonl"
+    assert cli.main(["simulate", "--steps", "16", "--replicas", "2",
+                     "--seed", "1", "--out", str(out), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_simulate_zero_steps_writes_the_start(tmp_path):
+    from combwalks import cli
+    out = tmp_path / "runs.jsonl"
+    assert cli.main(["simulate", "--graph", "comb:line", "--steps", "0",
+                     "--replicas", "3", "--seed", "1", "--workers", "1",
+                     "--start", "2,0", "--out", str(out)]) == 0
+    recs = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["replica"] for r in recs] == [0, 1, 2]
+    for r in recs:
+        assert (r["T"], r["meetings"], r["collisions"], r["checkpoints"]) == (
+            0, 0, [], [])
+        assert r["final"] == {"x": [2, 0], "y": [2, 0]}
+
+
 def test_verify_green(tmp_path):
     out = tmp_path / "checks.csv"
     res = run_cli("verify", "--out", str(out))

@@ -184,12 +184,18 @@ def test_fill_refuses_what_it_cannot_write():
         # high: a power of two in (2^32, 2^64), one whole word per draw
         *[(keys, np.empty((8, 4), dtype=np.int64), h)
           for h in (2 ** 32, 2 ** 40 + 1, 6, 2 ** 64)],
+        # an empty out has strides (0, 0), but every other refusal holds
+        (keys, np.empty((0, 4), dtype=np.float32), None),
+        (keys[:3], np.empty((0, 4)), None),
+        (keys, np.empty((0, 4)), 2 ** 40 + 1),
     ]
     for k, out, h in bad:
         before = out.copy()
         with pytest.raises(ValueError):
             fill(k, 0, out, high=h)
         assert np.array_equal(out, before, equal_nan=out.dtype.kind == "f")
+    fill(keys, 4, np.empty((0, 4)))          # zero draws: a zero-step run
+    fill(keys, 4, np.empty((0, 4), dtype=np.int64), high=high)
     for h in (2 ** 33, 2 ** 63):        # the ends of the accepted range
         out = np.empty((8, 4), dtype=np.int64)
         fill(keys, 0, out, high=h)

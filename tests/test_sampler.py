@@ -167,6 +167,45 @@ def test_entry_points_refuse_bad_envelope_and_stride(entry, record):
               record=RecordPolicy(**record))
 
 
+@pytest.mark.parametrize("spec, record", [
+    ("line", {"lil_alphas": (0.75,)}), ("cycle:4", {"lil_alphas": (0.75,)}),
+    ("grid2d", {"lil_alphas": (0.75,)}), ("star:3", {"lil_alphas": (0.75,)}),
+    ("comb:line", {"spine_stride": 2}), ("grid2d", {"spine_stride": 2})])
+@pytest.mark.parametrize("entry", [run_ensemble, run_pair])
+def test_entry_points_refuse_records_the_graph_cannot_keep(entry, spec,
+                                                          record):
+    # envelope times need a depth coordinate, a spine trace the ladder
+    with pytest.raises(GraphError, match="has no"):
+        entry(build_graph(spec), n_steps=8, record=RecordPolicy(**record))
+
+
+def test_zero_steps_stay_at_the_start():
+    # every entry point takes n_steps = 0 and returns its start; the
+    # clock draws zero rows of its streams
+    g, start = build_graph("comb:cycle:4"), (1, 0)
+    for method in ("direct", "selfloop"):
+        for s in (run_ensemble(g, start, 0, replicas=3, seed=2,
+                               method=method)[2],
+                  run_pair(g, start, 0, method=method)):
+            assert (s.n_steps, s.meetings, s.times, s.checkpoints) == (
+                0, 0, [], [])
+            assert s.final_x == s.final_y == start
+        assert s.extras == ({"k_trace": []} if method == "selfloop" else {})
+    for spec, record, extra in (
+            ("comb:line", RecordPolicy(lil_alphas=(0.75,)), "lil"),
+            ("biased-ladder", RecordPolicy(spine_stride=2), "spine")):
+        s, = run_ensemble(build_graph(spec), n_steps=0, record=record)
+        assert s.final_x == s.final_y == build_graph(spec).root
+        assert extra in s.extras
+    for method in ("direct", "selfloop", "clock"):
+        assert sample_marginal(g, 0, 3, seed=2, method=method,
+                               start=start).tolist() == [list(start)] * 3
+    path = geometric_clock_path(2, 0)
+    for key in ("S", "V", "K", "H", "R", "sigma", "tau"):
+        assert path[key].tolist() == [0], key
+    assert clock_dichotomy_violations(2, 0, 3) == (0, 3)
+
+
 def test_custom_checkpoints_are_used_verbatim():
     g = build_graph("line")
     s = run_ensemble(g, n_steps=100, replicas=1, seed=0,
@@ -455,7 +494,7 @@ def test_codes_give_the_float_moves(spec, method):
     ("comb:line", "selfloop"), ("comb:cycle:2", "selfloop"),
     ("comb:cycle:4", "selfloop")])
 def test_compiled_step_matches_reference_step(spec, method):
-    g, width, win = build_graph(spec), 48, sampler.WIN
+    g, width, win = build_graph(spec), 48, 64
     kernel = sampler._make_kernel(g, g.root, width, method, 3 * win)
     # the single edge draws no base channel: the hold itself flips it
     assert kernel.channels == (2 if method == "selfloop" and g.m != 2 else 1)
@@ -493,7 +532,7 @@ def test_comb_step_without_the_lanes_writes_the_same_bytes(scalar_library):
     # (run_pair), 6, 8, 18 and 1024 run the lanes' masked tail, none and
     # whole vectors beside it
     scalar = scalar_library.comb_step
-    rng, win = np.random.default_rng(99), sampler.WIN
+    rng, win = np.random.default_rng(99), 64
     for spec, method in COMB_KERNELS:
         g = build_graph(spec)
         for width in (2, 6, 8, 18, 1024):
@@ -569,7 +608,7 @@ def reference_observe(kernel, p, max_depth):
     ("comb:cycle:4", "selfloop"), ("line", "direct"), ("star:3", "direct"),
     ("grid2d", "direct"), ("biased-ladder", "direct")])
 def test_compiled_observer_matches_reference_observer(spec, method):
-    g, win = build_graph(spec), sampler.WIN
+    g, win = build_graph(spec), 64
     rng = np.random.default_rng(1729)
     # small coordinates, so pairs meet often, coordinate c in multiples of
     # c + 1, so each reaches a depth of its own; ladder levels are >= 0
@@ -670,25 +709,44 @@ def test_step_source_compiles_without_warnings(tmp_path):
     assert res.returncode == 0, res.stderr.decode()
 
 
-# A 512-pair block of 4096 steps draws at most SCRATCH doubles, 1 MiB, per
-# channel at a time: two channels under selfloop, and the ladder's buffer
-# of 62-bit midpoint words beside its uniforms.  The rest is the window
-# history, the observers' buffers and the summaries; comb:cycle:4 pairs
-# meet often, so there the meetings' columns weigh most.
+def traced_peak(fn, *args):
+    """Peak bytes that tracemalloc sees while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# A block holds at most SCRATCH = 2^16 walker-steps at once: a 512-pair
+# block of 4096 steps runs windows of 64 steps, each with 512 KiB of
+# uniforms per channel (two channels under selfloop, and the ladder's
+# 62-bit midpoint words beside its uniforms) and a history of the same
+# rows.  The rest is the observers' buffers and the summaries;
+# comb:cycle:4 pairs meet often, so there the meetings' columns weigh most.
 @pytest.mark.parametrize("spec, method", [
     ("comb:line", "direct"), ("comb2:line", "direct"), ("grid2d", "direct"),
     ("comb:line", "selfloop"), ("biased-ladder", "direct"),
     ("comb:cycle:4", "direct"), ("comb:cycle:4", "selfloop")])
 def test_block_peak_memory_is_bounded(spec, method):
     g = build_graph(spec)
-    tracemalloc.start()
-    try:
-        sampler._run_block(g, g.root, 4096, 1, range(512), RecordPolicy(),
-                           method)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2 ** 20
+    assert traced_peak(sampler._run_block, g, g.root, 4096, 1, range(512),
+                       RecordPolicy(), method) < 8 * 2 ** 20
+
+
+def test_long_block_memory_does_not_grow_with_the_horizon():
+    # 8 pairs over 2^20 steps, two envelope exponents: windows of 4096
+    # steps, and each window's envelope thresholds, not the horizon's
+    g = build_graph("comb:line")
+    assert traced_peak(sampler._run_block, g, g.root, 1 << 20, 1, range(8),
+                       RecordPolicy(lil_alphas=(0.75, 0.9)),
+                       "direct") < 8 * 2 ** 20
+
+
+def test_clock_memory_does_not_grow_with_the_replicas():
+    # 128 replicas of 2048 steps: batches of SCRATCH // 2051 = 31 replicas
+    assert traced_peak(clock_dichotomy_violations, 2, 2048, 128) < 16 * 2 ** 20
 
 
 def test_selfloop_k_trace_monotone():
@@ -720,9 +778,10 @@ def test_clock_path_bookkeeping():
 
 
 def test_clock_dichotomy_batch(monkeypatch):
-    # every replica is checked once, however the replicas are batched
+    # every replica is checked once, however the replicas are batched: a
+    # batch of 1000 steps holds SCRATCH // 1003 replicas
     for batch in (1, 7, 64):
-        monkeypatch.setattr(sampler, "_CLOCK_BATCH", batch)
+        monkeypatch.setattr(sampler, "SCRATCH", batch * 1003)
         assert clock_dichotomy_violations(2, 1000, 64, seed=8) == (
             0, 64 * 1001)
 
@@ -738,10 +797,11 @@ def test_clock_sigma_counts_completed_steps():
 
 
 def test_clock_output_does_not_depend_on_batch(monkeypatch):
+    # a batch of 9 steps holds SCRATCH // 12 replicas
     g = build_graph("comb:cycle:4")
     ref = sample_marginal(g, 9, 250, seed=12, method="clock")
     for batch in (30, 100):
-        monkeypatch.setattr(sampler, "_MARGINAL_BATCH", batch)
+        monkeypatch.setattr(sampler, "SCRATCH", batch * 12)
         assert np.array_equal(
             sample_marginal(g, 9, 250, seed=12, method="clock"), ref)
 
@@ -951,11 +1011,11 @@ def reference_comb_line_pair(seed, replica, n_steps, alpha,
 
 
 def test_ensemble_matches_scalar_reference_walk():
-    fill = sampler.SCRATCH // 6 // 4 * 4     # steps per fill of 3 pairs
-    n_steps = fill + 100                # a multiple of neither fill nor WIN
+    fill, win = sampler.SCRATCH // 6 // 4 * 4, 64  # steps per fill of 3 pairs
+    n_steps = fill + 100                # a multiple of neither fill nor win
     out = run_ensemble(build_graph("comb:line"), n_steps=n_steps, replicas=3,
                        seed=44, record=RecordPolicy(lil_alphas=(1.1,)))
-    assert n_steps % sampler.WIN
+    assert n_steps % win
     for s in out:
         hits, fx, fy, depth, lil = reference_comb_line_pair(44, s.replica,
                                                             n_steps, 1.1)
@@ -988,16 +1048,15 @@ def _window_probe():
     return out, str(exc.value)
 
 
-@pytest.mark.parametrize("win", [1, 7])
-def test_window_length_does_not_change_output(monkeypatch, win):
+# windows of 324 steps of 8 walkers and 216 of 12, or of 24 and 16:
+# none divides 777, 500 or 300, so every run ends on a short window
+@pytest.mark.parametrize("scratch", [2600, 200])
+def test_window_length_does_not_change_output(monkeypatch, scratch):
     default = _window_probe()
     lil = [json.loads(line)["lil"]["times"][1] for line in default[0][:4]]
     assert any(lil)                    # the envelope records are exercised
     assert "k_trace" in default[0][8] and "spine" in default[0][12]
-    monkeypatch.setattr(sampler, "WIN", win)
-    # fills of 324 steps of 8 walkers and 216 of 12: neither divides 777
-    # or 500, and 7 divides neither, so windows end short at every fill
-    monkeypatch.setattr(sampler, "SCRATCH", 2600)
+    monkeypatch.setattr(sampler, "SCRATCH", scratch)
     assert _window_probe() == default
 
 
