@@ -1,10 +1,10 @@
-"""One C source for the package's four compiled loops, ``philox_fill`` and
+"""One C source for the package's four compiled loops: ``philox_fill``,
 ``comb_step`` (every product, grid2d too; uniforms time-major, a row per
-step; 16 streams or 8 walkers per pass in AVX-512 lanes where the CPU
-reports AVX-512F, DQ and VL, the scalar loops elsewhere, with the same
-bytes), ``observe`` (the sampler's per-window meetings and depth) and
-``csr_rows`` (the oracle's step, flushing values below 2^-1022 to 0), built
-on first use, cached by source in ``__pycache__``, loaded by ctypes."""
+step) and ``observe`` (a window's meetings and depths), 16 streams, 8
+walkers or 8 pairs per pass in AVX-512 lanes where the CPU reports
+AVX-512F, DQ and VL, the scalar loops elsewhere, with the same bytes;
+``csr_rows`` (the oracle's step, flushing values below 2^-1022 to 0).
+Built on first use, cached by source in ``__pycache__``, loaded by ctypes."""
 
 import ctypes
 import functools
@@ -121,6 +121,39 @@ LANES static void comb_lanes(const double *u0, const double *u1, int64_t ld,
                 STORE(k_hist + i * width + w, LOAD(k + w));
         }
 }
+
+/* observe on 8 pairs per vector, a coordinate compared only in the lanes
+   equal so far, hits lowest bit first; then on the depths of 8 walkers */
+LANES static int64_t observe_lanes(const int64_t *pos, int64_t coords,
+    int64_t width, int64_t depth, int64_t *max_depth, int32_t *hits,
+    int64_t *d_max, int64_t len)
+{
+    const int64_t half = width / 2;
+    int64_t n = 0;
+    __m512i top = SET1(0);
+    for (int64_t i = 1; i <= len; i++) {
+        const int64_t *p = pos + i * coords * width, *q = p + half;
+        for (int64_t b = 0; b < half; b += 8) {
+            __mmask8 m = half - b < 8 ? (1 << (half - b)) - 1 : 0xFF;
+            for (int64_t c = 0; m && c < coords; c++)
+                m = _mm512_mask_cmpeq_epi64_mask(m, LOAD(p + c * width + b),
+                                                 LOAD(q + c * width + b));
+            for (; m; m &= m - 1, n++)
+                hits[2 * n] = i - 1, hits[2 * n + 1] = b + __builtin_ctz(m);
+        }
+        for (int64_t w = 0; depth && w < width; w += 8) {
+            const __mmask8 m = width - w < 8 ? (1 << (width - w)) - 1 : 0xFF;
+            __m512i d = SET1(0);                /* masked lanes stay 0 */
+            for (int64_t c = 1; c <= depth; c++)
+                d = _mm512_max_epi64(d, _mm512_abs_epi64(
+                        LOAD(p + c * width + w)));
+            STORE(max_depth + w, _mm512_max_epi64(d, LOAD(max_depth + w)));
+            top = _mm512_max_epi64(top, d);
+        }
+    }
+    *d_max = _mm512_reduce_max_epi64(top);
+    return n;
+}
 #endif
 
 /* Philox4x64-10 (Salmon et al., SC11) as numpy's Philox: row i, column j
@@ -206,13 +239,19 @@ void comb_step(const double *u0, const double *u1, int64_t ld,
    are a pair.  Writes (row - 1, b) of each pair that meets, in row-major
    order, to hits[2n], hits[2n + 1] and returns the count n.  The depth of
    a walker is max |coordinate c| over 1 <= c <= depth (0: none); it is
-   folded into max_depth, and its window maximum written to *d_max */
+   folded into max_depth, its window maximum written to *d_max; observe_lanes
+   runs 8 pairs or 8 walkers per vector where the CPU has AVX-512F, DQ, VL */
 int64_t observe(const int64_t *pos, int64_t coords, int64_t width,
                 int64_t depth, int64_t *max_depth, int32_t *hits,
                 int64_t *d_max, int64_t len)
 {
     const int64_t half = width / 2;
     int64_t n = 0, top = 0;
+#if defined(__x86_64__) && defined(__GNUC__)
+    if (HAS_LANES)
+        return observe_lanes(pos, coords, width, depth, max_depth, hits,
+                             d_max, len);
+#endif
     for (int64_t i = 1; i <= len; i++) {
         const int64_t *p = pos + i * coords * width, *q = p + half;
         for (int64_t b = 0; b < half; b++)

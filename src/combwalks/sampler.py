@@ -26,12 +26,12 @@ layers, each window at most ``SCRATCH`` walker-steps:
               writing each state into the window's history, the comb
               kernels and grid2d in one call of ``_native.comb_step``, a
               C loop built on first use;
-* observer -- one call of the compiled ``_native.observe`` per window
-              finds the meetings and folds in each walker's depth; the
-              collision records, envelope violations, truncation,
-              checkpoints, loop counts and ladder spine trace are read
-              off the whole window history at once, the first two only
-              at the meetings and in windows that cross the envelope.
+* observer -- one call of ``_native.observe`` per window (8 pairs or 8 walkers
+              per AVX-512 vector) finds the meetings and each walker's depth;
+              the collision records, envelope violations, truncation,
+              checkpoints, loop counts and ladder spine trace are read off the
+              whole window history at once, the first two only at the meetings
+              and in windows that cross the envelope.
 
 A replica's trajectory therefore never depends on how replicas are grouped
 into worker processes, and ``run_ensemble`` emits byte-identical JSONL for
@@ -468,10 +468,11 @@ def _observer(kernel):
     (walkers b and B + b of its width 2B), and the buffers it writes:
     ``observe(L)`` reads rows 1 .. L of ``kernel.pos``, writes (row - 1, b)
     of its n meetings, in row-major order, to ``hits[:n]`` and returns n;
-    it folds each walker's depth into ``max_depth`` and the window's
-    maximum into ``d_max[0]``."""
+    it folds each walker's depth into ``max_depth`` (which starts at time
+    0) and the window's maximum into ``d_max[0]``."""
     rows, coords, width = kernel.pos.shape
-    max_depth = np.zeros(width, dtype=np.int64)
+    max_depth = (kernel.depth(kernel.pos[:1])[0] if kernel.depth_coords
+                 else np.zeros(width, dtype=np.int64))
     hits = np.empty(((rows - 1) * (width // 2), 2), dtype=np.int32)
     d_max = np.zeros(1, dtype=np.int64)
     return (functools.partial(

@@ -361,6 +361,26 @@ def test_simulate_zero_steps_writes_the_start(tmp_path):
         assert r["final"] == {"x": [2, 0], "y": [2, 0]}
 
 
+@pytest.mark.parametrize("graph, start", [("comb:line", "0,5"),
+                                         ("comb2:line", "1,3,-4")])
+def test_simulate_max_tooth_counts_the_start(tmp_path, graph, start):
+    # max_tooth is the maximum over times 0 .. T: at least the start's
+    # depth, and at most one more per step
+    from combwalks import cli
+    depth = max(abs(int(c)) for c in start.split(",")[1:])
+    for n in (0, 1, 2):
+        out = tmp_path / f"runs{n}.jsonl"
+        assert cli.main(["simulate", "--graph", graph, "--steps", str(n),
+                         "--replicas", "3", "--seed", "1", "--workers", "1",
+                         "--start", start, "--out", str(out)]) == 0
+        for line in out.read_text().splitlines():
+            tooth = json.loads(line)["max_tooth"]
+            assert depth <= min(tooth.values()) <= max(
+                tooth.values()) <= depth + n, (n, tooth)
+        if n == 0:
+            assert tooth == {"x": depth, "y": depth}
+
+
 def test_verify_green(tmp_path):
     out = tmp_path / "checks.csv"
     res = run_cli("verify", "--out", str(out))

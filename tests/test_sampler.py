@@ -2,6 +2,7 @@
 equivalence, record schema invariants, and worker-count independence."""
 
 import ctypes
+import functools
 import json
 import math
 import multiprocessing
@@ -87,6 +88,19 @@ def test_run_pair_other_stream_ids():
     assert s.extras["lil"]["times"] == [lil]
     assert s.to_json() != run_pair(g, n_steps=300, rng_x=RngStream(6, 2),
                                    rng_y=RngStream(6, 2, Y_MAIN)).to_json()
+
+
+@pytest.mark.parametrize("spec, start", [("comb:line", (0, 5)),
+                                         ("comb2:line", (1, 3, -4))])
+def test_max_tooth_counts_the_start(spec, start):
+    # max_tooth is the maximum over times 0 .. T, the start included: a
+    # step moves the depth by at most 1, so after n steps each walker's
+    # maximum lies in [depth at 0, depth at 0 + n]
+    g, depth = build_graph(spec), max(map(abs, start[1:]))
+    for n in (0, 1, 2):
+        s = run_pair(g, start, n)
+        for m in (s.max_tooth_x, s.max_tooth_y):
+            assert depth <= m <= depth + n, (n, s.max_tooth_x, s.max_tooth_y)
 
 
 def test_run_pair_rejects_mismatched_streams():
@@ -613,7 +627,8 @@ def test_compiled_observer_matches_reference_observer(spec, method):
     # small coordinates, so pairs meet often, coordinate c in multiples of
     # c + 1, so each reaches a depth of its own; ladder levels are >= 0
     lo = 0 if isinstance(g, sampler.BiasedLadder) else -2
-    for width in (48, 2):
+    # half % 8 = 0, 0, 1, 5, 1: whole vectors of pairs and masked tails
+    for width in (1024, 48, 34, 26, 2):
         B = width // 2
         kernel = sampler._make_kernel(g, g.root, width, method, 4 * win)
         observe, max_depth, hits, d_max = sampler._observer(kernel)
@@ -638,6 +653,39 @@ def test_compiled_observer_matches_reference_observer(spec, method):
             assert np.array_equal(max_depth, ref_depth), (case, width)
             assert d_max[0] == ref_max, (case, width)
         assert max_depth.any() == bool(kernel.depth_coords)
+
+
+def test_observe_without_the_lanes_writes_the_same_hits(scalar_library):
+    # the scalar loop (see the fixture) against the library's, on the
+    # same windows: random, every pair meets, none does, a short window
+    rng, win = np.random.default_rng(2404), 64
+    for spec, method in (("comb:line", "direct"), ("comb2:line", "direct"),
+                         ("line", "direct"), ("biased-ladder", "direct")):
+        g = build_graph(spec)
+        lo = 0 if isinstance(g, sampler.BiasedLadder) else -2
+        for width in (1024, 34, 26, 18, 2):
+            B = width // 2
+            kernel = sampler._make_kernel(g, g.root, width, method, 4 * win)
+            lane, depth, hits, d_max = sampler._observer(kernel)
+            alone_depth, alone_hits, alone_max = (
+                a.copy() for a in (depth, hits, d_max))
+            alone = functools.partial(
+                scalar_library.observe, *lane.args[:4],
+                alone_depth.ctypes.data, alone_hits.ctypes.data,
+                alone_max.ctypes.data)
+            for case, L in (("random", win), ("all", win), ("none", win),
+                            ("random", win - 17)):
+                p = rng.integers(lo, lo + 4, kernel.pos.shape)
+                if case == "all":
+                    p[:, :, B:] = p[:, :, :B]
+                elif case == "none":
+                    p[:, 0, B:] = p[:, 0, :B] + 1
+                kernel.pos[...] = p
+                n = lane(L)
+                assert alone(L) == n, (spec, width, case)
+                assert np.array_equal(hits[:n], alone_hits[:n])
+                assert np.array_equal(depth, alone_depth)
+                assert d_max[0] == alone_max[0], (spec, width, case)
 
 
 def test_step_library_is_built_once_per_source(monkeypatch, tmp_path):
@@ -908,16 +956,19 @@ def test_comb_cycle4_mean_meetings_match_exact_partial_sums(method):
                                      seed=406487, method=method)
 
 
-def test_comb_line_meetings_per_height_match_exact_per_site_sums():
+@pytest.mark.parametrize("spec, seed", [("comb:line", 1406487),
+                                        ("comb:cycle:4", 52417)])
+def test_comb_meetings_per_height_match_exact_per_site_sums(spec, seed):
     # The paper's per-site law, site by site: the mean meetings of 4096
     # pairs at signed heights 0, +-1, +-2 by t, against the partial sums of
-    # the exact per-site series (lumped ball at radius 1025), |z| <= 4.
-    # Blocks of 512 pairs draw 1024 rows per fill, so where the CPU has
-    # AVX-512 the draws come from philox_fill's lanes.  Seed fixed in
-    # advance.
-    g, times, n = build_graph("comb:line"), (64, 256, 1024), 4096
+    # the exact per-site series (ball at radius 1025), |z| <= 4.
+    # Blocks of 512 pairs fill 1024 streams, and observe 8 pairs per
+    # vector, so where the CPU has AVX-512 the draws and the meetings come
+    # from the lanes; on comb:cycle:4 pairs keep meeting, so the gate reads
+    # thousands of hits at a real horizon.  Seeds fixed in advance.
+    g, times, n = build_graph(spec), (64, 256, 1024), 4096
     exact = per_site_collision_series(g, times[-1])
-    out = run_ensemble(g, n_steps=times[-1], replicas=n, seed=1406487)
+    out = run_ensemble(g, n_steps=times[-1], replicas=n, seed=seed)
     pair = np.repeat(np.arange(n), [len(s.times) for s in out])
     when, height = (np.concatenate([getattr(s, a) for s in out])
                     for a in ("times", "heights"))
