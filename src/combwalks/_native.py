@@ -1,10 +1,11 @@
 """One C source for the package's four compiled loops: ``philox_fill``,
-``comb_step`` (every product, grid2d too; uniforms time-major, a row per
-step) and ``observe`` (a window's meetings and depths), 16 streams, 8
-walkers or 8 pairs per pass in AVX-512 lanes where the CPU reports
-AVX-512F, DQ and VL, the scalar loops elsewhere, with the same bytes;
-``csr_rows`` (the oracle's step, flushing values below 2^-1022 to 0).
-Built on first use, cached by source in ``__pycache__``, loaded by ctypes."""
+``comb_step`` (every product, grid2d too, and the lazy walk, one spine
+class formula for both; uniforms time-major, a row per step) and
+``observe`` (a window's meetings and depths), 16 streams, 8 walkers or 8
+pairs per pass in AVX-512 lanes where the CPU reports AVX-512F, DQ and
+VL, the scalar loops elsewhere, with the same bytes; ``csr_rows`` (the
+oracle's step, flushing values below 2^-1022 to 0).  Built on first use,
+cached by source in ``__pycache__``, loaded by ctypes."""
 
 import ctypes
 import functools
@@ -85,11 +86,10 @@ LANES static void philox_lanes(const uint64_t *keys, int64_t start,
    cycle steps at most one past [0, mod), so the single edge flips by -1 */
 #define LOAD(x) _mm512_maskz_loadu_epi64(m, x)      /* the lanes of m */
 #define STORE(x, v) _mm512_mask_storeu_epi64(x, m, v)
-#define GE(x) _mm512_cmp_pd_mask(u, _mm512_set1_pd(x), _CMP_GE_OQ)
 LANES static void comb_lanes(const double *u0, const double *u1, int64_t ld,
                              int64_t *pos, int64_t *k, int64_t *k_hist,
                              int64_t width, int64_t len, int64_t teeth,
-                             int64_t nb, int64_t mod, double q, double q_down)
+                             int64_t nb, int64_t mod)
 {
     const int64_t base = nb > 0, row = (base + teeth) * width;
     for (int64_t i = 0; i < len; i++)
@@ -99,9 +99,7 @@ LANES static void comb_lanes(const double *u0, const double *u1, int64_t ld,
             const __m512d u = _mm512_maskz_loadu_pd(m, u0 + i * ld + w);
             const __m512i t0 = teeth ? LOAD(s) : SET1(0),
                 t1 = teeth > 1 ? LOAD(s + width) : SET1(0),
-                c = k ? (__m512i)(_mm512_maskz_mov_epi64(GE(q), SET1(nb))
-                                  - _mm512_movm_epi64(GE(q_down)))
-                    : _mm512_cvttpd_epi64(u * (double)(nb + 2 * teeth)),
+                c = _mm512_cvttpd_epi64(u * (double)(nb + 2 * teeth)),
                 db = 2 * (u1 ? _mm512_cvttpd_epi64(_mm512_maskz_loadu_pd(
                         m, u1 + i * ld + w) * 2.0) : c) - SET1(1);
             const __mmask8 away = _mm512_test_epi64_mask(t0 | t1, t0 | t1),
@@ -193,21 +191,20 @@ void philox_fill(const uint64_t *keys, int64_t n, int64_t start, int64_t len,
 
 /* `_CombKernel` steps: row i + 1 of `pos` from row i and from row i of the
    uniforms u0, u1 (row stride ld).  On the spine the class of u0 is
-   (int)(u0 * (nb + 2 teeth)): nb base moves, then -, + per tooth; lazy,
-   (u0 >= q) nb + (u0 >= q_down): a hold, then -, +.  Off the spine it is
-   (int)(u0 * 2 teeth).  The lazy base moves by 2 (int)(u1 * 2) - 1 on a
-   hold, or flips with no u1; k, k_hist: NULL unless lazy.  nb = 0: no base
-   (grid2d).  This loop defines a step; comb_lanes runs it like the fill */
+   (int)(u0 * (nb + 2 teeth)): nb base moves, then -, + per tooth, for the
+   direct and the lazy walk alike; off the spine it is (int)(u0 * 2 teeth).
+   A base move is b-, b+ by its class (b- flips the single edge, nb = 1),
+   or 2 (int)(u1 * 2) - 1 given u1; the lazy walk's hold is one, counted in
+   k, k_hist (else NULL).  nb = 0: no base (grid2d).  This loop defines a
+   step; comb_lanes runs it like the fill */
 void comb_step(const double *u0, const double *u1, int64_t ld,
                int64_t *pos, int64_t *k, int64_t *k_hist, int64_t width,
-               int64_t len, int64_t teeth, int64_t nb, int64_t mod,
-               double q, double q_down)
+               int64_t len, int64_t teeth, int64_t nb, int64_t mod)
 {
     const int64_t base = nb > 0, row = (base + teeth) * width;
 #if defined(__x86_64__) && defined(__GNUC__)
     if (HAS_LANES)
-        comb_lanes(u0, u1, ld, pos, k, k_hist, width, len, teeth, nb, mod, q,
-                   q_down);
+        comb_lanes(u0, u1, ld, pos, k, k_hist, width, len, teeth, nb, mod);
     else
 #endif
     for (int64_t i = 0; i < len; i++)
@@ -216,15 +213,13 @@ void comb_step(const double *u0, const double *u1, int64_t ld,
             int64_t *s = p + base * width;      /* the teeth */
             int64_t t0 = teeth ? s[0] : 0, t1 = teeth > 1 ? s[width] : 0;
             double u = u0[at];                  /* the spine class */
-            int c = k ? (u >= q) * (int)nb + (u >= q_down)
-                      : (int)(u * (double)(nb + 2 * teeth)), t = 4;
+            int c = (int)(u * (double)(nb + 2 * teeth)), t = 4;
             if (t0 != 0 || t1 != 0)             /* off the spine */
                 t = (int)(u * (double)(2 * teeth));
             else if (c >= nb)                   /* a tooth move */
                 t = c - (int)nb;
             else                                /* b-, b+, flip or hold */
-                b += u1 ? 2 * (int)(u1[at] * 2.0) - 1
-                        : nb == 1 ? 1 : 2 * c - 1;
+                b += u1 ? 2 * (int)(u1[at] * 2.0) - 1 : 2 * c - 1;
             if (mod && (b < 0 || b >= mod))     /* numpy's floor % */
                 b = (b % mod + mod) % mod;
             if (base) p[row] = b;
@@ -336,9 +331,9 @@ def library():
     except OSError:
         with tempfile.TemporaryDirectory() as tmp:
             lib = ctypes.CDLL(_library_path(_SOURCE, tmp))
-    p, i, d = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    p, i = ctypes.c_void_p, ctypes.c_int64
     lib.philox_fill.argtypes = [p, i, i, i, p, i, i]
-    lib.comb_step.argtypes = [p, p, i, p, p, p, i, i, i, i, i, d, d]
+    lib.comb_step.argtypes = [p, p, i, p, p, p, i, i, i, i, i]
     lib.observe.argtypes = [p, i, i, i, p, p, p, i]
     lib.csr_rows.argtypes = [p, p, p, p, p, i, i]
     lib.philox_fill.restype = lib.comb_step.restype = None

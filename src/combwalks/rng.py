@@ -11,9 +11,9 @@ Stream ids are assigned per role so that the two walkers of a pair and the
 component processes of the decomposed constructions never share a stream:
 
     0 / 2    X / Y main step stream (one double per step)
-    1 / 3    X / Y auxiliary stream (raw 64-bit words; midpoint indices)
+    1 / 3    X / Y channel 1 (the ladder's midpoint words)
     4 / 6    X / Y tooth-walk stream (self-loop decomposition)
-    5 / 7    X / Y base-walk stream  (self-loop decomposition, clock)
+    5 / 7    X / Y base-walk stream  (self-loop channel 1, clock)
     8        undelayed-walk stream (geometric clock)
     9        holding-time stream   (geometric clock)
     10 / 11  reserved; no constant names them
@@ -39,7 +39,6 @@ Y_MAIN = 2
 X_TOOTH, X_BASE = 4, 5
 Y_TOOTH = 6
 X_SKEL, X_HOLD = 8, 9
-AUX = X_AUX - X_MAIN      # offset of a walker's auxiliary stream from its main one
 
 
 @dataclass(frozen=True)

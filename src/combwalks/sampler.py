@@ -26,7 +26,7 @@ layers, each window at most ``SCRATCH`` walker-steps:
               writing each state into the window's history, the comb
               kernels and grid2d in one call of ``_native.comb_step``, a
               C loop built on first use;
-* observer -- one call of ``_native.observe`` per window (8 pairs or 8 walkers
+* observer -- one ``kernel.observe`` call per window (8 pairs or 8 walkers
               per AVX-512 vector) finds the meetings and each walker's depth;
               the collision records, envelope violations, truncation,
               checkpoints, loop counts and ladder spine trace are read off the
@@ -56,8 +56,8 @@ import numpy as np
 from . import _native
 from .graphs import (BiasedLadder, GraphError, Star,
                      LADDER_ID_BITS as _LEVEL_BITS)
-from .rng import (AUX, RngStream, X_BASE, X_HOLD, X_MAIN, X_SKEL, X_TOOTH,
-                  Y_MAIN, Y_TOOTH, fill, stream_keys)
+from .rng import (RngStream, X_BASE, X_HOLD, X_MAIN, X_SKEL, X_TOOTH, Y_MAIN,
+                  Y_TOOTH, fill, stream_keys)
 from .stats import lil_threshold
 
 SCRATCH = 1 << 16         # walker-steps per window, values per clock array
@@ -226,32 +226,50 @@ def read_summaries(path):
 #
 # A kernel holds `width` independent walkers.  `pos[i]` is the (coords, width)
 # int64 state after step i of the current window; row 0 is the state the
-# window starts from.  `advance` fills rows 1..L from (L, width) uniforms per
-# channel, row i the draws of step i, and takes each move class from its
-# uniform: `channels` is the number of uniform streams consumed per step (two
-# for the lazy one off cycle:2), `needs_raw` asks for one extra 62-bit integer
-# per step (midpoint identities on the ladder).  Draws are consumed every
-# step even when a walker's branch ignores them.  A walker's depth is
-# max |coordinate c| over 1 <= c <= `depth_coords` (0: no depth): the
-# compiled observer folds it in every window, `depth` recomputes it where
-# the envelope needs it.  `depth` and `distance` read a window of states,
-# `height` (None for 0) and `depth` the vertices of the meetings.
+# window starts from.  `draws` has one entry per channel a step reads:
+# None for a uniform double, `high` for an integer word in [0, high) (the
+# ladder's midpoint identities); channel c reads stream role + c.
+# `advance(us, L)` fills rows 1..L from an (L, width) array per channel,
+# row i the draws of step i, consumed every step even when a walker's
+# branch ignores them.  A walker's depth is max |coordinate c| over
+# 1 <= c <= `depth_coords` (0: no depth): `observe` folds it in every
+# window, `depth` recomputes it where the envelope needs it.  `depth` and
+# `distance` read a window of states, `height` and `depth` the vertices of
+# the meetings.
 # ---------------------------------------------------------------------------
 
 class _KernelBase:
-    channels = 1
-    needs_raw = False
+    draws = (None,)
     depth_coords = 0
 
     def __init__(self, graph, start, width, rows):
         self.pos = np.empty((rows + 1, len(start), width), dtype=np.int64)
         self.pos[0] = np.asarray(start, dtype=np.int64)[:, None]
 
+    def watch(self):
+        """Allocate the buffers ``observe`` writes (not for a marginal)."""
+        rows, _, width = self.pos.shape
+        self.max_depth = self.depth(self.pos[:1])[0]    # from time 0 on
+        self.hits = np.empty(((rows - 1) * (width // 2), 2), dtype=np.int32)
+        self.d_max = np.zeros(1, dtype=np.int64)
+
+    def observe(self, L):
+        """The compiled observer of rows 1 .. L of ``pos``: returns the
+        count n of meetings of walkers b and B + b, writes their (row - 1,
+        b) to ``hits[:n]`` and folds the depths into ``max_depth`` and
+        ``d_max[0]``."""
+        if not 0 <= L < len(self.pos):
+            raise ValueError(f"a window of {L} rows past the history")
+        return _native.library().observe(
+            self.pos.ctypes.data, *self.pos.shape[1:], self.depth_coords,
+            self.max_depth.ctypes.data, self.hits.ctypes.data,
+            self.d_max.ctypes.data, L)
+
     def height(self, p):
-        return None
+        return np.zeros(len(p), dtype=np.int64)
 
     def depth(self, p):
-        return np.abs(p[:, 1:1 + self.depth_coords]).max(axis=1)
+        return np.abs(p[:, 1:1 + self.depth_coords]).max(axis=1, initial=0)
 
 
 class _CombKernel(_KernelBase):
@@ -274,44 +292,39 @@ class _CombKernel(_KernelBase):
     counter `k`.  The assembled pair (base position, tooth height) has
     exactly the direct comb law.  Channel 0 drives the tooth, channel 1 the
     base move, the latter consumed even on steps with no base move.  The
-    single edge has no channel 1: the hold itself flips the base.  The
-    spine classes put hold in class 0 and -, + where the direct ones are.
+    single edge has no channel 1: the hold itself flips the base.  Holds
+    are base-move classes: for d = nb = 1, 2, (int)(u (d + 2)) >= d, d + 1
+    just where u >= d/(d+2), (d+1)/(d+2), on every double a fill writes.
     """
 
     def __init__(self, graph, start, width, rows, lazy=False):
         super().__init__(graph, start, width, rows)
-        self.flip = graph.m == 2
-        # base classes at the spine; grid2d has no base, and no depth
-        self.nb = 0 if graph.m is None else 1 if self.flip else 2
+        self.nb = graph.base_degree       # base classes at the spine
         self.mod = graph.m or 0
         self.n_teeth = graph.dim
-        self.depth_coords = graph.dim if self.nb else 0
+        self.depth_coords = graph.dim if self.nb else 0  # grid2d: no depth
         self.lazy = lazy
         self._k = None, None                     # pointers of k and k_hist
-        self.q = self.q_down = 0.0     # lazy: hold below q, - below q_down
         if lazy:
-            self.channels = 1 if self.flip else 2
-            d = graph.base_degree
-            self.q = d / (d + 2.0)
-            self.q_down = self.q + 1.0 / (d + 2.0)
+            if self.nb == 2:
+                self.draws = (None, None)
             self.k = np.zeros(width, dtype=np.int64)
             self.k_hist = np.empty((rows, width), dtype=np.int64)
             self._k = self.k.ctypes.data, self.k_hist.ctypes.data
         self._step = _native.library().comb_step
 
-    def advance(self, us, raw, L):
+    def advance(self, us, L):
         u0, width = us[0], self.pos.shape[2]
-        if L >= len(self.pos) or len(us) != self.channels or any(
+        if L >= len(self.pos) or len(us) != len(self.draws) or any(
                 u.dtype != np.float64 or u.shape != (L, width)
                 or u.strides != (u0.strides[0], 8) for u in us):
             raise ValueError("want a unit-stride float64 row per step")
         self._step(u0.ctypes.data, us[1].ctypes.data if len(us) > 1 else None,
                    u0.strides[0] // 8, self.pos.ctypes.data, *self._k, width,
-                   L, self.n_teeth, self.nb, self.mod, self.q, self.q_down)
+                   L, self.n_teeth, self.nb, self.mod)
 
     def height(self, p):
-        if self.depth_coords:
-            return p[:, 1] if self.n_teeth == 1 else self.depth(p)
+        return p[:, 1] if self.n_teeth == 1 else self.depth(p)
 
     def distance(self, p):
         if not self.nb:
@@ -328,7 +341,7 @@ class _StarKernel(_KernelBase):
         super().__init__(graph, start, width, rows)
         self.leaves = graph.k
 
-    def advance(self, us, raw, L):
+    def advance(self, us, L):
         leaf = 1 + (us[0] * self.leaves).astype(np.int64)
         at_hub = (np.arange(L) % 2 == 0)[:, None] == (self.pos[0, 0] == 0)
         self.pos[1:L + 1, 0] = np.where(at_hub, leaf, 0)
@@ -352,13 +365,13 @@ class _LadderKernel(_KernelBase):
     2s/E from 1076, and (2s+1)/E is constant from 55, so row min(n, 1076)
     holds the floats of the formula at every level.
 
-    Midpoint identities are drawn as the low min(n, 62) bits of an extra
-    62-bit integer per step; beyond 62 bits distinct identities are
+    Midpoint identities are drawn as the low min(n, 62) bits of a 62-bit
+    integer per step, channel 1; beyond 62 bits distinct identities are
     truncated together (the quotient `BiasedLadder` documents), which
     distorts meeting chances at those levels by at most 2^-62 per step.
     """
 
-    needs_raw = True
+    draws = (None, 1 << _LEVEL_BITS)
     depth_coords = 1                                # the level
     _s = np.exp2(1.0 - np.arange(1, 1077))          # s of rows 1 .. 1076
     _THR = np.vstack([(0.0, 0.5, 0.5),
@@ -367,9 +380,9 @@ class _LadderKernel(_KernelBase):
                       (0.5, 2.0, 2.0)])
     _MOVE = np.array([[-1, 1, -1, 0], [0, 1, 0, 0]])
 
-    def advance(self, us, raw, L):
-        pos, thr, mid = self.pos, self._THR, len(self._THR) - 1
-        for i, u in enumerate(us[0]):
+    def advance(self, us, L):
+        (u0, raw), pos, thr, mid = us, self.pos, self._THR, len(self._THR) - 1
+        for i, u in enumerate(u0):
             kind, n = pos[i, 0], pos[i, 1]
             row = np.where(kind == 1, mid, np.minimum(n, mid - 1))
             j = (u[:, None] >= thr[row]).sum(axis=1)
@@ -431,12 +444,12 @@ def _start(graph, start):
 
 
 def _stream_keys(kernel, seed, replicas, roles):
-    """Keys of the streams role + ch of each uniform channel ch, then of the
-    auxiliary streams if the kernel needs raw draws.  Row j is walker j:
-    ``roles[j // B]`` of replica ``replicas[j % B]``, B = len(replicas)."""
-    offsets = [*range(kernel.channels), *([AUX] if kernel.needs_raw else [])]
-    return [np.concatenate([stream_keys(seed, replicas, role + off)
-                            for role in roles]) for off in offsets]
+    """Keys of the streams of each of the kernel's channels: channel c
+    reads stream role + c.  Row j is walker j: ``roles[j // B]`` of
+    replica ``replicas[j % B]``, B = len(replicas)."""
+    return [np.concatenate([stream_keys(seed, replicas, role + c)
+                            for role in roles])
+            for c in range(len(kernel.draws))]
 
 
 def _windows(kernel, keys, n_steps):
@@ -450,35 +463,15 @@ def _windows(kernel, keys, n_steps):
     n0 + L; once exhausted, ``kernel.pos[0]`` is the final state.
     """
     rows, width = len(kernel.pos) - 1, kernel.pos.shape[2]
-    u_bufs = np.empty((kernel.channels, rows, width))
-    raw_buf = np.empty((rows, width * kernel.needs_raw), dtype=np.int64)
+    bufs = [np.empty((rows, width), np.float64 if high is None else np.int64)
+            for high in kernel.draws]
     for n0 in range(0, n_steps, rows):
         L = min(rows, n_steps - n0)
-        for buf, k in zip(u_bufs, keys):
-            fill(k, n0, buf[:L])
-        if kernel.needs_raw:
-            fill(keys[-1], n0, raw_buf[:L], high=1 << _LEVEL_BITS)
-        kernel.advance([b[:L] for b in u_bufs], raw_buf[:L], L)
+        for buf, k, high in zip(bufs, keys, kernel.draws):
+            fill(k, n0, buf[:L], high)
+        kernel.advance([b[:L] for b in bufs], L)
         yield n0, L
         kernel.pos[0] = kernel.pos[L]
-
-
-def _observer(kernel):
-    """``observe``, the compiled window observer of ``kernel``'s pairs
-    (walkers b and B + b of its width 2B), and the buffers it writes:
-    ``observe(L)`` reads rows 1 .. L of ``kernel.pos``, writes (row - 1, b)
-    of its n meetings, in row-major order, to ``hits[:n]`` and returns n;
-    it folds each walker's depth into ``max_depth`` (which starts at time
-    0) and the window's maximum into ``d_max[0]``."""
-    rows, coords, width = kernel.pos.shape
-    max_depth = (kernel.depth(kernel.pos[:1])[0] if kernel.depth_coords
-                 else np.zeros(width, dtype=np.int64))
-    hits = np.empty(((rows - 1) * (width // 2), 2), dtype=np.int32)
-    d_max = np.zeros(1, dtype=np.int64)
-    return (functools.partial(
-        _native.library().observe, kernel.pos.ctypes.data, coords, width,
-        kernel.depth_coords, max_depth.ctypes.data, hits.ctypes.data,
-        d_max.ctypes.data), max_depth, hits, d_max)
 
 
 def _run_block(graph, start, n_steps, seed, replicas, record, method,
@@ -486,7 +479,7 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
     """Simulate one block of replica pairs; returns summaries in order.
 
     The two walkers of the ``B`` pairs run as columns ``b`` and ``B + b``
-    of one kernel.  One ``_observer`` call per window finds the meetings
+    of one kernel.  One ``observe`` call per window finds the meetings
     and depths; the other observers read each window of states at once.
     """
     if (truncation_radius or 0) < 0:
@@ -502,7 +495,7 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
         raise GraphError(f"{graph.family} has no depth to test an envelope on")
     keys = _stream_keys(kernel, seed, replicas, stream_roles or _ROLES[method])
 
-    observe, max_depth, hit_buf, d_max = _observer(kernel)
+    kernel.watch()
     # per window: times, columns, vertices, heights of the meetings
     nil = np.zeros(0, dtype=np.int64)
     hits = [(nil, nil, np.zeros((0, kernel.pos.shape[1]), np.int64), nil)]
@@ -514,13 +507,11 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
 
     for n0, L in _windows(kernel, keys, n_steps):
         p = kernel.pos[1:L + 1]
-        n_hits = observe(L)
+        n_hits = kernel.observe(L)
         if n_hits:
-            rows, cols = hit_buf[:n_hits].T.astype(np.int64)
+            rows, cols = kernel.hits[:n_hits].T.astype(np.int64)
             v = p[rows, :, cols]
-            h = kernel.height(v)
-            hits.append((rows + n0 + 1, cols, v,
-                         np.zeros_like(rows) if h is None else h))
+            hits.append((rows + n0 + 1, cols, v, kernel.height(v)))
         if method == "selfloop":
             k_rows.update((t, kernel.k_hist[t - n0 - 1].copy())
                           for t in cps if n0 < t <= n0 + L)
@@ -528,7 +519,7 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
         for a, keys in zip(lil_alphas, lil_keys):
             thr = lil_threshold(np.arange(n0 + 1, n0 + L + 1, dtype=float), a)
             # the envelope is monotone in n: test its low end first
-            if d_max[0] > min(thr[0], thr[-1]):
+            if kernel.d_max[0] > min(thr[0], thr[-1]):
                 over = kernel.depth(p) > thr[:, None]
                 r, c = np.nonzero(over)
                 keys.append((c % B) * (n_steps + 1) + r + n0 + 1)
@@ -567,7 +558,7 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
         lil_times.append(np.split(n_of, np.searchsorted(b_of, range(1, B))))
     # one Python list per walker, so the loop below indexes no array
     final = kernel.pos[0].T.tolist()
-    max_depth = max_depth.tolist()
+    max_depth = kernel.max_depth.tolist()
     if stride:
         spine = np.array(spine_rows).T.tolist()
     if method == "selfloop":
@@ -609,10 +600,9 @@ def run_pair(graph, start=None, n_steps=0, rng_x=None, rng_y=None,
              record=None, method="direct", truncation_radius=None):
     """Simulate one pair of independent walks for ``n_steps`` steps.
 
-    ``rng_x`` and ``rng_y`` are RngStream keys; their siblings (offset +1)
-    are drawn from automatically when the construction needs an auxiliary
-    stream.  Defaults follow the role table in :mod:`.rng` with seed 0,
-    replica 0.
+    ``rng_x`` and ``rng_y`` are RngStream keys, channel 0 of each walker:
+    channel c reads stream role + c.  Defaults follow the role table in
+    :mod:`.rng` with seed 0, replica 0.
     """
     start = _start(graph, start)
     _check_steps(n_steps)

@@ -2,7 +2,7 @@
 equivalence, record schema invariants, and worker-count independence."""
 
 import ctypes
-import functools
+import gc
 import json
 import math
 import multiprocessing
@@ -269,6 +269,26 @@ def test_marginal_law_matches_oracle(method, seed):
     assert chisq_pvalue(obs, exp) > 1e-4
 
 
+@pytest.mark.parametrize("spec, method", [
+    ("comb:cycle:4", "direct"), ("comb:cycle:4", "selfloop"),
+    ("comb:cycle:4", "clock"), ("comb:cycle:2", "selfloop")])
+def test_marginal_law_at_a_real_horizon(spec, method):
+    # The position at n = 1024 against the exact law, |z| <= 4 on three
+    # events: the tooth at 0, |tooth| <= 32, the base at 0.  comb:cycle:2
+    # is base degree 1, whose hold edge 1/3 is the one class edge that is
+    # not a dyadic fraction.  Seed fixed in advance.
+    g, n, reps = build_graph(spec), 1024, 16384
+    law = transition_vector(g, g.root, n).items()
+    pos = sample_marginal(g, n, reps, seed=1024406487, method=method)
+    for event in (lambda b, t: t == 0, lambda b, t: abs(t) <= 32,
+                  lambda b, t: b == 0):
+        p = sum(w for (b, t), w in law if event(b, t))
+        freq = event(pos[:, 0], pos[:, 1]).mean()
+        z = (freq - p) / math.sqrt(p * (1 - p) / reps)
+        assert abs(z) <= 4.0, f"{spec} ({method}): {freq:.4f} against " \
+            f"{p:.4f}, z = {z:+.2f}"
+
+
 @pytest.mark.parametrize("spec,n,seed", [
     ("line", 8, 21), ("cycle:5", 7, 22), ("star:3", 7, 23),
     ("grid2d", 6, 24), ("comb:line", 7, 25), ("comb2:line", 5, 26),
@@ -366,7 +386,7 @@ def test_ladder_step_matches_reference_step():
     kernel = sampler._LadderKernel(build_graph("biased-ladder"), (0, 0, 0),
                                    len(us), 1)
     kernel.pos[0, 0], kernel.pos[0, 1] = kinds, ns
-    kernel.advance([us[None]], np.zeros((1, len(us)), dtype=np.int64), 1)
+    kernel.advance([us[None], np.zeros((1, len(us)), dtype=np.int64)], 1)
     ref_kind, ref_n = ladder_reference_step(kinds, ns, us)
     assert np.array_equal(kernel.pos[1, 0], ref_kind)
     assert np.array_equal(kernel.pos[1, 1], ref_n)
@@ -381,30 +401,38 @@ def pm(c, minus):
     return (c == minus + 1).astype(np.int8) - (c == minus)
 
 
+def lazy_thresholds(d):
+    """The lazy tooth walk's class edges at the spine, for base degree d:
+    a hold below d/(d+2), then -, + split at (d+1)/(d+2)."""
+    return d / (d + 2.0), (d + 1) / (d + 2.0)
+
+
 def float_moves(kernel, us):
     """A kernel's moves straight from (L, width) uniforms per channel, as
     the sampler computed them in numpy before its compiled step: the comb
     move tables ``(db, dts, dtt, hold)``, the grid2d steps, or the star
-    leaf."""
+    leaf.  The lazy walk's classes come from its own thresholds, not from
+    the direct walk's class formula that the compiled step uses."""
     u = us[0]
     if isinstance(kernel, sampler._StarKernel):
         return (1 + (u * kernel.leaves).astype(np.int64),)
     if not kernel.nb:                   # grid2d: x-, x+, y-, y+
         c = (u * 4).astype(np.int8)
         return pm(c, 0), pm(c, 2)
+    flip = kernel.nb == 1               # the single edge
     if kernel.lazy:
-        hold = u < kernel.q
-        dts = np.where(hold, 0, np.where(u < kernel.q_down, -1, 1))
+        q, q_down = lazy_thresholds(kernel.nb)
+        hold = u < q
+        dts = np.where(hold, 0, np.where(u < q_down, -1, 1))
         dtt = pm((u * 2).astype(np.int8), 0)
-        db = hold if kernel.flip else \
+        db = hold if flip else \
             np.where(hold, pm((us[1] * 2).astype(np.int8), 0), 0)
         return db, dts[:, None], dtt[:, None], hold
-    nb = 1 if kernel.flip else 2
-    c = (u * (nb + 2 * kernel.n_teeth)).astype(np.int8)
-    db = (c == 0) if kernel.flip else pm(c, 0)
+    c = (u * (kernel.nb + 2 * kernel.n_teeth)).astype(np.int8)
+    db = (c == 0) if flip else pm(c, 0)
     c2 = (u * (2 * kernel.n_teeth)).astype(np.int8)
     lo = 2 * np.arange(kernel.n_teeth, dtype=np.int8)[:, None]
-    return db, pm(c[:, None], nb + lo), pm(c2[:, None], lo), None
+    return db, pm(c[:, None], kernel.nb + lo), pm(c2[:, None], lo), None
 
 
 def window_uniforms(us):
@@ -461,23 +489,26 @@ GRID2D_STARTS = [(0, 0), (1, 0), (0, -1)]
     ("grid2d", "direct"), ("star:3", "direct")])
 def test_codes_give_the_float_moves(spec, method):
     # every kernel takes each move class from its uniform as the float
-    # tables do, at and beside every class edge
+    # tables do, at and beside every class edge, and on the 2^-53 grid a
+    # fill writes, 64 steps either side of each edge
     g = build_graph(spec)
-    probe = sampler._make_kernel(g, g.root, 1, method, 1)
     edges = [j / k for k in range(2, 7) for j in range(1, k)]
     if method == "selfloop":
-        edges += [probe.q, probe.q_down]
+        edges += lazy_thresholds(g.base_degree)
     us = [0.0, 1.0 - 2.0 ** -53]
     for e in edges:
         us += [e, np.nextafter(e, 0.0), np.nextafter(e, 1.0)]
-    # every pair of a tooth and a base uniform, for the second channel
-    us = np.array(us)
-    us = [np.repeat(us, len(us))[None], np.tile(us, len(us))[None]]
+    grid = np.concatenate([(np.floor(e * 2.0 ** 53) + np.arange(-64, 65))
+                           * 2.0 ** -53 for e in edges])
+    # every tooth uniform with every base uniform but the grid's
+    u1 = np.array(us)
+    u0 = np.concatenate([u1, grid])
+    us = [np.repeat(u0, len(u1))[None], np.tile(u1, len(u0))[None]]
     width = us[0].shape[1]
     if spec in ("grid2d", "star:3"):    # moves straight from the tables
         for v in GRID2D_STARTS if spec == "grid2d" else [g.root]:
             kernel = sampler._make_kernel(g, v, width, method, 1)
-            kernel.advance(window_uniforms(us[:1]), None, 1)
+            kernel.advance(window_uniforms(us[:1]), 1)
             step = kernel.pos[1] - kernel.pos[0]
             got = (kernel.pos[1],) if isinstance(
                 kernel, sampler._StarKernel) else (step[None, 0],
@@ -490,8 +521,8 @@ def test_codes_give_the_float_moves(spec, method):
     # one compiled step against the float tables, on the spine and off it
     for v in SPINE_AND_OFF[g.dim]:
         kernel = sampler._make_kernel(g, v, width, method, 1)
-        us_k = us[:kernel.channels]
-        kernel.advance(window_uniforms(us_k), None, 1)
+        us_k = us[:len(kernel.draws)]
+        kernel.advance(window_uniforms(us_k), 1)
         k = np.zeros(width, dtype=np.int64) if kernel.lazy else None
         ref, k = reference_comb_step(kernel, us_k, kernel.pos[0].copy(), k)
         assert np.array_equal(kernel.pos[1], ref[0]), v
@@ -511,16 +542,17 @@ def test_compiled_step_matches_reference_step(spec, method):
     g, width, win = build_graph(spec), 48, 64
     kernel = sampler._make_kernel(g, g.root, width, method, 3 * win)
     # the single edge draws no base channel: the hold itself flips it
-    assert kernel.channels == (2 if method == "selfloop" and g.m != 2 else 1)
+    assert len(kernel.draws) == (2 if method == "selfloop" and g.m != 2
+                                 else 1)
     rng = np.random.default_rng(2024)
     start = kernel.pos[0].copy()
     k = kernel.k.copy() if kernel.lazy else None
     for w, L in enumerate((win, win, win - 17)):   # the last one is short
-        us = rng.random((kernel.channels, L, width))
+        us = rng.random((len(kernel.draws), L, width))
         if w == 0:
             us[:, 0, 0] = 0.0     # walker 0 starts with b-, or a hold and b-
         ref, k = reference_comb_step(kernel, us, start, k)
-        kernel.advance(window_uniforms(us), None, L)
+        kernel.advance(window_uniforms(us), L)
         assert np.array_equal(kernel.pos[1:L + 1], ref)
         if kernel.lazy:
             assert np.array_equal(kernel.k_hist[:L], k)
@@ -556,12 +588,12 @@ def test_comb_step_without_the_lanes_writes_the_same_bytes(scalar_library):
             start = lane.pos[0].copy()
             k = lane.k.copy() if lane.lazy else None
             for w, L in enumerate((win, win, win - 17)):
-                us = rng.random((lane.channels, L, width))
+                us = rng.random((len(lane.draws), L, width))
                 if w == 0:
                     us[:, 0, -1] = 0.0  # a walker of the tail starts with b-
                 ref, k = reference_comb_step(lane, us, start, k)
                 for kernel in (lane, alone):
-                    kernel.advance(window_uniforms(us), None, L)
+                    kernel.advance(window_uniforms(us), L)
                     assert np.array_equal(kernel.pos[1:L + 1], ref), (
                         spec, method, width, w)
                     if kernel.lazy:
@@ -598,7 +630,7 @@ def test_comb_step_refuses_a_window_it_cannot_read(monkeypatch):
     before = kernel.pos.copy()
     for us in bad:
         with pytest.raises(ValueError, match="unit-stride float64 row"):
-            kernel.advance(us, None, L)
+            kernel.advance(us, L)
         assert np.array_equal(kernel.pos, before)
 
 
@@ -631,8 +663,8 @@ def test_compiled_observer_matches_reference_observer(spec, method):
     for width in (1024, 48, 34, 26, 2):
         B = width // 2
         kernel = sampler._make_kernel(g, g.root, width, method, 4 * win)
-        observe, max_depth, hits, d_max = sampler._observer(kernel)
-        ref_depth = max_depth.copy()
+        kernel.watch()
+        ref_depth = kernel.max_depth.copy()
         # random, every pair meets, none does, and a short last window
         for case, L in (("random", win), ("all", win), ("none", win),
                         ("random", win - 17)):
@@ -645,14 +677,35 @@ def test_compiled_observer_matches_reference_observer(spec, method):
             else:          # the rows past a short window must not count
                 p[L + 1:, :, B:] = p[L + 1:, :, :B]
             kernel.pos[...] = p
-            n = observe(L)
+            n = kernel.observe(L)
             want, ref_depth, ref_max = reference_observe(
                 kernel, kernel.pos[1:L + 1], ref_depth)
-            assert np.array_equal(hits[:n], want), (case, width)
+            assert np.array_equal(kernel.hits[:n], want), (case, width)
             assert n == {"all": L * B, "none": 0}.get(case, n)
-            assert np.array_equal(max_depth, ref_depth), (case, width)
-            assert d_max[0] == ref_max, (case, width)
-        assert max_depth.any() == bool(kernel.depth_coords)
+            assert np.array_equal(kernel.max_depth, ref_depth), (case, width)
+            assert kernel.d_max[0] == ref_max, (case, width)
+        assert kernel.max_depth.any() == bool(kernel.depth_coords)
+
+
+def test_observer_buffers_live_as_long_as_the_kernel():
+    # the kernel is the only owner of what observe writes: with no other
+    # reference to its buffers and a collection in between, a window is
+    # observed as the reference does, with no write into freed memory
+    g, L = build_graph("comb:line"), 64
+    kernel = sampler._make_kernel(g, g.root, 48, "direct", L)
+    kernel.watch()
+    gc.collect()
+    p = np.random.default_rng(4064).integers(-2, 2, kernel.pos.shape)
+    kernel.pos[...] = p
+    want, ref_depth, ref_max = reference_observe(
+        kernel, kernel.pos[1:L + 1], np.zeros(48, dtype=np.int64))
+    gc.collect()
+    n = kernel.observe(L)
+    assert n > 0 and np.array_equal(kernel.hits[:n], want)
+    assert np.array_equal(kernel.max_depth, ref_depth)
+    assert kernel.d_max[0] == ref_max
+    with pytest.raises(ValueError, match="past the history"):
+        kernel.observe(L + 1)
 
 
 def test_observe_without_the_lanes_writes_the_same_hits(scalar_library):
@@ -665,27 +718,27 @@ def test_observe_without_the_lanes_writes_the_same_hits(scalar_library):
         lo = 0 if isinstance(g, sampler.BiasedLadder) else -2
         for width in (1024, 34, 26, 18, 2):
             B = width // 2
-            kernel = sampler._make_kernel(g, g.root, width, method, 4 * win)
-            lane, depth, hits, d_max = sampler._observer(kernel)
-            alone_depth, alone_hits, alone_max = (
-                a.copy() for a in (depth, hits, d_max))
-            alone = functools.partial(
-                scalar_library.observe, *lane.args[:4],
-                alone_depth.ctypes.data, alone_hits.ctypes.data,
-                alone_max.ctypes.data)
+            lane, alone = (sampler._make_kernel(g, g.root, width, method,
+                                                4 * win) for _ in range(2))
+            lane.watch()
+            alone.watch()
             for case, L in (("random", win), ("all", win), ("none", win),
                             ("random", win - 17)):
-                p = rng.integers(lo, lo + 4, kernel.pos.shape)
+                p = rng.integers(lo, lo + 4, lane.pos.shape)
                 if case == "all":
                     p[:, :, B:] = p[:, :, :B]
                 elif case == "none":
                     p[:, 0, B:] = p[:, 0, :B] + 1
-                kernel.pos[...] = p
-                n = lane(L)
-                assert alone(L) == n, (spec, width, case)
-                assert np.array_equal(hits[:n], alone_hits[:n])
-                assert np.array_equal(depth, alone_depth)
-                assert d_max[0] == alone_max[0], (spec, width, case)
+                lane.pos[...] = alone.pos[...] = p
+                n = lane.observe(L)
+                assert scalar_library.observe(
+                    alone.pos.ctypes.data, *alone.pos.shape[1:],
+                    alone.depth_coords, alone.max_depth.ctypes.data,
+                    alone.hits.ctypes.data, alone.d_max.ctypes.data,
+                    L) == n, (spec, width, case)
+                assert np.array_equal(lane.hits[:n], alone.hits[:n])
+                assert np.array_equal(lane.max_depth, alone.max_depth)
+                assert lane.d_max[0] == alone.d_max[0], (spec, width, case)
 
 
 def test_step_library_is_built_once_per_source(monkeypatch, tmp_path):
