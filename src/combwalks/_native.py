@@ -1,11 +1,11 @@
-"""One C source for the package's four compiled loops: ``philox_fill``,
-``comb_step`` (every product, grid2d too, and the lazy walk, one spine
-class formula for both; uniforms time-major, a row per step) and
-``observe`` (a window's meetings and depths), 16 streams, 8 walkers or 8
-pairs per pass in AVX-512 lanes where the CPU reports AVX-512F, DQ and
-VL, the scalar loops elsewhere, with the same bytes; ``csr_rows`` (the
-oracle's step, flushing values below 2^-1022 to 0).  Built on first use,
-cached by source in ``__pycache__``, loaded by ctypes."""
+"""One C source for the package's compiled loops: ``philox_fill``,
+``comb_step`` (every product, grid2d too, and the lazy walk; uniforms
+time-major, a row per step) and ``observe`` (a window's meetings and
+depths), 16 streams, 8 walkers or 8 pairs per pass in AVX-512 lanes where
+the CPU reports AVX-512F, DQ and VL, the scalar loops elsewhere, with the
+same bytes; ``csr_rows`` (the oracle's step, flushing values below 2^-1022
+to 0); ``jsonl_scan`` (summary lines into int columns).  Built on first
+use, cached by source in ``__pycache__``, loaded by ctypes."""
 
 import ctypes
 import functools
@@ -22,6 +22,7 @@ class BuildError(RuntimeError):
 
 _SOURCE = r"""
 #include <stdint.h>
+#include <string.h>
 #if defined(__SSE2__)
 #include <xmmintrin.h>
 #endif
@@ -268,6 +269,58 @@ int64_t observe(const int64_t *pos, int64_t coords, int64_t width,
     return n;
 }
 
+/* a line of to_json with no extras, as match reads it */
+static const char FORM[] = "{\"T\":#,\"checkpoints\":[(0{\"meetings\":#,"
+    "\"t\":#})],\"collisions\":[(1{\"l\":#,\"n\":#,\"vertex\":[(2#)]})],"
+    "\"final\":{\"x\":[(3#)],\"y\":[(3#)]},\"max_tooth\":{\"x\":#,\"y\":#},"
+    "\"meetings\":#,\"method\":\"direct\",\"replica\":#}";
+
+/* *p past what template t matches, to its end or ')': '#' a JSON int of
+   1 to 18 digits, stored at v[(*n)++]; "(k ... )" the enclosed 0 or more
+   times, comma-separated, up to a ']', the count in r[k], the same each
+   time; any other byte itself (NEXT).  Returns t there, or NULL */
+#define NEXT(c) (*p < e && **p == (c) && ++*p)
+static const char *match(const char **p, const char *e, const char *t,
+                         int64_t *v, int64_t *n, int64_t *r)
+{
+    for (; *t && *t != ')'; t++)
+        if (*t == '(') {
+            const char *body = t + 2;
+            int64_t k = 0, *c = r + (t[1] - '0');
+            for (int d = 1; d; t++)                 /* t to its ')' */
+                d += (t[1] == '(') - (t[1] == ')');
+            for (; !(*p < e && **p == ']'); k++)
+                if ((k && !NEXT(',')) || !match(p, e, body, v, n, r))
+                    return NULL;
+            if ((*c = *c < 0 ? k : *c) != k)       /* the same each time */
+                return NULL;
+        } else if (*t == '#') {
+            const char *d = *p + (*p < e && **p == '-'), *q = d;
+            uint64_t x = 0;                 /* 19 digits fit */
+            while (q < e && q - d < 19 && *q >= '0' && *q <= '9')
+                x = 10 * x + (*q++ - '0');
+            if (q == d || q - d > 18 || (*d == '0' && q - d > 1))  /* 01 */
+                return NULL;
+            v[(*n)++] = d > *p ? -(int64_t)x : (int64_t)x, *p = q;
+        } else if (!NEXT(*t))
+            return NULL;
+    return t;
+}
+
+/* read_summaries' scanner: line k of buf (ending at '\n' or at len) to
+   row k of rows: the end of its ints in v (-1: not in FORM), match's r */
+void jsonl_scan(const char *buf, int64_t len, int64_t *v, int64_t *rows)
+{
+    const char *p = buf, *e = buf + len;
+    for (int64_t n = 0, m; p < e; rows += 5) {
+        const char *eol = memchr(p, '\n', e - p), *q = p;
+        eol = eol ? eol : e;
+        m = n, rows[1] = rows[2] = rows[3] = rows[4] = -1;
+        rows[0] = match(&q, eol, FORM, v, &n, rows + 1) && q == eol ? n : -1;
+        n = rows[0] < 0 ? m : n, p = eol + (eol < e);
+    }
+}
+
 /* rows lo <= i < hi of y = P^T x, row i summing inv[k] x[k], k = indices[j],
    from 0.0 in order (unrolled: rows hold a few arcs); on SSE2 it runs with
    FTZ | DAZ, so values below 2^-1022 count as 0, then restores MXCSR */
@@ -336,6 +389,8 @@ def library():
     lib.comb_step.argtypes = [p, p, i, p, p, p, i, i, i, i, i]
     lib.observe.argtypes = [p, i, i, i, p, p, p, i]
     lib.csr_rows.argtypes = [p, p, p, p, p, i, i]
+    lib.jsonl_scan.argtypes = [p, i, p, p]
     lib.philox_fill.restype = lib.comb_step.restype = None
-    lib.csr_rows.restype, lib.observe.restype = None, i
+    lib.csr_rows.restype = lib.jsonl_scan.restype = None
+    lib.observe.restype = i
     return lib

@@ -272,7 +272,8 @@ def _load_inputs(paths):
                            read_summaries(p)))
         except OSError as exc:
             raise ConfigError(f"cannot read {p}: {exc}") from None
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, KeyError,
+                TypeError) as exc:
             raise SchemaError(f"{p}: malformed summary: {exc}") from None
     return loaded
 

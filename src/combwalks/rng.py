@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
 
 from . import _native
 
@@ -51,6 +50,7 @@ class RngStream:
     stream: int = 0
 
     def generator(self):
+        from numpy.random import Generator, Philox, SeedSequence
         seq = SeedSequence(entropy=self.seed,
                            spawn_key=(self.replica, self.stream))
         return Generator(Philox(seq))

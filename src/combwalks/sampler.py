@@ -48,7 +48,6 @@ import json
 import math
 import os
 import stat
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +59,7 @@ from .rng import (RngStream, X_BASE, X_HOLD, X_MAIN, X_SKEL, X_TOOTH, Y_MAIN,
                   Y_TOOTH, fill, stream_keys)
 from .stats import lil_threshold
 
-SCRATCH = 1 << 16         # walker-steps per window, values per clock array
+SCRATCH = 1 << 16  # per window: walker-steps, clock values, JSONL bytes
 # stream roles (x, y) of the two walkers of a pair, per construction
 _ROLES = {"direct": (X_MAIN, Y_MAIN), "selfloop": (X_TOOTH, Y_TOOTH)}
 
@@ -195,29 +194,53 @@ def write_summaries(path, summaries):
             fh.write(s.to_json() + "\n")
 
 
+def _summary(d):
+    """One ``json.loads`` line's summary; KeyError, TypeError if malformed."""
+    cols = d["collisions"]
+    vertices = [c["vertex"] for c in cols]
+    if not {*map(type, vertices)} <= {list}:
+        raise TypeError(f"replica {d['replica']}: a collision vertex "
+                        "is not a list")
+    final, tooth = d["final"], d["max_tooth"]
+    return PairTrajectorySummary(
+        replica=d["replica"], n_steps=d["T"], meetings=d["meetings"],
+        times=[c["n"] for c in cols], vertices=vertices,
+        heights=[c["l"] for c in cols],
+        checkpoints=[(c["t"], c["meetings"]) for c in d["checkpoints"]],
+        final_x=tuple(final["x"]), final_y=tuple(final["y"]),
+        max_tooth_x=tooth["x"], max_tooth_y=tooth["y"],
+        method=d.get("method", "direct"),
+        extras={k: v for k, v in d.items() if k not in _KEYS})
+
+
 def read_summaries(path):
-    """The summaries of a JSONL file, one per non-blank line, decoded
-    straight into columns; a missing key raises KeyError, a vertex that is
-    not a list TypeError."""
-    out = []
-    with open(path) as fh:
-        for d in (json.loads(line) for line in map(str.strip, fh) if line):
-            cols = d["collisions"]
-            vertices = [c["vertex"] for c in cols]
-            if not {*map(type, vertices)} <= {list}:
-                raise TypeError(f"replica {d['replica']}: a collision vertex "
-                                "is not a list")
-            final, tooth = d["final"], d["max_tooth"]
-            out.append(PairTrajectorySummary(
-                replica=d["replica"], n_steps=d["T"], meetings=d["meetings"],
-                times=[c["n"] for c in cols], vertices=vertices,
-                heights=[c["l"] for c in cols],
-                checkpoints=[(c["t"], c["meetings"])
-                             for c in d["checkpoints"]],
-                final_x=tuple(final["x"]), final_y=tuple(final["y"]),
-                max_tooth_x=tooth["x"], max_tooth_y=tooth["y"],
-                method=d.get("method", "direct"),
-                extras={k: v for k, v in d.items() if k not in _KEYS}))
+    """The summaries of a JSONL file, one per non-blank line as text mode
+    splits it.  ``_native.jsonl_scan`` reads about ``SCRATCH`` bytes of whole
+    lines at a time, ``to_json``'s own form straight into columns; any other
+    line, or every line without the library, goes through ``_summary``."""
+    out, scan = [], lambda *args: None      # no library: rows stay -1
+    with contextlib.suppress(_native.BuildError):
+        scan = _native.library().jsonl_scan
+    with open(path, "rb") as fh:
+        for lines in iter(functools.partial(fh.readlines, SCRATCH), []):
+            win, rows = b"".join(lines), np.full((len(lines), 5), -1, np.int64)
+            ints = np.empty(len(win) // 2 + 1, np.int64)  # 2 bytes an int
+            scan(win, len(win), ints.ctypes.data, rows.ctypes.data)
+            v, o = ints[:rows[:, 0].max(initial=0)].tolist(), 0
+            for line, (end, nc, nm, vd, fd) in zip(lines, rows.tolist()):
+                if end < 0:
+                    out.extend(_summary(json.loads(s)) for s in (
+                        b.decode().strip() for b in line.splitlines()) if s)
+                    continue
+                x, o, w = v[o:end], end, 2 + vd   # vd = -1: no meetings
+                c, f = 1 + 2 * nc, 1 + 2 * nc + w * nm
+                out.append(PairTrajectorySummary(
+                    replica=x[-1], n_steps=x[0], meetings=x[-2],
+                    times=x[c + 1:f:w], heights=x[c:f:w],
+                    vertices=[x[i + 2:i + w] for i in range(c, f, w)],
+                    checkpoints=list(zip(x[2:c:2], x[1:c:2])),
+                    final_x=tuple(x[f:f + fd]), final_y=tuple(x[f + fd:-4]),
+                    max_tooth_x=x[-4], max_tooth_y=x[-3]))
     return out
 
 
@@ -641,6 +664,7 @@ def run_ensemble(graph, start=None, n_steps=0, replicas=1, seed=0, workers=1,
                             truncation_radius=truncation_radius)
     if workers <= 1 or len(blocks) == 1:
         return [s for block in map(run, blocks) for s in block]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return [s for block in pool.map(run, blocks) for s in block]
 

@@ -12,11 +12,12 @@ import functools
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from combwalks import cli
+from combwalks import cli, sampler
 from combwalks.graphs import build_graph
 from combwalks.oracle import (meeting_expectation_series,
                               per_site_collision_series,
@@ -141,6 +142,92 @@ def test_round_trip_cases_cover_the_writer(tmp_path):
     write_summaries(path, [EDGE_SUMMARY, EMPTY_SUMMARY])
     assert [s.to_json() for s in read_summaries(path)] == \
         [_reference_line(EDGE_SUMMARY), _reference_line(EMPTY_SUMMARY)]
+
+
+_summary = sampler._summary
+
+
+def _json_lines(path):
+    """The summaries of ``path`` as ``json.loads`` reads each stripped
+    text-mode line: the reference ``read_summaries`` must equal."""
+    with open(path) as fh:
+        return [_summary(json.loads(line)) for line in map(str.strip, fh)
+                if line]
+
+
+def _read(path, monkeypatch):
+    """``read_summaries(path)`` and how many of its lines went through
+    ``json`` rather than the compiled scanner."""
+    fallbacks = []
+    monkeypatch.setattr(sampler, "_summary",
+                        lambda d: fallbacks.append(d) or _summary(d))
+    return read_summaries(str(path)), len(fallbacks)
+
+
+# the cases whose lines carry extras (lil, k_trace, spine), read through json
+EXTRAS = {"comb:line", "comb:cycle:4-selfloop", "comb:cycle:2-selfloop",
+          "biased-ladder"}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_reader_equals_json_line_by_line(name, tmp_path, monkeypatch):
+    path = tmp_path / "runs.jsonl"
+    path.write_bytes(_jsonl(*CASES[name])[1])
+    back, fallbacks = _read(path, monkeypatch)
+    assert back == _json_lines(path)
+    assert fallbacks == (len(back) if name in EXTRAS else 0)
+
+
+def _hand_edited(kind):
+    """comb2:line's lines, edited as a person or another writer might."""
+    lines = _jsonl(*CASES["comb2:line"])[1].decode().splitlines()
+    if kind == "spaces, key order":
+        return "".join(json.dumps(dict(reversed(json.loads(s).items())))
+                       + "\n" if i % 2 else s + "\n"
+                       for i, s in enumerate(lines))
+    if kind == "crlf, lone cr":
+        return "\r\n".join(lines[:4]) + "\r" + "\r\n".join(lines[4:]) + "\r\n"
+    if kind == "blank lines, no final newline":
+        return "\n\n".join(lines) + "\n \n\t\n" + lines[0]
+    if kind == "ints at int64's edge, -0":
+        for i, r in enumerate(("9223372036854775808", "999999999999999999",
+                               "1000000000000000000", "-0")):
+            lines[i] = re.sub(r'"replica":\d+', f'"replica":{r}', lines[i])
+        lines[4] = lines[4].replace('"T":1000', '"T":-0')
+        return "\n".join(lines) + "\n"
+    if kind == "uneven vertices, finals":
+        i = next(i for i, s in enumerate(lines) if '"vertex"' in s)
+        lines[i] = lines[i].replace('"vertex":[', '"vertex":[7,', 1)
+        lines[5] = lines[5].replace('"y":[', '"y":[7,', 1)
+        return "\n".join(lines) + "\n"
+    long = PairTrajectorySummary(
+        replica=8, n_steps=9000, meetings=6000, times=list(range(6000)),
+        vertices=[[i, -i] for i in range(6000)], heights=[-i for i in range(
+            6000)], checkpoints=[(9000, 6000)], final_x=(1, 2), final_y=(3, 4),
+        max_tooth_x=9000, max_tooth_y=9000).to_json()
+    assert len(long) > sampler.SCRATCH
+    return "\n".join(lines[:3] + [long] + lines[3:]) + "\n"
+
+
+# with windows of 64 bytes, shorter than any line, each window is one line
+@pytest.mark.parametrize("scratch", [None, 64])
+@pytest.mark.parametrize("kind", [
+    "spaces, key order", "crlf, lone cr", "blank lines, no final newline",
+    "ints at int64's edge, -0", "uneven vertices, finals",
+    "a line longer than the window"])
+def test_reader_equals_json_on_hand_edited_lines(kind, scratch, tmp_path,
+                                                 monkeypatch):
+    path = tmp_path / "runs.jsonl"
+    path.write_bytes(_hand_edited(kind).encode())
+    if scratch:
+        monkeypatch.setattr(sampler, "SCRATCH", scratch)
+    back, fallbacks = _read(path, monkeypatch)
+    assert back == _json_lines(path)
+    assert len(back) == 8 + (kind in ("blank lines, no final newline",
+                                      "a line longer than the window"))
+    assert fallbacks == {"spaces, key order": 4, "crlf, lone cr": 8,
+                         "ints at int64's edge, -0": 2,
+                         "uneven vertices, finals": 2}.get(kind, 0)
 
 
 # the inputs of the `stats` reports, by file stem: spec, method, n_steps,

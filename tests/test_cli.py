@@ -47,6 +47,21 @@ def test_import_leaves_scipy_stats_unloaded():
     assert res.stdout.strip() == "False"
 
 
+def test_import_leaves_process_pools_and_numpy_random_unloaded():
+    # run_ensemble imports its process pool only for workers > 1, and
+    # RngStream.generator numpy.random only when a reference stream is built
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import combwalks.cli, sys; "
+         "print([m for m in ('concurrent.futures', 'numpy.random') "
+         "if m in sys.modules])"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 def _without_a_compiler(monkeypatch, tmp_path, compiler):
     """No cached library and a missing or failing compiler."""
     from combwalks import _native
@@ -98,6 +113,23 @@ def test_oracle_without_a_compiler_exits_1(monkeypatch, tmp_path, capsys,
     _says_one_line_and_leaves_no_temp_file(code, capsys.readouterr().err,
                                            tmp_path)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("compiler", ["missing", "failing"])
+def test_stats_without_a_compiler_reads_through_json(monkeypatch, tmp_path,
+                                                     compiler):
+    # stats scans canonical lines in the compiled library when it can be
+    # built; without it every line goes through json, to the same CSV
+    from combwalks import cli
+    runs, csv = tmp_path / "runs.jsonl", tmp_path / "growth.csv"
+    assert cli.main(["simulate", "--graph", "comb2:line", "--steps", "64",
+                     "--replicas", "4", "--seed", "1", "--workers", "1",
+                     "--out", str(runs)]) == 0
+    argv = ["stats", "--report", "growth", "--inputs", str(runs), "--out"]
+    assert cli.main([*argv, str(csv)]) == 0
+    _without_a_compiler(monkeypatch, tmp_path, compiler)
+    assert cli.main([*argv, str(tmp_path / "again.csv")]) == 0
+    assert (tmp_path / "again.csv").read_bytes() == csv.read_bytes()
 
 
 def test_run_ensemble_without_a_compiler_raises_build_error(monkeypatch,
@@ -511,6 +543,25 @@ def test_stats_malformed_jsonl_is_schema_error(tmp_path):
     res = run_cli("stats", "--report", "grid", "--inputs", str(bad),
                   "--r-range", "1:2", "--k-range", "0:1")
     assert res.returncode == 4
+
+
+# bytes that are not UTF-8, and an int with a leading zero in a line that is
+# otherwise in the writer's own form: json refuses both
+@pytest.mark.parametrize("data", [
+    b"\xff\xfe{}\n",
+    b'{"T":016,"checkpoints":[],"collisions":[],"final":{"x":[0],"y":[0]},'
+    b'"max_tooth":{"x":0,"y":0},"meetings":0,"method":"direct","replica":0}\n'],
+    ids=["not utf-8", "leading zero"])
+def test_stats_undecodable_jsonl_is_schema_error(tmp_path, capsys, data):
+    from combwalks import cli
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(data)
+    rc = cli.main(["stats", "--report", "growth", "--inputs", str(path),
+                   "--out", str(tmp_path / "o.csv")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.startswith("schema mismatch: ") and "malformed summary" in err
+    assert "Traceback" not in err
 
 
 # one summary every stats report reads: a meeting, two checkpoints, an

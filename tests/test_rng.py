@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from numpy.random import SeedSequence
 
-from combwalks import rng
 from combwalks.rng import X_MAIN, Y_MAIN, RngStream, fill, stream_keys
 
 
@@ -157,8 +156,9 @@ def test_fill_builds_no_generator(monkeypatch):
 
     def refuse(*args):
         raise _Built
-    monkeypatch.setattr(rng, "Generator", refuse)
-    monkeypatch.setattr(rng, "Philox", refuse)
+    # RngStream.generator imports these from numpy.random when it runs
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    monkeypatch.setattr(np.random, "Philox", refuse)
     for (out, high), want in zip(fills, ref):
         fill(keys, 8, out, high=high)
         assert np.array_equal(out, want)

@@ -791,7 +791,7 @@ def test_every_compiled_loop_has_its_argument_types():
                "double": ctypes.c_double}
     loops = re.findall(r"^(\w+) (\w+)\(([^)]*)\)", _native._SOURCE, re.M)
     assert sorted(name for _, name, _ in loops) == [
-        "comb_step", "csr_rows", "observe", "philox_fill"]
+        "comb_step", "csr_rows", "jsonl_scan", "observe", "philox_fill"]
     lib = _native.library()
     for ret, name, params in loops:
         fn = getattr(lib, name)
