@@ -218,48 +218,39 @@ def cmd_simulate(args):
 
 
 def cmd_oracle(args):
-    which = args.which
-    budget = _budget(args)
+    which, budget = args.which, _budget(args)
     if which == "identities":
-        rows = identity_check_suite()
-        worst = max(r[1] for r in rows)
-        with _open_out(args) as fh:
-            _write_csv(fh, ("check", "residual", "passed"),
-                       [(name, res, int(ok)) for name, res, ok in rows])
-        n_fail = sum(1 for _, _, ok in rows if not ok)
-        print(f"checks={len(rows)} failures={n_fail} max_residual={worst:.3e}",
-              file=sys.stderr)
-        return EXIT_OK if n_fail == 0 else EXIT_CHECK
-
-    if args.graph is None or args.nmax is None:
-        raise ConfigError(f"oracle {which} needs --graph and --nmax")
-    lowest = 2 if which == "return" and args.every != "all" else 1
-    if args.nmax < lowest:
-        raise ConfigError(f"oracle {which} needs --nmax >= {lowest}")
-    graph = build_graph(args.graph)
-    if which == "return":
-        series = return_probability_series(graph, args.nmax,
-                                           every=args.every or "even",
-                                           budget=budget)
-        with _open_out(args) as fh:
-            _write_csv(fh, ("n", "value"), series.rows())
-        return EXIT_OK
-    if which == "meetings":
-        partial, increment = meeting_expectation_series(graph, args.nmax,
-                                                        budget=budget)
-        inc = dict(increment.rows())
-        with _open_out(args) as fh:
-            _write_csv(fh, ("n", "partial", "increment"),
-                       [(n, v, inc[n]) for n, v in partial.rows()])
-        return EXIT_OK
-    if which == "persite":
-        series = per_site_collision_series(graph, args.nmax, budget=budget)
-        with _open_out(args) as fh:
-            _write_csv(fh, ("n", "value"),
-                       [(int(n), float(v)) for n, v in
-                        zip(series.n, series.values)])
-        return EXIT_OK
-    raise ConfigError(f"unknown oracle report {which!r}")
+        header = ("check", "residual", "passed")
+        rows = [(name, res, int(ok))
+                for name, res, ok in identity_check_suite(budget=budget)]
+    else:
+        if args.graph is None or args.nmax is None:
+            raise ConfigError(f"oracle {which} needs --graph and --nmax")
+        lowest = 2 if which == "return" and args.every != "all" else 1
+        if args.nmax < lowest:
+            raise ConfigError(f"oracle {which} needs --nmax >= {lowest}")
+        graph, n_max = build_graph(args.graph), args.nmax
+        header = ("n", "value")
+        if which == "return":
+            rows = return_probability_series(
+                graph, n_max, every=args.every or "even", budget=budget).rows()
+        elif which == "meetings":
+            partial, inc = meeting_expectation_series(graph, n_max,
+                                                      budget=budget)
+            header = ("n", "partial", "increment")
+            rows = [(n, v, i) for (n, v), (_, i) in zip(partial.rows(),
+                                                        inc.rows())]
+        else:
+            rows = per_site_collision_series(graph, n_max,
+                                             budget=budget).series().rows()
+    with _open_out(args) as fh:
+        _write_csv(fh, header, rows)
+    if which == "identities":
+        n_fail = sum(1 for *_, ok in rows if not ok)
+        print(f"checks={len(rows)} failures={n_fail} "
+              f"max_residual={max(r[1] for r in rows):.3e}", file=sys.stderr)
+        return EXIT_CHECK if n_fail else EXIT_OK
+    return EXIT_OK
 
 
 def _load_inputs(paths):

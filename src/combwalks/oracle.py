@@ -34,6 +34,11 @@ eighth, `comb2:line` a sixteenth.  An unlumped ball has |o| = 1
 everywhere, so one code path serves both; `method="generic"`, other
 roots, `star:k` and the biased ladder keep the full ball.
 
+Every walk runs through one driver, `_walk`: it charges the series table
+(a row per step) to the budget, builds the radius-(n + 1) ball in what
+is left, steps its `Kernel` once and stores what a reader returns for
+each step, so `budget` bounds the ball, its kernel and the series.
+
 The line, even cycles, grid2d and the combs over them are bipartite, and
 their balls are indexed parity-major (`graphs.Ball`): after n steps the
 walk is on the states of class n % 2 within distance n, one row range
@@ -48,7 +53,8 @@ import ctypes
 import numpy as np
 
 from . import _native
-from .graphs import GraphError, ball, build_graph, _ball_bfs, DEFAULT_BUDGET
+from .graphs import (BudgetError, GraphError, ball, build_graph, _ball_bfs,
+                     DEFAULT_BUDGET)
 
 MASS_TOL = 1e-10        # guard on probability conservation during iteration
 
@@ -95,11 +101,6 @@ class Kernel:
         v = np.zeros(self.ball.size)
         self._bufs = (v, v if self.ball.bipartite else np.zeros_like(v))
         self._addr = [ctypes.c_void_p(b.ctypes.data) for b in self._bufs]
-
-    def start_vector(self):
-        vec = np.zeros(self.ball.size)
-        vec[self.ball.root_index] = 1.0
-        return vec
 
     def step(self, vec, reach):
         """Step `reach` of a walk from the root: write only `ball.rows(reach)`."""
@@ -203,26 +204,53 @@ class KernelSeries:
 
 
 # ---------------------------------------------------------------------------
-# rooted truncations
+# the exact walk
 # ---------------------------------------------------------------------------
 
-def rooted_ball(graph, root, radius, budget=DEFAULT_BUDGET, lumped=False):
-    """Ball around an arbitrary root: ``ball`` at the family root, with
-    its product builder and lumping; breadth-first search elsewhere."""
+def _walk(graph, root, n, width, reader=None, budget=DEFAULT_BUDGET,
+          lumped=False):
+    """The one exact walk: `n` steps from `root` (None: the family root).
+
+    Charges the (n, width) table to `budget`, then builds the radius-(n + 1)
+    ball in the rest: `ball` at the family root, lumped if asked, `_ball_bfs`
+    around any other.  `reader(ball, table)` returns the `on_step` of
+    `Kernel.iterate`, which fills row k - 1 from step k's rows.  Returns
+    the ball, the table and p^(n)."""
+    charge = 8 * n * width
+    if charge > budget:
+        raise BudgetError(f"a {n} x {width} series table needs "
+                          f"~{charge >> 20} MiB, budget is {budget >> 20} MiB")
     if root is None or root == graph.root:
-        return ball(graph, radius, budget, lumped=lumped)
-    if not graph.contains(root):
+        b = ball(graph, n + 1, budget - charge, lumped=lumped)
+    elif graph.contains(root):
+        b = _ball_bfs(graph, n + 1, budget - charge, root=root)
+    else:
         raise GraphError(f"{root!r} is not a vertex of {graph.family}")
-    return _ball_bfs(graph, radius, budget, root=root)
+    kern = Kernel(b, release_arcs=True)
+    table = np.zeros((n, width))
+    return b, table, kern.iterate(n, reader and reader(b, table))
+
+
+def _mass(w, table):
+    """Reader of sum_i w_i p_i^2 over a step's rows."""
+    def read(k, lo, head):
+        table[k - 1, 0] = np.dot(head * head, w[lo:lo + len(head)])
+    return read
+
+
+def _diagonal(b, table):
+    """Reader of p(root, root), zero while the root's row is off the step's."""
+    def read(k, lo, head):
+        if lo <= b.root_index:
+            table[k - 1, 0] = head[b.root_index - lo]
+    return read
 
 
 def transition_vector(graph, root, n, budget=DEFAULT_BUDGET):
     """Exact n-step distribution of simple random walk from `root`."""
     if n < 0:
         raise OracleError("n must be >= 0")
-    b = rooted_ball(graph, root, n + 1, budget)
-    kern = Kernel(b)
-    vec = kern.iterate(n)
+    b, _, vec = _walk(graph, root, n, 0, budget=budget)
     dist = SparseDistribution(b, n, vec)
     dist.validate()
     return dist
@@ -235,21 +263,11 @@ def transition_vector(graph, root, n, budget=DEFAULT_BUDGET):
 def _return_series(graph, k_max, every, root, budget, lumped):
     """p^(2k)(root,root) for k <= k_max through reversibility (every="even"),
     or p^(k)(root,root) read off the diagonal (every="all")."""
-    b = rooted_ball(graph, root, k_max + 1, budget, lumped=lumped)
-    kern = Kernel(b, release_arcs=True)
-    out = np.empty(k_max)
-    if every == "even":
-        w = b.degrees[b.root_index] / (b.degrees * b.orbit)
-
-        def grab(k, lo, head):
-            out[k - 1] = np.dot(head * head, w[lo:lo + len(head)])
-    else:
-        def grab(k, lo, head):
-            out[k - 1] = head[b.root_index - lo] if lo <= b.root_index else 0.0
-
-    kern.iterate(k_max, on_step=grab)
+    reader = _diagonal if every == "all" else lambda b, table: _mass(
+        b.degrees[b.root_index] / (b.degrees * b.orbit), table)
+    _, out, _ = _walk(graph, root, k_max, 1, reader, budget, lumped)
     ns = np.arange(1, k_max + 1)
-    return KernelSeries("return", 2 * ns if every == "even" else ns, out)
+    return KernelSeries("return", 2 * ns if every == "even" else ns, out[:, 0])
 
 
 def _grid_octant_series(k_max, every, budget):
@@ -266,25 +284,10 @@ def return_probability_series(graph, n_max, root=None, every="even",
     p^(2k)(root,root) for 2k <= n_max through the reversibility identity,
     which needs only a (n_max // 2)-step iteration.  every="all" iterates
     the full horizon and reads the diagonal directly, including odd times
-    (zero on bipartite graphs).
-
-    Parameters
-    ----------
-    graph : Graph
-    n_max : int
-        Largest time in the series.
-    root : vertex tuple, optional
-        Defaults to the family root.
-    every : "even" | "all"
-    budget : int
-        Memory budget in bytes for the truncation.
-    method : "auto" | "generic"
-        "auto" lumps the ball by symmetry where the family has a lumping;
-        "generic" iterates the full ball.
-
-    Returns
-    -------
-    KernelSeries
+    (zero on bipartite graphs).  `root` defaults to the family root.
+    method="auto" lumps the ball by symmetry where the family has a
+    lumping; "generic" iterates the full ball.  `budget` (bytes) bounds
+    the truncation, its kernel and the series.  Returns a KernelSeries.
     """
     if n_max < 1:
         raise OracleError("n_max must be >= 1")
@@ -306,24 +309,14 @@ def meeting_expectation_series(graph, n_max, root=None, budget=DEFAULT_BUDGET):
     The increment at time n is sum_w p^(n)(root,w)^2, the probability the
     two walks occupy the same vertex at time n; the partial sums over
     1 <= m <= n estimate the expected number of meetings (time 0 excluded,
-    matching the sampler's convention).
-
-    Returns
-    -------
-    (partial, increment) : pair of KernelSeries
+    matching the sampler's convention).  Returns the KernelSeries pair
+    (partial, increment).
     """
     if n_max < 1:
         raise OracleError("n_max must be >= 1")
-    b = rooted_ball(graph, root, n_max + 1, budget, lumped=True)
-    kern = Kernel(b, release_arcs=True)
-    w = 1.0 / b.orbit
-    inc = np.empty(n_max)
-
-    def grab(n, lo, head):
-        inc[n - 1] = np.dot(head * head, w[lo:lo + len(head)])
-
-    kern.iterate(n_max, on_step=grab)
-    ns = np.arange(1, n_max + 1)
+    _, out, _ = _walk(graph, root, n_max, 1, lambda b, table: _mass(
+        1.0 / b.orbit, table), budget, lumped=True)
+    ns, inc = np.arange(1, n_max + 1), out[:, 0]
     return (KernelSeries("meeting_partial", ns, np.cumsum(inc)),
             KernelSeries("meeting_increment", ns, inc))
 
@@ -359,36 +352,42 @@ def per_site_collision_series(graph, n_max, root=None, budget=DEFAULT_BUDGET):
     sum_v p^(n)(root,(v,L))^2 by an exact kernel iteration; heights are
     signed tooth coordinates (or the Chebyshev annulus radius for Z^2
     teeth).  The sum over base vertices v is exact because the ball is.
-    Heights are read from the ball's coordinates.  On a lumped comb ball
+    The heights follow from a root at height h alone, h - R .. h + R on Z
+    teeth and 0 .. h + R on Z^2 teeth (R = n_max + 1), so the table is
+    charged to `budget` before the ball is built.  On a lumped comb ball
     the tooth coordinate is folded under t -> -t, so each orbit's q^2/|o|
-    is binned by |t| and split evenly between t and -t; the annulus radius
-    is the same on a whole orbit, so Z^2 teeth need no split.
+    is binned by |t| and split evenly between t and -t as the row is
+    written; the annulus radius is the same on a whole orbit, so Z^2
+    teeth need no split.
     """
     if n_max < 1:
         raise OracleError("n_max must be >= 1")
     if not graph.dim or graph.m is None:
         raise GraphError(f"{graph.family} has no teeth; per-site series "
                          "is defined on comb families")
-    b = rooted_ball(graph, root, n_max + 1, budget, lumped=True)
-    height = b.coords[1] if graph.dim == 1 else \
-        np.maximum(np.abs(b.coords[1]), np.abs(b.coords[2]))
-    hmin = int(height.min())
-    hid = height - hmin
-    n_heights = int(hid.max()) + 1
-    kern = Kernel(b, release_arcs=True)
-    w = 1.0 / b.orbit
-    table = np.zeros((n_max, n_heights))
+    R, v = n_max + 1, graph.root if root is None else root
+    graph._require(v)
+    low, top = (v[1] - R, v[1] + R) if graph.dim == 1 else \
+        (0, max(abs(v[1]), abs(v[2])) + R)
 
-    def grab(n, lo, head):
-        hi = lo + len(head)
-        table[n - 1] = np.bincount(hid[lo:hi], weights=head * head * w[lo:hi],
-                                   minlength=n_heights)
+    def reader(b, table):
+        h = b.coords[1] if graph.dim == 1 else \
+            np.maximum(np.abs(b.coords[1]), np.abs(b.coords[2]))
+        fold = b.lumped and graph.dim == 1     # h = |t|, binned from t = 0
+        (key, at), w = (h, R) if fold else (h - low, 0), 1.0 / b.orbit
 
-    kern.iterate(n_max, on_step=grab)
-    if b.lumped and graph.dim == 1:
-        table = np.hstack((table[:, :0:-1] / 2, table[:, :1], table[:, 1:] / 2))
-        hmin = 1 - n_heights
-    heights = np.arange(table.shape[1], dtype=np.int64) + hmin
+        def read(k, lo, head):
+            hi, row = lo + len(head), table[k - 1]
+            row[at:] = np.bincount(key[lo:hi], weights=head * head * w[lo:hi],
+                                   minlength=len(row) - at)
+            if fold:                           # split between t and -t
+                row[at + 1:] /= 2
+                row[:at] = row[:at:-1]
+        return read
+
+    _, table, _ = _walk(graph, root, n_max, top + 1 - low, reader, budget,
+                        lumped=True)
+    heights = np.arange(low, top + 1, dtype=np.int64)
     return PerSiteSeries(np.arange(1, n_max + 1), heights, table)
 
 
@@ -397,17 +396,16 @@ def per_site_collision_series(graph, n_max, root=None, budget=DEFAULT_BUDGET):
 # ---------------------------------------------------------------------------
 
 def _snapshots(graph, v, n, budget=DEFAULT_BUDGET):
-    """The ball around `v` and the vectors p^(m)(v, .), m <= n."""
-    b = rooted_ball(graph, v, n + 1, budget)
-    kern = Kernel(b)
-    snaps = [kern.start_vector()]
+    """The ball around `v` and the vectors p^(m)(v, .), m <= n, kept beside
+    an empty table: the identity checks' balls are a few thousand states."""
+    snaps = []
 
-    def keep(m, lo, head):
-        snaps.append(np.zeros(b.size))
-        snaps[-1][lo:lo + len(head)] = head
+    def reader(b, table):
+        snaps.append(np.eye(1, b.size, b.root_index)[0])
+        return lambda k, lo, head: snaps.append(
+            np.pad(head, (lo, b.size - lo - len(head))))
 
-    kern.iterate(n, on_step=keep)
-    return b, snaps
+    return _walk(graph, v, n, 0, reader, budget)[0], snaps
 
 
 def _loop_around(b, snaps, i, j):

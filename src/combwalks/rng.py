@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _native
 
-X_MAIN, X_AUX = 0, 1
+X_MAIN = 0
 Y_MAIN = 2
 X_TOOTH, X_BASE = 4, 5
 Y_TOOTH = 6

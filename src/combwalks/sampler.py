@@ -49,6 +49,7 @@ import math
 import os
 import stat
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -195,18 +196,22 @@ def write_summaries(path, summaries):
 
 
 def _summary(d):
-    """One ``json.loads`` line's summary; KeyError, TypeError if malformed."""
-    cols = d["collisions"]
+    """One ``json.loads`` line's summary; KeyError, TypeError if malformed,
+    as when a count, time or coordinate is not an int, the one number
+    type the writer and the scanner know."""
+    cols, final, tooth = d["collisions"], d["final"], d["max_tooth"]
     vertices = [c["vertex"] for c in cols]
-    if not {*map(type, vertices)} <= {list}:
-        raise TypeError(f"replica {d['replica']}: a collision vertex "
-                        "is not a list")
-    final, tooth = d["final"], d["max_tooth"]
+    cps = [(c["t"], c["meetings"]) for c in d["checkpoints"]]
+    times, heights = [c["n"] for c in cols], [c["l"] for c in cols]
+    if not {*map(type, vertices)} <= {list} or not {*map(type, (
+            d["replica"], d["T"], d["meetings"], tooth["x"], tooth["y"],
+            *final["x"], *final["y"], *times, *heights, *chain(*cps),
+            *chain(*vertices)))} <= {int}:
+        raise TypeError(f"replica {d['replica']}: a count, time or "
+                        "coordinate is not an int, or a vertex not a list")
     return PairTrajectorySummary(
         replica=d["replica"], n_steps=d["T"], meetings=d["meetings"],
-        times=[c["n"] for c in cols], vertices=vertices,
-        heights=[c["l"] for c in cols],
-        checkpoints=[(c["t"], c["meetings"]) for c in d["checkpoints"]],
+        times=times, vertices=vertices, heights=heights, checkpoints=cps,
         final_x=tuple(final["x"]), final_y=tuple(final["y"]),
         max_tooth_x=tooth["x"], max_tooth_y=tooth["y"],
         method=d.get("method", "direct"),
@@ -468,8 +473,12 @@ def _start(graph, start):
 
 def _stream_keys(kernel, seed, replicas, roles):
     """Keys of the streams of each of the kernel's channels: channel c
-    reads stream role + c.  Row j is walker j: ``roles[j // B]`` of
-    replica ``replicas[j % B]``, B = len(replicas)."""
+    reads stream role + c, so a pair's two roles closer than the channel
+    count would share a stream: ValueError.  Row j is walker j:
+    ``roles[j // B]`` of replica ``replicas[j % B]``, B = len(replicas)."""
+    if len(roles) == 2 and abs(roles[0] - roles[1]) < len(kernel.draws):
+        raise ValueError(f"stream roles {roles} are closer than the "
+                         f"{len(kernel.draws)} channels each walker reads")
     return [np.concatenate([stream_keys(seed, replicas, role + c)
                             for role in roles])
             for c in range(len(kernel.draws))]

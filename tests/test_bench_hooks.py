@@ -1,14 +1,16 @@
 """The benchmark's tracer wraps named functions of the package from
 outside; every name it patches must still exist under `src/`, and the
-CLI must still call the wrapped names."""
+CLI and the oracle must still call the wrapped names."""
 
 import importlib.util
 import os
+import sys
 
 from combwalks import cli, graphs, oracle, rng, sampler
 
-TRACER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
-                      "perfbench", "tracer.py")
+BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                     "perfbench")
+TRACER = os.path.join(BENCH, "tracer.py")
 
 
 def _load_tracer():
@@ -58,3 +60,31 @@ def test_benchmark_tracer_spans_fire_on_the_cli_call_sites(tmp_path):
     assert [name for name, *_ in tr.spans].count("sampler.decode") == 3
     assert tr.counts["records"] == 3 * replicas
     assert tr.counts["pair_steps"] == 256 * replicas
+
+
+def test_benchmark_tracer_spans_fire_on_the_oracle_call_sites(monkeypatch):
+    # the exact-series operations at small sizes, plus transition_vector:
+    # a driver that bypassed a patched name would zero a per-layer metric
+    monkeypatch.syspath_prepend(BENCH)
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    import workloads
+    size = {**workloads.SIZES["exact-series"], "comb_even": 64, "line": 64,
+            "grid2d": 64, "persite_line": 16, "persite_cycle": 16}
+    ops, _ = workloads.build("exact-series", 0, None, size)
+    comb = graphs.build_graph("comb:line")
+    tr = _load_tracer().Tracer()
+    try:
+        tr.install()
+        for op in ops:
+            op.run()
+        oracle.meeting_expectation_series(comb, 16)
+        oracle.transition_vector(comb, comb.root, 6)
+    finally:
+        tr.restore()
+    fired = {name for name, *_ in tr.spans}
+    assert fired >= {"graphs.ball", "oracle.kernel_build", "oracle.step",
+                     "oracle.grid_octant", "oracle.transition_vector",
+                     "oracle.return_probability_series",
+                     "oracle.meeting_expectation_series",
+                     "oracle.per_site_collision_series"}
+    assert tr.counts["ball_states"] > 0 and tr.counts["oracle_steps"] > 0

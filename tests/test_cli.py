@@ -431,6 +431,18 @@ def test_budget_env_is_honored(tmp_path):
     assert res.returncode == 3
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["verify", "--budget", "1"], None),
+    (["oracle", "identities", "--budget", "1"], None),
+    (["verify"], {"COMBWALKS_BUDGET": "1"})])
+def test_identity_checks_honor_the_budget(tmp_path, argv, env):
+    out = tmp_path / "checks.csv"
+    res = run_cli(*argv, "--out", str(out), env=env)
+    assert res.returncode == 3
+    assert res.stderr.startswith("budget exceeded: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, env", [(["--budget", "-5"], None),
                                        (["--budget", "0"], None),
                                        ([], {"COMBWALKS_BUDGET": "-5"}),
@@ -591,13 +603,21 @@ def _defect(name):
         d["collisions"][0]["vertex"] = 2
     elif name == "checkpoint without t":
         del d["checkpoints"][1]["t"]
+    elif name == "checkpoint meetings is a string":
+        d["checkpoints"][1]["meetings"] = "x"
+    elif name == "checkpoint meetings is a float":
+        d["checkpoints"][1]["meetings"] = 1.5
+    elif name == "collision n is a string":
+        d["collisions"][0]["n"] = "x"
     return d
 
 
 @pytest.mark.parametrize("report", list(STATS_ARGS))
 @pytest.mark.parametrize("defect", [
     None, "collision without l", "collision without n", "vertex is a string",
-    "vertex is a number", "checkpoint without t"])
+    "vertex is a number", "checkpoint without t",
+    "checkpoint meetings is a string", "checkpoint meetings is a float",
+    "collision n is a string"])
 def test_stats_refuses_a_malformed_summary(tmp_path, capsys, report, defect):
     from combwalks import cli
     path = tmp_path / "runs.jsonl"

@@ -156,11 +156,42 @@ def test_budget_estimate_covers_traced_peak(spec, radius):
     ball(g, radius, budget=2 * peak, lumped=True)
 
 
+SERIES = {
+    "return even": lambda g, n, budget: return_probability_series(
+        g, n, budget=budget),
+    "return all": lambda g, n, budget: return_probability_series(
+        g, n, every="all", budget=budget),
+    "meetings": lambda g, n, budget: meeting_expectation_series(
+        g, n, budget=budget),
+    "persite": lambda g, n, budget: per_site_collision_series(
+        g, n, budget=budget),
+}
+
+
+@pytest.mark.parametrize("spec,n_max,series", [
+    (spec, n_max, series)
+    for spec, n_max in (("comb:line", 512), ("grid2d", 256),
+                        ("comb2:line", 48), ("comb:cycle:4", 512))
+    for series in SERIES if series != "persite" or spec.startswith("comb")])
+def test_budget_bounds_the_traced_peak_of_every_root_series(spec, n_max,
+                                                            series):
+    # the budget charges the series table as well as the ball and kernel
+    g, run = build_graph(spec), SERIES[series]
+    tracemalloc.start()
+    try:
+        run(g, n_max, DEFAULT_BUDGET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with pytest.raises(BudgetError):
+        run(g, n_max, peak - 1)
+
+
 def test_kernel_step_leaves_rows_past_reach_zero():
     b = ball(build_graph("comb:line"), 12, lumped=True)
     assert b.bipartite
     kern = Kernel(b)
-    vec = kern.start_vector()
+    vec = np.eye(1, b.size, b.root_index)[0]      # p^(0)
     for reach in range(1, 8):
         vec = kern.step(vec, reach)
         lo, hi = b.rows(reach)
@@ -190,7 +221,7 @@ def test_kernel_step_matches_scipy_bit_for_bit(spec, lumped):
     kern = Kernel(b)
     mat = sparse.csr_matrix(((1.0 / b.degrees)[kern.indices], kern.indices,
                              kern.indptr), shape=(b.size, b.size))
-    vec = kern.start_vector()
+    vec = np.eye(1, b.size, b.root_index)[0]      # p^(0)
     for reach in range(1, 10):
         want = mat @ vec
         lo, hi = b.rows(reach)

@@ -103,6 +103,32 @@ def test_max_tooth_counts_the_start(spec, start):
             assert depth <= m <= depth + n, (n, s.max_tooth_x, s.max_tooth_y)
 
 
+@pytest.mark.parametrize("spec, method, channels", [
+    ("comb:line", "direct", 1), ("comb2:line", "direct", 1),
+    ("grid2d", "direct", 1), ("comb:line", "selfloop", 2),
+    ("comb:cycle:3", "selfloop", 2), ("comb:cycle:2", "selfloop", 1),
+    ("star:3", "direct", 1), ("biased-ladder", "direct", 2)])
+def test_stream_roles_closer_than_the_channels_are_refused(spec, method,
+                                                          channels):
+    # channel c of a walker reads stream role + c: roles closer than the
+    # channel count would have the two walkers read one stream
+    g = build_graph(spec)
+    kernel = sampler._make_kernel(g, g.root, 2, method, 8)
+    assert len(kernel.draws) == channels
+    for gap in range(-channels + 1, channels):
+        with pytest.raises(ValueError, match="closer than"):
+            sampler._stream_keys(kernel, 0, [0], (4, 4 + gap))
+    for gap in (-channels, channels):
+        keys = sampler._stream_keys(kernel, 0, [0], (4, 4 + gap))
+        assert len(keys) == channels
+    if method == "selfloop":                 # X_HOLD, X_TOOTH: 5 apart
+        run_pair(g, n_steps=4, rng_x=RngStream(0, 0, X_HOLD),
+                 rng_y=RngStream(0, 0, X_TOOTH), method=method)
+    with pytest.raises(ValueError, match="closer than"):
+        run_pair(g, n_steps=4, rng_x=RngStream(0, 0, X_MAIN),
+                 rng_y=RngStream(0, 0, X_MAIN + channels - 1), method=method)
+
+
 def test_run_pair_rejects_mismatched_streams():
     g = build_graph("line")
     with pytest.raises(ValueError):
