@@ -7,6 +7,7 @@ same bytes; ``csr_rows`` (the oracle's step, flushing values below 2^-1022
 to 0); ``jsonl_scan`` (summary lines into int columns).  Built on first
 use, cached by source in ``__pycache__``, loaded by ctypes."""
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -352,7 +353,8 @@ _CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
 def _library_path(source, cache):
     """``source`` built by Python's own C compiler into ``cache``, named by
     the sha256 of source and flags; renamed into place, so concurrent
-    builds are safe.  OSError if ``cache`` cannot be written."""
+    builds are safe, and the builds of other sources in ``cache`` then
+    removed.  OSError if ``cache`` cannot be written."""
     tag = hashlib.sha256("\0".join((source, *_CFLAGS)).encode()).hexdigest()
     path = os.path.join(cache, f"combwalks-{tag[:16]}.so")
     if os.path.exists(path):
@@ -372,6 +374,12 @@ def _library_path(source, cache):
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    # *.tmp files are builds in progress: they stay
+    for name in os.listdir(cache):
+        if name.startswith("combwalks-") and name.endswith(".so") and (
+                name != os.path.basename(path)):
+            with contextlib.suppress(OSError):     # gone already, or not ours
+                os.unlink(os.path.join(cache, name))
     return path
 
 

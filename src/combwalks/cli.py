@@ -66,20 +66,25 @@ def _default_workers():
 # config plumbing
 # ---------------------------------------------------------------------------
 
+def _read_lines(path, error):
+    """The stripped lines of a text file; ``error`` if its bytes do not
+    decode.  OSError reaches ``main``, which maps it to exit 2."""
+    with open(path) as fh:
+        try:
+            return [line.strip() for line in fh]
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not text: {exc}") from None
+
+
 def _parse_config_file(path):
     out = {}
-    try:
-        with open(path) as fh:
-            for ln, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{ln}: expected key=value")
-                key, _, val = line.partition("=")
-                out[key.strip().replace("-", "_")] = val.strip()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from None
+    for ln, line in enumerate(_read_lines(path, ConfigError), 1):
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{ln}: expected key=value")
+        key, _, val = line.partition("=")
+        out[key.strip().replace("-", "_")] = val.strip()
     return out
 
 
@@ -125,34 +130,28 @@ def _budget(args):
     return DEFAULT_BUDGET if budget is None else budget
 
 
-def _parse_start(graph, text):
-    if text is None:
-        return graph.root
+def _parse_start(text):
+    """The ``--start`` vertex, or None for the family root; the sampler
+    refuses a tuple that is not a vertex of the graph (GraphError)."""
     try:
-        vertex = tuple(int(x) for x in str(text).split(","))
+        return None if text is None else tuple(map(int, text.split(",")))
     except ValueError:
         raise ConfigError(f"bad start vertex {text!r}") from None
-    if not graph.contains(vertex):
-        raise ConfigError(f"start {vertex} is not a vertex of {graph.family}")
-    return vertex
 
 
-def _open_out(args):
-    if getattr(args, "out", None):
-        return atomic_open(args.out, newline="\n")
-    return contextlib.nullcontext(sys.stdout)
+def _write_table(args, header, rows):
+    """The one CSV report of a command, to ``--out`` through
+    ``atomic_open`` or to stdout."""
+    with (atomic_open(args.out, newline="\n") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        _write_csv(fh, header, rows)
 
 
 def _write_csv(fh, header, rows):
     fh.write(",".join(header) + "\n")
     for row in rows:
-        fh.write(",".join(_cell(c) for c in row) + "\n")
-
-
-def _cell(c):
-    if isinstance(c, float):
-        return repr(c)
-    return str(c)
+        fh.write(",".join(repr(c) if isinstance(c, float) else str(c)
+                          for c in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -176,24 +175,18 @@ def _check_one_kind(report, paths, loaded):
 
 
 def cmd_simulate(args):
-    if args.graph is None:
-        raise ConfigError("simulate needs --graph")
-    if args.out is None:
-        raise ConfigError("simulate needs --out (no implicit writes)")
-    if args.steps is None or args.steps < 0:
-        raise ConfigError("simulate needs --steps >= 0")
-    if args.replicas is None or args.replicas < 1:
-        raise ConfigError("simulate needs --replicas >= 1")
-    if args.seed is None:
-        raise ConfigError("simulate needs --seed (runs must be replayable)")
-    if args.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {args.seed}")
-    if (args.truncation_radius or 0) < 0:
-        raise ConfigError("--truncation-radius must be >= 0, "
-                          f"got {args.truncation_radius}")
-    seed = args.seed
-    graph = build_graph(args.graph)
-    start = _parse_start(graph, args.start)
+    # each checked flag: its least value (None: any) and whether a run
+    # needs it (--out too: no run writes where it was not told to)
+    for name, lowest, needed in (
+            ("graph", None, True), ("out", None, True), ("steps", 0, True),
+            ("replicas", 1, True), ("seed", 0, True),
+            ("truncation_radius", 0, False)):
+        value, flag = getattr(args, name), "--" + name.replace("_", "-")
+        if value is None and needed:
+            raise ConfigError(f"simulate needs {flag}")
+        if None not in (value, lowest) and value < lowest:
+            raise ConfigError(f"{flag} must be >= {lowest}, got {value}")
+    graph, start = build_graph(args.graph), _parse_start(args.start)
     alphas = tuple(args.lil_alphas or ())
     _check_lil_alphas("--lil-alphas", alphas)
     try:
@@ -206,8 +199,8 @@ def cmd_simulate(args):
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
     t0 = time.time()
-    sums = run_ensemble(graph, start, args.steps, args.replicas, seed=seed,
-                        workers=workers, record=record,
+    sums = run_ensemble(graph, start, args.steps, args.replicas,
+                        seed=args.seed, workers=workers, record=record,
                         method=args.method or "direct",
                         truncation_radius=args.truncation_radius)
     write_summaries(args.out, sums)
@@ -243,8 +236,7 @@ def cmd_oracle(args):
         else:
             rows = per_site_collision_series(graph, n_max,
                                              budget=budget).series().rows()
-    with _open_out(args) as fh:
-        _write_csv(fh, header, rows)
+    _write_table(args, header, rows)
     if which == "identities":
         n_fail = sum(1 for *_, ok in rows if not ok)
         print(f"checks={len(rows)} failures={n_fail} "
@@ -261,8 +253,6 @@ def _load_inputs(paths):
         try:
             loaded.append((os.path.splitext(os.path.basename(p))[0],
                            read_summaries(p)))
-        except OSError as exc:
-            raise ConfigError(f"cannot read {p}: {exc}") from None
         except (json.JSONDecodeError, UnicodeDecodeError, KeyError,
                 TypeError) as exc:
             raise SchemaError(f"{p}: malformed summary: {exc}") from None
@@ -280,6 +270,8 @@ def cmd_stats(args):
         _check_one_kind(report, args.inputs, loaded)
         r_span = range(args.r_range[0], args.r_range[1] + 1)
         k_span = range(args.k_range[0], args.k_range[1] + 1)
+        header = ("r", "k", "Z_mean", "A_prob", "W_mean", "W_given_A",
+                  "count", "cond_count")
         if merged:
             grid = dyadic_collision_stats(merged, r_span, k_span)
             rows = [(r, k, c.z_mean, c.a_prob, c.w_mean, c.w_given_a,
@@ -288,13 +280,8 @@ def cmd_stats(args):
         else:
             rows = [(r, k, 0.0, 0.0, 0.0, 0.0, 0, 0)
                     for r in r_span for k in k_span]
-        with _open_out(args) as fh:
-            _write_csv(fh, ("r", "k", "Z_mean", "A_prob", "W_mean",
-                            "W_given_A", "count", "cond_count"), rows)
-        return EXIT_OK
-
-    if report == "growth":
-        rows = []
+    elif report == "growth":
+        header, rows = ("graph", "t", "mean_meetings", "survival_frac"), []
         for path, (label, sums) in zip(args.inputs, loaded):
             if not sums:
                 continue
@@ -302,60 +289,48 @@ def cmd_stats(args):
                 curve = meeting_growth_curve(sums, args.checkpoints or None)
             except SchemaError as exc:         # a file mixing grids
                 raise SchemaError(f"{path}: {exc}") from None
-            for t, m, s in zip(curve.times, curve.mean_meetings,
-                               curve.survival_frac):
-                rows.append((label, t, m, s))
-        with _open_out(args) as fh:
-            _write_csv(fh, ("graph", "t", "mean_meetings", "survival_frac"),
-                       rows)
-        return EXIT_OK
-
-    if report == "lil":
+            rows += [(label, t, m, s) for t, m, s in zip(
+                curve.times, curve.mean_meetings, curve.survival_frac)]
+    elif report == "lil":
         alpha = args.alpha if args.alpha is not None else 0.75
         _check_lil_alphas("--alpha", (alpha,))
         _check_one_kind(report, args.inputs, loaded)
         counts, last = lil_envelope_check(merged, alpha)
-        with _open_out(args) as fh:
-            _write_csv(fh, ("replica", "violations", "last_violation"),
-                       [(s.replica, int(c), int(t))
-                        for s, c, t in zip(merged, counts, last)])
-        return EXIT_OK
-
-    if report == "drift":
+        header = ("replica", "violations", "last_violation")
+        rows = [(s.replica, int(c), int(t))
+                for s, c, t in zip(merged, counts, last)]
+    else:                                      # argparse allows no other
         est = drift_estimate(merged)
-        with _open_out(args) as fh:
-            _write_csv(fh, ("per_move", "per_half_step", "moves"),
-                       [(est.per_move, est.per_half_step, est.moves)])
-        return EXIT_OK
-
-    raise ConfigError(f"unknown stats report {report!r}")
+        header = ("per_move", "per_half_step", "moves")
+        rows = [(est.per_move, est.per_half_step, est.moves)]
+    _write_table(args, header, rows)
+    return EXIT_OK
 
 
 def cmd_fit(args):
     if not args.input or args.column is None or args.range is None:
         raise ConfigError("fit needs --input, --column and --range")
-    try:
-        with open(args.input) as fh:
-            header = fh.readline().strip().split(",")
-            if args.column not in header:
-                raise SchemaError(
-                    f"column {args.column!r} not in {header}")
-            xi = header.index("n") if "n" in header else 0
-            vi = header.index(args.column)
-            pts = []
-            for line in fh:
-                parts = line.strip().split(",")
-                if len(parts) != len(header):
-                    raise SchemaError("ragged CSV row")
-                pts.append((int(float(parts[xi])), float(parts[vi])))
-    except OSError as exc:
-        raise ConfigError(f"cannot read {args.input}: {exc}") from None
+    # one pass: a file that is not a table of numbers is a SchemaError
+    path, column = args.input, args.column
+    header, *lines = [line.split(",") for line in
+                      _read_lines(path, SchemaError)] or [[]]
+    if column not in header:
+        raise SchemaError(f"{path}: column {column!r} not in {header}")
+    xi = header.index("n") if "n" in header else 0
+    vi = header.index(column)
+    pts = []
+    for parts in lines:
+        if len(parts) != len(header):
+            raise SchemaError(f"{path}: ragged CSV row")
+        try:                                   # a NaN or infinite n too
+            pts.append((int(float(parts[xi])), float(parts[vi])))
+        except (ValueError, OverflowError):
+            raise SchemaError(f"{path}: not a number in {parts}") from None
     fit = estimate_exponent(pts, args.range)
-    with _open_out(args) as fh:
-        _write_csv(fh, ("slope", "intercept", "stderr", "n_lo", "n_hi",
+    _write_table(args, ("slope", "intercept", "stderr", "n_lo", "n_hi",
                         "points"),
-                   [(fit.slope, fit.intercept, fit.stderr, fit.n_lo,
-                     fit.n_hi, fit.points)])
+                 [(fit.slope, fit.intercept, fit.stderr, fit.n_lo, fit.n_hi,
+                   fit.points)])
     return EXIT_OK
 
 
@@ -440,7 +415,8 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse exits 2 on bad flags, 0 on --help; keep its codes
         return int(exc.code or 0)
-    except (ConfigError, GraphError) as exc:
+    except (ConfigError, GraphError, OSError) as exc:
+        # OSError: an input that cannot be read or an --out not written
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BudgetError as exc:

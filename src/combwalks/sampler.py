@@ -674,7 +674,7 @@ def run_ensemble(graph, start=None, n_steps=0, replicas=1, seed=0, workers=1,
     if workers <= 1 or len(blocks) == 1:
         return [s for block in map(run, blocks) for s in block]
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
         return [s for block in pool.map(run, blocks) for s in block]
 
 
@@ -713,8 +713,10 @@ def _clock_arrays(d, us, ug):
     undelayed path S, per-visit holds G, the delayed time tau[m] at which
     undelayed step m completes, and sigma[n], the last undelayed step done
     by delayed time n.  Memory is O(T * width); meant for moderate
-    horizons, not the chunked long runs.
+    horizons, not the chunked long runs.  ValueError if d < 1.
     """
+    if d < 1:
+        raise ValueError(f"base degree must be >= 1, got {d}")
     T, width = us.shape
     q = d / (d + 2.0)
     S = np.zeros((T + 1, width), dtype=np.int64)
@@ -764,8 +766,6 @@ def geometric_clock_path(d, n_steps, seed=0, replica=0):
     undelayed revisits to 0 up to half time, R sums the holds of those
     revisits.  Either K_n >= R_n or K_n >= n/2 holds at every n.
     """
-    if d < 1:
-        raise ValueError("base degree must be >= 1")
     _check_steps(n_steps)
     arrs = _clock_arrays(d, _draws(seed, [replica], X_SKEL, n_steps),
                          _draws(seed, [replica], X_HOLD, n_steps + 2))

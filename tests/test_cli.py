@@ -479,6 +479,41 @@ def test_fit_errors(tmp_path):
                    "--column", "value", "--range", "4:64").returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--graph", "line", "--steps", "8", "--replicas", "1",
+     "--seed", "0"],
+    ["oracle", "return", "--graph", "line", "--nmax", "16"],
+    ["verify"],
+    ["stats", "--report", "growth", "--inputs", "{runs}"],
+    ["fit", "--input", "{csv}", "--column", "value", "--range", "4:16"],
+], ids=["simulate", "oracle", "verify", "stats", "fit"])
+def test_out_in_a_missing_directory_is_a_config_error(tmp_path, capsys,
+                                                      argv):
+    from combwalks import cli
+    runs, csv = tmp_path / "runs.jsonl", tmp_path / "ret.csv"
+    runs.write_text("")
+    csv.write_text("n,value\n4,0.5\n8,0.25\n16,0.125\n")
+    argv = [a.format(runs=runs, csv=csv) for a in argv]
+    assert cli.main([*argv, "--out", str(tmp_path / "gone" / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["ret.csv", "runs.jsonl"]
+
+
+@pytest.mark.parametrize("data", [b"n,value\n2,abc\n", b"n,value\nnan,0.5\n",
+                                  b"n,value\n\xff\xfe,0.5\n", b""],
+                         ids=["word", "nan-n", "not-utf8", "empty"])
+def test_fit_refuses_a_file_that_is_not_a_table_of_numbers(tmp_path, capsys,
+                                                           data):
+    from combwalks import cli
+    src = tmp_path / "in.csv"
+    src.write_bytes(data)
+    assert cli.main(["fit", "--input", str(src), "--column", "value",
+                     "--range", "4:64"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("schema mismatch:") and "Traceback" not in err
+
+
 def test_stats_grid_report(tmp_path):
     runs = tmp_path / "runs.jsonl"
     run_cli("simulate", "--graph", "comb:line", "--steps", "1024",
@@ -746,6 +781,16 @@ def test_config_file_overlay(tmp_path):
     missing = run_cli("simulate", "--config", str(tmp_path / "nope.conf"),
                       "--out", str(out))
     assert missing.returncode == 2
+
+
+def test_config_that_is_not_text_is_a_config_error(tmp_path, capsys):
+    from combwalks import cli
+    conf = tmp_path / "bad.conf"
+    conf.write_bytes(b"graph = comb:line\nseed = \xff\n")
+    assert cli.main(["simulate", "--config", str(conf),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
 
 
 _RUN = "graph = comb:line\nsteps = 8\nreplicas = 2\nseed = 1\n"

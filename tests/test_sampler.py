@@ -172,6 +172,42 @@ def test_worker_count_does_not_change_results(monkeypatch, spec, method,
     assert [s.to_json() for s in one] == [s.to_json() for s in three]
 
 
+def test_pool_starts_no_more_workers_than_blocks(monkeypatch):
+    # a fork pool starts all max_workers processes at its first submit;
+    # a fake pool records the size asked for and maps in this process
+    import concurrent.futures
+    sizes = []
+
+    class FakePool:
+        map = staticmethod(map)
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(sampler, "_BLOCK", 4)
+    g = build_graph("comb:line")
+    serial = run_ensemble(g, n_steps=64, replicas=10, seed=5, workers=1)
+    pooled = run_ensemble(g, n_steps=64, replicas=10, seed=5,
+                          workers=100_000)
+    assert sizes == [3]                        # blocks of 4, 4 and 2 pairs
+    assert [s.to_json() for s in pooled] == [s.to_json() for s in serial]
+
+
+@pytest.mark.parametrize("d", [0, 0.5])
+@pytest.mark.parametrize("entry", [sampler.clock_dichotomy_violations,
+                                   sampler.geometric_clock_path])
+def test_clock_entry_points_refuse_a_degree_below_one(entry, d):
+    with pytest.raises(ValueError, match="base degree must be >= 1"):
+        entry(d, 16, 4)
+
+
 def test_ensemble_rejects_bad_args():
     g = build_graph("line")
     with pytest.raises(ValueError):
@@ -777,9 +813,11 @@ def test_step_library_is_built_once_per_source(monkeypatch, tmp_path):
     with monkeypatch.context() as m:
         m.setattr(_native.subprocess, "run", no_compiler)
         assert _native._library_path(_native._SOURCE, str(tmp_path)) == path
+    # a build of another source replaces the old library; temp files stay
+    (tmp_path / "tmpbuild.tmp").write_bytes(b"")
     other = _native._library_path(_native._SOURCE + "\n", str(tmp_path))
     assert other != path and sorted(os.listdir(tmp_path)) == sorted(
-        os.path.basename(p) for p in (path, other))
+        [os.path.basename(other), "tmpbuild.tmp"])
 
 
 def test_concurrent_builds_leave_one_whole_library(tmp_path):
