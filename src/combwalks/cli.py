@@ -186,6 +186,9 @@ def cmd_simulate(args):
             raise ConfigError(f"simulate needs {flag}")
         if None not in (value, lowest) and value < lowest:
             raise ConfigError(f"{flag} must be >= {lowest}, got {value}")
+    if os.path.isdir(args.out) or not os.path.isdir(
+            os.path.dirname(args.out) or "."):
+        raise ConfigError(f"--out {args.out}: a directory, or in a missing one")
     graph, start = build_graph(args.graph), _parse_start(args.start)
     alphas = tuple(args.lil_alphas or ())
     _check_lil_alphas("--lil-alphas", alphas)
@@ -322,10 +325,13 @@ def cmd_fit(args):
     for parts in lines:
         if len(parts) != len(header):
             raise SchemaError(f"{path}: ragged CSV row")
-        try:                                   # a NaN or infinite n too
-            pts.append((int(float(parts[xi])), float(parts[vi])))
-        except (ValueError, OverflowError):
+        try:
+            n, value = float(parts[xi]), float(parts[vi])
+        except ValueError:
             raise SchemaError(f"{path}: not a number in {parts}") from None
+        if not n.is_integer():                 # a NaN or infinite n too
+            raise SchemaError(f"{path}: n = {parts[xi]} is not a whole number")
+        pts.append((int(n), value))
     fit = estimate_exponent(pts, args.range)
     _write_table(args, ("slope", "intercept", "stderr", "n_lo", "n_hi",
                         "points"),

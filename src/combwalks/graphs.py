@@ -62,18 +62,38 @@ class Graph:
     class stands for `multiplicity` distinct parallel neighbors.  Order is
     canonical (base-graph neighbors first, coordinate-ascending, then tooth
     neighbors) so seeded runs are reproducible bit for bit.
+
+    The vertex model, `distance`, `height` and `depth`, takes `cols`, one
+    array per coordinate, all of one shape (`Ball.coords`, a sampler window
+    coordinate-first, or a vertex tuple), and returns that shape.
     """
 
     family = ""
     root = ()
     constant_degree = None
     m = dim = None          # the description of a `Product`; None elsewhere
+    depth_coords = 0        # the depth reads coordinates 1 .. depth_coords
 
     def contains(self, v):
         raise NotImplementedError
 
     def neighbors(self, v):
         raise NotImplementedError
+
+    def distance(self, cols):
+        """The graph distance from the root."""
+        raise NotImplementedError
+
+    def height(self, cols):
+        """The tooth height a meeting is recorded at: 0 off the combs."""
+        return np.zeros_like(cols[0])
+
+    def depth(self, cols):
+        """max |coordinate c| over 1 <= c <= `depth_coords`, else 0."""
+        d = np.zeros_like(cols[0])
+        for c in cols[1:1 + self.depth_coords]:
+            np.maximum(d, np.abs(c), out=d)
+        return d
 
     def degree(self, v):
         self._require(v)
@@ -122,6 +142,7 @@ class Product(Graph):
         self.root = (0,) * (dim + (m is not None))
         self.constant_degree = None if self.base else \
             self.base_degree + 2 * dim
+        self.depth_coords = dim if self.base else 0   # grid2d: no depth
 
     def contains(self, v):
         return (isinstance(v, tuple) and len(v) == len(self.root)
@@ -142,6 +163,23 @@ class Product(Graph):
             for s in (-1, 1):
                 out.append((v[:i] + (v[i] + s,) + v[i + 1:], 1))
         return out
+
+    def base_distance(self, b):
+        """|b| on the line, min(b, m - b) on a cycle, 0 on one vertex."""
+        m = self.m
+        return np.zeros_like(b) if m is None else np.minimum(b, m - b) if m \
+            else np.abs(b)
+
+    def distance(self, cols):
+        """The base distance plus the tooth's L1 norm."""
+        d = self.base_distance(cols[0])
+        for c in cols[len(cols) - self.dim:]:
+            d += np.abs(c)
+        return d
+
+    def height(self, cols):
+        """The signed tooth on Z teeth, the Chebyshev radius on Z^2."""
+        return cols[1] if self.dim == 1 else self.depth(cols)
 
 
 class Star(Graph):
@@ -164,9 +202,8 @@ class Star(Graph):
             return [((j,), 1) for j in range(1, self.k + 1)]
         return [((0,), 1)]
 
-    def degree(self, v):
-        self._require(v)
-        return self.k if v[0] == 0 else 1
+    def distance(self, cols):
+        return np.minimum(cols[0], 1)           # the hub is 0, a leaf 1
 
 
 class BiasedLadder(Graph):
@@ -185,6 +222,7 @@ class BiasedLadder(Graph):
 
     family = "biased-ladder"
     root = (0, 0, 0)
+    depth_coords = 1                            # the level
 
     def contains(self, v):
         if not (isinstance(v, tuple) and len(v) == 3):
@@ -212,14 +250,8 @@ class BiasedLadder(Graph):
         out.append(((1, n, None), 1 << n))
         return out
 
-    def degree(self, v):
-        self._require(v)
-        kind, n = v[0], int(v[1])
-        if kind == 1:
-            return 2
-        if n == 0:
-            return 2          # spine(1) and midpoint(0, 0)
-        return 2 + (1 << (n - 1)) + (1 << n)
+    def distance(self, cols):
+        return cols[1] + (cols[0] == 1)         # a midpoint is one past n
 
     def concrete_neighbors(self, v):
         for w, mult in self.neighbors(v):
@@ -332,6 +364,7 @@ class Ball:
         assert level[self.root_index] == 0
 
     def index_of(self, v):
+        self.graph._require(v)
         idx = self._index_of(v)
         if idx < 0:
             raise GraphError(f"{v!r} is outside the radius-{self.radius} ball")
@@ -369,11 +402,10 @@ def ball(graph, radius, budget=DEFAULT_BUDGET, lumped=False):
     the square on Z^2): `comb:line` and `comb:cycle:4` lump by 4, `grid2d`
     by 8 and `comb2:line` by 16.  Product balls are bipartite, and so
     indexed parity-major (see `Ball`), unless the base is an odd cycle.
-    `star:k`,
-    the biased ladder and balls around other roots (`_ball_bfs`) come from
-    breadth-first search, unlumped and sorted by level as one class.
-    Aborts with BudgetError (reporting the state count) if the ball would
-    not fit in `budget` bytes.
+    `star:k`, the biased ladder and balls around other roots (`_ball_bfs`)
+    come from breadth-first search, unlumped and sorted by level as one
+    class.  Aborts with BudgetError (reporting the state count) if the
+    ball would not fit in `budget` bytes.
     """
     if radius < 0:
         raise GraphError("radius must be >= 0")
@@ -422,27 +454,6 @@ def _columns(cols, lows, counts):
     return np.repeat(cols, counts), rs, flat, len(rs)
 
 
-def _base_factor(m, R):
-    """The base vertices that may lie within distance R of the root
-    (ascending), the base distance d and the step b -> b + s, vectorized.
-
-    d is also the fold onto orbit representatives: the line's flip and the
-    cycle's reflection send b to d(b), and on cycle:2, which has no flip,
-    d(b) = b.  A step off cycle:2 gets distance R + 1, so it never lands
-    in the ball.  A one-vertex base is the single coordinate 0.  `m` is
-    the base modulus of `Product`.
-    """
-    if m is None:
-        return np.zeros(1, np.int64), np.zeros_like, None
-    if m == 0:
-        return np.arange(-R, R + 1, dtype=np.int64), np.abs, np.add
-    if m == 2:
-        return (np.arange(2, dtype=np.int64),
-                lambda b: np.where((b == 0) | (b == 1), b, R + 1), np.add)
-    return (np.arange(m, dtype=np.int64), lambda b: np.minimum(b, m - b),
-            lambda b, s: (b + s) % m)
-
-
 def _ball_product(graph, R, budget, lumped):
     """The radius-R ball of a `Product`, vectorized.
 
@@ -450,14 +461,20 @@ def _ball_product(graph, R, budget, lumped):
     a state's flat index (`_columns`) is its place in that order; they are
     then sorted by (level % 2, level, coordinates), or by (level,
     coordinates) on an odd cycle base, whose ball has arcs within a level
-    and so is not bipartite.  Coordinates are (b, t...), with
-    no b on a one-vertex base.  Arcs come in groups: tooth moves per
-    coordinate (-, then +), then base moves (-, then +) from each tooth
-    root, each group in state order.  Lumped, a state is kept only if it
-    is its orbit's representative and every arc goes to a representative.
+    and so is not bipartite.  Coordinates are (b, t...), with no b on a
+    one-vertex base.  Arcs come in groups: tooth moves per coordinate (-,
+    then +), then base moves (-, then +; + alone on cycle:2) from each
+    tooth root, each group in state order.  Lumped, a state is kept only
+    if it is its orbit's representative and every arc goes to one.
     """
     m, dim = graph.m, graph.dim
-    cand, dist, step = _base_factor(m, R)
+    # the base vertices that may lie within distance R, ascending (one
+    # vertex: the coordinate 0), and their distance d, which is also the
+    # fold onto orbit representatives: the line's flip and the cycle's
+    # reflection send b to d(b), and cycle:2 has no flip
+    cand = np.arange(-R, R + 1, dtype=np.int64) if m == 0 else \
+        np.arange(m or 1, dtype=np.int64)
+    dist = graph.base_distance
     dc = dist(cand)
     keep = dc <= R
     if lumped:
@@ -485,13 +502,8 @@ def _ball_product(graph, R, budget, lumped):
     teeth = (keys if m is None else np.repeat(t1, counts), rows) \
         if dim == 2 else (rows,)[:dim]
     del keys, rows, key, lows
-    if m is None:
-        coords, level = teeth, np.zeros(n, np.int64)
-    else:
-        coords = (np.repeat(b[pos], counts),) + teeth
-        level = np.repeat(d[pos], counts)
-    for k in range(dim):
-        level += np.abs(teeth[k])
+    coords = teeth if m is None else (np.repeat(b[pos], counts),) + teeth
+    level = graph.distance(coords)
 
     def flat_of(*v):
         if m is None:
@@ -526,8 +538,8 @@ def _ball_product(graph, R, budget, lumped):
     zero = (0 * b,) * dim
     if m is not None:
         spine = lookup[flat_of(b, *zero)]  # sorted index of each tooth root
-        for s in (-1, 1):
-            nb = step(b, s)
+        for s in (1,) if m == 2 else (-1, 1):   # cycle:2 is one edge
+            nb = (b + s) % m if m else b + s
             ok = dist(nb) <= R
             nb = dist(nb[ok]) if lumped else nb[ok]
             srcs.append(spine[ok])
@@ -552,10 +564,8 @@ def _ball_product(graph, R, budget, lumped):
             orbit *= np.bincount(dc[dc <= R])[coords[0]]
 
     def index_of(v):
-        if not graph.contains(v):
-            raise GraphError(f"{v!r} is not a vertex of {graph.family}")
         bv, t = (0, v) if m is None else (v[0], v[1:])
-        if dist(bv) + sum(abs(c) for c in t) > R or lumped and (
+        if graph.distance(v) > R or lumped and (
                 dist(bv) != bv or t != tuple(sorted(map(abs, t), reverse=True))):
             return -1
         return lookup[flat_of(*(np.asarray([c]) for c in v))[0]]
@@ -568,6 +578,7 @@ def _ball_bfs(graph, radius, budget, root=None):
     """Generic breadth-first truncation for families without a closed form."""
     max_states = max(budget // 250, 1)
     root = graph.root if root is None else root
+    graph._require(root)
     index = {root: 0}
     verts = [root]
     level = [0]
@@ -597,13 +608,6 @@ def _ball_bfs(graph, radius, budget, root=None):
     level = np.asarray(level, dtype=np.int32)
     degrees = np.asarray([graph.degree(v) for v in verts], dtype=np.float64)
 
-    def index_of(v, _index=index, _g=graph):
-        if not _g.contains(v):
-            raise GraphError(f"{v!r} is not a vertex of {_g.family}")
-        return _index.get(v, -1)
-
-    b = Ball(graph, radius, coords, level,
-             np.asarray(src, dtype=np.int32), np.asarray(dst, dtype=np.int32),
-             degrees, index_of, root=root)
-    b.vertex_of = lambda i: verts[i]
-    return b
+    return Ball(graph, radius, coords, level,
+                np.asarray(src, dtype=np.int32), np.asarray(dst, dtype=np.int32),
+                degrees, lambda v: index.get(v, -1), root=root)

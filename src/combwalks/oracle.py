@@ -78,9 +78,10 @@ class Kernel:
     classes in place in one vector; other balls alternate two vectors.
     Rows a run has not reached are never written and stay zero.  The step
     reads 1/deg per state (`inv`) and flushes mass below 2^-1022 to 0.
+    The ball's arc lists are released once the CSR arrays hold them.
     """
 
-    def __init__(self, ball_, release_arcs=False):
+    def __init__(self, ball_):
         src, dst = ball_.arc_src, ball_.arc_dst
         order = np.argsort(dst, kind="stable")
         self.indices = np.ascontiguousarray(src[order], dtype=np.int32)
@@ -88,8 +89,7 @@ class Kernel:
         counts = np.bincount(dst, minlength=ball_.size)
         self.indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
         del order, counts
-        if release_arcs:
-            ball_.arc_src = ball_.arc_dst = None
+        ball_.arc_src = ball_.arc_dst = None
         self.ball = ball_
         self._csr_rows = _native.library().csr_rows
         self._csr = [ctypes.c_void_p(a.ctypes.data)
@@ -222,11 +222,9 @@ def _walk(graph, root, n, width, reader=None, budget=DEFAULT_BUDGET,
                           f"~{charge >> 20} MiB, budget is {budget >> 20} MiB")
     if root is None or root == graph.root:
         b = ball(graph, n + 1, budget - charge, lumped=lumped)
-    elif graph.contains(root):
-        b = _ball_bfs(graph, n + 1, budget - charge, root=root)
     else:
-        raise GraphError(f"{root!r} is not a vertex of {graph.family}")
-    kern = Kernel(b, release_arcs=True)
+        b = _ball_bfs(graph, n + 1, budget - charge, root=root)
+    kern = Kernel(b)
     table = np.zeros((n, width))
     return b, table, kern.iterate(n, reader and reader(b, table))
 
@@ -367,12 +365,11 @@ def per_site_collision_series(graph, n_max, root=None, budget=DEFAULT_BUDGET):
                          "is defined on comb families")
     R, v = n_max + 1, graph.root if root is None else root
     graph._require(v)
-    low, top = (v[1] - R, v[1] + R) if graph.dim == 1 else \
-        (0, max(abs(v[1]), abs(v[2])) + R)
+    h0 = int(graph.height(v))                  # the root's height
+    low, top = h0 - R if graph.dim == 1 else 0, h0 + R
 
     def reader(b, table):
-        h = b.coords[1] if graph.dim == 1 else \
-            np.maximum(np.abs(b.coords[1]), np.abs(b.coords[2]))
+        h = graph.height(b.coords)
         fold = b.lumped and graph.dim == 1     # h = |t|, binned from t = 0
         (key, at), w = (h, R) if fold else (h - low, 0), 1.0 / b.orbit
 

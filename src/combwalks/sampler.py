@@ -177,7 +177,10 @@ def atomic_open(path, newline=None):
     place."""
     special = os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode)
     tmp = path if special else f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "w", newline=newline)
+    try:
+        fh = open(tmp, "w", newline=newline)
+    except OSError as exc:                 # name the file the caller gave
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with fh:
             yield fh
@@ -259,25 +262,22 @@ def read_summaries(path):
 # ladder's midpoint identities); channel c reads stream role + c.
 # `advance(us, L)` fills rows 1..L from an (L, width) array per channel,
 # row i the draws of step i, consumed every step even when a walker's
-# branch ignores them.  A walker's depth is max |coordinate c| over
-# 1 <= c <= `depth_coords` (0: no depth): `observe` folds it in every
-# window, `depth` recomputes it where the envelope needs it.  `depth` and
-# `distance` read a window of states, `height` and `depth` the vertices of
-# the meetings.
+# branch ignores them.  `observe` folds in the graph's `depth` every
+# window; `_run_block` reads the rest of the vertex model off the graph.
 # ---------------------------------------------------------------------------
 
 class _KernelBase:
     draws = (None,)
-    depth_coords = 0
 
     def __init__(self, graph, start, width, rows):
+        self.graph = graph
         self.pos = np.empty((rows + 1, len(start), width), dtype=np.int64)
         self.pos[0] = np.asarray(start, dtype=np.int64)[:, None]
 
     def watch(self):
         """Allocate the buffers ``observe`` writes (not for a marginal)."""
         rows, _, width = self.pos.shape
-        self.max_depth = self.depth(self.pos[:1])[0]    # from time 0 on
+        self.max_depth = self.graph.depth(self.pos[0])  # from time 0 on
         self.hits = np.empty(((rows - 1) * (width // 2), 2), dtype=np.int32)
         self.d_max = np.zeros(1, dtype=np.int64)
 
@@ -289,15 +289,9 @@ class _KernelBase:
         if not 0 <= L < len(self.pos):
             raise ValueError(f"a window of {L} rows past the history")
         return _native.library().observe(
-            self.pos.ctypes.data, *self.pos.shape[1:], self.depth_coords,
-            self.max_depth.ctypes.data, self.hits.ctypes.data,
-            self.d_max.ctypes.data, L)
-
-    def height(self, p):
-        return np.zeros(len(p), dtype=np.int64)
-
-    def depth(self, p):
-        return np.abs(p[:, 1:1 + self.depth_coords]).max(axis=1, initial=0)
+            self.pos.ctypes.data, *self.pos.shape[1:],
+            self.graph.depth_coords, self.max_depth.ctypes.data,
+            self.hits.ctypes.data, self.d_max.ctypes.data, L)
 
 
 class _CombKernel(_KernelBase):
@@ -327,14 +321,10 @@ class _CombKernel(_KernelBase):
 
     def __init__(self, graph, start, width, rows, lazy=False):
         super().__init__(graph, start, width, rows)
-        self.nb = graph.base_degree       # base classes at the spine
-        self.mod = graph.m or 0
-        self.n_teeth = graph.dim
-        self.depth_coords = graph.dim if self.nb else 0  # grid2d: no depth
         self.lazy = lazy
         self._k = None, None                     # pointers of k and k_hist
         if lazy:
-            if self.nb == 2:
+            if graph.base_degree == 2:
                 self.draws = (None, None)
             self.k = np.zeros(width, dtype=np.int64)
             self.k_hist = np.empty((rows, width), dtype=np.int64)
@@ -342,24 +332,14 @@ class _CombKernel(_KernelBase):
         self._step = _native.library().comb_step
 
     def advance(self, us, L):
-        u0, width = us[0], self.pos.shape[2]
+        u0, width, g = us[0], self.pos.shape[2], self.graph
         if L >= len(self.pos) or len(us) != len(self.draws) or any(
                 u.dtype != np.float64 or u.shape != (L, width)
                 or u.strides != (u0.strides[0], 8) for u in us):
             raise ValueError("want a unit-stride float64 row per step")
         self._step(u0.ctypes.data, us[1].ctypes.data if len(us) > 1 else None,
                    u0.strides[0] // 8, self.pos.ctypes.data, *self._k, width,
-                   L, self.n_teeth, self.nb, self.mod)
-
-    def height(self, p):
-        return p[:, 1] if self.n_teeth == 1 else self.depth(p)
-
-    def distance(self, p):
-        if not self.nb:
-            return np.abs(p).sum(axis=1)
-        b = p[:, 0]
-        base = np.minimum(b, self.mod - b) if self.mod else np.abs(b)
-        return base + np.abs(p[:, 1:]).sum(axis=1)
+                   L, g.dim, g.base_degree, g.m or 0)
 
 
 class _StarKernel(_KernelBase):
@@ -373,9 +353,6 @@ class _StarKernel(_KernelBase):
         leaf = 1 + (us[0] * self.leaves).astype(np.int64)
         at_hub = (np.arange(L) % 2 == 0)[:, None] == (self.pos[0, 0] == 0)
         self.pos[1:L + 1, 0] = np.where(at_hub, leaf, 0)
-
-    def distance(self, p):
-        return (p[:, 0] != 0).astype(np.int64)
 
 
 class _LadderKernel(_KernelBase):
@@ -400,7 +377,6 @@ class _LadderKernel(_KernelBase):
     """
 
     draws = (None, 1 << _LEVEL_BITS)
-    depth_coords = 1                                # the level
     _s = np.exp2(1.0 - np.arange(1, 1077))          # s of rows 1 .. 1076
     _THR = np.vstack([(0.0, 0.5, 0.5),
                       np.column_stack([_s, 2.0 * _s, 2.0 * _s + 1.0])
@@ -419,9 +395,6 @@ class _LadderKernel(_KernelBase):
         kind, n = pos[1:L + 1, 0], pos[1:L + 1, 1]
         lvl = np.minimum(n, _LEVEL_BITS)
         pos[1:L + 1, 2] = np.where(kind == 1, raw & ((np.int64(1) << lvl) - 1), 0)
-
-    def distance(self, p):
-        return p[:, 1] + (p[:, 0] == 1)
 
 
 def _make_kernel(graph, start, width, method, n_steps):
@@ -523,7 +496,7 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
     stride, lil_alphas = record.spine_stride, tuple(record.lil_alphas)
     if stride and not isinstance(graph, BiasedLadder):
         raise GraphError(f"{graph.family} has no spine trace to record")
-    if lil_alphas and not kernel.depth_coords:
+    if lil_alphas and not graph.depth_coords:
         raise GraphError(f"{graph.family} has no depth to test an envelope on")
     keys = _stream_keys(kernel, seed, replicas, stream_roles or _ROLES[method])
 
@@ -543,7 +516,7 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
         if n_hits:
             rows, cols = kernel.hits[:n_hits].T.astype(np.int64)
             v = p[rows, :, cols]
-            hits.append((rows + n0 + 1, cols, v, kernel.height(v)))
+            hits.append((rows + n0 + 1, cols, v, graph.height(v.T)))
         if method == "selfloop":
             k_rows.update((t, kernel.k_hist[t - n0 - 1].copy())
                           for t in cps if n0 < t <= n0 + L)
@@ -552,12 +525,12 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
             thr = lil_threshold(np.arange(n0 + 1, n0 + L + 1, dtype=float), a)
             # the envelope is monotone in n: test its low end first
             if kernel.d_max[0] > min(thr[0], thr[-1]):
-                over = kernel.depth(p) > thr[:, None]
+                over = graph.depth(p.swapaxes(0, 1)) > thr[:, None]
                 r, c = np.nonzero(over)
                 keys.append((c % B) * (n_steps + 1) + r + n0 + 1)
 
         if truncation_radius is not None:
-            out = kernel.distance(p) > truncation_radius
+            out = graph.distance(p.swapaxes(0, 1)) > truncation_radius
             if out.any():
                 r = int(np.argmax(out.any(axis=1)))
                 col = int(np.argmax(out[r]))

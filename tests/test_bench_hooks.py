@@ -88,3 +88,27 @@ def test_benchmark_tracer_spans_fire_on_the_oracle_call_sites(monkeypatch):
                      "oracle.meeting_expectation_series",
                      "oracle.per_site_collision_series"}
     assert tr.counts["ball_states"] > 0 and tr.counts["oracle_steps"] > 0
+
+
+def test_benchmark_tracer_spans_fire_on_the_construction_call_sites(
+        monkeypatch):
+    # the constructions workload at small sizes: a marginal or dichotomy
+    # call that bypassed its patched name would zero its per-layer metric
+    monkeypatch.syspath_prepend(BENCH)
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    import workloads
+    size = {**workloads.SIZES["constructions"], "replicas": 64,
+            "dichotomy_steps": 64, "dichotomy_replicas": 4}
+    ops, _ = workloads.build("constructions", 0, None, size)
+    tr = _load_tracer().Tracer()
+    try:
+        tr.install()
+        for op in ops:
+            op.run()
+    finally:
+        tr.restore()
+    fired = {name for name, *_ in tr.spans}
+    assert fired >= {"sampler.marginal_direct", "sampler.marginal_selfloop",
+                     "sampler.marginal_clock", "sampler.dichotomy"}
+    assert tr.counts["samples"] == 3 * 64
+    assert tr.counts["dichotomy_checks"] == 4 * 65

@@ -488,21 +488,45 @@ def test_fit_errors(tmp_path):
     ["fit", "--input", "{csv}", "--column", "value", "--range", "4:16"],
 ], ids=["simulate", "oracle", "verify", "stats", "fit"])
 def test_out_in_a_missing_directory_is_a_config_error(tmp_path, capsys,
-                                                      argv):
+                                                      monkeypatch, argv):
     from combwalks import cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated before --out was checked")
+
+    monkeypatch.setattr(cli, "run_ensemble", no_run)
     runs, csv = tmp_path / "runs.jsonl", tmp_path / "ret.csv"
     runs.write_text("")
     csv.write_text("n,value\n4,0.5\n8,0.25\n16,0.125\n")
     argv = [a.format(runs=runs, csv=csv) for a in argv]
-    assert cli.main([*argv, "--out", str(tmp_path / "gone" / "out")]) == 2
+    out = str(tmp_path / "gone" / "out")
+    assert cli.main([*argv, "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+    # the message names the path given, not the temp file beside it
+    assert out in err and ".tmp" not in err
     assert sorted(os.listdir(tmp_path)) == ["ret.csv", "runs.jsonl"]
 
 
-@pytest.mark.parametrize("data", [b"n,value\n2,abc\n", b"n,value\nnan,0.5\n",
-                                  b"n,value\n\xff\xfe,0.5\n", b""],
-                         ids=["word", "nan-n", "not-utf8", "empty"])
+def test_simulate_refuses_a_directory_as_out_before_sampling(tmp_path,
+                                                             monkeypatch):
+    from combwalks import cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated before --out was checked")
+
+    monkeypatch.setattr(cli, "run_ensemble", no_run)
+    for out in (tmp_path, str(tmp_path) + os.sep):
+        assert cli.main(["simulate", "--graph", "line", "--steps", "8",
+                         "--replicas", "1", "--seed", "0",
+                         "--out", str(out)]) == 2
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("data", [
+    b"n,value\n2,abc\n", b"n,value\nnan,0.5\n", b"n,value\n\xff\xfe,0.5\n", b"",
+    b"n,value\n4.9,0.5\n8.5,0.25\n16.2,0.125\n"],
+    ids=["word", "nan-n", "not-utf8", "empty", "fractional-n"])
 def test_fit_refuses_a_file_that_is_not_a_table_of_numbers(tmp_path, capsys,
                                                            data):
     from combwalks import cli
@@ -512,6 +536,18 @@ def test_fit_refuses_a_file_that_is_not_a_table_of_numbers(tmp_path, capsys,
                      "--range", "4:64"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("schema mismatch:") and "Traceback" not in err
+
+
+def test_fit_reads_a_whole_number_written_as_a_float(tmp_path):
+    from combwalks import cli
+    src, out = tmp_path / "in.csv", tmp_path / "fit.csv"
+    src.write_text("n,value\n4.0,0.5\n8.0,0.25\n16.0,0.125\n")
+    assert cli.main(["fit", "--input", str(src), "--column", "value",
+                     "--range", "4:16", "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    row = dict(zip(header, rows[0]))
+    assert (row["n_lo"], row["n_hi"], row["points"]) == ("4", "16", "3")
+    assert float(row["slope"]) == pytest.approx(-1.0)
 
 
 def test_stats_grid_report(tmp_path):

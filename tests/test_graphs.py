@@ -274,6 +274,37 @@ def test_grid_ball_levels_are_sorted():
     assert b.index_of((0, 0)) == 0
 
 
+@pytest.mark.parametrize("spec", [
+    "line", "cycle:2", "cycle:5", "grid2d", "comb:line", "comb:cycle:3",
+    "comb2:line", "star:3", "biased-ladder"])
+def test_distance_is_the_ball_level(spec):
+    # the sampler's truncation test reads `distance`, the oracle its balls
+    from combwalks.graphs import _ball_bfs
+    g = build_graph(spec)
+    for b in (ball(g, 5), ball(g, 5, lumped=True), _ball_bfs(g, 5, 2 << 30)):
+        assert np.array_equal(g.distance(b.coords), b.level)
+        # a sampler window: (coordinates, rows, walkers)
+        window = np.stack(b.coords)[:, None]
+        assert np.array_equal(g.distance(window), b.level[None])
+
+
+@pytest.mark.parametrize("spec, v, distance, height, depth", [
+    ("line", (-4,), 4, 0, 0), ("cycle:2", (1,), 1, 0, 0),
+    ("cycle:5", (3,), 2, 0, 0), ("grid2d", (3, -5), 8, 0, 0),
+    ("comb:line", (-2, -3), 5, -3, 3), ("comb:cycle:3", (2, 4), 5, 4, 4),
+    ("comb2:line", (1, 2, -5), 8, 5, 5), ("comb2:line", (0, -4, 1), 5, 4, 4),
+    ("star:3", (0,), 0, 0, 0), ("star:3", (2,), 1, 0, 0),
+    ("biased-ladder", (1, 3, 5), 4, 0, 3),
+    ("biased-ladder", (0, 7, 0), 7, 0, 7)])
+def test_vertex_model_at_hand_computed_vertices(spec, v, distance, height,
+                                                depth):
+    g = build_graph(spec)
+    cols = np.array(v)[:, None]                 # one vertex as a column
+    assert g.distance(cols).tolist() == [distance]
+    assert g.height(cols).tolist() == [height]
+    assert g.depth(cols).tolist() == [depth]
+
+
 @pytest.mark.parametrize("spec", PRODUCT_FAMILIES + ("star:4", "biased-ladder"))
 def test_ball_rows_hold_the_states_a_walk_reaches(spec):
     g = build_graph(spec)

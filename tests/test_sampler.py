@@ -478,23 +478,24 @@ def float_moves(kernel, us):
     u = us[0]
     if isinstance(kernel, sampler._StarKernel):
         return (1 + (u * kernel.leaves).astype(np.int64),)
-    if not kernel.nb:                   # grid2d: x-, x+, y-, y+
+    nb, n_teeth = kernel.graph.base_degree, kernel.graph.dim
+    if not nb:                          # grid2d: x-, x+, y-, y+
         c = (u * 4).astype(np.int8)
         return pm(c, 0), pm(c, 2)
-    flip = kernel.nb == 1               # the single edge
+    flip = nb == 1                      # the single edge
     if kernel.lazy:
-        q, q_down = lazy_thresholds(kernel.nb)
+        q, q_down = lazy_thresholds(nb)
         hold = u < q
         dts = np.where(hold, 0, np.where(u < q_down, -1, 1))
         dtt = pm((u * 2).astype(np.int8), 0)
         db = hold if flip else \
             np.where(hold, pm((us[1] * 2).astype(np.int8), 0), 0)
         return db, dts[:, None], dtt[:, None], hold
-    c = (u * (kernel.nb + 2 * kernel.n_teeth)).astype(np.int8)
+    c = (u * (nb + 2 * n_teeth)).astype(np.int8)
     db = (c == 0) if flip else pm(c, 0)
-    c2 = (u * (2 * kernel.n_teeth)).astype(np.int8)
-    lo = 2 * np.arange(kernel.n_teeth, dtype=np.int8)[:, None]
-    return db, pm(c[:, None], kernel.nb + lo), pm(c2[:, None], lo), None
+    c2 = (u * (2 * n_teeth)).astype(np.int8)
+    lo = 2 * np.arange(n_teeth, dtype=np.int8)[:, None]
+    return db, pm(c[:, None], nb + lo), pm(c2[:, None], lo), None
 
 
 def window_uniforms(us):
@@ -518,7 +519,7 @@ def reference_comb_step(kernel, us, start, k):
     (coords, width) state before the window and ``k`` the loop counts
     (lazy only).  Returns the states after each step and the loop counts
     after each step (lazy only); grid2d's states are its steps summed."""
-    if not kernel.nb:
+    if not kernel.graph.base_degree:
         steps = np.stack(float_moves(kernel, us), axis=1)
         return start + np.cumsum(steps, axis=0, dtype=np.int64), None
     db, dts, dtt, hold = float_moves(kernel, us)
@@ -527,12 +528,12 @@ def reference_comb_step(kernel, us, start, k):
     pos[0] = start
     on = np.ones(db.shape, dtype=bool)
     for i in range(L):
-        if kernel.n_teeth:
+        if kernel.graph.dim:
             on[i] = (pos[i, 1:] == 0).all(axis=0)
             pos[i + 1, 1:] = pos[i, 1:] + np.where(on[i], dts[i], dtt[i])
     pos[1:, 0] = start[0] + np.cumsum(db * on, axis=0, dtype=np.int64)
-    if kernel.mod:
-        pos[1:, 0] %= kernel.mod
+    if kernel.graph.m:
+        pos[1:, 0] %= kernel.graph.m
     k_hist = k + np.cumsum(hold & on, axis=0) if kernel.lazy else None
     return pos[1:], k_hist
 
@@ -704,9 +705,9 @@ def reference_observe(kernel, p, max_depth):
     depth)."""
     B = p.shape[2] // 2
     rows, cols = np.nonzero((p[:, :, :B] == p[:, :, B:]).all(axis=1))
-    if not kernel.depth_coords:
+    if not kernel.graph.depth_coords:
         return np.column_stack([rows, cols]), max_depth, 0
-    d_max = kernel.depth(p).max(axis=0)
+    d_max = kernel.graph.depth(p.swapaxes(0, 1)).max(axis=0)
     return np.column_stack([rows, cols]), np.maximum(max_depth, d_max), \
         d_max.max()
 
@@ -746,7 +747,7 @@ def test_compiled_observer_matches_reference_observer(spec, method):
             assert n == {"all": L * B, "none": 0}.get(case, n)
             assert np.array_equal(kernel.max_depth, ref_depth), (case, width)
             assert kernel.d_max[0] == ref_max, (case, width)
-        assert kernel.max_depth.any() == bool(kernel.depth_coords)
+        assert kernel.max_depth.any() == bool(kernel.graph.depth_coords)
 
 
 def test_observer_buffers_live_as_long_as_the_kernel():
@@ -795,7 +796,7 @@ def test_observe_without_the_lanes_writes_the_same_hits(scalar_library):
                 n = lane.observe(L)
                 assert scalar_library.observe(
                     alone.pos.ctypes.data, *alone.pos.shape[1:],
-                    alone.depth_coords, alone.max_depth.ctypes.data,
+                    alone.graph.depth_coords, alone.max_depth.ctypes.data,
                     alone.hits.ctypes.data, alone.d_max.ctypes.data,
                     L) == n, (spec, width, case)
                 assert np.array_equal(lane.hits[:n], alone.hits[:n])
