@@ -36,7 +36,7 @@ from .oracle import (OracleError, identity_check_suite,
                      return_probability_series)
 from .sampler import (RecordPolicy, SimulationError, atomic_open,
                       read_summaries, run_ensemble, write_summaries)
-from .stats import (SchemaError, StatsError, drift_estimate,
+from .stats import (SchemaError, StatsError, cell_ranges, drift_estimate,
                     dyadic_collision_stats, estimate_exponent,
                     lil_envelope_check, meeting_growth_curve)
 
@@ -271,8 +271,9 @@ def cmd_stats(args):
         if args.r_range is None or args.k_range is None:
             raise ConfigError("grid report needs --r-range and --k-range")
         _check_one_kind(report, args.inputs, loaded)
-        r_span = range(args.r_range[0], args.r_range[1] + 1)
-        k_span = range(args.k_range[0], args.k_range[1] + 1)
+        (r0, r1), (k0, k1) = args.r_range, args.k_range
+        # checked here too: an empty input writes its rows without a grid
+        r_span, k_span = cell_ranges(range(r0, r1 + 1), range(k0, k1 + 1))
         header = ("r", "k", "Z_mean", "A_prob", "W_mean", "W_given_A",
                   "count", "cond_count")
         if merged:

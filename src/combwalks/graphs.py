@@ -35,6 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 LADDER_ID_BITS = 62     # midpoint indices keep their low 62 bits
+INT64_END = 1 << 63     # cycle lengths and coordinates stay below
 DEFAULT_BUDGET = 2 << 30
 
 
@@ -44,10 +45,6 @@ class GraphError(ValueError):
 
 class BudgetError(RuntimeError):
     """A truncation would exceed the configured memory budget."""
-
-    def __init__(self, message, count=None):
-        super().__init__(message)
-        self.count = count
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +183,8 @@ class Star(Graph):
     """Hub vertex 0 joined to k leaves (non-constant degrees)."""
 
     def __init__(self, k):
-        if k < 1:
-            raise GraphError(f"star needs k >= 1, got {k}")
+        if not 1 <= k <= 1 << 53:          # a leaf is a 53-bit uniform draw
+            raise GraphError(f"star needs 1 <= k <= 2^53, got {k}")
         self.k = k
         self.family = f"star:{k}"
         self.root = (0,)
@@ -294,8 +291,8 @@ def build_graph(spec):
             return BiasedLadder()
         if fam == "cycle" and len(params) == 1:
             m = int(params[0])
-            if m < 2:
-                raise GraphError(f"cycle needs m >= 2, got {m}")
+            if not 2 <= m < INT64_END:
+                raise GraphError(f"cycle needs 2 <= m < 2^63, got {m}")
             return Product(m, 0)
         if fam == "star" and len(params) == 1:
             return Star(int(params[0]))
@@ -389,29 +386,30 @@ class Ball:
         return lo, int(self._row_end[r]) if r >= 0 else lo
 
 
-def ball(graph, radius, budget=DEFAULT_BUDGET, lumped=False):
-    """Exact truncation of `graph` to distance `radius` from its root.
+def ball(graph, radius, budget=DEFAULT_BUDGET, lumped=False, root=None):
+    """Exact truncation of `graph` to distance `radius` from `root` (None:
+    the family root), the one entry to every ball.
 
-    The ball of a `Product` is a base ball (a line, a cycle:m, the single
-    edge cycle:2, or one vertex) with a tooth ball of dimension 0, 1 or 2
-    and radius `radius - d(b)` glued at each base vertex b, d(b) being b's
-    base distance from the root, built by one vectorized builder.  With
-    `lumped`, it keeps one state per orbit of the product of the
-    root-fixing base flip (b -> -b on the line, b -> -b mod m on a cycle)
-    and the tooth group fixing 0 (t -> -t on Z, the eight symmetries of
-    the square on Z^2): `comb:line` and `comb:cycle:4` lump by 4, `grid2d`
-    by 8 and `comb2:line` by 16.  Product balls are bipartite, and so
-    indexed parity-major (see `Ball`), unless the base is an odd cycle.
-    `star:k`, the biased ladder and balls around other roots (`_ball_bfs`)
-    come from breadth-first search, unlumped and sorted by level as one
-    class.  Aborts with BudgetError (reporting the state count) if the
-    ball would not fit in `budget` bytes.
+    The ball of a `Product` around its family root glues a tooth ball of
+    dimension 0, 1 or 2 and radius `radius - d(b)` to each vertex b of its
+    base ball (the at most 2 radius + 1 vertices of a line or cycle:m
+    within `radius`, or one vertex), d(b) being b's base distance from the
+    root; one vectorized builder makes it.  With `lumped`, it keeps one
+    state per orbit of the product of the root-fixing base flip (b -> -b
+    on the line, b -> -b mod m on a cycle) and the tooth group fixing 0
+    (t -> -t on Z, the eight symmetries of the square on Z^2): `comb:line`
+    and `comb:cycle:4` lump by 4, `grid2d` by 8 and `comb2:line` by 16.
+    Product balls are bipartite, and so indexed parity-major (see `Ball`),
+    unless the base is an odd cycle.  `star:k`, the biased ladder and
+    balls around any other root come from breadth-first search, unlumped
+    and sorted by level as one class.  Aborts with BudgetError (reporting
+    the state count) if the ball would not fit in `budget` bytes.
     """
     if radius < 0:
         raise GraphError("radius must be >= 0")
-    if graph.dim is not None:
+    if graph.dim is not None and root in (None, graph.root):
         return _ball_product(graph, radius, budget, lumped)
-    return _ball_bfs(graph, radius, budget)
+    return _ball_bfs(graph, radius, budget, root)
 
 
 def _budget_check(n_vertices, n_arcs, budget, what):
@@ -422,19 +420,16 @@ def _budget_check(n_vertices, n_arcs, budget, what):
     if est > budget:
         raise BudgetError(
             f"{what}: {n_vertices} states / {n_arcs} arcs need ~{est >> 20} MiB, "
-            f"budget is {budget >> 20} MiB", count=n_vertices)
+            f"budget is {budget >> 20} MiB")
 
 
 def _ragged(lows, counts):
     """Concatenate arange(lo, lo+c) for each (lo, c) pair, vectorized."""
     counts = np.asarray(counts, dtype=np.int64)
     lows = np.asarray(lows, dtype=np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.zeros(len(counts) + 1, dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(counts)))
-    out = np.arange(total, dtype=np.int64) - np.repeat(starts[:-1], counts) \
-        + np.repeat(lows, counts)
+    out = np.arange(starts[-1], dtype=np.int64) \
+        - np.repeat(starts[:-1], counts) + np.repeat(lows, counts)
     return out, starts
 
 
@@ -467,23 +462,25 @@ def _ball_product(graph, R, budget, lumped):
     tooth root, each group in state order.  Lumped, a state is kept only
     if it is its orbit's representative and every arc goes to one.
     """
-    m, dim = graph.m, graph.dim
-    # the base vertices that may lie within distance R, ascending (one
-    # vertex: the coordinate 0), and their distance d, which is also the
-    # fold onto orbit representatives: the line's flip and the cycle's
-    # reflection send b to d(b), and cycle:2 has no flip
-    cand = np.arange(-R, R + 1, dtype=np.int64) if m == 0 else \
-        np.arange(m or 1, dtype=np.int64)
+    m, dim, W = graph.m, graph.dim, 2 * R + 1
+    # the base vertices within R, ascending: -R .. R on the line, else the
+    # distinct residues mod m of its first m (one vertex: 0); their distance
+    # d is also the fold onto orbit representatives: the line's flip and
+    # the cycle's reflection send b to d(b), and cycle:2 has no flip
+    near = np.arange(-R, R + 1, dtype=np.int64)
+    base = near if m == 0 else np.sort(near[:m or 1] % (m or 1))
     dist = graph.base_distance
-    dc = dist(cand)
-    keep = dc <= R
-    if lumped:
-        keep &= dc == cand
-    b, d = cand[keep], dc[keep]
-    bpos = np.cumsum(keep) - 1             # candidate -> base position
+    dc = dist(base)
+    b = base[dc == base] if lumped else base
+    d = dist(b)
+
+    def slot(v):                           # base vertex -> one of W slots
+        return (v - m + R) % m if m else v + R
+
+    bpos = np.empty(W, np.int64)           # slot -> base position
+    bpos[slot(b)] = np.arange(len(b))
     h = R - d                              # tooth radius at each base vertex
     lo = 0 * h if lumped else -h
-    W = 2 * R + 1
     if dim == 2:                           # columns (b, t1), rows t2
         t1, _ = _ragged(lo, h - lo + 1)
         pos = np.repeat(np.arange(len(b)), h - lo + 1)
@@ -508,7 +505,7 @@ def _ball_product(graph, R, budget, lumped):
     def flat_of(*v):
         if m is None:
             return flat(*v)
-        p = bpos[v[0] - cand[0]]
+        p = bpos[slot(v[0])]
         if dim == 2:
             return flat(p * W + v[1] + R, v[2])
         return flat(p, v[1] if dim else 0 * p)
@@ -561,7 +558,7 @@ def _ball_product(graph, R, budget, lumped):
             if dim == 1 else np.where(x[1] == 0, np.where(x[0] == 0, 1, 4),
                                       np.where(x[0] == x[1], 4, 8))
         if m is not None:
-            orbit *= np.bincount(dc[dc <= R])[coords[0]]
+            orbit *= np.bincount(dc)[coords[0]]
 
     def index_of(v):
         bv, t = (0, v) if m is None else (v[0], v[1:])
@@ -575,7 +572,8 @@ def _ball_product(graph, R, budget, lumped):
 
 
 def _ball_bfs(graph, radius, budget, root=None):
-    """Generic breadth-first truncation for families without a closed form."""
+    """Generic breadth-first truncation around `root` (None: the family
+    root), for families without a closed form and for other roots."""
     max_states = max(budget // 250, 1)
     root = graph.root if root is None else root
     graph._require(root)
@@ -593,9 +591,8 @@ def _ball_bfs(graph, radius, budget, root=None):
                     level.append(r)
                     nxt.append(w)
                     if len(verts) > max_states:
-                        raise BudgetError(
-                            f"bfs ball exceeded {max_states} states at radius {r}",
-                            count=len(verts))
+                        raise BudgetError(f"bfs ball exceeded {max_states} "
+                                          f"states at radius {r}")
         frontier = nxt
     src, dst = [], []
     for v, i in index.items():

@@ -53,8 +53,7 @@ import ctypes
 import numpy as np
 
 from . import _native
-from .graphs import (BudgetError, GraphError, ball, build_graph, _ball_bfs,
-                     DEFAULT_BUDGET)
+from .graphs import BudgetError, GraphError, ball, build_graph, DEFAULT_BUDGET
 
 MASS_TOL = 1e-10        # guard on probability conservation during iteration
 
@@ -165,15 +164,15 @@ class SparseDistribution:
         idx = self.ball.index_of(vertex)
         return float(self.dense[idx])
 
-    def items(self, eps=0.0):
+    def items(self):
         return [(self.ball.vertex_of(int(i)), float(self.dense[i]))
-                for i in np.nonzero(self.dense > eps)[0]]
+                for i in np.nonzero(self.dense > 0)[0]]
 
-    def validate(self, tol=1e-12):
+    def validate(self):
         d = self.dense
         if d.min() < 0:
             raise OracleError(f"negative mass {d.min():.3e}")
-        if abs(d.sum() - 1.0) > tol:
+        if abs(d.sum() - 1.0) > 1e-12:
             raise OracleError(f"mass {d.sum()!r} != 1")
         lo, hi = self.ball.rows(self.n)
         if np.any(d[:lo] != 0.0) or np.any(d[hi:] != 0.0):
@@ -212,20 +211,16 @@ def _walk(graph, root, n, width, reader=None, budget=DEFAULT_BUDGET,
     """The one exact walk: `n` steps from `root` (None: the family root).
 
     Charges the (n, width) table to `budget`, then builds the radius-(n + 1)
-    ball in the rest: `ball` at the family root, lumped if asked, `_ball_bfs`
-    around any other.  `reader(ball, table)` returns the `on_step` of
+    `ball` around `root` in the rest, lumped if asked and the ball has a
+    lumping.  `reader(ball, table)` returns the `on_step` of
     `Kernel.iterate`, which fills row k - 1 from step k's rows.  Returns
     the ball, the table and p^(n)."""
     charge = 8 * n * width
     if charge > budget:
         raise BudgetError(f"a {n} x {width} series table needs "
                           f"~{charge >> 20} MiB, budget is {budget >> 20} MiB")
-    if root is None or root == graph.root:
-        b = ball(graph, n + 1, budget - charge, lumped=lumped)
-    else:
-        b = _ball_bfs(graph, n + 1, budget - charge, root=root)
-    kern = Kernel(b)
-    table = np.zeros((n, width))
+    b = ball(graph, n + 1, budget - charge, lumped, root)
+    kern, table = Kernel(b), np.zeros((n, width))
     return b, table, kern.iterate(n, reader and reader(b, table))
 
 

@@ -54,7 +54,7 @@ from itertools import chain
 import numpy as np
 
 from . import _native
-from .graphs import (BiasedLadder, GraphError, Star,
+from .graphs import (BiasedLadder, GraphError, Star, INT64_END,
                      LADDER_ID_BITS as _LEVEL_BITS)
 from .rng import (RngStream, X_BASE, X_HOLD, X_MAIN, X_SKEL, X_TOOTH, Y_MAIN,
                   Y_TOOTH, fill, stream_keys)
@@ -200,18 +200,27 @@ def write_summaries(path, summaries):
 
 def _summary(d):
     """One ``json.loads`` line's summary; KeyError, TypeError if malformed,
-    as when a count, time or coordinate is not an int, the one number
-    type the writer and the scanner know."""
+    as when a count, time, coordinate, stride or trace point is not an
+    int, the one number type the writer and the scanner know, or when the
+    ``lil`` or ``spine`` extra is not of the shape the reports read: one
+    list of times per alpha, two traces of one length at a stride >= 1."""
     cols, final, tooth = d["collisions"], d["final"], d["max_tooth"]
+    lil = d.get("lil", {"alphas": [], "times": []})
+    spine = d.get("spine", {"stride": 1, "x": [], "y": []})
     vertices = [c["vertex"] for c in cols]
     cps = [(c["t"], c["meetings"]) for c in d["checkpoints"]]
     times, heights = [c["n"] for c in cols], [c["l"] for c in cols]
-    if not {*map(type, vertices)} <= {list} or not {*map(type, (
-            d["replica"], d["T"], d["meetings"], tooth["x"], tooth["y"],
+    lists = (*vertices, *lil["times"], lil["alphas"], spine["x"], spine["y"])
+    ints = (d["replica"], d["T"], d["meetings"], tooth["x"], tooth["y"],
             *final["x"], *final["y"], *times, *heights, *chain(*cps),
-            *chain(*vertices)))} <= {int}:
-        raise TypeError(f"replica {d['replica']}: a count, time or "
-                        "coordinate is not an int, or a vertex not a list")
+            *chain(*vertices, *lil["times"], spine["x"], spine["y"]),
+            spine["stride"])
+    if {*map(type, lists)} - {list} or {*map(type, ints)} - {int} \
+            or {*map(type, lil["alphas"])} - {int, float} \
+            or len(lil["times"]) != len(lil["alphas"]) \
+            or len(spine["x"]) != len(spine["y"]) or spine["stride"] < 1:
+        raise TypeError(f"replica {d['replica']}: a count, time or coordinate "
+                        "is not an int, or a vertex, lil or spine malformed")
     return PairTrajectorySummary(
         replica=d["replica"], n_steps=d["T"], meetings=d["meetings"],
         times=times, vertices=vertices, heights=heights, checkpoints=cps,
@@ -345,12 +354,8 @@ class _CombKernel(_KernelBase):
 class _StarKernel(_KernelBase):
     """The walker alternates between the hub and a uniform leaf."""
 
-    def __init__(self, graph, start, width, rows):
-        super().__init__(graph, start, width, rows)
-        self.leaves = graph.k
-
     def advance(self, us, L):
-        leaf = 1 + (us[0] * self.leaves).astype(np.int64)
+        leaf = 1 + (us[0] * self.graph.k).astype(np.int64)
         at_hub = (np.arange(L) % 2 == 0)[:, None] == (self.pos[0, 0] == 0)
         self.pos[1:L + 1, 0] = np.where(at_hub, leaf, 0)
 
@@ -437,10 +442,15 @@ def _batches(replicas, size, n_steps):
             for lo in range(0, replicas, size)]
 
 
-def _start(graph, start):
-    """``start``, or the family root if None, checked against the graph."""
+def _start(graph, start, n_steps):
+    """``start``, or the family root if None, checked against the graph and
+    int64: GraphError if its distance (over Python ints) plus ``n_steps``,
+    a bound on each |coordinate| of the run but a cycle's base, is >= 2^63."""
     start = graph.root if start is None else start
     graph._require(start)
+    reach = graph.distance([np.array(int(c), dtype=object) for c in start])
+    if int(reach) + n_steps >= INT64_END:
+        raise GraphError(f"start {start!r} and {n_steps} steps leave int64")
     return start
 
 
@@ -609,7 +619,7 @@ def run_pair(graph, start=None, n_steps=0, rng_x=None, rng_y=None,
     channel c reads stream role + c.  Defaults follow the role table in
     :mod:`.rng` with seed 0, replica 0.
     """
-    start = _start(graph, start)
+    start = _start(graph, start, n_steps)
     _check_steps(n_steps)
     role_x, role_y = _ROLES.get(method, _ROLES["direct"])
     rng_x = rng_x or RngStream(0, 0, role_x)
@@ -639,7 +649,7 @@ def run_ensemble(graph, start=None, n_steps=0, replicas=1, seed=0, workers=1,
     of (graph, start, n_steps, replicas, seed, record): worker count changes
     wall time only.
     """
-    start = _start(graph, start)
+    start = _start(graph, start, n_steps)
     blocks = _batches(replicas, _BLOCK, n_steps)
     run = functools.partial(_run_block, graph, start, n_steps, seed,
                             record=record or RecordPolicy(), method=method,
@@ -666,12 +676,13 @@ def _draws(seed, replicas, stream, n):
     return out
 
 
-def _clock(d, seed, replicas, T):
+def _clock(d, seed, replicas, T, first=0):
     """``(reps, _clock_arrays)`` of the undelayed-walk and holding-time
-    streams over horizon T of replicas 0 .. replicas - 1, in batches
-    ``reps`` whose (T + 3)-row arrays hold at most ``SCRATCH`` values."""
-    _check_steps(T)
+    streams over horizon T of replicas first .. first + replicas - 1, in
+    batches ``reps`` of (T + 3)-row arrays of at most ``SCRATCH`` values."""
+    _check_steps(T)                        # before T + 3 divides
     for reps in _batches(replicas, max(1, SCRATCH // (T + 3)), T):
+        reps = range(first + reps.start, first + reps.stop)
         yield reps, _clock_arrays(d, _draws(seed, reps, X_SKEL, T),
                                   _draws(seed, reps, X_HOLD, T + 2))
 
@@ -739,9 +750,7 @@ def geometric_clock_path(d, n_steps, seed=0, replica=0):
     undelayed revisits to 0 up to half time, R sums the holds of those
     revisits.  Either K_n >= R_n or K_n >= n/2 holds at every n.
     """
-    _check_steps(n_steps)
-    arrs = _clock_arrays(d, _draws(seed, [replica], X_SKEL, n_steps),
-                         _draws(seed, [replica], X_HOLD, n_steps + 2))
+    (_, arrs), = _clock(d, seed, 1, n_steps, first=replica)
     return {k: v[:, 0] for k, v in arrs.items()}
 
 
@@ -770,7 +779,7 @@ def sample_marginal(graph, n_steps, replicas, seed=0, method="direct",
     role), so the batches (``_clock``, ``_MARGINAL_BATCH``) bound
     memory and do not change the output.
     """
-    start = _start(graph, start)
+    start = _start(graph, start, n_steps)
     if method == "clock":
         if graph.dim != 1 or graph.m is None:
             raise GraphError("clock construction needs a comb graph")

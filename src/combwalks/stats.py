@@ -80,6 +80,16 @@ def _cell_z(rows, ns, ls, n_rep, r, k):
     return np.bincount(rows[m], minlength=n_rep)
 
 
+def cell_ranges(r_range, k_range):
+    """The distinct r and the distinct k of a grid, ascending; StatsError
+    if either is empty or below 0, where no dyadic cell lies."""
+    r_range, k_range = (sorted({int(x) for x in a})
+                        for a in (r_range, k_range))
+    if not (r_range and k_range and min(r_range + k_range) >= 0):
+        raise StatsError("cell ranges must be non-empty, with r, k >= 0")
+    return r_range, k_range
+
+
 def dyadic_collision_stats(summaries, r_range, k_range):
     """Grid of DyadicCellStats over r in r_range, k in k_range.
 
@@ -87,12 +97,7 @@ def dyadic_collision_stats(summaries, r_range, k_range):
     surrounding cells, so Z is also counted on the grid extended by one
     in r and one in k on each side, once per cell.
     """
-    r_range = sorted(set(int(r) for r in r_range))
-    k_range = sorted(set(int(k) for k in k_range))
-    if not r_range or not k_range:
-        raise StatsError("empty cell ranges")
-    if min(k_range) < 0:
-        raise StatsError("height cells start at k = 0")
+    r_range, k_range = cell_ranges(r_range, k_range)
     n_rep = len(summaries)
     rows, ns, ls = _gather_records(summaries)
     z = functools.cache(lambda r, k: _cell_z(rows, ns, ls, n_rep, r, k))
@@ -210,18 +215,14 @@ def meeting_growth_curve(summaries, checkpoints=None):
     if not summaries:
         raise StatsError("no summaries")
     have = [t for t, _ in summaries[0].checkpoints]
-    try:        # (replica, checkpoint, [t, meetings]); ragged grids raise
-        grid = np.array([s.checkpoints for s in summaries],
-                        dtype=np.int64).reshape(len(summaries), len(have), 2)
-    except ValueError:
-        grid = None
-    if grid is None or (grid[:, :, 0] != have).any():
-        odd = next(s for s in summaries
-                   if [t for t, _ in s.checkpoints] != have)
-        raise SchemaError(
-            f"replica {odd.replica} has checkpoints "
-            f"{[t for t, _ in odd.checkpoints]}, replica "
-            f"{summaries[0].replica} has {have}")
+    for s in summaries:
+        if [t for t, _ in s.checkpoints] != have:
+            raise SchemaError(f"replica {s.replica} has checkpoints "
+                              f"{[t for t, _ in s.checkpoints]}, replica "
+                              f"{summaries[0].replica} has {have}")
+    # (replica, checkpoint, [t, meetings])
+    grid = np.array([s.checkpoints for s in summaries],
+                    dtype=np.int64).reshape(len(summaries), len(have), 2)
     if checkpoints is None:
         checkpoints = have
     missing = [t for t in checkpoints if t not in have]
@@ -257,28 +258,25 @@ def drift_estimate(summaries):
     """Estimate the rightward spine drift from recorded spine traces."""
     from scipy.stats import linregress
 
-    num = den = n_tr = 0
+    num = den = 0
     acc = first = None
     for s in summaries:
         spine = s.extras.get("spine")
         if spine is None:
             raise StatsError("summaries carry no spine traces")
         shape = (spine["stride"], len(spine["x"]))
-        if first is None:
-            first, acc = shape, np.zeros(shape[1], dtype=np.float64)
-        elif shape != first:
+        if first not in (None, shape):
             raise SchemaError(f"spine traces mix (stride, points) {first} "
                               f"and {shape} (replica {s.replica})")
-        for wkey in ("x", "y"):
-            tr = np.asarray(spine[wkey], dtype=np.int64)
+        first = shape
+        for w in "xy":          # one trace at a time: O(points) memory
+            tr = np.asarray(spine[w], dtype=np.int64)
             d = np.diff(tr)
-            num += int(d.sum())
-            den += int(np.abs(d).sum())
-            acc += tr
-            n_tr += 1
+            num, den = num + int(d.sum()), den + int(np.abs(d).sum())
+            acc = tr if acc is None else acc + tr      # int64: exact
     if den == 0:
         raise StatsError("no spine moves recorded")
-    mean_pos = acc / n_tr
+    mean_pos = acc / (2 * len(summaries))
     half_steps = np.arange(len(mean_pos), dtype=np.float64) * first[0] / 2.0
     res = linregress(half_steps, mean_pos)
     return DriftEstimate(per_move=num / den,

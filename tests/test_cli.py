@@ -680,6 +680,20 @@ def _defect(name):
         d["checkpoints"][1]["meetings"] = 1.5
     elif name == "collision n is a string":
         d["collisions"][0]["n"] = "x"
+    elif name == "spine y shorter than x":
+        d["spine"]["y"] = [0, -1]
+    elif name == "spine is a list":
+        d["spine"] = [2, [0, 1, 2], [0, -1, 0]]
+    elif name == "spine point is a float":
+        d["spine"]["x"][1] = 1.5
+    elif name == "spine stride is 0":
+        d["spine"]["stride"] = 0
+    elif name == "lil is a list":
+        d["lil"] = [[0.75], [[]]]
+    elif name == "lil times shorter than alphas":
+        d["lil"]["alphas"] = [0.75, 0.9]
+    elif name == "lil time is a float":
+        d["lil"]["times"] = [[1.5]]
     return d
 
 
@@ -688,7 +702,9 @@ def _defect(name):
     None, "collision without l", "collision without n", "vertex is a string",
     "vertex is a number", "checkpoint without t",
     "checkpoint meetings is a string", "checkpoint meetings is a float",
-    "collision n is a string"])
+    "collision n is a string", "spine y shorter than x", "spine is a list",
+    "spine point is a float", "spine stride is 0", "lil is a list",
+    "lil times shorter than alphas", "lil time is a float"])
 def test_stats_refuses_a_malformed_summary(tmp_path, capsys, report, defect):
     from combwalks import cli
     path = tmp_path / "runs.jsonl"
@@ -704,6 +720,37 @@ def test_stats_refuses_a_malformed_summary(tmp_path, capsys, report, defect):
     assert err.count("\n") == 1 and err.startswith("schema mismatch: ")
     assert str(path) in err and "Traceback" not in err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["runs", "empty"])
+@pytest.mark.parametrize("cells", [["--r-range=-3:2", "--k-range=1:2"],
+                                   ["--r-range=1:2", "--k-range=-1:2"]])
+def test_stats_grid_refuses_cells_below_zero(tmp_path, capsys, empty, cells):
+    # checked before the empty input's shortcut, and r like k
+    from combwalks import cli
+    path, out = tmp_path / "runs.jsonl", tmp_path / "grid.csv"
+    path.write_text("" if empty else json.dumps(GOOD_SUMMARY) + "\n")
+    rc = cli.main(["stats", "--report", "grid", "--inputs", str(path),
+                   *cells, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 5 and err.startswith("degenerate data: ")
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--graph", "comb:line", "--start", "99999999999999999999,0"],
+    ["--graph", "comb:line", "--start", "9223372036854775807,0"],
+    ["--graph", "comb:cycle:99999999999999999999"],
+    ["--graph", "star:99999999999999999999"]])
+def test_simulate_refuses_what_int64_cannot_carry(tmp_path, capsys, flags):
+    from combwalks import cli
+    out = tmp_path / "runs.jsonl"
+    rc = cli.main(["simulate", *flags, "--steps", "200", "--replicas", "8",
+                   "--seed", "3", "--workers", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("config error: ")
+    assert any(w in err for w in ("2^63", "2^53", "int64"))
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_stats_growth_labels_by_file_stem(tmp_path):

@@ -1,5 +1,7 @@
 """Graph families, spec-string parsing, and ball construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,19 @@ def test_build_graph_round_trips_family_string():
 def test_build_graph_rejects(bad):
     with pytest.raises(GraphError):
         build_graph(bad)
+
+
+@pytest.mark.parametrize("spec, top", [
+    ("cycle:9223372036854775808", 2 ** 63 - 1),
+    ("comb:cycle:99999999999999999999", 2 ** 63 - 1),
+    ("comb2:cycle:9223372036854775808", 2 ** 63 - 1),
+    ("star:9007199254740993", 2 ** 53), ("star:99999999999999999999", 2 ** 53)])
+def test_build_graph_refuses_a_parameter_past_its_bound(spec, top):
+    # a cycle length the sampler's int64 columns cannot hold, a star size
+    # whose leaves a 53-bit uniform cannot all reach
+    with pytest.raises(GraphError, match=r"2\^(63|53)"):
+        build_graph(spec)
+    assert build_graph(f"{spec.rsplit(':', 1)[0]}:{top}")
 
 
 ALL_FAMILIES = ("line", "cycle:2", "cycle:3", "cycle:5", "star:3", "grid2d",
@@ -318,3 +333,28 @@ def test_ball_rows_hold_the_states_a_walk_reaches(spec):
             if b.bipartite:
                 want &= b.level % 2 == n % 2
             assert np.array_equal(np.nonzero(want)[0], np.arange(lo, hi))
+
+
+@pytest.mark.parametrize("m", [10 ** 7, 2 ** 63 - 2, 2 ** 63 - 1])
+def test_cycle_ball_costs_its_radius_not_its_length(m):
+    # only the 2R + 1 base vertices within R are made: a cycle longer than
+    # the ball's diameter has the line's ball, in memory and in series
+    from combwalks.oracle import (meeting_expectation_series,
+                                  return_probability_series)
+    g, line = build_graph(f"comb:cycle:{m}"), build_graph("comb:line")
+    tracemalloc.start()
+    try:
+        b = ball(g, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert b.size == ball(line, 8).size
+    assert b.vertex_of(b.index_of((m - 3, 2))) == (m - 3, 2)
+    for series in (return_probability_series,
+                   lambda g, n: meeting_expectation_series(g, n)[1]):
+        got, want = series(g, 64).values, series(line, 64).values
+        if m % 2:          # an odd cycle's ball is one class, stepped apart
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+        else:              # an even cycle's is indexed as the line's is
+            assert np.array_equal(got, want)

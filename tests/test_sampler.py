@@ -223,6 +223,7 @@ def test_ensemble_rejects_bad_args():
     lambda g: sampler.sample_marginal(g, 6, 0, method="clock"),
     lambda g: sampler.sample_marginal(g, -1, 3, method="clock"),
     lambda g: sampler.clock_dichotomy_violations(2, -1, 3),
+    lambda g: sampler.clock_dichotomy_violations(2, -3, 3),
     lambda g: run_ensemble(g, n_steps=-1, replicas=2),
     lambda g: sampler.geometric_clock_path(2, -1),
     lambda g: sampler.run_pair(g, n_steps=-1),
@@ -333,7 +334,8 @@ def test_marginal_law_matches_oracle(method, seed):
 
 @pytest.mark.parametrize("spec, method", [
     ("comb:cycle:4", "direct"), ("comb:cycle:4", "selfloop"),
-    ("comb:cycle:4", "clock"), ("comb:cycle:2", "selfloop")])
+    ("comb:cycle:4", "clock"), ("comb:cycle:2", "selfloop"),
+    ("comb:cycle:2", "clock")])
 def test_marginal_law_at_a_real_horizon(spec, method):
     # The position at n = 1024 against the exact law, |z| <= 4 on three
     # events: the tooth at 0, |tooth| <= 32, the base at 0.  comb:cycle:2
@@ -477,7 +479,7 @@ def float_moves(kernel, us):
     the direct walk's class formula that the compiled step uses."""
     u = us[0]
     if isinstance(kernel, sampler._StarKernel):
-        return (1 + (u * kernel.leaves).astype(np.int64),)
+        return (1 + (u * kernel.graph.k).astype(np.int64),)
     nb, n_teeth = kernel.graph.base_degree, kernel.graph.dim
     if not nb:                          # grid2d: x-, x+, y-, y+
         c = (u * 4).astype(np.int8)
@@ -1250,3 +1252,43 @@ def test_chunk_length_does_not_change_output(monkeypatch):
     assert any(f[w][2] for f in finals for w in "xy")   # midpoint ids drawn
     monkeypatch.setattr(sampler, "SCRATCH", 24)
     assert probe() == default
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: run_ensemble(g, start=(2 ** 63 - 1, 0), n_steps=400,
+                           replicas=4, seed=3),
+    lambda g: run_ensemble(g, start=(10 ** 20, 0), n_steps=4, replicas=2),
+    lambda g: run_pair(g, start=(0, -(2 ** 63 - 400)), n_steps=400),
+    lambda g: sample_marginal(g, 400, 4, start=(2 ** 62, 2 ** 62)),
+    lambda g: sample_marginal(g, 400, 4, start=(2 ** 63 - 1, 0),
+                              method="clock")])
+def test_a_start_int64_cannot_carry_is_refused(call):
+    # |coordinates| + steps reach 2^63: a coordinate or distance could wrap
+    with pytest.raises(GraphError, match="int64"):
+        call(build_graph("comb:line"))
+
+
+@pytest.mark.parametrize("spec, start", [
+    ("comb:line", (2 ** 63 - 1 - 400, 0)),
+    # a cycle's base wraps mod m: only the distance from the root counts
+    ("comb:cycle:9223372036854775807", (2 ** 63 - 2, 0))])
+def test_a_start_int64_can_carry_runs_unwrapped(spec, start):
+    g = build_graph(spec)
+    for s in run_ensemble(g, start=start, n_steps=400, replicas=4, seed=3):
+        for v in (tuple(s.final_x), tuple(s.final_y)):
+            assert g.contains(v)
+            assert abs(int(g.distance(v)) - int(g.distance(start))) <= 400
+
+
+@pytest.mark.parametrize("spec", ["comb:cycle:9223372036854775807",
+                                  "star:9007199254740992"])
+def test_the_largest_families_emit_their_own_vertices(spec):
+    # the largest cycle length and star size: no base reduced mod 2^64,
+    # no leaf past k
+    g = build_graph(spec)
+    for s in run_ensemble(g, n_steps=200, replicas=8, seed=3):
+        assert all(g.contains(tuple(v)) for v in
+                   (s.final_x, s.final_y, *s.vertices))
+    for method in ("direct", "clock")[:1 + (g.dim == 1)]:
+        pos = sample_marginal(g, 200, 64, seed=3, method=method)
+        assert all(g.contains(tuple(map(int, v))) for v in pos)
