@@ -10,8 +10,10 @@ so E[Z] climbs while 2^{r/4} < 2^{k+1} and only afterwards settles into
 its 2^{-r/4} decay; rescaling by 2^{r/4 - k} makes the handover visible.
 """
 
+from scipy.stats import kendalltau
+
 from combwalks import (build_graph, conditional_W, dyadic_collision_stats,
-                       kendall_trend, run_ensemble)
+                       run_ensemble)
 
 g = build_graph("comb:line")
 summaries = run_ensemble(g, n_steps=4096, replicas=1500, seed=3)
@@ -34,9 +36,9 @@ for k in (1, 2):
     climb = [(r, grid[(r, k)].z_mean) for r in rs if r < 4 * (k + 1)]
     sat = [(r, grid[(r, k)].z_mean * 2 ** (r / 4) / 2 ** k)
            for r in rs if r >= 4 * (k + 1) and grid[(r, k)].z_mean > 0]
-    tau_c = kendall_trend(*zip(*climb))
+    tau_c = kendalltau(*zip(*climb)).statistic
     if len(sat) >= 2:
-        tau_s = kendall_trend(*zip(*sat))
+        tau_s = kendalltau(*zip(*sat)).statistic
         print(f"  k={k}: raw z_mean trend before the stars {tau_c:+.2f}, "
               f"scaled trend after {tau_s:+.2f} (flat)\n")
     else:

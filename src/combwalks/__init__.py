@@ -15,7 +15,7 @@ from .sampler import (CollisionRecord, PairTrajectorySummary, RecordPolicy,
                       write_summaries)
 from .stats import (DriftEstimate, DyadicCellStats, ExponentFit, GrowthCurve,
                     StatsError, conditional_W, drift_estimate,
-                    dyadic_collision_stats, estimate_exponent, kendall_trend,
+                    dyadic_collision_stats, estimate_exponent,
                     lil_envelope_check, lil_threshold, meeting_growth_curve)
 
 __version__ = "0.1.0"

@@ -267,6 +267,17 @@ def _is_int(x):
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def check_reach(graph, v, n):
+    """`v`, if it is a vertex of `graph` whose distance from the root (over
+    Python ints) plus `n` stays below 2^63, so that every vertex within `n`
+    steps of it has each coordinate in int64; else GraphError."""
+    graph._require(v)
+    if int(graph.distance([np.array(int(c), dtype=object) for c in v])) \
+            + n >= INT64_END:
+        raise GraphError(f"vertex {v!r} and {n} steps leave int64")
+    return v
+
+
 # ---------------------------------------------------------------------------
 # spec-string parsing
 # ---------------------------------------------------------------------------
@@ -407,6 +418,8 @@ def ball(graph, radius, budget=DEFAULT_BUDGET, lumped=False, root=None):
     """
     if radius < 0:
         raise GraphError("radius must be >= 0")
+    if root is not None:
+        check_reach(graph, root, radius)
     if graph.dim is not None and root in (None, graph.root):
         return _ball_product(graph, radius, budget, lumped)
     return _ball_bfs(graph, radius, budget, root)
@@ -576,7 +589,6 @@ def _ball_bfs(graph, radius, budget, root=None):
     root), for families without a closed form and for other roots."""
     max_states = max(budget // 250, 1)
     root = graph.root if root is None else root
-    graph._require(root)
     index = {root: 0}
     verts = [root]
     level = [0]

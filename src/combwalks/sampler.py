@@ -54,7 +54,7 @@ from itertools import chain
 import numpy as np
 
 from . import _native
-from .graphs import (BiasedLadder, GraphError, Star, INT64_END,
+from .graphs import (BiasedLadder, GraphError, Star, check_reach,
                      LADDER_ID_BITS as _LEVEL_BITS)
 from .rng import (RngStream, X_BASE, X_HOLD, X_MAIN, X_SKEL, X_TOOTH, Y_MAIN,
                   Y_TOOTH, fill, stream_keys)
@@ -443,15 +443,8 @@ def _batches(replicas, size, n_steps):
 
 
 def _start(graph, start, n_steps):
-    """``start``, or the family root if None, checked against the graph and
-    int64: GraphError if its distance (over Python ints) plus ``n_steps``,
-    a bound on each |coordinate| of the run but a cycle's base, is >= 2^63."""
-    start = graph.root if start is None else start
-    graph._require(start)
-    reach = graph.distance([np.array(int(c), dtype=object) for c in start])
-    if int(reach) + n_steps >= INT64_END:
-        raise GraphError(f"start {start!r} and {n_steps} steps leave int64")
-    return start
+    """``start``, or the family root if None, through `check_reach`."""
+    return check_reach(graph, graph.root if start is None else start, n_steps)
 
 
 def _stream_keys(kernel, seed, replicas, roles):

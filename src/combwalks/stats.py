@@ -155,44 +155,44 @@ class ExponentFit:
     points: int
 
 
-def _series_rows(series):
-    if hasattr(series, "rows"):
-        return list(series.rows())
-    return [(int(n), float(v)) for n, v in series]
+def _line_fit(x, y):
+    """Least-squares line of y against x, two float64 arrays: (slope,
+    intercept, stderr of the slope), computed as ``linregress`` computes
+    them, so each float is the one it gives.  StatsError if every x is the
+    same."""
+    if x.max() == x.min():
+        raise StatsError("a line fit needs two distinct x values")
+    n = len(x)
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    slope = ssxym / ssxm
+    if ssym == 0:                              # a flat y: r is 0 / 0
+        r = math.nan if ssxym == 0 else 0.0
+    else:
+        r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    # two points leave no degree of freedom: the slope is exact
+    stderr = np.sqrt((1 - r ** 2) * ssym / ssxm / (n - 2)) if n > 2 else 0.0
+    return float(slope), float(y.mean() - slope * x.mean()), float(stderr)
 
 
 def estimate_exponent(series, fit_range):
     """Least-squares power-law exponent over dyadic points of a series.
 
     Fits log2(value) against log2(n) using only n that are powers of two
-    inside [n_lo, n_hi].  Needs at least three such points, all positive.
+    inside [n_lo, n_hi].  Needs at least three such points, at two n or
+    more, all positive and finite.
     """
-    from scipy.stats import linregress
-
     n_lo, n_hi = fit_range
-    pts = [(n, v) for n, v in _series_rows(series)
+    rows = series.rows() if hasattr(series, "rows") else series
+    pts = [(n, v) for n, v in ((int(n), float(v)) for n, v in rows)
            if n_lo <= n <= n_hi and (n & (n - 1)) == 0 and n > 0]
     if len(pts) < 3:
         raise StatsError(f"need >= 3 dyadic points in [{n_lo}, {n_hi}], "
                          f"got {len(pts)}")
-    if any(v <= 0 for _, v in pts):
-        raise StatsError("power-law fit needs positive values")
-    x = np.log2([n for n, _ in pts])
-    y = np.log2([v for _, v in pts])
-    res = linregress(x, y)
-    return ExponentFit(slope=float(res.slope), intercept=float(res.intercept),
-                       stderr=float(res.stderr), n_lo=n_lo, n_hi=n_hi,
-                       points=len(pts))
-
-
-def kendall_trend(xs, ys):
-    """Kendall tau of ys against xs; nan when fewer than two points."""
-    from scipy.stats import kendalltau
-
-    if len(xs) < 2:
-        return math.nan
-    tau = kendalltau(xs, ys).statistic
-    return float(tau)
+    if not all(0 < v < math.inf for _, v in pts):      # refuses NaN too
+        raise StatsError("power-law fit needs positive, finite values")
+    return ExponentFit(*_line_fit(np.log2([n for n, _ in pts]),
+                                  np.log2([v for _, v in pts])),
+                       n_lo, n_hi, len(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +256,6 @@ class DriftEstimate:
 
 def drift_estimate(summaries):
     """Estimate the rightward spine drift from recorded spine traces."""
-    from scipy.stats import linregress
-
     num = den = 0
     acc = first = None
     for s in summaries:
@@ -278,10 +276,7 @@ def drift_estimate(summaries):
         raise StatsError("no spine moves recorded")
     mean_pos = acc / (2 * len(summaries))
     half_steps = np.arange(len(mean_pos), dtype=np.float64) * first[0] / 2.0
-    res = linregress(half_steps, mean_pos)
-    return DriftEstimate(per_move=num / den,
-                         per_half_step=float(res.slope),
-                         moves=den)
+    return DriftEstimate(num / den, _line_fit(half_steps, mean_pos)[0], den)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from combwalks.oracle import (identity_check_suite,
                               return_probability_series, transition_vector)
 from combwalks.sampler import (clock_dichotomy_violations, read_summaries,
                                sample_marginal)
-from combwalks.stats import estimate_exponent, kendall_trend
+from combwalks.stats import estimate_exponent
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONF = os.path.join(ROOT, "configs")
@@ -333,12 +333,12 @@ def test_criterion_8_dyadic_cell_trends(work):
     taus_sat, taus_full = {}, {}
     for k in ks:
         full = [(r, z_stat(r, k)) for r in rs]
-        taus_full[k] = kendall_trend([r for r, _ in full],
-                                     [v for _, v in full])
+        taus_full[k] = sps.kendalltau([r for r, _ in full],
+                                      [v for _, v in full]).statistic
         sat = [(r, v) for r, v in full if r >= 4 * (k + 1)]
         if len(sat) >= 2:
-            taus_sat[k] = kendall_trend([r for r, _ in sat],
-                                        [v for _, v in sat])
+            taus_sat[k] = sps.kendalltau([r for r, _ in sat],
+                                         [v for _, v in sat]).statistic
     z_ok = bool(taus_sat) and all(t <= 0 for t in taus_sat.values())
 
     # W given A non-decreasing in k at each r, over well-conditioned cells

@@ -1,7 +1,8 @@
-"""Byte identity of the sampler's JSONL, of the `stats` CSVs and of the
-exact oracle's series: pinned sha256 digests of small fixed ensembles, one
-per kernel, of every `stats` report over fixed inputs, and of oracle
-series on lumped, BFS and two-vector balls.
+"""Byte identity of the sampler's JSONL, of the `stats` and `fit` CSVs and
+of the exact oracle's series: pinned sha256 digests of small fixed
+ensembles, one per kernel, of every `stats` report over fixed inputs, of a
+`fit` over an exact return series, and of oracle series on lumped, BFS and
+two-vector balls.
 
 A change that is meant to keep the same bytes (a refactor, a faster
 kernel) must leave every digest here unchanged; a change that alters a
@@ -270,6 +271,12 @@ STATS_DIGESTS = {
         "d9ee8ff7fbf0b08c059bb5c0325d63b5f8aa60fa668020c7b0ec40b8c59a4570",
 }
 
+# sha256 of `oracle return --graph comb:line --nmax 1024`'s CSV and of the
+# CSV of `fit --column value --range 8:1024` over it
+FIT_DIGESTS = (
+    "df757b9aae30277716a5046c3e8895621521710a3e1a4b2bb26eec50af12613b",
+    "dd6598b455de966c679272b10cf2ce8a210a550b2aa7dda199328db39eebbfcf")
+
 
 @pytest.fixture(scope="module")
 def stats_inputs(tmp_path_factory):
@@ -287,6 +294,16 @@ def test_stats_csv_bytes_are_pinned(report, stats_inputs):
     assert cli.main(["stats", *argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         STATS_DIGESTS[report]
+
+
+def test_fit_csv_bytes_are_pinned(tmp_path):
+    ret, fit = tmp_path / "return.csv", tmp_path / "fit.csv"
+    assert cli.main(["oracle", "return", "--graph", "comb:line", "--nmax",
+                     "1024", "--out", str(ret)]) == 0
+    assert cli.main(["fit", "--input", str(ret), "--column", "value",
+                     "--range", "8:1024", "--out", str(fit)]) == 0
+    assert tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                 for p in (ret, fit)) == FIT_DIGESTS
 
 
 def _returns(spec, n_max, every):

@@ -33,18 +33,39 @@ def test_help_screens(sub):
     assert "usage" in res.stdout
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # only fit, stats --report drift, estimate_exponent and kendall_trend
-    # pay for scipy; every other command starts without any of it
+def test_import_leaves_scipy_stats_unloaded(tmp_path):
+    # numpy is the one run-time dependency: no command imports scipy, and
+    # `fit` and `stats --report drift`, its old users, write the same bytes
+    # with scipy unimportable as they write here
+    from combwalks import cli
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    runs, pts = tmp_path / "ladder.jsonl", tmp_path / "pts.csv"
+    assert cli.main(["simulate", "--graph", "biased-ladder", "--steps", "256",
+                     "--replicas", "4", "--seed", "5", "--spine-stride", "4",
+                     "--out", str(runs)]) == 0
+    pts.write_text("n,value\n2,0.5\n4,0.3\n8,0.2\n16,0.12\n")
+    argvs = [["fit", "--input", str(pts), "--column", "value",
+              "--range", "1:16"],
+             ["stats", "--report", "drift", "--inputs", str(runs)]]
+    for i, argv in enumerate(argvs):
+        assert cli.main([*argv, "--out", str(tmp_path / f"{i}.csv")]) == 0
     res = subprocess.run(
         [sys.executable, "-c",
-         "import combwalks.cli, sys; "
-         "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"],
+         "import json, sys; import combwalks.cli; "
+         "print([m for m in sys.modules if m.split('.')[0] == 'scipy']); "
+         "sys.modules['scipy'] = None; "
+         "print([combwalks.cli.main(a) for a in json.loads(sys.argv[1])]); "
+         "print([m for m, v in sys.modules.items() "
+         "if m.split('.')[0] == 'scipy' and v is not None])",
+         json.dumps([[*a, "--out", str(tmp_path / f"blocked{i}.csv")]
+                     for i, a in enumerate(argvs)])],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src})
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    assert res.stdout.split("\n")[:3] == ["[]", "[0, 0]", "[]"], res.stderr
+    for i in range(len(argvs)):
+        assert (tmp_path / f"blocked{i}.csv").read_bytes() == \
+            (tmp_path / f"{i}.csv").read_bytes()
 
 
 def test_import_leaves_process_pools_and_numpy_random_unloaded():
@@ -475,6 +496,16 @@ def test_fit_errors(tmp_path):
                    "--range", "4:64").returncode == 4
     assert run_cli("fit", "--input", str(ret), "--column", "value",
                    "--range", "1024:4096").returncode == 5
+    # every row at one n, and a value that is not finite: exit 5, no
+    # traceback and no NaN row
+    for i, rows in enumerate(("4,1.0\n4,2.0\n4,3.0", "4,1.0\n8,nan\n16,3.0",
+                              "4,1.0\n8,inf\n16,3.0")):
+        bad, out = tmp_path / f"bad{i}.csv", tmp_path / f"fit{i}.csv"
+        bad.write_text(f"n,value\n{rows}\n")
+        res = run_cli("fit", "--input", str(bad), "--column", "value",
+                      "--range", "1:16", "--out", str(out))
+        assert res.returncode == 5 and "Traceback" not in res.stderr
+        assert res.stderr.startswith("degenerate data:") and not out.exists()
     assert run_cli("fit", "--input", str(tmp_path / "missing.csv"),
                    "--column", "value", "--range", "4:64").returncode == 2
 

@@ -389,6 +389,33 @@ def test_per_site_rejects_toothless_graph():
         per_site_collision_series(build_graph("line"), 8)
 
 
+SERIES_FROM = {
+    "transition_vector": lambda g, v: transition_vector(g, v, 2),
+    "per_site": lambda g, v: per_site_collision_series(g, 2, root=v)}
+
+
+@pytest.mark.parametrize("name", list(SERIES_FROM))
+@pytest.mark.parametrize("root", [(10 ** 20, 0), (2 ** 63 - 2, 0),
+                                  (2 ** 63 - 1, 0), (0, 2 ** 63 - 1),
+                                  (-2 ** 63, 0)])
+def test_a_root_int64_cannot_carry_is_refused(name, root):
+    # the root's distance plus the ball's radius (3 here) reaches 2^63
+    with pytest.raises(GraphError, match="int64"):
+        SERIES_FROM[name](build_graph("comb:line"), root)
+
+
+@pytest.mark.parametrize("name", list(SERIES_FROM))
+def test_a_root_int64_can_carry_runs(name):
+    g, root = build_graph("comb:line"), (2 ** 63 - 4, 0)
+    # a translate of the walk from (0, 0): the same probabilities
+    near, at_zero = (SERIES_FROM[name](g, v) for v in (root, (0, 0)))
+    if name == "transition_vector":
+        assert sorted(p for _, p in near.items()) == \
+            sorted(p for _, p in at_zero.items())
+    else:
+        assert np.array_equal(near.table, at_zero.table)
+
+
 def loop_around(spec, v, i, j):
     return _loop_around(*_snapshots(build_graph(spec), v, i + j), i, j)
 

@@ -11,8 +11,8 @@ from combwalks.sampler import (PairTrajectorySummary, RecordPolicy,
 from combwalks.stats import (DriftEstimate, SchemaError, StatsError,
                              conditional_W, drift_estimate,
                              dyadic_collision_stats, estimate_exponent,
-                             kendall_trend, lil_envelope_check,
-                             lil_threshold, meeting_growth_curve)
+                             lil_envelope_check, lil_threshold,
+                             meeting_growth_curve, _line_fit)
 
 
 def synth(replica, records, T=1024, extras=None, checkpoints=None):
@@ -162,12 +162,42 @@ def test_estimate_exponent_guards():
         estimate_exponent(rows, (1024, 2048))      # two points only
     with pytest.raises(StatsError):
         estimate_exponent([(1, 1.0), (2, -1.0), (4, 1.0)], (1, 4))
+    # three points at one n: no line through them
+    with pytest.raises(StatsError, match="distinct x"):
+        estimate_exponent([(4, 1.0), (4, 2.0), (4, 3.0)], (1, 16))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(StatsError, match="finite"):
+            estimate_exponent([(4, 1.0), (8, bad), (16, 3.0)], (1, 16))
 
 
-def test_kendall_trend_signs():
-    assert kendall_trend([1, 2, 3, 4], [1, 4, 9, 16]) == 1.0
-    assert kendall_trend([1, 2, 3, 4], [5, 4, 3, 2]) == -1.0
-    assert math.isnan(kendall_trend([1], [1]))
+def _fits():
+    """Fits of the shapes `fit` and `drift` make, and the edge cases."""
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n = int(rng.integers(2, 41))
+        x = np.sort(rng.choice(60, n, replace=False)).astype(np.float64)
+        yield x, rng.normal(size=n) * 10.0 ** rng.integers(-3, 7) - 0.75 * x
+    for _ in range(20):
+        n = int(rng.integers(2, 6001))
+        x = np.arange(n, dtype=np.float64) * int(rng.integers(1, 65)) / 2.0
+        yield x, np.cumsum(rng.integers(-1, 2, size=n)) / 2.0 ** 7
+    x = np.array([1.0, 2.0, 4.0])
+    yield x, np.full(3, 0.1)                       # flat: stderr is NaN
+    yield x, 3.0 * x - 1.0                         # exact line
+    yield x, np.array([1e-170, 2e-170, 3e-170])    # y's squares underflow
+    yield x[:2], np.array([3.0, 7.0])              # two points
+
+
+def test_line_fit_matches_linregress_bit_for_bit():
+    from scipy.stats import linregress
+    for x, y in _fits():
+        ref = linregress(x, y)
+        want = tuple(float(v) for v in (ref.slope, ref.intercept, ref.stderr))
+        got = _line_fit(x, y)
+        assert all(a == b or math.isnan(a) and math.isnan(b)
+                   for a, b in zip(got, want)), (x, y, got, want)
+    with pytest.raises(StatsError, match="distinct x"):
+        _line_fit(np.full(3, 2.0), np.arange(3.0))
 
 
 def test_growth_curve_synthetic():
