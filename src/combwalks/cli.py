@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import os
 import sys
 import time
@@ -209,7 +208,7 @@ def cmd_simulate(args):
     write_summaries(args.out, sums)
     total = sum(s.meetings for s in sums)
     print(f"replicas={args.replicas} total_meetings={total} "
-          f"wall={time.time() - t0:.1f}s")
+          f"wall={time.time() - t0:.1f}s", file=sys.stderr)
     return EXIT_OK
 
 
@@ -251,15 +250,8 @@ def cmd_oracle(args):
 def _load_inputs(paths):
     if not paths:
         raise ConfigError("stats needs --inputs")
-    loaded = []
-    for p in paths:
-        try:
-            loaded.append((os.path.splitext(os.path.basename(p))[0],
-                           read_summaries(p)))
-        except (json.JSONDecodeError, UnicodeDecodeError, KeyError,
-                TypeError) as exc:
-            raise SchemaError(f"{p}: malformed summary: {exc}") from None
-    return loaded
+    return [(os.path.splitext(os.path.basename(p))[0], read_summaries(p))
+            for p in paths]
 
 
 def cmd_stats(args):
@@ -418,10 +410,17 @@ def main(argv=None):
             at = argv.index(args.command) + 1
             args = ap.parse_args(argv[:at] + _config_flags(args.config)
                                  + argv[at:])
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()                 # a closed pipe shows here, not at exit
+        return code
     except SystemExit as exc:
         # argparse exits 2 on bad flags, 0 on --help; keep its codes
         return int(exc.code or 0)
+    except BrokenPipeError:
+        # the reader of the output went away (`| head`): stop quietly, with
+        # stdout on /dev/null so the interpreter's last flush writes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CHECK
     except (ConfigError, GraphError, OSError) as exc:
         # OSError: an input that cannot be read or an --out not written
         print(f"config error: {exc}", file=sys.stderr)

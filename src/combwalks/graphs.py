@@ -447,8 +447,8 @@ def _ragged(lows, counts):
 
 
 def _columns(cols, lows, counts):
-    """Pairs (c, r) with lows[i] <= r < lows[i] + counts[i] in column
-    c = cols[i] (ascending), column by column, plus their flat index."""
+    """The rows r with lows[i] <= r < lows[i] + counts[i] of column
+    c = cols[i] (ascending), column by column, and the flat index of (c, r)."""
     rs, starts = _ragged(lows, counts)
     c0 = int(cols[0])
     cum = np.zeros(int(cols[-1]) - c0 + 1, dtype=np.int64)
@@ -459,7 +459,7 @@ def _columns(cols, lows, counts):
     def flat(c, r):
         return cum[c - c0] + (r - low[c - c0])
 
-    return np.repeat(cols, counts), rs, flat, len(rs)
+    return rs, flat
 
 
 def _ball_product(graph, R, budget, lumped):
@@ -469,9 +469,10 @@ def _ball_product(graph, R, budget, lumped):
     a state's flat index (`_columns`) is its place in that order; they are
     then sorted by (level % 2, level, coordinates), or by (level,
     coordinates) on an odd cycle base, whose ball has arcs within a level
-    and so is not bipartite.  Coordinates are (b, t...), with no b on a
-    one-vertex base.  Arcs come in groups: tooth moves per coordinate (-,
-    then +), then base moves (-, then +; + alone on cycle:2) from each
+    and so is not bipartite.  A one-vertex base is the base 0 mod 1: its
+    column is carried throughout and dropped only from `Ball.coords`.
+    Arcs come in groups: tooth moves per coordinate (-, then +), then base
+    moves (-, then +; + alone on cycle:2; none on one vertex) from each
     tooth root, each group in state order.  Lumped, a state is kept only
     if it is its orbit's representative and every arc goes to one.
     """
@@ -500,7 +501,7 @@ def _ball_product(graph, R, budget, lumped):
         hh = h[pos] - np.abs(t1)
         lows, counts = (0 * hh, np.minimum(t1, hh) + 1) if lumped \
             else (-hh, 2 * hh + 1)
-        key = t1 if m is None else pos * W + t1 + R
+        key = pos * W + t1 + R
     else:                                  # columns b, rows t (or one row)
         pos = key = np.arange(len(b))
         lows, counts = (lo, h - lo + 1) if dim else (0 * h, 1 + 0 * h)
@@ -508,22 +509,18 @@ def _ball_product(graph, R, budget, lumped):
     _budget_check(n, 2 * dim * n + graph.base_degree * len(b), budget,
                   f"{graph.family} ball")
 
-    keys, rows, flat, _ = _columns(key, lows, counts)
-    teeth = (keys if m is None else np.repeat(t1, counts), rows) \
-        if dim == 2 else (rows,)[:dim]
-    del keys, rows, key, lows
-    coords = teeth if m is None else (np.repeat(b[pos], counts),) + teeth
+    rows, flat = _columns(key, lows, counts)
+    teeth = (np.repeat(t1, counts), rows) if dim == 2 else (rows,)[:dim]
+    del rows, key, lows
+    coords = (np.repeat(b[pos], counts),) + teeth
     level = graph.distance(coords)
 
-    def flat_of(*v):
-        if m is None:
-            return flat(*v)
-        p = bpos[slot(v[0])]
-        if dim == 2:
-            return flat(p * W + v[1] + R, v[2])
-        return flat(p, v[1] if dim else 0 * p)
+    def flat_of(bv, *t):
+        p = bpos[slot(bv)]
+        return flat(p * W + t[0] + R, t[1]) if dim == 2 \
+            else flat(p, t[0] if dim else 0 * p)
 
-    bipartite = m is None or m % 2 == 0
+    bipartite = (m or 0) % 2 == 0
     order = np.lexsort(tuple(reversed(coords)) + (level,)
                        + ((level % 2,) if bipartite else ()))
     lookup = np.empty(n, np.int32)         # flat index -> sorted index
@@ -540,45 +537,42 @@ def _ball_product(graph, R, budget, lumped):
                 to = [np.abs(u) for u in to]
                 if dim == 2:
                     to = [np.maximum(*to), np.minimum(*to)]
-            at = () if m is None else (coords[0][on],)
             srcs.append(lookup[on])
-            dsts.append(lookup[flat_of(*at, *to)])
-            del on, to, at
+            dsts.append(lookup[flat_of(coords[0][on], *to)])
+            del on, to
     del inner, teeth
     zero = (0 * b,) * dim
-    if m is not None:
-        spine = lookup[flat_of(b, *zero)]  # sorted index of each tooth root
-        for s in (1,) if m == 2 else (-1, 1):   # cycle:2 is one edge
-            nb = (b + s) % m if m else b + s
-            ok = dist(nb) <= R
-            nb = dist(nb[ok]) if lumped else nb[ok]
-            srcs.append(spine[ok])
-            dsts.append(lookup[flat_of(nb, *(z[ok] for z in zero))])
+    spine = lookup[flat_of(b, *zero)]      # sorted index of each tooth root
+    for s in (-1, 1)[2 - graph.base_degree:]:
+        nb = (b + s) % m if m else b + s
+        ok = dist(nb) <= R
+        nb = dist(nb[ok]) if lumped else nb[ok]
+        srcs.append(spine[ok])
+        dsts.append(lookup[flat_of(nb, *(z[ok] for z in zero))])
     arc_src = np.concatenate(srcs) if srcs else np.empty(0, np.int32)
     arc_dst = np.concatenate(dsts) if dsts else np.empty(0, np.int32)
     del srcs, dsts
 
-    coords = tuple(c[order] for c in coords)
-    level = level[order].astype(np.int32)
-    del order
     degrees = np.full(n, 2.0 * dim)
-    if m is not None:
-        degrees[spine] += graph.base_degree
+    degrees[spine] += graph.base_degree
     orbit = None
     if lumped:                             # tooth orbit x base orbit
         x = coords[len(coords) - dim:]
         orbit = np.ones(n, np.int64) if dim == 0 else 1 + (x[0] != 0) \
             if dim == 1 else np.where(x[1] == 0, np.where(x[0] == 0, 1, 4),
                                       np.where(x[0] == x[1], 4, 8))
-        if m is not None:
-            orbit *= np.bincount(dc)[coords[0]]
+        orbit *= np.bincount(dc)[coords[0]]
+        orbit = orbit[order]
+    coords = tuple(c[order] for c in coords[m is None:])   # grid2d: no base
+    level = level[order].astype(np.int32)
+    del order
 
     def index_of(v):
-        bv, t = (0, v) if m is None else (v[0], v[1:])
+        bv, *t = (0, *v) if m is None else v   # grid2d's (x, y) is (0, x, y)
         if graph.distance(v) > R or lumped and (
-                dist(bv) != bv or t != tuple(sorted(map(abs, t), reverse=True))):
+                dist(bv) != bv or t != sorted(map(abs, t), reverse=True)):
             return -1
-        return lookup[flat_of(*(np.asarray([c]) for c in v))[0]]
+        return lookup[flat_of(*(np.asarray([c]) for c in (bv, *t)))[0]]
 
     return Ball(graph, R, coords, level, arc_src, arc_dst, degrees, index_of,
                 orbit=orbit, bipartite=bipartite)
@@ -586,37 +580,33 @@ def _ball_product(graph, R, budget, lumped):
 
 def _ball_bfs(graph, radius, budget, root=None):
     """Generic breadth-first truncation around `root` (None: the family
-    root), for families without a closed form and for other roots."""
+    root), for families without a closed form and for other roots.  Each
+    vertex is expanded once, in index order (BFS order), into its new
+    neighbours within `radius`, its arcs to indexed vertices and its degree."""
     max_states = max(budget // 250, 1)
     root = graph.root if root is None else root
     index = {root: 0}
-    verts = [root]
-    level = [0]
-    frontier = [root]
-    for r in range(1, radius + 1):
-        nxt = []
-        for v in frontier:
-            for w in graph.concrete_neighbors(v):
-                if w not in index:
-                    index[w] = len(verts)
-                    verts.append(w)
-                    level.append(r)
-                    nxt.append(w)
-                    if len(verts) > max_states:
-                        raise BudgetError(f"bfs ball exceeded {max_states} "
-                                          f"states at radius {r}")
-        frontier = nxt
-    src, dst = [], []
-    for v, i in index.items():
+    verts, level, degrees, src, dst = [root], [0], [], [], []
+    for v in verts:                        # grows while it is walked
+        i = index[v]                       # the dict's int, shared by arcs
+        r, deg = level[i] + 1, 0
         for w in graph.concrete_neighbors(v):
+            deg += 1
             j = index.get(w)
+            if j is None and r <= radius:
+                j = index[w] = len(verts)
+                verts.append(w)
+                level.append(r)
+                if len(verts) > max_states:
+                    raise BudgetError(f"bfs ball exceeded {max_states} "
+                                      f"states at radius {r}")
             if j is not None:
                 src.append(i)
                 dst.append(j)
+        degrees.append(deg)
     coords = tuple(np.asarray(col, dtype=np.int64) for col in zip(*verts))
-    level = np.asarray(level, dtype=np.int32)
-    degrees = np.asarray([graph.degree(v) for v in verts], dtype=np.float64)
 
-    return Ball(graph, radius, coords, level,
+    return Ball(graph, radius, coords, np.asarray(level, dtype=np.int32),
                 np.asarray(src, dtype=np.int32), np.asarray(dst, dtype=np.int32),
-                degrees, lambda v: index.get(v, -1), root=root)
+                np.asarray(degrees, dtype=np.float64),
+                lambda v: index.get(v, -1), root=root)

@@ -58,7 +58,7 @@ from .graphs import (BiasedLadder, GraphError, Star, check_reach,
                      LADDER_ID_BITS as _LEVEL_BITS)
 from .rng import (RngStream, X_BASE, X_HOLD, X_MAIN, X_SKEL, X_TOOTH, Y_MAIN,
                   Y_TOOTH, fill, stream_keys)
-from .stats import lil_threshold
+from .stats import SchemaError, lil_threshold
 
 SCRATCH = 1 << 16  # per window: walker-steps, clock values, JSONL bytes
 # stream roles (x, y) of the two walkers of a pair, per construction
@@ -234,11 +234,13 @@ def read_summaries(path):
     """The summaries of a JSONL file, one per non-blank line as text mode
     splits it.  ``_native.jsonl_scan`` reads about ``SCRATCH`` bytes of whole
     lines at a time, ``to_json``'s own form straight into columns; any other
-    line, or every line without the library, goes through ``_summary``."""
+    line, or every line without the library, goes through json and
+    ``_summary``, and one they refuse is a SchemaError naming its file line."""
     out, scan = [], lambda *args: None      # no library: rows stay -1
     with contextlib.suppress(_native.BuildError):
         scan = _native.library().jsonl_scan
     with open(path, "rb") as fh:
+        at = 0                                  # file lines before `lines`
         for lines in iter(functools.partial(fh.readlines, SCRATCH), []):
             win, rows = b"".join(lines), np.full((len(lines), 5), -1, np.int64)
             ints = np.empty(len(win) // 2 + 1, np.int64)  # 2 bytes an int
@@ -246,8 +248,13 @@ def read_summaries(path):
             v, o = ints[:rows[:, 0].max(initial=0)].tolist(), 0
             for line, (end, nc, nm, vd, fd) in zip(lines, rows.tolist()):
                 if end < 0:
-                    out.extend(_summary(json.loads(s)) for s in (
-                        b.decode().strip() for b in line.splitlines()) if s)
+                    try:
+                        out.extend(_summary(json.loads(s)) for s in (
+                            b.decode().strip() for b in line.splitlines()) if s)
+                    except (ValueError, KeyError, TypeError) as exc:
+                        k = at + lines.index(line) + 1  # equal lines fail alike
+                        raise SchemaError(
+                            f"{path}:{k}: malformed summary: {exc}") from None
                     continue
                 x, o, w = v[o:end], end, 2 + vd   # vd = -1: no meetings
                 c, f = 1 + 2 * nc, 1 + 2 * nc + w * nm
@@ -258,6 +265,7 @@ def read_summaries(path):
                     checkpoints=list(zip(x[2:c:2], x[1:c:2])),
                     final_x=tuple(x[f:f + fd]), final_y=tuple(x[f + fd:-4]),
                     max_tooth_x=x[-4], max_tooth_y=x[-3]))
+            at += len(lines)
     return out
 
 

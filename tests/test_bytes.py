@@ -319,8 +319,11 @@ ORACLE_CASES = {
     "return-all grid2d": _returns("grid2d", 100, "all"),
     # not bipartite: the kernel alternates two vectors
     "return-all comb:cycle:3": _returns("comb:cycle:3", 200, "all"),
-    # a BFS ball, not lumped
+    # BFS balls, not lumped: a star, an off-root comb and the ladder
     "return-all star:3": _returns("star:3", 64, "all"),
+    "return-all comb:line root (3, 2)": lambda: return_probability_series(
+        build_graph("comb:line"), 64, root=(3, 2), every="all"),
+    "return-all biased-ladder": _returns("biased-ladder", 12, "all"),
     "meetings comb:line": lambda: meeting_expectation_series(
         build_graph("comb:line"), 300),
     "meetings comb2:line": lambda: meeting_expectation_series(
@@ -349,6 +352,10 @@ ORACLE_DIGESTS = {
         "86b8c8ceccf97434b4826464e24d145d44af3d27cc222e4ceb23d97522f1a0a4",
     "return-all star:3":
         "a7e80125b8b48ccadeec48406188d7acc7d94e6d13b918da200940fd54b1a554",
+    "return-all comb:line root (3, 2)":
+        "a135b562bcd2dc6f4fba26150eee862cdf7fbe695ee208a1319b7299d496b73c",
+    "return-all biased-ladder":
+        "4ebac3ee1a38895dff0414e24252fcdc9d234d2996c75365e9a6ffd5575b528d",
     "meetings comb:line":
         "97b3c185d08143978974ca1c7771feba0b80ea6b8c8b01f2d21bf29c5933fad6",
     "meetings comb2:line":

@@ -172,13 +172,48 @@ def test_simulate_writes_jsonl_and_reports(tmp_path):
     res = run_cli("simulate", "--graph", "comb:line", "--steps", "512",
                   "--replicas", "30", "--seed", "5", "--out", str(out))
     assert res.returncode == 0, res.stderr
-    assert "replicas=30" in res.stdout and "total_meetings=" in res.stdout
+    # the run's line goes to stderr, so stdout can carry the JSONL
+    assert "replicas=30" in res.stderr and "total_meetings=" in res.stderr
+    assert res.stdout == ""
     lines = out.read_text().splitlines()
     assert len(lines) == 30
     rec = json.loads(lines[0])
     assert rec["T"] == 512 and rec["replica"] == 0
     assert rec["meetings"] == len(rec["collisions"])
     assert lines == sorted(lines, key=lambda ln: json.loads(ln)["replica"])
+
+
+def test_simulate_to_dev_stdout_writes_the_file_bytes(tmp_path):
+    argv = ("simulate", "--graph", "comb:line", "--steps", "256",
+            "--replicas", "12", "--seed", "3", "--workers", "1", "--out")
+    out = tmp_path / "runs.jsonl"
+    assert run_cli(*argv, str(out)).returncode == 0
+    res = subprocess.run([sys.executable, "-m", "combwalks.cli", *argv,
+                          "/dev/stdout"], capture_output=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == out.read_bytes()
+    assert b"replicas=12" in res.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "persite", "--graph", "comb:line", "--nmax", "200"],
+    ["oracle", "return", "--graph", "line", "--nmax", "8"],
+    ["simulate", "--graph", "line", "--steps", "8", "--replicas", "2",
+     "--seed", "1", "--workers", "1", "--out", "/dev/stdout"]],
+    ids=["persite", "short-return", "simulate"])
+def test_closed_stdout_stops_quietly(argv):
+    # the read end closes before the command writes, as `| head` does;
+    # a short output fails only at the last flush
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        res = subprocess.run([sys.executable, "-m", "combwalks.cli", *argv],
+                             stdout=w, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(w)
+    for text in ("config error", "Traceback", "Exception ignored"):
+        assert text not in res.stderr
+    assert res.returncode == 1, res.stderr
 
 
 def test_simulate_workers_default_to_affinity(tmp_path, monkeypatch):
@@ -749,8 +784,20 @@ def test_stats_refuses_a_malformed_summary(tmp_path, capsys, report, defect):
         return
     assert rc == 4
     assert err.count("\n") == 1 and err.startswith("schema mismatch: ")
-    assert str(path) in err and "Traceback" not in err
+    assert f"{path}:2: malformed summary" in err and "Traceback" not in err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_malformed_summary_line_counts_across_read_windows(tmp_path, capsys):
+    # more than the reader's 64 KiB window of good lines before the bad one
+    from combwalks import cli
+    good = json.dumps(GOOD_SUMMARY) + "\n"
+    lines = 2 + (1 << 16) // len(good)
+    path = tmp_path / "runs.jsonl"
+    path.write_text(good * (lines - 1) + "{not json\n" + good)
+    assert cli.main(["stats", "--report", "growth", "--inputs", str(path),
+                     "--out", str(tmp_path / "out.csv")]) == 4
+    assert f"{path}:{lines}: malformed summary" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("empty", [False, True], ids=["runs", "empty"])

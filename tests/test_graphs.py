@@ -216,9 +216,16 @@ def test_ball_rejects_outside_coordinates():
     assert b.level[b.index_of((2, -2))] == 4
 
 
-def test_ball_round_trip_and_degree_truth():
-    g = build_graph("comb:cycle:4")
-    b = ball(g, 5)
+@pytest.mark.parametrize("spec, root", [
+    ("comb:cycle:4", None), ("grid2d", None), ("star:5", None),
+    ("biased-ladder", None), ("comb:line", (3, 2))],
+    ids=["comb:cycle:4", "grid2d", "star:5", "biased-ladder",
+         "comb:line-root-3-2"])
+def test_ball_round_trip_and_degree_truth(spec, root):
+    # star, ladder and off-root balls come from BFS, whose degrees are its
+    # neighbour counts; the product balls' come from the family's rule
+    g = build_graph(spec)
+    b = ball(g, 5, root=root)
     for idx in range(b.size):
         v = b.vertex_of(idx)
         assert b.index_of(v) == idx
