@@ -267,13 +267,17 @@ def _is_int(x):
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _distance(graph, v):
+    """The distance of the vertex `v` from the root, over Python ints."""
+    return int(graph.distance([np.array(int(c), dtype=object) for c in v]))
+
+
 def check_reach(graph, v, n):
     """`v`, if it is a vertex of `graph` whose distance from the root (over
     Python ints) plus `n` stays below 2^63, so that every vertex within `n`
     steps of it has each coordinate in int64; else GraphError."""
     graph._require(v)
-    if int(graph.distance([np.array(int(c), dtype=object) for c in v])) \
-            + n >= INT64_END:
+    if _distance(graph, v) + n >= INT64_END:
         raise GraphError(f"vertex {v!r} and {n} steps leave int64")
     return v
 
@@ -569,7 +573,7 @@ def _ball_product(graph, R, budget, lumped):
 
     def index_of(v):
         bv, *t = (0, *v) if m is None else v   # grid2d's (x, y) is (0, x, y)
-        if graph.distance(v) > R or lumped and (
+        if _distance(graph, v) > R or lumped and (
                 dist(bv) != bv or t != sorted(map(abs, t), reverse=True)):
             return -1
         return lookup[flat_of(*(np.asarray([c]) for c in (bv, *t)))[0]]

@@ -496,7 +496,8 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
 
     The two walkers of the ``B`` pairs run as columns ``b`` and ``B + b``
     of one kernel.  One ``observe`` call per window finds the meetings
-    and depths; the other observers read each window of states at once.
+    and depths; the other observers read each window of states at once
+    and carry nothing to the next window but the history's row 0.
     """
     if (truncation_radius or 0) < 0:
         raise ValueError(
@@ -512,54 +513,49 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
     keys = _stream_keys(kernel, seed, replicas, stream_roles or _ROLES[method])
 
     kernel.watch()
-    # per window: times, columns, vertices, heights of the meetings
+    # per window: times, columns, vertices of the meetings
     nil = np.zeros(0, dtype=np.int64)
-    hits = [(nil, nil, np.zeros((0, kernel.pos.shape[1]), np.int64), nil)]
-    k_rows = {}                # selfloop: loop counts at each checkpoint
-    lil_keys = [[np.zeros(0, dtype=np.int64)] for _ in lil_alphas]
+    hits = [(nil, nil, np.zeros((0, kernel.pos.shape[1]), np.int64))]
+    cp = np.array(cps, dtype=np.int64)
+    k_rows = [np.zeros((0, 2 * B), np.int64)]  # selfloop: k at checkpoints
+    lil_keys = [[nil] for _ in lil_alphas]
     if stride:
-        last_spine = kernel.pos[0, 1].copy()
-        spine_rows = [last_spine.astype(np.int32)]
+        spine_rows = [kernel.pos[:1, 1].astype(np.int32)]   # time 0
 
     for n0, L in _windows(kernel, keys, n_steps):
         p = kernel.pos[1:L + 1]
         n_hits = kernel.observe(L)
         if n_hits:
             rows, cols = kernel.hits[:n_hits].T.astype(np.int64)
-            v = p[rows, :, cols]
-            hits.append((rows + n0 + 1, cols, v, graph.height(v.T)))
+            hits.append((rows + n0 + 1, cols, p[rows, :, cols]))
         if method == "selfloop":
-            k_rows.update((t, kernel.k_hist[t - n0 - 1].copy())
-                          for t in cps if n0 < t <= n0 + L)
+            k_rows.append(kernel.k_hist[cp[(n0 < cp) & (cp <= n0 + L)] - n0 - 1])
 
         for a, keys in zip(lil_alphas, lil_keys):
             thr = lil_threshold(np.arange(n0 + 1, n0 + L + 1, dtype=float), a)
-            # the envelope is monotone in n: test its low end first
-            if kernel.d_max[0] > min(thr[0], thr[-1]):
+            # the envelope rises with n: test its low end first
+            if kernel.d_max[0] > thr[0]:
                 over = graph.depth(p.swapaxes(0, 1)) > thr[:, None]
-                r, c = np.nonzero(over)
-                keys.append((c % B) * (n_steps + 1) + r + n0 + 1)
+                # one key per pair and step, whichever walker is over
+                r, c = np.nonzero(over[:, :B] | over[:, B:])
+                keys.append(c * (n_steps + 1) + r + n0 + 1)
 
         if truncation_radius is not None:
             out = graph.distance(p.swapaxes(0, 1)) > truncation_radius
             if out.any():
-                r = int(np.argmax(out.any(axis=1)))
-                col = int(np.argmax(out[r]))
+                r, col = divmod(int(np.argmax(out)), out.shape[1])
                 raise SimulationError(
                     f"replica {replicas[col % B]} left the "
                     f"radius-{truncation_radius} ball at step {n0 + r + 1}")
 
         if stride:
-            # last spine level visited: forward-fill the spine rows
-            src = np.where(p[:, 0] == 0, np.arange(1, L + 1)[:, None], 0)
-            np.maximum.accumulate(src, axis=0, out=src)
-            levels = np.concatenate([last_spine[None], p[:, 1]])
-            filled = np.take_along_axis(levels, src, axis=0)
-            for t in range(n0 + stride - n0 % stride, n0 + L + 1, stride):
-                spine_rows.append(filled[t - n0 - 1].astype(np.int32))
-            last_spine = filled[-1]
+            # a midpoint's neighbours are spine vertices: on a midpoint the
+            # last spine level is the level one step back
+            last = np.where(p[:, 0] == 0, p[:, 1], kernel.pos[:L, 1])
+            spine_rows.append(last[(-n0 - 1) % stride::stride].astype(np.int32))
 
-    times, cols, verts, heights = (np.concatenate(a) for a in zip(*hits))
+    times, cols, verts = (np.concatenate(a) for a in zip(*hits))
+    heights = graph.height(verts.T)
     # meetings of each pair up to each checkpoint, and in all
     counts = np.array([np.bincount(cols[times <= t], minlength=B)
                        for t in (*cps, n_steps)]).T.tolist()
@@ -569,17 +565,14 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
     times, verts, heights = (a[order].tolist() for a in (times, verts, heights))
     lil_times = []
     for keys in lil_keys:
-        k = np.sort(np.concatenate(keys))   # np.unique imports numpy.ma
-        b_of, n_of = np.divmod(k[np.diff(k, prepend=-1) > 0], n_steps + 1)
+        b_of, n_of = np.divmod(np.sort(np.concatenate(keys)), n_steps + 1)
         lil_times.append(np.split(n_of, np.searchsorted(b_of, range(1, B))))
     # one Python list per walker, so the loop below indexes no array
     final = kernel.pos[0].T.tolist()
     max_depth = kernel.max_depth.tolist()
     if stride:
-        spine = np.array(spine_rows).T.tolist()
-    if method == "selfloop":
-        k_cols = np.array([k_rows[t] for t in cps],
-                          dtype=np.int64).reshape(len(cps), 2 * B).T.tolist()
+        spine = np.concatenate(spine_rows).T.tolist()
+    k_cols = np.concatenate(k_rows).T.tolist()
 
     out = []
     for b, rep in enumerate(replicas):

@@ -26,7 +26,7 @@ from combwalks.oracle import (meeting_expectation_series,
 from combwalks.sampler import (PairTrajectorySummary, RecordPolicy,
                                read_summaries, run_ensemble, write_summaries)
 
-# spec, method, n_steps, replicas, seed, record
+# spec, method, n_steps, replicas, seed, record[, start]
 CASES = {
     "comb:line": ("comb:line", "direct", 2000, 8, 11,
                   RecordPolicy(checkpoints=(5, 64, 100, 2000),
@@ -44,6 +44,12 @@ CASES = {
     # reaches its last spine row (see sampler._LadderKernel)
     "biased-ladder": ("biased-ladder", "direct", 16384, 16, 5,
                       RecordPolicy(spine_stride=64)),
+    # from midpoint(3, 2), over windows of 4096, 4096 and 1808 rows: a
+    # stride of 7 starts each window at another offset, and a trace time
+    # on a midpoint reads the spine level one step back
+    "biased-ladder-midpoint": ("biased-ladder", "direct", 10000, 8, 21,
+                               RecordPolicy(spine_stride=7, lil_alphas=(0.8,)),
+                               (1, 3, 2)),
 }
 
 # sha256 of the JSONL that ``write_summaries`` writes for each case
@@ -64,13 +70,15 @@ DIGESTS = {
         "750e568cda03c645648f9d059282b53bfe783f8daeaa825affa02c996e29b622",
     "biased-ladder":
         "793fab44c69d69479de29626b3c9b86ad29049800f3df6b1d87803187daa129f",
+    "biased-ladder-midpoint":
+        "c64a77f600f4cf5e6ff5879d69ba8eaa9fd72ae56bbe3e8459671adc91128e04",
 }
 
 
 @functools.lru_cache(maxsize=None)
-def _jsonl(spec, method, n_steps, replicas, seed, record):
-    out = run_ensemble(build_graph(spec), n_steps=n_steps, replicas=replicas,
-                       seed=seed, record=record, method=method)
+def _jsonl(spec, method, n_steps, replicas, seed, record, start=None):
+    out = run_ensemble(build_graph(spec), start, n_steps, replicas, seed=seed,
+                       record=record, method=method)
     return out, "".join(s.to_json() + "\n" for s in out).encode()
 
 
@@ -167,7 +175,7 @@ def _read(path, monkeypatch):
 
 # the cases whose lines carry extras (lil, k_trace, spine), read through json
 EXTRAS = {"comb:line", "comb:cycle:4-selfloop", "comb:cycle:2-selfloop",
-          "biased-ladder"}
+          "biased-ladder", "biased-ladder-midpoint"}
 
 
 @pytest.mark.parametrize("name", list(CASES))

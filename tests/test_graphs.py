@@ -7,6 +7,7 @@ import pytest
 
 from combwalks.graphs import (Ball, BiasedLadder, BudgetError, GraphError,
                               Product, Star, ball, build_graph)
+from combwalks.oracle import transition_vector
 
 
 def test_build_graph_families():
@@ -214,6 +215,21 @@ def test_ball_rejects_outside_coordinates():
         with pytest.raises(GraphError):
             b.index_of(v)
     assert b.level[b.index_of((2, -2))] == 4
+
+
+@pytest.mark.parametrize("lookup", [
+    lambda: ball(build_graph("comb:line"), 3).index_of((10 ** 30, 0)),
+    lambda: ball(build_graph("grid2d"), 3).index_of((2 ** 63, 1)),
+    lambda: ball(build_graph("comb2:line"), 3).index_of((0, 2 ** 64, 0)),
+    # np.abs wraps -2^63 to itself, which would pass an int64 radius test
+    lambda: ball(build_graph("line"), 3).index_of((-2 ** 63,)),
+    lambda: transition_vector(build_graph("comb:line"), (0, 0), 3)
+    .probability((10 ** 30, 0))],
+    ids=["comb:line", "grid2d", "comb2:line", "line-min-int64",
+         "transition_vector"])
+def test_a_vertex_past_int64_is_outside_the_ball(lookup):
+    with pytest.raises(GraphError, match="outside the radius-"):
+        lookup()
 
 
 @pytest.mark.parametrize("spec, root", [

@@ -929,6 +929,21 @@ def test_selfloop_k_trace_monotone():
         assert all(0 <= k <= t for k, t in zip(ks, [r["t"] for r in trace]))
 
 
+@pytest.mark.parametrize("spec, d", [("comb:cycle:4", 2), ("comb:cycle:2", 1)])
+def test_selfloop_loop_count_has_the_clock_law(spec, d):
+    # The selfloop construction's k_n and the clock's K_n both count the
+    # self-loops of the lazy tooth walk (hold d/(d+2) at 0) up to n, so
+    # they have one law: p = 0.76 and 0.55 here, where a clock at the
+    # next d gives p < 1e-66.  Seeds fixed in advance.
+    T = 1024
+    out = run_ensemble(build_graph(spec), None, T, 2000, seed=5,
+                       method="selfloop", record=RecordPolicy(checkpoints=(T,)))
+    k = [row[w] for s in out for row in s.extras["k_trace"] for w in "xy"]
+    K = np.concatenate([a["K"][T] for _, a in sampler._clock(d, 7, 4000, T)])
+    assert len(k) == len(K) == 4000
+    assert sps.ks_2samp(k, K).pvalue > 1e-4
+
+
 def test_clock_path_bookkeeping():
     p = geometric_clock_path(2, 4000, seed=6)
     S, G, V, K, H, R = p["S"], p["G"], p["V"], p["K"], p["H"], p["R"]
@@ -1200,18 +1215,21 @@ def test_ensemble_matches_scalar_reference_walk():
 
 
 def _window_probe():
-    """Outputs of the four observer settings plus a truncation message."""
+    """Outputs of the five observer settings plus a truncation message."""
     settings = [
-        ("comb:line", "direct", 777,
+        ("comb:line", None, "direct", 777,
          RecordPolicy(checkpoints=(5, 64, 100, 777), lil_alphas=(0.75, 1.25))),
-        ("comb2:line", "direct", 500, RecordPolicy()),
-        ("comb:cycle:4", "selfloop", 500, RecordPolicy()),
-        ("biased-ladder", "direct", 300, RecordPolicy(spine_stride=3)),
+        ("comb2:line", None, "direct", 500, RecordPolicy()),
+        ("comb:cycle:4", None, "selfloop", 500, RecordPolicy()),
+        ("biased-ladder", None, "direct", 300, RecordPolicy(spine_stride=3)),
+        # from a midpoint, where the trace reads the level one step back
+        ("biased-ladder", (1, 3, 2), "direct", 300,
+         RecordPolicy(spine_stride=7, lil_alphas=(0.8,))),
     ]
     out = []
-    for spec, method, n_steps, record in settings:
+    for spec, start, method, n_steps, record in settings:
         out.extend(s.to_json() for s in run_ensemble(
-            build_graph(spec), n_steps=n_steps, replicas=4, seed=7,
+            build_graph(spec), start, n_steps, replicas=4, seed=7,
             record=record, method=method))
     with pytest.raises(SimulationError) as exc:
         run_ensemble(build_graph("comb:line"), n_steps=500, replicas=6, seed=3,
@@ -1227,6 +1245,7 @@ def test_window_length_does_not_change_output(monkeypatch, scratch):
     lil = [json.loads(line)["lil"]["times"][1] for line in default[0][:4]]
     assert any(lil)                    # the envelope records are exercised
     assert "k_trace" in default[0][8] and "spine" in default[0][12]
+    assert json.loads(default[0][16])["spine"]["x"][0] == 3
     monkeypatch.setattr(sampler, "SCRATCH", scratch)
     assert _window_probe() == default
 
