@@ -1,11 +1,12 @@
 """One C source for the package's compiled loops: ``philox_fill``,
 ``comb_step`` (every product, grid2d too, and the lazy walk; uniforms
 time-major, a row per step) and ``observe`` (a window's meetings and
-depths), 16 streams, 8 walkers or 8 pairs per pass in AVX-512 lanes where
-the CPU reports AVX-512F, DQ and VL, the scalar loops elsewhere, with the
-same bytes; ``csr_rows`` (the oracle's step, flushing values below 2^-1022
-to 0); ``jsonl_scan`` (summary lines into int columns).  Built on first
-use, cached by source in ``__pycache__``, loaded by ctypes."""
+depths); where the CPU reports AVX-512F, DQ and VL they run AVX-512 builds
+(the first two hand-written, 16 streams or 8 walkers per vector;
+``observe`` the compiler's vectorization of its one loop), with the same
+bytes; ``csr_rows`` (the oracle's step, flushing values below 2^-1022 to
+0); ``jsonl_scan`` (summary lines into int columns).  Built on first use,
+cached by source in ``__pycache__``, loaded by ctypes."""
 
 import contextlib
 import ctypes
@@ -31,6 +32,40 @@ _SOURCE = r"""
 /* the moves of tooth class t: -, + of each coordinate; 4 and up are none */
 static const int64_t D[2][8] = {{-1, 1}, {0, 0, -1, 1}};
 
+/* The window observer of every kernel: rows 1 .. len of the history `pos`,
+   (coords, width) states each, where walkers b and B + b (B = width / 2)
+   are a pair.  Writes (row - 1, b) of each pair that meets, in row-major
+   order, to hits[2n], hits[2n + 1] and returns the count n.  The depth of
+   a walker is max |coordinate c| over 1 <= c <= depth (0: none); it is
+   folded into max_depth, its window maximum written to *d_max.  observe
+   runs it, as observe_lanes where the CPU has AVX-512F, DQ and VL */
+static inline __attribute__((always_inline)) int64_t observe_rows(
+    const int64_t *pos, int64_t coords, int64_t width, int64_t depth,
+    int64_t *max_depth, int32_t *hits, int64_t *d_max, int64_t len)
+{
+    const int64_t half = width / 2;
+    int64_t n = 0, top = 0;
+    for (int64_t i = 1; i <= len; i++) {
+        const int64_t *p = pos + i * coords * width, *q = p + half;
+        for (int64_t b = 0; b < half; b++)
+            if (p[b] == q[b]) {         /* most pairs differ in the base */
+                int64_t c = 1;
+                while (c < coords && p[c * width + b] == q[c * width + b])
+                    c++;
+                if (c == coords)
+                    hits[2 * n] = i - 1, hits[2 * n + 1] = b, n++;
+            }
+        for (int64_t c = 1; c <= depth; c++)
+            for (int64_t w = 0; w < width; w++) {
+                int64_t v = p[c * width + w], d = v < 0 ? -v : v;
+                max_depth[w] = d > max_depth[w] ? d : max_depth[w];
+                top = d > top ? d : top;
+            }
+    }
+    *d_max = top;
+    return n;
+}
+
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
 #define LANES __attribute__((target("avx512f,avx512dq,avx512vl")))
@@ -51,7 +86,8 @@ LANES static inline __m512i mul128(__m512i a, __m512i m, __m512i *lo)
 }
 
 /* philox_fill on 16 streams: two groups of 8 keys, one key per 64-bit
-   lane, both in flight; each word a 512-bit store per group to its row */
+   lane, both in flight; each word a 512-bit store per group to its row.
+   Hand-written: GCC 12 leaves the rounds scalar, streams innermost too */
 LANES static void philox_lanes(const uint64_t *keys, int64_t start,
                                int64_t len, char *out, int64_t ld,
                                int64_t shift)
@@ -85,7 +121,8 @@ LANES static void philox_lanes(const uint64_t *keys, int64_t start,
 
 /* comb_step on 8 walkers per vector, masked past the width.  A base move
    leaves t = c - nb < 0, whose low 3 bits pick zeros of D; a base on a
-   cycle steps at most one past [0, mod), so the single edge flips by -1 */
+   cycle steps at most one past [0, mod), so the single edge flips by -1.
+   Hand-written: GCC 12 builds a branch-free scalar step 16-26% slower */
 #define LOAD(x) _mm512_maskz_loadu_epi64(m, x)      /* the lanes of m */
 #define STORE(x, v) _mm512_mask_storeu_epi64(x, m, v)
 LANES static void comb_lanes(const double *u0, const double *u1, int64_t ld,
@@ -122,37 +159,13 @@ LANES static void comb_lanes(const double *u0, const double *u1, int64_t ld,
         }
 }
 
-/* observe on 8 pairs per vector, a coordinate compared only in the lanes
-   equal so far, hits lowest bit first; then on the depths of 8 walkers */
+/* observe_rows built for AVX-512: GCC vectorizes its depth loop at -O3 */
 LANES static int64_t observe_lanes(const int64_t *pos, int64_t coords,
     int64_t width, int64_t depth, int64_t *max_depth, int32_t *hits,
     int64_t *d_max, int64_t len)
 {
-    const int64_t half = width / 2;
-    int64_t n = 0;
-    __m512i top = SET1(0);
-    for (int64_t i = 1; i <= len; i++) {
-        const int64_t *p = pos + i * coords * width, *q = p + half;
-        for (int64_t b = 0; b < half; b += 8) {
-            __mmask8 m = half - b < 8 ? (1 << (half - b)) - 1 : 0xFF;
-            for (int64_t c = 0; m && c < coords; c++)
-                m = _mm512_mask_cmpeq_epi64_mask(m, LOAD(p + c * width + b),
-                                                 LOAD(q + c * width + b));
-            for (; m; m &= m - 1, n++)
-                hits[2 * n] = i - 1, hits[2 * n + 1] = b + __builtin_ctz(m);
-        }
-        for (int64_t w = 0; depth && w < width; w += 8) {
-            const __mmask8 m = width - w < 8 ? (1 << (width - w)) - 1 : 0xFF;
-            __m512i d = SET1(0);                /* masked lanes stay 0 */
-            for (int64_t c = 1; c <= depth; c++)
-                d = _mm512_max_epi64(d, _mm512_abs_epi64(
-                        LOAD(p + c * width + w)));
-            STORE(max_depth + w, _mm512_max_epi64(d, LOAD(max_depth + w)));
-            top = _mm512_max_epi64(top, d);
-        }
-    }
-    *d_max = _mm512_reduce_max_epi64(top);
-    return n;
+    return observe_rows(pos, coords, width, depth, max_depth, hits, d_max,
+                        len);
 }
 #endif
 
@@ -231,43 +244,17 @@ void comb_step(const double *u0, const double *u1, int64_t ld,
         }
 }
 
-/* The window observer of every kernel: rows 1 .. len of the history `pos`,
-   (coords, width) states each, where walkers b and B + b (B = width / 2)
-   are a pair.  Writes (row - 1, b) of each pair that meets, in row-major
-   order, to hits[2n], hits[2n + 1] and returns the count n.  The depth of
-   a walker is max |coordinate c| over 1 <= c <= depth (0: none); it is
-   folded into max_depth, its window maximum written to *d_max; observe_lanes
-   runs 8 pairs or 8 walkers per vector where the CPU has AVX-512F, DQ, VL */
 int64_t observe(const int64_t *pos, int64_t coords, int64_t width,
                 int64_t depth, int64_t *max_depth, int32_t *hits,
                 int64_t *d_max, int64_t len)
 {
-    const int64_t half = width / 2;
-    int64_t n = 0, top = 0;
 #if defined(__x86_64__) && defined(__GNUC__)
     if (HAS_LANES)
         return observe_lanes(pos, coords, width, depth, max_depth, hits,
                              d_max, len);
 #endif
-    for (int64_t i = 1; i <= len; i++) {
-        const int64_t *p = pos + i * coords * width, *q = p + half;
-        for (int64_t b = 0; b < half; b++)
-            if (p[b] == q[b]) {         /* most pairs differ in the base */
-                int64_t c = 1;
-                while (c < coords && p[c * width + b] == q[c * width + b])
-                    c++;
-                if (c == coords)
-                    hits[2 * n] = i - 1, hits[2 * n + 1] = b, n++;
-            }
-        for (int64_t c = 1; c <= depth; c++)
-            for (int64_t w = 0; w < width; w++) {
-                int64_t v = p[c * width + w], d = v < 0 ? -v : v;
-                max_depth[w] = d > max_depth[w] ? d : max_depth[w];
-                top = d > top ? d : top;
-            }
-    }
-    *d_max = top;
-    return n;
+    return observe_rows(pos, coords, width, depth, max_depth, hits, d_max,
+                        len);
 }
 
 /* a line of to_json with no extras, as match reads it */
@@ -345,8 +332,9 @@ void csr_rows(const int32_t *indptr, const int32_t *indices,
 #endif
 }
 """
-# no FMA (rows sum rounded products, in order); no -ffast-math (global FTZ)
-_CFLAGS = ("-O2", "-shared", "-fPIC", "-std=c99", "-ffp-contract=off")
+# -O3: GCC 12's -O2 cost model leaves observe's depth loop scalar; no FMA
+# (rows sum rounded products, in order); no -ffast-math (global FTZ)
+_CFLAGS = ("-O3", "-shared", "-fPIC", "-std=c99", "-ffp-contract=off")
 _CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
 
 

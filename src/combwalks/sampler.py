@@ -54,7 +54,7 @@ from itertools import chain
 import numpy as np
 
 from . import _native
-from .graphs import (BiasedLadder, GraphError, Star, check_reach,
+from .graphs import (BiasedLadder, GraphError, Star, _is_int, check_reach,
                      LADDER_ID_BITS as _LEVEL_BITS)
 from .rng import (RngStream, X_BASE, X_HOLD, X_MAIN, X_SKEL, X_TOOTH, Y_MAIN,
                   Y_TOOTH, fill, stream_keys)
@@ -93,6 +93,12 @@ class RecordPolicy:
     spine_stride: int = 0
 
     def __post_init__(self):
+        # what the summary writer and reader keep: int times, float alphas
+        if not (all(map(_is_int, (*self.checkpoints, self.spine_stride)))
+                and all(isinstance(a, (int, float)) and not isinstance(
+                    a, bool) for a in self.lil_alphas)):
+            raise ValueError("checkpoints and spine_stride must be ints and "
+                             f"lil_alphas ints or floats, got {self}")
         # the envelope 2 (2n)^(1/(2 alpha)) is defined for alpha > 0 only
         if not all(a > 0 for a in self.lil_alphas) or self.spine_stride < 0:
             raise ValueError("lil_alphas must be > 0 and spine_stride >= 0, "
@@ -505,7 +511,7 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
     B = len(replicas)
     kernel = _make_kernel(graph, start, 2 * B, method, n_steps)
     cps = record.resolved_checkpoints(n_steps)
-    stride, lil_alphas = record.spine_stride, tuple(record.lil_alphas)
+    stride, lil_alphas = int(record.spine_stride), tuple(record.lil_alphas)
     if stride and not isinstance(graph, BiasedLadder):
         raise GraphError(f"{graph.family} has no spine trace to record")
     if lil_alphas and not graph.depth_coords:

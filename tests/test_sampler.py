@@ -233,15 +233,33 @@ def test_entry_points_check_replicas_and_steps(call):
         call(build_graph("comb:line"))
 
 
+# the last six: a fraction would be truncated, a bool or a float32
+# written in a form the summary reader or the JSON writer refuses
 @pytest.mark.parametrize("record", [{"lil_alphas": (0.0,)},
                                     {"lil_alphas": (0.75, -0.5)},
                                     {"lil_alphas": (float("nan"),)},
-                                    {"spine_stride": -3}])
+                                    {"spine_stride": -3},
+                                    {"checkpoints": (5.5,)},
+                                    {"checkpoints": (True,)},
+                                    {"spine_stride": 2.5},
+                                    {"spine_stride": True},
+                                    {"lil_alphas": (True,)},
+                                    {"lil_alphas": (np.float32(0.75),)}])
 @pytest.mark.parametrize("entry", [run_ensemble, run_pair])
 def test_entry_points_refuse_bad_envelope_and_stride(entry, record):
     with pytest.raises(ValueError, match=r"(lil_alphas|spine_stride) must"):
         entry(build_graph("biased-ladder"), n_steps=8,
               record=RecordPolicy(**record))
+
+
+def test_numpy_numbers_record_as_python_numbers():
+    def lines(i, f):
+        record = RecordPolicy(checkpoints=(i(8), i(64)), spine_stride=i(3),
+                              lil_alphas=(f(0.8),))
+        return [s.to_json() for s in run_ensemble(
+            build_graph("biased-ladder"), n_steps=100, replicas=2, seed=3,
+            record=record)]
+    assert lines(np.int64, np.float64) == lines(int, float)
 
 
 @pytest.mark.parametrize("spec, record", [
@@ -724,8 +742,9 @@ def test_compiled_observer_matches_reference_observer(spec, method):
     # small coordinates, so pairs meet often, coordinate c in multiples of
     # c + 1, so each reaches a depth of its own; ladder levels are >= 0
     lo = 0 if isinstance(g, sampler.BiasedLadder) else -2
-    # half % 8 = 0, 0, 1, 5, 1: whole vectors of pairs and masked tails
-    for width in (1024, 48, 34, 26, 2):
+    # width % 8 = 0, 0, 2, 2, 2, 4, 6, 6, 4: the depth loop's 64-byte body
+    # alone, with its 32-byte epilogue, and with its scalar remainder
+    for width in (1024, 48, 34, 26, 2, 12, 14, 22, 44):
         B = width // 2
         kernel = sampler._make_kernel(g, g.root, width, method, 4 * win)
         kernel.watch()
@@ -775,13 +794,14 @@ def test_observer_buffers_live_as_long_as_the_kernel():
 
 def test_observe_without_the_lanes_writes_the_same_hits(scalar_library):
     # the scalar loop (see the fixture) against the library's, on the
-    # same windows: random, every pair meets, none does, a short window
+    # same windows: random, every pair meets, none does, a short window;
+    # widths as in test_compiled_observer_matches_reference_observer
     rng, win = np.random.default_rng(2404), 64
     for spec, method in (("comb:line", "direct"), ("comb2:line", "direct"),
                          ("line", "direct"), ("biased-ladder", "direct")):
         g = build_graph(spec)
         lo = 0 if isinstance(g, sampler.BiasedLadder) else -2
-        for width in (1024, 34, 26, 18, 2):
+        for width in (1024, 34, 26, 18, 2, 12, 14, 22, 44):
             B = width // 2
             lane, alone = (sampler._make_kernel(g, g.root, width, method,
                                                 4 * win) for _ in range(2))
@@ -804,6 +824,23 @@ def test_observe_without_the_lanes_writes_the_same_hits(scalar_library):
                 assert np.array_equal(lane.hits[:n], alone.hits[:n])
                 assert np.array_equal(lane.max_depth, alone.max_depth)
                 assert lane.d_max[0] == alone.d_max[0], (spec, width, case)
+
+
+@pytest.mark.parametrize("build", ["as is", "not compiled"])
+def test_source_builds_without_warnings(build, tmp_path):
+    # as is, and with the x86 guards as a target other than x86-64 GCC or
+    # Clang reads them: an edit that leaves a static function or a macro
+    # unused in either build fails
+    guard = "#if defined(__x86_64__) && defined(__GNUC__)"
+    src = _native._SOURCE
+    if build == "not compiled":
+        src = src.replace(guard, "#if 0")
+    cc = (sysconfig.get_config_var("CC") or "cc").split()
+    run = subprocess.run(
+        [*cc, *_native._CFLAGS, "-Wall", "-Wextra", "-Wunused-macros",
+         "-Werror", "-o", str(tmp_path / "w.so"), "-x", "c", "-"],
+        input=src.encode(), capture_output=True)
+    assert run.returncode == 0, run.stderr.decode()
 
 
 def test_step_library_is_built_once_per_source(monkeypatch, tmp_path):
@@ -1058,11 +1095,28 @@ def test_comb2_collision_heights_are_chebyshev():
     assert seen > 0
 
 
+def binomial_gate(out, increment, n):
+    """The Bonferroni-adjusted two-sided p of the meetings at each time t
+    of the ``n`` pairs ``out`` against Binomial(n, q_t), q_t the exact
+    ``increment`` at t, over the times with n q_t >= 5 (the pairs are
+    independent, and a pair meets at most once a step), and that count
+    of times."""
+    q = increment.values
+    k = np.bincount(np.concatenate([s.times for s in out]).astype(np.int64),
+                    minlength=len(q) + 1)[1:]
+    tested = n * q >= 5
+    k, q = k[tested], q[tested]
+    p = np.minimum(2 * np.minimum(sps.binom.cdf(k, n, q),
+                                  sps.binom.sf(k - 1, n, q)), 1)
+    return min(1.0, len(k) * p.min()), len(k)
+
+
 def assert_mean_meetings_match_exact(spec, times, seed, method="direct"):
     """|z| <= 4 at every horizon in ``times`` for the mean meetings of 4096
-    pairs against the exact partial sums."""
+    pairs against the exact partial sums, and their meetings at each step
+    past the binomial gate at adjusted p > 1e-3."""
     g = build_graph(spec)
-    partial, _ = meeting_expectation_series(g, times[-1])
+    partial, increment = meeting_expectation_series(g, times[-1])
     out = run_ensemble(g, n_steps=times[-1], replicas=4096, seed=seed,
                        record=RecordPolicy(checkpoints=times), method=method)
     counts = np.array([[m for _, m in s.checkpoints] for s in out],
@@ -1073,6 +1127,20 @@ def assert_mean_meetings_match_exact(spec, times, seed, method="direct"):
         assert abs(z) <= 4.0, (
             f"{spec} ({method}) mean meetings by t={t} is {col.mean():.4f}, "
             f"exact {partial.value_at(t):.4f}: z = {z:+.2f}")
+    p, tested = binomial_gate(out, increment, len(out))
+    assert p > 1e-3, (f"{spec} ({method}) meetings per step: adjusted "
+                      f"p = {p:.3g} over {tested} times")
+
+
+@pytest.mark.parametrize("spec, law", [("comb:cycle:4", "comb:line"),
+                                       ("comb:line", "comb:cycle:4")])
+def test_binomial_gate_refuses_another_combs_law(spec, law):
+    # the gate's negative control: one comb's meetings at each step against
+    # the other's exact law, at the seed of the comb:cycle:4 gates
+    out = run_ensemble(build_graph(spec), n_steps=1024, replicas=4096,
+                       seed=406487)
+    _, increment = meeting_expectation_series(build_graph(law), 1024)
+    assert binomial_gate(out, increment, len(out))[0] < 1e-6
 
 
 def test_comb2_mean_meetings_match_exact_partial_sums():
@@ -1097,10 +1165,10 @@ def test_comb_meetings_per_height_match_exact_per_site_sums(spec, seed):
     # The paper's per-site law, site by site: the mean meetings of 4096
     # pairs at signed heights 0, +-1, +-2 by t, against the partial sums of
     # the exact per-site series (ball at radius 1025), |z| <= 4.
-    # Blocks of 512 pairs fill 1024 streams, and observe 8 pairs per
-    # vector, so where the CPU has AVX-512 the draws and the meetings come
-    # from the lanes; on comb:cycle:4 pairs keep meeting, so the gate reads
-    # thousands of hits at a real horizon.  Seeds fixed in advance.
+    # Blocks of 512 pairs fill 1024 streams and step 8 walkers per vector,
+    # so where the CPU has AVX-512 the draws and the steps come from the
+    # hand-written lanes; on comb:cycle:4 pairs keep meeting, so the gate
+    # reads thousands of hits at a real horizon.  Seeds fixed in advance.
     g, times, n = build_graph(spec), (64, 256, 1024), 4096
     exact = per_site_collision_series(g, times[-1])
     out = run_ensemble(g, n_steps=times[-1], replicas=n, seed=seed)
