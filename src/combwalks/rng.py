@@ -16,13 +16,13 @@ component processes of the decomposed constructions never share a stream:
     5 / 7    X / Y base-walk stream  (self-loop channel 1, clock)
     8        undelayed-walk stream (geometric clock)
     9        holding-time stream   (geometric clock)
-    10 / 11  reserved; no constant names them
+    10 + k   bootstrap of dyadic cell (r, k), k >= 1, keyed by replica r
 
-``RngStream(seed, r, stream).generator()`` defines a stream: Philox keyed
-by ``SeedSequence(seed, spawn_key=(r, stream))``, counter 0.  The sampler
-builds none per replica: ``stream_keys`` hashes many replicas' keys in one
-numpy pass, and ``fill`` draws all their streams in one call of the
-compiled Philox4x64-10, the package's one copy of the cipher.
+The ``generator`` of ``RngStream(seed, r, stream)`` defines a stream:
+Philox keyed by ``SeedSequence(seed, spawn_key=(r, stream))``, counter 0.
+Nothing in the package builds one: ``stream_keys`` hashes many replicas'
+keys in one numpy pass, and ``fill`` draws all their streams in one call
+of the compiled Philox4x64-10, the package's one copy of the cipher.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ X_MAIN = 0
 Y_MAIN = 2
 X_TOOTH, X_BASE = 4, 5
 Y_TOOTH = 6
-X_SKEL, X_HOLD = 8, 9
+X_SKEL, X_HOLD, BOOT = 8, 9, 10
 
 
 @dataclass(frozen=True)

@@ -56,8 +56,8 @@ import numpy as np
 from . import _native
 from .graphs import (BiasedLadder, GraphError, Star, _is_int, check_reach,
                      LADDER_ID_BITS as _LEVEL_BITS)
-from .rng import (RngStream, X_BASE, X_HOLD, X_MAIN, X_SKEL, X_TOOTH, Y_MAIN,
-                  Y_TOOTH, fill, stream_keys)
+from .rng import (X_BASE, X_HOLD, X_MAIN, X_SKEL, X_TOOTH, Y_MAIN, Y_TOOTH,
+                  fill, stream_keys)
 from .stats import SchemaError, lil_threshold
 
 SCRATCH = 1 << 16  # per window: walker-steps, clock values, JSONL bytes
@@ -207,7 +207,7 @@ def write_summaries(path, summaries):
 def _summary(d):
     """One ``json.loads`` line's summary; KeyError, TypeError if malformed,
     as when a count, time, coordinate, stride or trace point is not an
-    int, the one number type the writer and the scanner know, or when the
+    int64, the one number type the writer and the scanner know, or when the
     ``lil`` or ``spine`` extra is not of the shape the reports read: one
     list of times per alpha, two traces of one length at a stride >= 1."""
     cols, final, tooth = d["collisions"], d["final"], d["max_tooth"]
@@ -222,11 +222,12 @@ def _summary(d):
             *chain(*vertices, *lil["times"], spine["x"], spine["y"]),
             spine["stride"])
     if {*map(type, lists)} - {list} or {*map(type, ints)} - {int} \
+            or min(ints) < -2 ** 63 or max(ints) >= 2 ** 63 \
             or {*map(type, lil["alphas"])} - {int, float} \
             or len(lil["times"]) != len(lil["alphas"]) \
             or len(spine["x"]) != len(spine["y"]) or spine["stride"] < 1:
         raise TypeError(f"replica {d['replica']}: a count, time or coordinate "
-                        "is not an int, or a vertex, lil or spine malformed")
+                        "is not an int64, or a vertex, lil or spine malformed")
     return PairTrajectorySummary(
         replica=d["replica"], n_steps=d["T"], meetings=d["meetings"],
         times=times, vertices=vertices, heights=heights, checkpoints=cps,
@@ -463,12 +464,8 @@ def _start(graph, start, n_steps):
 
 def _stream_keys(kernel, seed, replicas, roles):
     """Keys of the streams of each of the kernel's channels: channel c
-    reads stream role + c, so a pair's two roles closer than the channel
-    count would share a stream: ValueError.  Row j is walker j:
-    ``roles[j // B]`` of replica ``replicas[j % B]``, B = len(replicas)."""
-    if len(roles) == 2 and abs(roles[0] - roles[1]) < len(kernel.draws):
-        raise ValueError(f"stream roles {roles} are closer than the "
-                         f"{len(kernel.draws)} channels each walker reads")
+    reads stream role + c.  Row j is walker j: ``roles[j // B]`` of
+    replica ``replicas[j % B]``, B = len(replicas)."""
     return [np.concatenate([stream_keys(seed, replicas, role + c)
                             for role in roles])
             for c in range(len(kernel.draws))]
@@ -497,7 +494,7 @@ def _windows(kernel, keys, n_steps):
 
 
 def _run_block(graph, start, n_steps, seed, replicas, record, method,
-               truncation_radius=None, stream_roles=None):
+               truncation_radius=None):
     """Simulate one block of replica pairs; returns summaries in order.
 
     The two walkers of the ``B`` pairs run as columns ``b`` and ``B + b``
@@ -516,7 +513,7 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
         raise GraphError(f"{graph.family} has no spine trace to record")
     if lil_alphas and not graph.depth_coords:
         raise GraphError(f"{graph.family} has no depth to test an envelope on")
-    keys = _stream_keys(kernel, seed, replicas, stream_roles or _ROLES[method])
+    keys = _stream_keys(kernel, seed, replicas, _ROLES[method])
 
     kernel.watch()
     # per window: times, columns, vertices of the meetings
@@ -611,25 +608,15 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
     return out
 
 
-def run_pair(graph, start=None, n_steps=0, rng_x=None, rng_y=None,
-             record=None, method="direct", truncation_radius=None):
-    """Simulate one pair of independent walks for ``n_steps`` steps.
-
-    ``rng_x`` and ``rng_y`` are RngStream keys, channel 0 of each walker:
-    channel c reads stream role + c.  Defaults follow the role table in
-    :mod:`.rng` with seed 0, replica 0.
-    """
+def run_pair(graph, start=None, n_steps=0, seed=0, replica=0, record=None,
+             method="direct", truncation_radius=None):
+    """Simulate one pair of independent walks for ``n_steps`` steps: pair
+    ``replica`` of ``run_ensemble`` with the same ``seed``, its walkers on
+    the streams the role table in :mod:`.rng` gives the construction."""
     start = _start(graph, start, n_steps)
     _check_steps(n_steps)
-    role_x, role_y = _ROLES.get(method, _ROLES["direct"])
-    rng_x = rng_x or RngStream(0, 0, role_x)
-    rng_y = rng_y or RngStream(0, 0, role_y)
-    if (rng_x.seed, rng_x.replica) != (rng_y.seed, rng_y.replica):
-        raise ValueError("pair streams must share seed and replica")
-    record = record or RecordPolicy()
-    return _run_block(graph, start, n_steps, rng_x.seed, [rng_x.replica],
-                      record, method, truncation_radius,
-                      stream_roles=(rng_x.stream, rng_y.stream))[0]
+    return _run_block(graph, start, n_steps, seed, [replica],
+                      record or RecordPolicy(), method, truncation_radius)[0]
 
 
 # ---------------------------------------------------------------------------

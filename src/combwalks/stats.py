@@ -32,7 +32,7 @@ from itertools import chain
 
 import numpy as np
 
-from .rng import RngStream
+from .rng import BOOT, fill, stream_keys
 
 
 class StatsError(ValueError):
@@ -122,10 +122,11 @@ def dyadic_collision_stats(summaries, r_range, k_range):
 def conditional_W(summaries, cell, n_boot=1000, seed=0):
     """Ê[W | A] for one cell with a bootstrap standard error.
 
-    Returns (estimate, standard error, conditioning count).  The bootstrap
-    reseeds deterministically from (seed, cell), so repeated runs with the
-    same inputs give identical output.  Cells conditioning on fewer than
-    30 replicas are reported, not rejected; the caller decides.
+    Returns (estimate, standard error, conditioning count).  A bootstrap
+    index is floor(u L), u a double of stream (seed, r, ``BOOT`` + k),
+    which no walker reads: the same inputs give the same output.  Cells
+    conditioning on fewer than 30 replicas are reported, not rejected;
+    the caller decides.
     """
     r, k = cell
     if k < 1:
@@ -135,8 +136,10 @@ def conditional_W(summaries, cell, n_boot=1000, seed=0):
     if st.cond_count == 0:
         raise StatsError(f"no replica satisfies A in cell {cell}")
     w_cond = st.w[st.z > 0].astype(np.float64)
-    gen = RngStream(seed, r, k).generator()
-    idx = gen.integers(0, len(w_cond), size=(n_boot, len(w_cond)))
+    L = len(w_cond)
+    u = np.empty((n_boot * L, 1))
+    fill(stream_keys(seed, [r], BOOT + k), 0, u)
+    idx = (u * L).astype(np.int64).reshape(n_boot, L)     # u * L < L
     se = float(w_cond[idx].mean(axis=1).std(ddof=1))
     return float(w_cond.mean()), se, st.cond_count
 

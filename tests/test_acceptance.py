@@ -27,6 +27,7 @@ from combwalks.oracle import (identity_check_suite,
 from combwalks.sampler import (clock_dichotomy_violations, read_summaries,
                                sample_marginal)
 from combwalks.stats import estimate_exponent
+from test_sampler import binomial_gate, meetings_per_step
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONF = os.path.join(ROOT, "configs")
@@ -168,6 +169,7 @@ def test_criterion_5_meetings_paradox(work):
         "--out", str(meet_csv))
     header, rows = read_csv(meet_csv)
     partial = [(int(r[0]), float(r[1])) for r in rows]
+    increment = np.array([float(r[2]) for r in rows])
     fit = estimate_exponent(partial, (256, 2048))
 
     runs = work / "meetings_runs.jsonl"
@@ -193,6 +195,9 @@ def test_criterion_5_meetings_paradox(work):
     zs = {t: (by_t[t][0] - exact[t]) / (col[t].std(ddof=1) / root_n)
           for t in times if t <= 2048}
     z_max = max(abs(z) for z in zs.values())
+    # and the pairs meeting at each t <= 2048 are Binomial(1000, increment)
+    binom_p, binom_times = binomial_gate(meetings_per_step(sums, 2048),
+                                         len(sums), increment)
 
     surv_16 = by_t[2 ** 16][1]             # 2^20 / 16 = 2^16
     mean_16, mean_20 = by_t[2 ** 16][0], by_t[2 ** 20][0]
@@ -200,13 +205,15 @@ def test_criterion_5_meetings_paradox(work):
     late_se = (col[2 ** 20] - col[2 ** 16]).std(ddof=1) / root_n
     slope_ok = abs(fit.slope - 0.25) <= 0.05
     surv_ok = surv_16 < 0.10
-    exact_ok = z_max <= 4.0
+    exact_ok = z_max <= 4.0 and binom_p > 1e-3
     incr_ok = increase >= 0.05
     ok = slope_ok and surv_ok and exact_ok and incr_ok and wall < 900.0
     report(5, "expected-meetings paradox", ok,
            f"partial_slope={fit.slope:.4f} (want 0.25+-0.05) "
            f"survival_after_T/16={surv_16:.3f} (want <0.10) "
            f"mean_vs_exact max|z|={z_max:.2f} over t<=2048 (want <=4) "
+           f"per_step_binomial p={binom_p:.3g} over {binom_times} times "
+           f"(want >1e-3) "
            f"mean_increase_2^16..2^20={increase:.3f} (want >=0.05; "
            f"delta_mean={mean_20 - mean_16:.2f}+-{late_se:.2f} "
            f"floor={0.05 * mean_20:.2f}) "
@@ -215,8 +222,11 @@ def test_criterion_5_meetings_paradox(work):
     assert slope_ok and surv_ok
     assert exact_ok, (
         "the ensemble mean should match the exact expected-meetings partial "
-        "sums at every dyadic t <= 2048; z-scores "
-        + " ".join(f"t={t}:{z:+.2f}" for t, z in zs.items()))
+        "sums at every dyadic t <= 2048, and the pairs meeting at each step "
+        "the exact increment; z-scores "
+        + " ".join(f"t={t}:{z:+.2f}" for t, z in zs.items())
+        + f"; Bonferroni-adjusted binomial p = {binom_p:.3g} over "
+        f"{binom_times} times")
     assert incr_ok, (
         "with a T^(1/4) expectation the ensemble mean keeps climbing, toward "
         "a 2^16 to 2^20 increase of 1 - 16^(-1/4) = 0.5, while only "

@@ -199,7 +199,7 @@ def _hand_edited(kind):
     if kind == "blank lines, no final newline":
         return "\n\n".join(lines) + "\n \n\t\n" + lines[0]
     if kind == "ints at int64's edge, -0":
-        for i, r in enumerate(("9223372036854775808", "999999999999999999",
+        for i, r in enumerate(("9223372036854775807", "999999999999999999",
                                "1000000000000000000", "-0")):
             lines[i] = re.sub(r'"replica":\d+', f'"replica":{r}', lines[i])
         lines[4] = lines[4].replace('"T":1000', '"T":-0')

@@ -69,18 +69,40 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
 
 
 def test_import_leaves_process_pools_and_numpy_random_unloaded():
-    # run_ensemble imports its process pool only for workers > 1, and
-    # RngStream.generator numpy.random only when a reference stream is built
+    # run_ensemble imports its process pool only for workers > 1, and no
+    # draw in the package builds a numpy Generator: every stream, the
+    # bootstrap's too, is keyed by stream_keys and drawn by fill
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-    res = subprocess.run(
-        [sys.executable, "-c",
-         "import combwalks.cli, sys; "
-         "print([m for m in ('concurrent.futures', 'numpy.random') "
-         "if m in sys.modules])"],
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": src})
+    script = """if True:
+        import sys
+        import combwalks.cli
+        from combwalks import (PairTrajectorySummary, build_graph,
+                               clock_dichotomy_violations, conditional_W,
+                               run_ensemble, run_pair, sample_marginal)
+        g = build_graph("comb:cycle:4")
+        run_pair(g, n_steps=64, seed=3, replica=2)
+        run_pair(g, n_steps=64, seed=3, method="selfloop")
+        run_ensemble(g, n_steps=64, replicas=3, seed=3)
+        for method in ("direct", "selfloop", "clock"):
+            sample_marginal(g, 6, 5, seed=3, method=method)
+        clock_dichotomy_violations(2, 64, 4, seed=3)
+        sums = [PairTrajectorySummary(
+            replica=r, n_steps=64, meetings=len(hs), times=[9] * len(hs),
+            vertices=[[0, h] for h in hs], heights=hs,
+            checkpoints=[(64, len(hs))], final_x=(0, 0), final_y=(0, 0),
+            max_tooth_x=0, max_tooth_y=0)
+            for r, hs in enumerate([[2], [3], [], [2]])]
+        print(conditional_W(sums, (3, 1), n_boot=50, seed=3))
+        print([m for m in ('concurrent.futures', 'numpy.random')
+               if m in sys.modules])
+    """
+    res = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    est, last = res.stdout.strip().split("\n")
+    assert est.startswith("(1.6666666666666667, ") and est.endswith(", 3)")
+    assert last == "[]"
 
 
 def _without_a_compiler(monkeypatch, tmp_path, compiler):
@@ -760,6 +782,22 @@ def _defect(name):
         d["lil"]["alphas"] = [0.75, 0.9]
     elif name == "lil time is a float":
         d["lil"]["times"] = [[1.5]]
+    # past int64 on either side: json reads such an int where the scanner
+    # refuses it, and a report would meet it as an OverflowError
+    elif name == "collision n past int64":
+        d["collisions"][0]["n"] = 10 ** 30
+    elif name == "checkpoint meetings past int64":
+        d["checkpoints"][1]["meetings"] = 10 ** 30
+    elif name == "lil time past int64":
+        d["lil"]["times"] = [[10 ** 30]]
+    elif name == "spine point past int64":
+        d["spine"]["x"][1] = 10 ** 30
+    elif name == "final coordinate below int64":
+        d["final"]["x"][0] = -2 ** 63 - 1
+    elif name == "T past int64":
+        d["T"] = 2 ** 63
+    elif name == "spine stride past int64":
+        d["spine"]["stride"] = 10 ** 30
     return d
 
 
@@ -770,7 +808,11 @@ def _defect(name):
     "checkpoint meetings is a string", "checkpoint meetings is a float",
     "collision n is a string", "spine y shorter than x", "spine is a list",
     "spine point is a float", "spine stride is 0", "lil is a list",
-    "lil times shorter than alphas", "lil time is a float"])
+    "lil times shorter than alphas", "lil time is a float",
+    "collision n past int64", "checkpoint meetings past int64",
+    "lil time past int64", "spine point past int64",
+    "final coordinate below int64", "T past int64",
+    "spine stride past int64"])
 def test_stats_refuses_a_malformed_summary(tmp_path, capsys, report, defect):
     from combwalks import cli
     path = tmp_path / "runs.jsonl"

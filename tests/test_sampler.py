@@ -23,8 +23,7 @@ from combwalks import _native
 from combwalks.graphs import GraphError, build_graph
 from combwalks.oracle import (meeting_expectation_series,
                               per_site_collision_series, transition_vector)
-from combwalks.rng import (RngStream, X_HOLD, X_MAIN, X_SKEL, X_TOOTH,
-                           Y_MAIN, Y_TOOTH)
+from combwalks.rng import BOOT, RngStream, X_HOLD, X_MAIN, X_SKEL, Y_MAIN
 from combwalks.sampler import (RecordPolicy, SimulationError,
                                clock_dichotomy_violations, dyadic_checkpoints,
                                geometric_clock_path, read_summaries,
@@ -42,8 +41,7 @@ def test_dyadic_checkpoints():
 
 def test_run_pair_record_invariants():
     g = build_graph("comb:line")
-    s = run_pair(g, n_steps=2000, rng_x=RngStream(5, 0, X_MAIN),
-                 rng_y=RngStream(5, 0, Y_MAIN))
+    s = run_pair(g, n_steps=2000, seed=5, replica=0)
     assert s.meetings == len(s.collisions)
     times = [c.n for c in s.collisions]
     assert times == sorted(times) and len(set(times)) == len(times)
@@ -61,33 +59,28 @@ def test_run_pair_record_invariants():
 
 def test_run_pair_reproducible():
     g = build_graph("comb:cycle:4")
-    a = run_pair(g, n_steps=800, rng_x=RngStream(2, 1, X_MAIN),
-                 rng_y=RngStream(2, 1, Y_MAIN))
-    b = run_pair(g, n_steps=800, rng_x=RngStream(2, 1, X_MAIN),
-                 rng_y=RngStream(2, 1, Y_MAIN))
+    a = run_pair(g, n_steps=800, seed=2, replica=1)
+    b = run_pair(g, n_steps=800, seed=2, replica=1)
     assert a.to_json() == b.to_json()
 
 
 def test_run_pair_other_stream_ids():
-    # the defaults are the X and Y main streams of seed 0, replica 0
+    # the defaults are seed 0, replica 0
     g = build_graph("comb:line")
     default = run_pair(g, n_steps=300)
     assert default.to_json() == run_pair(
-        g, n_steps=300, rng_x=RngStream(0, 0, X_MAIN),
-        rng_y=RngStream(0, 0, Y_MAIN)).to_json()
-    # walker x on stream 9 and y on stream 4 is the reference walk of
-    # those two streams, and differs from the default pair
-    s = run_pair(g, n_steps=300, rng_x=RngStream(6, 2, X_HOLD),
-                 rng_y=RngStream(6, 2, X_TOOTH),
+        g, n_steps=300, seed=0, replica=0).to_json()
+    # replica 2 of seed 6 is the reference walk of that replica's own X and
+    # Y main streams, and differs from the default pair
+    s = run_pair(g, n_steps=300, seed=6, replica=2,
                  record=RecordPolicy(lil_alphas=(1.1,)))
-    hits, fx, fy, depth, lil = reference_comb_line_pair(
-        6, 2, 300, 1.1, roles=(X_HOLD, X_TOOTH))
+    hits, fx, fy, depth, lil = reference_comb_line_pair(6, 2, 300, 1.1)
     assert [(c.n, c.vertex, c.l) for c in s.collisions] == hits
     assert (s.final_x, s.final_y) == (fx, fy)
     assert [s.max_tooth_x, s.max_tooth_y] == depth
     assert s.extras["lil"]["times"] == [lil]
-    assert s.to_json() != run_pair(g, n_steps=300, rng_x=RngStream(6, 2),
-                                   rng_y=RngStream(6, 2, Y_MAIN)).to_json()
+    assert (s.times, s.final_x, s.final_y) != \
+        (default.times, default.final_x, default.final_y)
 
 
 @pytest.mark.parametrize("spec, start", [("comb:line", (0, 5)),
@@ -110,30 +103,31 @@ def test_max_tooth_counts_the_start(spec, start):
     ("star:3", "direct", 1), ("biased-ladder", "direct", 2)])
 def test_stream_roles_closer_than_the_channels_are_refused(spec, method,
                                                           channels):
-    # channel c of a walker reads stream role + c: roles closer than the
-    # channel count would have the two walkers read one stream
+    # channel c of a walker reads stream role + c: the role table keeps the
+    # two walkers of each kernel at least its channel count apart and below
+    # the bootstrap's ids, and run_pair takes no stream, only a replica
     g = build_graph(spec)
     kernel = sampler._make_kernel(g, g.root, 2, method, 8)
     assert len(kernel.draws) == channels
-    for gap in range(-channels + 1, channels):
-        with pytest.raises(ValueError, match="closer than"):
-            sampler._stream_keys(kernel, 0, [0], (4, 4 + gap))
-    for gap in (-channels, channels):
-        keys = sampler._stream_keys(kernel, 0, [0], (4, 4 + gap))
-        assert len(keys) == channels
-    if method == "selfloop":                 # X_HOLD, X_TOOTH: 5 apart
-        run_pair(g, n_steps=4, rng_x=RngStream(0, 0, X_HOLD),
-                 rng_y=RngStream(0, 0, X_TOOTH), method=method)
-    with pytest.raises(ValueError, match="closer than"):
-        run_pair(g, n_steps=4, rng_x=RngStream(0, 0, X_MAIN),
-                 rng_y=RngStream(0, 0, X_MAIN + channels - 1), method=method)
+    x, y = sampler._ROLES[method]
+    assert abs(x - y) >= channels and max(x, y) + channels <= BOOT
+    keys = np.concatenate(sampler._stream_keys(kernel, 3, [0], (x, y)))
+    assert len({k.tobytes() for k in keys}) == 2 * channels
+    with pytest.raises(TypeError):
+        run_pair(g, n_steps=4, rng_x=RngStream(0, 0, X_MAIN), method=method)
 
 
-def test_run_pair_rejects_mismatched_streams():
-    g = build_graph("line")
-    with pytest.raises(ValueError):
-        run_pair(g, n_steps=10, rng_x=RngStream(1, 0, X_MAIN),
-                 rng_y=RngStream(2, 0, Y_MAIN))
+@pytest.mark.parametrize("method", ["direct", "selfloop"])
+def test_run_pair_is_that_replica_of_run_ensemble(method):
+    g, start, record = build_graph("comb:cycle:4"), (1, 2), RecordPolicy(
+        checkpoints=(7, 100), lil_alphas=(0.9,))
+    for r in (0, 5):
+        ens = run_ensemble(g, start, 300, replicas=r + 1, seed=12,
+                           record=record, method=method)
+        pair = run_pair(g, start, 300, seed=12, replica=r, record=record,
+                        method=method)
+        assert pair.to_json() == ens[r].to_json()
+        assert pair.meetings > 0
 
 
 def test_odd_time_meetings_happen_on_comb():
@@ -149,8 +143,7 @@ def test_ensemble_is_replica_ordered_and_matches_run_pair():
     ens = run_ensemble(g, n_steps=300, replicas=3, seed=9)
     assert [s.replica for s in ens] == [0, 1, 2]
     for r, s in enumerate(ens):
-        lone = run_pair(g, n_steps=300, rng_x=RngStream(9, r, X_MAIN),
-                        rng_y=RngStream(9, r, Y_MAIN))
+        lone = run_pair(g, n_steps=300, seed=9, replica=r)
         assert s.to_json() == lone.to_json()
 
 
@@ -956,7 +949,7 @@ def test_clock_memory_does_not_grow_with_the_replicas():
 
 def test_selfloop_k_trace_monotone():
     s = run_pair(build_graph("comb:cycle:4"), n_steps=512, method="selfloop",
-                 rng_x=RngStream(4, 0, X_TOOTH), rng_y=RngStream(4, 0, Y_TOOTH))
+                 seed=4, replica=0)
     assert s.method == "selfloop"
     trace = s.extras["k_trace"]
     assert [row["t"] for row in trace] == list(dyadic_checkpoints(512))
@@ -1058,7 +1051,7 @@ def test_clock_needs_comb_with_constant_base():
 def test_lil_violation_extras():
     record = RecordPolicy(lil_alphas=(0.7, 0.99))
     s = run_pair(build_graph("comb:line"), n_steps=4096, record=record,
-                 rng_x=RngStream(17, 0, X_MAIN), rng_y=RngStream(17, 0, Y_MAIN))
+                 seed=17, replica=0)
     lil = s.extras["lil"]
     assert lil["alphas"] == [0.7, 0.99]
     t_loose, t_tight = lil["times"]
@@ -1072,7 +1065,7 @@ def test_lil_violation_extras():
 def test_ladder_spine_trace_and_depth():
     record = RecordPolicy(spine_stride=2)
     s = run_pair(build_graph("biased-ladder"), n_steps=300, record=record,
-                 rng_x=RngStream(19, 0, X_MAIN), rng_y=RngStream(19, 0, Y_MAIN))
+                 seed=19, replica=0)
     spine = s.extras["spine"]
     assert spine["stride"] == 2
     assert len(spine["x"]) == 151 and spine["x"][0] == 0
@@ -1095,20 +1088,24 @@ def test_comb2_collision_heights_are_chebyshev():
     assert seen > 0
 
 
-def binomial_gate(out, increment, n):
-    """The Bonferroni-adjusted two-sided p of the meetings at each time t
-    of the ``n`` pairs ``out`` against Binomial(n, q_t), q_t the exact
-    ``increment`` at t, over the times with n q_t >= 5 (the pairs are
-    independent, and a pair meets at most once a step), and that count
-    of times."""
-    q = increment.values
-    k = np.bincount(np.concatenate([s.times for s in out]).astype(np.int64),
-                    minlength=len(q) + 1)[1:]
+def binomial_gate(k, n, q):
+    """The Bonferroni-adjusted two-sided p of the counts ``k`` against
+    Binomial(n, q), cell by cell over the cells with n q >= 5, and that
+    count of cells.  ``k`` and ``q`` are arrays of one shape: the pairs of
+    an ensemble of ``n`` meeting at a time t (or at t and a height) are
+    Binomial(n, q_t), since the pairs are independent and a pair meets at
+    most once a step."""
     tested = n * q >= 5
     k, q = k[tested], q[tested]
     p = np.minimum(2 * np.minimum(sps.binom.cdf(k, n, q),
                                   sps.binom.sf(k - 1, n, q)), 1)
     return min(1.0, len(k) * p.min()), len(k)
+
+
+def meetings_per_step(out, T):
+    """The count of pairs of ``out`` meeting at each time 1 .. T."""
+    times = np.concatenate([s.times for s in out]).astype(np.int64)
+    return np.bincount(times, minlength=T + 1)[1:T + 1]
 
 
 def assert_mean_meetings_match_exact(spec, times, seed, method="direct"):
@@ -1127,7 +1124,8 @@ def assert_mean_meetings_match_exact(spec, times, seed, method="direct"):
         assert abs(z) <= 4.0, (
             f"{spec} ({method}) mean meetings by t={t} is {col.mean():.4f}, "
             f"exact {partial.value_at(t):.4f}: z = {z:+.2f}")
-    p, tested = binomial_gate(out, increment, len(out))
+    p, tested = binomial_gate(meetings_per_step(out, times[-1]), len(out),
+                              increment.values)
     assert p > 1e-3, (f"{spec} ({method}) meetings per step: adjusted "
                       f"p = {p:.3g} over {tested} times")
 
@@ -1140,7 +1138,8 @@ def test_binomial_gate_refuses_another_combs_law(spec, law):
     out = run_ensemble(build_graph(spec), n_steps=1024, replicas=4096,
                        seed=406487)
     _, increment = meeting_expectation_series(build_graph(law), 1024)
-    assert binomial_gate(out, increment, len(out))[0] < 1e-6
+    k = meetings_per_step(out, 1024)
+    assert binomial_gate(k, len(out), increment.values)[0] < 1e-6
 
 
 def test_comb2_mean_meetings_match_exact_partial_sums():
@@ -1164,7 +1163,8 @@ def test_comb_cycle4_mean_meetings_match_exact_partial_sums(method):
 def test_comb_meetings_per_height_match_exact_per_site_sums(spec, seed):
     # The paper's per-site law, site by site: the mean meetings of 4096
     # pairs at signed heights 0, +-1, +-2 by t, against the partial sums of
-    # the exact per-site series (ball at radius 1025), |z| <= 4.
+    # the exact per-site series (ball at radius 1025), |z| <= 4, and the
+    # count at each time and height past the exact binomial gate.
     # Blocks of 512 pairs fill 1024 streams and step 8 walkers per vector,
     # so where the CPU has AVX-512 the draws and the steps come from the
     # hand-written lanes; on comb:cycle:4 pairs keep meeting, so the gate
@@ -1183,12 +1183,18 @@ def test_comb_meetings_per_height_match_exact_per_site_sums(spec, seed):
             assert abs(z) <= 4.0, (
                 f"mean meetings at height {h} by t={t} is {col.mean():.4f}, "
                 f"exact {want:.4f}: z = {z:+.2f}")
+    # the pairs meeting at each (t, h) against Binomial(n, table[t - 1, j])
+    cell = (when - 1) * len(exact.heights) + height - exact.heights[0]
+    k = np.bincount(cell.astype(np.int64), minlength=exact.table.size)
+    p, tested = binomial_gate(k.reshape(exact.table.shape), n, exact.table)
+    assert p > 1e-3, (f"{spec} meetings per step and height: adjusted "
+                      f"p = {p:.3g} over {tested} cells")
 
 
 def test_truncation_radius_escape_is_loud():
     with pytest.raises(SimulationError):
         run_pair(build_graph("line"), n_steps=500, truncation_radius=3,
-                 rng_x=RngStream(29, 0, X_MAIN), rng_y=RngStream(29, 0, Y_MAIN))
+                 seed=29, replica=0)
 
 
 @pytest.mark.parametrize("entry", [run_ensemble, run_pair])
@@ -1237,13 +1243,12 @@ def test_failed_write_keeps_previous_summaries(tmp_path):
     assert link.is_symlink() and path.read_bytes() == before
 
 
-def reference_comb_line_pair(seed, replica, n_steps, alpha,
-                             roles=(X_MAIN, Y_MAIN)):
-    """Scalar comb:line pair walk read straight off the two ``roles`` streams:
+def reference_comb_line_pair(seed, replica, n_steps, alpha):
+    """Scalar comb:line pair walk read straight off the X and Y main streams:
     (collisions as (n, vertex, height), final x, final y, max |tooth|,
     times n at which either |tooth| exceeds the envelope for ``alpha``)."""
     paths = []
-    for role in roles:
+    for role in (X_MAIN, Y_MAIN):
         us = RngStream(seed, replica, role).generator().random(n_steps)
         b = t = 0
         path = []

@@ -122,10 +122,10 @@ def _random_summaries():
 
 
 def test_conditional_w_bootstrap_is_pinned():
-    # the values of a bootstrap drawn from stream RngStream(seed, r, k),
-    # which is Generator(Philox(SeedSequence(seed, spawn_key=(r, k))))
+    # the values of a bootstrap whose indices are floor(u * L), u the
+    # doubles of stream (seed, r, BOOT + k), which no walker reads
     assert conditional_W(_random_summaries(), (6, 3), n_boot=400, seed=5) \
-        == (4.0, 0.38675907117095226, 18)
+        == (4.0, 0.41533165876127554, 18)
 
 
 def test_stats_do_not_depend_on_shard_order():
