@@ -4,9 +4,9 @@ time-major, a row per step) and ``observe`` (a window's meetings and
 depths); where the CPU reports AVX-512F, DQ and VL they run AVX-512 builds
 (the first two hand-written, 16 streams or 8 walkers per vector;
 ``observe`` the compiler's vectorization of its one loop), with the same
-bytes; ``csr_rows`` (the oracle's step, flushing values below 2^-1022 to
-0); ``jsonl_scan`` (summary lines into int columns).  Built on first use,
-cached by source in ``__pycache__``, loaded by ctypes."""
+bytes; ``csr_rows`` and ``csr_scatter`` (the oracle's step, flushing values
+below 2^-1022 to 0, and its CSR); ``jsonl_scan`` (summary lines into int
+columns).  Built on first use, cached by source, loaded by ctypes."""
 
 import contextlib
 import ctypes
@@ -311,11 +311,13 @@ void jsonl_scan(const char *buf, int64_t len, int64_t *v, int64_t *rows)
 
 /* rows lo <= i < hi of y = P^T x, row i summing inv[k] x[k], k = indices[j],
    from 0.0 in order (unrolled: rows hold a few arcs); on SSE2 it runs with
-   FTZ | DAZ, so values below 2^-1022 count as 0, then restores MXCSR */
-void csr_rows(const int32_t *indptr, const int32_t *indices,
-              const double *inv, const double *x, double *y,
-              int64_t lo, int64_t hi)
+   FTZ | DAZ, so values below 2^-1022 count as 0, then restores MXCSR.
+   Returns the sum of y[i] y[i] w[i] over the rows, in order (0: no w) */
+double csr_rows(const int32_t *indptr, const int32_t *indices,
+                const double *inv, const double *x, double *y,
+                const double *w, int64_t lo, int64_t hi)
 {
+    double acc = 0.0;
 #if defined(__SSE2__)   /* subnormals each cost a microcode assist */
     const unsigned int mxcsr = _mm_getcsr();
     _mm_setcsr(mxcsr | 0x8040);         /* FTZ 0x8000 | DAZ 0x0040 */
@@ -326,10 +328,19 @@ void csr_rows(const int32_t *indptr, const int32_t *indices,
         for (int32_t j = indptr[i]; j < indptr[i + 1]; j++)
             s += inv[indices[j]] * x[indices[j]];
         y[i] = s;
+        if (w) acc += s * s * w[i];
     }
 #if defined(__SSE2__)
     _mm_setcsr(mxcsr);
 #endif
+    return acc;
+}
+
+/* CSR indices by a stable counting scatter: at[r] from row r's start up */
+void csr_scatter(const int32_t *src, const int32_t *dst, int64_t arcs,
+                 int32_t *at, int32_t *indices)
+{
+    for (int64_t j = 0; j < arcs; j++) indices[at[dst[j]]++] = src[j];
 }
 """
 # -O3: GCC 12's -O2 cost model leaves observe's depth loop scalar; no FMA
@@ -384,9 +395,10 @@ def library():
     lib.philox_fill.argtypes = [p, i, i, i, p, i, i]
     lib.comb_step.argtypes = [p, p, i, p, p, p, i, i, i, i, i]
     lib.observe.argtypes = [p, i, i, i, p, p, p, i]
-    lib.csr_rows.argtypes = [p, p, p, p, p, i, i]
+    lib.csr_rows.argtypes = [p, p, p, p, p, p, i, i]
+    lib.csr_scatter.argtypes = [p, p, i, p, p]
     lib.jsonl_scan.argtypes = [p, i, p, p]
     lib.philox_fill.restype = lib.comb_step.restype = None
-    lib.csr_rows.restype = lib.jsonl_scan.restype = None
-    lib.observe.restype = i
+    lib.csr_scatter.restype = lib.jsonl_scan.restype = None
+    lib.observe.restype, lib.csr_rows.restype = i, ctypes.c_double
     return lib

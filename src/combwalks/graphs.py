@@ -430,8 +430,8 @@ def ball(graph, radius, budget=DEFAULT_BUDGET, lumped=False, root=None):
 
 
 def _budget_check(n_vertices, n_arcs, budget, what):
-    # The traced peak of ball + Kernel + iterate: about 115 B per state on
-    # comb:line (2 arcs per state) and 170 to 180 B on grid2d and comb2
+    # The traced peak of ball + Kernel + iterate: about 99 B per state on
+    # comb:line (2 arcs per state) and 140 to 147 B on grid2d and comb2
     # (4 arcs per state); `n_arcs` counts the full degree sum.
     est = n_vertices * 40 + n_arcs * 48
     if est > budget:

@@ -37,7 +37,9 @@ roots, `star:k` and the biased ladder keep the full ball.
 Every walk runs through one driver, `_walk`: it charges the series table
 (a row per step) to the budget, builds the radius-(n + 1) ball in what
 is left, steps its `Kernel` once and stores what a reader returns for
-each step, so `budget` bounds the ball, its kernel and the series.
+each step, so `budget` bounds the ball, its kernel and the series.  The
+even return and meeting series, sums of w_i p_i^2, are summed by the step
+in row order: no series goes through a BLAS dot, whose order is the CPU's.
 
 The line, even cycles, grid2d and the combs over them are bipartite, and
 their balls are indexed parity-major (`graphs.Ball`): after n steps the
@@ -77,23 +79,34 @@ class Kernel:
     classes in place in one vector; other balls alternate two vectors.
     Rows a run has not reached are never written and stay zero.  The step
     reads 1/deg per state (`inv`) and flushes mass below 2^-1022 to 0.
-    The ball's arc lists are released once the CSR arrays hold them.
+    Given `weights` w, it sums w_i p_i^2 over its rows, in order, into
+    `sq_sum`.  The CSR is a scatter of the ball's arcs, which it releases.
     """
 
-    def __init__(self, ball_):
-        src, dst = ball_.arc_src, ball_.arc_dst
-        order = np.argsort(dst, kind="stable")
-        self.indices = np.ascontiguousarray(src[order], dtype=np.int32)
-        self.inv = 1.0 / ball_.degrees
+    def __init__(self, ball_, weights=None):
+        self.ball, lib = ball_, _native.library()
+        src, dst = (np.ascontiguousarray(a, np.int32)
+                    for a in (ball_.arc_src, ball_.arc_dst))
         counts = np.bincount(dst, minlength=ball_.size)
         self.indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
-        del order, counts
+        self.indices, at = np.empty(len(src), np.int32), self.indptr[:-1].copy()
+        lib.csr_scatter(src.ctypes.data, dst.ctypes.data, len(src),
+                        at.ctypes.data, self.indices.ctypes.data)
+        del src, dst, counts, at
         ball_.arc_src = ball_.arc_dst = None
-        self.ball = ball_
-        self._csr_rows = _native.library().csr_rows
-        self._csr = [ctypes.c_void_p(a.ctypes.data)
-                     for a in (self.indptr, self.indices, self.inv)]
+        self.inv, self.weights, self.sq_sum = 1.0 / ball_.degrees, weights, 0.0
+        self._csr_rows, self._csr = lib.csr_rows, [ctypes.c_void_p(
+            a.ctypes.data) for a in (self.indptr, self.indices, self.inv)]
+        self._w = None if weights is None else self._raw(weights, "weights")
         self._reset()
+
+    def _raw(self, v, what):
+        # csr_rows reads raw memory: no strides, no bounds, no casts
+        if v.dtype != np.float64 or v.shape != (self.ball.size,) \
+                or not v.flags.c_contiguous:
+            raise OracleError(f"{what} needs a contiguous float64 vector of "
+                              f"length {self.ball.size}")
+        return v.ctypes.data
 
     def _reset(self):
         """Fresh step vectors, so that a new run reads no stale rows."""
@@ -103,15 +116,11 @@ class Kernel:
 
     def step(self, vec, reach):
         """Step `reach` of a walk from the root: write only `ball.rows(reach)`."""
-        b = self.ball
-        # csr_rows reads raw memory: no strides, no bounds, no casts
-        if vec.dtype != np.float64 or vec.shape != (b.size,) \
-                or not vec.flags.c_contiguous:
-            raise OracleError(f"step needs a contiguous float64 vector of "
-                              f"length {b.size}")
         i = vec is self._bufs[0]
-        x = self._addr[1 - i] if vec is self._bufs[1 - i] else vec.ctypes.data
-        self._csr_rows(*self._csr, x, self._addr[i], *b.rows(reach))
+        x = self._addr[1 - i] if vec is self._bufs[1 - i] \
+            else self._raw(vec, "step")
+        self.sq_sum = self._csr_rows(*self._csr, x, self._addr[i], self._w,
+                                     *self.ball.rows(reach))
         return self._bufs[i]
 
     def iterate(self, n_steps, on_step=None):
@@ -207,28 +216,26 @@ class KernelSeries:
 # ---------------------------------------------------------------------------
 
 def _walk(graph, root, n, width, reader=None, budget=DEFAULT_BUDGET,
-          lumped=False):
+          lumped=False, weights=None):
     """The one exact walk: `n` steps from `root` (None: the family root).
 
     Charges the (n, width) table to `budget`, then builds the radius-(n + 1)
     `ball` around `root` in the rest, lumped if asked and the ball has a
     lumping.  `reader(ball, table)` returns the `on_step` of
-    `Kernel.iterate`, which fills row k - 1 from step k's rows.  Returns
-    the ball, the table and p^(n)."""
+    `Kernel.iterate`, which fills row k - 1 from step k's rows; given
+    `weights(ball)`, column 0 is each step's sum of w_i p_i^2 instead.
+    Returns the ball, the table and p^(n)."""
     charge = 8 * n * width
     if charge > budget:
         raise BudgetError(f"a {n} x {width} series table needs "
                           f"~{charge >> 20} MiB, budget is {budget >> 20} MiB")
     b = ball(graph, n + 1, budget - charge, lumped, root)
-    kern, table = Kernel(b), np.zeros((n, width))
-    return b, table, kern.iterate(n, reader and reader(b, table))
+    kern, table = Kernel(b, weights and weights(b)), np.zeros((n, width))
 
-
-def _mass(w, table):
-    """Reader of sum_i w_i p_i^2 over a step's rows."""
-    def read(k, lo, head):
-        table[k - 1, 0] = np.dot(head * head, w[lo:lo + len(head)])
-    return read
+    def mass(k, lo, head):                 # summed by the step, in row order
+        table[k - 1, 0] = kern.sq_sum
+    return b, table, kern.iterate(n, mass if weights else reader and reader(
+        b, table))
 
 
 def _diagonal(b, table):
@@ -256,9 +263,9 @@ def transition_vector(graph, root, n, budget=DEFAULT_BUDGET):
 def _return_series(graph, k_max, every, root, budget, lumped):
     """p^(2k)(root,root) for k <= k_max through reversibility (every="even"),
     or p^(k)(root,root) read off the diagonal (every="all")."""
-    reader = _diagonal if every == "all" else lambda b, table: _mass(
-        b.degrees[b.root_index] / (b.degrees * b.orbit), table)
-    _, out, _ = _walk(graph, root, k_max, 1, reader, budget, lumped)
+    reader, weights = (_diagonal, None) if every == "all" else (None, lambda b:
+                       b.degrees[b.root_index] / (b.degrees * b.orbit))
+    _, out, _ = _walk(graph, root, k_max, 1, reader, budget, lumped, weights)
     ns = np.arange(1, k_max + 1)
     return KernelSeries("return", 2 * ns if every == "even" else ns, out[:, 0])
 
@@ -307,8 +314,8 @@ def meeting_expectation_series(graph, n_max, root=None, budget=DEFAULT_BUDGET):
     """
     if n_max < 1:
         raise OracleError("n_max must be >= 1")
-    _, out, _ = _walk(graph, root, n_max, 1, lambda b, table: _mass(
-        1.0 / b.orbit, table), budget, lumped=True)
+    _, out, _ = _walk(graph, root, n_max, 1, None, budget, True,
+                      lambda b: 1.0 / b.orbit)
     ns, inc = np.arange(1, n_max + 1), out[:, 0]
     return (KernelSeries("meeting_partial", ns, np.cumsum(inc)),
             KernelSeries("meeting_increment", ns, inc))

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
+from .graphs import _is_int
 
 X_MAIN = 0
 Y_MAIN = 2
@@ -95,18 +96,20 @@ def _hash(entropy):
 
 def _words(n):
     """The uint32 words of a non-negative int, low first, as SeedSequence."""
-    if n < 0:
-        raise ValueError("expected non-negative integer")
+    if not _is_int(n) or n < 0:
+        raise ValueError(f"expected a non-negative integer, got {n!r}")
+    n = int(n)                  # a numpy int shifts in its own width
     return [n >> s & _M32 for s in range(0, max(n.bit_length(), 1), 32)]
 
 
 def stream_keys(seed, replicas, stream):
     """(N, 2) uint64 Philox keys of the streams (seed, r, stream) for r in
     ``replicas``: row j equals ``SeedSequence(seed, spawn_key=(replicas[j],
-    stream)).generate_state(2, np.uint64)``."""
-    r = np.asarray(replicas, dtype=np.int64).reshape(-1)
-    if (r < 0).any():
-        raise ValueError("expected non-negative integer")
+    stream)).generate_state(2, np.uint64)``; each a non-negative int."""
+    r = np.asarray(replicas).reshape(-1)
+    if r.size and r.dtype.kind not in "iu" or (r < 0).any():
+        raise ValueError(f"expected non-negative integer replicas, got {r}")
+    r = r.astype(np.int64)
     head = _words(seed)
     head += [0] * (_POOL - len(head))     # SeedSequence pads before a spawn key
     tail = _words(stream)

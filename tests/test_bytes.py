@@ -14,6 +14,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -282,8 +284,8 @@ STATS_DIGESTS = {
 # sha256 of `oracle return --graph comb:line --nmax 1024`'s CSV and of the
 # CSV of `fit --column value --range 8:1024` over it
 FIT_DIGESTS = (
-    "df757b9aae30277716a5046c3e8895621521710a3e1a4b2bb26eec50af12613b",
-    "dd6598b455de966c679272b10cf2ce8a210a550b2aa7dda199328db39eebbfcf")
+    "e88e8bb306d28868f3a05e44186ad47e4b2612baf001a512a4f3565984f4c61c",
+    "6cb14fa61654cff868599b4ea806e64482368aeea8e6562687b6c228ea2c6403")
 
 
 @pytest.fixture(scope="module")
@@ -349,11 +351,11 @@ ORACLE_CASES = {
 # sha256 of the bytes of each case's series
 ORACLE_DIGESTS = {
     "return-even comb:line":
-        "6192546da173eb2e4c44af29b9516e684eb4b82435d8b70d2b9031ad8a72abc0",
+        "1691c4f7064e6f9426b9c3f786310e12214438e7461cf63e5f5cb94c59506b1e",
     "return-all comb:line":
         "49531d096c2f1931a5113e2c5ef7f39bb955ccb026f4aaf6ebb130635db20c03",
     "return-even grid2d":
-        "f21917cdb1e51765ab6125a19a0bb88bf588269761dbd2a264808c6ccda1c9ef",
+        "be127d00cf20009d181aaf57d90d2997cbe038fbd88572ca347dee010d24ed30",
     "return-all grid2d":
         "1202bb63aa6548a56ecac54c2ebecd2cce8be3eb6442e9098ac7e31a2f191e44",
     "return-all comb:cycle:3":
@@ -365,9 +367,9 @@ ORACLE_DIGESTS = {
     "return-all biased-ladder":
         "4ebac3ee1a38895dff0414e24252fcdc9d234d2996c75365e9a6ffd5575b528d",
     "meetings comb:line":
-        "97b3c185d08143978974ca1c7771feba0b80ea6b8c8b01f2d21bf29c5933fad6",
+        "79388e0b355e0a9c37b88467a29b171cfffbddafe3b816b3bd83efd7264b390a",
     "meetings comb2:line":
-        "9ab2352534233dc46eceb8c608c9ee1340e7a75d187046d055baeb8541b0be7d",
+        "0578d6c9d2d8905cf51c4b1041655f151a6510d74045feb8e989ac96bbc57d42",
     "persite comb:line":
         "adfea154943ceb03f98ff8643ca78b69330054099cfb93ac16379fa5121aecb6",
     "persite comb2:line":
@@ -393,3 +395,29 @@ def _series_bytes(out):
 def test_oracle_bytes_are_pinned(name):
     data = _series_bytes(ORACLE_CASES[name]())
     assert hashlib.sha256(data).hexdigest() == ORACLE_DIGESTS[name]
+
+
+# the series a step's weighted sum of squares gives (the step sums it in
+# row order, where a BLAS dot's order depended on the CPU's kernel)
+MASS_CASES = ("return-even comb:line", "return-even grid2d",
+              "meetings comb:line", "meetings comb2:line")
+
+
+@pytest.mark.parametrize("env", [
+    {"OPENBLAS_CORETYPE": "Haswell"},
+    {"OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "1"}],
+    ids=["Haswell", "Prescott"])
+def test_oracle_digests_do_not_depend_on_the_blas_kernel(env, tmp_path):
+    # OpenBLAS picks its kernels once, at load: a fresh interpreter per
+    # kernel runs the pinned-digest tests of the series above and the fit
+    here = os.path.dirname(os.path.abspath(__file__))
+    code = (f"import pathlib, sys; sys.path[:0] = {[here]!r}\n"
+            "import test_bytes as t\n"
+            "for name in t.MASS_CASES: t.test_oracle_bytes_are_pinned(name)\n"
+            "t.test_fit_csv_bytes_are_pinned(pathlib.Path('.'))\n")
+    src = os.path.join(here, os.pardir, "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                         env={**os.environ, **env, "PYTHONPATH": path},
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr

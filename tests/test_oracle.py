@@ -211,6 +211,64 @@ def test_kernel_step_leaves_rows_past_reach_zero():
 
 
 @pytest.mark.parametrize("spec, lumped", [
+    ("comb:line", True), ("grid2d", True), ("comb2:line", True),
+    ("comb:cycle:3", False)])
+def test_step_sum_is_the_row_order_sum(spec, lumped):
+    # the sum a weighted step returns, against a plain loop over its rows;
+    # not sum(), which compensates float sums from Python 3.12 on
+    b = ball(build_graph(spec), 12, lumped=lumped)
+    assert b.bipartite == (spec != "comb:cycle:3")
+    w = b.degrees[b.root_index] / (b.degrees * b.orbit)
+    kern = Kernel(b, w)
+    assert kern.weights is w and kern.sq_sum == 0.0
+    vec = np.eye(1, b.size, b.root_index)[0]
+    for reach in range(1, 12):
+        vec = kern.step(vec, reach)
+        acc = 0.0
+        for i in range(*b.rows(reach)):
+            p = float(vec[i])
+            acc += p * p * float(w[i])
+        assert kern.sq_sum == acc, reach
+        vec = vec.copy() if reach % 3 == 0 else vec   # foreign vectors too
+    plain = Kernel(ball(build_graph(spec), 12, lumped=lumped))
+    plain.iterate(11)
+    assert plain.weights is None and plain.sq_sum == 0.0
+
+
+def _argsort_csr(src, dst, size):
+    """The CSR arrays of the arcs src -> dst, rows by dst, by a stable sort."""
+    order = np.argsort(dst, kind="stable")
+    counts = np.bincount(dst, minlength=size)
+    return (np.concatenate(([0], np.cumsum(counts))).astype(np.int32),
+            src[order].astype(np.int32))
+
+
+@pytest.mark.parametrize("spec, lumped, root", [
+    ("comb:line", True, None), ("comb:line", False, None),
+    ("grid2d", True, None), ("comb2:line", True, None),
+    ("comb:cycle:3", False, None), ("star:5", False, None),
+    ("biased-ladder", False, None), ("comb:line", False, (3, 2))])
+def test_kernel_csr_is_the_stable_argsort_csr(spec, lumped, root):
+    b = ball(build_graph(spec), 9, lumped=lumped, root=root)
+    want = _argsort_csr(b.arc_src.copy(), b.arc_dst.copy(), b.size)
+    kern = Kernel(b)
+    assert b.arc_src is None and b.arc_dst is None
+    for got, ref in zip((kern.indptr, kern.indices), want):
+        assert got.dtype == np.int32 and np.array_equal(got, ref)
+
+
+def test_kernel_refuses_weights_it_cannot_read():
+    b = ball(build_graph("comb:line"), 6, lumped=True)
+    w = 1.0 / b.orbit
+    for bad in (w[:-1], np.ones(2 * b.size)[::2], w.astype(np.float32),
+                np.ones(b.size, np.int64)):
+        with pytest.raises(OracleError, match="weights needs a contiguous"):
+            Kernel(ball(build_graph("comb:line"), 6, lumped=True), bad)
+    with pytest.raises(OracleError, match="step needs a contiguous"):
+        Kernel(b, w).step(w[:-1].copy(), 1)
+
+
+@pytest.mark.parametrize("spec, lumped", [
     ("comb:line", True), ("grid2d", True), ("comb:cycle:3", False),
     ("comb2:line", True)])
 def test_kernel_step_matches_scipy_bit_for_bit(spec, lumped):

@@ -52,6 +52,17 @@ def test_stream_keys_reject_negatives():
     assert stream_keys(3, [], 0).shape == (0, 2)
 
 
+def test_stream_keys_reject_what_is_not_an_int():
+    # graphs._is_int's rule: ints and numpy integers, not bools or floats
+    for args in [(1.5, [0], 0), (True, [0], 0), (0, [2.5], 0),
+                 (0, [True], 0), (0, np.array([1.0]), 0), (0, [0], 1.0),
+                 (0, [0], False), (0, ["1"], 0)]:
+        with pytest.raises(ValueError, match="non-negative integer"):
+            stream_keys(*args)
+    assert np.array_equal(stream_keys(np.int64(7), np.array([3], np.uint32),
+                                      np.int32(2)), stream_keys(7, [3], 2))
+
+
 def test_fill_continues_the_reference_generator():
     replicas = [0, 4, 2 ** 32 + 1]
     keys = stream_keys(9, replicas, Y_MAIN)

@@ -226,6 +226,16 @@ def test_entry_points_check_replicas_and_steps(call):
         call(build_graph("comb:line"))
 
 
+# a library caller's seed or replica: the CLI parses both as ints
+@pytest.mark.parametrize("call", [
+    lambda g: run_pair(g, n_steps=50, seed=1, replica=2.5),
+    lambda g: run_pair(g, n_steps=50, seed=1.5),
+    lambda g: sampler.sample_marginal(g, 6, 3, seed=True)])
+def test_entry_points_refuse_a_seed_or_replica_that_is_not_an_int(call):
+    with pytest.raises(ValueError, match="expected .*non-negative integer"):
+        call(build_graph("comb:line"))
+
+
 # the last six: a fraction would be truncated, a bool or a float32
 # written in a form the summary reader or the JSON writer refuses
 @pytest.mark.parametrize("record", [{"lil_alphas": (0.0,)},
@@ -888,7 +898,8 @@ def test_every_compiled_loop_has_its_argument_types():
                "double": ctypes.c_double}
     loops = re.findall(r"^(\w+) (\w+)\(([^)]*)\)", _native._SOURCE, re.M)
     assert sorted(name for _, name, _ in loops) == [
-        "comb_step", "csr_rows", "jsonl_scan", "observe", "philox_fill"]
+        "comb_step", "csr_rows", "csr_scatter", "jsonl_scan", "observe",
+        "philox_fill"]
     lib = _native.library()
     for ret, name, params in loops:
         fn = getattr(lib, name)
