@@ -33,8 +33,9 @@ from .graphs import BudgetError, GraphError, build_graph, DEFAULT_BUDGET
 from .oracle import (OracleError, identity_check_suite,
                      meeting_expectation_series, per_site_collision_series,
                      return_probability_series)
-from .sampler import (RecordPolicy, SimulationError, atomic_open,
-                      read_summaries, run_ensemble, write_summaries)
+from .sampler import (RecordPolicy, SimulationError, SummaryBlock,
+                      atomic_open, read_summaries, run_ensemble,
+                      write_summaries)
 from .stats import (SchemaError, StatsError, cell_ranges, drift_estimate,
                     dyadic_collision_stats, estimate_exponent,
                     lil_envelope_check, meeting_growth_curve)
@@ -163,14 +164,17 @@ def _check_lil_alphas(flag, alphas):
         raise ConfigError(f"{flag} must lie in (2/3, 1), got {alphas}")
 
 
-def _check_one_kind(report, paths, loaded):
+def _check_one_kind(report, paths, loaded, merged):
     """Refuse inputs that mix (T, method): they are not one ensemble."""
-    kinds = [(p, (s.n_steps, s.method)) for p, (_, sums) in zip(paths, loaded)
-             for s in sums]
-    for path, kind in kinds:
-        if kind != kinds[0][1]:
-            raise SchemaError(f"{path}: {report} inputs mix (T, method) "
-                              f"{kinds[0][1]} and {kind}")
+    def kind(sums, i):
+        return int(sums.n_steps[i]), sums.method[i]
+    for path, (_, sums) in zip(paths, loaded):
+        odd = ((sums.n_steps != merged.n_steps[:1])
+               | (sums.method != merged.method[:1]))
+        if odd.any():
+            raise SchemaError(
+                f"{path}: {report} inputs mix (T, method) "
+                f"{kind(merged, 0)} and {kind(sums, odd.argmax())}")
 
 
 def cmd_simulate(args):
@@ -206,7 +210,7 @@ def cmd_simulate(args):
                         method=args.method or "direct",
                         truncation_radius=args.truncation_radius)
     write_summaries(args.out, sums)
-    total = sum(s.meetings for s in sums)
+    total = sums.meetings.sum()
     print(f"replicas={args.replicas} total_meetings={total} "
           f"wall={time.time() - t0:.1f}s", file=sys.stderr)
     return EXIT_OK
@@ -257,12 +261,12 @@ def _load_inputs(paths):
 def cmd_stats(args):
     report = args.report or "grid"
     loaded = _load_inputs(args.inputs)
-    merged = [s for _, sums in loaded for s in sums]
+    merged = SummaryBlock.concat(sums for _, sums in loaded)
 
     if report == "grid":
         if args.r_range is None or args.k_range is None:
             raise ConfigError("grid report needs --r-range and --k-range")
-        _check_one_kind(report, args.inputs, loaded)
+        _check_one_kind(report, args.inputs, loaded, merged)
         (r0, r1), (k0, k1) = args.r_range, args.k_range
         # checked here too: an empty input writes its rows without a grid
         r_span, k_span = cell_ranges(range(r0, r1 + 1), range(k0, k1 + 1))
@@ -290,11 +294,11 @@ def cmd_stats(args):
     elif report == "lil":
         alpha = args.alpha if args.alpha is not None else 0.75
         _check_lil_alphas("--alpha", (alpha,))
-        _check_one_kind(report, args.inputs, loaded)
+        _check_one_kind(report, args.inputs, loaded, merged)
         counts, last = lil_envelope_check(merged, alpha)
         header = ("replica", "violations", "last_violation")
-        rows = [(s.replica, int(c), int(t))
-                for s, c, t in zip(merged, counts, last)]
+        rows = list(zip(merged.replica.tolist(), counts.tolist(),
+                        last.tolist()))
     else:                                      # argparse allows no other
         est = drift_estimate(merged)
         header = ("per_move", "per_half_step", "moves")

@@ -107,7 +107,10 @@ def stream_keys(seed, replicas, stream):
     ``replicas``: row j equals ``SeedSequence(seed, spawn_key=(replicas[j],
     stream)).generate_state(2, np.uint64)``; each a non-negative int."""
     r = np.asarray(replicas).reshape(-1)
-    if r.size and r.dtype.kind not in "iu" or (r < 0).any():
+    # numpy casts a list's bools to int: test its items as graphs._is_int
+    listed = isinstance(replicas, (list, tuple))
+    if listed and not all(map(_is_int, replicas)) \
+            or r.size and r.dtype.kind not in "iu" or (r < 0).any():
         raise ValueError(f"expected non-negative integer replicas, got {r}")
     r = r.astype(np.int64)
     head = _words(seed)

@@ -38,6 +38,11 @@ into worker processes, and ``run_ensemble`` emits byte-identical JSONL for
 any worker count.  The two walkers of ``replicas`` pairs run as the two
 halves of a single width ``2*replicas`` block; meetings are detected by
 comparing the halves.
+
+Summaries travel as a ``SummaryBlock``, one column per field for B pairs,
+from ``_run_block`` through ``run_ensemble``, ``write_summaries`` and
+``read_summaries`` to the reports; ``PairTrajectorySummary`` is the view
+of one pair, ``block[i]``.
 """
 
 from __future__ import annotations
@@ -48,14 +53,14 @@ import json
 import math
 import os
 import stat
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass, field, fields
+from itertools import chain, islice
 
 import numpy as np
 
 from . import _native
-from .graphs import (BiasedLadder, GraphError, Star, _is_int, check_reach,
-                     LADDER_ID_BITS as _LEVEL_BITS)
+from .graphs import (BiasedLadder, GraphError, Star, _is_int, _ragged,
+                     check_reach, LADDER_ID_BITS as _LEVEL_BITS)
 from .rng import (X_BASE, X_HOLD, X_MAIN, X_SKEL, X_TOOTH, Y_MAIN, Y_TOOTH,
                   fill, stream_keys)
 from .stats import SchemaError, lil_threshold
@@ -130,8 +135,9 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 @dataclass
 class PairTrajectorySummary:
-    """One pair's run.  Its meetings are three columns: the times, the
-    vertices (a list of coordinates each) and the signed tooth heights."""
+    """One pair's run, as a ``SummaryBlock`` lists it (``block[i]``).  Its
+    meetings are three columns: the times, the vertices (a list of
+    coordinates each) and the signed tooth heights."""
 
     replica: int
     n_steps: int
@@ -173,6 +179,95 @@ class PairTrajectorySummary:
         parts.update((k, _ENCODER.encode(v)) for k, v in self.extras.items())
         return "{" + ",".join(f"{_ENCODER.encode(k)}:{parts[k]}"
                               for k in sorted(parts)) + "}"
+
+
+def _split(rows, counts):
+    """``rows``, a list or an array to list, in consecutive runs of
+    ``counts`` items; numpy lists runs of one length > 0 itself."""
+    if isinstance(rows, np.ndarray):
+        if len(counts) and counts[0] > 0 and (counts == counts[0]).all():
+            return rows.reshape(len(counts), -1).tolist()
+        rows = rows.tolist()
+    at = [0, *np.cumsum(counts).tolist()]
+    return [rows[i:j] for i, j in zip(at, at[1:])]
+
+
+@dataclass(eq=False)
+class SummaryBlock:
+    """The summaries of B pairs as columns.  One entry per pair:
+    ``replica``, ``n_steps``, ``method``, ``meetings``, ``max_tooth`` ((B,
+    2): x, y) and ``extras``, a dict each.  A ragged field is the rows of
+    every entry in turn and a column of their counts: the meetings'
+    ``times`` and ``heights`` by pair, their vertices' ``coords`` by
+    meeting, the ``checkpoints`` ((C, 2): t, meetings up to t) by pair, the
+    ``finals`` by walker (pair b's x is walker 2b, its y 2b + 1).
+    Iteration and ``block[i]`` give ``PairTrajectorySummary`` views."""
+
+    replica: np.ndarray
+    n_steps: np.ndarray
+    method: np.ndarray
+    meetings: np.ndarray
+    max_tooth: np.ndarray
+    times: np.ndarray
+    heights: np.ndarray
+    meet_len: np.ndarray
+    coords: np.ndarray
+    vert_len: np.ndarray
+    checkpoints: np.ndarray
+    cp_len: np.ndarray
+    finals: np.ndarray
+    final_len: np.ndarray
+    extras: np.ndarray
+
+    def __len__(self):
+        return len(self.replica)
+
+    def __getitem__(self, i):
+        return next(islice(self, range(len(self))[i], None))
+
+    def __iter__(self):
+        """Each pair's view.  Every column is listed once per iteration,
+        and ``block[i]`` iterates up to pair i: loop, do not index."""
+        times, verts, heights = (_split(a, self.meet_len) for a in (
+            self.times, _split(self.coords, self.vert_len), self.heights))
+        cps = _split([*map(tuple, self.checkpoints.tolist())], self.cp_len)
+        finals = [*map(tuple, _split(self.finals, self.final_len))]
+        tooth_x, tooth_y = self.max_tooth.T.tolist()
+        return map(PairTrajectorySummary, self.replica.tolist(),
+                   self.n_steps.tolist(), self.meetings.tolist(), times,
+                   verts, heights, cps, finals[::2], finals[1::2], tooth_x,
+                   tooth_y, self.method.tolist(), map(dict, self.extras))
+
+    @classmethod
+    def of(cls, views):
+        """``views``, any iterable of ``PairTrajectorySummary``, as a
+        block; a block is its own."""
+        if isinstance(views, cls):
+            return views
+        s = list(views)
+        verts = [v for x in s for v in x.vertices]
+        finals = [f for x in s for f in (x.final_x, x.final_y)]
+
+        def ints(rows, *shape):                 # the items of the rows
+            return np.array([*chain(*rows)], np.int64).reshape(-1, *shape)
+        return cls(
+            ints([x.replica] for x in s), ints([x.n_steps] for x in s),
+            np.array([x.method for x in s], object),
+            ints([x.meetings] for x in s),
+            ints(((x.max_tooth_x, x.max_tooth_y) for x in s), 2),
+            ints(x.times for x in s), ints(x.heights for x in s),
+            ints([len(x.times)] for x in s), ints(verts),
+            ints([len(v)] for v in verts), ints((x.checkpoints for x in s), 2),
+            ints([len(x.checkpoints)] for x in s), ints(finals),
+            ints([len(f)] for f in finals),
+            np.array([x.extras for x in s], object))
+
+    @classmethod
+    def concat(cls, blocks):
+        """The pairs of ``blocks``, in order, as one block."""
+        blocks = list(blocks) or [cls.of(())]
+        return cls(*(np.concatenate([getattr(b, f.name) for b in blocks])
+                     for f in fields(cls)))
 
 
 @contextlib.contextmanager
@@ -222,12 +317,14 @@ def _summary(d):
             *chain(*vertices, *lil["times"], spine["x"], spine["y"]),
             spine["stride"])
     if {*map(type, lists)} - {list} or {*map(type, ints)} - {int} \
+            or type(d.get("method", "direct")) is not str \
             or min(ints) < -2 ** 63 or max(ints) >= 2 ** 63 \
             or {*map(type, lil["alphas"])} - {int, float} \
             or len(lil["times"]) != len(lil["alphas"]) \
             or len(spine["x"]) != len(spine["y"]) or spine["stride"] < 1:
         raise TypeError(f"replica {d['replica']}: a count, time or coordinate "
-                        "is not an int64, or a vertex, lil or spine malformed")
+                        "is not an int64, the method not a string, or a "
+                        "vertex, lil or spine malformed")
     return PairTrajectorySummary(
         replica=d["replica"], n_steps=d["T"], meetings=d["meetings"],
         times=times, vertices=vertices, heights=heights, checkpoints=cps,
@@ -237,13 +334,37 @@ def _summary(d):
         extras={k: v for k, v in d.items() if k not in _KEYS})
 
 
+def _scanned(ints, rows):
+    """The block of the lines ``jsonl_scan`` read into ``ints``, ``rows``
+    their rows: (end, checkpoints, meetings, vertex length, final length).
+    A line's ints are T, (meetings, t) per checkpoint, (l, n, vertex) per
+    meeting, the finals x then y, max_tooth x and y, meetings, replica;
+    each column is gathered from them by index arithmetic, as a copy."""
+    end, nc, nm, vd, fd = rows.T
+    start = np.concatenate(([0], end))[:-1]     # after the last line read
+    c, w = start + 1 + 2 * nc, 2 + vd           # first meeting, its width
+    meet = np.repeat(c, nm) + np.repeat(w, nm) * _ragged(0 * nm, nm)[0]
+    dims = np.repeat(vd, nm)
+    cps = ints[_ragged(start + 1, 2 * nc)[0]].reshape(-1, 2)
+    return SummaryBlock(
+        replica=ints[end - 1], n_steps=ints[start], meetings=ints[end - 2],
+        method=np.full(len(end), "direct", object),
+        max_tooth=ints[end[:, None] - [4, 3]],
+        times=ints[meet + 1], heights=ints[meet], meet_len=nm,
+        coords=ints[_ragged(meet + 2, dims)[0]], vert_len=dims,
+        checkpoints=cps[:, ::-1], cp_len=nc,
+        finals=ints[_ragged(c + w * nm, 2 * fd)[0]],
+        final_len=np.repeat(fd, 2), extras=np.full(len(end), {}, object))
+
+
 def read_summaries(path):
-    """The summaries of a JSONL file, one per non-blank line as text mode
-    splits it.  ``_native.jsonl_scan`` reads about ``SCRATCH`` bytes of whole
-    lines at a time, ``to_json``'s own form straight into columns; any other
-    line, or every line without the library, goes through json and
-    ``_summary``, and one they refuse is a SchemaError naming its file line."""
-    out, scan = [], lambda *args: None      # no library: rows stay -1
+    """The summaries of a JSONL file as one ``SummaryBlock``, a pair per
+    non-blank line as text mode splits it.  ``_native.jsonl_scan`` reads
+    about ``SCRATCH`` bytes of whole lines at a time, ``to_json``'s own
+    form straight into columns; any other line, or every line without the
+    library, goes through json and ``_summary``, and one they refuse is a
+    SchemaError naming its file line."""
+    blocks, scan = [], lambda *args: None       # no library: rows stay -1
     with contextlib.suppress(_native.BuildError):
         scan = _native.library().jsonl_scan
     with open(path, "rb") as fh:
@@ -252,28 +373,23 @@ def read_summaries(path):
             win, rows = b"".join(lines), np.full((len(lines), 5), -1, np.int64)
             ints = np.empty(len(win) // 2 + 1, np.int64)  # 2 bytes an int
             scan(win, len(win), ints.ctypes.data, rows.ctypes.data)
-            v, o = ints[:rows[:, 0].max(initial=0)].tolist(), 0
-            for line, (end, nc, nm, vd, fd) in zip(lines, rows.tolist()):
-                if end < 0:
+            ends = rows[:, 0].tolist()
+            blocks.append(_scanned(ints, rows[rows[:, 0] >= 0]))
+            if min(ends) < 0:       # the window's lines in order, as views
+                scanned, views = iter(blocks.pop()), []
+                for k, (line, end) in enumerate(zip(lines, ends), at + 1):
+                    if end >= 0:
+                        views.append(next(scanned))
+                        continue
                     try:
-                        out.extend(_summary(json.loads(s)) for s in (
+                        views.extend(_summary(json.loads(s)) for s in (
                             b.decode().strip() for b in line.splitlines()) if s)
                     except (ValueError, KeyError, TypeError) as exc:
-                        k = at + lines.index(line) + 1  # equal lines fail alike
                         raise SchemaError(
                             f"{path}:{k}: malformed summary: {exc}") from None
-                    continue
-                x, o, w = v[o:end], end, 2 + vd   # vd = -1: no meetings
-                c, f = 1 + 2 * nc, 1 + 2 * nc + w * nm
-                out.append(PairTrajectorySummary(
-                    replica=x[-1], n_steps=x[0], meetings=x[-2],
-                    times=x[c + 1:f:w], heights=x[c:f:w],
-                    vertices=[x[i + 2:i + w] for i in range(c, f, w)],
-                    checkpoints=list(zip(x[2:c:2], x[1:c:2])),
-                    final_x=tuple(x[f:f + fd]), final_y=tuple(x[f + fd:-4]),
-                    max_tooth_x=x[-4], max_tooth_y=x[-3]))
+                blocks.append(SummaryBlock.of(views))
             at += len(lines)
-    return out
+    return SummaryBlock.concat(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +611,7 @@ def _windows(kernel, keys, n_steps):
 
 def _run_block(graph, start, n_steps, seed, replicas, record, method,
                truncation_radius=None):
-    """Simulate one block of replica pairs; returns summaries in order.
+    """Simulate one block of replica pairs; returns their SummaryBlock.
 
     The two walkers of the ``B`` pairs run as columns ``b`` and ``B + b``
     of one kernel.  One ``observe`` call per window finds the meetings
@@ -558,54 +674,43 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
             spine_rows.append(last[(-n0 - 1) % stride::stride].astype(np.int32))
 
     times, cols, verts = (np.concatenate(a) for a in zip(*hits))
-    heights = graph.height(verts.T)
     # meetings of each pair up to each checkpoint, and in all
     counts = np.array([np.bincount(cols[times <= t], minlength=B)
-                       for t in (*cps, n_steps)]).T.tolist()
+                       for t in (*cps, n_steps)]).T
     # the meeting columns in replica order, then in time order
     order = np.argsort(cols, kind="stable")
-    cuts = np.searchsorted(cols[order], np.arange(B + 1)).tolist()
-    times, verts, heights = (a[order].tolist() for a in (times, verts, heights))
-    lil_times = []
-    for keys in lil_keys:
-        b_of, n_of = np.divmod(np.sort(np.concatenate(keys)), n_steps + 1)
-        lil_times.append(np.split(n_of, np.searchsorted(b_of, range(1, B))))
-    # one Python list per walker, so the loop below indexes no array
-    final = kernel.pos[0].T.tolist()
-    max_depth = kernel.max_depth.tolist()
+    times, verts = times[order], verts[order]
+    final, D = kernel.pos[0].T, kernel.pos.shape[1]     # walker j's state
+    extras = {}                  # name: one value per pair
+    if lil_alphas:
+        times_of = []           # per alpha, each pair's violation times
+        for keys in lil_keys:
+            b_of, n_of = np.divmod(np.sort(np.concatenate(keys)), n_steps + 1)
+            times_of.append(_split(n_of, np.bincount(b_of, minlength=B)))
+        extras["lil"] = [{"alphas": list(lil_alphas), "times": list(ts)}
+                         for ts in zip(*times_of)]
     if stride:
         spine = np.concatenate(spine_rows).T.tolist()
-    k_cols = np.concatenate(k_rows).T.tolist()
-
-    out = []
-    for b, rep in enumerate(replicas):
-        lo, hi = cuts[b], cuts[b + 1]
-        extras = {}
-        if lil_alphas:
-            extras["lil"] = {"alphas": list(lil_alphas),
-                             "times": [t[b].tolist() for t in lil_times]}
-        if stride:
-            extras["spine"] = {"stride": stride, "x": spine[b],
-                               "y": spine[B + b]}
-        if method == "selfloop":
-            extras["k_trace"] = [{"t": t, "x": x, "y": y} for t, x, y
-                                 in zip(cps, k_cols[b], k_cols[B + b])]
-        out.append(PairTrajectorySummary(
-            replica=rep,
-            n_steps=n_steps,
-            meetings=counts[b][-1],
-            times=times[lo:hi],
-            vertices=verts[lo:hi],
-            heights=heights[lo:hi],
-            checkpoints=list(zip(cps, counts[b])),
-            final_x=tuple(final[b]),
-            final_y=tuple(final[B + b]),
-            max_tooth_x=max_depth[b],
-            max_tooth_y=max_depth[B + b],
-            method=method,
-            extras=extras,
-        ))
-    return out
+        extras["spine"] = [{"stride": stride, "x": x, "y": y}
+                           for x, y in zip(spine[:B], spine[B:])]
+    if method == "selfloop":
+        k = np.concatenate(k_rows).T.tolist()
+        extras["k_trace"] = [[{"t": t, "x": x, "y": y} for t, x, y
+                              in zip(cps, kx, ky)]
+                             for kx, ky in zip(k[:B], k[B:])]
+    return SummaryBlock(
+        replica=np.asarray(replicas, np.int64), meetings=counts[:, -1],
+        n_steps=np.full(B, n_steps, np.int64),
+        method=np.full(B, method, object),
+        max_tooth=kernel.max_depth.reshape(2, B).T,
+        times=times, heights=graph.height(verts.T), meet_len=counts[:, -1],
+        coords=verts.ravel(), vert_len=np.full(len(times), D),
+        checkpoints=np.stack([np.tile(cp, B), counts[:, :-1].ravel()], 1),
+        cp_len=np.full(B, len(cps)),
+        finals=np.stack([final[:B], final[B:]], 1).ravel(),
+        final_len=np.full(2 * B, D),
+        extras=np.array([dict(zip(extras, v)) for v in zip(
+            *extras.values())] or [{}] * B, object))
 
 
 def run_pair(graph, start=None, n_steps=0, seed=0, replica=0, record=None,
@@ -629,7 +734,7 @@ _BLOCK = 512              # replica pairs per block of run_ensemble
 def run_ensemble(graph, start=None, n_steps=0, replicas=1, seed=0, workers=1,
                  record=None, method="direct", truncation_radius=None):
     """Simulate ``replicas`` independent pairs and return their summaries
-    in replica order.
+    in replica order, as one SummaryBlock.
 
     Replica r always uses the streams keyed (seed, r, role), and draws are
     chunked identically in every process, so the result is a pure function
@@ -642,10 +747,10 @@ def run_ensemble(graph, start=None, n_steps=0, replicas=1, seed=0, workers=1,
                             record=record or RecordPolicy(), method=method,
                             truncation_radius=truncation_radius)
     if workers <= 1 or len(blocks) == 1:
-        return [s for block in map(run, blocks) for s in block]
+        return SummaryBlock.concat(map(run, blocks))
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-        return [s for block in pool.map(run, blocks) for s in block]
+        return SummaryBlock.concat(pool.map(run, blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,10 @@ Cells with l < 2 have no meaningful W (their inner shell l/2 is not a
 power of two); they carry raw Z and A only.  Height-0 records (backbone
 meetings) fall in no cell at all.
 
-Everything here is a pure function of the summary list; estimates do not
-depend on replica order or on how the ensemble was sharded.
+Every report reads the columns of one ``SummaryBlock`` (a list of
+``PairTrajectorySummary`` views is gathered into one first) and is a pure
+function of its pairs; estimates do not depend on replica order or on how
+the ensemble was sharded.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -63,14 +64,11 @@ class DyadicCellStats:
     w: np.ndarray = field(repr=False, default=None)
 
 
-def _gather_records(summaries):
-    """All meeting events as flat arrays (replica row, time, |height|)."""
-    counts = [len(s.times) for s in summaries]
-    ns, ls = (np.fromiter(chain.from_iterable(c), np.int64, sum(counts))
-              for c in ([s.times for s in summaries],
-                        [s.heights for s in summaries]))
-    return (np.repeat(np.arange(len(summaries), dtype=np.int64), counts),
-            ns, np.abs(ls))
+def _block(summaries):
+    """``summaries`` as a ``SummaryBlock``: a block is its own, any other
+    iterable of ``PairTrajectorySummary`` views is gathered into one."""
+    from .sampler import SummaryBlock      # the sampler imports this module
+    return SummaryBlock.of(summaries)
 
 
 def _cell_z(rows, ns, ls, n_rep, r, k):
@@ -98,8 +96,9 @@ def dyadic_collision_stats(summaries, r_range, k_range):
     in r and one in k on each side, once per cell.
     """
     r_range, k_range = cell_ranges(r_range, k_range)
-    n_rep = len(summaries)
-    rows, ns, ls = _gather_records(summaries)
+    s = _block(summaries)
+    n_rep, ns, ls = len(s), s.times, np.abs(s.heights)
+    rows = np.repeat(np.arange(n_rep), s.meet_len)     # each meeting's pair
     z = functools.cache(lambda r, k: _cell_z(rows, ns, ls, n_rep, r, k))
 
     grid = {}
@@ -215,26 +214,29 @@ def meeting_growth_curve(summaries, checkpoints=None):
     The grid defaults to the one stored in the summaries; an explicit grid
     must be a subset of it.  Survival uses the full collision lists.
     """
-    if not summaries:
+    s = _block(summaries)
+    if not s:
         raise StatsError("no summaries")
-    have = [t for t, _ in summaries[0].checkpoints]
-    for s in summaries:
-        if [t for t, _ in s.checkpoints] != have:
-            raise SchemaError(f"replica {s.replica} has checkpoints "
-                              f"{[t for t, _ in s.checkpoints]}, replica "
-                              f"{summaries[0].replica} has {have}")
-    # (replica, checkpoint, [t, meetings])
-    grid = np.array([s.checkpoints for s in summaries],
-                    dtype=np.int64).reshape(len(summaries), len(have), 2)
+    (ts, counts), C = s.checkpoints.T, s.cp_len[0]
+    have, same = ts[:C].tolist(), s.cp_len == C     # then pair 0's times too
+    same[same] = (ts[np.repeat(same, s.cp_len)].reshape(same.sum(), C)
+                  == ts[:C]).all(axis=1)
+    if not same.all():
+        b = same.argmin()
+        raise SchemaError(f"replica {s.replica[b]} has checkpoints "
+                          f"{[t for t, _ in s[b].checkpoints]}, replica "
+                          f"{s.replica[0]} has {have}")
     if checkpoints is None:
         checkpoints = have
     missing = [t for t in checkpoints if t not in have]
     if missing:
         raise StatsError(f"checkpoints {missing} not recorded")
-    last = np.array([s.times[-1] if s.times else 0 for s in summaries],
-                    dtype=np.int64)
+    # each pair's last meeting time, 0 for none
+    last = np.where(s.meet_len > 0,
+                    np.append(s.times, 0)[np.cumsum(s.meet_len) - 1], 0)
     # integer counts: every float sum below is exact, in any order
-    means = grid[:, [have.index(t) for t in checkpoints], 1].mean(axis=0)
+    grid = counts.reshape(len(s), C)
+    means = grid[:, [have.index(t) for t in checkpoints]].mean(axis=0)
     surv = (last[:, None] > np.array(checkpoints, dtype=np.int64)).mean(axis=0)
     return GrowthCurve(tuple(checkpoints), tuple(means.tolist()),
                        tuple(surv.tolist()))
@@ -261,14 +263,15 @@ def drift_estimate(summaries):
     """Estimate the rightward spine drift from recorded spine traces."""
     num = den = 0
     acc = first = None
-    for s in summaries:
-        spine = s.extras.get("spine")
+    s = _block(summaries)
+    for rep, extras in zip(s.replica.tolist(), s.extras):
+        spine = extras.get("spine")
         if spine is None:
             raise StatsError("summaries carry no spine traces")
         shape = (spine["stride"], len(spine["x"]))
         if first not in (None, shape):
             raise SchemaError(f"spine traces mix (stride, points) {first} "
-                              f"and {shape} (replica {s.replica})")
+                              f"and {shape} (replica {rep})")
         first = shape
         for w in "xy":          # one trace at a time: O(points) memory
             tr = np.asarray(spine[w], dtype=np.int64)
@@ -277,7 +280,7 @@ def drift_estimate(summaries):
             acc = tr if acc is None else acc + tr      # int64: exact
     if den == 0:
         raise StatsError("no spine moves recorded")
-    mean_pos = acc / (2 * len(summaries))
+    mean_pos = acc / (2 * len(s))
     half_steps = np.arange(len(mean_pos), dtype=np.float64) * first[0] / 2.0
     return DriftEstimate(num / den, _line_fit(half_steps, mean_pos)[0], den)
 
@@ -302,8 +305,8 @@ def lil_envelope_check(summaries, alpha):
     if not alpha > 0.0:                        # refuses NaN too
         raise StatsError(f"alpha must be > 0, got {alpha}")
     counts, last = [], []
-    for s in summaries:
-        lil = s.extras.get("lil")
+    for extras in _block(summaries).extras:
+        lil = extras.get("lil")
         if lil is None:
             raise StatsError("summaries carry no envelope records")
         try:

@@ -9,6 +9,7 @@ was measured and which law it was held to.  Nothing here is tuned to
 pass.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -382,6 +383,10 @@ def test_criterion_8_dyadic_cell_trends(work):
     assert wall < 1200.0
 
 
+DETERMINISM_SHA256 = \
+    "8e85a0630f67c52faa4bc347edf012e0ee1842f5a084751924d852c7a89caf9b"
+
+
 def test_criterion_9_byte_identical_reruns(work):
     a, b = work / "det_a.jsonl", work / "det_b.jsonl"
     cli("simulate", "--config", conf("determinism_check.conf"),
@@ -389,6 +394,9 @@ def test_criterion_9_byte_identical_reruns(work):
     cli("simulate", "--config", conf("determinism_check.conf"),
         "--workers", "8", "--out", str(b))
     sim_same = a.read_bytes() == b.read_bytes()
+    # the determinism hash: this config's bytes, on every host and at every
+    # worker count
+    digests = {hashlib.sha256(p.read_bytes()).hexdigest() for p in (a, b)}
 
     ga, gb = work / "det_a.csv", work / "det_b.csv"
     for out in (ga, gb):
@@ -402,3 +410,4 @@ def test_criterion_9_byte_identical_reruns(work):
            f"({a.stat().st_size} bytes, 1030 replicas); "
            f"stats rerun identical:{stats_same}")
     assert sim_same and stats_same
+    assert digests == {DETERMINISM_SHA256}

@@ -20,13 +20,14 @@ import sys
 import numpy as np
 import pytest
 
-from combwalks import cli, sampler
+from combwalks import _native, cli, sampler
 from combwalks.graphs import build_graph
 from combwalks.oracle import (meeting_expectation_series,
                               per_site_collision_series,
                               return_probability_series)
 from combwalks.sampler import (PairTrajectorySummary, RecordPolicy,
                                read_summaries, run_ensemble, write_summaries)
+from test_sampler import assert_blocks_equal
 
 # spec, method, n_steps, replicas, seed, record[, start]
 CASES = {
@@ -185,8 +186,26 @@ def test_reader_equals_json_line_by_line(name, tmp_path, monkeypatch):
     path = tmp_path / "runs.jsonl"
     path.write_bytes(_jsonl(*CASES[name])[1])
     back, fallbacks = _read(path, monkeypatch)
-    assert back == _json_lines(path)
+    assert list(back) == _json_lines(path)
     assert fallbacks == (len(back) if name in EXTRAS else 0)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_scanned_block_equals_the_json_block(name, tmp_path, monkeypatch):
+    # the same file read with the scanner and with every line through
+    # json, and the sampler's own block
+    out, data = _jsonl(*CASES[name])
+    path = tmp_path / "runs.jsonl"
+    path.write_bytes(data)
+    scanned = read_summaries(str(path))
+    assert_blocks_equal(out, scanned)
+
+    def no_library():
+        raise _native.BuildError("no compiler")
+    monkeypatch.setattr(_native, "library", no_library)
+    through_json, fallbacks = _read(path, monkeypatch)
+    assert fallbacks == len(scanned)
+    assert_blocks_equal(scanned, through_json)
 
 
 def _hand_edited(kind):
@@ -233,7 +252,7 @@ def test_reader_equals_json_on_hand_edited_lines(kind, scratch, tmp_path,
     if scratch:
         monkeypatch.setattr(sampler, "SCRATCH", scratch)
     back, fallbacks = _read(path, monkeypatch)
-    assert back == _json_lines(path)
+    assert list(back) == _json_lines(path)
     assert len(back) == 8 + (kind in ("blank lines, no final newline",
                                       "a line longer than the window"))
     assert fallbacks == {"spaces, key order": 4, "crlf, lone cr": 8,

@@ -239,12 +239,12 @@ def test_closed_stdout_stops_quietly(argv):
 
 
 def test_simulate_workers_default_to_affinity(tmp_path, monkeypatch):
-    from combwalks import cli
+    from combwalks import SummaryBlock, cli
     seen = []
 
     def fake_run_ensemble(*args, workers, **kwargs):
         seen.append(workers)
-        return []
+        return SummaryBlock.of([])
 
     monkeypatch.setattr(cli, "run_ensemble", fake_run_ensemble)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -762,6 +762,8 @@ def _defect(name):
         d["collisions"][0]["vertex"] = 2
     elif name == "checkpoint without t":
         del d["checkpoints"][1]["t"]
+    elif name == "method is a number":
+        d["method"] = 1
     elif name == "checkpoint meetings is a string":
         d["checkpoints"][1]["meetings"] = "x"
     elif name == "checkpoint meetings is a float":
@@ -804,7 +806,7 @@ def _defect(name):
 @pytest.mark.parametrize("report", list(STATS_ARGS))
 @pytest.mark.parametrize("defect", [
     None, "collision without l", "collision without n", "vertex is a string",
-    "vertex is a number", "checkpoint without t",
+    "vertex is a number", "checkpoint without t", "method is a number",
     "checkpoint meetings is a string", "checkpoint meetings is a float",
     "collision n is a string", "spine y shorter than x", "spine is a list",
     "spine point is a float", "spine stride is 0", "lil is a list",

@@ -56,7 +56,8 @@ def test_stream_keys_reject_what_is_not_an_int():
     # graphs._is_int's rule: ints and numpy integers, not bools or floats
     for args in [(1.5, [0], 0), (True, [0], 0), (0, [2.5], 0),
                  (0, [True], 0), (0, np.array([1.0]), 0), (0, [0], 1.0),
-                 (0, [0], False), (0, ["1"], 0)]:
+                 (0, [0], False), (0, ["1"], 0), (0, [1, True], 0),
+                 (0, (True, 2), 0), (0, np.array([1, 2], object), 0)]:
         with pytest.raises(ValueError, match="non-negative integer"):
             stream_keys(*args)
     assert np.array_equal(stream_keys(np.int64(7), np.array([3], np.uint32),

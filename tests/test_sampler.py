@@ -2,6 +2,8 @@
 equivalence, record schema invariants, and worker-count independence."""
 
 import ctypes
+import dataclasses
+import functools
 import gc
 import json
 import math
@@ -163,6 +165,15 @@ def test_worker_count_does_not_change_results(monkeypatch, spec, method,
     three = run_ensemble(g, n_steps=400, replicas=10, seed=13, workers=3,
                          record=record, method=method)
     assert [s.to_json() for s in one] == [s.to_json() for s in three]
+
+
+def test_pooled_block_equals_the_serial_block_column_for_column():
+    # 1030 replicas: three blocks of up to 512 pairs, two from the pool
+    g = build_graph("comb:line")
+    serial, pooled = (run_ensemble(g, n_steps=256, replicas=1030, seed=7,
+                                   workers=w) for w in (1, 2))
+    assert len(serial) == 1030 > 2 * sampler._BLOCK
+    assert_blocks_equal(serial, pooled)
 
 
 def test_pool_starts_no_more_workers_than_blocks(monkeypatch):
@@ -1119,6 +1130,121 @@ def meetings_per_step(out, T):
     return np.bincount(times, minlength=T + 1)[1:T + 1]
 
 
+def assert_blocks_equal(a, b):
+    """Two ``SummaryBlock``s equal column for column, dtypes included."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), f.name
+        assert np.array_equal(x, y), f.name
+
+
+def _pair_walker_step(P, axis, H):
+    """The law P[d, h_x, h_y] of the comb:line pair chain after walker x
+    (axis 1) or y (axis 2) steps; index H is height 0.  Off the spine the
+    height moves -1 or +1, half each; on it the height moves -1 or +1 or
+    the base -1 or +1 (d by -1 or +1), a quarter each.  Mass that would
+    leave the array is dropped."""
+    A, Q = np.moveaxis(P, axis, 1), np.zeros_like(P)
+    B = np.moveaxis(Q, axis, 1)
+    spine = A[:, H].copy()
+    A[:, H] = 0
+    B[:, 1:] = A[:, :-1]
+    B[:, :-1] += A[:, 1:]
+    B *= 0.5
+    for row, d_from, d_to in ((H - 1, slice(None), slice(None)),
+                              (H + 1, slice(None), slice(None)),
+                              (H, slice(None, -1), slice(1, None)),
+                              (H, slice(1, None), slice(None, -1))):
+        B[d_to, row] += spine[d_from] / 4
+    return Q
+
+
+def meeting_after_law(T, starts, D=32, H=64):
+    """Exact P(the comb:line pair from the root meets at some time in (s,
+    T]) for each s of ``starts``, and the most mass a run lost at the
+    faces of the box |d| <= D, |h_x|, |h_y| <= H, which bounds the error.
+    comb:line is invariant under base translation, so (d = b_x - b_y, h_x,
+    h_y) is a Markov chain.  A run steps its law by the walkers' stencils
+    and, at each time past s, kills its mass on the diagonal d = 0, h_x =
+    h_y: the mass killed is the probability."""
+    law = np.zeros((2 * D + 1, 2 * H + 1, 2 * H + 1))
+    law[D, H, H], diag = 1.0, (D, *np.diag_indices(2 * H + 1))
+    hit, lost, base_lost, t = {}, 0.0, 0.0, 0
+
+    def step(P):
+        mass = P.sum()
+        P = _pair_walker_step(_pair_walker_step(P, 1, H), 2, H)
+        return P, mass - P.sum()
+    for s in sorted(starts):
+        for t in range(t, s):
+            law, out = step(law)
+            base_lost += out
+        t, P, hit[s], run_lost = s, law.copy(), 0.0, base_lost
+        for _ in range(T - s):
+            P, out = step(P)
+            run_lost += out
+            hit[s] += P[diag].sum()
+            P[diag] = 0.0
+        lost = max(lost, run_lost)
+    return hit, lost
+
+
+@functools.lru_cache(maxsize=None)
+def comb_line_meeting_after_128():
+    """``meeting_after_law`` at T = 128 for s = 0, 8, 32, computed once."""
+    return meeting_after_law(128, (0, 8, 32))
+
+
+def meets_after(out, starts):
+    """For each s of ``starts``, the count of pairs of the block ``out``
+    with a meeting time past s, read off its meeting columns."""
+    pair = np.repeat(np.arange(len(out)), out.meet_len)
+    return np.array([np.count_nonzero(np.bincount(
+        pair[out.times > s], minlength=len(out))) for s in starts])
+
+
+def test_pair_chain_law_has_the_recorded_values():
+    # the values ROADMAP's direction 17 records for this chain, from an
+    # independent implementation
+    hit, lost = comb_line_meeting_after_128()
+    assert lost < 1e-6
+    assert hit[0] == pytest.approx(0.622169, abs=1e-6)
+    assert hit[8] == pytest.approx(0.337933, abs=1e-6)
+    assert hit[0] > hit[8] > hit[32] > 0
+
+
+@pytest.mark.parametrize("method, seed", [("direct", 1), ("selfloop", 3)])
+def test_comb_line_meetings_after_s_match_the_pair_chain(method, seed):
+    # A law of whole paths: every gate at one time would pass for a sampler
+    # with the right law at each time and the wrong law over paths.  The
+    # fraction of 20,000 pairs meeting in (s, 128], s = 0, 8, 32, against
+    # the pair chain's exact value.  Seeds fixed in advance.
+    hit, _ = comb_line_meeting_after_128()
+    starts, n = (0, 8, 32), 20000
+    out = run_ensemble(build_graph("comb:line"), n_steps=128, replicas=n,
+                       seed=seed, method=method)
+    p, tested = binomial_gate(meets_after(out, starts), n,
+                              np.array([hit[s] for s in starts]))
+    assert tested == 3 and p > 1e-3, f"{method}: adjusted p = {p:.3g}"
+
+
+def test_pair_chain_gate_refuses_meetings_shuffled_across_pairs():
+    # The negative control: each time's meeting indicators shuffled across
+    # the pairs of the ensemble keep every per-time count, so every gate at
+    # one time still passes, but the paths are not the walk's.  Seed of the
+    # direct gate; the shuffle's seed fixed in advance.
+    hit, _ = comb_line_meeting_after_128()
+    starts, n, T = (0, 8, 32), 20000, 128
+    out = run_ensemble(build_graph("comb:line"), n_steps=T, replicas=n,
+                       seed=1)
+    met = np.zeros((n, T + 1), dtype=bool)
+    met[np.repeat(np.arange(n), out.meet_len), out.times] = True
+    met = np.random.default_rng(17).permuted(met, axis=0)
+    k = np.array([np.count_nonzero(met[:, s + 1:].any(axis=1))
+                  for s in starts])
+    assert binomial_gate(k, n, np.array([hit[s] for s in starts]))[0] < 1e-6
+
+
 def assert_mean_meetings_match_exact(spec, times, seed, method="direct"):
     """|z| <= 4 at every horizon in ``times`` for the mean meetings of 4096
     pairs against the exact partial sums, and their meetings at each step
@@ -1242,10 +1368,10 @@ def test_failed_write_keeps_previous_summaries(tmp_path):
             raise RuntimeError("killed mid-write")
 
     with pytest.raises(RuntimeError, match="mid-write"):
-        write_summaries(path, out[:2] + [Broken()])
+        write_summaries(path, list(out)[:2] + [Broken()])
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["runs.jsonl"]
-    write_summaries(path, out[:1])
+    write_summaries(path, list(out)[:1])
     assert path.read_text() == out[0].to_json() + "\n"
     # a symlink is written through, in place, as a device or pipe would be
     link = tmp_path / "link.jsonl"

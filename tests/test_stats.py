@@ -1,5 +1,6 @@
 """Dyadic cell reductions and estimators on synthetic and real summaries."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from combwalks.graphs import build_graph
 from combwalks.sampler import (PairTrajectorySummary, RecordPolicy,
-                               run_ensemble)
+                               SummaryBlock, run_ensemble)
 from combwalks.stats import (DriftEstimate, SchemaError, StatsError,
                              conditional_W, drift_estimate,
                              dyadic_collision_stats, estimate_exponent,
@@ -137,6 +138,37 @@ def test_stats_do_not_depend_on_shard_order():
         assert a[key].a_prob == b[key].a_prob
         assert (a[key].w_given_a == b[key].w_given_a
                 or (math.isnan(a[key].w_given_a) and math.isnan(b[key].w_given_a)))
+    # every report on a block, on the block rebuilt from its own views and
+    # on the block in reverse order; the per-replica ones come out in its
+    # order, and the bootstrap's draws follow the order too
+    gen = np.random.default_rng(5)
+    block = SummaryBlock.of(dataclasses.replace(s, extras={
+        "lil": {"alphas": [0.75], "times": [sorted(set(
+            gen.integers(1, 300, int(gen.integers(0, 4))).tolist()))]},
+        "spine": {"stride": 2, "x": gen.integers(0, 9, 6).tolist(),
+                  "y": gen.integers(0, 9, 6).tolist()}}) for s in sums)
+    views = list(block)
+    assert [(s.times, s.heights) for s in views] == \
+        [(s.times, s.heights) for s in sums]
+
+    def reports(b):
+        grid = dyadic_collision_stats(b, [2, 3, 6], [0, 1, 2, 3])
+        return ({k: (c.z_mean, c.a_prob, repr(c.w_mean), repr(c.w_given_a),
+                     c.count, c.cond_count) for k, c in grid.items()},
+                conditional_W(b, (6, 3), n_boot=50, seed=5),
+                meeting_growth_curve(b), lil_envelope_check(b, 0.75),
+                drift_estimate(b))
+    want = reports(block)
+    forward, backward = SummaryBlock.of(views), SummaryBlock.of(views[::-1])
+    for other, order in ((forward, slice(None)),
+                         (backward, slice(None, None, -1))):
+        grid, boot, growth, (counts, last), drift = reports(other)
+        assert grid == want[0] and growth == want[2] and drift == want[4]
+        assert boot[::2] == want[1][::2]           # estimate and count
+        if order.step is None:                     # the same draws
+            assert boot == want[1]
+        assert np.array_equal(counts, want[3][0][order])
+        assert np.array_equal(last, want[3][1][order])
 
 
 def test_empty_ranges_rejected():
