@@ -5,8 +5,9 @@ depths); where the CPU reports AVX-512F, DQ and VL they run AVX-512 builds
 (the first two hand-written, 16 streams or 8 walkers per vector;
 ``observe`` the compiler's vectorization of its one loop), with the same
 bytes; ``csr_rows`` and ``csr_scatter`` (the oracle's step, flushing values
-below 2^-1022 to 0, and its CSR); ``jsonl_scan`` (summary lines into int
-columns).  Built on first use, cached by source, loaded by ctypes."""
+below 2^-1022 to 0, and its CSR); ``jsonl_scan`` and ``jsonl_print``
+(canonical summary lines into int columns and back, one template for
+both).  Built on first use, cached by source, loaded by ctypes."""
 
 import contextlib
 import ctypes
@@ -257,7 +258,7 @@ int64_t observe(const int64_t *pos, int64_t coords, int64_t width,
                         len);
 }
 
-/* a line of to_json with no extras, as match reads it */
+/* a line of to_json with no extras, as match reads it and print writes it */
 static const char FORM[] = "{\"T\":#,\"checkpoints\":[(0{\"meetings\":#,"
     "\"t\":#})],\"collisions\":[(1{\"l\":#,\"n\":#,\"vertex\":[(2#)]})],"
     "\"final\":{\"x\":[(3#)],\"y\":[(3#)]},\"max_tooth\":{\"x\":#,\"y\":#},"
@@ -307,6 +308,44 @@ void jsonl_scan(const char *buf, int64_t len, int64_t *v, int64_t *rows)
         rows[0] = match(&q, eol, FORM, v, &n, rows + 1) && q == eol ? n : -1;
         n = rows[0] < 0 ? m : n, p = eol + (eol < e);
     }
+}
+
+/* match in reverse: template t printed at *o, '#' from v[(*n)++], "(k ...)"
+   r[k] times, comma-separated.  Returns t at its end or ')' */
+static const char *print(char **o, const char *t, const int64_t *v,
+                         int64_t *n, const int64_t *r)
+{
+    for (; *t && *t != ')'; t++)
+        if (*t == '(') {
+            const char *body = t + 2;
+            for (int d = 1; d; t++)
+                d += (t[1] == '(') - (t[1] == ')');
+            for (int64_t k = 0; k < r[body[-1] - '0']; k++) {
+                if (k) *(*o)++ = ',';
+                print(o, body, v, n, r);
+            }
+        } else if (*t == '#') {
+            const int64_t x = v[(*n)++];
+            uint64_t u = x < 0 ? -(uint64_t)x : (uint64_t)x;   /* -2^63 too */
+            char d[20], *q = d + 20;
+            do *--q = (char)('0' + u % 10); while (u /= 10);
+            if (x < 0) *(*o)++ = '-';
+            memcpy(*o, q, d + 20 - q), *o += d + 20 - q;
+        } else
+            *(*o)++ = *t;
+    return t;
+}
+
+/* write_summaries' printer: line k from row k of rows, as jsonl_scan
+   writes it, and its ints in v, each line ended by '\n'; out holds 64
+   bytes an int (a line has 5 ints or more).  Returns the bytes written */
+int64_t jsonl_print(const int64_t *v, const int64_t *rows, int64_t lines,
+                    char *out)
+{
+    char *o = out;
+    for (int64_t k = 0, n = 0; k < lines; k++, *o++ = '\n')
+        print(&o, FORM, v, &n, rows + 5 * k + 1);
+    return o - out;
 }
 
 /* rows lo <= i < hi of y = P^T x, row i summing inv[k] x[k], k = indices[j],
@@ -398,7 +437,9 @@ def library():
     lib.csr_rows.argtypes = [p, p, p, p, p, p, i, i]
     lib.csr_scatter.argtypes = [p, p, i, p, p]
     lib.jsonl_scan.argtypes = [p, i, p, p]
+    lib.jsonl_print.argtypes = [p, p, i, p]
     lib.philox_fill.restype = lib.comb_step.restype = None
     lib.csr_scatter.restype = lib.jsonl_scan.restype = None
-    lib.observe.restype, lib.csr_rows.restype = i, ctypes.c_double
+    lib.observe.restype = lib.jsonl_print.restype = i
+    lib.csr_rows.restype = ctypes.c_double
     return lib

@@ -294,9 +294,15 @@ def atomic_open(path, newline=None):
 
 
 def write_summaries(path, summaries):
+    """A ``to_json`` line per summary: a block of canonical lines printed
+    in one compiled pass (``_printed``), and every other block or iterable
+    of views, or every block without the library, through ``to_json``."""
+    lines = None
+    if isinstance(summaries, SummaryBlock):
+        with contextlib.suppress(_native.BuildError):
+            lines = _printed(summaries, _native.library().jsonl_print)
     with atomic_open(path) as fh:
-        for s in summaries:
-            fh.write(s.to_json() + "\n")
+        fh.writelines(lines or (s.to_json() + "\n" for s in summaries))
 
 
 def _summary(d):
@@ -334,27 +340,67 @@ def _summary(d):
         extras={k: v for k, v in d.items() if k not in _KEYS})
 
 
-def _scanned(ints, rows):
-    """The block of the lines ``jsonl_scan`` read into ``ints``, ``rows``
-    their rows: (end, checkpoints, meetings, vertex length, final length).
-    A line's ints are T, (meetings, t) per checkpoint, (l, n, vertex) per
-    meeting, the finals x then y, max_tooth x and y, meetings, replica;
-    each column is gathered from them by index arithmetic, as a copy."""
+def _layout(rows):
+    """Where each column of canonical lines sits among their ints, by
+    field name, ``rows`` the lines' rows as ``jsonl_scan`` writes them:
+    (end, checkpoints, meetings, vertex length, final length).  A line's
+    ints are T, (meetings, t) per checkpoint, (l, n, vertex) per meeting,
+    the finals x then y, max_tooth x and y, meetings, replica."""
     end, nc, nm, vd, fd = rows.T
-    start = np.concatenate(([0], end))[:-1]     # after the last line read
+    start = np.concatenate(([0], end))[:-1]     # after the line before
     c, w = start + 1 + 2 * nc, 2 + vd           # first meeting, its width
     meet = np.repeat(c, nm) + np.repeat(w, nm) * _ragged(0 * nm, nm)[0]
-    dims = np.repeat(vd, nm)
-    cps = ints[_ragged(start + 1, 2 * nc)[0]].reshape(-1, 2)
+    cps = _ragged(start + 1, 2 * nc)[0].reshape(-1, 2)[:, ::-1]  # t, meetings
+    return {"replica": end - 1, "n_steps": start, "meetings": end - 2,
+            "max_tooth": end[:, None] - [4, 3], "times": meet + 1,
+            "heights": meet, "checkpoints": cps,
+            "coords": _ragged(meet + 2, np.repeat(vd, nm))[0],
+            "finals": _ragged(c + w * nm, 2 * fd)[0]}
+
+
+def _scanned(ints, rows):
+    """The block of the lines ``jsonl_scan`` read into ``ints``, ``rows``
+    their rows; each column gathered by ``_layout``, as a copy."""
+    _, nc, nm, vd, fd = rows.T
     return SummaryBlock(
-        replica=ints[end - 1], n_steps=ints[start], meetings=ints[end - 2],
-        method=np.full(len(end), "direct", object),
-        max_tooth=ints[end[:, None] - [4, 3]],
-        times=ints[meet + 1], heights=ints[meet], meet_len=nm,
-        coords=ints[_ragged(meet + 2, dims)[0]], vert_len=dims,
-        checkpoints=cps[:, ::-1], cp_len=nc,
-        finals=ints[_ragged(c + w * nm, 2 * fd)[0]],
-        final_len=np.repeat(fd, 2), extras=np.full(len(end), {}, object))
+        **{f: ints[at] for f, at in _layout(rows).items()}, meet_len=nm,
+        vert_len=np.repeat(vd, nm), cp_len=nc, final_len=np.repeat(fd, 2),
+        method=np.full(len(rows), "direct", object),
+        extras=np.full(len(rows), {}, object))
+
+
+def _printed(b, jsonl_print):
+    """Block ``b``'s lines, printed by ``jsonl_print`` from the ints that
+    ``_layout`` places, in windows of about ``SCRATCH`` bytes; None if one
+    is not direct, has extras, or vertices or finals of two lengths."""
+    nm, nc, fd = b.meet_len, b.cp_len, b.final_len[::2]
+    lo, hi = (f.reduceat(b.vert_len, (np.cumsum(nm) - nm)[nm > 0])
+              for f in (np.minimum, np.maximum))   # each line's vertices
+    if any(b.extras) or (b.method != "direct").any() or (lo != hi).any() \
+            or (b.final_len[1::2] != fd).any():
+        return None
+    vd = np.zeros_like(nm)                      # any, where no meeting
+    vd[nm > 0] = lo
+    one = np.ones_like(nm)                      # items per line, by field
+    per = {"replica": one, "n_steps": one, "meetings": one, "max_tooth": one,
+           "times": nm, "heights": nm, "coords": vd * nm, "checkpoints": nc,
+           "finals": 2 * fd, "ints": 5 + 2 * nc + (2 + vd) * nm + 2 * fd}
+    at = {f: np.concatenate(([0], np.cumsum(k))) for f, k in per.items()}
+    cum = at["ints"]        # windows: 2^-3 SCRATCH ints and up to a line
+    cuts = np.unique(cum[:-1] // (SCRATCH // 8), return_index=True)[1]
+    cuts = [*cuts.tolist(), len(nm)]
+    out = np.empty(64 * int(np.diff(cum[cuts]).max(initial=0)), np.uint8)
+
+    def window(i, j):
+        rows = np.stack((cum[i + 1:j + 1] - cum[i], nc[i:j], nm[i:j], vd[i:j],
+                         fd[i:j]), 1)
+        ints = np.empty(cum[j] - cum[i], np.int64)
+        for f, to in _layout(rows).items():
+            ints[to] = getattr(b, f)[at[f][i]:at[f][j]]
+        size = jsonl_print(ints.ctypes.data, rows.ctypes.data, j - i,
+                           out.ctypes.data)     # 64 bytes an int at most
+        return out[:size].tobytes().decode()
+    return map(window, cuts, cuts[1:])
 
 
 def read_summaries(path):

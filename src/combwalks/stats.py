@@ -159,13 +159,15 @@ class ExponentFit:
 
 def _line_fit(x, y):
     """Least-squares line of y against x, two float64 arrays: (slope,
-    intercept, stderr of the slope), computed as ``linregress`` computes
-    them, so each float is the one it gives.  StatsError if every x is the
-    same."""
+    intercept, stderr of the slope) by ``linregress``'s formulas, each mean
+    and moment a ``math.fsum``, correctly rounded in any order, so no float
+    depends on the host's BLAS kernel.  StatsError if every x is the same."""
     if x.max() == x.min():
         raise StatsError("a line fit needs two distinct x values")
-    n = len(x)
-    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    n, mx, my = len(x), math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx, dy = x - mx, y - my
+    ssxm, ssxym, ssym = (math.fsum(a * b) / n for a, b in (
+        (dx, dx), (dx, dy), (dy, dy)))
     slope = ssxym / ssxm
     if ssym == 0:                              # a flat y: r is 0 / 0
         r = math.nan if ssxym == 0 else 0.0
@@ -173,7 +175,7 @@ def _line_fit(x, y):
         r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
     # two points leave no degree of freedom: the slope is exact
     stderr = np.sqrt((1 - r ** 2) * ssym / ssxm / (n - 2)) if n > 2 else 0.0
-    return float(slope), float(y.mean() - slope * x.mean()), float(stderr)
+    return float(slope), float(my - slope * mx), float(stderr)
 
 
 def estimate_exponent(series, fit_range):

@@ -9,6 +9,7 @@ kernel) must leave every digest here unchanged; a change that alters a
 construction on purpose updates the digest it moves and says why.
 """
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -26,7 +27,8 @@ from combwalks.oracle import (meeting_expectation_series,
                               per_site_collision_series,
                               return_probability_series)
 from combwalks.sampler import (PairTrajectorySummary, RecordPolicy,
-                               read_summaries, run_ensemble, write_summaries)
+                               SummaryBlock, read_summaries, run_ensemble,
+                               write_summaries)
 from test_sampler import assert_blocks_equal
 
 # spec, method, n_steps, replicas, seed, record[, start]
@@ -154,6 +156,106 @@ def test_round_trip_cases_cover_the_writer(tmp_path):
     write_summaries(path, [EDGE_SUMMARY, EMPTY_SUMMARY])
     assert [s.to_json() for s in read_summaries(path)] == \
         [_reference_line(EDGE_SUMMARY), _reference_line(EMPTY_SUMMARY)]
+
+
+# graphs whose direct blocks without extras the compiled printer writes,
+# and the seed of each
+PRINTED = {"comb:line": 11, "comb2:line": 13, "line": 16, "grid2d": 14,
+           "comb:cycle:4": 12, "star:3": 15, "biased-ladder": 5}
+
+
+def _direct(s, **changes):
+    """View ``s`` as a canonical line, direct with no extras, changed."""
+    return dataclasses.replace(s, method="direct", extras={}, **changes)
+
+
+# ints at int64's edges; the scanner leaves those of 19 digits to json
+INT64_EDGES = _direct(
+    EDGE_SUMMARY, replica=2 ** 63 - 1, n_steps=1234567890123456789,
+    meetings=-2 ** 63, times=[-2 ** 63, 10 ** 18],
+    vertices=[[-2 ** 63, 0, 2 ** 63 - 1], [999999999999999999, -1, 0]],
+    heights=[2 ** 63 - 1, -1], checkpoints=[(-2 ** 63, 2 ** 63 - 1)],
+    final_x=(-2 ** 63, 0, -10 ** 18), max_tooth_y=-2 ** 63)
+NEVER_MET = [dataclasses.replace(
+    EMPTY_SUMMARY, replica=r, n_steps=64, checkpoints=[(1, 0), (64, 0)],
+    final_x=(r, -1), final_y=(0, 2), max_tooth_x=3) for r in range(3)]
+
+
+@functools.lru_cache(maxsize=None)
+def _printer_case(name):
+    """A block the writer is given, and whether it is printed (True) or
+    written through ``to_json``."""
+    if name in PRINTED:
+        return run_ensemble(build_graph(name), None, 1000, 8,
+                            seed=PRINTED[name]), True
+    of, selfloop = SummaryBlock.of, _jsonl(*CASES["comb:cycle:4-selfloop"])[0]
+    return {
+        "never met": (of(NEVER_MET), True),
+        "no pairs": (of([]), True),
+        "int64 edges": (of([INT64_EDGES, EMPTY_SUMMARY]), True),
+        "vertex lengths vary": (of([_direct(EDGE_SUMMARY, vertices=[
+            [1, 2, 3], [4]])]), False),
+        "finals of two lengths": (of([_direct(EMPTY_SUMMARY, final_x=(
+            0, 1))]), False),
+        "selfloop": (selfloop, False),
+        "lil": (_jsonl(*CASES["comb:line"])[0], False),
+        "spine": (_jsonl(*CASES["biased-ladder"])[0], False),
+        "one method not direct": (of([*NEVER_MET[:2], dataclasses.replace(
+            NEVER_MET[2], method="selfloop")]), False),
+        "mixed": (SummaryBlock.concat([_printer_case("line")[0], selfloop,
+                                       _printer_case("comb2:line")[0]]),
+                  False),
+    }[name]
+
+
+PRINTER_CASES = [*PRINTED, "never met", "no pairs", "int64 edges",
+                 "vertex lengths vary", "finals of two lengths", "selfloop",
+                 "lil", "spine", "one method not direct", "mixed"]
+
+
+# with windows of 64 bytes (8 ints) every line is a window alone
+@pytest.mark.parametrize("scratch", [None, 64])
+@pytest.mark.parametrize("name", PRINTER_CASES)
+def test_printer_writes_the_bytes_of_to_json(name, scratch, tmp_path,
+                                             monkeypatch):
+    block, printed = _printer_case(name)
+    want = "".join(s.to_json() + "\n" for s in block).encode()
+    if scratch:
+        monkeypatch.setattr(sampler, "SCRATCH", scratch)
+    taken, real = [], sampler._printed
+    monkeypatch.setattr(sampler, "_printed",
+                        lambda *args: taken.append(real(*args)) or taken[-1])
+    path = tmp_path / "runs.jsonl"
+    write_summaries(str(path), block)
+    assert path.read_bytes() == want
+    assert [t is not None for t in taken] == [printed]
+    assert [s.to_json() for s in read_summaries(str(path))] == \
+        [s.to_json() for s in block]
+    # a plain list of views, and every block without the library, go
+    # through to_json
+    write_summaries(str(path), list(block))
+    assert path.read_bytes() == want and len(taken) == 1
+
+    def no_library():
+        raise _native.BuildError("no compiler")
+    monkeypatch.setattr(_native, "library", no_library)
+    write_summaries(str(path), block)
+    assert path.read_bytes() == want and len(taken) == 1
+
+
+def test_printer_cases_cover_the_template():
+    blocks = [_printer_case(name)[0] for name in PRINTED]
+    assert {v for b in blocks for v in b.vert_len.tolist()} == {1, 2, 3}
+    assert all(len(b.times) for b in blocks)
+    assert any(not n for b in blocks for n in b.meet_len.tolist())
+    assert min(b.coords.min() for b in blocks) < 0
+    # star:3's 8 lines take more than one window
+    lib = _native.library()
+    assert len([*sampler._printed(_printer_case("star:3")[0],
+                                  lib.jsonl_print)]) > 1
+    ints = SummaryBlock.of([INT64_EDGES]).coords.tolist()
+    assert {-2 ** 63, 2 ** 63 - 1} <= {*ints}
+    assert len(str(INT64_EDGES.n_steps)) == 19
 
 
 _summary = sampler._summary
@@ -424,16 +526,21 @@ MASS_CASES = ("return-even comb:line", "return-even grid2d",
 
 @pytest.mark.parametrize("env", [
     {"OPENBLAS_CORETYPE": "Haswell"},
-    {"OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "1"}],
-    ids=["Haswell", "Prescott"])
+    {"OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "1"},
+    {"OPENBLAS_CORETYPE": "Nehalem"}],
+    ids=["Haswell", "Prescott", "Nehalem"])
 def test_oracle_digests_do_not_depend_on_the_blas_kernel(env, tmp_path):
     # OpenBLAS picks its kernels once, at load: a fresh interpreter per
-    # kernel runs the pinned-digest tests of the series above and the fit
+    # kernel runs the pinned-digest tests of the series above, the fit and
+    # the drift report, whose line fits sum with math.fsum, not np.cov
     here = os.path.dirname(os.path.abspath(__file__))
     code = (f"import pathlib, sys; sys.path[:0] = {[here]!r}\n"
             "import test_bytes as t\n"
             "for name in t.MASS_CASES: t.test_oracle_bytes_are_pinned(name)\n"
-            "t.test_fit_csv_bytes_are_pinned(pathlib.Path('.'))\n")
+            "t.test_fit_csv_bytes_are_pinned(pathlib.Path('.'))\n"
+            "ladder = t._jsonl(*t.STATS_INPUTS['ladder'])[0]\n"
+            "t.write_summaries('ladder.jsonl', ladder)\n"
+            "t.test_stats_csv_bytes_are_pinned('drift', pathlib.Path('.'))\n")
     src = os.path.join(here, os.pardir, "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,

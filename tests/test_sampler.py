@@ -909,8 +909,8 @@ def test_every_compiled_loop_has_its_argument_types():
                "double": ctypes.c_double}
     loops = re.findall(r"^(\w+) (\w+)\(([^)]*)\)", _native._SOURCE, re.M)
     assert sorted(name for _, name, _ in loops) == [
-        "comb_step", "csr_rows", "csr_scatter", "jsonl_scan", "observe",
-        "philox_fill"]
+        "comb_step", "csr_rows", "csr_scatter", "jsonl_print", "jsonl_scan",
+        "observe", "philox_fill"]
     lib = _native.library()
     for ret, name, params in loops:
         fn = getattr(lib, name)
@@ -967,6 +967,21 @@ def test_long_block_memory_does_not_grow_with_the_horizon():
 def test_clock_memory_does_not_grow_with_the_replicas():
     # 128 replicas of 2048 steps: batches of SCRATCH // 2051 = 31 replicas
     assert traced_peak(clock_dichotomy_violations, 2, 2048, 128) < 16 * 2 ** 20
+
+
+def test_writer_peak_memory_is_bounded(tmp_path):
+    # star:3 pairs meet at most steps: 512 pairs x 4096 steps hold 1.4M
+    # meetings, 34 MB of columns, which listing them into views would
+    # multiply.  The printer takes windows of SCRATCH // 8 = 2^13 ints and
+    # at most one line more (each line here is under 2^14 ints): 64 bytes
+    # an int of output buffer, 8 of ints and their index arrays, under 128
+    # bytes an int in all, so under 128 x 2^15 bytes = 4 MiB above the block
+    out = run_ensemble(build_graph("star:3"), None, 4096, 512, seed=1)
+    ints = 5 + 2 * out.cp_len + 3 * out.meet_len + 2 * out.final_len[::2]
+    assert set(out.vert_len.tolist()) == {1} and ints.max() < 2 ** 14
+    assert len(out.times) > 10 ** 6
+    peak = traced_peak(write_summaries, str(tmp_path / "w.jsonl"), out)
+    assert peak < 4 * 2 ** 20
 
 
 def test_selfloop_k_trace_monotone():
