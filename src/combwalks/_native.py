@@ -127,9 +127,8 @@ LANES static void philox_lanes(const uint64_t *keys, int64_t start,
 #define LOAD(x) _mm512_maskz_loadu_epi64(m, x)      /* the lanes of m */
 #define STORE(x, v) _mm512_mask_storeu_epi64(x, m, v)
 LANES static void comb_lanes(const double *u0, const double *u1, int64_t ld,
-                             int64_t *pos, int64_t *k, int64_t *k_hist,
-                             int64_t width, int64_t len, int64_t teeth,
-                             int64_t nb, int64_t mod)
+                             int64_t *pos, int64_t width, int64_t len,
+                             int64_t teeth, int64_t nb, int64_t mod)
 {
     const int64_t base = nb > 0, row = (base + teeth) * width;
     for (int64_t i = 0; i < len; i++)
@@ -154,9 +153,6 @@ LANES static void comb_lanes(const double *u0, const double *u1, int64_t ld,
             for (int d = 0; d < teeth; d++)
                 STORE(s + row + d * width, LOAD(s + d * width)
                       + _mm512_permutexvar_epi64(t, _mm512_loadu_si512(D[d])));
-            if (k)                  /* holds: -(-1) in each lane of move */
-                STORE(k + w, LOAD(k + w) - _mm512_movm_epi64(move)),
-                STORE(k_hist + i * width + w, LOAD(k + w));
         }
 }
 
@@ -210,17 +206,17 @@ void philox_fill(const uint64_t *keys, int64_t n, int64_t start, int64_t len,
    (int)(u0 * (nb + 2 teeth)): nb base moves, then -, + per tooth, for the
    direct and the lazy walk alike; off the spine it is (int)(u0 * 2 teeth).
    A base move is b-, b+ by its class (b- flips the single edge, nb = 1),
-   or 2 (int)(u1 * 2) - 1 given u1; the lazy walk's hold is one, counted in
-   k, k_hist (else NULL).  nb = 0: no base (grid2d).  This loop defines a
-   step; comb_lanes runs it like the fill */
+   or 2 (int)(u1 * 2) - 1 given u1; the lazy walk's hold is one.  nb = 0:
+   no base (grid2d).  This loop defines a step; comb_lanes runs it like
+   the fill */
 void comb_step(const double *u0, const double *u1, int64_t ld,
-               int64_t *pos, int64_t *k, int64_t *k_hist, int64_t width,
-               int64_t len, int64_t teeth, int64_t nb, int64_t mod)
+               int64_t *pos, int64_t width, int64_t len, int64_t teeth,
+               int64_t nb, int64_t mod)
 {
     const int64_t base = nb > 0, row = (base + teeth) * width;
 #if defined(__x86_64__) && defined(__GNUC__)
     if (HAS_LANES)
-        comb_lanes(u0, u1, ld, pos, k, k_hist, width, len, teeth, nb, mod);
+        comb_lanes(u0, u1, ld, pos, width, len, teeth, nb, mod);
     else
 #endif
     for (int64_t i = 0; i < len; i++)
@@ -241,7 +237,6 @@ void comb_step(const double *u0, const double *u1, int64_t ld,
             if (base) p[row] = b;
             if (teeth) s[row] = t0 + D[0][t];
             if (teeth > 1) s[row + width] = t1 + D[1][t];
-            if (k) k_hist[i * width + w] = k[w] += t == 4;  /* holds */
         }
 }
 
@@ -432,7 +427,7 @@ def library():
             lib = ctypes.CDLL(_library_path(_SOURCE, tmp))
     p, i = ctypes.c_void_p, ctypes.c_int64
     lib.philox_fill.argtypes = [p, i, i, i, p, i, i]
-    lib.comb_step.argtypes = [p, p, i, p, p, p, i, i, i, i, i]
+    lib.comb_step.argtypes = [p, p, i, p, i, i, i, i, i]
     lib.observe.argtypes = [p, i, i, i, p, p, p, i]
     lib.csr_rows.argtypes = [p, p, p, p, p, p, i, i]
     lib.csr_scatter.argtypes = [p, p, i, p, p]

@@ -29,9 +29,9 @@ layers, each window at most ``SCRATCH`` walker-steps:
 * observer -- one ``kernel.observe`` call per window (8 pairs or 8 walkers
               per AVX-512 vector) finds the meetings and each walker's depth;
               the collision records, envelope violations, truncation,
-              checkpoints, loop counts and ladder spine trace are read off the
-              whole window history at once, the first two only at the meetings
-              and in windows that cross the envelope.
+              checkpoints and ladder spine trace are read off the whole
+              window history at once, the first two only at the meetings and
+              in windows that cross the envelope.
 
 A replica's trajectory therefore never depends on how replicas are grouped
 into worker processes, and ``run_ensemble`` emits byte-identical JSONL for
@@ -496,25 +496,20 @@ class _CombKernel(_KernelBase):
 
     The lazy construction (comb only) runs the tooth as a walk on the
     integers with a self-loop of probability d/(d+2) at 0; each self-loop
-    event advances an independent base walk one step and bumps the loop
-    counter `k`.  The assembled pair (base position, tooth height) has
-    exactly the direct comb law.  Channel 0 drives the tooth, channel 1 the
-    base move, the latter consumed even on steps with no base move.  The
-    single edge has no channel 1: the hold itself flips the base.  Holds
-    are base-move classes: for d = nb = 1, 2, (int)(u (d + 2)) >= d, d + 1
-    just where u >= d/(d+2), (d+1)/(d+2), on every double a fill writes.
+    event moves an independent base walk one step: the loops are the steps
+    that change the base.  The assembled pair (base position, tooth height)
+    has exactly the direct comb law.  Channel 0 drives the tooth, channel 1
+    the base move, the latter consumed even on steps with no base move.  The
+    single edge has no channel 1: the hold itself flips the base.  Holds are
+    base-move classes: for d = nb = 1, 2, (int)(u (d + 2)) >= d, d + 1 just
+    where u >= d/(d+2), (d+1)/(d+2), on every double a fill writes.
     """
 
     def __init__(self, graph, start, width, rows, lazy=False):
         super().__init__(graph, start, width, rows)
         self.lazy = lazy
-        self._k = None, None                     # pointers of k and k_hist
-        if lazy:
-            if graph.base_degree == 2:
-                self.draws = (None, None)
-            self.k = np.zeros(width, dtype=np.int64)
-            self.k_hist = np.empty((rows, width), dtype=np.int64)
-            self._k = self.k.ctypes.data, self.k_hist.ctypes.data
+        if lazy and graph.base_degree == 2:
+            self.draws = (None, None)
         self._step = _native.library().comb_step
 
     def advance(self, us, L):
@@ -524,7 +519,7 @@ class _CombKernel(_KernelBase):
                 or u.strides != (u0.strides[0], 8) for u in us):
             raise ValueError("want a unit-stride float64 row per step")
         self._step(u0.ctypes.data, us[1].ctypes.data if len(us) > 1 else None,
-                   u0.strides[0] // 8, self.pos.ctypes.data, *self._k, width,
+                   u0.strides[0] // 8, self.pos.ctypes.data, width,
                    L, g.dim, g.base_degree, g.m or 0)
 
 
@@ -682,7 +677,6 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
     nil = np.zeros(0, dtype=np.int64)
     hits = [(nil, nil, np.zeros((0, kernel.pos.shape[1]), np.int64))]
     cp = np.array(cps, dtype=np.int64)
-    k_rows = [np.zeros((0, 2 * B), np.int64)]  # selfloop: k at checkpoints
     lil_keys = [[nil] for _ in lil_alphas]
     if stride:
         spine_rows = [kernel.pos[:1, 1].astype(np.int32)]   # time 0
@@ -693,8 +687,6 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
         if n_hits:
             rows, cols = kernel.hits[:n_hits].T.astype(np.int64)
             hits.append((rows + n0 + 1, cols, p[rows, :, cols]))
-        if method == "selfloop":
-            k_rows.append(kernel.k_hist[cp[(n0 < cp) & (cp <= n0 + L)] - n0 - 1])
 
         for a, keys in zip(lil_alphas, lil_keys):
             thr = lil_threshold(np.arange(n0 + 1, n0 + L + 1, dtype=float), a)
@@ -739,11 +731,6 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
         spine = np.concatenate(spine_rows).T.tolist()
         extras["spine"] = [{"stride": stride, "x": x, "y": y}
                            for x, y in zip(spine[:B], spine[B:])]
-    if method == "selfloop":
-        k = np.concatenate(k_rows).T.tolist()
-        extras["k_trace"] = [[{"t": t, "x": x, "y": y} for t, x, y
-                              in zip(cps, kx, ky)]
-                             for kx, ky in zip(k[:B], k[B:])]
     return SummaryBlock(
         replica=np.asarray(replicas, np.int64), meetings=counts[:, -1],
         n_steps=np.full(B, n_steps, np.int64),

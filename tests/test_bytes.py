@@ -62,9 +62,9 @@ DIGESTS = {
     "comb:line":
         "9235b85c56ffef890d695f1ad0ee3bba35d61709bbe9f1e8bd1fab16a9295b5b",
     "comb:cycle:4-selfloop":
-        "3b6b6e2e9e407209c22a4259417db03ca4f3d3f99d049d859e87554b0006060b",
+        "b668939e0b48c231e41906b872216fe02c1a05f4f1921f383f152c4cfd2421cf",
     "comb:cycle:2-selfloop":
-        "8e441c9f6840a1b360ce0a01fa13e7e95eeff68902b8d1d58ac6bd52e3a9dcb7",
+        "69b4b704d426af4db873f4afb1c6e82aee6890da693fcbffc4abc18cf695290d",
     "comb2:line":
         "0f8487008a0e3af6405dbf534c77209f3cd361821e87e2883feb69e66665401e",
     "grid2d":
@@ -149,7 +149,7 @@ def test_round_trip_cases_cover_the_writer(tmp_path):
     assert {len(v) for v in verts} == {1, 2, 3}
     assert any(isinstance(a, float) for s in sums
                for a in s.extras.get("lil", {}).get("alphas", ()))
-    assert {k for s in sums for k in s.extras} == {"lil", "spine", "k_trace"}
+    assert {k for s in sums for k in s.extras} == {"lil", "spine"}
     for s in (EDGE_SUMMARY, EMPTY_SUMMARY):
         assert s.to_json() == _reference_line(s)
     path = str(tmp_path / "edge.jsonl")
@@ -278,7 +278,8 @@ def _read(path, monkeypatch):
     return read_summaries(str(path)), len(fallbacks)
 
 
-# the cases whose lines carry extras (lil, k_trace, spine), read through json
+# the cases whose lines carry extras (lil, spine) or are not direct, read
+# through json
 EXTRAS = {"comb:line", "comb:cycle:4-selfloop", "comb:cycle:2-selfloop",
           "biased-ladder", "biased-ladder-midpoint"}
 
@@ -310,8 +311,29 @@ def test_scanned_block_equals_the_json_block(name, tmp_path, monkeypatch):
     assert_blocks_equal(scanned, through_json)
 
 
+# the lines of a `selfloop` run (comb:cycle:4, T = 8, 2 replicas, seed 9)
+# as the sampler wrote them while it recorded `k_trace`, each walker's loop
+# count at the checkpoints; it writes them today without that member
+K_TRACE_LINES = (
+    '{"T":8,"checkpoints":[{"meetings":1,"t":1},{"meetings":2,"t":2},'
+    '{"meetings":2,"t":4},{"meetings":2,"t":8}],"collisions":[{"l":-1,'
+    '"n":1,"vertex":[0,-1]},{"l":0,"n":2,"vertex":[0,0]}],"final":{"x":[1,'
+    '-1],"y":[0,0]},"k_trace":[{"t":1,"x":0,"y":0},{"t":2,"x":0,"y":0},'
+    '{"t":4,"x":2,"y":0},{"t":8,"x":3,"y":0}],"max_tooth":{"x":1,"y":2},'
+    '"meetings":2,"method":"selfloop","replica":0}\n'
+    '{"T":8,"checkpoints":[{"meetings":0,"t":1},{"meetings":0,"t":2},'
+    '{"meetings":1,"t":4},{"meetings":2,"t":8}],"collisions":[{"l":0,"n":4,'
+    '"vertex":[0,0]},{"l":0,"n":5,"vertex":[1,0]}],"final":{"x":[0,-2],'
+    '"y":[1,-3]},"k_trace":[{"t":1,"x":0,"y":0},{"t":2,"x":0,"y":0},{"t":4,'
+    '"x":0,"y":2},{"t":8,"x":2,"y":3}],"max_tooth":{"x":2,"y":3},'
+    '"meetings":2,"method":"selfloop","replica":1}\n')
+
+
 def _hand_edited(kind):
-    """comb2:line's lines, edited as a person or another writer might."""
+    """comb2:line's lines, edited as a person or another writer might, or
+    the lines of an older writer."""
+    if kind == "k_trace, as written before it went":
+        return K_TRACE_LINES
     lines = _jsonl(*CASES["comb2:line"])[1].decode().splitlines()
     if kind == "spaces, key order":
         return "".join(json.dumps(dict(reversed(json.loads(s).items())))
@@ -346,7 +368,7 @@ def _hand_edited(kind):
 @pytest.mark.parametrize("kind", [
     "spaces, key order", "crlf, lone cr", "blank lines, no final newline",
     "ints at int64's edge, -0", "uneven vertices, finals",
-    "a line longer than the window"])
+    "a line longer than the window", "k_trace, as written before it went"])
 def test_reader_equals_json_on_hand_edited_lines(kind, scratch, tmp_path,
                                                  monkeypatch):
     path = tmp_path / "runs.jsonl"
@@ -355,11 +377,33 @@ def test_reader_equals_json_on_hand_edited_lines(kind, scratch, tmp_path,
         monkeypatch.setattr(sampler, "SCRATCH", scratch)
     back, fallbacks = _read(path, monkeypatch)
     assert list(back) == _json_lines(path)
-    assert len(back) == 8 + (kind in ("blank lines, no final newline",
-                                      "a line longer than the window"))
+    assert len(back) == {"blank lines, no final newline": 9,
+                         "a line longer than the window": 9,
+                         "k_trace, as written before it went": 2}.get(kind, 8)
     assert fallbacks == {"spaces, key order": 4, "crlf, lone cr": 8,
                          "ints at int64's edge, -0": 2,
-                         "uneven vertices, finals": 2}.get(kind, 0)
+                         "uneven vertices, finals": 2,
+                         "k_trace, as written before it went": 2}.get(kind, 0)
+    if kind == "k_trace, as written before it went":
+        # an ordinary extra: the file rewrites byte for byte, today's run
+        # writes its lines without it, and `stats --report growth` takes
+        # both files at once and writes the same rows for each
+        assert all("k_trace" in s.extras for s in back)
+        again, new = tmp_path / "again.jsonl", tmp_path / "new.jsonl"
+        write_summaries(str(again), back)
+        assert again.read_bytes() == path.read_bytes()
+        write_summaries(str(new), run_ensemble(
+            build_graph("comb:cycle:4"), None, 8, 2, seed=9,
+            method="selfloop"))
+        assert [json.loads(line) for line in new.read_text().splitlines()] \
+            == [{k: v for k, v in json.loads(line).items() if k != "k_trace"}
+                for line in K_TRACE_LINES.splitlines()]
+        csv = tmp_path / "growth.csv"
+        assert cli.main(["stats", "--report", "growth", "--inputs", str(path),
+                         str(new), "--out", str(csv)]) == 0
+        rows = csv.read_text().splitlines()[1:]
+        assert len(rows) == 8
+        assert [r.replace("runs,", "new,", 1) for r in rows[:4]] == rows[4:]
 
 
 # the inputs of the `stats` reports, by file stem: spec, method, n_steps,

@@ -154,7 +154,7 @@ def test_ensemble_is_replica_ordered_and_matches_run_pair():
     ("comb:cycle:4", "selfloop", RecordPolicy()),
     ("biased-ladder", "direct", RecordPolicy(spine_stride=3)),
     ("comb:line", "direct", RecordPolicy(lil_alphas=(0.7, 0.9))),
-], ids=["comb:line", "selfloop-k_trace", "ladder-spine", "lil"])
+], ids=["comb:line", "selfloop", "ladder-spine", "lil"])
 def test_worker_count_does_not_change_results(monkeypatch, spec, method,
                                               record):
     # summaries cross the process boundary whole, extras included
@@ -299,7 +299,7 @@ def test_zero_steps_stay_at_the_start():
             assert (s.n_steps, s.meetings, s.times, s.checkpoints) == (
                 0, 0, [], [])
             assert s.final_x == s.final_y == start
-        assert s.extras == ({"k_trace": []} if method == "selfloop" else {})
+        assert s.extras == {}
     for spec, record, extra in (
             ("comb:line", RecordPolicy(lil_alphas=(0.75,)), "lil"),
             ("biased-ladder", RecordPolicy(spine_stride=2), "spine")):
@@ -506,7 +506,7 @@ def lazy_thresholds(d):
 def float_moves(kernel, us):
     """A kernel's moves straight from (L, width) uniforms per channel, as
     the sampler computed them in numpy before its compiled step: the comb
-    move tables ``(db, dts, dtt, hold)``, the grid2d steps, or the star
+    move tables ``(db, dts, dtt)``, the grid2d steps, or the star
     leaf.  The lazy walk's classes come from its own thresholds, not from
     the direct walk's class formula that the compiled step uses."""
     u = us[0]
@@ -524,12 +524,12 @@ def float_moves(kernel, us):
         dtt = pm((u * 2).astype(np.int8), 0)
         db = hold if flip else \
             np.where(hold, pm((us[1] * 2).astype(np.int8), 0), 0)
-        return db, dts[:, None], dtt[:, None], hold
+        return db, dts[:, None], dtt[:, None]
     c = (u * (nb + 2 * n_teeth)).astype(np.int8)
     db = (c == 0) if flip else pm(c, 0)
     c2 = (u * (2 * n_teeth)).astype(np.int8)
     lo = 2 * np.arange(n_teeth, dtype=np.int8)[:, None]
-    return db, pm(c[:, None], nb + lo), pm(c2[:, None], lo), None
+    return db, pm(c[:, None], nb + lo), pm(c2[:, None], lo)
 
 
 def window_uniforms(us):
@@ -545,18 +545,17 @@ def window_uniforms(us):
     return out
 
 
-def reference_comb_step(kernel, us, start, k):
+def reference_comb_step(kernel, us, start):
     """One window of the comb walk as the sampler stepped it in numpy
     before its compiled loop: the ``float_moves`` tables of the window's
     (L, width) uniforms per channel ``us``, a per-step loop over the teeth,
     and the base path as a masked cumulative sum.  ``start`` is the
-    (coords, width) state before the window and ``k`` the loop counts
-    (lazy only).  Returns the states after each step and the loop counts
-    after each step (lazy only); grid2d's states are its steps summed."""
+    (coords, width) state before the window.  Returns the states after
+    each step; grid2d's states are its steps summed."""
     if not kernel.graph.base_degree:
         steps = np.stack(float_moves(kernel, us), axis=1)
-        return start + np.cumsum(steps, axis=0, dtype=np.int64), None
-    db, dts, dtt, hold = float_moves(kernel, us)
+        return start + np.cumsum(steps, axis=0, dtype=np.int64)
+    db, dts, dtt = float_moves(kernel, us)
     L = len(us[0])
     pos = np.empty((L + 1, *start.shape), dtype=np.int64)
     pos[0] = start
@@ -568,8 +567,7 @@ def reference_comb_step(kernel, us, start, k):
     pos[1:, 0] = start[0] + np.cumsum(db * on, axis=0, dtype=np.int64)
     if kernel.graph.m:
         pos[1:, 0] %= kernel.graph.m
-    k_hist = k + np.cumsum(hold & on, axis=0) if kernel.lazy else None
-    return pos[1:], k_hist
+    return pos[1:]
 
 
 # a comb walker on the spine and off it, per tooth dimension
@@ -620,13 +618,8 @@ def test_codes_give_the_float_moves(spec, method):
         kernel = sampler._make_kernel(g, v, width, method, 1)
         us_k = us[:len(kernel.draws)]
         kernel.advance(window_uniforms(us_k), 1)
-        k = np.zeros(width, dtype=np.int64) if kernel.lazy else None
-        ref, k = reference_comb_step(kernel, us_k, kernel.pos[0].copy(), k)
+        ref = reference_comb_step(kernel, us_k, kernel.pos[0].copy())
         assert np.array_equal(kernel.pos[1], ref[0]), v
-        if method == "selfloop":      # holds count on the spine only
-            assert k.any() == (v[1] == 0)
-            assert np.array_equal(kernel.k_hist[0], k[0])
-            assert np.array_equal(kernel.k, k[0])
 
 
 @pytest.mark.parametrize("spec, method", [
@@ -643,18 +636,13 @@ def test_compiled_step_matches_reference_step(spec, method):
                                  else 1)
     rng = np.random.default_rng(2024)
     start = kernel.pos[0].copy()
-    k = kernel.k.copy() if kernel.lazy else None
     for w, L in enumerate((win, win, win - 17)):   # the last one is short
         us = rng.random((len(kernel.draws), L, width))
         if w == 0:
             us[:, 0, 0] = 0.0     # walker 0 starts with b-, or a hold and b-
-        ref, k = reference_comb_step(kernel, us, start, k)
+        ref = reference_comb_step(kernel, us, start)
         kernel.advance(window_uniforms(us), L)
         assert np.array_equal(kernel.pos[1:L + 1], ref)
-        if kernel.lazy:
-            assert np.array_equal(kernel.k_hist[:L], k)
-            k = k[-1]
-            assert np.array_equal(kernel.k, k)
         if w == 0 and g.m > 2:      # from base 0, b- wraps to m - 1
             assert kernel.pos[1, 0, 0] == g.m - 1
         kernel.pos[0] = kernel.pos[L]
@@ -683,23 +671,17 @@ def test_comb_step_without_the_lanes_writes_the_same_bytes(scalar_library):
                                                 3 * win) for _ in range(2))
             alone._step = scalar
             start = lane.pos[0].copy()
-            k = lane.k.copy() if lane.lazy else None
             for w, L in enumerate((win, win, win - 17)):
                 us = rng.random((len(lane.draws), L, width))
                 if w == 0:
                     us[:, 0, -1] = 0.0  # a walker of the tail starts with b-
-                ref, k = reference_comb_step(lane, us, start, k)
+                ref = reference_comb_step(lane, us, start)
                 for kernel in (lane, alone):
                     kernel.advance(window_uniforms(us), L)
                     assert np.array_equal(kernel.pos[1:L + 1], ref), (
                         spec, method, width, w)
-                    if kernel.lazy:
-                        assert np.array_equal(kernel.k_hist[:L], k)
-                        assert np.array_equal(kernel.k, k[-1])
                     kernel.pos[0] = kernel.pos[L]
                 start = ref[-1]
-                if lane.lazy:
-                    k = k[-1]
 
 
 def test_comb_step_refuses_a_window_it_cannot_read(monkeypatch):
@@ -984,28 +966,22 @@ def test_writer_peak_memory_is_bounded(tmp_path):
     assert peak < 4 * 2 ** 20
 
 
-def test_selfloop_k_trace_monotone():
-    s = run_pair(build_graph("comb:cycle:4"), n_steps=512, method="selfloop",
-                 seed=4, replica=0)
-    assert s.method == "selfloop"
-    trace = s.extras["k_trace"]
-    assert [row["t"] for row in trace] == list(dyadic_checkpoints(512))
-    for key in ("x", "y"):
-        ks = [row[key] for row in trace]
-        assert ks == sorted(ks)
-        assert all(0 <= k <= t for k, t in zip(ks, [r["t"] for r in trace]))
-
-
 @pytest.mark.parametrize("spec, d", [("comb:cycle:4", 2), ("comb:cycle:2", 1)])
 def test_selfloop_loop_count_has_the_clock_law(spec, d):
     # The selfloop construction's k_n and the clock's K_n both count the
     # self-loops of the lazy tooth walk (hold d/(d+2) at 0) up to n, so
     # they have one law: p = 0.76 and 0.55 here, where a clock at the
-    # next d gives p < 1e-66.  Seeds fixed in advance.
-    T = 1024
-    out = run_ensemble(build_graph(spec), None, T, 2000, seed=5,
-                       method="selfloop", record=RecordPolicy(checkpoints=(T,)))
-    k = [row[w] for s in out for row in s.extras["k_trace"] for w in "xy"]
+    # next d gives p < 1e-66.  The base moves exactly at a hold (+-1 on
+    # the cycle, a flip on the single edge), so k_n is the number of steps
+    # that change a walker's base.  Seeds fixed in advance.
+    T, B = 1024, 2000
+    g = build_graph(spec)
+    kernel = sampler._make_kernel(g, g.root, 2 * B, "selfloop", T)
+    keys = sampler._stream_keys(kernel, 5, range(B),
+                                sampler._ROLES["selfloop"])
+    k = np.zeros(2 * B, np.int64)
+    for _, L in sampler._windows(kernel, keys, T):
+        k += np.count_nonzero(np.diff(kernel.pos[:L + 1, 0], axis=0), axis=0)
     K = np.concatenate([a["K"][T] for _, a in sampler._clock(d, 7, 4000, T)])
     assert len(k) == len(K) == 4000
     assert sps.ks_2samp(k, K).pvalue > 1e-4
@@ -1153,12 +1129,13 @@ def assert_blocks_equal(a, b):
         assert np.array_equal(x, y), f.name
 
 
-def _pair_walker_step(P, axis, H):
-    """The law P[d, h_x, h_y] of the comb:line pair chain after walker x
-    (axis 1) or y (axis 2) steps; index H is height 0.  Off the spine the
-    height moves -1 or +1, half each; on it the height moves -1 or +1 or
-    the base -1 or +1 (d by -1 or +1), a quarter each.  Mass that would
-    leave the array is dropped."""
+def _pair_walker_step(P, axis, H, m=0):
+    """The law P[d, h_x, h_y] of the comb pair chain after walker x (axis
+    1) or y (axis 2) steps; index H is height 0.  Off the spine the height
+    moves -1 or +1, half each; on it the height moves -1 or +1 or the base
+    -1 or +1 (d by -1 or +1), a quarter each.  On the line (m = 0) mass
+    that would leave the array is dropped; on the cycle of period m >= 3
+    the index is d mod m and wraps."""
     A, Q = np.moveaxis(P, axis, 1), np.zeros_like(P)
     B = np.moveaxis(Q, axis, 1)
     spine = A[:, H].copy()
@@ -1166,29 +1143,33 @@ def _pair_walker_step(P, axis, H):
     B[:, 1:] = A[:, :-1]
     B[:, :-1] += A[:, 1:]
     B *= 0.5
-    for row, d_from, d_to in ((H - 1, slice(None), slice(None)),
-                              (H + 1, slice(None), slice(None)),
-                              (H, slice(None, -1), slice(1, None)),
-                              (H, slice(1, None), slice(None, -1))):
-        B[d_to, row] += spine[d_from] / 4
+    B[:, H - 1] += spine / 4
+    B[:, H + 1] += spine / 4
+    if m:
+        B[:, H] += (np.roll(spine, 1, axis=0) + np.roll(spine, -1, axis=0)) / 4
+    else:
+        B[1:, H] += spine[:-1] / 4
+        B[:-1, H] += spine[1:] / 4
     return Q
 
 
-def meeting_after_law(T, starts, D=32, H=64):
-    """Exact P(the comb:line pair from the root meets at some time in (s,
-    T]) for each s of ``starts``, and the most mass a run lost at the
-    faces of the box |d| <= D, |h_x|, |h_y| <= H, which bounds the error.
-    comb:line is invariant under base translation, so (d = b_x - b_y, h_x,
-    h_y) is a Markov chain.  A run steps its law by the walkers' stencils
-    and, at each time past s, kills its mass on the diagonal d = 0, h_x =
-    h_y: the mass killed is the probability."""
-    law = np.zeros((2 * D + 1, 2 * H + 1, 2 * H + 1))
-    law[D, H, H], diag = 1.0, (D, *np.diag_indices(2 * H + 1))
+def meeting_after_law(T, starts, D=32, H=64, m=0):
+    """Exact P(the comb pair from the root meets at some time in (s, T])
+    for each s of ``starts``, and the most mass a run lost at the faces of
+    the box |d| <= D, |h_x|, |h_y| <= H, which bounds the error.  The comb
+    over the line (m = 0) or the cycle of period m is invariant under base
+    translation, so (d = b_x - b_y, h_x, h_y), d mod m on the cycle, is a
+    Markov chain.  A run steps its law by the walkers' stencils and, at
+    each time past s, kills its mass on the diagonal d = 0, h_x = h_y: the
+    mass killed is the probability."""
+    d0 = 0 if m else D
+    law = np.zeros((m or 2 * D + 1, 2 * H + 1, 2 * H + 1))
+    law[d0, H, H], diag = 1.0, (d0, *np.diag_indices(2 * H + 1))
     hit, lost, base_lost, t = {}, 0.0, 0.0, 0
 
     def step(P):
         mass = P.sum()
-        P = _pair_walker_step(_pair_walker_step(P, 1, H), 2, H)
+        P = _pair_walker_step(_pair_walker_step(P, 1, H, m), 2, H, m)
         return P, mass - P.sum()
     for s in sorted(starts):
         for t in range(t, s):
@@ -1205,9 +1186,10 @@ def meeting_after_law(T, starts, D=32, H=64):
 
 
 @functools.lru_cache(maxsize=None)
-def comb_line_meeting_after_128():
-    """``meeting_after_law`` at T = 128 for s = 0, 8, 32, computed once."""
-    return meeting_after_law(128, (0, 8, 32))
+def meeting_after_128(m=0):
+    """``meeting_after_law`` at T = 128 for s = 0, 8, 32 on comb:line (m =
+    0) or comb:cycle:m, computed once."""
+    return meeting_after_law(128, (0, 8, 32), m=m)
 
 
 def meets_after(out, starts):
@@ -1220,24 +1202,30 @@ def meets_after(out, starts):
 
 def test_pair_chain_law_has_the_recorded_values():
     # the values ROADMAP's direction 17 records for this chain, from an
-    # independent implementation
-    hit, lost = comb_line_meeting_after_128()
+    # independent implementation, and the chain of d mod 4 on comb:cycle:4,
+    # where the pairs keep meeting
+    hit, lost = meeting_after_128()
     assert lost < 1e-6
     assert hit[0] == pytest.approx(0.622169, abs=1e-6)
     assert hit[8] == pytest.approx(0.337933, abs=1e-6)
     assert hit[0] > hit[8] > hit[32] > 0
+    hit, lost = meeting_after_128(4)
+    assert lost < 1e-7
+    assert [hit[s] for s in (0, 8, 32)] == pytest.approx(
+        [0.751557, 0.532926, 0.348596], abs=1e-6)
 
 
-@pytest.mark.parametrize("method, seed", [("direct", 1), ("selfloop", 3)])
-def test_comb_line_meetings_after_s_match_the_pair_chain(method, seed):
+@pytest.mark.parametrize("spec, method, seed", [
+    ("comb:line", "direct", 1), ("comb:line", "selfloop", 3),
+    ("comb:cycle:4", "direct", 4), ("comb:cycle:4", "selfloop", 6)])
+def test_comb_meetings_after_s_match_the_pair_chain(spec, method, seed):
     # A law of whole paths: every gate at one time would pass for a sampler
     # with the right law at each time and the wrong law over paths.  The
     # fraction of 20,000 pairs meeting in (s, 128], s = 0, 8, 32, against
     # the pair chain's exact value.  Seeds fixed in advance.
-    hit, _ = comb_line_meeting_after_128()
-    starts, n = (0, 8, 32), 20000
-    out = run_ensemble(build_graph("comb:line"), n_steps=128, replicas=n,
-                       seed=seed, method=method)
+    g, starts, n = build_graph(spec), (0, 8, 32), 20000
+    hit, _ = meeting_after_128(g.m)
+    out = run_ensemble(g, n_steps=128, replicas=n, seed=seed, method=method)
     p, tested = binomial_gate(meets_after(out, starts), n,
                               np.array([hit[s] for s in starts]))
     assert tested == 3 and p > 1e-3, f"{method}: adjusted p = {p:.3g}"
@@ -1248,7 +1236,7 @@ def test_pair_chain_gate_refuses_meetings_shuffled_across_pairs():
     # the pairs of the ensemble keep every per-time count, so every gate at
     # one time still passes, but the paths are not the walk's.  Seed of the
     # direct gate; the shuffle's seed fixed in advance.
-    hit, _ = comb_line_meeting_after_128()
+    hit, _ = meeting_after_128()
     starts, n, T = (0, 8, 32), 20000, 128
     out = run_ensemble(build_graph("comb:line"), n_steps=T, replicas=n,
                        seed=1)
@@ -1469,7 +1457,8 @@ def test_window_length_does_not_change_output(monkeypatch, scratch):
     default = _window_probe()
     lil = [json.loads(line)["lil"]["times"][1] for line in default[0][:4]]
     assert any(lil)                    # the envelope records are exercised
-    assert "k_trace" in default[0][8] and "spine" in default[0][12]
+    assert '"method":"selfloop"' in default[0][8]
+    assert "spine" in default[0][12]
     assert json.loads(default[0][16])["spine"]["x"][0] == 3
     monkeypatch.setattr(sampler, "SCRATCH", scratch)
     assert _window_probe() == default
