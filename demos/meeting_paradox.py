@@ -31,7 +31,7 @@ for t, m, s in zip(curve.times, curve.mean_meetings, curve.survival_frac):
         print(f"{t:>7d}   {m:13.3f}   {s:22.3f}")
 
 # the mean keeps climbing, but the median pair stopped long ago
-last = np.array([s.collisions[-1].n if s.collisions else 0 for s in out])
+last = np.array([s.times[-1] if s.times else 0 for s in out])
 print(f"\nmedian time of the last meeting: {int(np.median(last))}")
 print(f"mean meetings at T:              {curve.mean_meetings[-1]:.2f}")
 print(f"pairs still meeting after T/16:  {curve.survival_frac[-5]:.1%}")

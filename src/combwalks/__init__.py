@@ -8,11 +8,10 @@ from .oracle import (Kernel, KernelSeries, OracleError, SparseDistribution,
                      per_site_collision_series, return_probability_series,
                      transition_vector)
 from .rng import RngStream
-from .sampler import (CollisionRecord, PairTrajectorySummary, RecordPolicy,
-                      SimulationError, SummaryBlock,
-                      clock_dichotomy_violations, dyadic_checkpoints,
-                      geometric_clock_path, read_summaries, run_ensemble,
-                      run_pair, sample_marginal, write_summaries)
+from .sampler import (PairTrajectorySummary, RecordPolicy, SimulationError,
+                      SummaryBlock, clock_dichotomy_violations,
+                      dyadic_checkpoints, geometric_clock_path, read_summaries,
+                      run_ensemble, run_pair, sample_marginal, write_summaries)
 from .stats import (DriftEstimate, DyadicCellStats, ExponentFit, GrowthCurve,
                     StatsError, conditional_W, drift_estimate,
                     dyadic_collision_stats, estimate_exponent,

@@ -253,10 +253,11 @@ int64_t observe(const int64_t *pos, int64_t coords, int64_t width,
                         len);
 }
 
-/* a line of to_json with no extras, as match reads it and print writes it */
+/* a line of to_json, method direct and no extras, as match reads it and
+   print writes it; group 2 is the length of each vertex and final */
 static const char FORM[] = "{\"T\":#,\"checkpoints\":[(0{\"meetings\":#,"
     "\"t\":#})],\"collisions\":[(1{\"l\":#,\"n\":#,\"vertex\":[(2#)]})],"
-    "\"final\":{\"x\":[(3#)],\"y\":[(3#)]},\"max_tooth\":{\"x\":#,\"y\":#},"
+    "\"final\":{\"x\":[(2#)],\"y\":[(2#)]},\"max_tooth\":{\"x\":#,\"y\":#},"
     "\"meetings\":#,\"method\":\"direct\",\"replica\":#}";
 
 /* *p past what template t matches, to its end or ')': '#' a JSON int of
@@ -292,14 +293,14 @@ static const char *match(const char **p, const char *e, const char *t,
 }
 
 /* read_summaries' scanner: line k of buf (ending at '\n' or at len) to
-   row k of rows: the end of its ints in v (-1: not in FORM), match's r */
+   row k of rows: its ints' end in v (-1: not in FORM), match's r[0 .. 2] */
 void jsonl_scan(const char *buf, int64_t len, int64_t *v, int64_t *rows)
 {
     const char *p = buf, *e = buf + len;
-    for (int64_t n = 0, m; p < e; rows += 5) {
+    for (int64_t n = 0, m; p < e; rows += 4) {
         const char *eol = memchr(p, '\n', e - p), *q = p;
         eol = eol ? eol : e;
-        m = n, rows[1] = rows[2] = rows[3] = rows[4] = -1;
+        m = n, rows[1] = rows[2] = rows[3] = -1;
         rows[0] = match(&q, eol, FORM, v, &n, rows + 1) && q == eol ? n : -1;
         n = rows[0] < 0 ? m : n, p = eol + (eol < e);
     }
@@ -339,7 +340,7 @@ int64_t jsonl_print(const int64_t *v, const int64_t *rows, int64_t lines,
 {
     char *o = out;
     for (int64_t k = 0, n = 0; k < lines; k++, *o++ = '\n')
-        print(&o, FORM, v, &n, rows + 5 * k + 1);
+        print(&o, FORM, v, &n, rows + 4 * k + 1);
     return o - out;
 }
 

@@ -164,6 +164,14 @@ def _check_lil_alphas(flag, alphas):
         raise ConfigError(f"{flag} must lie in (2/3, 1), got {alphas}")
 
 
+def _check_checkpoints(ts, steps=None):
+    """The one grid `simulate` and `stats` take as --checkpoints: times
+    rising strictly from 1, up to --steps where there is one."""
+    top = max(ts, default=1) if steps is None else steps
+    if list(ts) != sorted(set(ts)) or not all(1 <= t <= top for t in ts):
+        raise ConfigError(f"--checkpoints must rise within 1..{top}: {ts}")
+
+
 def _check_one_kind(report, paths, loaded, merged):
     """Refuse inputs that mix (T, method): they are not one ensemble."""
     def kind(sums, i):
@@ -183,7 +191,7 @@ def cmd_simulate(args):
     for name, lowest, needed in (
             ("graph", None, True), ("out", None, True), ("steps", 0, True),
             ("replicas", 1, True), ("seed", 0, True),
-            ("truncation_radius", 0, False)):
+            ("truncation_radius", 0, False), ("spine_stride", 0, False)):
         value, flag = getattr(args, name), "--" + name.replace("_", "-")
         if value is None and needed:
             raise ConfigError(f"simulate needs {flag}")
@@ -193,14 +201,10 @@ def cmd_simulate(args):
             os.path.dirname(args.out) or "."):
         raise ConfigError(f"--out {args.out}: a directory, or in a missing one")
     graph, start = build_graph(args.graph), _parse_start(args.start)
-    alphas = tuple(args.lil_alphas or ())
+    alphas, cps = tuple(args.lil_alphas or ()), tuple(args.checkpoints or ())
     _check_lil_alphas("--lil-alphas", alphas)
-    try:
-        record = RecordPolicy(checkpoints=tuple(args.checkpoints or ()),
-                              lil_alphas=alphas,
-                              spine_stride=args.spine_stride or 0)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    _check_checkpoints(cps, args.steps)
+    record = RecordPolicy(cps, alphas, args.spine_stride or 0)
     workers = _default_workers() if args.workers is None else args.workers
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
@@ -281,6 +285,7 @@ def cmd_stats(args):
             rows = [(r, k, 0.0, 0.0, 0.0, 0.0, 0, 0)
                     for r in r_span for k in k_span]
     elif report == "growth":
+        _check_checkpoints(args.checkpoints or ())
         header, rows = ("graph", "t", "mean_meetings", "survival_frac"), []
         for path, (label, sums) in zip(args.inputs, loaded):
             if not sums:

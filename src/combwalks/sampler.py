@@ -28,7 +28,7 @@ layers, each window at most ``SCRATCH`` walker-steps:
               C loop built on first use;
 * observer -- one ``kernel.observe`` call per window (8 pairs or 8 walkers
               per AVX-512 vector) finds the meetings and each walker's depth;
-              the collision records, envelope violations, truncation,
+              the meeting columns, envelope violations, truncation,
               checkpoints and ladder spine trace are read off the whole
               window history at once, the first two only at the meetings and
               in windows that cross the envelope.
@@ -117,16 +117,6 @@ class RecordPolicy:
         return dyadic_checkpoints(n_steps)
 
 
-@dataclass(frozen=True)
-class CollisionRecord:
-    """One meeting event of the pair, as a summary's ``collisions`` view."""
-
-    replica: int
-    n: int
-    vertex: tuple
-    l: int
-
-
 # the keys every summary line has; any other top-level key is an extra
 _KEYS = frozenset(("replica", "T", "meetings", "collisions", "checkpoints",
                    "final", "max_tooth", "method"))
@@ -152,12 +142,6 @@ class PairTrajectorySummary:
     max_tooth_y: int
     method: str = "direct"
     extras: dict = field(default_factory=dict)
-
-    @property
-    def collisions(self):
-        """The meetings as ``CollisionRecord`` views, built on each call."""
-        return [CollisionRecord(self.replica, n, tuple(v), l)
-                for n, v, l in zip(self.times, self.vertices, self.heights)]
 
     def to_json(self):
         """One line, the bytes of ``json.dumps(..., sort_keys=True,
@@ -196,11 +180,11 @@ def _split(rows, counts):
 class SummaryBlock:
     """The summaries of B pairs as columns.  One entry per pair:
     ``replica``, ``n_steps``, ``method``, ``meetings``, ``max_tooth`` ((B,
-    2): x, y) and ``extras``, a dict each.  A ragged field is the rows of
-    every entry in turn and a column of their counts: the meetings'
-    ``times`` and ``heights`` by pair, their vertices' ``coords`` by
-    meeting, the ``checkpoints`` ((C, 2): t, meetings up to t) by pair, the
-    ``finals`` by walker (pair b's x is walker 2b, its y 2b + 1).
+    2): x, y), ``dim``, the length of each of its vertices, and ``extras``,
+    a dict each.  A ragged field is the rows of every entry in turn: the
+    meetings' ``times`` and ``heights`` (``meet_len`` a pair), their
+    ``coords`` (``dim`` a meeting), the ``checkpoints`` ((C, 2): t, meetings
+    up to t; ``cp_len`` a pair), the ``finals`` (x then y, ``dim`` each).
     Iteration and ``block[i]`` give ``PairTrajectorySummary`` views."""
 
     replica: np.ndarray
@@ -212,11 +196,10 @@ class SummaryBlock:
     heights: np.ndarray
     meet_len: np.ndarray
     coords: np.ndarray
-    vert_len: np.ndarray
     checkpoints: np.ndarray
     cp_len: np.ndarray
     finals: np.ndarray
-    final_len: np.ndarray
+    dim: np.ndarray
     extras: np.ndarray
 
     def __len__(self):
@@ -228,10 +211,11 @@ class SummaryBlock:
     def __iter__(self):
         """Each pair's view.  Every column is listed once per iteration,
         and ``block[i]`` iterates up to pair i: loop, do not index."""
+        dims = np.repeat(self.dim, self.meet_len)       # one a meeting
         times, verts, heights = (_split(a, self.meet_len) for a in (
-            self.times, _split(self.coords, self.vert_len), self.heights))
+            self.times, _split(self.coords, dims), self.heights))
         cps = _split([*map(tuple, self.checkpoints.tolist())], self.cp_len)
-        finals = [*map(tuple, _split(self.finals, self.final_len))]
+        finals = [*map(tuple, _split(self.finals, np.repeat(self.dim, 2)))]
         tooth_x, tooth_y = self.max_tooth.T.tolist()
         return map(PairTrajectorySummary, self.replica.tolist(),
                    self.n_steps.tolist(), self.meetings.tolist(), times,
@@ -241,12 +225,15 @@ class SummaryBlock:
     @classmethod
     def of(cls, views):
         """``views``, any iterable of ``PairTrajectorySummary``, as a
-        block; a block is its own."""
+        block, a block its own; ValueError on vertices of two lengths."""
         if isinstance(views, cls):
             return views
         s = list(views)
         verts = [v for x in s for v in x.vertices]
         finals = [f for x in s for f in (x.final_x, x.final_y)]
+        dims = [{*map(len, (*x.vertices, x.final_x, x.final_y))} for x in s]
+        if {*map(len, dims)} - {1}:
+            raise ValueError("a view's vertices and finals of two lengths")
 
         def ints(rows, *shape):                 # the items of the rows
             return np.array([*chain(*rows)], np.int64).reshape(-1, *shape)
@@ -257,9 +244,8 @@ class SummaryBlock:
             ints(((x.max_tooth_x, x.max_tooth_y) for x in s), 2),
             ints(x.times for x in s), ints(x.heights for x in s),
             ints([len(x.times)] for x in s), ints(verts),
-            ints([len(v)] for v in verts), ints((x.checkpoints for x in s), 2),
-            ints([len(x.checkpoints)] for x in s), ints(finals),
-            ints([len(f)] for f in finals),
+            ints((x.checkpoints for x in s), 2),
+            ints([len(x.checkpoints)] for x in s), ints(finals), ints(dims),
             np.array([x.extras for x in s], object))
 
     @classmethod
@@ -308,9 +294,10 @@ def write_summaries(path, summaries):
 def _summary(d):
     """One ``json.loads`` line's summary; KeyError, TypeError if malformed,
     as when a count, time, coordinate, stride or trace point is not an
-    int64, the one number type the writer and the scanner know, or when the
-    ``lil`` or ``spine`` extra is not of the shape the reports read: one
-    list of times per alpha, two traces of one length at a stride >= 1."""
+    int64, the one number type the writer and the scanner know, when the
+    vertices and finals are not all of one length, or when the ``lil`` or
+    ``spine`` extra is not of the shape the reports read: one list of times
+    per alpha, two traces of one length at a stride >= 1."""
     cols, final, tooth = d["collisions"], d["final"], d["max_tooth"]
     lil = d.get("lil", {"alphas": [], "times": []})
     spine = d.get("spine", {"stride": 1, "x": [], "y": []})
@@ -327,10 +314,11 @@ def _summary(d):
             or min(ints) < -2 ** 63 or max(ints) >= 2 ** 63 \
             or {*map(type, lil["alphas"])} - {int, float} \
             or len(lil["times"]) != len(lil["alphas"]) \
-            or len(spine["x"]) != len(spine["y"]) or spine["stride"] < 1:
+            or len(spine["x"]) != len(spine["y"]) or spine["stride"] < 1 \
+            or {*map(len, (*vertices, final["y"]))} - {len(final["x"])}:
         raise TypeError(f"replica {d['replica']}: a count, time or coordinate "
                         "is not an int64, the method not a string, or a "
-                        "vertex, lil or spine malformed")
+                        "vertex, final, lil or spine malformed")
     return PairTrajectorySummary(
         replica=d["replica"], n_steps=d["T"], meetings=d["meetings"],
         times=times, vertices=vertices, heights=heights, checkpoints=cps,
@@ -343,10 +331,10 @@ def _summary(d):
 def _layout(rows):
     """Where each column of canonical lines sits among their ints, by
     field name, ``rows`` the lines' rows as ``jsonl_scan`` writes them:
-    (end, checkpoints, meetings, vertex length, final length).  A line's
-    ints are T, (meetings, t) per checkpoint, (l, n, vertex) per meeting,
-    the finals x then y, max_tooth x and y, meetings, replica."""
-    end, nc, nm, vd, fd = rows.T
+    (end, checkpoints, meetings, vertex length).  A line's ints are T,
+    (meetings, t) per checkpoint, (l, n, vertex) per meeting, the finals x
+    then y, max_tooth x and y, meetings, replica."""
+    end, nc, nm, vd = rows.T
     start = np.concatenate(([0], end))[:-1]     # after the line before
     c, w = start + 1 + 2 * nc, 2 + vd           # first meeting, its width
     meet = np.repeat(c, nm) + np.repeat(w, nm) * _ragged(0 * nm, nm)[0]
@@ -355,36 +343,30 @@ def _layout(rows):
             "max_tooth": end[:, None] - [4, 3], "times": meet + 1,
             "heights": meet, "checkpoints": cps,
             "coords": _ragged(meet + 2, np.repeat(vd, nm))[0],
-            "finals": _ragged(c + w * nm, 2 * fd)[0]}
+            "finals": _ragged(c + w * nm, 2 * vd)[0]}
 
 
 def _scanned(ints, rows):
     """The block of the lines ``jsonl_scan`` read into ``ints``, ``rows``
     their rows; each column gathered by ``_layout``, as a copy."""
-    _, nc, nm, vd, fd = rows.T
+    _, nc, nm, vd = rows.T
     return SummaryBlock(
         **{f: ints[at] for f, at in _layout(rows).items()}, meet_len=nm,
-        vert_len=np.repeat(vd, nm), cp_len=nc, final_len=np.repeat(fd, 2),
-        method=np.full(len(rows), "direct", object),
+        cp_len=nc, dim=vd, method=np.full(len(rows), "direct", object),
         extras=np.full(len(rows), {}, object))
 
 
 def _printed(b, jsonl_print):
     """Block ``b``'s lines, printed by ``jsonl_print`` from the ints that
     ``_layout`` places, in windows of about ``SCRATCH`` bytes; None if one
-    is not direct, has extras, or vertices or finals of two lengths."""
-    nm, nc, fd = b.meet_len, b.cp_len, b.final_len[::2]
-    lo, hi = (f.reduceat(b.vert_len, (np.cumsum(nm) - nm)[nm > 0])
-              for f in (np.minimum, np.maximum))   # each line's vertices
-    if any(b.extras) or (b.method != "direct").any() or (lo != hi).any() \
-            or (b.final_len[1::2] != fd).any():
+    is not direct or has extras, the two things ``FORM`` fixes."""
+    if any(b.extras) or (b.method != "direct").any():
         return None
-    vd = np.zeros_like(nm)                      # any, where no meeting
-    vd[nm > 0] = lo
+    nm, nc, vd = b.meet_len, b.cp_len, b.dim
     one = np.ones_like(nm)                      # items per line, by field
     per = {"replica": one, "n_steps": one, "meetings": one, "max_tooth": one,
            "times": nm, "heights": nm, "coords": vd * nm, "checkpoints": nc,
-           "finals": 2 * fd, "ints": 5 + 2 * nc + (2 + vd) * nm + 2 * fd}
+           "finals": 2 * vd, "ints": 5 + 2 * nc + (2 + vd) * nm + 2 * vd}
     at = {f: np.concatenate(([0], np.cumsum(k))) for f, k in per.items()}
     cum = at["ints"]        # windows: 2^-3 SCRATCH ints and up to a line
     cuts = np.unique(cum[:-1] // (SCRATCH // 8), return_index=True)[1]
@@ -392,8 +374,8 @@ def _printed(b, jsonl_print):
     out = np.empty(64 * int(np.diff(cum[cuts]).max(initial=0)), np.uint8)
 
     def window(i, j):
-        rows = np.stack((cum[i + 1:j + 1] - cum[i], nc[i:j], nm[i:j], vd[i:j],
-                         fd[i:j]), 1)
+        rows = np.stack((cum[i + 1:j + 1] - cum[i], nc[i:j], nm[i:j],
+                         vd[i:j]), 1)
         ints = np.empty(cum[j] - cum[i], np.int64)
         for f, to in _layout(rows).items():
             ints[to] = getattr(b, f)[at[f][i]:at[f][j]]
@@ -416,7 +398,7 @@ def read_summaries(path):
     with open(path, "rb") as fh:
         at = 0                                  # file lines before `lines`
         for lines in iter(functools.partial(fh.readlines, SCRATCH), []):
-            win, rows = b"".join(lines), np.full((len(lines), 5), -1, np.int64)
+            win, rows = b"".join(lines), np.full((len(lines), 4), -1, np.int64)
             ints = np.empty(len(win) // 2 + 1, np.int64)  # 2 bytes an int
             scan(win, len(win), ints.ctypes.data, rows.ctypes.data)
             ends = rows[:, 0].tolist()
@@ -733,15 +715,12 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
                            for x, y in zip(spine[:B], spine[B:])]
     return SummaryBlock(
         replica=np.asarray(replicas, np.int64), meetings=counts[:, -1],
-        n_steps=np.full(B, n_steps, np.int64),
-        method=np.full(B, method, object),
-        max_tooth=kernel.max_depth.reshape(2, B).T,
+        n_steps=np.full(B, n_steps, np.int64), dim=np.full(B, D),
+        method=np.full(B, method, object), cp_len=np.full(B, len(cps)),
+        max_tooth=kernel.max_depth.reshape(2, B).T, coords=verts.ravel(),
         times=times, heights=graph.height(verts.T), meet_len=counts[:, -1],
-        coords=verts.ravel(), vert_len=np.full(len(times), D),
         checkpoints=np.stack([np.tile(cp, B), counts[:, :-1].ravel()], 1),
-        cp_len=np.full(B, len(cps)),
         finals=np.stack([final[:B], final[B:]], 1).ravel(),
-        final_len=np.full(2 * B, D),
         extras=np.array([dict(zip(extras, v)) for v in zip(
             *extras.values())] or [{}] * B, object))
 

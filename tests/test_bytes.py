@@ -29,6 +29,7 @@ from combwalks.oracle import (meeting_expectation_series,
 from combwalks.sampler import (PairTrajectorySummary, RecordPolicy,
                                SummaryBlock, read_summaries, run_ensemble,
                                write_summaries)
+from combwalks.stats import SchemaError
 from test_sampler import assert_blocks_equal
 
 # spec, method, n_steps, replicas, seed, record[, start]
@@ -104,8 +105,8 @@ def _reference_line(s):
         "replica": s.replica,
         "T": s.n_steps,
         "meetings": s.meetings,
-        "collisions": [{"n": c.n, "vertex": list(c.vertex), "l": c.l}
-                       for c in s.collisions],
+        "collisions": [{"n": n, "vertex": list(v), "l": l}
+                       for n, v, l in zip(s.times, s.vertices, s.heights)],
         "checkpoints": [{"t": t, "meetings": m} for t, m in s.checkpoints],
         "final": {"x": list(s.final_x), "y": list(s.final_y)},
         "max_tooth": {"x": s.max_tooth_x, "y": s.max_tooth_y},
@@ -138,7 +139,8 @@ def test_jsonl_round_trips_and_equals_the_reference_writer(name, tmp_path):
     write_summaries(path, out)
     back = read_summaries(path)
     assert "".join(s.to_json() + "\n" for s in back).encode() == data
-    assert [s.collisions for s in back] == [s.collisions for s in out]
+    assert [(s.times, s.vertices, s.heights) for s in back] == \
+        [(s.times, s.vertices, s.heights) for s in out]
 
 
 def test_round_trip_cases_cover_the_writer(tmp_path):
@@ -184,7 +186,7 @@ NEVER_MET = [dataclasses.replace(
 @functools.lru_cache(maxsize=None)
 def _printer_case(name):
     """A block the writer is given, and whether it is printed (True) or
-    written through ``to_json``."""
+    written through ``to_json``; or views no block takes (None)."""
     if name in PRINTED:
         return run_ensemble(build_graph(name), None, 1000, 8,
                             seed=PRINTED[name]), True
@@ -193,10 +195,11 @@ def _printer_case(name):
         "never met": (of(NEVER_MET), True),
         "no pairs": (of([]), True),
         "int64 edges": (of([INT64_EDGES, EMPTY_SUMMARY]), True),
-        "vertex lengths vary": (of([_direct(EDGE_SUMMARY, vertices=[
-            [1, 2, 3], [4]])]), False),
-        "finals of two lengths": (of([_direct(EMPTY_SUMMARY, final_x=(
-            0, 1))]), False),
+        # a pair's vertices and finals have one length
+        "vertex lengths vary": ((_direct(EDGE_SUMMARY, vertices=[
+            [1, 2, 3], [4]]),), None),
+        "finals of two lengths": ((_direct(EMPTY_SUMMARY, final_x=(
+            0, 1)),), None),
         "selfloop": (selfloop, False),
         "lil": (_jsonl(*CASES["comb:line"])[0], False),
         "spine": (_jsonl(*CASES["biased-ladder"])[0], False),
@@ -219,6 +222,10 @@ PRINTER_CASES = [*PRINTED, "never met", "no pairs", "int64 edges",
 def test_printer_writes_the_bytes_of_to_json(name, scratch, tmp_path,
                                              monkeypatch):
     block, printed = _printer_case(name)
+    if printed is None:
+        with pytest.raises(ValueError, match="vertices and finals of two lengths"):
+            SummaryBlock.of(block)
+        return
     want = "".join(s.to_json() + "\n" for s in block).encode()
     if scratch:
         monkeypatch.setattr(sampler, "SCRATCH", scratch)
@@ -245,7 +252,7 @@ def test_printer_writes_the_bytes_of_to_json(name, scratch, tmp_path,
 
 def test_printer_cases_cover_the_template():
     blocks = [_printer_case(name)[0] for name in PRINTED]
-    assert {v for b in blocks for v in b.vert_len.tolist()} == {1, 2, 3}
+    assert {v for b in blocks for v in b.dim.tolist()} == {1, 2, 3}
     assert all(len(b.times) for b in blocks)
     assert any(not n for b in blocks for n in b.meet_len.tolist())
     assert min(b.coords.min() for b in blocks) < 0
@@ -363,6 +370,31 @@ def _hand_edited(kind):
     return "\n".join(lines[:3] + [long] + lines[3:]) + "\n"
 
 
+def _refuses_uneven_lines(path, monkeypatch):
+    """A pair's vertices and finals have one length: the scanner leaves a
+    line that breaks it to json, which refuses it by its file line, the
+    edited vertex's (1) and, with that line restored, the final's (6);
+    without the library every line up to it goes through json."""
+    good = _jsonl(*CASES["comb2:line"])[1].decode().splitlines(True)
+    edited = _hand_edited("uneven vertices, finals").splitlines(True)
+    fallbacks, real = [], _native.library
+
+    def no_library():
+        raise _native.BuildError("no compiler")
+    monkeypatch.setattr(sampler, "_summary",
+                        lambda d: fallbacks.append(d) or _summary(d))
+    for k in (1, 6):
+        path.write_text("".join(good[:k - 1] + edited[k - 1:]))
+        for library, through_json in ((real, 1), (no_library, k)):
+            monkeypatch.setattr(_native, "library", library)
+            fallbacks.clear()
+            with pytest.raises(SchemaError, match=re.escape(
+                    f"{path}:{k}: malformed summary: replica ")) as info:
+                read_summaries(str(path))
+            assert "vertex, final" in str(info.value)
+            assert len(fallbacks) == through_json
+
+
 # with windows of 64 bytes, shorter than any line, each window is one line
 @pytest.mark.parametrize("scratch", [None, 64])
 @pytest.mark.parametrize("kind", [
@@ -375,6 +407,9 @@ def test_reader_equals_json_on_hand_edited_lines(kind, scratch, tmp_path,
     path.write_bytes(_hand_edited(kind).encode())
     if scratch:
         monkeypatch.setattr(sampler, "SCRATCH", scratch)
+    if kind == "uneven vertices, finals":
+        _refuses_uneven_lines(path, monkeypatch)
+        return
     back, fallbacks = _read(path, monkeypatch)
     assert list(back) == _json_lines(path)
     assert len(back) == {"blank lines, no final newline": 9,
@@ -382,7 +417,6 @@ def test_reader_equals_json_on_hand_edited_lines(kind, scratch, tmp_path,
                          "k_trace, as written before it went": 2}.get(kind, 8)
     assert fallbacks == {"spaces, key order": 4, "crlf, lone cr": 8,
                          "ints at int64's edge, -0": 2,
-                         "uneven vertices, finals": 2,
                          "k_trace, as written before it went": 2}.get(kind, 0)
     if kind == "k_trace, as written before it went":
         # an ordinary extra: the file rewrites byte for byte, today's run

@@ -443,11 +443,17 @@ def test_simulate_refuses_bad_envelope_and_stride(tmp_path, flag):
     ["--graph", "grid2d", "--lil-alphas", "0.75"],
     ["--graph", "comb:line", "--spine-stride", "2"],
     ["--graph", "comb:line", "--workers", "0"],
-    ["--graph", "comb:line", "--workers", "-3"]],
-    ids=["line-lil", "grid2d-lil", "comb-spine", "workers-0", "workers-neg"])
+    ["--graph", "comb:line", "--workers", "-3"],
+    ["--graph", "comb:line", "--checkpoints", "20,30"],
+    ["--graph", "comb:line", "--checkpoints", "0,8"],
+    ["--graph", "comb:line", "--checkpoints", "8,8"],
+    ["--graph", "comb:line", "--checkpoints", "16,8"]],
+    ids=["line-lil", "grid2d-lil", "comb-spine", "workers-0", "workers-neg",
+         "checkpoints-past-steps", "checkpoint-0", "checkpoints-twice",
+         "checkpoints-falling"])
 def test_simulate_refuses_what_it_cannot_run(tmp_path, capsys, argv):
     # envelope times need a depth coordinate, a spine trace the ladder,
-    # and a run at least one worker
+    # a run at least one worker, and checkpoints to rise within 1..--steps
     from combwalks import cli
     out = tmp_path / "runs.jsonl"
     assert cli.main(["simulate", "--steps", "16", "--replicas", "2",
@@ -455,6 +461,17 @@ def test_simulate_refuses_what_it_cannot_run(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("config error") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_simulate_records_the_checkpoints_given(tmp_path):
+    from combwalks import cli
+    out = tmp_path / "runs.jsonl"
+    assert cli.main(["simulate", "--graph", "comb:line", "--steps", "16",
+                     "--replicas", "3", "--seed", "1", "--workers", "1",
+                     "--checkpoints", "4,16", "--out", str(out)]) == 0
+    for r in map(json.loads, out.read_text().splitlines()):
+        assert [c["t"] for c in r["checkpoints"]] == [4, 16]
+        assert r["checkpoints"][-1]["meetings"] == r["meetings"]
 
 
 def test_simulate_zero_steps_writes_the_start(tmp_path):
@@ -800,6 +817,11 @@ def _defect(name):
         d["T"] = 2 ** 63
     elif name == "spine stride past int64":
         d["spine"]["stride"] = 10 ** 30
+    # a pair's vertices and finals have one length
+    elif name == "vertex longer than the finals":
+        d["collisions"][0]["vertex"] = [0, 2, 0]
+    elif name == "final y longer than x":
+        d["final"]["y"] = [0, 0, 0]
     return d
 
 
@@ -814,7 +836,8 @@ def _defect(name):
     "collision n past int64", "checkpoint meetings past int64",
     "lil time past int64", "spine point past int64",
     "final coordinate below int64", "T past int64",
-    "spine stride past int64"])
+    "spine stride past int64", "vertex longer than the finals",
+    "final y longer than x"])
 def test_stats_refuses_a_malformed_summary(tmp_path, capsys, report, defect):
     from combwalks import cli
     path = tmp_path / "runs.jsonl"
@@ -922,6 +945,12 @@ def test_stats_lil_and_drift_reports(tmp_path):
                       "--inputs", str(comb))
         assert res.returncode == 2
         assert "--alpha must lie in (2/3, 1)" in res.stderr
+    # a growth grid rises within 1..T, as simulate's does
+    for cps in ("8,8", "16,8", "0,8"):
+        res = run_cli("stats", "--report", "growth", "--checkpoints", cps,
+                      "--inputs", str(comb))
+        assert res.returncode == 2
+        assert res.stderr.startswith("config error: --checkpoints must rise")
 
     # an exponent simulate records is one stats reads back
     assert run_cli("simulate", "--graph", "comb:line", "--steps", "256",

@@ -44,14 +44,13 @@ def test_dyadic_checkpoints():
 def test_run_pair_record_invariants():
     g = build_graph("comb:line")
     s = run_pair(g, n_steps=2000, seed=5, replica=0)
-    assert s.meetings == len(s.collisions)
-    times = [c.n for c in s.collisions]
-    assert times == sorted(times) and len(set(times)) == len(times)
-    for c in s.collisions:
-        assert 1 <= c.n <= 2000
-        assert g.contains(c.vertex)
-        assert c.l == c.vertex[1]
-        assert abs(c.l) <= min(s.max_tooth_x, s.max_tooth_y)
+    assert s.meetings == len(s.times) == len(s.vertices) == len(s.heights)
+    assert s.times == sorted(s.times) and len(set(s.times)) == s.meetings
+    for n, v, l in zip(s.times, s.vertices, s.heights):
+        assert 1 <= n <= 2000
+        assert g.contains(tuple(v))
+        assert l == v[1]
+        assert abs(l) <= min(s.max_tooth_x, s.max_tooth_y)
     counts = [m for _, m in s.checkpoints]
     assert counts == sorted(counts)
     assert s.checkpoints[-1] == (2000, s.meetings)
@@ -77,7 +76,7 @@ def test_run_pair_other_stream_ids():
     s = run_pair(g, n_steps=300, seed=6, replica=2,
                  record=RecordPolicy(lil_alphas=(1.1,)))
     hits, fx, fy, depth, lil = reference_comb_line_pair(6, 2, 300, 1.1)
-    assert [(c.n, c.vertex, c.l) for c in s.collisions] == hits
+    assert [*zip(s.times, map(tuple, s.vertices), s.heights)] == hits
     assert (s.final_x, s.final_y) == (fx, fy)
     assert [s.max_tooth_x, s.max_tooth_y] == depth
     assert s.extras["lil"]["times"] == [lil]
@@ -959,8 +958,8 @@ def test_writer_peak_memory_is_bounded(tmp_path):
     # an int of output buffer, 8 of ints and their index arrays, under 128
     # bytes an int in all, so under 128 x 2^15 bytes = 4 MiB above the block
     out = run_ensemble(build_graph("star:3"), None, 4096, 512, seed=1)
-    ints = 5 + 2 * out.cp_len + 3 * out.meet_len + 2 * out.final_len[::2]
-    assert set(out.vert_len.tolist()) == {1} and ints.max() < 2 ** 14
+    ints = 5 + 2 * out.cp_len + 3 * out.meet_len + 2 * out.dim
+    assert set(out.dim.tolist()) == {1} and ints.max() < 2 ** 14
     assert len(out.times) > 10 ** 6
     peak = traced_peak(write_summaries, str(tmp_path / "w.jsonl"), out)
     assert peak < 4 * 2 ** 20
@@ -1084,8 +1083,7 @@ def test_ladder_spine_trace_and_depth():
     assert len(spine["x"]) == 151 and spine["x"][0] == 0
     assert all(v >= 0 for v in spine["x"])
     assert all(abs(a - b) <= 2 for a, b in zip(spine["x"], spine["x"][1:]))
-    for c in s.collisions:
-        assert c.l == 0
+    assert s.heights == [0] * s.meetings
     assert s.max_tooth_x >= max(spine["x"])
 
 
@@ -1094,9 +1092,8 @@ def test_comb2_collision_heights_are_chebyshev():
                        seed=23)
     seen = 0
     for s in out:
-        for c in s.collisions:
-            _, t1, t2 = c.vertex
-            assert c.l == max(abs(t1), abs(t2))
+        for (_, t1, t2), l in zip(s.vertices, s.heights):
+            assert l == max(abs(t1), abs(t2))
             seen += 1
     assert seen > 0
 
@@ -1419,7 +1416,7 @@ def test_ensemble_matches_scalar_reference_walk():
         hits, fx, fy, depth, lil = reference_comb_line_pair(44, s.replica,
                                                             n_steps, 1.1)
         assert s.meetings == len(hits)
-        assert [(c.n, c.vertex, c.l) for c in s.collisions] == hits
+        assert [*zip(s.times, map(tuple, s.vertices), s.heights)] == hits
         assert (s.final_x, s.final_y) == (fx, fy)
         assert [s.max_tooth_x, s.max_tooth_y] == depth
         assert s.extras["lil"]["times"] == [lil]
