@@ -8,13 +8,14 @@ from .oracle import (Kernel, KernelSeries, OracleError, SparseDistribution,
                      per_site_collision_series, return_probability_series,
                      transition_vector)
 from .rng import RngStream
-from .sampler import (PairTrajectorySummary, RecordPolicy, SimulationError,
-                      SummaryBlock, clock_dichotomy_violations,
-                      dyadic_checkpoints, geometric_clock_path, read_summaries,
-                      run_ensemble, run_pair, sample_marginal, write_summaries)
+from .sampler import (RecordPolicy, SimulationError, clock_dichotomy_violations,
+                      dyadic_checkpoints, geometric_clock_path, run_ensemble,
+                      run_pair, sample_marginal)
 from .stats import (DriftEstimate, DyadicCellStats, ExponentFit, GrowthCurve,
                     StatsError, conditional_W, drift_estimate,
                     dyadic_collision_stats, estimate_exponent,
                     lil_envelope_check, lil_threshold, meeting_growth_curve)
+from .summaries import (PairTrajectorySummary, SummaryBlock, read_summaries,
+                        write_summaries)
 
 __version__ = "0.1.0"

@@ -6,8 +6,9 @@ depths); where the CPU reports AVX-512F, DQ and VL they run AVX-512 builds
 ``observe`` the compiler's vectorization of its one loop), with the same
 bytes; ``csr_rows`` and ``csr_scatter`` (the oracle's step, flushing values
 below 2^-1022 to 0, and its CSR); ``jsonl_scan`` and ``jsonl_print``
-(canonical summary lines into int columns and back, one template for
-both).  Built on first use, cached by source, loaded by ctypes."""
+(every summary line the sampler writes into int columns and back, one
+template for both).  Built on first use, cached by source, loaded by
+ctypes."""
 
 import contextlib
 import ctypes
@@ -253,73 +254,120 @@ int64_t observe(const int64_t *pos, int64_t coords, int64_t width,
                         len);
 }
 
-/* a line of to_json, method direct and no extras, as match reads it and
-   print writes it; group 2 is the length of each vertex and final */
+/* a summary line, keys sorted and no whitespace, as match reads it and
+   print writes it: group 0 is the checkpoints, 1 the meetings, 2 the
+   length of each vertex and final, 3 the lil extra's alphas and times
+   lists, 4 the spine extra's points, 5 and 6 the methods */
 static const char FORM[] = "{\"T\":#,\"checkpoints\":[(0{\"meetings\":#,"
     "\"t\":#})],\"collisions\":[(1{\"l\":#,\"n\":#,\"vertex\":[(2#)]})],"
-    "\"final\":{\"x\":[(2#)],\"y\":[(2#)]},\"max_tooth\":{\"x\":#,\"y\":#},"
-    "\"meetings\":#,\"method\":\"direct\",\"replica\":#}";
+    "\"final\":{\"x\":[(2#)],\"y\":[(2#)]},?3\"lil\":{\"alphas\":[@],"
+    "\"times\":[(3[(##)])]},)\"max_tooth\":{\"x\":#,\"y\":#},\"meetings\":#,"
+    "\"method\":\"?5direct)?6selfloop)\",\"replica\":#?4,\"spine\":{"
+    "\"stride\":#,\"x\":[(4#)],\"y\":[(4#)]})}";
 
-/* *p past what template t matches, to its end or ')': '#' a JSON int of
-   1 to 18 digits, stored at v[(*n)++]; "(k ... )" the enclosed 0 or more
-   times, comma-separated, up to a ']', the count in r[k], the same each
-   time; any other byte itself (NEXT).  Returns t there, or NULL */
+/* t, at a '(' or '?', to its ')' */
+static const char *shut(const char *t)
+{
+    for (int d = 1; d; t++)
+        d += (t[1] == '(' || t[1] == '?') - (t[1] == ')');
+    return t;
+}
+
+/* *p past what template t matches, to its end or ')': '#' a JSON int in
+   int64, stored at v[(*n)++]; "(k ... )" the enclosed 0 or more times,
+   comma-separated, up to a ']', the count in r[k], the same each time, or
+   "(# ... )" in v, ahead of the items; "?k ... )" the enclosed once, r[k]
+   at least 0, or not at all, r[k] -1; '@' bytes of JSON numbers and
+   commas, their span in v as offsets from base; any other bytes
+   themselves.  Returns t there, or NULL */
 #define NEXT(c) (*p < e && **p == (c) && ++*p)
 static const char *match(const char **p, const char *e, const char *t,
-                         int64_t *v, int64_t *n, int64_t *r)
+                         int64_t *v, int64_t *n, int64_t *r, const char *base)
 {
     for (; *t && *t != ')'; t++)
         if (*t == '(') {
             const char *body = t + 2;
-            int64_t k = 0, *c = r + (t[1] - '0');
-            for (int d = 1; d; t++)                 /* t to its ')' */
-                d += (t[1] == '(') - (t[1] == ')');
-            for (; !(*p < e && **p == ']'); k++)
-                if ((k && !NEXT(',')) || !match(p, e, body, v, n, r))
+            int64_t k = 0, *c = t[1] == '#' ? v + (*n)++ : r + (t[1] - '0');
+            for (t = shut(t); !(*p < e && **p == ']'); k++)
+                if ((k && !NEXT(',')) || !match(p, e, body, v, n, r, base))
                     return NULL;
-            if ((*c = *c < 0 ? k : *c) != k)       /* the same each time */
+            if (body[-1] == '#')
+                *c = k;
+            else if ((*c = *c < 0 ? k : *c) != k)  /* the same each time */
                 return NULL;
+        } else if (*t == '?') {
+            const char *q = *p, *body = t + 2;
+            const int64_t m = *n;
+            t = shut(t);
+            if (!match(p, e, body, v, n, r, base))
+                *p = q, *n = m, r[body[-1] - '0'] = -1;
+            else
+                r[body[-1] - '0'] += r[body[-1] - '0'] < 0;
+        } else if (*t == '@') {
+            const char *q = *p;
+            while (q < e && *q && strchr("0123456789,.+-eE", *q))
+                q++;
+            v[(*n)++] = *p - base, v[(*n)++] = q - base, *p = q;
         } else if (*t == '#') {
             const char *d = *p + (*p < e && **p == '-'), *q = d;
             uint64_t x = 0;                 /* 19 digits fit */
-            while (q < e && q - d < 19 && *q >= '0' && *q <= '9')
+            while (q < e && q - d < 20 && *q >= '0' && *q <= '9')
                 x = 10 * x + (*q++ - '0');
-            if (q == d || q - d > 18 || (*d == '0' && q - d > 1))  /* 01 */
+            if (q == d || q - d > 19 || (*d == '0' && q - d > 1)   /* 01 */
+                || x > (uint64_t)INT64_MAX + (d > *p))     /* past int64 */
                 return NULL;
-            v[(*n)++] = d > *p ? -(int64_t)x : (int64_t)x, *p = q;
-        } else if (!NEXT(*t))
-            return NULL;
+            v[(*n)++] = (int64_t)(d > *p ? 0 - x : x), *p = q;
+        } else {                        /* a run of literal bytes */
+            const size_t k = strcspn(t, "()?@#");
+            if (e - *p < (int64_t)k || memcmp(*p, t, k))
+                return NULL;
+            *p += k, t += k - 1;
+        }
     return t;
 }
 
 /* read_summaries' scanner: line k of buf (ending at '\n' or at len) to
-   row k of rows: its ints' end in v (-1: not in FORM), match's r[0 .. 2] */
+   row k of rows: where its ints start and end in v (end -1: not in FORM),
+   then match's r[0 .. 6] */
 void jsonl_scan(const char *buf, int64_t len, int64_t *v, int64_t *rows)
 {
     const char *p = buf, *e = buf + len;
-    for (int64_t n = 0, m; p < e; rows += 4) {
+    for (int64_t n = 0; p < e; rows += 9) {
         const char *eol = memchr(p, '\n', e - p), *q = p;
         eol = eol ? eol : e;
-        m = n, rows[1] = rows[2] = rows[3] = -1;
-        rows[0] = match(&q, eol, FORM, v, &n, rows + 1) && q == eol ? n : -1;
-        n = rows[0] < 0 ? m : n, p = eol + (eol < e);
+        for (int k = 1; k < 9; k++)
+            rows[k] = -1;
+        rows[0] = n;
+        if (match(&q, eol, FORM, v, &n, rows + 2, buf) && q == eol)
+            rows[1] = n;
+        n = rows[1] < 0 ? rows[0] : n, p = eol + (eol < e);
     }
 }
 
-/* match in reverse: template t printed at *o, '#' from v[(*n)++], "(k ...)"
-   r[k] times, comma-separated.  Returns t at its end or ')' */
+/* match in reverse: template t printed at *o, '#' from v[(*n)++], "(k
+   ...)" r[k] times, comma-separated ("(# ...)": v[(*n)++] times), "?k
+   ...)" if r[k] >= 0, '@' the bytes of base from v[*n] to v[*n + 1].
+   Returns t at its end or ')' */
 static const char *print(char **o, const char *t, const int64_t *v,
-                         int64_t *n, const int64_t *r)
+                         int64_t *n, const int64_t *r, const char *base)
 {
     for (; *t && *t != ')'; t++)
         if (*t == '(') {
             const char *body = t + 2;
-            for (int d = 1; d; t++)
-                d += (t[1] == '(') - (t[1] == ')');
-            for (int64_t k = 0; k < r[body[-1] - '0']; k++) {
+            const int64_t m = t[1] == '#' ? v[(*n)++] : r[t[1] - '0'];
+            t = shut(t);
+            for (int64_t k = 0; k < m; k++) {
                 if (k) *(*o)++ = ',';
-                print(o, body, v, n, r);
+                print(o, body, v, n, r, base);
             }
+        } else if (*t == '?') {
+            const char *body = t + 2;
+            t = shut(t);
+            if (r[body[-1] - '0'] >= 0)
+                print(o, body, v, n, r, base);
+        } else if (*t == '@') {
+            const int64_t a = v[(*n)++], b = v[(*n)++];
+            memcpy(*o, base + a, b - a), *o += b - a;
         } else if (*t == '#') {
             const int64_t x = v[(*n)++];
             uint64_t u = x < 0 ? -(uint64_t)x : (uint64_t)x;   /* -2^63 too */
@@ -327,20 +375,23 @@ static const char *print(char **o, const char *t, const int64_t *v,
             do *--q = (char)('0' + u % 10); while (u /= 10);
             if (x < 0) *(*o)++ = '-';
             memcpy(*o, q, d + 20 - q), *o += d + 20 - q;
-        } else
-            *(*o)++ = *t;
+        } else {
+            const size_t k = strcspn(t, "()?@#");
+            memcpy(*o, t, k), *o += k, t += k - 1;
+        }
     return t;
 }
 
 /* write_summaries' printer: line k from row k of rows, as jsonl_scan
-   writes it, and its ints in v, each line ended by '\n'; out holds 64
-   bytes an int (a line has 5 ints or more).  Returns the bytes written */
+   writes it, its ints in v and its spans in text, each line ended by
+   '\n'; out holds 64 bytes an int (a line has 5 ints or more) and the
+   bytes of its spans.  Returns the bytes written */
 int64_t jsonl_print(const int64_t *v, const int64_t *rows, int64_t lines,
-                    char *out)
+                    const char *text, char *out)
 {
     char *o = out;
     for (int64_t k = 0, n = 0; k < lines; k++, *o++ = '\n')
-        print(&o, FORM, v, &n, rows + 4 * k + 1);
+        print(&o, FORM, v, &n, rows + 9 * k + 2, text);
     return o - out;
 }
 
@@ -433,7 +484,7 @@ def library():
     lib.csr_rows.argtypes = [p, p, p, p, p, p, i, i]
     lib.csr_scatter.argtypes = [p, p, i, p, p]
     lib.jsonl_scan.argtypes = [p, i, p, p]
-    lib.jsonl_print.argtypes = [p, p, i, p]
+    lib.jsonl_print.argtypes = [p, p, i, p, p]
     lib.philox_fill.restype = lib.comb_step.restype = None
     lib.csr_scatter.restype = lib.jsonl_scan.restype = None
     lib.observe.restype = lib.jsonl_print.restype = i

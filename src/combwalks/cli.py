@@ -28,17 +28,20 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from ._native import BuildError
 from .graphs import BudgetError, GraphError, build_graph, DEFAULT_BUDGET
 from .oracle import (OracleError, identity_check_suite,
                      meeting_expectation_series, per_site_collision_series,
                      return_probability_series)
-from .sampler import (RecordPolicy, SimulationError, SummaryBlock,
-                      atomic_open, read_summaries, run_ensemble,
-                      write_summaries)
-from .stats import (SchemaError, StatsError, cell_ranges, drift_estimate,
-                    dyadic_collision_stats, estimate_exponent,
-                    lil_envelope_check, meeting_growth_curve)
+from .sampler import RecordPolicy, SimulationError, run_ensemble
+from .stats import (SchemaError, StatsError, cell_ranges, check_checkpoints,
+                    drift_estimate, dyadic_collision_stats,
+                    estimate_exponent, lil_envelope_check,
+                    meeting_growth_curve)
+from .summaries import (SummaryBlock, atomic_open, read_summaries,
+                        write_summaries)
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -165,24 +168,35 @@ def _check_lil_alphas(flag, alphas):
 
 
 def _check_checkpoints(ts, steps=None):
-    """The one grid `simulate` and `stats` take as --checkpoints: times
-    rising strictly from 1, up to --steps where there is one."""
-    top = max(ts, default=1) if steps is None else steps
-    if list(ts) != sorted(set(ts)) or not all(1 <= t <= top for t in ts):
-        raise ConfigError(f"--checkpoints must rise within 1..{top}: {ts}")
+    """`check_checkpoints` of --checkpoints, up to --steps where there is
+    one, as a config error."""
+    try:
+        check_checkpoints(ts, steps)
+    except ValueError as exc:
+        raise ConfigError(f"--{exc}") from None
 
 
-def _check_one_kind(report, paths, loaded, merged):
-    """Refuse inputs that mix (T, method): they are not one ensemble."""
+def _check_one_ensemble(report, paths, loaded, merged):
+    """Refuse inputs that repeat a replica id across files (found by a
+    sort of the merged ids), or, but for drift's spine traces, that mix
+    (T, method): they are not one ensemble."""
     def kind(sums, i):
         return int(sums.n_steps[i]), sums.method[i]
     for path, (_, sums) in zip(paths, loaded):
         odd = ((sums.n_steps != merged.n_steps[:1])
                | (sums.method != merged.method[:1]))
-        if odd.any():
+        if odd.any() and report != "drift":
             raise SchemaError(
                 f"{path}: {report} inputs mix (T, method) "
                 f"{kind(merged, 0)} and {kind(sums, odd.argmax())}")
+    order = np.argsort(merged.replica, kind="stable")
+    ids, files = merged.replica[order], np.repeat(
+        np.arange(len(paths)), [len(sums) for _, sums in loaded])[order]
+    twice = np.flatnonzero((ids[1:] == ids[:-1]) & (files[1:] != files[:-1]))
+    if len(twice):
+        i = twice[0]
+        raise SchemaError(f"{paths[files[i]]} and {paths[files[i + 1]]}: "
+                          f"{report} inputs repeat replica {ids[i]}")
 
 
 def cmd_simulate(args):
@@ -263,17 +277,25 @@ def _load_inputs(paths):
 
 
 def cmd_stats(args):
-    report = args.report or "grid"
-    loaded = _load_inputs(args.inputs)
-    merged = SummaryBlock.concat(sums for _, sums in loaded)
-
+    # the flags first: a bad one costs no read of the inputs
+    report, alpha = args.report or "grid", args.alpha
     if report == "grid":
         if args.r_range is None or args.k_range is None:
             raise ConfigError("grid report needs --r-range and --k-range")
-        _check_one_kind(report, args.inputs, loaded, merged)
         (r0, r1), (k0, k1) = args.r_range, args.k_range
         # checked here too: an empty input writes its rows without a grid
         r_span, k_span = cell_ranges(range(r0, r1 + 1), range(k0, k1 + 1))
+    elif report == "growth":
+        _check_checkpoints(args.checkpoints or ())
+    elif report == "lil":
+        alpha = 0.75 if alpha is None else alpha
+        _check_lil_alphas("--alpha", (alpha,))
+    loaded = _load_inputs(args.inputs)
+    merged = SummaryBlock.concat(sums for _, sums in loaded)
+    if report != "growth":                  # one block of rows per input
+        _check_one_ensemble(report, args.inputs, loaded, merged)
+
+    if report == "grid":
         header = ("r", "k", "Z_mean", "A_prob", "W_mean", "W_given_A",
                   "count", "cond_count")
         if merged:
@@ -285,7 +307,6 @@ def cmd_stats(args):
             rows = [(r, k, 0.0, 0.0, 0.0, 0.0, 0, 0)
                     for r in r_span for k in k_span]
     elif report == "growth":
-        _check_checkpoints(args.checkpoints or ())
         header, rows = ("graph", "t", "mean_meetings", "survival_frac"), []
         for path, (label, sums) in zip(args.inputs, loaded):
             if not sums:
@@ -297,9 +318,6 @@ def cmd_stats(args):
             rows += [(label, t, m, s) for t, m, s in zip(
                 curve.times, curve.mean_meetings, curve.survival_frac)]
     elif report == "lil":
-        alpha = args.alpha if args.alpha is not None else 0.75
-        _check_lil_alphas("--alpha", (alpha,))
-        _check_one_kind(report, args.inputs, loaded, merged)
         counts, last = lil_envelope_check(merged, alpha)
         header = ("replica", "violations", "last_violation")
         rows = list(zip(merged.replica.tolist(), counts.tolist(),

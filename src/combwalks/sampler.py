@@ -39,33 +39,28 @@ any worker count.  The two walkers of ``replicas`` pairs run as the two
 halves of a single width ``2*replicas`` block; meetings are detected by
 comparing the halves.
 
-Summaries travel as a ``SummaryBlock``, one column per field for B pairs,
-from ``_run_block`` through ``run_ensemble``, ``write_summaries`` and
-``read_summaries`` to the reports; ``PairTrajectorySummary`` is the view
-of one pair, ``block[i]``.
+Summaries travel as a ``SummaryBlock`` (:mod:`.summaries`), one column per
+field for B pairs, from ``_run_block`` through ``run_ensemble`` to the
+writer and the reports.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import json
 import math
-import os
-import stat
-from dataclasses import dataclass, field, fields
-from itertools import chain, islice
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _native
-from .graphs import (BiasedLadder, GraphError, Star, _is_int, _ragged,
-                     check_reach, LADDER_ID_BITS as _LEVEL_BITS)
+from .graphs import (BiasedLadder, GraphError, Star, _is_int, check_reach,
+                     LADDER_ID_BITS as _LEVEL_BITS)
 from .rng import (X_BASE, X_HOLD, X_MAIN, X_SKEL, X_TOOTH, Y_MAIN, Y_TOOTH,
                   fill, stream_keys)
-from .stats import SchemaError, lil_threshold
+from .stats import check_checkpoints, lil_threshold
+from .summaries import SummaryBlock, _split
 
-SCRATCH = 1 << 16  # per window: walker-steps, clock values, JSONL bytes
+SCRATCH = 1 << 16  # per window: walker-steps, clock values
 # stream roles (x, y) of the two walkers of a pair, per construction
 _ROLES = {"direct": (X_MAIN, Y_MAIN), "selfloop": (X_TOOTH, Y_TOOTH)}
 
@@ -108,316 +103,15 @@ class RecordPolicy:
         if not all(a > 0 for a in self.lil_alphas) or self.spine_stride < 0:
             raise ValueError("lil_alphas must be > 0 and spine_stride >= 0, "
                              f"got {self.lil_alphas} and {self.spine_stride}")
-        if list(self.checkpoints) != sorted(set(self.checkpoints)):
-            raise ValueError("checkpoints must be strictly increasing")
+        check_checkpoints(tuple(self.checkpoints))
 
     def resolved_checkpoints(self, n_steps):
+        """The grid of a run of ``n_steps``: the one given, which
+        ``check_checkpoints`` takes within 1..n_steps, or the dyadic one."""
         if self.checkpoints:
-            return tuple(int(t) for t in self.checkpoints if 0 < t <= n_steps)
+            check_checkpoints(tuple(self.checkpoints), n_steps)
+            return tuple(map(int, self.checkpoints))
         return dyadic_checkpoints(n_steps)
-
-
-# the keys every summary line has; any other top-level key is an extra
-_KEYS = frozenset(("replica", "T", "meetings", "collisions", "checkpoints",
-                   "final", "max_tooth", "method"))
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-@dataclass
-class PairTrajectorySummary:
-    """One pair's run, as a ``SummaryBlock`` lists it (``block[i]``).  Its
-    meetings are three columns: the times, the vertices (a list of
-    coordinates each) and the signed tooth heights."""
-
-    replica: int
-    n_steps: int
-    meetings: int
-    times: list
-    vertices: list
-    heights: list
-    checkpoints: list          # [(t, meetings up to t)]
-    final_x: tuple
-    final_y: tuple
-    max_tooth_x: int
-    max_tooth_y: int
-    method: str = "direct"
-    extras: dict = field(default_factory=dict)
-
-    def to_json(self):
-        """One line, the bytes of ``json.dumps(..., sort_keys=True,
-        separators=(",", ":"))`` of the summary's JSON object, written
-        directly; the extras go through that encoder."""
-        meets = ",".join(
-            f'{{"l":{l},"n":{n},"vertex":[{",".join(map(str, v))}]}}'
-            for n, v, l in zip(self.times, self.vertices, self.heights))
-        cps = ",".join(f'{{"meetings":{m},"t":{t}}}'
-                       for t, m in self.checkpoints)
-        x, y = (",".join(map(str, f)) for f in (self.final_x, self.final_y))
-        parts = {"T": self.n_steps, "collisions": f"[{meets}]",
-                 "checkpoints": f"[{cps}]", "final": f'{{"x":[{x}],"y":[{y}]}}',
-                 "max_tooth": f'{{"x":{self.max_tooth_x},'
-                              f'"y":{self.max_tooth_y}}}',
-                 "meetings": self.meetings,
-                 "method": _ENCODER.encode(self.method),
-                 "replica": self.replica}
-        parts.update((k, _ENCODER.encode(v)) for k, v in self.extras.items())
-        return "{" + ",".join(f"{_ENCODER.encode(k)}:{parts[k]}"
-                              for k in sorted(parts)) + "}"
-
-
-def _split(rows, counts):
-    """``rows``, a list or an array to list, in consecutive runs of
-    ``counts`` items; numpy lists runs of one length > 0 itself."""
-    if isinstance(rows, np.ndarray):
-        if len(counts) and counts[0] > 0 and (counts == counts[0]).all():
-            return rows.reshape(len(counts), -1).tolist()
-        rows = rows.tolist()
-    at = [0, *np.cumsum(counts).tolist()]
-    return [rows[i:j] for i, j in zip(at, at[1:])]
-
-
-@dataclass(eq=False)
-class SummaryBlock:
-    """The summaries of B pairs as columns.  One entry per pair:
-    ``replica``, ``n_steps``, ``method``, ``meetings``, ``max_tooth`` ((B,
-    2): x, y), ``dim``, the length of each of its vertices, and ``extras``,
-    a dict each.  A ragged field is the rows of every entry in turn: the
-    meetings' ``times`` and ``heights`` (``meet_len`` a pair), their
-    ``coords`` (``dim`` a meeting), the ``checkpoints`` ((C, 2): t, meetings
-    up to t; ``cp_len`` a pair), the ``finals`` (x then y, ``dim`` each).
-    Iteration and ``block[i]`` give ``PairTrajectorySummary`` views."""
-
-    replica: np.ndarray
-    n_steps: np.ndarray
-    method: np.ndarray
-    meetings: np.ndarray
-    max_tooth: np.ndarray
-    times: np.ndarray
-    heights: np.ndarray
-    meet_len: np.ndarray
-    coords: np.ndarray
-    checkpoints: np.ndarray
-    cp_len: np.ndarray
-    finals: np.ndarray
-    dim: np.ndarray
-    extras: np.ndarray
-
-    def __len__(self):
-        return len(self.replica)
-
-    def __getitem__(self, i):
-        return next(islice(self, range(len(self))[i], None))
-
-    def __iter__(self):
-        """Each pair's view.  Every column is listed once per iteration,
-        and ``block[i]`` iterates up to pair i: loop, do not index."""
-        dims = np.repeat(self.dim, self.meet_len)       # one a meeting
-        times, verts, heights = (_split(a, self.meet_len) for a in (
-            self.times, _split(self.coords, dims), self.heights))
-        cps = _split([*map(tuple, self.checkpoints.tolist())], self.cp_len)
-        finals = [*map(tuple, _split(self.finals, np.repeat(self.dim, 2)))]
-        tooth_x, tooth_y = self.max_tooth.T.tolist()
-        return map(PairTrajectorySummary, self.replica.tolist(),
-                   self.n_steps.tolist(), self.meetings.tolist(), times,
-                   verts, heights, cps, finals[::2], finals[1::2], tooth_x,
-                   tooth_y, self.method.tolist(), map(dict, self.extras))
-
-    @classmethod
-    def of(cls, views):
-        """``views``, any iterable of ``PairTrajectorySummary``, as a
-        block, a block its own; ValueError on vertices of two lengths."""
-        if isinstance(views, cls):
-            return views
-        s = list(views)
-        verts = [v for x in s for v in x.vertices]
-        finals = [f for x in s for f in (x.final_x, x.final_y)]
-        dims = [{*map(len, (*x.vertices, x.final_x, x.final_y))} for x in s]
-        if {*map(len, dims)} - {1}:
-            raise ValueError("a view's vertices and finals of two lengths")
-
-        def ints(rows, *shape):                 # the items of the rows
-            return np.array([*chain(*rows)], np.int64).reshape(-1, *shape)
-        return cls(
-            ints([x.replica] for x in s), ints([x.n_steps] for x in s),
-            np.array([x.method for x in s], object),
-            ints([x.meetings] for x in s),
-            ints(((x.max_tooth_x, x.max_tooth_y) for x in s), 2),
-            ints(x.times for x in s), ints(x.heights for x in s),
-            ints([len(x.times)] for x in s), ints(verts),
-            ints((x.checkpoints for x in s), 2),
-            ints([len(x.checkpoints)] for x in s), ints(finals), ints(dims),
-            np.array([x.extras for x in s], object))
-
-    @classmethod
-    def concat(cls, blocks):
-        """The pairs of ``blocks``, in order, as one block."""
-        blocks = list(blocks) or [cls.of(())]
-        return cls(*(np.concatenate([getattr(b, f.name) for b in blocks])
-                     for f in fields(cls)))
-
-
-@contextlib.contextmanager
-def atomic_open(path, newline=None):
-    """Write ``path`` through a temp file beside it, renamed over ``path``
-    when the block completes; if the block raises, the old file stays and
-    the temp file goes.  An existing device, pipe or symlink is written in
-    place."""
-    special = os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode)
-    tmp = path if special else f"{path}.{os.getpid()}.tmp"
-    try:
-        fh = open(tmp, "w", newline=newline)
-    except OSError as exc:                 # name the file the caller gave
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with fh:
-            yield fh
-    except BaseException:
-        if not special:
-            os.unlink(tmp)
-        raise
-    if not special:
-        os.replace(tmp, path)
-
-
-def write_summaries(path, summaries):
-    """A ``to_json`` line per summary: a block of canonical lines printed
-    in one compiled pass (``_printed``), and every other block or iterable
-    of views, or every block without the library, through ``to_json``."""
-    lines = None
-    if isinstance(summaries, SummaryBlock):
-        with contextlib.suppress(_native.BuildError):
-            lines = _printed(summaries, _native.library().jsonl_print)
-    with atomic_open(path) as fh:
-        fh.writelines(lines or (s.to_json() + "\n" for s in summaries))
-
-
-def _summary(d):
-    """One ``json.loads`` line's summary; KeyError, TypeError if malformed,
-    as when a count, time, coordinate, stride or trace point is not an
-    int64, the one number type the writer and the scanner know, when the
-    vertices and finals are not all of one length, or when the ``lil`` or
-    ``spine`` extra is not of the shape the reports read: one list of times
-    per alpha, two traces of one length at a stride >= 1."""
-    cols, final, tooth = d["collisions"], d["final"], d["max_tooth"]
-    lil = d.get("lil", {"alphas": [], "times": []})
-    spine = d.get("spine", {"stride": 1, "x": [], "y": []})
-    vertices = [c["vertex"] for c in cols]
-    cps = [(c["t"], c["meetings"]) for c in d["checkpoints"]]
-    times, heights = [c["n"] for c in cols], [c["l"] for c in cols]
-    lists = (*vertices, *lil["times"], lil["alphas"], spine["x"], spine["y"])
-    ints = (d["replica"], d["T"], d["meetings"], tooth["x"], tooth["y"],
-            *final["x"], *final["y"], *times, *heights, *chain(*cps),
-            *chain(*vertices, *lil["times"], spine["x"], spine["y"]),
-            spine["stride"])
-    if {*map(type, lists)} - {list} or {*map(type, ints)} - {int} \
-            or type(d.get("method", "direct")) is not str \
-            or min(ints) < -2 ** 63 or max(ints) >= 2 ** 63 \
-            or {*map(type, lil["alphas"])} - {int, float} \
-            or len(lil["times"]) != len(lil["alphas"]) \
-            or len(spine["x"]) != len(spine["y"]) or spine["stride"] < 1 \
-            or {*map(len, (*vertices, final["y"]))} - {len(final["x"])}:
-        raise TypeError(f"replica {d['replica']}: a count, time or coordinate "
-                        "is not an int64, the method not a string, or a "
-                        "vertex, final, lil or spine malformed")
-    return PairTrajectorySummary(
-        replica=d["replica"], n_steps=d["T"], meetings=d["meetings"],
-        times=times, vertices=vertices, heights=heights, checkpoints=cps,
-        final_x=tuple(final["x"]), final_y=tuple(final["y"]),
-        max_tooth_x=tooth["x"], max_tooth_y=tooth["y"],
-        method=d.get("method", "direct"),
-        extras={k: v for k, v in d.items() if k not in _KEYS})
-
-
-def _layout(rows):
-    """Where each column of canonical lines sits among their ints, by
-    field name, ``rows`` the lines' rows as ``jsonl_scan`` writes them:
-    (end, checkpoints, meetings, vertex length).  A line's ints are T,
-    (meetings, t) per checkpoint, (l, n, vertex) per meeting, the finals x
-    then y, max_tooth x and y, meetings, replica."""
-    end, nc, nm, vd = rows.T
-    start = np.concatenate(([0], end))[:-1]     # after the line before
-    c, w = start + 1 + 2 * nc, 2 + vd           # first meeting, its width
-    meet = np.repeat(c, nm) + np.repeat(w, nm) * _ragged(0 * nm, nm)[0]
-    cps = _ragged(start + 1, 2 * nc)[0].reshape(-1, 2)[:, ::-1]  # t, meetings
-    return {"replica": end - 1, "n_steps": start, "meetings": end - 2,
-            "max_tooth": end[:, None] - [4, 3], "times": meet + 1,
-            "heights": meet, "checkpoints": cps,
-            "coords": _ragged(meet + 2, np.repeat(vd, nm))[0],
-            "finals": _ragged(c + w * nm, 2 * vd)[0]}
-
-
-def _scanned(ints, rows):
-    """The block of the lines ``jsonl_scan`` read into ``ints``, ``rows``
-    their rows; each column gathered by ``_layout``, as a copy."""
-    _, nc, nm, vd = rows.T
-    return SummaryBlock(
-        **{f: ints[at] for f, at in _layout(rows).items()}, meet_len=nm,
-        cp_len=nc, dim=vd, method=np.full(len(rows), "direct", object),
-        extras=np.full(len(rows), {}, object))
-
-
-def _printed(b, jsonl_print):
-    """Block ``b``'s lines, printed by ``jsonl_print`` from the ints that
-    ``_layout`` places, in windows of about ``SCRATCH`` bytes; None if one
-    is not direct or has extras, the two things ``FORM`` fixes."""
-    if any(b.extras) or (b.method != "direct").any():
-        return None
-    nm, nc, vd = b.meet_len, b.cp_len, b.dim
-    one = np.ones_like(nm)                      # items per line, by field
-    per = {"replica": one, "n_steps": one, "meetings": one, "max_tooth": one,
-           "times": nm, "heights": nm, "coords": vd * nm, "checkpoints": nc,
-           "finals": 2 * vd, "ints": 5 + 2 * nc + (2 + vd) * nm + 2 * vd}
-    at = {f: np.concatenate(([0], np.cumsum(k))) for f, k in per.items()}
-    cum = at["ints"]        # windows: 2^-3 SCRATCH ints and up to a line
-    cuts = np.unique(cum[:-1] // (SCRATCH // 8), return_index=True)[1]
-    cuts = [*cuts.tolist(), len(nm)]
-    out = np.empty(64 * int(np.diff(cum[cuts]).max(initial=0)), np.uint8)
-
-    def window(i, j):
-        rows = np.stack((cum[i + 1:j + 1] - cum[i], nc[i:j], nm[i:j],
-                         vd[i:j]), 1)
-        ints = np.empty(cum[j] - cum[i], np.int64)
-        for f, to in _layout(rows).items():
-            ints[to] = getattr(b, f)[at[f][i]:at[f][j]]
-        size = jsonl_print(ints.ctypes.data, rows.ctypes.data, j - i,
-                           out.ctypes.data)     # 64 bytes an int at most
-        return out[:size].tobytes().decode()
-    return map(window, cuts, cuts[1:])
-
-
-def read_summaries(path):
-    """The summaries of a JSONL file as one ``SummaryBlock``, a pair per
-    non-blank line as text mode splits it.  ``_native.jsonl_scan`` reads
-    about ``SCRATCH`` bytes of whole lines at a time, ``to_json``'s own
-    form straight into columns; any other line, or every line without the
-    library, goes through json and ``_summary``, and one they refuse is a
-    SchemaError naming its file line."""
-    blocks, scan = [], lambda *args: None       # no library: rows stay -1
-    with contextlib.suppress(_native.BuildError):
-        scan = _native.library().jsonl_scan
-    with open(path, "rb") as fh:
-        at = 0                                  # file lines before `lines`
-        for lines in iter(functools.partial(fh.readlines, SCRATCH), []):
-            win, rows = b"".join(lines), np.full((len(lines), 4), -1, np.int64)
-            ints = np.empty(len(win) // 2 + 1, np.int64)  # 2 bytes an int
-            scan(win, len(win), ints.ctypes.data, rows.ctypes.data)
-            ends = rows[:, 0].tolist()
-            blocks.append(_scanned(ints, rows[rows[:, 0] >= 0]))
-            if min(ends) < 0:       # the window's lines in order, as views
-                scanned, views = iter(blocks.pop()), []
-                for k, (line, end) in enumerate(zip(lines, ends), at + 1):
-                    if end >= 0:
-                        views.append(next(scanned))
-                        continue
-                    try:
-                        views.extend(_summary(json.loads(s)) for s in (
-                            b.decode().strip() for b in line.splitlines()) if s)
-                    except (ValueError, KeyError, TypeError) as exc:
-                        raise SchemaError(
-                            f"{path}:{k}: malformed summary: {exc}") from None
-                blocks.append(SummaryBlock.of(views))
-            at += len(lines)
-    return SummaryBlock.concat(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -644,9 +338,8 @@ def _run_block(graph, start, n_steps, seed, replicas, record, method,
     if (truncation_radius or 0) < 0:
         raise ValueError(
             f"truncation_radius must be >= 0, got {truncation_radius}")
-    B = len(replicas)
+    B, cps = len(replicas), record.resolved_checkpoints(n_steps)
     kernel = _make_kernel(graph, start, 2 * B, method, n_steps)
-    cps = record.resolved_checkpoints(n_steps)
     stride, lil_alphas = int(record.spine_stride), tuple(record.lil_alphas)
     if stride and not isinstance(graph, BiasedLadder):
         raise GraphError(f"{graph.family} has no spine trace to record")

@@ -67,7 +67,7 @@ class DyadicCellStats:
 def _block(summaries):
     """``summaries`` as a ``SummaryBlock``: a block is its own, any other
     iterable of ``PairTrajectorySummary`` views is gathered into one."""
-    from .sampler import SummaryBlock      # the sampler imports this module
+    from .summaries import SummaryBlock    # which imports this module
     return SummaryBlock.of(summaries)
 
 
@@ -210,12 +210,24 @@ class GrowthCurve:
     survival_frac: tuple      # fraction of replicas with a meeting after t
 
 
+def check_checkpoints(ts, top=None):
+    """The one rule of a checkpoint grid, the sampler's and the reports':
+    times rising strictly within 1..top (1..its last time if None);
+    ValueError if not."""
+    top = max(ts, default=1) if top is None else top
+    if list(ts) != sorted(set(ts)) or not all(1 <= t <= top for t in ts):
+        raise ValueError(f"checkpoints must rise within 1..{top}: {ts}")
+
+
 def meeting_growth_curve(summaries, checkpoints=None):
     """Mean meetings and post-t survival fraction on a checkpoint grid.
 
     The grid defaults to the one stored in the summaries; an explicit grid
-    must be a subset of it.  Survival uses the full collision lists.
+    (``check_checkpoints``) must be a subset of it.  Survival uses the
+    full collision lists.
     """
+    if checkpoints is not None:
+        check_checkpoints(tuple(checkpoints))
     s = _block(summaries)
     if not s:
         raise StatsError("no summaries")

@@ -25,9 +25,9 @@ from combwalks.graphs import build_graph
 from combwalks.oracle import (identity_check_suite,
                               per_site_collision_series,
                               return_probability_series, transition_vector)
-from combwalks.sampler import (clock_dichotomy_violations, read_summaries,
-                               sample_marginal)
+from combwalks.sampler import clock_dichotomy_violations, sample_marginal
 from combwalks.stats import estimate_exponent
+from combwalks.summaries import read_summaries
 from test_sampler import binomial_gate, meetings_per_step
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -279,9 +279,13 @@ def test_criterion_7_sampler_equivalence():
     pvals = {}
     for method in ("direct", "selfloop", "clock"):
         pos = sample_marginal(g, 6, 1_000_000, seed=SEED, method=method)
-        uniq, cnt = np.unique(pos, axis=0, return_counts=True)
-        counts = {tuple(int(c) for c in row): int(k)
-                  for row, k in zip(uniq, cnt)}
+        # one count per vertex: a bincount of a mixed-radix key of the
+        # coordinates, each shifted to start at 0
+        lo, span = pos.min(axis=0), np.ptp(pos, axis=0) + 1
+        cnt = np.bincount(np.ravel_multi_index((pos - lo).T, span))
+        uniq = np.flatnonzero(cnt)
+        counts = {tuple(int(c) for c in row): int(k) for row, k in zip(
+            np.stack(np.unravel_index(uniq, span), 1) + lo, cnt[uniq])}
         assert set(counts) <= set(law), "samples outside the exact support"
         obs = np.array([counts.get(v, 0) for v in support], dtype=float)
         exp = np.array([law[v] for v in support]) * obs.sum()

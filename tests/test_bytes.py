@@ -17,20 +17,21 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 
-from combwalks import _native, cli, sampler
+from combwalks import _native, cli, sampler, summaries
 from combwalks.graphs import build_graph
 from combwalks.oracle import (meeting_expectation_series,
                               per_site_collision_series,
                               return_probability_series)
-from combwalks.sampler import (PairTrajectorySummary, RecordPolicy,
-                               SummaryBlock, read_summaries, run_ensemble,
-                               write_summaries)
+from combwalks.sampler import RecordPolicy, run_ensemble
 from combwalks.stats import SchemaError
-from test_sampler import assert_blocks_equal
+from combwalks.summaries import (PairTrajectorySummary, SummaryBlock,
+                                 read_summaries, write_summaries)
+from test_sampler import assert_blocks_equal, to_json
 
 # spec, method, n_steps, replicas, seed, record[, start]
 CASES = {
@@ -83,9 +84,13 @@ DIGESTS = {
 
 @functools.lru_cache(maxsize=None)
 def _jsonl(spec, method, n_steps, replicas, seed, record, start=None):
+    """A case's block and the bytes ``write_summaries`` writes for it."""
     out = run_ensemble(build_graph(spec), start, n_steps, replicas, seed=seed,
                        record=record, method=method)
-    return out, "".join(s.to_json() + "\n" for s in out).encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        write_summaries(os.path.join(tmp, "runs.jsonl"), out)
+        with open(os.path.join(tmp, "runs.jsonl"), "rb") as fh:
+            return out, fh.read()
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -97,26 +102,8 @@ def test_jsonl_bytes_are_pinned(name):
     assert hashlib.sha256(data).hexdigest() == DIGESTS[name]
 
 
-def _reference_line(s):
-    """A summary's line as ``json.dumps`` wrote it from the dict form the
-    summaries had before they kept their meetings as columns: the
-    reference the direct writer must match byte for byte."""
-    d = {
-        "replica": s.replica,
-        "T": s.n_steps,
-        "meetings": s.meetings,
-        "collisions": [{"n": n, "vertex": list(v), "l": l}
-                       for n, v, l in zip(s.times, s.vertices, s.heights)],
-        "checkpoints": [{"t": t, "meetings": m} for t, m in s.checkpoints],
-        "final": {"x": list(s.final_x), "y": list(s.final_y)},
-        "max_tooth": {"x": s.max_tooth_x, "y": s.max_tooth_y},
-        "method": s.method,
-    }
-    d.update(s.extras)
-    return json.dumps(d, sort_keys=True, separators=(",", ":"))
-
-
-# what the direct writer must get right besides the sampler's common lines
+# what the writer must get right besides the sampler's common lines, and
+# a method and extras it refuses
 EDGE_SUMMARY = PairTrajectorySummary(
     replica=3, n_steps=40, meetings=2, times=[7, 31],
     vertices=[[-2, 0, -5], [-1, 4, 4]], heights=[-5, 4],
@@ -134,11 +121,11 @@ EMPTY_SUMMARY = PairTrajectorySummary(
 @pytest.mark.parametrize("name", list(CASES))
 def test_jsonl_round_trips_and_equals_the_reference_writer(name, tmp_path):
     out, data = _jsonl(*CASES[name])
-    assert data.decode() == "".join(_reference_line(s) + "\n" for s in out)
+    assert data.decode() == "".join(to_json(s) + "\n" for s in out)
     path = str(tmp_path / "runs.jsonl")
     write_summaries(path, out)
     back = read_summaries(path)
-    assert "".join(s.to_json() + "\n" for s in back).encode() == data
+    assert "".join(to_json(s) + "\n" for s in back).encode() == data
     assert [(s.times, s.vertices, s.heights) for s in back] == \
         [(s.times, s.vertices, s.heights) for s in out]
 
@@ -152,16 +139,53 @@ def test_round_trip_cases_cover_the_writer(tmp_path):
     assert any(isinstance(a, float) for s in sums
                for a in s.extras.get("lil", {}).get("alphas", ()))
     assert {k for s in sums for k in s.extras} == {"lil", "spine"}
-    for s in (EDGE_SUMMARY, EMPTY_SUMMARY):
-        assert s.to_json() == _reference_line(s)
-    path = str(tmp_path / "edge.jsonl")
-    write_summaries(path, [EDGE_SUMMARY, EMPTY_SUMMARY])
-    assert [s.to_json() for s in read_summaries(path)] == \
-        [_reference_line(EDGE_SUMMARY), _reference_line(EMPTY_SUMMARY)]
+    # the edge's lil extra on a selfloop line, and no meeting at all
+    edge = dataclasses.replace(EDGE_SUMMARY, method="selfloop",
+                               extras={"lil": EDGE_SUMMARY.extras["lil"]})
+    path = tmp_path / "edge.jsonl"
+    write_summaries(str(path), [edge, EMPTY_SUMMARY])
+    want = [to_json(edge), to_json(EMPTY_SUMMARY)]
+    assert path.read_text() == "".join(line + "\n" for line in want)
+    assert [to_json(s) for s in read_summaries(str(path))] == want
+    # a method or an extra the template does not name is refused, before
+    # the file is opened
+    for odd in (EDGE_SUMMARY, dataclasses.replace(edge, method="clock"),
+                dataclasses.replace(edge, extras=EDGE_SUMMARY.extras)):
+        with pytest.raises(ValueError, match="template"):
+            write_summaries(str(tmp_path / "odd.jsonl"), [odd])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["edge.jsonl"]
 
 
-# graphs whose direct blocks without extras the compiled printer writes,
-# and the seed of each
+# extras of the template's keys but of a shape the reader refuses, which
+# the writer refuses too
+MALFORMED_EXTRAS = {
+    "fewer alphas than times": {"lil": {"alphas": [0.75], "times": [[], []]}},
+    "an alpha true": {"lil": {"alphas": [True], "times": [[]]}},
+    "a times list not a list": {"lil": {"alphas": [0.75], "times": [5]}},
+    "a time not a number": {"lil": {"alphas": [0.75], "times": [["x"]]}},
+    "a time past int64": {"lil": {"alphas": [0.75], "times": [[2 ** 63]]}},
+    "spine stride 0": {"spine": {"stride": 0, "x": [], "y": []}},
+    "spine x longer than y": {"spine": {"stride": 1, "x": [1], "y": []}},
+    "spine without y": {"spine": {"stride": 1, "x": []}},
+}
+
+
+@pytest.mark.parametrize("defect", list(MALFORMED_EXTRAS))
+def test_writer_refuses_extras_the_reader_refuses(defect, tmp_path):
+    odd = dataclasses.replace(EMPTY_SUMMARY, replica=5,
+                              extras=MALFORMED_EXTRAS[defect])
+    path = tmp_path / "runs.jsonl"
+    with pytest.raises(ValueError, match="replica 5: the template cannot"):
+        write_summaries(str(path), [EMPTY_SUMMARY, odd])
+    assert not path.exists()
+    # the line as json writes it is refused on the way in
+    path.write_text(to_json(odd) + "\n")
+    with pytest.raises(SchemaError, match=":1: malformed summary"):
+        read_summaries(str(path))
+
+
+# graphs whose direct blocks without extras the printer writes, and the
+# seed of each
 PRINTED = {"comb:line": 11, "comb2:line": 13, "line": 16, "grid2d": 14,
            "comb:cycle:4": 12, "star:3": 15, "biased-ladder": 5}
 
@@ -171,7 +195,7 @@ def _direct(s, **changes):
     return dataclasses.replace(s, method="direct", extras={}, **changes)
 
 
-# ints at int64's edges; the scanner leaves those of 19 digits to json
+# ints at int64's edges, of 19 digits too, which the scanner reads
 INT64_EDGES = _direct(
     EDGE_SUMMARY, replica=2 ** 63 - 1, n_steps=1234567890123456789,
     meetings=-2 ** 63, times=[-2 ** 63, 10 ** 18],
@@ -186,11 +210,13 @@ NEVER_MET = [dataclasses.replace(
 @functools.lru_cache(maxsize=None)
 def _printer_case(name):
     """A block the writer is given, and whether it is printed (True) or
-    written through ``to_json``; or views no block takes (None)."""
+    refused (False); or views no block takes (None)."""
     if name in PRINTED:
         return run_ensemble(build_graph(name), None, 1000, 8,
                             seed=PRINTED[name]), True
     of, selfloop = SummaryBlock.of, _jsonl(*CASES["comb:cycle:4-selfloop"])[0]
+    lil, spine = (_jsonl(*CASES[case])[0] for case in (
+        "comb:line", "biased-ladder"))
     return {
         "never met": (of(NEVER_MET), True),
         "no pairs": (of([]), True),
@@ -200,20 +226,32 @@ def _printer_case(name):
             [1, 2, 3], [4]]),), None),
         "finals of two lengths": ((_direct(EMPTY_SUMMARY, final_x=(
             0, 1)),), None),
-        "selfloop": (selfloop, False),
-        "lil": (_jsonl(*CASES["comb:line"])[0], False),
-        "spine": (_jsonl(*CASES["biased-ladder"])[0], False),
+        "selfloop": (selfloop, True),
+        "lil": (lil, True),
+        "spine": (spine, True),
         "one method not direct": (of([*NEVER_MET[:2], dataclasses.replace(
-            NEVER_MET[2], method="selfloop")]), False),
-        "mixed": (SummaryBlock.concat([_printer_case("line")[0], selfloop,
-                                       _printer_case("comb2:line")[0]]),
-                  False),
+            NEVER_MET[2], method="selfloop")]), True),
+        "mixed": (SummaryBlock.concat([
+            _printer_case("line")[0], selfloop, lil, spine, of(NEVER_MET),
+            _printer_case("comb2:line")[0]]), True),
+        # each line copies more alpha bytes than its ints could print
+        "alphas longer than a line's ints": (of([dataclasses.replace(
+            NEVER_MET[r % 3], replica=r, extras={"lil": {
+                "alphas": [10 ** 3000], "times": [[]]}}) for r in range(64)]),
+            True),
+        "a method the template does not name": (of([dataclasses.replace(
+            NEVER_MET[0], method="clock")]), False),
+        "an extra it does not know": (of([dataclasses.replace(
+            NEVER_MET[0], extras={"k_trace": []})]), False),
     }[name]
 
 
 PRINTER_CASES = [*PRINTED, "never met", "no pairs", "int64 edges",
                  "vertex lengths vary", "finals of two lengths", "selfloop",
-                 "lil", "spine", "one method not direct", "mixed"]
+                 "lil", "spine", "one method not direct", "mixed",
+                 "alphas longer than a line's ints",
+                 "a method the template does not name",
+                 "an extra it does not know"]
 
 
 # with windows of 64 bytes (8 ints) every line is a window alone
@@ -226,28 +264,32 @@ def test_printer_writes_the_bytes_of_to_json(name, scratch, tmp_path,
         with pytest.raises(ValueError, match="vertices and finals of two lengths"):
             SummaryBlock.of(block)
         return
-    want = "".join(s.to_json() + "\n" for s in block).encode()
     if scratch:
-        monkeypatch.setattr(sampler, "SCRATCH", scratch)
-    taken, real = [], sampler._printed
-    monkeypatch.setattr(sampler, "_printed",
-                        lambda *args: taken.append(real(*args)) or taken[-1])
+        monkeypatch.setattr(summaries, "SCRATCH", scratch)
     path = tmp_path / "runs.jsonl"
+    if not printed:
+        with pytest.raises(ValueError, match="template"):
+            write_summaries(str(path), block)
+        assert not path.exists()
+        return
+    want = "".join(to_json(s) + "\n" for s in block).encode()
     write_summaries(str(path), block)
     assert path.read_bytes() == want
-    assert [t is not None for t in taken] == [printed]
-    assert [s.to_json() for s in read_summaries(str(path))] == \
-        [s.to_json() for s in block]
-    # a plain list of views, and every block without the library, go
-    # through to_json
+    # the scanner reads every line back, none through json
+    back, fallbacks = _read(path, monkeypatch)
+    assert fallbacks == 0 and [to_json(s) for s in back] == [
+        to_json(s) for s in block]
+    # a plain list of views is gathered into a block; without the library
+    # the writer refuses, and leaves the file as it was
     write_summaries(str(path), list(block))
-    assert path.read_bytes() == want and len(taken) == 1
+    assert path.read_bytes() == want
 
     def no_library():
         raise _native.BuildError("no compiler")
     monkeypatch.setattr(_native, "library", no_library)
-    write_summaries(str(path), block)
-    assert path.read_bytes() == want and len(taken) == 1
+    with pytest.raises(_native.BuildError):
+        write_summaries(str(path), block)
+    assert path.read_bytes() == want
 
 
 def test_printer_cases_cover_the_template():
@@ -258,14 +300,16 @@ def test_printer_cases_cover_the_template():
     assert min(b.coords.min() for b in blocks) < 0
     # star:3's 8 lines take more than one window
     lib = _native.library()
-    assert len([*sampler._printed(_printer_case("star:3")[0],
+    assert len([*summaries._printed(_printer_case("star:3")[0],
                                   lib.jsonl_print)]) > 1
+    # FORM names each construction a block runs, in _METHODS' order
+    assert [*summaries._METHODS] == [*sampler._ROLES]
     ints = SummaryBlock.of([INT64_EDGES]).coords.tolist()
     assert {-2 ** 63, 2 ** 63 - 1} <= {*ints}
     assert len(str(INT64_EDGES.n_steps)) == 19
 
 
-_summary = sampler._summary
+_summary = summaries._summary
 
 
 def _json_lines(path):
@@ -280,24 +324,19 @@ def _read(path, monkeypatch):
     """``read_summaries(path)`` and how many of its lines went through
     ``json`` rather than the compiled scanner."""
     fallbacks = []
-    monkeypatch.setattr(sampler, "_summary",
+    monkeypatch.setattr(summaries, "_summary",
                         lambda d: fallbacks.append(d) or _summary(d))
     return read_summaries(str(path)), len(fallbacks)
 
 
-# the cases whose lines carry extras (lil, spine) or are not direct, read
-# through json
-EXTRAS = {"comb:line", "comb:cycle:4-selfloop", "comb:cycle:2-selfloop",
-          "biased-ladder", "biased-ladder-midpoint"}
-
-
+# every case's lines, selfloop, lil and spine ones too, are scanned
 @pytest.mark.parametrize("name", list(CASES))
 def test_reader_equals_json_line_by_line(name, tmp_path, monkeypatch):
     path = tmp_path / "runs.jsonl"
     path.write_bytes(_jsonl(*CASES[name])[1])
     back, fallbacks = _read(path, monkeypatch)
     assert list(back) == _json_lines(path)
-    assert fallbacks == (len(back) if name in EXTRAS else 0)
+    assert fallbacks == 0
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -361,12 +400,12 @@ def _hand_edited(kind):
         lines[i] = lines[i].replace('"vertex":[', '"vertex":[7,', 1)
         lines[5] = lines[5].replace('"y":[', '"y":[7,', 1)
         return "\n".join(lines) + "\n"
-    long = PairTrajectorySummary(
+    long = to_json(PairTrajectorySummary(
         replica=8, n_steps=9000, meetings=6000, times=list(range(6000)),
         vertices=[[i, -i] for i in range(6000)], heights=[-i for i in range(
             6000)], checkpoints=[(9000, 6000)], final_x=(1, 2), final_y=(3, 4),
-        max_tooth_x=9000, max_tooth_y=9000).to_json()
-    assert len(long) > sampler.SCRATCH
+        max_tooth_x=9000, max_tooth_y=9000))
+    assert len(long) > summaries.SCRATCH
     return "\n".join(lines[:3] + [long] + lines[3:]) + "\n"
 
 
@@ -381,7 +420,7 @@ def _refuses_uneven_lines(path, monkeypatch):
 
     def no_library():
         raise _native.BuildError("no compiler")
-    monkeypatch.setattr(sampler, "_summary",
+    monkeypatch.setattr(summaries, "_summary",
                         lambda d: fallbacks.append(d) or _summary(d))
     for k in (1, 6):
         path.write_text("".join(good[:k - 1] + edited[k - 1:]))
@@ -395,6 +434,54 @@ def _refuses_uneven_lines(path, monkeypatch):
             assert len(fallbacks) == through_json
 
 
+# lines in the writer's own form but for one defect that ``_summary``
+# refuses: case, what the defect replaces in its second line, and with what
+SCANNER_DEFECTS = {
+    "alphas not numbers": ("comb:line", '"alphas":[0.75,1.25]',
+                           '"alphas":[0.75,,1.25]'),
+    "an alpha with a leading zero": ("comb:line", '"alphas":[0.75,1.25]',
+                                     '"alphas":[0.75,01.25]'),
+    "an alpha true": ("comb:line", '"alphas":[0.75,1.25]',
+                      '"alphas":[0.75,true]'),
+    "fewer alphas than times": ("comb:line", '"alphas":[0.75,1.25]',
+                                '"alphas":[0.75]'),
+    "spine stride 0": ("biased-ladder", '"stride":64,', '"stride":0,'),
+    "spine x longer than y": ("biased-ladder", '"stride":64,"x":[',
+                              '"stride":64,"x":[5,'),
+    "T past int64": ("comb2:line", '"T":1000,', '"T":9223372036854775808,'),
+    "T below int64": ("comb2:line", '"T":1000,', '"T":-9223372036854775809,'),
+    "T of 20 digits": ("comb2:line", '"T":1000,', '"T":10000000000000001000,'),
+}
+
+
+@pytest.mark.parametrize("defect", list(SCANNER_DEFECTS))
+def test_scanner_leaves_what_summary_refuses_to_json(defect, tmp_path):
+    # the scanner takes no line that json and _summary refuse: each is
+    # refused by its file line, as through json alone
+    case, old, new = SCANNER_DEFECTS[defect]
+    lines = _jsonl(*CASES[case])[1].decode().splitlines(True)
+    assert old in lines[1]
+    lines[1] = lines[1].replace(old, new, 1)
+    path = tmp_path / "runs.jsonl"
+    path.write_text("".join(lines))
+    with pytest.raises(SchemaError, match=re.escape(
+            f"{path}:2: malformed summary: ")):
+        read_summaries(str(path))
+
+
+# none of FORM's methods, and two of them at once
+@pytest.mark.parametrize("method", ["clock", "", "directselfloop"])
+def test_reader_takes_a_method_the_template_does_not_name(method, tmp_path,
+                                                         monkeypatch):
+    lines = _jsonl(*CASES["comb2:line"])[1].decode().splitlines(True)
+    lines[3] = lines[3].replace('"method":"direct"', f'"method":"{method}"')
+    path = tmp_path / "runs.jsonl"
+    path.write_text("".join(lines))
+    back, fallbacks = _read(path, monkeypatch)
+    assert fallbacks == 1 and list(back) == _json_lines(path)
+    assert back.method.tolist() == ["direct"] * 3 + [method] + ["direct"] * 4
+
+
 # with windows of 64 bytes, shorter than any line, each window is one line
 @pytest.mark.parametrize("scratch", [None, 64])
 @pytest.mark.parametrize("kind", [
@@ -406,7 +493,7 @@ def test_reader_equals_json_on_hand_edited_lines(kind, scratch, tmp_path,
     path = tmp_path / "runs.jsonl"
     path.write_bytes(_hand_edited(kind).encode())
     if scratch:
-        monkeypatch.setattr(sampler, "SCRATCH", scratch)
+        monkeypatch.setattr(summaries, "SCRATCH", scratch)
     if kind == "uneven vertices, finals":
         _refuses_uneven_lines(path, monkeypatch)
         return
@@ -416,16 +503,17 @@ def test_reader_equals_json_on_hand_edited_lines(kind, scratch, tmp_path,
                          "a line longer than the window": 9,
                          "k_trace, as written before it went": 2}.get(kind, 8)
     assert fallbacks == {"spaces, key order": 4, "crlf, lone cr": 8,
-                         "ints at int64's edge, -0": 2,
                          "k_trace, as written before it went": 2}.get(kind, 0)
     if kind == "k_trace, as written before it went":
-        # an ordinary extra: the file rewrites byte for byte, today's run
-        # writes its lines without it, and `stats --report growth` takes
-        # both files at once and writes the same rows for each
+        # an ordinary extra on the way in, which the writer, printing what
+        # the sampler records, refuses; today's run writes its lines
+        # without it, and `stats --report growth` takes both files at once
+        # and writes the same rows for each
         assert all("k_trace" in s.extras for s in back)
         again, new = tmp_path / "again.jsonl", tmp_path / "new.jsonl"
-        write_summaries(str(again), back)
-        assert again.read_bytes() == path.read_bytes()
+        with pytest.raises(ValueError, match="template cannot print"):
+            write_summaries(str(again), back)
+        assert not again.exists()
         write_summaries(str(new), run_ensemble(
             build_graph("comb:cycle:4"), None, 8, 2, seed=9,
             method="selfloop"))

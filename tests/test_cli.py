@@ -867,6 +867,47 @@ def test_malformed_summary_line_counts_across_read_windows(tmp_path, capsys):
     assert f"{path}:{lines}: malformed summary" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--report", "grid", "--r-range", "1:2"],
+    ["--report", "growth", "--checkpoints", "16,8,8"],
+    ["--report", "lil", "--alpha", "0.5"]],
+    ids=["grid-no-k-range", "growth-checkpoints", "lil-alpha"])
+def test_stats_checks_its_flags_before_it_reads(tmp_path, capsys, flags):
+    # a malformed input would exit 4; the bad flag is found first
+    from combwalks import cli
+    path = tmp_path / "runs.jsonl"
+    path.write_text("{not json\n")
+    rc = cli.main(["stats", *flags, "--inputs", str(path),
+                   "--out", str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("config error: ")
+    assert "Traceback" not in err and not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("report", ["grid", "lil", "drift"])
+def test_stats_refuses_a_replica_in_two_inputs(tmp_path, capsys, report):
+    # one 4-pair file under two names would count each pair twice; growth
+    # writes a block of rows per input and takes them
+    from combwalks import cli
+    runs, again = tmp_path / "runs.jsonl", tmp_path / "again.jsonl"
+    graph = ["--graph", "biased-ladder", "--spine-stride", "4"] if (
+        report == "drift") else ["--graph", "comb:line", "--lil-alphas", "0.75"]
+    assert cli.main(["simulate", *graph, "--steps", "64", "--replicas", "4",
+                     "--seed", "1", "--workers", "1", "--out", str(runs)]) == 0
+    again.write_bytes(runs.read_bytes())
+    capsys.readouterr()                    # simulate's run line
+    flags = ["--r-range", "1:2", "--k-range", "0:1"] if report == "grid" else []
+    out = tmp_path / "out.csv"
+    rc = cli.main(["stats", "--report", report, *flags, "--inputs", str(runs),
+                   str(again), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 4 and err.startswith("schema mismatch: ")
+    assert f"{runs} and {again}" in err and "repeat replica 0" in err
+    assert not out.exists()
+    assert cli.main(["stats", "--report", "growth", "--inputs", str(runs),
+                     str(again), "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("empty", [False, True], ids=["runs", "empty"])
 @pytest.mark.parametrize("cells", [["--r-range=-3:2", "--k-range=1:2"],
                                    ["--r-range=1:2", "--k-range=-1:2"]])

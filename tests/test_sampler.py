@@ -14,6 +14,7 @@ import subprocess
 import sysconfig
 import tempfile
 import tracemalloc
+import types
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -21,17 +22,31 @@ import pytest
 from scipy import stats as sps
 
 import combwalks.sampler as sampler
-from combwalks import _native
+from combwalks import _native, summaries
 from combwalks.graphs import GraphError, build_graph
 from combwalks.oracle import (meeting_expectation_series,
                               per_site_collision_series, transition_vector)
 from combwalks.rng import BOOT, RngStream, X_HOLD, X_MAIN, X_SKEL, Y_MAIN
 from combwalks.sampler import (RecordPolicy, SimulationError,
                                clock_dichotomy_violations, dyadic_checkpoints,
-                               geometric_clock_path, read_summaries,
-                               run_ensemble, run_pair, sample_marginal,
-                               write_summaries)
+                               geometric_clock_path, run_ensemble, run_pair,
+                               sample_marginal)
 from combwalks.stats import lil_threshold
+from combwalks.summaries import read_summaries, write_summaries
+
+
+def to_json(s):
+    """A summary's line as ``json.dumps`` writes its JSON object, keys
+    sorted and no whitespace: the reference writer whose bytes
+    ``write_summaries`` prints."""
+    d = {"replica": s.replica, "T": s.n_steps, "meetings": s.meetings,
+         "collisions": [{"n": n, "vertex": list(v), "l": l}
+                        for n, v, l in zip(s.times, s.vertices, s.heights)],
+         "checkpoints": [{"t": t, "meetings": m} for t, m in s.checkpoints],
+         "final": {"x": list(s.final_x), "y": list(s.final_y)},
+         "max_tooth": {"x": s.max_tooth_x, "y": s.max_tooth_y},
+         "method": s.method, **s.extras}
+    return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
 
 def test_dyadic_checkpoints():
@@ -62,15 +77,15 @@ def test_run_pair_reproducible():
     g = build_graph("comb:cycle:4")
     a = run_pair(g, n_steps=800, seed=2, replica=1)
     b = run_pair(g, n_steps=800, seed=2, replica=1)
-    assert a.to_json() == b.to_json()
+    assert to_json(a) == to_json(b)
 
 
 def test_run_pair_other_stream_ids():
     # the defaults are seed 0, replica 0
     g = build_graph("comb:line")
     default = run_pair(g, n_steps=300)
-    assert default.to_json() == run_pair(
-        g, n_steps=300, seed=0, replica=0).to_json()
+    assert to_json(default) == to_json(run_pair(
+        g, n_steps=300, seed=0, replica=0))
     # replica 2 of seed 6 is the reference walk of that replica's own X and
     # Y main streams, and differs from the default pair
     s = run_pair(g, n_steps=300, seed=6, replica=2,
@@ -127,7 +142,7 @@ def test_run_pair_is_that_replica_of_run_ensemble(method):
                            record=record, method=method)
         pair = run_pair(g, start, 300, seed=12, replica=r, record=record,
                         method=method)
-        assert pair.to_json() == ens[r].to_json()
+        assert to_json(pair) == to_json(ens[r])
         assert pair.meetings > 0
 
 
@@ -145,7 +160,7 @@ def test_ensemble_is_replica_ordered_and_matches_run_pair():
     assert [s.replica for s in ens] == [0, 1, 2]
     for r, s in enumerate(ens):
         lone = run_pair(g, n_steps=300, seed=9, replica=r)
-        assert s.to_json() == lone.to_json()
+        assert to_json(s) == to_json(lone)
 
 
 @pytest.mark.parametrize("spec, method, record", [
@@ -163,7 +178,7 @@ def test_worker_count_does_not_change_results(monkeypatch, spec, method,
                        record=record, method=method)
     three = run_ensemble(g, n_steps=400, replicas=10, seed=13, workers=3,
                          record=record, method=method)
-    assert [s.to_json() for s in one] == [s.to_json() for s in three]
+    assert [to_json(s) for s in one] == [to_json(s) for s in three]
 
 
 def test_pooled_block_equals_the_serial_block_column_for_column():
@@ -200,7 +215,7 @@ def test_pool_starts_no_more_workers_than_blocks(monkeypatch):
     pooled = run_ensemble(g, n_steps=64, replicas=10, seed=5,
                           workers=100_000)
     assert sizes == [3]                        # blocks of 4, 4 and 2 pairs
-    assert [s.to_json() for s in pooled] == [s.to_json() for s in serial]
+    assert [to_json(s) for s in pooled] == [to_json(s) for s in serial]
 
 
 @pytest.mark.parametrize("d", [0, 0.5])
@@ -218,6 +233,10 @@ def test_ensemble_rejects_bad_args():
     with pytest.raises(ValueError):
         run_ensemble(g, n_steps=10, replicas=2,
                      record=RecordPolicy(checkpoints=(5, 2)))
+    # a grid past the horizon records nothing: refused, as the CLI does
+    for entry in (run_ensemble, run_pair):
+        with pytest.raises(ValueError, match=r"rise within 1\.\.10"):
+            entry(g, n_steps=10, record=RecordPolicy(checkpoints=(8, 20)))
 
 
 @pytest.mark.parametrize("call", [
@@ -269,7 +288,7 @@ def test_numpy_numbers_record_as_python_numbers():
     def lines(i, f):
         record = RecordPolicy(checkpoints=(i(8), i(64)), spine_stride=i(3),
                               lil_alphas=(f(0.8),))
-        return [s.to_json() for s in run_ensemble(
+        return [to_json(s) for s in run_ensemble(
             build_graph("biased-ladder"), n_steps=100, replicas=2, seed=3,
             record=record)]
     assert lines(np.int64, np.float64) == lines(int, float)
@@ -1351,28 +1370,36 @@ def test_jsonl_round_trip(tmp_path):
     path = tmp_path / "runs.jsonl"
     write_summaries(path, out)
     back = read_summaries(path)
-    assert [s.to_json() for s in back] == [s.to_json() for s in out]
+    assert [to_json(s) for s in back] == [to_json(s) for s in out]
     assert back[2].extras["lil"]["alphas"] == [0.75]
 
 
-def test_failed_write_keeps_previous_summaries(tmp_path):
+def test_failed_write_keeps_previous_summaries(tmp_path, monkeypatch):
     out = run_ensemble(build_graph("comb:line"), n_steps=50, replicas=3,
                        seed=2)
     path = tmp_path / "runs.jsonl"
     write_summaries(path, out)
     before = path.read_bytes()
-    assert before == "".join(s.to_json() + "\n" for s in out).encode()
+    assert before == "".join(to_json(s) + "\n" for s in out).encode()
 
-    class Broken:
-        def to_json(self):
+    windows, real = [], _native.library().jsonl_print
+
+    def killed_in_the_second_window(*args):
+        windows.append(args)
+        if len(windows) > 1:
             raise RuntimeError("killed mid-write")
+        return real(*args)
 
-    with pytest.raises(RuntimeError, match="mid-write"):
-        write_summaries(path, list(out)[:2] + [Broken()])
+    with monkeypatch.context() as m:
+        m.setattr(summaries, "SCRATCH", 64)   # a window a line
+        m.setattr(_native, "library", lambda: types.SimpleNamespace(
+            jsonl_print=killed_in_the_second_window))
+        with pytest.raises(RuntimeError, match="mid-write"):
+            write_summaries(path, out)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["runs.jsonl"]
     write_summaries(path, list(out)[:1])
-    assert path.read_text() == out[0].to_json() + "\n"
+    assert path.read_text() == to_json(out[0]) + "\n"
     # a symlink is written through, in place, as a device or pipe would be
     link = tmp_path / "link.jsonl"
     link.symlink_to(path)
@@ -1438,7 +1465,7 @@ def _window_probe():
     ]
     out = []
     for spec, start, method, n_steps, record in settings:
-        out.extend(s.to_json() for s in run_ensemble(
+        out.extend(to_json(s) for s in run_ensemble(
             build_graph(spec), start, n_steps, replicas=4, seed=7,
             record=record, method=method))
     with pytest.raises(SimulationError) as exc:
@@ -1472,7 +1499,7 @@ def test_chunk_length_does_not_change_output(monkeypatch):
     ]
 
     def probe():
-        return [[s.to_json() for s in run_ensemble(
+        return [[to_json(s) for s in run_ensemble(
             build_graph(spec), n_steps=n_steps, replicas=3, seed=31,
             record=record, method=method)]
             for spec, method, n_steps, record in settings]

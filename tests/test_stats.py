@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from combwalks.graphs import build_graph
-from combwalks.sampler import (PairTrajectorySummary, RecordPolicy,
-                               SummaryBlock, run_ensemble)
+from combwalks.sampler import RecordPolicy, run_ensemble
 from combwalks.stats import (DriftEstimate, SchemaError, StatsError,
                              conditional_W, drift_estimate,
                              dyadic_collision_stats, estimate_exponent,
                              lil_envelope_check, lil_threshold,
                              meeting_growth_curve, _line_fit)
+from combwalks.summaries import PairTrajectorySummary, SummaryBlock
 
 
 def synth(replica, records, T=1024, extras=None, checkpoints=None):
@@ -259,6 +259,10 @@ def test_growth_curve_synthetic():
     assert sub.mean_meetings == (1.0,)
     with pytest.raises(StatsError):
         meeting_growth_curve(sums, checkpoints=[5])
+    # a grid that does not rise strictly from 1: the sampler's own rule
+    for grid in ([16, 4, 4], [16, 4], [4, 4], [0, 4]):
+        with pytest.raises(ValueError, match="checkpoints must rise"):
+            meeting_growth_curve(sums, checkpoints=grid)
     with pytest.raises(StatsError):
         meeting_growth_curve([])
     assert meeting_growth_curve(list(sums)) == g
