@@ -4,11 +4,12 @@ time-major, a row per step) and ``observe`` (a window's meetings and
 depths); where the CPU reports AVX-512F, DQ and VL they run AVX-512 builds
 (the first two hand-written, 16 streams or 8 walkers per vector;
 ``observe`` the compiler's vectorization of its one loop), with the same
-bytes; ``csr_rows`` and ``csr_scatter`` (the oracle's step, flushing values
-below 2^-1022 to 0, and its CSR); ``jsonl_scan`` and ``jsonl_print``
-(every summary line the sampler writes into int columns and back, one
-template for both).  Built on first use, cached by source, loaded by
-ctypes."""
+bytes; ``seed_keys`` (the streams' Philox keys: numpy's SeedSequence hash,
+every replica in one call); ``csr_rows`` and ``csr_scatter`` (the oracle's
+step, flushing values below 2^-1022 to 0, and its CSR); ``jsonl_scan``
+and ``jsonl_print`` (every summary line the sampler writes into int
+columns and back, one template for both).  Built on first use, cached by
+source, loaded by ctypes."""
 
 import contextlib
 import ctypes
@@ -200,6 +201,50 @@ void philox_fill(const uint64_t *keys, int64_t n, int64_t start, int64_t len,
                 if (shift) ((int64_t *)out)[q * ld + j] = c[q - i] >> shift;
                 else ((double *)out)[q * ld + j] = (c[q - i] >> 11) * 0x1p-53;
         }
+}
+
+/* numpy's SeedSequence hashmix, its constant *hc advanced by mult */
+static uint32_t hashmix(uint32_t v, uint32_t *hc, uint32_t mult)
+{
+    v ^= *hc, *hc *= mult, v *= *hc;
+    return v ^ v >> 16;
+}
+
+/* SeedSequence's mix of word w, hashed, into each pool word but skip's */
+static void absorb(uint32_t *pool, uint32_t w, uint32_t *hc, int64_t skip)
+{
+    for (int d = 0; d < 4; d++)
+        if (d != skip) {
+            const uint32_t v = 0xCA01F9DDu * pool[d]
+                - 0x4973F715u * hashmix(w, hc, 0x931E8875u);
+            pool[d] = v ^ v >> 16;
+        }
+}
+
+/* numpy's SeedSequence(seed, spawn_key=(r[j], stream)).generate_state(2,
+   np.uint64) in keys[2j], keys[2j + 1], j < n: its pool of 4 words hashes
+   the entropy words, low first: the ns words of seed, padded with 0 to the
+   pool, r[j]'s one word or two, and the nt words of stream.  The pool
+   after the seed's words is the same for every j */
+void seed_keys(const uint32_t *seed, int64_t ns, const uint64_t *r, int64_t n,
+               const uint32_t *stream, int64_t nt, uint64_t *keys)
+{
+    uint32_t pool[4], hc = 0x43B0D7E5u;
+    for (int d = 0; d < 4; d++)
+        pool[d] = hashmix(d < ns ? seed[d] : 0, &hc, 0x931E8875u);
+    for (int64_t i = 0; i < 4 || i < ns; i++)   /* the pool, then the rest */
+        absorb(pool, i < 4 ? pool[i] : seed[i], &hc, i);
+    for (int64_t j = 0; j < n; j++) {
+        uint32_t p[4], h = hc, g = 0x8B51F9DDu;
+        memcpy(p, pool, sizeof p);
+        for (int64_t i = 0, nr = 1 + (r[j] >> 32 > 0); i < nr + nt; i++)
+            absorb(p, i < nr ? (uint32_t)(r[j] >> 32 * i) : stream[i - nr],
+                   &h, 4);
+        for (int d = 0; d < 4; d++)
+            p[d] = hashmix(p[d], &g, 0x58F38DEDu);
+        keys[2 * j] = p[0] | (uint64_t)p[1] << 32;
+        keys[2 * j + 1] = p[2] | (uint64_t)p[3] << 32;
+    }
 }
 
 /* `_CombKernel` steps: row i + 1 of `pos` from row i and from row i of the
@@ -479,13 +524,15 @@ def library():
             lib = ctypes.CDLL(_library_path(_SOURCE, tmp))
     p, i = ctypes.c_void_p, ctypes.c_int64
     lib.philox_fill.argtypes = [p, i, i, i, p, i, i]
+    lib.seed_keys.argtypes = [p, i, p, i, p, i, p]
     lib.comb_step.argtypes = [p, p, i, p, i, i, i, i, i]
     lib.observe.argtypes = [p, i, i, i, p, p, p, i]
     lib.csr_rows.argtypes = [p, p, p, p, p, p, i, i]
     lib.csr_scatter.argtypes = [p, p, i, p, p]
     lib.jsonl_scan.argtypes = [p, i, p, p]
     lib.jsonl_print.argtypes = [p, p, i, p, p]
-    lib.philox_fill.restype = lib.comb_step.restype = None
+    lib.philox_fill.restype = lib.seed_keys.restype = None
+    lib.comb_step.restype = None
     lib.csr_scatter.restype = lib.jsonl_scan.restype = None
     lib.observe.restype = lib.jsonl_print.restype = i
     lib.csr_rows.restype = ctypes.c_double

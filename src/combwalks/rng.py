@@ -21,8 +21,9 @@ component processes of the decomposed constructions never share a stream:
 The ``generator`` of ``RngStream(seed, r, stream)`` defines a stream:
 Philox keyed by ``SeedSequence(seed, spawn_key=(r, stream))``, counter 0.
 Nothing in the package builds one: ``stream_keys`` hashes many replicas'
-keys in one numpy pass, and ``fill`` draws all their streams in one call
-of the compiled Philox4x64-10, the package's one copy of the cipher.
+keys in one call of the compiled ``seed_keys``, and ``fill`` draws all
+their streams in one call of the compiled Philox4x64-10, the package's one
+copy of the cipher.  Both need the library (``_native.BuildError``).
 """
 
 from __future__ import annotations
@@ -57,73 +58,33 @@ class RngStream:
         return Generator(Philox(seq))
 
 
-# numpy's SeedSequence hash, pool of 4 words, run on uint32 columns
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43b0d7e5, 0x931e8875, 0x8b51f9dd, 0x58f38ded
-_MIX_L, _MIX_R, _POOL, _M32 = 0xca01f9dd, 0x4973f715, 4, 0xFFFFFFFF
-
-
-def _hasher(hc, mult):
-    """numpy's ``hashmix``: its constant advances with every call."""
-    def hashmix(v):
-        nonlocal hc
-        v = v ^ np.uint32(hc)
-        hc = hc * mult & _M32
-        v = v * np.uint32(hc)
-        return v ^ v >> np.uint32(16)
-    return hashmix
-
-
-def _mix(x, y):
-    r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-    return r ^ r >> np.uint32(16)
-
-
-def _hash(entropy):
-    """``generate_state(2, np.uint64)`` of the SeedSequence of each column
-    of the uint32 rows ``entropy``, all columns in one pass."""
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(w) for w in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in entropy[_POOL:]:
-        pool = [_mix(p, hashmix(w)) for p in pool]
-    s = [v.astype(np.uint64) for v in map(_hasher(_INIT_B, _MULT_B), pool)]
-    return np.stack([s[0] | s[1] << np.uint64(32),
-                     s[2] | s[3] << np.uint64(32)], axis=1)
-
-
 def _words(n):
     """The uint32 words of a non-negative int, low first, as SeedSequence."""
     if not _is_int(n) or n < 0:
         raise ValueError(f"expected a non-negative integer, got {n!r}")
     n = int(n)                  # a numpy int shifts in its own width
-    return [n >> s & _M32 for s in range(0, max(n.bit_length(), 1), 32)]
+    return [n >> s & 0xFFFFFFFF for s in range(0, max(n.bit_length(), 1), 32)]
 
 
 def stream_keys(seed, replicas, stream):
     """(N, 2) uint64 Philox keys of the streams (seed, r, stream) for r in
     ``replicas``: row j equals ``SeedSequence(seed, spawn_key=(replicas[j],
     stream)).generate_state(2, np.uint64)``; each a non-negative int."""
-    r = np.asarray(replicas).reshape(-1)
+    r = np.arange(replicas.start, replicas.stop, replicas.step) \
+        if isinstance(replicas, range) else None
+    if r is None or r.dtype.kind not in "iu":   # or a range past int64
+        r = np.asarray(replicas).reshape(-1)
     # numpy casts a list's bools to int: test its items as graphs._is_int
     listed = isinstance(replicas, (list, tuple))
     if listed and not all(map(_is_int, replicas)) \
             or r.size and r.dtype.kind not in "iu" or (r < 0).any():
         raise ValueError(f"expected non-negative integer replicas, got {r}")
-    r = r.astype(np.int64)
-    head = _words(seed)
-    head += [0] * (_POOL - len(head))     # SeedSequence pads before a spawn key
-    tail = _words(stream)
-    lo, hi = (r & _M32).astype(np.uint32), (r >> 32).astype(np.uint32)
+    r = np.ascontiguousarray(r, dtype=np.uint64)
+    head, tail = (np.array(_words(w), np.uint32) for w in (seed, stream))
     keys = np.empty((len(r), 2), dtype=np.uint64)
-    # the hash constants depend on the word count: one pass per count
-    for sel, words in ((hi == 0, [lo]), (hi > 0, [lo, hi])):
-        n = int(sel.sum())
-        keys[sel] = _hash([np.full(n, w, np.uint32) for w in head]
-                          + [w[sel] for w in words]
-                          + [np.full(n, w, np.uint32) for w in tail])
+    _native.library().seed_keys(head.ctypes.data, len(head), r.ctypes.data,
+                                len(r), tail.ctypes.data, len(tail),
+                                keys.ctypes.data)
     return keys
 
 

@@ -298,7 +298,8 @@ def _printed(b, jsonl_print):
     for a line that ``FORM`` cannot print or the reader would refuse: a
     method it does not name, extras other than ``lil`` and ``spine``, or
     those not of the shape ``_summary`` reads; their ints go through
-    int64, as the block's own columns do."""
+    int64, as the block's own columns do.  It names the replica, method,
+    extra and defect, and no values."""
     methods = np.equal.outer(b.method, _METHODS) - 1
     na, ns, n_lil, n_spine, span = np.array([[-1], [-1], [0], [0], [0]]
                                             ).repeat(len(b), 1)
@@ -306,11 +307,16 @@ def _printed(b, jsonl_print):
     unnamed = methods.max(axis=1) < 0
     odd = unnamed | b.extras.astype(bool)
     for i, e in zip(np.flatnonzero(odd).tolist(), b.extras[odd]):
+        name, why = None, "not direct or selfloop"     # what fails, and how
         try:
-            if unnamed[i] or not all(
-                    _EXTRAS.get(k) == {*v} for k, v in e.items()):
+            if unnamed[i]:
                 raise TypeError
+            for name, v in e.items():
+                why = "not lil or spine, or other members"
+                if _EXTRAS.get(name) != {*v}:
+                    raise TypeError
             if "lil" in e:
+                name, why = "lil", "alphas not one number per times list"
                 a, ts = e["lil"]["alphas"], e["lil"]["times"]
                 if len(a) != len(ts) or {*map(type, a)} - {int, float}:
                     raise TypeError
@@ -318,20 +324,24 @@ def _printed(b, jsonl_print):
                 if key not in at:
                     js = _ENCODER.encode(a)[1:-1].encode()
                     at[key], text = (len(text), len(text) + len(js)), text + js
+                why = "times not lists of int64 ints"
                 lil.append(np.array([*at[key], *chain(*(
                     (len(t), *t) for t in ts))], np.int64))
                 na[i], n_lil[i] = len(ts), len(lil[-1])
                 span[i] = at[key][1] - at[key][0]
             if "spine" in e:
+                name, why = "spine", "stride < 1, or len(x) != len(y)"
                 x, y, stride = (e["spine"][k] for k in ("x", "y", "stride"))
                 if len(x) != len(y) or stride < 1:
                     raise TypeError
+                why = "x and y not lists of int64 ints"
                 spine.append(np.array([stride, *x, *y], np.int64))
                 ns[i], n_spine[i] = len(x), len(spine[-1])
         except (KeyError, TypeError, ValueError, OverflowError):
-            raise ValueError(f"replica {b.replica[i]}: the template cannot "
-                             f"print method {b.method[i]!r} or extras "
-                             f"{e}") from None
+            raise ValueError(
+                f"replica {b.replica[i]}: the template cannot print method "
+                f"{b.method[i]!r}" + (f" with extra {name!r}" if name else "")
+                + f": {why}") from None
     vals = {f: getattr(b, f) for f in _COLUMNS}
     vals["lil"], vals["spine"] = (np.concatenate([np.empty(0, np.int64), *a])
                                   for a in (lil, spine))

@@ -184,6 +184,33 @@ def test_writer_refuses_extras_the_reader_refuses(defect, tmp_path):
         read_summaries(str(path))
 
 
+# a ladder line of 4096 steps at spine stride 2 and a lil line of as many
+# times, each with one defect: method, extra and defect as refused
+LONG_DEFECTS = {
+    "spine stride 0": ("direct", {"spine": {
+        "stride": 0, "x": list(range(2048)), "y": list(range(2048))}},
+        "method 'direct' with extra 'spine': stride < 1"),
+    "a time past int64": ("selfloop", {"lil": {
+        "alphas": [0.75], "times": [[*range(4095), 2 ** 63]]}},
+        "method 'selfloop' with extra 'lil': times not lists of int64"),
+    "a method not named": ("clock", {"spine": {
+        "stride": 2, "x": list(range(2048)), "y": list(range(2048))}},
+        "method 'clock': not direct or selfloop"),
+}
+
+
+@pytest.mark.parametrize("defect", list(LONG_DEFECTS))
+def test_writer_refusal_names_the_defect_not_the_values(defect, tmp_path):
+    method, extras, want = LONG_DEFECTS[defect]
+    odd = dataclasses.replace(EMPTY_SUMMARY, replica=5, method=method,
+                              extras=extras)
+    with pytest.raises(ValueError) as info:
+        write_summaries(str(tmp_path / "runs.jsonl"), [odd])
+    message = str(info.value)
+    assert message.startswith("replica 5: the template cannot print " + want)
+    assert len(message) < 200
+
+
 # graphs whose direct blocks without extras the printer writes, and the
 # seed of each
 PRINTED = {"comb:line": 11, "comb2:line": 13, "line": 16, "grid2d": 14,

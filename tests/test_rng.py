@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.random import SeedSequence
 
+from combwalks import _native
 from combwalks.rng import X_MAIN, Y_MAIN, RngStream, fill, stream_keys
 
 
@@ -43,6 +44,34 @@ def test_stream_keys_match_seed_sequence(seed):
             ref = SeedSequence(seed, spawn_key=(r, stream)).generate_state(
                 2, np.uint64)
             assert np.array_equal(key, ref)
+
+
+def _reference_keys(seed, replicas, stream):
+    return np.array([SeedSequence(seed, spawn_key=(int(r), stream))
+                     .generate_state(2, np.uint64) for r in replicas],
+                    np.uint64).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("seed, replicas, stream", [
+    (5, range(3, 50, 7), 1),                        # a range of step > 1
+    (5, range(2 ** 32 - 3, 2 ** 32 + 3), 4),        # one word, then two
+    (5, range(9, 9), 0),                            # an empty range
+    (5, range(2 ** 63, 2 ** 63 + 3), 2),            # a range past int64
+    (5, np.array([2 ** 63, 2 ** 64 - 1], np.uint64), 3),  # uint64 words
+    ((1 << 200) + 77, [0, 2 ** 32, 2 ** 62], 2 ** 40),  # 7 words, 2 words
+])
+def test_stream_keys_of_every_replica_form(seed, replicas, stream):
+    keys = stream_keys(seed, replicas, stream)
+    assert keys.dtype == np.uint64
+    assert np.array_equal(keys, _reference_keys(seed, replicas, stream))
+
+
+def test_stream_keys_without_the_library_raise_build_error(monkeypatch):
+    def no_library():
+        raise _native.BuildError("no compiler")
+    monkeypatch.setattr(_native, "library", no_library)
+    with pytest.raises(_native.BuildError):
+        stream_keys(3, range(4), X_MAIN)
 
 
 def test_stream_keys_reject_negatives():

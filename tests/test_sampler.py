@@ -910,7 +910,7 @@ def test_every_compiled_loop_has_its_argument_types():
     loops = re.findall(r"^(\w+) (\w+)\(([^)]*)\)", _native._SOURCE, re.M)
     assert sorted(name for _, name, _ in loops) == [
         "comb_step", "csr_rows", "csr_scatter", "jsonl_print", "jsonl_scan",
-        "observe", "philox_fill"]
+        "observe", "philox_fill", "seed_keys"]
     lib = _native.library()
     for ret, name, params in loops:
         fn = getattr(lib, name)
